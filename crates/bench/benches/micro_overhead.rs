@@ -13,16 +13,10 @@
 //!
 //! * **raw** — plain `simmpi` with a pre-built refcounted payload; the
 //!   floor every other cell is judged against.
-//! * **copying** — raw plus the pre-zero-copy per-message tax, staged
-//!   explicitly: each send concatenates a 4-byte header and the payload
-//!   into a fresh buffer (`Vec::with_capacity(4 + len)`), and each
-//!   receive peels the payload back off with `to_vec()`. This is exactly
-//!   what the protocol layer did before headers became a separate inline
-//!   segment, so `copying − raw` is the copy tax the refactor removed.
 //! * **packed / explicit** — the C³ process at the `Piggyback`
 //!   instrumentation level (headers on every message, no checkpoints),
-//!   one cell per wire representation. `cell − raw` is the surviving
-//!   O(header) protocol cost.
+//!   one cell per wire representation. `cell − raw` is the O(header)
+//!   protocol cost, reported as the summary cells' `header_cost_ns`.
 //! * **packed_ckpt / explicit_ckpt** — instrumentation level `Full`
 //!   with checkpoints every few hundred operations, so epochs advance
 //!   and the logging machinery engages mid-stream.
@@ -30,12 +24,9 @@
 //!   attached; `packed_obs − packed` is the runtime cost of metrics
 //!   recording, reported as `obs_delta_pct` and expected ≤ 2% at 16 B.
 //!
-//! The report's summary cells compare the pre-refactor overhead
-//! (`copy tax + header cost`) against the post-refactor overhead
-//! (`header cost` alone); the acceptance bar is a ≥ 2× reduction once
-//! payloads reach 64 KiB and no regression at 16 B. Two `fig8` cells
-//! rerun the paper's Dense CG and Laplace instrumented-vs-uninstrumented
-//! ratios through [`c3_bench::measure_levels`].
+//! Two `fig8` cells rerun the paper's Dense CG and Laplace
+//! instrumented-vs-uninstrumented ratios through
+//! [`c3_bench::measure_levels`].
 //!
 //! Besides the printed lines, the bench rewrites `BENCH_overhead.json`
 //! at the workspace root (skipped under `C3_BENCH_SMOKE=1`).
@@ -90,48 +81,23 @@ fn repeats() -> u32 {
     }
 }
 
-/// Raw simmpi streaming; `copying` adds the emulated pre-zero-copy
-/// per-message tax on both the send and the receive side. Returns the
-/// loop time in nanoseconds as measured by rank 0.
-fn raw_stream_ns(size: usize, batches: u64, copying: bool) -> u64 {
+/// Raw simmpi streaming. Returns the loop time in nanoseconds as
+/// measured by rank 0.
+fn raw_stream_ns(size: usize, batches: u64) -> u64 {
     let out = World::run(2, |mpi| {
         let comm = mpi.world();
         let peer = 1 - mpi.rank();
         let payload = Bytes::from(vec![0xC3u8; size]);
-        let header = [0xA5u8; 4];
         let t0 = Instant::now();
         for _ in 0..batches {
             if mpi.rank() == 0 {
                 for _ in 0..BATCH {
-                    if copying {
-                        let mut buf =
-                            Vec::with_capacity(header.len() + payload.len());
-                        buf.extend_from_slice(&header);
-                        buf.extend_from_slice(&payload);
-                        mpi.send_bytes(
-                            &comm,
-                            peer,
-                            DATA_TAG,
-                            Bytes::from(buf),
-                        )?;
-                    } else {
-                        mpi.send_bytes(
-                            &comm,
-                            peer,
-                            DATA_TAG,
-                            payload.clone(),
-                        )?;
-                    }
+                    mpi.send_bytes(&comm, peer, DATA_TAG, payload.clone())?;
                 }
                 black_box(mpi.recv(&comm, peer, ACK_TAG)?);
             } else {
                 for _ in 0..BATCH {
-                    let msg = mpi.recv(&comm, peer, DATA_TAG)?;
-                    if copying {
-                        black_box(msg.payload[header.len()..].to_vec());
-                    } else {
-                        black_box(msg);
-                    }
+                    black_box(mpi.recv(&comm, peer, DATA_TAG)?);
                 }
                 mpi.send(&comm, peer, ACK_TAG, &[1u8])?;
             }
@@ -187,10 +153,9 @@ impl C3App for Stream {
 }
 
 /// One instrumented streaming run; returns rank 0's loop nanoseconds.
-/// `obs` attaches a live metrics registry (the zero-cost-when-off claim
-/// is about the *registry-attached* tax: the `obs` feature is compiled
-/// in for every cell here, so `obs = false` measures the dormant hooks
-/// and `obs = true` the recording ones).
+/// `obs` attaches a live metrics registry: `obs = false` measures the
+/// dormant hooks (one `Option` check each) and `obs = true` the
+/// recording ones.
 fn c3_stream_ns(
     size: usize,
     batches: u64,
@@ -248,12 +213,7 @@ fn stream_cells() -> Vec<PpCell> {
     let mut cells = Vec::new();
     for size in sizes() {
         let b = batches_for(size);
-        cells.push(best_ns_per_msg("raw", size, || {
-            raw_stream_ns(size, b, false)
-        }));
-        cells.push(best_ns_per_msg("copying", size, || {
-            raw_stream_ns(size, b, true)
-        }));
+        cells.push(best_ns_per_msg("raw", size, || raw_stream_ns(size, b)));
         for (name, mode) in [
             ("packed", PiggybackMode::Packed),
             ("explicit", PiggybackMode::Explicit),
@@ -287,38 +247,23 @@ fn cell_ns(cells: &[PpCell], variant: &str, size: usize) -> f64 {
         .expect("cell present")
 }
 
-/// Pre- vs post-refactor overhead for one (size, mode) pair.
+/// Protocol cost over raw `simmpi` for one (size, mode) pair.
 #[derive(Debug, Clone)]
 struct Summary {
     mode: &'static str,
     size: usize,
-    copy_tax_ns: f64,
     header_cost_ns: f64,
-    pre_overhead_ns: f64,
-    post_overhead_ns: f64,
-    reduction_ratio: f64,
 }
 
 fn summarize(cells: &[PpCell]) -> Vec<Summary> {
     let mut out = Vec::new();
     for size in sizes() {
         let raw = cell_ns(cells, "raw", size);
-        let copy_tax = cell_ns(cells, "copying", size) - raw;
         for mode in ["packed", "explicit"] {
-            let header_cost = cell_ns(cells, mode, size) - raw;
-            let pre = copy_tax + header_cost;
-            let post = header_cost;
             out.push(Summary {
                 mode,
                 size,
-                copy_tax_ns: copy_tax,
-                header_cost_ns: header_cost,
-                pre_overhead_ns: pre,
-                post_overhead_ns: post,
-                // Scheduler noise can push tiny overheads below zero;
-                // floor the denominator at 1 ns so the ratio stays
-                // finite and meaningful.
-                reduction_ratio: pre / post.max(1.0),
+                header_cost_ns: cell_ns(cells, mode, size) - raw,
             });
         }
     }
@@ -401,11 +346,7 @@ fn write_json(
                 .field("kind", "summary")
                 .field("mode", s.mode)
                 .field("size_bytes", s.size)
-                .field("copy_tax_ns", s.copy_tax_ns)
-                .field("header_cost_ns", s.header_cost_ns)
-                .field("pre_overhead_ns_per_msg", s.pre_overhead_ns)
-                .field("post_overhead_ns_per_msg", s.post_overhead_ns)
-                .field("reduction_ratio", s.reduction_ratio),
+                .field("header_cost_ns", s.header_cost_ns),
         );
     }
     for o in obs {
@@ -444,23 +385,9 @@ fn bench_overhead(c: &mut Criterion) {
     let summaries = summarize(&cells);
     for s in &summaries {
         println!(
-            "overhead/summary/{}/{}B: copy tax {:.1} ns + header {:.1} ns \
-             -> pre {:.1} ns vs post {:.1} ns ({:.2}x reduction)",
-            s.mode,
-            s.size,
-            s.copy_tax_ns,
-            s.header_cost_ns,
-            s.pre_overhead_ns,
-            s.post_overhead_ns,
-            s.reduction_ratio
+            "overhead/summary/{}/{}B: header cost {:.1} ns/msg over raw",
+            s.mode, s.size, s.header_cost_ns
         );
-        if s.size >= 64 << 10 && s.reduction_ratio < 2.0 {
-            println!(
-                "NOTE: expected >= 2x overhead reduction at {}B, got {:.2}x; \
-                 rerun on a quiet machine",
-                s.size, s.reduction_ratio
-            );
-        }
     }
     let obs = summarize_obs(&cells);
     for o in &obs {
@@ -496,9 +423,7 @@ fn bench_overhead(c: &mut Criterion) {
     let mut g = c.benchmark_group("overhead_stream_1k");
     g.sample_size(5);
     g.throughput(Throughput::Elements(windows * BATCH));
-    g.bench_function("raw", |b| {
-        b.iter(|| raw_stream_ns(1 << 10, windows, false))
-    });
+    g.bench_function("raw", |b| b.iter(|| raw_stream_ns(1 << 10, windows)));
     g.bench_function("packed", |b| {
         b.iter(|| {
             c3_stream_ns(1 << 10, windows, PiggybackMode::Packed, false, false)

@@ -14,21 +14,14 @@ fn bench_encode(c: &mut Criterion) {
         ("packed", PiggybackMode::Packed),
         ("explicit", PiggybackMode::Explicit),
     ] {
-        for payload_len in [16usize, 1024] {
-            let payload = vec![7u8; payload_len];
-            g.bench_function(format!("{name}/{payload_len}B"), |b| {
-                let pb = Piggyback {
-                    epoch: 3,
-                    logging: true,
-                    message_id: 12345,
-                };
-                b.iter(|| {
-                    black_box(
-                        pb.encode_header(mode, black_box(&payload)).unwrap(),
-                    )
-                });
-            });
-        }
+        g.bench_function(name, |b| {
+            let pb = Piggyback {
+                epoch: 3,
+                logging: true,
+                message_id: 12345,
+            };
+            b.iter(|| black_box(pb).encode_inline(mode).unwrap());
+        });
     }
     g.finish();
 }
@@ -44,7 +37,7 @@ fn bench_decode(c: &mut Criterion) {
             logging: true,
             message_id: 12345,
         };
-        let buf = pb.encode_header(mode, &[0u8; 64]).unwrap();
+        let buf = pb.encode_inline(mode).unwrap();
         g.bench_function(name, |b| {
             b.iter(|| decode_header(mode, black_box(&buf)).unwrap());
         });

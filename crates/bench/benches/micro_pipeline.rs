@@ -134,7 +134,7 @@ fn run_cell(
         Chunker::Fixed { .. } => "fixed",
         Chunker::Cdc { .. } => "cdc",
     };
-    let codec = if !incremental || !io.compression {
+    let codec = if !incremental {
         "none"
     } else {
         match io.codec {
@@ -205,7 +205,7 @@ fn cells() -> Vec<Cell> {
             "dirty",
             PipelineConfig::sync_full()
                 .with_incremental(true)
-                .with_chunk_size(CHUNK),
+                .with_chunker(Chunker::fixed(CHUNK)),
         ),
         run_cell(
             "async",
@@ -213,15 +213,15 @@ fn cells() -> Vec<Cell> {
             PipelineConfig::default()
                 .with_mode(asynch)
                 .with_incremental(false)
-                .with_compression(false),
+                .with_codec(Codec::None),
         ),
         run_cell(
             "async",
             "dirty",
             PipelineConfig::default()
                 .with_mode(asynch)
-                .with_compression(false)
-                .with_chunk_size(CHUNK),
+                .with_codec(Codec::None)
+                .with_chunker(Chunker::fixed(CHUNK)),
         ),
         // The rebuilt pipeline: content-defined chunking + LZ4.
         run_cell(
@@ -239,7 +239,7 @@ fn cells() -> Vec<Cell> {
             "shifted",
             PipelineConfig::default()
                 .with_mode(asynch)
-                .with_chunk_size(CHUNK)
+                .with_chunker(Chunker::fixed(CHUNK))
                 .with_codec(Codec::PackBits),
         ),
         run_cell(
@@ -361,8 +361,8 @@ fn bench_pipeline(c: &mut Criterion) {
         (
             "async_incremental",
             PipelineConfig::default()
-                .with_compression(false)
-                .with_chunk_size(CHUNK),
+                .with_codec(Codec::None)
+                .with_chunker(Chunker::fixed(CHUNK)),
         ),
         (
             "async_cdc_lz4",

@@ -28,7 +28,7 @@ use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use c3_bench::report::{self, Report};
 use ckptpipe::{CheckpointPipeline, PipelineConfig};
 use ckptstore::{
-    CheckpointStore, FaultInjectingBackend, FaultPlan, MemoryBackend,
+    CheckpointStore, Codec, FaultInjectingBackend, FaultPlan, MemoryBackend,
     RankBlobKind, StorageBackend, TierSpec, TieredBackend,
 };
 
@@ -62,7 +62,7 @@ fn remote() -> Arc<dyn StorageBackend> {
 fn io() -> PipelineConfig {
     PipelineConfig::default()
         .with_incremental(false)
-        .with_compression(false)
+        .with_codec(Codec::None)
 }
 
 fn state_of(rank: usize, round: u64) -> Vec<u8> {

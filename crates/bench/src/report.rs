@@ -25,6 +25,8 @@
 //! variable so benches can shrink their iteration counts for CI without
 //! clobbering the checked-in full-run artifacts.
 
+use c3obs::json::{self, escape_into, Value};
+
 /// A scalar JSON value as allowed inside `params` and `cells`.
 #[derive(Debug, Clone, PartialEq)]
 pub enum JsonVal {
@@ -86,22 +88,6 @@ impl From<String> for JsonVal {
 impl From<bool> for JsonVal {
     fn from(v: bool) -> Self {
         JsonVal::Bool(v)
-    }
-}
-
-fn escape_into(out: &mut String, s: &str) {
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32))
-            }
-            c => out.push(c),
-        }
     }
 }
 
@@ -233,297 +219,61 @@ pub fn smoke() -> bool {
         .unwrap_or(false)
 }
 
-// ---------------------------------------------------------------------
-// Schema validation: a minimal hand-rolled JSON reader, just deep enough
-// to check the two-level report shape. No external parser dependency.
-// ---------------------------------------------------------------------
-
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Parser<'a> {
-    fn skip_ws(&mut self) {
-        while let Some(&b) = self.bytes.get(self.pos) {
-            if b == b' ' || b == b'\t' || b == b'\n' || b == b'\r' {
-                self.pos += 1;
-            } else {
-                break;
-            }
+/// The number of fields of an object whose values are all scalars.
+/// Nested arrays and objects are schema violations (`null` never gets
+/// past the reader).
+fn flat_object(v: &Value, what: &str) -> Result<usize, String> {
+    let fields = v.as_obj(what)?;
+    for (key, val) in fields {
+        if matches!(val, Value::Obj(_) | Value::Arr(_)) {
+            return Err(format!("{what}: field {key:?} is not a scalar"));
         }
     }
-
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn expect(&mut self, b: u8) -> Result<(), String> {
-        if self.peek() == Some(b) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(format!(
-                "expected '{}' at byte {}, found {:?}",
-                b as char,
-                self.pos,
-                self.peek().map(|c| c as char)
-            ))
-        }
-    }
-
-    fn parse_string(&mut self) -> Result<String, String> {
-        self.expect(b'"')?;
-        let mut s = String::new();
-        loop {
-            match self.peek() {
-                None => return Err("unterminated string".into()),
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(s);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    let esc = self
-                        .peek()
-                        .ok_or_else(|| "dangling escape".to_string())?;
-                    self.pos += 1;
-                    match esc {
-                        b'"' => s.push('"'),
-                        b'\\' => s.push('\\'),
-                        b'/' => s.push('/'),
-                        b'n' => s.push('\n'),
-                        b't' => s.push('\t'),
-                        b'r' => s.push('\r'),
-                        b'u' => {
-                            if self.pos + 4 > self.bytes.len() {
-                                return Err("truncated \\u escape".into());
-                            }
-                            let hex = std::str::from_utf8(
-                                &self.bytes[self.pos..self.pos + 4],
-                            )
-                            .map_err(|_| "bad \\u escape".to_string())?;
-                            let code = u32::from_str_radix(hex, 16)
-                                .map_err(|_| "bad \\u escape".to_string())?;
-                            s.push(
-                                char::from_u32(code)
-                                    .ok_or("bad \\u code point")?,
-                            );
-                            self.pos += 4;
-                        }
-                        other => {
-                            return Err(format!(
-                                "unsupported escape '\\{}'",
-                                other as char
-                            ))
-                        }
-                    }
-                }
-                Some(_) => {
-                    // Advance one whole UTF-8 scalar.
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| "invalid UTF-8".to_string())?;
-                    let ch = rest.chars().next().unwrap();
-                    s.push(ch);
-                    self.pos += ch.len_utf8();
-                }
-            }
-        }
-    }
-
-    /// A scalar value: string, finite number, or boolean. Nested arrays,
-    /// objects, and `null` are schema violations.
-    fn parse_scalar(&mut self) -> Result<(), String> {
-        self.skip_ws();
-        match self.peek() {
-            Some(b'"') => self.parse_string().map(|_| ()),
-            Some(b't') | Some(b'f') => {
-                let lit: &[u8] = if self.peek() == Some(b't') {
-                    b"true"
-                } else {
-                    b"false"
-                };
-                if self.bytes[self.pos..].starts_with(lit) {
-                    self.pos += lit.len();
-                    Ok(())
-                } else {
-                    Err(format!("bad literal at byte {}", self.pos))
-                }
-            }
-            Some(b) if b == b'-' || b.is_ascii_digit() => {
-                let start = self.pos;
-                while let Some(c) = self.peek() {
-                    if c.is_ascii_digit()
-                        || matches!(c, b'-' | b'+' | b'.' | b'e' | b'E')
-                    {
-                        self.pos += 1;
-                    } else {
-                        break;
-                    }
-                }
-                let text =
-                    std::str::from_utf8(&self.bytes[start..self.pos]).unwrap();
-                text.parse::<f64>()
-                    .map_err(|_| format!("bad number {text:?}"))
-                    .and_then(|n| {
-                        if n.is_finite() {
-                            Ok(())
-                        } else {
-                            Err(format!("non-finite number {text:?}"))
-                        }
-                    })
-            }
-            other => Err(format!(
-                "expected scalar at byte {}, found {:?}",
-                self.pos,
-                other.map(|c| c as char)
-            )),
-        }
-    }
-
-    /// An object whose values are all scalars; returns its keys.
-    fn parse_flat_object(&mut self) -> Result<Vec<String>, String> {
-        self.skip_ws();
-        self.expect(b'{')?;
-        let mut keys = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(keys);
-        }
-        loop {
-            self.skip_ws();
-            let key = self.parse_string()?;
-            self.skip_ws();
-            self.expect(b':')?;
-            self.parse_scalar()?;
-            keys.push(key);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(keys);
-                }
-                other => {
-                    return Err(format!(
-                        "expected ',' or '}}' at byte {}, found {:?}",
-                        self.pos,
-                        other.map(|c| c as char)
-                    ))
-                }
-            }
-        }
-    }
+    Ok(fields.len())
 }
 
 /// Check a JSON document against the shared benchmark report schema:
 /// a top-level object with exactly the keys `bench` (non-empty string),
 /// `params` (object of scalars), and `cells` (non-empty array of
 /// non-empty objects of scalars), and nothing else.
-pub fn validate(json: &str) -> Result<(), String> {
-    let mut p = Parser {
-        bytes: json.as_bytes(),
-        pos: 0,
-    };
-    p.skip_ws();
-    p.expect(b'{')?;
-    let mut saw_bench = false;
-    let mut saw_params = false;
-    let mut saw_cells = false;
-    loop {
-        p.skip_ws();
-        if p.peek() == Some(b'}') && !(saw_bench || saw_params || saw_cells) {
-            return Err("empty top-level object".into());
+pub fn validate(doc: &str) -> Result<(), String> {
+    const KEYS: [&str; 3] = ["bench", "params", "cells"];
+    let top = json::parse(doc)?;
+    let mut seen = [false; 3];
+    for (key, val) in top.as_obj("top level")? {
+        let slot = KEYS
+            .iter()
+            .position(|k| k == key)
+            .ok_or_else(|| format!("unexpected top-level key {key:?}"))?;
+        if std::mem::replace(&mut seen[slot], true) {
+            return Err(format!("duplicate {key:?} key"));
         }
-        let key = p.parse_string()?;
-        p.skip_ws();
-        p.expect(b':')?;
-        p.skip_ws();
-        match key.as_str() {
-            "bench" => {
-                if saw_bench {
-                    return Err("duplicate \"bench\" key".into());
-                }
-                let name = p.parse_string()?;
-                if name.is_empty() {
+        match slot {
+            0 => {
+                if val.as_str("bench")?.is_empty() {
                     return Err("\"bench\" must be a non-empty string".into());
                 }
-                saw_bench = true;
             }
-            "params" => {
-                if saw_params {
-                    return Err("duplicate \"params\" key".into());
-                }
-                p.parse_flat_object()?;
-                saw_params = true;
+            1 => {
+                flat_object(val, "params")?;
             }
-            "cells" => {
-                if saw_cells {
-                    return Err("duplicate \"cells\" key".into());
-                }
-                p.expect(b'[')?;
-                let mut n = 0usize;
-                p.skip_ws();
-                if p.peek() == Some(b']') {
+            _ => {
+                let cells = val.as_arr("cells")?;
+                if cells.is_empty() {
                     return Err("\"cells\" must be non-empty".into());
                 }
-                loop {
-                    let keys = p.parse_flat_object()?;
-                    if keys.is_empty() {
+                for (n, cell) in cells.iter().enumerate() {
+                    if flat_object(cell, &format!("cell {n}"))? == 0 {
                         return Err(format!("cell {n} has no fields"));
                     }
-                    n += 1;
-                    p.skip_ws();
-                    match p.peek() {
-                        Some(b',') => p.pos += 1,
-                        Some(b']') => {
-                            p.pos += 1;
-                            break;
-                        }
-                        other => {
-                            return Err(format!(
-                                "expected ',' or ']' in cells, found {:?}",
-                                other.map(|c| c as char)
-                            ))
-                        }
-                    }
                 }
-                saw_cells = true;
-            }
-            other => {
-                return Err(format!("unexpected top-level key {other:?}"))
-            }
-        }
-        p.skip_ws();
-        match p.peek() {
-            Some(b',') => p.pos += 1,
-            Some(b'}') => {
-                p.pos += 1;
-                break;
-            }
-            other => {
-                return Err(format!(
-                    "expected ',' or '}}' at top level, found {:?}",
-                    other.map(|c| c as char)
-                ))
             }
         }
     }
-    p.skip_ws();
-    if p.pos != p.bytes.len() {
-        return Err(format!("trailing garbage at byte {}", p.pos));
+    match seen.iter().position(|s| !s) {
+        Some(slot) => Err(format!("missing {:?} key", KEYS[slot])),
+        None => Ok(()),
     }
-    if !saw_bench {
-        return Err("missing \"bench\" key".into());
-    }
-    if !saw_params {
-        return Err("missing \"params\" key".into());
-    }
-    if !saw_cells {
-        return Err("missing \"cells\" key".into());
-    }
-    Ok(())
 }
 
 #[cfg(test)]

@@ -21,12 +21,13 @@
 //! * a `c3obs` CLI binary that renders a per-rank, per-epoch phase
 //!   table from a snapshot file.
 //!
-//! The crate is dependency-free; downstream crates gate their use of it
-//! behind an `obs` cargo feature so the entire layer compiles out.
+//! The crate is dependency-free; downstream crates record into it only
+//! once a [`Registry`] is attached at run time.
 
 #![deny(missing_docs)]
 
 mod hist;
+pub mod json;
 mod openmetrics;
 mod registry;
 mod snapshot;

@@ -18,13 +18,14 @@
 //! }
 //! ```
 //!
-//! [`Snapshot::from_json`] is a full hand-rolled parser (no external
-//! dependency) so the CLI and the round-trip tests can read the files
-//! back; [`Snapshot::self_check`] verifies internal consistency
-//! (bucket sums match counts, bucket indices in range) and is part of
-//! the chaos-matrix health invariants.
+//! [`Snapshot::from_json`] reads the files back through [`crate::json`]
+//! (no external dependency) for the CLI and the round-trip tests;
+//! [`Snapshot::self_check`] verifies internal consistency (bucket sums
+//! match counts, bucket indices in range) and is part of the
+//! chaos-matrix health invariants.
 
 use crate::hist::BUCKETS;
+use crate::json::{self, escape_into, get, Value};
 
 /// One completed phase span.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -130,22 +131,6 @@ fn buckets_from_str(s: &str) -> Result<Vec<(u8, u64)>, String> {
         .collect()
 }
 
-fn escape_into(out: &mut String, s: &str) {
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32))
-            }
-            c => out.push(c),
-        }
-    }
-}
-
 fn push_str_field(out: &mut String, key: &str, val: &str, first: bool) {
     if !first {
         out.push_str(", ");
@@ -234,18 +219,10 @@ impl Snapshot {
 
     /// Parse a snapshot document produced by [`Snapshot::to_json`].
     pub fn from_json(doc: &str) -> Result<Snapshot, String> {
-        let mut p = Parser {
-            bytes: doc.as_bytes(),
-            pos: 0,
-        };
-        let top = p.parse_value()?;
-        p.skip_ws();
-        if p.pos != p.bytes.len() {
-            return Err(format!("trailing garbage at byte {}", p.pos));
-        }
+        let top = json::parse(doc)?;
         let obj = top.as_obj("top level")?;
         match get(obj, "schema")? {
-            JVal::Str(s) if s == SCHEMA => {}
+            Value::Str(s) if s == SCHEMA => {}
             other => {
                 return Err(format!(
                     "unsupported schema {other:?}; want {SCHEMA:?}"
@@ -384,242 +361,6 @@ impl Snapshot {
     /// All spans with the given name, in recording order.
     pub fn spans_named(&self, name: &str) -> Vec<&SpanRecord> {
         self.spans.iter().filter(|s| s.name == name).collect()
-    }
-}
-
-// ---------------------------------------------------------------------
-// A minimal recursive-descent JSON reader, just deep enough for the
-// snapshot document. No external parser dependency.
-// ---------------------------------------------------------------------
-
-#[derive(Debug, Clone, PartialEq)]
-enum JVal {
-    Obj(Vec<(String, JVal)>),
-    Arr(Vec<JVal>),
-    Str(String),
-    Int(i128),
-}
-
-impl JVal {
-    fn as_obj(&self, what: &str) -> Result<&[(String, JVal)], String> {
-        match self {
-            JVal::Obj(o) => Ok(o),
-            _ => Err(format!("{what}: expected object")),
-        }
-    }
-
-    fn as_arr(&self, what: &str) -> Result<&[JVal], String> {
-        match self {
-            JVal::Arr(a) => Ok(a),
-            _ => Err(format!("{what}: expected array")),
-        }
-    }
-
-    fn as_str(&self, what: &str) -> Result<&str, String> {
-        match self {
-            JVal::Str(s) => Ok(s),
-            _ => Err(format!("{what}: expected string")),
-        }
-    }
-
-    fn as_u64(&self, what: &str) -> Result<u64, String> {
-        match self {
-            JVal::Int(i) => u64::try_from(*i)
-                .map_err(|_| format!("{what}: out of u64 range")),
-            _ => Err(format!("{what}: expected integer")),
-        }
-    }
-
-    fn as_i64(&self, what: &str) -> Result<i64, String> {
-        match self {
-            JVal::Int(i) => i64::try_from(*i)
-                .map_err(|_| format!("{what}: out of i64 range")),
-            _ => Err(format!("{what}: expected integer")),
-        }
-    }
-}
-
-fn get<'a>(obj: &'a [(String, JVal)], key: &str) -> Result<&'a JVal, String> {
-    obj.iter()
-        .find(|(k, _)| k == key)
-        .map(|(_, v)| v)
-        .ok_or_else(|| format!("missing key {key:?}"))
-}
-
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Parser<'a> {
-    fn skip_ws(&mut self) {
-        while let Some(&b) = self.bytes.get(self.pos) {
-            if matches!(b, b' ' | b'\t' | b'\n' | b'\r') {
-                self.pos += 1;
-            } else {
-                break;
-            }
-        }
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn expect(&mut self, b: u8) -> Result<(), String> {
-        if self.peek() == Some(b) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(format!(
-                "expected '{}' at byte {}, found {:?}",
-                b as char,
-                self.pos,
-                self.peek().map(|c| c as char)
-            ))
-        }
-    }
-
-    fn parse_string(&mut self) -> Result<String, String> {
-        self.expect(b'"')?;
-        let mut s = String::new();
-        loop {
-            match self.peek() {
-                None => return Err("unterminated string".into()),
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(s);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    let esc = self
-                        .peek()
-                        .ok_or_else(|| "dangling escape".to_string())?;
-                    self.pos += 1;
-                    match esc {
-                        b'"' => s.push('"'),
-                        b'\\' => s.push('\\'),
-                        b'/' => s.push('/'),
-                        b'n' => s.push('\n'),
-                        b't' => s.push('\t'),
-                        b'r' => s.push('\r'),
-                        b'u' => {
-                            if self.pos + 4 > self.bytes.len() {
-                                return Err("truncated \\u escape".into());
-                            }
-                            let hex = std::str::from_utf8(
-                                &self.bytes[self.pos..self.pos + 4],
-                            )
-                            .map_err(|_| "bad \\u escape".to_string())?;
-                            let code = u32::from_str_radix(hex, 16)
-                                .map_err(|_| "bad \\u escape".to_string())?;
-                            s.push(
-                                char::from_u32(code)
-                                    .ok_or("bad \\u code point")?,
-                            );
-                            self.pos += 4;
-                        }
-                        other => {
-                            return Err(format!(
-                                "unsupported escape '\\{}'",
-                                other as char
-                            ))
-                        }
-                    }
-                }
-                Some(_) => {
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| "invalid UTF-8".to_string())?;
-                    let ch = rest.chars().next().unwrap();
-                    s.push(ch);
-                    self.pos += ch.len_utf8();
-                }
-            }
-        }
-    }
-
-    fn parse_value(&mut self) -> Result<JVal, String> {
-        self.skip_ws();
-        match self.peek() {
-            Some(b'{') => {
-                self.pos += 1;
-                let mut fields = Vec::new();
-                self.skip_ws();
-                if self.peek() == Some(b'}') {
-                    self.pos += 1;
-                    return Ok(JVal::Obj(fields));
-                }
-                loop {
-                    self.skip_ws();
-                    let key = self.parse_string()?;
-                    self.skip_ws();
-                    self.expect(b':')?;
-                    let val = self.parse_value()?;
-                    fields.push((key, val));
-                    self.skip_ws();
-                    match self.peek() {
-                        Some(b',') => self.pos += 1,
-                        Some(b'}') => {
-                            self.pos += 1;
-                            return Ok(JVal::Obj(fields));
-                        }
-                        other => {
-                            return Err(format!(
-                                "expected ',' or '}}', found {:?}",
-                                other.map(|c| c as char)
-                            ))
-                        }
-                    }
-                }
-            }
-            Some(b'[') => {
-                self.pos += 1;
-                let mut items = Vec::new();
-                self.skip_ws();
-                if self.peek() == Some(b']') {
-                    self.pos += 1;
-                    return Ok(JVal::Arr(items));
-                }
-                loop {
-                    items.push(self.parse_value()?);
-                    self.skip_ws();
-                    match self.peek() {
-                        Some(b',') => self.pos += 1,
-                        Some(b']') => {
-                            self.pos += 1;
-                            return Ok(JVal::Arr(items));
-                        }
-                        other => {
-                            return Err(format!(
-                                "expected ',' or ']', found {:?}",
-                                other.map(|c| c as char)
-                            ))
-                        }
-                    }
-                }
-            }
-            Some(b'"') => self.parse_string().map(JVal::Str),
-            Some(b) if b == b'-' || b.is_ascii_digit() => {
-                let start = self.pos;
-                if b == b'-' {
-                    self.pos += 1;
-                }
-                while self.peek().map(|c| c.is_ascii_digit()).unwrap_or(false)
-                {
-                    self.pos += 1;
-                }
-                let text =
-                    std::str::from_utf8(&self.bytes[start..self.pos]).unwrap();
-                text.parse::<i128>()
-                    .map(JVal::Int)
-                    .map_err(|_| format!("bad integer {text:?}"))
-            }
-            other => Err(format!(
-                "unexpected byte {:?} at {}",
-                other.map(|c| c as char),
-                self.pos
-            )),
-        }
     }
 }
 

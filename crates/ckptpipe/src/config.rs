@@ -120,12 +120,10 @@ pub struct PipelineConfig {
     /// pieces, or FastCDC content-defined cuts that keep dedup working
     /// when state shifts (see [`Chunker`]).
     pub chunker: Chunker,
-    /// Compress chunks that shrink from it.
-    pub compression: bool,
-    /// Preferred chunk codec when `compression` is on. [`Codec::Lz4`]
-    /// still stores RLE-friendly pages as PackBits (the run-length form
-    /// is both smaller and cheaper there); chunks that no codec shrinks
-    /// are stored raw either way.
+    /// Preferred chunk codec; [`Codec::None`] stores every chunk raw.
+    /// [`Codec::Lz4`] still stores RLE-friendly pages as PackBits (the
+    /// run-length form is both smaller and cheaper there); chunks that
+    /// no codec shrinks are stored raw either way.
     pub codec: Codec,
     /// Transient-fault retry discipline.
     pub retry: RetryPolicy,
@@ -140,9 +138,7 @@ pub struct PipelineConfig {
     /// paper's flat stable storage).
     pub tiers: Option<TierTopology>,
     /// Metrics registry the pipeline records into (stage/write/drain
-    /// latency, retry and byte counters). `None` disables recording;
-    /// compiled out entirely without the `obs` feature.
-    #[cfg(feature = "obs")]
+    /// latency, retry and byte counters). `None` disables recording.
     pub obs: Option<c3obs::Registry>,
 }
 
@@ -155,12 +151,10 @@ impl Default for PipelineConfig {
             },
             incremental: true,
             chunker: Chunker::Fixed { size: 4096 },
-            compression: true,
             codec: Codec::PackBits,
             retry: RetryPolicy::default(),
             keep_last: 1,
             tiers: None,
-            #[cfg(feature = "obs")]
             obs: None,
         }
     }
@@ -172,7 +166,7 @@ impl PipelineConfig {
         PipelineConfig {
             mode: WriteMode::Sync,
             incremental: false,
-            compression: false,
+            codec: Codec::None,
             ..PipelineConfig::default()
         }
     }
@@ -189,26 +183,14 @@ impl PipelineConfig {
         self
     }
 
-    /// Builder: fixed-size chunking with the given piece size (bytes).
-    /// Shorthand for `with_chunker(Chunker::fixed(bytes))`.
-    pub fn with_chunk_size(self, bytes: usize) -> Self {
-        self.with_chunker(Chunker::fixed(bytes))
-    }
-
     /// Builder: set the chunking strategy (fixed-size or content-defined).
     pub fn with_chunker(mut self, chunker: Chunker) -> Self {
         self.chunker = chunker;
         self
     }
 
-    /// Builder: toggle chunk compression.
-    pub fn with_compression(mut self, on: bool) -> Self {
-        self.compression = on;
-        self
-    }
-
-    /// Builder: set the preferred chunk codec (used when compression is
-    /// on; see [`PipelineConfig::codec`]).
+    /// Builder: set the preferred chunk codec (see
+    /// [`PipelineConfig::codec`]).
     pub fn with_codec(mut self, codec: Codec) -> Self {
         self.codec = codec;
         self
@@ -235,7 +217,6 @@ impl PipelineConfig {
     }
 
     /// Builder: record pipeline metrics into `reg`.
-    #[cfg(feature = "obs")]
     pub fn with_obs(mut self, reg: c3obs::Registry) -> Self {
         self.obs = Some(reg);
         self
@@ -297,14 +278,11 @@ mod tests {
             }
         );
         assert_eq!(cfg.codec, Codec::Lz4);
-        // `with_chunk_size` stays as the fixed-size shorthand.
-        assert_eq!(
-            PipelineConfig::default().with_chunk_size(512).chunker,
-            Chunker::Fixed { size: 512 }
-        );
         // Defaults preserve the pre-CDC behavior exactly.
         let d = PipelineConfig::default();
         assert_eq!(d.chunker, Chunker::Fixed { size: 4096 });
         assert_eq!(d.codec, Codec::PackBits);
+        // The paper's whole-blob mode stores raw bytes.
+        assert_eq!(PipelineConfig::sync_full().codec, Codec::None);
     }
 }

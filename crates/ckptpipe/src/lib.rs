@@ -38,7 +38,6 @@
 #![deny(missing_docs)]
 
 pub mod config;
-#[cfg(feature = "obs")]
 pub(crate) mod obs;
 pub mod pipeline;
 
@@ -107,7 +106,7 @@ mod tests {
     #[test]
     fn async_incremental_round_trips_and_dedups() {
         let (backend, store) = mem_store(1);
-        let cfg = PipelineConfig::default().with_chunk_size(128);
+        let cfg = PipelineConfig::default().with_chunker(Chunker::fixed(128));
         let pipe = CheckpointPipeline::new(store.clone(), cfg);
         let v1 = blob(7, 4096);
         pipe.stage(1, 0, RankBlobKind::State, v1.clone()).unwrap();
@@ -181,7 +180,7 @@ mod tests {
             CheckpointStore::new(inject.clone() as Arc<dyn StorageBackend>, 1);
         let pipe = CheckpointPipeline::new(
             store.clone(),
-            PipelineConfig::default().with_chunk_size(256),
+            PipelineConfig::default().with_chunker(Chunker::fixed(256)),
         );
         pipe.stage(1, 0, RankBlobKind::State, blob(9, 1000))
             .unwrap();
@@ -278,8 +277,8 @@ mod tests {
         let (backend, store) = mem_store(1);
         let cfg = PipelineConfig::default()
             .with_mode(WriteMode::Sync)
-            .with_chunk_size(64)
-            .with_compression(false);
+            .with_chunker(Chunker::fixed(64))
+            .with_codec(Codec::None);
         let pipe = CheckpointPipeline::new(store.clone(), cfg);
         let a = vec![0xAAu8; 64];
         let b = vec![0xBBu8; 64];
@@ -314,7 +313,6 @@ mod tests {
         );
     }
 
-    #[cfg(feature = "obs")]
     #[test]
     fn pipeline_records_obs_metrics() {
         let reg = c3obs::Registry::new();
@@ -377,7 +375,7 @@ mod tests {
             store.clone(),
             PipelineConfig::default()
                 .with_mode(WriteMode::Sync)
-                .with_chunk_size(1024),
+                .with_chunker(Chunker::fixed(1024)),
         );
         // Highly compressible state: long zero runs.
         let v = vec![0u8; 64 * 1024];
@@ -473,7 +471,7 @@ mod tests {
         let (_, store) = mem_store(1);
         let cfg = PipelineConfig::default()
             .with_mode(WriteMode::Sync)
-            .with_chunk_size(512)
+            .with_chunker(Chunker::fixed(512))
             .with_codec(Codec::Lz4);
         let pipe = CheckpointPipeline::new(store.clone(), cfg);
         let v: Vec<u8> =
@@ -516,7 +514,7 @@ mod tests {
             CheckpointStore::new(tiered.clone() as Arc<dyn StorageBackend>, 2);
         let pipe = CheckpointPipeline::new(
             store.clone(),
-            PipelineConfig::default().with_chunk_size(256),
+            PipelineConfig::default().with_chunker(Chunker::fixed(256)),
         );
         let payloads = vec![blob(11, 1500), blob(12, 1500)];
         stage_full_checkpoint(&pipe, 1, &payloads);

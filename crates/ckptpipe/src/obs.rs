@@ -1,4 +1,4 @@
-//! Observability handles for the write pipeline (feature `obs`).
+//! Observability handles for the write pipeline.
 //!
 //! One [`PipeObs`] bundle is registered per pipeline (job-wide, not
 //! per-rank: writer threads serve every rank, so rank attribution of a

@@ -179,7 +179,6 @@ struct Shared {
     // backends, where no mover thread is spawned).
     mover: Mutex<MoverState>,
     mover_cv: Condvar,
-    #[cfg(feature = "obs")]
     obs: Option<crate::obs::PipeObs>,
 }
 
@@ -229,12 +228,10 @@ impl CheckpointPipeline {
     /// Create a pipeline over `store`, spawning writer threads when the
     /// mode is asynchronous.
     pub fn new(store: CheckpointStore, cfg: PipelineConfig) -> Self {
-        #[cfg(feature = "obs")]
         let obs = cfg.obs.as_ref().map(crate::obs::PipeObs::register);
         let shared = Arc::new(Shared {
             store,
             cfg,
-            #[cfg(feature = "obs")]
             obs,
             queue: Mutex::new(QueueState::default()),
             not_empty: Condvar::new(),
@@ -313,11 +310,9 @@ impl CheckpointPipeline {
         kind: RankBlobKind,
         bytes: impl Into<Bytes>,
     ) -> StoreResult<()> {
-        #[cfg(feature = "obs")]
         let timer =
             self.shared.obs.as_ref().map(|_| c3obs::Stopwatch::start());
         let res = self.stage_inner(ckpt, rank, kind, bytes.into());
-        #[cfg(feature = "obs")]
         if let (Some(o), Some(t)) = (self.shared.obs.as_ref(), timer) {
             o.stage_ns.record(t.elapsed_ns());
         }
@@ -369,7 +364,6 @@ impl CheckpointPipeline {
         bytes: Bytes,
     ) -> StoreResult<()> {
         let shared = &self.shared;
-        #[cfg(feature = "obs")]
         if let Some(o) = &shared.obs {
             o.staged_bytes.add(bytes.len() as u64);
         }
@@ -438,11 +432,9 @@ impl CheckpointPipeline {
     /// transient fault that exhausted its retries, or a permanent one),
     /// in which case the initiator must not commit `ckpt`.
     pub fn drain(&self, ckpt: CkptId) -> StoreResult<u64> {
-        #[cfg(feature = "obs")]
         let timer =
             self.shared.obs.as_ref().map(|_| c3obs::Stopwatch::start());
         let res = self.drain_inner(ckpt);
-        #[cfg(feature = "obs")]
         if let (Some(o), Some(t)) = (self.shared.obs.as_ref(), timer) {
             o.drain_ns.record(t.elapsed_ns());
         }
@@ -688,10 +680,8 @@ impl Shared {
     }
 
     fn write_blob(&self, job: &Job) -> StoreResult<()> {
-        #[cfg(feature = "obs")]
         let timer = self.obs.as_ref().map(|_| c3obs::Stopwatch::start());
         let res = self.write_blob_inner(job);
-        #[cfg(feature = "obs")]
         if let (Some(o), Some(t)) = (self.obs.as_ref(), timer) {
             o.write_ns.record(t.elapsed_ns());
         }
@@ -751,12 +741,10 @@ impl Shared {
                 self.stats
                     .bytes_deduped
                     .fetch_add(u64::from(chunk.len), Ordering::Relaxed);
-                #[cfg(feature = "obs")]
                 if let Some(o) = &self.obs {
                     o.dedup_hits.inc();
                 }
             } else {
-                #[cfg(feature = "obs")]
                 if let Some(o) = &self.obs {
                     o.dedup_misses.inc();
                 }
@@ -895,7 +883,6 @@ impl Shared {
     /// altogether), by encoding otherwise.
     fn prepare_chunk(&self, piece: &[u8], prev: &PrevChunkMap) -> Prepared {
         let mut chunk = ChunkRef::for_piece(piece);
-        #[cfg(feature = "obs")]
         if let Some(o) = &self.obs {
             o.chunk_bytes.record(piece.len() as u64);
         }
@@ -911,7 +898,6 @@ impl Shared {
         let (stored, codec) = self.stored_form(piece);
         chunk.stored_len = stored.len() as u32;
         chunk.codec = codec;
-        #[cfg(feature = "obs")]
         if let Some(o) = &self.obs {
             o.precompress_bytes.add(piece.len() as u64);
             o.postcompress_bytes.add(stored.len() as u64);
@@ -923,14 +909,14 @@ impl Shared {
     }
 
     /// Deterministic stored representation of a chunk: encoded with the
-    /// configured codec iff compression is enabled and the encoding
-    /// actually shrinks it, raw otherwise. Under [`Codec::Lz4`],
+    /// configured codec iff the encoding actually shrinks it, raw
+    /// otherwise. Under [`Codec::Lz4`],
     /// RLE-friendly pages still go through PackBits (smaller and much
     /// cheaper on long runs). Must stay a pure function of the piece:
     /// dedup is first-writer-wins, so every writer has to agree on what
     /// the stored form of a given piece looks like.
     fn stored_form(&self, piece: &[u8]) -> (Vec<u8>, Codec) {
-        if self.cfg.compression && self.cfg.codec != Codec::None {
+        if self.cfg.codec != Codec::None {
             let codec = match self.cfg.codec {
                 Codec::Lz4 if ckptstore::compress::rle_friendly(piece) => {
                     Codec::PackBits
@@ -963,7 +949,6 @@ impl Shared {
             Err(e) if e.is_transient() => {
                 // The fallback is the batch's retry: count it as one.
                 self.stats.retries.fetch_add(1, Ordering::Relaxed);
-                #[cfg(feature = "obs")]
                 if let Some(o) = &self.obs {
                     o.retries.inc();
                 }
@@ -988,7 +973,6 @@ impl Shared {
                     let delay = self.cfg.retry.delay_ms(attempt);
                     attempt += 1;
                     self.stats.retries.fetch_add(1, Ordering::Relaxed);
-                    #[cfg(feature = "obs")]
                     if let Some(o) = &self.obs {
                         o.retries.inc();
                     }

@@ -55,7 +55,6 @@ pub mod error;
 pub mod fault;
 pub mod integrity;
 pub mod manifest;
-#[cfg(feature = "obs")]
 pub mod obs;
 pub mod store;
 pub mod tier;
@@ -68,7 +67,6 @@ pub use error::{StoreError, StoreResult};
 pub use fault::{FaultInjectingBackend, FaultPlan};
 pub use integrity::{crc32, hash128, seal, unseal};
 pub use manifest::{chunk_key, ChunkRef, Manifest};
-#[cfg(feature = "obs")]
 pub use obs::ObservedBackend;
 pub use store::{CheckpointStore, CkptId, RankBlobKind};
 pub use tier::{TierSpec, TieredBackend, WritePolicy};

@@ -1,4 +1,4 @@
-//! Observability decorator for storage backends (feature `obs`).
+//! Observability decorator for storage backends.
 //!
 //! [`ObservedBackend`] wraps any [`StorageBackend`] and records put/get
 //! latency histograms plus byte counters into a `c3obs` registry. The

@@ -110,7 +110,6 @@ impl CheckpointStore {
     /// latency and byte metrics into `reg`. Pass-through accounting
     /// (`bytes_written`) still reaches the original backend. A tiered
     /// backend additionally gets its per-tier histograms registered.
-    #[cfg(feature = "obs")]
     pub fn attach_obs(&mut self, reg: &c3obs::Registry) {
         if let Some(t) = self.backend.as_tiered() {
             t.attach_obs(reg);

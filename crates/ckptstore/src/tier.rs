@@ -112,7 +112,6 @@ impl TierSpec {
     }
 }
 
-#[cfg(feature = "obs")]
 struct TierObs {
     put_ns: Vec<c3obs::Histogram>,
     get_ns: Vec<c3obs::Histogram>,
@@ -128,7 +127,6 @@ pub struct TieredBackend {
     tiers: Vec<TierSpec>,
     nranks: usize,
     reconstructions: AtomicU64,
-    #[cfg(feature = "obs")]
     obs: std::sync::OnceLock<TierObs>,
 }
 
@@ -182,7 +180,6 @@ impl TieredBackend {
             tiers,
             nranks,
             reconstructions: AtomicU64::new(0),
-            #[cfg(feature = "obs")]
             obs: std::sync::OnceLock::new(),
         }
     }
@@ -207,7 +204,6 @@ impl TieredBackend {
     /// Records `tier_put_ns` / `tier_get_ns` / `tier_drain_ns`
     /// histograms labelled by tier, plus `tier_promotes_total` and
     /// `tier_shard_reconstructions_total` counters.
-    #[cfg(feature = "obs")]
     pub fn attach_obs(&self, reg: &c3obs::Registry) {
         let _ = self.obs.get_or_init(|| {
             let mut put_ns = Vec::new();
@@ -371,7 +367,6 @@ impl TieredBackend {
                         if rebuilt {
                             self.reconstructions
                                 .fetch_add(1, Ordering::Relaxed);
-                            #[cfg(feature = "obs")]
                             if let Some(o) = self.obs.get() {
                                 o.reconstructions.inc();
                             }
@@ -424,18 +419,12 @@ impl TieredBackend {
     pub fn promote(&self, key: &str, t: usize) -> StoreResult<()> {
         assert!(t < self.tiers.len(), "tier {t} out of range");
         let value = self.get(key)?;
-        #[cfg(feature = "obs")]
-        let res = {
-            let sw = c3obs::Stopwatch::start();
-            let res = self.write_tier(t, key, &value);
-            if let Some(o) = self.obs.get() {
-                o.promote_ns[t].record(sw.elapsed_ns());
-                o.promotes.inc();
-            }
-            res
-        };
-        #[cfg(not(feature = "obs"))]
+        let sw = c3obs::Stopwatch::start();
         let res = self.write_tier(t, key, &value);
+        if let Some(o) = self.obs.get() {
+            o.promote_ns[t].record(sw.elapsed_ns());
+            o.promotes.inc();
+        }
         res
     }
 
@@ -515,17 +504,11 @@ impl StorageBackend for TieredBackend {
     /// mover's job. This is what keeps the drain barrier (and therefore
     /// commit latency) covering tier-local durability alone.
     fn put(&self, key: &str, value: &[u8]) -> StoreResult<()> {
-        #[cfg(feature = "obs")]
-        let res = {
-            let sw = c3obs::Stopwatch::start();
-            let res = self.tiers[0].backend.put(key, value);
-            if let Some(o) = self.obs.get() {
-                o.put_ns[0].record(sw.elapsed_ns());
-            }
-            res
-        };
-        #[cfg(not(feature = "obs"))]
+        let sw = c3obs::Stopwatch::start();
         let res = self.tiers[0].backend.put(key, value);
+        if let Some(o) = self.obs.get() {
+            o.put_ns[0].record(sw.elapsed_ns());
+        }
         res
     }
 
@@ -534,17 +517,11 @@ impl StorageBackend for TieredBackend {
     ///
     /// [`put`]: StorageBackend::put
     fn put_many(&self, items: &[(String, Vec<u8>)]) -> StoreResult<()> {
-        #[cfg(feature = "obs")]
-        let res = {
-            let sw = c3obs::Stopwatch::start();
-            let res = self.tiers[0].backend.put_many(items);
-            if let Some(o) = self.obs.get() {
-                o.put_ns[0].record(sw.elapsed_ns());
-            }
-            res
-        };
-        #[cfg(not(feature = "obs"))]
+        let sw = c3obs::Stopwatch::start();
         let res = self.tiers[0].backend.put_many(items);
+        if let Some(o) = self.obs.get() {
+            o.put_ns[0].record(sw.elapsed_ns());
+        }
         res
     }
 
@@ -553,10 +530,8 @@ impl StorageBackend for TieredBackend {
     fn get(&self, key: &str) -> StoreResult<Vec<u8>> {
         let mut last: Option<StoreError> = None;
         for t in 0..self.tiers.len() {
-            #[cfg(feature = "obs")]
             let sw = c3obs::Stopwatch::start();
             let res = self.read_tier(t, key);
-            #[cfg(feature = "obs")]
             if let Some(o) = self.obs.get() {
                 o.get_ns[t].record(sw.elapsed_ns());
             }

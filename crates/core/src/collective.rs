@@ -78,7 +78,13 @@ fn unframe_chunks(bytes: &Bytes) -> Result<Vec<Bytes>, CodecError> {
         Ok(n)
     };
     let count = read_len(&mut pos)?;
-    let mut out = Vec::with_capacity(count.min(bytes.len()));
+    // Every chunk costs at least its 8-byte length prefix, so a count
+    // beyond that is corrupt; refusing it here also bounds the
+    // reservation by the blob's own size.
+    if count > (bytes.len() - pos) / 8 {
+        return Err(err());
+    }
+    let mut out = Vec::with_capacity(count);
     for _ in 0..count {
         let len = read_len(&mut pos)?;
         if bytes.len() - pos < len {
@@ -475,6 +481,14 @@ mod tests {
         ];
         assert_eq!(unframe_chunks(&frame_chunks(&chunks)).unwrap(), chunks);
         assert!(unframe_chunks(&Bytes::from_static(&[1, 2, 3])).is_err());
+        // A corrupted count must be refused before anything is reserved
+        // for it: here it claims more chunks than the blob has room for
+        // length prefixes.
+        for count in [3u64, u64::MAX] {
+            let mut hostile = count.to_le_bytes().to_vec();
+            hostile.extend_from_slice(&[0u8; 16]);
+            assert!(unframe_chunks(&Bytes::from(hostile)).is_err());
+        }
     }
 
     #[test]

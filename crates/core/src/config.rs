@@ -188,11 +188,8 @@ pub struct C3Config {
     /// protocol spans and counters, I/O pipeline latencies, storage
     /// put/get timings, per-rank MPI and retransmit counters — records
     /// into it; [`crate::obs::health_check`] and the `c3obs` CLI
-    /// consume the resulting snapshot. `None` disables recording at
-    /// run time; building without the `obs` feature removes the hooks
-    /// entirely (the `zero_copy` tripwires prove the send path is
-    /// untouched).
-    #[cfg(feature = "obs")]
+    /// consume the resulting snapshot. `None` disables recording
+    /// (each hook is then one `Option` check).
     pub obs: Option<c3obs::Registry>,
 }
 
@@ -209,7 +206,6 @@ impl Default for C3Config {
             trace: None,
             io: ckptpipe::PipelineConfig::default(),
             net: simmpi::NetCond::perfect(),
-            #[cfg(feature = "obs")]
             obs: None,
         }
     }
@@ -275,12 +271,6 @@ impl C3Config {
         self
     }
 
-    /// Cap the number of full rollback-restarts.
-    pub fn with_max_restarts(mut self, max: usize) -> Self {
-        self.max_restarts = max;
-        self
-    }
-
     /// Select the piggyback wire representation (all ranks must agree;
     /// the job driver hands every rank the same config).
     pub fn with_piggyback(mut self, mode: PiggybackMode) -> Self {
@@ -291,7 +281,6 @@ impl C3Config {
     /// Record metrics and phase spans into `reg` (see `c3obs`). The job
     /// driver propagates the registry to the I/O pipeline and the
     /// checkpoint store; snapshot it after `run_job` returns.
-    #[cfg(feature = "obs")]
     pub fn with_obs(mut self, reg: c3obs::Registry) -> Self {
         self.obs = Some(reg);
         self

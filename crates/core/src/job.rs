@@ -133,7 +133,6 @@ pub fn run_job<A: C3App>(
             backend = Arc::new(ckptstore::TieredBackend::new(tiers, nprocs));
         }
     }
-    #[cfg_attr(not(feature = "obs"), allow(unused_mut))]
     let mut store = cfg
         .level
         .checkpoints()
@@ -141,9 +140,7 @@ pub fn run_job<A: C3App>(
     // Observability plumbing: every store access records through the
     // registry, and the per-attempt pipelines inherit it. The report's
     // `storage_bytes_written` still reads the raw backend directly.
-    #[cfg_attr(not(feature = "obs"), allow(unused_mut))]
     let mut io_cfg = cfg.io.clone();
-    #[cfg(feature = "obs")]
     if let Some(reg) = &cfg.obs {
         if let Some(s) = store.as_mut() {
             s.attach_obs(reg);
@@ -159,7 +156,7 @@ pub fn run_job<A: C3App>(
     let mut recovered_from = Vec::new();
 
     for attempt in 1.. {
-        if attempt > cfg.max_restarts + 1 {
+        if attempt - 1 > cfg.max_restarts {
             return Err(C3Error::RestartBudgetExhausted {
                 max_restarts: cfg.max_restarts,
             });

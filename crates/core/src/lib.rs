@@ -76,7 +76,6 @@ pub mod error;
 pub mod initiator;
 pub mod job;
 pub mod logrec;
-#[cfg(feature = "obs")]
 pub mod obs;
 pub mod pending;
 pub mod piggyback;
@@ -103,5 +102,4 @@ pub use ckptpipe::{
 pub use simmpi::{DType, ReduceOp, ANY_SOURCE, ANY_TAG};
 pub use statesave::snapshot::SaveState;
 
-#[cfg(feature = "obs")]
 pub use obs::health_check;

@@ -1,4 +1,4 @@
-//! Protocol-layer observability (feature `obs`): counters, phase spans,
+//! Protocol-layer observability: counters, phase spans,
 //! and the job-level snapshot health invariants.
 //!
 //! The protocol layer emits *spans* — named durations tagged with

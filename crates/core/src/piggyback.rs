@@ -12,8 +12,8 @@
 //!   the message id ("it is unlikely that a single process will send more
 //!   than a billion messages between checkpoints!").
 //!
-//! The header is prepended to the application payload by the protocol
-//! layer's send path and stripped on delivery.
+//! The control word travels in the frame's inline header segment, beside
+//! the application payload, which neither side touches.
 
 use ckptstore::codec::CodecError;
 use simmpi::HeaderBytes;
@@ -99,28 +99,6 @@ impl Piggyback {
         }
     }
 
-    /// Encode as a header in the given mode, prepended to `payload`.
-    /// Fails in packed mode when the message id exceeds 30 bits.
-    pub fn encode_header(
-        &self,
-        mode: PiggybackMode,
-        payload: &[u8],
-    ) -> Result<Vec<u8>, CodecError> {
-        let mut out = Vec::with_capacity(mode.header_len() + payload.len());
-        match mode {
-            PiggybackMode::Explicit => {
-                out.extend_from_slice(&self.epoch.to_le_bytes());
-                out.push(self.logging as u8);
-                out.extend_from_slice(&self.message_id.to_le_bytes());
-            }
-            PiggybackMode::Packed => {
-                out.extend_from_slice(&self.try_pack()?.to_le_bytes());
-            }
-        }
-        out.extend_from_slice(payload);
-        Ok(out)
-    }
-
     /// Encode as an inline header segment for the zero-copy send path:
     /// the control word travels beside the payload in the frame's
     /// fixed-size header slot, so the payload itself is never touched.
@@ -168,31 +146,9 @@ impl PackedPiggyback {
             message_id: w & PACKED_MAX_MESSAGE_ID,
         }
     }
-
-    /// Reconstruct the sender's full epoch given the receiver's epoch —
-    /// valid because epochs differ by at most one, so the color uniquely
-    /// selects among the receiver's epoch and its two neighbors (the two
-    /// different-color candidates are two apart and cannot both be live).
-    pub fn sender_epoch(self, receiver_epoch: Epoch) -> Epoch {
-        if Color::of(receiver_epoch) == self.color {
-            receiver_epoch
-        } else if receiver_epoch > 0
-            && Color::of(receiver_epoch - 1) == self.color
-        {
-            // Ambiguous between -1 and +1 by color alone; the caller
-            // resolves via the receiver's logging flag when it matters. For
-            // epoch bookkeeping we bias to the adjacent epoch below; the
-            // classification API (classify_by_color) is the authoritative
-            // path and does not use this value.
-            receiver_epoch - 1
-        } else {
-            receiver_epoch + 1
-        }
-    }
 }
 
-/// A decoded incoming header plus the remaining application payload
-/// offset.
+/// A decoded incoming control word.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DecodedHeader {
     /// Header decoded from the explicit-triple wire form.
@@ -227,15 +183,18 @@ impl DecodedHeader {
     }
 }
 
-/// Split a received buffer into its header and application payload.
+/// Decode a frame's inline header segment, which must hold exactly one
+/// control word of the given mode.
 pub fn decode_header(
     mode: PiggybackMode,
     buf: &[u8],
-) -> Result<(DecodedHeader, usize), CodecError> {
+) -> Result<DecodedHeader, CodecError> {
     let hl = mode.header_len();
-    if buf.len() < hl {
+    if buf.len() != hl {
         return Err(CodecError::new(format!(
-            "message shorter than its {hl}-byte piggyback header"
+            "header segment is {} bytes but the {mode:?} control word \
+             is {hl}",
+            buf.len()
         )));
     }
     let header = match mode {
@@ -262,7 +221,7 @@ pub fn decode_header(
             DecodedHeader::Packed(PackedPiggyback::unpack(w))
         }
     };
-    Ok((header, hl))
+    Ok(header)
 }
 
 #[cfg(test)]
@@ -317,12 +276,12 @@ mod tests {
             };
             assert!(pb.try_pack().is_err(), "id {id:#x} must be rejected");
             assert!(
-                pb.encode_header(PiggybackMode::Packed, b"x").is_err(),
+                pb.encode_inline(PiggybackMode::Packed).is_err(),
                 "packed header for id {id:#x} must be rejected"
             );
             // The explicit triple has a full 32-bit id field: no limit.
-            let buf = pb.encode_header(PiggybackMode::Explicit, b"x").unwrap();
-            let (h, _) = decode_header(PiggybackMode::Explicit, &buf).unwrap();
+            let buf = pb.encode_inline(PiggybackMode::Explicit).unwrap();
+            let h = decode_header(PiggybackMode::Explicit, &buf).unwrap();
             assert_eq!(h.message_id(), id);
         }
     }
@@ -382,14 +341,10 @@ mod tests {
             logging: true,
             message_id: 99,
         };
-        let buf = pb
-            .encode_header(PiggybackMode::Explicit, b"payload")
-            .unwrap();
-        assert_eq!(buf.len(), 9 + 7);
-        let (h, off) = decode_header(PiggybackMode::Explicit, &buf).unwrap();
-        assert_eq!(off, 9);
+        let buf = pb.encode_inline(PiggybackMode::Explicit).unwrap();
+        assert_eq!(buf.len(), 9);
+        let h = decode_header(PiggybackMode::Explicit, &buf).unwrap();
         assert_eq!(h, DecodedHeader::Explicit(pb));
-        assert_eq!(&buf[off..], b"payload");
     }
 
     #[test]
@@ -399,59 +354,22 @@ mod tests {
             logging: false,
             message_id: 7,
         };
-        let buf = pb.encode_header(PiggybackMode::Packed, b"xy").unwrap();
-        assert_eq!(buf.len(), 4 + 2);
-        let (h, off) = decode_header(PiggybackMode::Packed, &buf).unwrap();
-        assert_eq!(off, 4);
+        let buf = pb.encode_inline(PiggybackMode::Packed).unwrap();
+        assert_eq!(buf.len(), 4);
+        let h = decode_header(PiggybackMode::Packed, &buf).unwrap();
         assert_eq!(h.message_id(), 7);
         assert!(!h.logging());
         assert_eq!(h.color(), Color::Red);
-        assert_eq!(&buf[off..], b"xy");
     }
 
     #[test]
-    fn inline_header_matches_embedded_encoding() {
-        // The inline segment must be byte-identical to the prefix the
-        // legacy embedded path would prepend, in both modes — receivers
-        // decode the two forms with the same `decode_header`.
-        for mode in [PiggybackMode::Explicit, PiggybackMode::Packed] {
-            for pb in [
-                Piggyback {
-                    epoch: 0,
-                    logging: false,
-                    message_id: 0,
-                },
-                Piggyback {
-                    epoch: 5,
-                    logging: true,
-                    message_id: 12345,
-                },
-            ] {
-                let inline = pb.encode_inline(mode).unwrap();
-                let embedded = pb.encode_header(mode, b"").unwrap();
-                assert_eq!(inline.as_slice(), &embedded[..]);
-                assert_eq!(inline.len(), mode.header_len());
-                let (h, off) = decode_header(mode, &inline).unwrap();
-                assert_eq!(off, mode.header_len());
-                assert_eq!(h.message_id(), pb.message_id);
-                assert_eq!(h.logging(), pb.logging);
-                assert_eq!(h.color(), pb.color());
-            }
-        }
-        // Packed-mode overflow is refused on the inline path too.
-        let over = Piggyback {
-            epoch: 0,
-            logging: false,
-            message_id: PACKED_MAX_MESSAGE_ID + 1,
-        };
-        assert!(over.encode_inline(PiggybackMode::Packed).is_err());
-        assert!(over.encode_inline(PiggybackMode::Explicit).is_ok());
-    }
-
-    #[test]
-    fn short_buffer_is_an_error() {
+    fn wrong_length_segment_is_an_error() {
+        assert!(decode_header(PiggybackMode::Packed, &[]).is_err());
         assert!(decode_header(PiggybackMode::Packed, &[1, 2]).is_err());
         assert!(decode_header(PiggybackMode::Explicit, &[0; 8]).is_err());
+        // A packed word followed by payload bytes is the embedded form
+        // no sender produces; it must not decode as a control word.
+        assert!(decode_header(PiggybackMode::Packed, &[0; 5]).is_err());
     }
 
     #[test]

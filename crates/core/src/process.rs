@@ -167,7 +167,6 @@ pub struct Process<'a> {
     // --- coordination ---
     initiator: Option<Initiator>,
     tracer: Option<RankTracer>,
-    #[cfg(feature = "obs")]
     obs: Option<crate::obs::ProcObs>,
     nondet: NondetSource,
     attempt: u64,
@@ -227,7 +226,6 @@ impl<'a> Process<'a> {
             .trace
             .as_ref()
             .map(|s| s.for_incarnation(rank as u32, attempt, incarnation));
-        #[cfg(feature = "obs")]
         let obs = cfg.obs.as_ref().map(|reg| {
             mpi.attach_obs(reg);
             let o = crate::obs::ProcObs::register(reg, rank as u32);
@@ -261,7 +259,6 @@ impl<'a> Process<'a> {
             recovered_app_state: None,
             initiator,
             tracer,
-            #[cfg(feature = "obs")]
             obs,
             nondet: NondetSource::new(rank, attempt),
             attempt,
@@ -422,20 +419,16 @@ impl<'a> Process<'a> {
         self.take_local_checkpoint(state)
     }
 
-    /// Record a protocol event in the installed trace sink, if any. With
-    /// the `trace` feature disabled this compiles to nothing.
+    /// Record a protocol event in the installed trace sink, if any.
     pub(crate) fn trace_event(&mut self, event: TraceEvent) {
-        #[cfg(feature = "trace")]
         if let Some(t) = self.tracer.as_mut() {
             t.record(event);
         }
-        #[cfg(not(feature = "trace"))]
-        let _ = event;
     }
 
     /// True if a trace sink is installed (gates costly event assembly).
     pub(crate) fn tracing(&self) -> bool {
-        cfg!(feature = "trace") && self.tracer.is_some()
+        self.tracer.is_some()
     }
 
     // ==================================================================
@@ -450,7 +443,6 @@ impl<'a> Process<'a> {
                 // Stopping failure: mark ourselves dead; the failure
                 // detector (job driver) will notice and abort the attempt.
                 self.trace_event(TraceEvent::FailStop { op: self.ops });
-                #[cfg(feature = "obs")]
                 if let Some(o) = &self.obs {
                     o.failstops.inc();
                 }
@@ -563,14 +555,12 @@ impl<'a> Process<'a> {
                     phase: phase_code::COLLECTING_READY,
                     ckpt,
                 });
-                #[cfg(feature = "obs")]
                 let timer =
                     self.obs.as_ref().map(|_| c3obs::Stopwatch::start());
                 let cm = ControlMsg::PleaseCheckpoint { ckpt };
                 for dst in 0..self.mpi.size() {
                     self.send_control(dst, &cm)?;
                 }
-                #[cfg(feature = "obs")]
                 if let Some(o) = self.obs.as_mut() {
                     o.initiated.inc();
                     if let Some(t) = timer {
@@ -586,7 +576,6 @@ impl<'a> Process<'a> {
                     phase: phase_code::COLLECTING_STOPPED,
                     ckpt,
                 });
-                #[cfg(feature = "obs")]
                 if let Some(o) = self.obs.as_mut() {
                     o.phase_begin("initiator_collect_stopped", ckpt);
                 }
@@ -595,7 +584,6 @@ impl<'a> Process<'a> {
                 }
             }
             Action::Commit { ckpt } => {
-                #[cfg(feature = "obs")]
                 if let Some(o) = self.obs.as_mut() {
                     o.phase_begin("initiator_commit", ckpt);
                 }
@@ -641,7 +629,6 @@ impl<'a> Process<'a> {
                 if let Some(pipe) = self.pipeline.as_ref() {
                     pipe.schedule_tier_drain(ckpt);
                 }
-                #[cfg(feature = "obs")]
                 if let Some(o) = self.obs.as_mut() {
                     o.phase_end();
                     o.commits.inc();
@@ -861,33 +848,17 @@ impl<'a> Process<'a> {
     /// Decode the piggyback control word, classify the message, update
     /// counters and logs (the receive half of Figure 4).
     ///
-    /// The control word normally arrives in the frame's inline header
-    /// segment and the payload passes through untouched. A message whose
-    /// header segment is empty is treated as legacy traffic with the
-    /// control word embedded at the front of the payload; the payload is
-    /// then a zero-copy slice past it.
+    /// The control word arrives in the frame's inline header segment and
+    /// the payload passes through untouched; a frame without exactly one
+    /// control word there did not come from a piggybacking sender.
     fn deliver(
         &mut self,
         comm: CommHandle,
         msg: RecvMsg,
     ) -> C3Result<RecvMsg> {
-        let (header, payload) = if msg.header.is_empty() {
-            let (h, offset) =
-                decode_header(self.cfg.piggyback_mode, &msg.payload)?;
-            (h, msg.payload.slice(offset..))
-        } else {
-            let (h, offset) =
-                decode_header(self.cfg.piggyback_mode, &msg.header)?;
-            if offset != msg.header.len() {
-                return Err(C3Error::Protocol(format!(
-                    "piggyback header segment is {} bytes but the {:?} \
-                     control word is {offset}",
-                    msg.header.len(),
-                    self.cfg.piggyback_mode
-                )));
-            }
-            (h, msg.payload.clone())
-        };
+        let header = decode_header(self.cfg.piggyback_mode, &msg.header)
+            .map_err(|e| C3Error::Protocol(format!("piggyback: {e}")))?;
+        let payload = msg.payload;
         let class = match header {
             DecodedHeader::Explicit(pb) => {
                 classify_by_epoch(pb.epoch, self.epoch)
@@ -1265,7 +1236,6 @@ impl<'a> Process<'a> {
         );
         let ckpt = u64::from(self.epoch) + 1;
         let rank = self.mpi.rank();
-        #[cfg(feature = "obs")]
         let timer = self.obs.as_ref().map(|_| c3obs::Stopwatch::start());
 
         // 1. Stage the local snapshot with the I/O pipeline: application
@@ -1327,7 +1297,6 @@ impl<'a> Process<'a> {
         // Suppression sets refer to the previous epoch's id space; a
         // drained recovery leaves them empty, asserted above.
         self.check_received_all()?;
-        #[cfg(feature = "obs")]
         if let (Some(o), Some(t)) = (self.obs.as_ref(), timer) {
             o.span("local_checkpoint", ckpt, t);
         }
@@ -1339,7 +1308,6 @@ impl<'a> Process<'a> {
     fn finalize_log(&mut self) -> C3Result<()> {
         debug_assert!(self.am_logging);
         let ckpt = u64::from(self.epoch);
-        #[cfg(feature = "obs")]
         let timer = self.obs.as_ref().map(|_| c3obs::Stopwatch::start());
         let mut enc = Encoder::new();
         self.log.save(&mut enc);
@@ -1352,7 +1320,6 @@ impl<'a> Process<'a> {
         });
         self.am_logging = false;
         self.send_control(0, &ControlMsg::StoppedLogging)?;
-        #[cfg(feature = "obs")]
         if let (Some(o), Some(t)) = (self.obs.as_ref(), timer) {
             o.span("late_log_drain", ckpt, t);
         }
@@ -1373,7 +1340,6 @@ impl<'a> Process<'a> {
             .clone();
         let rank = self.mpi.rank();
         let n = self.mpi.size();
-        #[cfg(feature = "obs")]
         let timer = self.obs.as_ref().map(|_| c3obs::Stopwatch::start());
 
         // Load and decode this rank's blobs.
@@ -1472,7 +1438,6 @@ impl<'a> Process<'a> {
 
         self.replay = Some(Replay::new(log));
         self.recovery_reported = false;
-        #[cfg(feature = "obs")]
         if let (Some(o), Some(t)) = (self.obs.as_ref(), timer) {
             o.span("recovery_replay", ckpt, t);
         }

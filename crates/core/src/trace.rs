@@ -11,9 +11,9 @@
 //! `c3verify` crate against the paper's protocol invariants.
 //!
 //! Events carry integers and lengths, never payload bytes, so tracing a
-//! run is cheap and the artifact stays small. Emission is additionally
-//! gated behind the crate's default-on `trace` cargo feature; with the
-//! feature disabled the hooks compile to nothing.
+//! run is cheap and the artifact stays small. Emission is gated at run
+//! time by `C3Config::trace`: with no sink installed each hook is one
+//! `Option` check.
 //!
 //! Ordering guarantees: records from one rank within one attempt are
 //! totally ordered by `seq` (the order the rank made its decisions).

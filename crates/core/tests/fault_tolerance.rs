@@ -270,6 +270,17 @@ fn too_many_failures_exhaust_restart_budget() {
 }
 
 #[test]
+fn unbounded_restart_budget_runs_the_job() {
+    // `usize::MAX` is the natural "never give up"; the budget check must
+    // not overflow on it and refuse attempt 1.
+    let mut cfg = C3Config::every_ops(10).with_failure(0, 35);
+    cfg.max_restarts = usize::MAX;
+    let report = run_job(1, &cfg, None, &RingApp { iters: 20 }).unwrap();
+    assert_eq!(report.outputs, reference_outputs(1, 20));
+    assert_eq!(report.restarts, 1);
+}
+
+#[test]
 fn single_rank_job_checkpoints_and_recovers() {
     let expect = reference_outputs(1, 20);
     let cfg = C3Config::every_ops(10).with_failure(0, 35);

@@ -282,9 +282,8 @@ mod tests {
             interval: Some(6),
             sync_io: true,
             incremental: false,
-            compression: false,
             chunker: c3_core::Chunker::fixed(4096),
-            codec: c3_core::Codec::PackBits,
+            codec: c3_core::Codec::None,
             keep_last: 1,
             tiers: None,
             net: simmpi::NetCond::perfect(),
@@ -307,7 +306,6 @@ mod tests {
             interval: Some(8),
             sync_io: false,
             incremental: true,
-            compression: true,
             chunker: c3_core::Chunker::cdc(1024),
             codec: c3_core::Codec::Lz4,
             keep_last: 1,
@@ -330,9 +328,8 @@ mod tests {
             interval: Some(6),
             sync_io: false,
             incremental: true,
-            compression: false,
             chunker: c3_core::Chunker::fixed(4096),
-            codec: c3_core::Codec::PackBits,
+            codec: c3_core::Codec::None,
             keep_last: 1,
             tiers: None,
             net: simmpi::NetCond::perfect(),

@@ -88,13 +88,11 @@ pub struct Scenario {
     pub sync_io: bool,
     /// Incremental (chunked, deduplicated) blob writing.
     pub incremental: bool,
-    /// Chunk compression.
-    pub compression: bool,
     /// How incremental blobs are cut: fixed-size pieces or FastCDC
     /// content-defined chunks (exercises boundary-shift dedup).
     pub chunker: Chunker,
-    /// Preferred chunk codec when compression is on (PackBits RLE or
-    /// the LZ4-class block codec).
+    /// Preferred chunk codec: raw, PackBits RLE, or the LZ4-class block
+    /// codec.
     pub codec: Codec,
     /// Committed lines to retain.
     pub keep_last: u64,
@@ -198,11 +196,14 @@ impl Scenario {
             1 => Chunker::fixed(1024),
             _ => Chunker::cdc(1024usize << next(3)),
         };
-        let codec = if next(2) == 0 {
+        let drawn = if next(2) == 0 {
             Codec::PackBits
         } else {
             Codec::Lz4
         };
+        // The compression bit keeps its early place in the draw order;
+        // "off" is the raw codec.
+        let codec = if compression { drawn } else { Codec::None };
         // Recovery-mode dimension (drawn last, same reason): one seed in
         // three repairs its kills by online splice instead of global
         // rollback — kills of rank 0 or double kills of one rank then
@@ -220,7 +221,6 @@ impl Scenario {
             interval: Some(interval),
             sync_io,
             incremental,
-            compression,
             chunker,
             codec,
             keep_last,
@@ -241,7 +241,6 @@ impl Scenario {
             PipelineConfig::default()
         };
         io.incremental = self.incremental;
-        io.compression = self.compression;
         io.chunker = self.chunker;
         io.codec = self.codec;
         io.keep_last = self.keep_last;
@@ -384,8 +383,7 @@ mod tests {
         assert!(
             count(&|s| matches!(s.chunker, Chunker::Cdc { .. })
                 && s.codec == Codec::Lz4
-                && s.incremental
-                && s.compression)
+                && s.incremental)
                 >= 8,
             "the CDC+LZ4 hot path is exercised"
         );
@@ -400,6 +398,48 @@ mod tests {
             for p in &s.net.partitions {
                 assert!(p.a < s.nranks && p.b < s.nranks);
             }
+        }
+    }
+
+    #[test]
+    fn corpus_seeds_keep_their_determinized_shapes() {
+        // The checked-in corpus guards regressions only while each seed
+        // keeps deriving the campaign it was promoted for, so a change to
+        // the draw order must show up here. `codec` is `None` where the
+        // compression bit drew "off".
+        use AppChoice::{DenseCg, Laplace};
+        let fixed = Chunker::fixed;
+        #[rustfmt::skip]
+        let want = [
+            (1, 2, DenseCg { n: 32, iters: 29 }, false, true, fixed(4096), Codec::PackBits),
+            (4, 2, DenseCg { n: 24, iters: 31 }, false, true, Chunker::cdc(1024), Codec::PackBits),
+            (5, 5, DenseCg { n: 24, iters: 23 }, true, false, fixed(4096), Codec::Lz4),
+            (6, 3, DenseCg { n: 24, iters: 21 }, false, true, fixed(4096), Codec::None),
+            (9, 5, DenseCg { n: 24, iters: 21 }, true, true, fixed(1024), Codec::PackBits),
+            (16, 5, DenseCg { n: 24, iters: 20 }, true, true, fixed(4096), Codec::None),
+            (19, 2, DenseCg { n: 24, iters: 36 }, false, true, Chunker::cdc(4096), Codec::Lz4),
+            (38, 3, Laplace { n: 16, iters: 37 }, true, false, fixed(1024), Codec::None),
+            (44, 2, DenseCg { n: 32, iters: 28 }, false, true, fixed(1024), Codec::None),
+            (59, 5, Laplace { n: 16, iters: 37 }, false, false, fixed(4096), Codec::None),
+        ];
+        let corpus = concat!(
+            env!("CARGO_MANIFEST_DIR"),
+            "/../../tests/fuzz_corpus/seeds.txt"
+        );
+        let seeds = crate::load_seeds(std::path::Path::new(corpus)).unwrap();
+        assert_eq!(seeds, want.map(|w| w.0), "corpus and table differ");
+        for row in want {
+            let d = Scenario::from_seed(row.0).determinized();
+            let got = (
+                d.seed,
+                d.nranks,
+                d.app,
+                d.sync_io,
+                d.incremental,
+                d.chunker,
+                d.codec,
+            );
+            assert_eq!(got, row);
         }
     }
 

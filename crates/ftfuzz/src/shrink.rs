@@ -136,10 +136,9 @@ fn proposals(sc: &Scenario) -> Vec<Scenario> {
             ..sc.clone()
         });
     }
-    if sc.incremental || sc.compression {
+    if sc.incremental {
         push(Scenario {
             incremental: false,
-            compression: false,
             ..sc.clone()
         });
     }
@@ -149,7 +148,13 @@ fn proposals(sc: &Scenario) -> Vec<Scenario> {
             ..sc.clone()
         });
     }
-    if sc.codec != c3_core::Codec::PackBits {
+    if sc.codec != c3_core::Codec::None {
+        push(Scenario {
+            codec: c3_core::Codec::None,
+            ..sc.clone()
+        });
+    }
+    if sc.codec == c3_core::Codec::Lz4 {
         push(Scenario {
             codec: c3_core::Codec::PackBits,
             ..sc.clone()
@@ -344,7 +349,6 @@ pub fn reproducer(
          \x20       interval: {interval:?},\n\
          \x20       sync_io: {sync_io},\n\
          \x20       incremental: {incremental},\n\
-         \x20       compression: {compression},\n\
          \x20       chunker: {chunker},\n\
          \x20       codec: c3_core::Codec::{codec:?},\n\
          \x20       keep_last: {keep_last},\n\
@@ -366,7 +370,6 @@ pub fn reproducer(
         interval = sc.interval,
         sync_io = sc.sync_io,
         incremental = sc.incremental,
-        compression = sc.compression,
         chunker = fmt_chunker(&sc.chunker),
         codec = sc.codec,
         keep_last = sc.keep_last,
@@ -390,7 +393,6 @@ mod tests {
             interval: Some(8),
             sync_io: false,
             incremental: true,
-            compression: true,
             chunker: c3_core::Chunker::cdc(1024),
             codec: c3_core::Codec::Lz4,
             keep_last: 2,
@@ -434,9 +436,8 @@ mod tests {
             interval: Some(8),
             sync_io: true,
             incremental: false,
-            compression: false,
             chunker: c3_core::Chunker::fixed(4096),
-            codec: c3_core::Codec::PackBits,
+            codec: c3_core::Codec::None,
             keep_last: 1,
             tiers: None,
             net: NetCond::perfect(),

@@ -55,7 +55,6 @@ pub mod envelope;
 pub mod error;
 pub mod matching;
 pub mod netsim;
-#[cfg(feature = "obs")]
 pub(crate) mod obs;
 pub mod pool;
 pub mod rank;

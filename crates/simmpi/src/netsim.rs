@@ -551,7 +551,6 @@ pub struct NetEndpoint {
     retransmits: u64,
     dup_delivered: u64,
     acks_sent: u64,
-    #[cfg(feature = "obs")]
     obs: Option<crate::obs::NetObs>,
 }
 
@@ -566,13 +565,11 @@ impl NetEndpoint {
             retransmits: 0,
             dup_delivered: 0,
             acks_sent: 0,
-            #[cfg(feature = "obs")]
             obs: None,
         }
     }
 
     /// Attach pre-registered sublayer metric handles.
-    #[cfg(feature = "obs")]
     pub(crate) fn attach_obs(&mut self, obs: crate::obs::NetObs) {
         self.obs = Some(obs);
     }
@@ -737,7 +734,6 @@ impl NetEndpoint {
                 let backoff = self.policy.backoff(u.attempts);
                 u.next_due = now + backoff;
                 self.retransmits += 1;
-                #[cfg(feature = "obs")]
                 if let Some(o) = &self.obs {
                     o.retransmits.inc();
                     o.backoff_us.record(backoff.as_micros() as u64);

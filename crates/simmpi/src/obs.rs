@@ -1,4 +1,4 @@
-//! Observability handles for the message-passing layer (feature `obs`).
+//! Observability handles for the message-passing layer.
 //!
 //! All hot-path metrics are pre-registered handle bundles: attaching a
 //! registry ([`crate::Mpi::attach_obs`]) pays the registration cost

@@ -95,7 +95,6 @@ pub struct Mpi {
     caught_up_pending: bool,
     /// Pre-registered metric handles; `None` until a registry is
     /// attached, which keeps the un-observed hot path at one branch.
-    #[cfg(feature = "obs")]
     obs: Option<crate::obs::MpiObs>,
 }
 
@@ -151,7 +150,6 @@ impl Mpi {
             replayed_frames: 0,
             incarnation: 0,
             caught_up_pending: false,
-            #[cfg(feature = "obs")]
             obs: None,
         }
     }
@@ -230,7 +228,6 @@ impl Mpi {
     /// handle bundle (and the reliable-delivery sublayer's, when the
     /// wire is lossy). Metrics record into the registry from this call
     /// on; without it every hook is a single `Option` check.
-    #[cfg(feature = "obs")]
     pub fn attach_obs(&mut self, reg: &c3obs::Registry) {
         self.obs = Some(crate::obs::MpiObs::register(reg, self.rank));
         if let Some(ep) = self.net.as_mut() {
@@ -283,7 +280,6 @@ impl Mpi {
         if self.recorder.is_some() {
             self.feed_ops.insert((msg.src, msg.seq), self.ops);
         }
-        #[cfg(feature = "obs")]
         if let Some(o) = self.obs.as_mut() {
             o.note_delivered();
         }
@@ -564,7 +560,6 @@ impl Mpi {
         *self.class_sent[dst_world]
             .entry((context, tag))
             .or_insert(0) += 1;
-        #[cfg(feature = "obs")]
         let timer = self
             .obs
             .as_mut()
@@ -582,7 +577,6 @@ impl Mpi {
             None => self.fabric.send(msg),
             Some(ep) => ep.send(&self.fabric, msg, Instant::now()),
         };
-        #[cfg(feature = "obs")]
         if let (Some(o), Some(t)) = (&self.obs, timer) {
             o.send_ns.record(t.elapsed_ns());
         }
@@ -650,7 +644,6 @@ impl Mpi {
         }
         // Sampled matching + blocking-wait latency; armed once so the
         // retry loop below does not re-roll the sampling decision.
-        #[cfg(feature = "obs")]
         let timer = self
             .obs
             .as_mut()
@@ -667,7 +660,6 @@ impl Mpi {
                 ReqState::RecvPending(id) => {
                     if let Some(msg) = self.completed.remove(&id) {
                         self.record_consumed(&msg);
-                        #[cfg(feature = "obs")]
                         if let (Some(o), Some(t)) = (&self.obs, timer) {
                             o.recv_wait_ns.record(t.elapsed_ns());
                         }
@@ -955,7 +947,6 @@ impl Mpi {
         tag: i32,
     ) -> MpiResult<Option<(usize, i32, usize)>> {
         self.liveness()?;
-        #[cfg(feature = "obs")]
         if let Some(o) = self.obs.as_mut() {
             o.note_probe();
         }

@@ -13,7 +13,7 @@
 use std::sync::Arc;
 
 use c3_apps::{DenseCg, Laplace};
-use c3_core::{run_job, C3App, C3Config, PipelineConfig};
+use c3_core::{run_job, C3App, C3Config, Chunker, Codec, PipelineConfig};
 use ckptstore::{MemoryBackend, StorageBackend};
 
 /// Run `app` at 4 ranks and return (bytes written, last committed ckpt).
@@ -40,10 +40,10 @@ where
 {
     let full_io = PipelineConfig::default()
         .with_incremental(false)
-        .with_compression(false);
+        .with_codec(Codec::None);
     let incr_io = PipelineConfig::default()
-        .with_compression(false)
-        .with_chunk_size(256);
+        .with_codec(Codec::None)
+        .with_chunker(Chunker::fixed(256));
     let (full_bytes, full_ckpts) = bytes_for(app, interval, full_io);
     let (incr_bytes, incr_ckpts) = bytes_for(app, interval, incr_io);
     assert!(

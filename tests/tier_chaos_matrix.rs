@@ -176,7 +176,7 @@ fn damage_beyond_parity_falls_back_a_whole_checkpoint_line() {
     // surgical, and two retained lines so a fallback target exists.
     let io = PipelineConfig::default()
         .with_incremental(false)
-        .with_compression(false)
+        .with_codec(Codec::None)
         .with_keep_last(2)
         .with_tiers(TierTopology::erasure(2, 1));
     let cfg = C3Config::every_ops(9).with_io(io);
