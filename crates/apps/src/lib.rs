@@ -21,7 +21,8 @@
 //!   5 allgathers and 1 gather (the paper's exact call mix), making it the
 //!   collective-control-overhead stress test: at small sizes the paper
 //!   measured up to 160% overhead from the piggyback/control collectives
-//!   alone, decaying to ~3% at larger sizes.
+//!   alone, decaying to ~3% at larger sizes (here the control word rides
+//!   on the allgathers themselves; see `c3_core::collective`).
 //!
 //! A fourth mini-app, [`folding`], executes the paper's *motivating*
 //! example (§1.2's ab initio protein folding): a molecular-dynamics chain

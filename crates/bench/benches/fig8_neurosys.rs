@@ -1,12 +1,14 @@
 //! E3 / Figure 8(c): Neurosys running time at four network sizes under
 //! the four instrumentation versions.
 //!
-//! Paper observation this reproduces in shape: the piggyback version's
-//! overhead is dramatic at the smallest size and decays as the network
-//! grows (paper: 160% at 16×16 → 85% at 32×32 → 34% at 64×64 → 2.7% at
-//! 128×128), because each of the 5 allgathers + 1 gather per step is
-//! preceded by a control collective whose cost is independent of the
-//! payload, while per-step computation grows with the network.
+//! The paper's observation: the piggyback version's overhead is dramatic
+//! at the smallest size and decays as the network grows (160% at 16×16 →
+//! 85% at 32×32 → 34% at 64×64 → 2.7% at 128×128), because each of the 5
+//! allgathers + 1 gather per step is preceded by a control collective
+//! whose cost is independent of the payload. Here the control word rides
+//! on the allgathers' own frames and only the gather keeps a preceding
+//! exchange, so the decay starts from a much lower point (EXPERIMENTS.md
+//! E3 has both).
 
 use c3_apps::Neurosys;
 use c3_bench::{measure_levels, print_csv, print_fig8};

@@ -4,7 +4,8 @@
 //! problem size, the running time of four program versions:
 //!
 //! 1. the unmodified program,
-//! 2. \+ piggybacking data on messages (and control collectives),
+//! 2. \+ piggybacking data on messages (and the control word on
+//!    collectives),
 //! 3. \+ the protocol's logs and MPI-state saving, without application
 //!    state,
 //! 4. full checkpoints.

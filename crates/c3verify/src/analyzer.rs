@@ -44,7 +44,7 @@
 //!   message id, and suppression lists match the recorded early receipts
 //!   (Section 4.4).
 //! * **I7 collective-conjunction** — all participants of a collective
-//!   agree on the control-exchange outcome `(max_epoch, stopped_at_max)`;
+//!   agree on the folded control word `(max_epoch, stopped_at_max)`;
 //!   the maximum is actually attained; a result is logged iff the rank
 //!   was logging and no max-epoch participant had stopped (Section 4.5).
 //! * **I8 barrier-alignment** — a barrier executes in a single epoch:

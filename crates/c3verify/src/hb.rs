@@ -30,8 +30,10 @@
 //!   the matching [`TraceEvent::SuppressRecv`];
 //! * **collectives** — the k-th world-communicator
 //!   [`TraceEvent::CollectiveControl`] of every rank belongs to one
-//!   global call whose pre-collective control exchange is all-to-all, so
-//!   the k-th entries form a synchronization clique: each one
+//!   global call whose control-word agreement is all-to-all (every
+//!   participant leaves with the fold of every participant's word at
+//!   entry, whether it rode on the data collective or on a preceding
+//!   exchange), so the k-th entries form a synchronization clique: each one
 //!   happens-after every participant's preceding event (alignment
 //!   mirrors the analyzer's I7 join — from the front on fresh attempts,
 //!   from the back on recovered ones).
@@ -444,7 +446,7 @@ fn build_graph<'a>(
                 .map(|v| v[if recovered { v.len() - common + k } else { k }])
                 .collect();
             // Each member happens-after every member's *predecessor* in
-            // its own stream (the all-to-all control exchange). Linking
+            // its own stream (the all-to-all control agreement). Linking
             // predecessors, not the members themselves, keeps the clique
             // acyclic while making the members mutually concurrent-joined.
             let preds: Vec<Option<usize>> = members

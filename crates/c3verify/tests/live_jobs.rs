@@ -11,22 +11,35 @@ use c3_core::{run_job, C3Config};
 use c3verify::analyze;
 use ftsim::FailureSchedule;
 
+/// A job that is nothing but collectives (five fused allgathers and one
+/// gather behind a preceding exchange per iteration) fails over and
+/// recovers; its trace also lands in `target/c3-traces/` so the CI
+/// `collectives` job re-verifies the artifact with the `c3verify` CLI.
 #[test]
 fn recovering_job_trace_is_clean() {
     let sink = TraceSink::new();
     let cfg = FailureSchedule::single(1, 40)
         .apply(C3Config::every_ops(10))
         .with_trace(sink.clone());
-    let report = run_job(3, &cfg, None, &Neurosys::new(8, 30))
+    let report = run_job(4, &cfg, None, &Neurosys::new(8, 30))
         .expect("job with failover");
     assert!(report.restarts >= 1, "failure must actually trigger");
-    let verdict = analyze(&sink.take());
+    let records = sink.take();
+    let verdict = analyze(&records);
     assert!(verdict.attempts >= 2, "trace must span the restart");
     assert!(
         verdict.is_clean(),
         "recovery trace must be invariant-clean:\n{}",
         verdict.render()
     );
+    let dir = std::path::PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+        .join("../../target/c3-traces");
+    std::fs::create_dir_all(&dir).expect("create trace dir");
+    std::fs::write(
+        dir.join("coll_neurosys_kill.c3trace"),
+        encode_trace(&records),
+    )
+    .expect("write trace artifact");
 }
 
 #[test]

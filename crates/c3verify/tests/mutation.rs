@@ -6,7 +6,7 @@
 //! initiator rounds occur), asserts it is clean, applies exactly one
 //! corruption, and asserts the corresponding invariant is flagged.
 
-use c3_apps::Laplace;
+use c3_apps::{Laplace, Neurosys};
 use c3_core::epoch::MsgClass;
 use c3_core::trace::{TraceEvent, TraceRecord, TraceSink};
 use c3_core::{run_job, C3Config};
@@ -236,5 +236,39 @@ fn flipping_a_piggybacked_logging_flag_is_detected() {
     assert!(
         flags(&records, invariant::I2),
         "corrupted piggybacked amLogging must violate I2"
+    );
+}
+
+#[test]
+fn flipping_one_ranks_collective_fold_is_detected() {
+    // Neurosys is all collectives; the control word reaches every rank
+    // folded (fused into allgathers, on a preceding exchange for the
+    // gather), and I7 joins the k-th collective across ranks.
+    let sink = TraceSink::new();
+    let cfg = C3Config::every_ops(10).with_trace(sink.clone());
+    run_job(3, &cfg, None, &Neurosys::new(8, 30)).expect("reference job");
+    let mut records = sink.take();
+    let report = analyze(&records);
+    assert!(report.is_clean(), "{}", report.render());
+    // A record of a rank that was not logging: its own conjunction rule
+    // (`logged == logging && !stopped_at_max`) holds either way, so only
+    // the cross-rank agreement can notice the flip.
+    let rec = records
+        .iter_mut()
+        .find(|r| {
+            matches!(
+                r.event,
+                TraceEvent::CollectiveControl { logging: false, .. }
+            )
+        })
+        .expect("trace must contain a collective outside a logging window");
+    if let TraceEvent::CollectiveControl { stopped_at_max, .. } =
+        &mut rec.event
+    {
+        *stopped_at_max = !*stopped_at_max;
+    }
+    assert!(
+        flags(&records, invariant::I7),
+        "one rank disagreeing on stopped_at_max must violate I7"
     );
 }

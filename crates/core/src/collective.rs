@@ -1,11 +1,7 @@
 //! Collective communication through the protocol layer (Section 4.5).
 //!
-//! Each data collective is preceded by a *control collective*: an allgather
-//! of `(epoch, amLogging)` words on the communicator's shadow control
-//! communicator (the paper's implementation does exactly this — "each such
-//! data `MPI_Allgather` is preceded by a command `MPI_Allgather`"; it is
-//! the dominant overhead for fine-grained codes like Neurosys). The control
-//! exchange provides:
+//! Every collective needs one piece of agreement among its participants:
+//! the fold of their `(epoch, amLogging)` words. It provides
 //!
 //! * the **conjunction rule**: if any participant has stopped logging, no
 //!   participant logs the call's result, and logging participants stop
@@ -16,6 +12,27 @@
 //!   barrier, so the barrier executes in a single epoch and retains its
 //!   synchronization semantics on recovery.
 //!
+//! The paper's implementation pays a whole control collective for it
+//! ("each such data `MPI_Allgather` is preceded by a command
+//! `MPI_Allgather`" — its dominant overhead for fine-grained codes like
+//! Neurosys). Here the word is encoded so that one `max` *is* the fold
+//! (`control_word`) and travels as simmpi's sideband
+//! ([`Mpi::with_sideband`]) on frames that are sent anyway:
+//!
+//! * **fused** — `allgather`, `allreduce` and `alltoall` already make
+//!   every rank's output depend on every rank's input, so the word rides
+//!   on the data collective's own frames: no extra frame, no extra round;
+//! * **preceding** — `bcast`, `scatter`, `gather`, `reduce` and `scan`
+//!   move data one way, so their own frames cannot tell every participant
+//!   about every other, and `barrier` must know the maximum epoch *before*
+//!   it enters; these run an empty barrier on the shadow control
+//!   communicator first, carrying the same sideband.
+//!
+//! Which form a call takes is a property of its kind (`fuses`), never of
+//! configuration. Either way the agreement is all-to-all: when a call
+//! returns, every participant holds the same fold of every participant's
+//! word at entry.
+//!
 //! While logging, results are appended to the recovery log; during
 //! recovery, re-executed collective calls return the logged result without
 //! touching the library — participants that do not re-execute the call are
@@ -24,6 +41,7 @@
 
 use bytes::Bytes;
 use ckptstore::codec::CodecError;
+use simmpi::collective::{frame_chunks, unframe_chunks};
 use simmpi::{Comm, DType, Mpi, MpiResult, MpiType, ReduceOp};
 use statesave::snapshot::SaveState;
 
@@ -33,7 +51,7 @@ use crate::pending::CommHandle;
 use crate::process::Process;
 use crate::trace::TraceEvent;
 
-/// Outcome of the pre-collective control exchange.
+/// The participants' agreement, decoded from the folded control word.
 struct CollControl {
     /// True if some participant at the *maximum* epoch has stopped
     /// logging. Participants in an earlier epoch have simply not
@@ -49,54 +67,30 @@ struct CollControl {
     max_epoch: u32,
 }
 
-/// Frame a list of per-rank chunks into one loggable byte string: a
-/// little-endian `u64` count followed by `u64`-length-prefixed chunks.
-/// The buffer has exact capacity, so the `Bytes` conversion is a move.
-fn frame_chunks(chunks: &[Bytes]) -> Bytes {
-    let total = 8 + chunks.iter().map(|c| 8 + c.len()).sum::<usize>();
-    let mut out = Vec::with_capacity(total);
-    out.extend_from_slice(&(chunks.len() as u64).to_le_bytes());
-    for c in chunks {
-        out.extend_from_slice(&(c.len() as u64).to_le_bytes());
-        out.extend_from_slice(c);
-    }
-    Bytes::from(out)
+/// One rank's control word: `(epoch << 1) | !amLogging`. The epoch
+/// dominates and, within an epoch, "stopped" beats "logging", so the
+/// `max` over all participants is `(max_epoch << 1) | stopped_at_max`.
+fn control_word(epoch: u32, logging: bool) -> u64 {
+    (u64::from(epoch) << 1) | u64::from(!logging)
 }
 
-/// Split a framed byte string back into per-rank chunks, each a
-/// refcounted slice of `bytes` — no per-chunk copy.
-fn unframe_chunks(bytes: &Bytes) -> Result<Vec<Bytes>, CodecError> {
-    let err = || CodecError::new("malformed framed chunks");
-    let mut pos = 0usize;
-    let read_len = |pos: &mut usize| -> Result<usize, CodecError> {
-        if bytes.len() - *pos < 8 {
-            return Err(err());
+impl CollControl {
+    fn from_fold(fold: u64) -> Self {
+        CollControl {
+            stopped_at_max: fold & 1 == 1,
+            max_epoch: (fold >> 1) as u32,
         }
-        let n = u64::from_le_bytes(bytes[*pos..*pos + 8].try_into().unwrap())
-            as usize;
-        *pos += 8;
-        Ok(n)
-    };
-    let count = read_len(&mut pos)?;
-    // Every chunk costs at least its 8-byte length prefix, so a count
-    // beyond that is corrupt; refusing it here also bounds the
-    // reservation by the blob's own size.
-    if count > (bytes.len() - pos) / 8 {
-        return Err(err());
     }
-    let mut out = Vec::with_capacity(count);
-    for _ in 0..count {
-        let len = read_len(&mut pos)?;
-        if bytes.len() - pos < len {
-            return Err(err());
-        }
-        out.push(bytes.slice(pos..pos + len));
-        pos += len;
-    }
-    if pos != bytes.len() {
-        return Err(err());
-    }
-    Ok(out)
+}
+
+/// True for the kinds whose simmpi algorithm makes every rank's output
+/// depend on every rank's input (gather/reduce-to-root + broadcast, pairwise
+/// exchange): their own frames deliver the full fold.
+fn fuses(kind: u8) -> bool {
+    matches!(
+        kind,
+        coll_kind::ALLGATHER | coll_kind::ALLREDUCE | coll_kind::ALLTOALL
+    )
 }
 
 /// Frame an optional byte string (rooted collectives return data only at
@@ -124,52 +118,29 @@ fn unframe_option(bytes: &Bytes) -> Result<Option<Bytes>, CodecError> {
 }
 
 impl<'a> Process<'a> {
-    /// The control collective: exchange `(epoch << 1 | amLogging)` words
-    /// among the participants of `comm` and fold them.
-    fn collective_control(
+    /// The preceding form of the agreement: an empty barrier on `comm`'s
+    /// shadow control communicator, carrying the control word.
+    fn preceding_control(
         &mut self,
         comm: CommHandle,
     ) -> C3Result<CollControl> {
         let ctrl = self.ctrl_of(comm)?;
-        let word =
-            (u64::from(self.epoch()) << 1) | u64::from(self.is_logging());
-        let words = self.mpi_mut().allgather_t::<u64>(&ctrl, &[word])?;
-        let mut max_epoch = 0u32;
-        for w in words.iter().flatten() {
-            max_epoch = max_epoch.max((w >> 1) as u32);
-        }
-        let stopped_at_max = words
-            .iter()
-            .flatten()
-            .any(|w| (w >> 1) as u32 == max_epoch && w & 1 == 0);
-        Ok(CollControl {
-            stopped_at_max,
-            max_epoch,
-        })
+        let word = control_word(self.epoch(), self.is_logging());
+        let ((), fold) = self
+            .mpi_mut()
+            .with_sideband(word, |mpi| mpi.barrier(&ctrl))?;
+        Ok(CollControl::from_fold(fold))
     }
 
-    /// Common wrapper for every data collective: replay from the log if
-    /// recovering; otherwise run the control exchange, the data call, and
-    /// the conjunction-gated logging.
-    fn run_collective<F>(
+    /// The conjunction-gated logging step shared by every collective,
+    /// and its trace record.
+    fn conclude_collective(
         &mut self,
         kind: u8,
         comm: CommHandle,
-        f: F,
-    ) -> C3Result<Bytes>
-    where
-        F: FnOnce(&mut Mpi, &Comm) -> MpiResult<Bytes>,
-    {
-        self.pump_public()?;
-        let app = self.app_of(comm)?;
-        if !self.piggybacks() {
-            return f(self.mpi_mut(), &app).map_err(Into::into);
-        }
-        if let Some(result) = self.replay_collective(kind)? {
-            return Ok(result);
-        }
-        let ctl = self.collective_control(comm)?;
-        let result = f(self.mpi_mut(), &app)?;
+        ctl: &CollControl,
+        result: &Bytes,
+    ) -> C3Result<()> {
         let was_logging = self.is_logging();
         let mut logged = false;
         if was_logging {
@@ -193,6 +164,40 @@ impl<'a> Process<'a> {
             stopped_at_max: ctl.stopped_at_max,
             logged,
         });
+        Ok(())
+    }
+
+    /// Common wrapper for every data collective: replay from the log if
+    /// recovering; otherwise run the data call — with the control word on
+    /// its own frames if the kind fuses, after the preceding exchange if
+    /// not — and the conjunction-gated logging.
+    fn run_collective<F>(
+        &mut self,
+        kind: u8,
+        comm: CommHandle,
+        f: F,
+    ) -> C3Result<Bytes>
+    where
+        F: FnOnce(&mut Mpi, &Comm) -> MpiResult<Bytes>,
+    {
+        self.pump_public()?;
+        let app = self.app_of(comm)?;
+        if !self.piggybacks() {
+            return f(self.mpi_mut(), &app).map_err(Into::into);
+        }
+        if let Some(result) = self.replay_collective(kind)? {
+            return Ok(result);
+        }
+        let (result, ctl) = if fuses(kind) {
+            let word = control_word(self.epoch(), self.is_logging());
+            let (result, fold) =
+                self.mpi_mut().with_sideband(word, |mpi| f(mpi, &app))?;
+            (result, CollControl::from_fold(fold))
+        } else {
+            let ctl = self.preceding_control(comm)?;
+            (f(self.mpi_mut(), &app)?, ctl)
+        };
+        self.conclude_collective(kind, comm, &ctl, &result)?;
         Ok(result)
     }
 
@@ -200,11 +205,11 @@ impl<'a> Process<'a> {
     // Barrier (the special case)
     // ------------------------------------------------------------------
 
-    /// Barrier with the paper's epoch-alignment rule: the control exchange
-    /// runs first; any participant behind the maximum epoch takes its
-    /// local checkpoint (`state` is what gets saved) before entering the
-    /// data barrier, so every participant executes the barrier in the same
-    /// epoch.
+    /// Barrier with the paper's epoch-alignment rule: the preceding
+    /// control exchange runs first; any participant behind the maximum
+    /// epoch takes its local checkpoint (`state` is what gets saved)
+    /// before entering the data barrier, so every participant executes the
+    /// barrier in the same epoch.
     pub fn barrier<S: SaveState>(
         &mut self,
         comm: CommHandle,
@@ -219,7 +224,7 @@ impl<'a> Process<'a> {
         if self.replay_collective(coll_kind::BARRIER)?.is_some() {
             return Ok(());
         }
-        let ctl = self.collective_control(comm)?;
+        let ctl = self.preceding_control(comm)?;
         if ctl.max_epoch > self.epoch() {
             // The "precompiler-inserted" potential checkpoint before the
             // barrier: catch up to the epoch of the furthest participant.
@@ -230,26 +235,7 @@ impl<'a> Process<'a> {
             self.force_local_checkpoint(state)?;
         }
         self.mpi_mut().barrier(&app)?;
-        let was_logging = self.is_logging();
-        let mut logged = false;
-        if was_logging {
-            if ctl.stopped_at_max {
-                self.finalize_log_public()?;
-            } else {
-                self.log_collective(coll_kind::BARRIER, Bytes::new());
-                logged = true;
-            }
-        }
-        self.trace_event(TraceEvent::CollectiveControl {
-            comm: comm.0 as u64,
-            kind: coll_kind::BARRIER,
-            epoch: self.epoch(),
-            logging: was_logging,
-            max_epoch: ctl.max_epoch,
-            stopped_at_max: ctl.stopped_at_max,
-            logged,
-        });
-        Ok(())
+        self.conclude_collective(coll_kind::BARRIER, comm, &ctl, &Bytes::new())
     }
 
     // ------------------------------------------------------------------
@@ -289,9 +275,8 @@ impl<'a> Process<'a> {
         dtype: DType,
         data: &[u8],
     ) -> C3Result<Bytes> {
-        let data = data.to_vec();
-        self.run_collective(coll_kind::ALLREDUCE, comm, move |mpi, app| {
-            mpi.allreduce_bytes(app, op, dtype, &data)
+        self.run_collective(coll_kind::ALLREDUCE, comm, |mpi, app| {
+            mpi.allreduce_bytes(app, op, dtype, data)
         })
     }
 
@@ -340,10 +325,9 @@ impl<'a> Process<'a> {
         root: usize,
         data: &[u8],
     ) -> C3Result<Option<Vec<Bytes>>> {
-        let data = data.to_vec();
         let framed =
-            self.run_collective(coll_kind::GATHER, comm, move |mpi, app| {
-                let out = mpi.gather(app, root, &data)?;
+            self.run_collective(coll_kind::GATHER, comm, |mpi, app| {
+                let out = mpi.gather(app, root, data)?;
                 Ok(frame_option(&out.map(|chunks| frame_chunks(&chunks))))
             })?;
         match unframe_option(&framed)? {
@@ -372,19 +356,17 @@ impl<'a> Process<'a> {
     }
 
     /// Gather every member's payload at every member (ragged allowed).
-    /// Each returned chunk is a refcounted slice of the one broadcast
+    /// Each returned chunk is a refcounted slice of simmpi's one broadcast
     /// buffer (which is also what the recovery log stores).
     pub fn allgather(
         &mut self,
         comm: CommHandle,
         data: &[u8],
     ) -> C3Result<Vec<Bytes>> {
-        let data = data.to_vec();
-        let framed = self.run_collective(
-            coll_kind::ALLGATHER,
-            comm,
-            move |mpi, app| Ok(frame_chunks(&mpi.allgather(app, &data)?)),
-        )?;
+        let framed =
+            self.run_collective(coll_kind::ALLGATHER, comm, |mpi, app| {
+                mpi.allgather_framed(app, data)
+            })?;
         unframe_chunks(&framed).map_err(Into::into)
     }
 
@@ -457,12 +439,9 @@ impl<'a> Process<'a> {
         op: ReduceOp,
         data: &[T],
     ) -> C3Result<Vec<T>> {
-        let data = data.to_vec();
         let bytes =
-            self.run_collective(coll_kind::SCAN, comm, move |mpi, app| {
-                Ok(Bytes::from(T::slice_to_bytes(
-                    &mpi.scan_t(app, op, &data)?,
-                )))
+            self.run_collective(coll_kind::SCAN, comm, |mpi, app| {
+                Ok(Bytes::from(T::slice_to_bytes(&mpi.scan_t(app, op, data)?)))
             })?;
         T::bytes_to_vec(&bytes).map_err(Into::into)
     }
@@ -473,31 +452,35 @@ mod tests {
     use super::*;
 
     #[test]
-    fn chunk_framing_round_trip() {
-        let chunks = vec![
-            Bytes::from_static(&[1u8, 2]),
-            Bytes::new(),
-            Bytes::copy_from_slice(&[3u8; 40]),
-        ];
-        assert_eq!(unframe_chunks(&frame_chunks(&chunks)).unwrap(), chunks);
-        assert!(unframe_chunks(&Bytes::from_static(&[1, 2, 3])).is_err());
-        // A corrupted count must be refused before anything is reserved
-        // for it: here it claims more chunks than the blob has room for
-        // length prefixes.
-        for count in [3u64, u64::MAX] {
-            let mut hostile = count.to_le_bytes().to_vec();
-            hostile.extend_from_slice(&[0u8; 16]);
-            assert!(unframe_chunks(&Bytes::from(hostile)).is_err());
+    fn one_max_is_the_conjunction_fold() {
+        // The per-rank loop the word's encoding replaces.
+        let reference = |ranks: &[(u32, bool)]| {
+            let max_epoch = ranks.iter().map(|r| r.0).max().unwrap();
+            let stopped =
+                ranks.iter().any(|&(e, logging)| e == max_epoch && !logging);
+            (max_epoch, stopped)
+        };
+        let states = [(0, false), (3, true), (3, false), (4, true)];
+        for a in states {
+            for b in states {
+                for c in states {
+                    let ranks = [a, b, c];
+                    let fold = ranks
+                        .iter()
+                        .map(|&(e, l)| control_word(e, l))
+                        .max()
+                        .unwrap();
+                    let ctl = CollControl::from_fold(fold);
+                    assert_eq!(
+                        (ctl.max_epoch, ctl.stopped_at_max),
+                        reference(&ranks),
+                        "{ranks:?}"
+                    );
+                }
+            }
         }
-    }
-
-    #[test]
-    fn unframed_chunks_are_views_of_the_framed_buffer() {
-        let framed = frame_chunks(&[Bytes::from_static(b"hello")]);
-        let parts = unframe_chunks(&framed).unwrap();
-        let base = framed.as_slice().as_ptr() as usize;
-        let at = parts[0].as_slice().as_ptr() as usize;
-        assert!(at >= base && at < base + framed.len());
+        let top = CollControl::from_fold(control_word(u32::MAX, false));
+        assert_eq!((top.max_epoch, top.stopped_at_max), (u32::MAX, true));
     }
 
     #[test]

@@ -10,8 +10,8 @@ use crate::piggyback::PiggybackMode;
 /// measured in the paper's Section 6.2:
 ///
 /// 1. the unmodified program,
-/// 2. \+ code to piggyback data on messages (and the control collectives
-///    that precede data collectives),
+/// 2. \+ code to piggyback data on messages (and the control word on
+///    collectives: fused into the data call or on a preceding exchange),
 /// 3. \+ the protocol's logs and saving the MPI library state,
 /// 4. \+ saving the application state (full checkpoints).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -19,9 +19,8 @@ pub enum InstrumentationLevel {
     /// Version 1: pure pass-through; no headers, no control traffic, no
     /// checkpoints.
     None,
-    /// Version 2: piggybacked control words on every message and control
-    /// collectives before data collectives, but checkpoints are never
-    /// initiated.
+    /// Version 2: piggybacked control words on every message and every
+    /// collective, but checkpoints are never initiated.
     Piggyback,
     /// Version 3: the full protocol runs (logs, MPI-state records,
     /// commits), but application state bytes are *not* written. Recovery
@@ -33,7 +32,7 @@ pub enum InstrumentationLevel {
 }
 
 impl InstrumentationLevel {
-    /// Whether message headers / control collectives are active.
+    /// Whether control words travel on messages and collectives.
     pub fn piggybacks(self) -> bool {
         !matches!(self, InstrumentationLevel::None)
     }

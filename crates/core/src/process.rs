@@ -9,11 +9,12 @@
 //! * **receives** strip and interpret the control word, classify the
 //!   message (late / intra-epoch / early), feed the logs and counters, and
 //!   during recovery are satisfied from the late-message log first;
-//! * **collectives** are preceded by a control collective that exchanges
-//!   `(epoch, amLogging)` words (the conjunction rule of Section 4.5);
-//!   results are logged while logging and replayed during recovery;
-//!   `barrier` additionally aligns epochs by forcing lagging ranks to
-//!   checkpoint first;
+//! * **collectives** fold the participants' `(epoch, amLogging)` words
+//!   (the conjunction rule of Section 4.5) — on the data collective's own
+//!   frames where its output already depends on every rank, on a
+//!   preceding exchange otherwise; results are logged while logging and
+//!   replayed during recovery; `barrier` additionally aligns epochs by
+//!   forcing lagging ranks to checkpoint first;
 //! * **control messages** (`pleaseCheckpoint`, `mySendCount`,
 //!   `readyToStopLogging`, `stopLogging`, `stoppedLogging`,
 //!   `RecoveryComplete`) are drained opportunistically at every intercepted
@@ -117,7 +118,8 @@ pub struct ProcStats {
 }
 
 /// A communicator pair: the application-visible communicator plus its
-/// shadow control communicator (for the pre-collective control exchange).
+/// shadow control communicator (control messages, and the preceding
+/// control exchange of the collectives that need one).
 struct CommPair {
     app: Comm,
     ctrl: Comm,

@@ -4,7 +4,7 @@
 //! records the protocol decisions it makes — sends with their piggybacked
 //! control words, receive classifications (Definition 1), log and replay
 //! actions, `mySendCount` announcements, epoch transitions, initiator
-//! phase changes, collective control exchanges, and recovery steps — as a
+//! phase changes, collective control agreements, and recovery steps — as a
 //! stream of [`TraceRecord`]s. The stream is an *artifact*: it serializes
 //! through `ckptstore`'s codec ([`encode_trace`] / [`decode_trace`]) so a
 //! run's trace can be saved, shipped, and analyzed offline by the
@@ -203,9 +203,11 @@ pub enum TraceEvent {
         /// The committed checkpoint number.
         ckpt: u64,
     },
-    /// A pre-collective control exchange ran and the conjunction rule
-    /// was applied (Section 4.5). Emitted after the data call, so
-    /// `epoch` reflects any barrier alignment.
+    /// A collective's participants agreed on their folded control word
+    /// (on the data collective's own frames or on a preceding exchange,
+    /// by kind) and the conjunction rule was applied (Section 4.5).
+    /// Emitted after the data call, so `epoch` reflects any barrier
+    /// alignment.
     CollectiveControl {
         /// Communicator pseudo-handle.
         comm: u64,

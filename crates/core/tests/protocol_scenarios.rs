@@ -1,11 +1,14 @@
 //! Targeted protocol scenarios from the paper: non-determinism logging
 //! (Section 3.2), early-message suppression, collective calls straddling
 //! the recovery line (Figure 5), barrier epoch alignment (Section 4.5),
-//! request pseudo-handles across checkpoints (Section 5.2), and
-//! persistent-object journal replay.
+//! request pseudo-handles across checkpoints (Section 5.2),
+//! persistent-object journal replay, and the control word's two routes
+//! (fused into the data collective, or on a preceding exchange).
 
+use c3_core::trace::{TraceEvent, TraceSink};
 use c3_core::{
-    run_job, C3App, C3Config, C3Result, CheckpointTrigger, Process, ReduceOp,
+    run_job, C3App, C3Config, C3Result, CheckpointTrigger,
+    InstrumentationLevel, Process, ReduceOp,
 };
 use ckptstore::impl_saveload_struct;
 
@@ -232,6 +235,182 @@ fn collective_results_are_logged_and_replayed_across_the_line() {
         report.stats.iter().map(|s| s.collectives_replayed).sum();
     assert!(logged > 0, "collectives while logging must be recorded");
     assert!(replayed > 0, "recovery must have replayed some results");
+}
+
+/// The fused control word costs no frame of its own: per extra iteration
+/// of allreduce + allgather, a piggybacking job sends exactly the frames
+/// the uninstrumented job sends, each 8 bytes (the word) longer. Taking
+/// the difference between two job lengths cancels what surrounds the loop
+/// at the piggybacking level only (the shadow communicator's creation,
+/// `finalize`'s rounds).
+#[test]
+fn fused_control_word_adds_no_frames() {
+    let n = 4;
+    let sent = |level: InstrumentationLevel, iters: u64| {
+        let reg = c3obs::Registry::new();
+        let cfg = C3Config {
+            level,
+            ..C3Config::default()
+        }
+        .with_obs(reg.clone());
+        run_job(n, &cfg, None, &CollApp { iters }).unwrap();
+        let snap = reg.snapshot();
+        (
+            snap.counter_total("mpi_msgs_sent_total"),
+            snap.counter_total("mpi_bytes_sent_total"),
+        )
+    };
+    let marginal = |level| {
+        let (short_frames, short_bytes) = sent(level, 4);
+        let (long_frames, long_bytes) = sent(level, 24);
+        (long_frames - short_frames, long_bytes - short_bytes)
+    };
+    let (base_frames, base_bytes) = marginal(InstrumentationLevel::None);
+    let (pb_frames, pb_bytes) = marginal(InstrumentationLevel::Piggyback);
+    // 20 iterations x 2 collectives x (gather + broadcast) x (n - 1).
+    assert_eq!(base_frames, 20 * 2 * 2 * (n as u64 - 1));
+    assert_eq!(pb_frames, base_frames, "no extra frames, no extra rounds");
+    assert_eq!(pb_bytes, base_bytes + 8 * base_frames);
+}
+
+/// Every collective kind, with calls straddling the checkpoint line in
+/// both routes the control word takes. The barrier opens every third
+/// iteration (a checkpoint forced by its alignment step resumes at the
+/// loop top, in front of the same barrier); the other iterations run all
+/// eight data collectives with ranks checkpointing at staggered sites, so
+/// calls execute with some participants before and some after the line.
+struct EveryKindApp {
+    iters: u64,
+}
+
+impl C3App for EveryKindApp {
+    type State = S1;
+    type Output = u64;
+
+    fn init(&self, _p: &mut Process<'_>) -> C3Result<S1> {
+        Ok(S1 { i: 0, acc: 1 })
+    }
+
+    fn run(&self, p: &mut Process<'_>, s: &mut S1) -> C3Result<u64> {
+        let world = p.world();
+        let n = p.size();
+        let me = p.rank() as u64;
+        let mix = |h: u64, v: u64| h.wrapping_mul(31).wrapping_add(v);
+        while s.i < self.iters {
+            if s.i.is_multiple_of(3) {
+                p.barrier(world, s)?;
+            }
+            let root = (s.i as usize) % n;
+            let at_root = p.rank() == root;
+            let mut h = s.acc;
+
+            let b = p.bcast_t::<u64>(world, root, &[s.acc ^ s.i])?;
+            h = mix(h, b[0]);
+            let sum = p.allreduce_t::<u64>(
+                world,
+                ReduceOp::Sum,
+                &[s.acc & 0xFFFF, me],
+            )?;
+            h = sum.iter().fold(h, |h, &v| mix(h, v));
+            let red = p.reduce_t::<u64>(
+                world,
+                root,
+                ReduceOp::Max,
+                &[s.acc % 1000 + me],
+            )?;
+            assert_eq!(red.is_some(), at_root);
+            h = red.iter().flatten().fold(h, |h, &v| mix(h, v));
+            let gathered =
+                p.gather_t::<u64>(world, root, &[s.acc.wrapping_add(me)])?;
+            assert_eq!(gathered.is_some(), at_root);
+            h = gathered
+                .iter()
+                .flatten()
+                .flatten()
+                .fold(h, |h, &v| mix(h, v));
+            let all = p.allgather_t::<u64>(world, &[s.i, h & 0xFF])?;
+            h = all.iter().flatten().fold(h, |h, &v| mix(h, v));
+            let chunks: Vec<Vec<u8>> = (0..n)
+                .map(|d| vec![s.i as u8, me as u8, d as u8, (h & 0x7F) as u8])
+                .collect();
+            let swapped = p.alltoall(world, &chunks)?;
+            h = swapped
+                .iter()
+                .flat_map(|c| c.iter())
+                .fold(h, |h, &v| mix(h, u64::from(v)));
+            let parts = at_root.then(|| {
+                (0..n as u64)
+                    .map(|d| s.acc.wrapping_add(d).to_le_bytes().to_vec())
+                    .collect::<Vec<_>>()
+            });
+            let part = p.scatter(world, root, parts.as_deref())?;
+            h = part.iter().fold(h, |h, &v| mix(h, u64::from(v)));
+            let prefix =
+                p.scan_t::<u64>(world, ReduceOp::Sum, &[me + s.i, h & 0xF])?;
+            h = prefix.iter().fold(h, |h, &v| mix(h, v));
+
+            s.acc = h;
+            s.i += 1;
+            if (s.i + me).is_multiple_of(2) {
+                p.potential_checkpoint(s)?;
+            }
+        }
+        Ok(s.acc)
+    }
+}
+
+#[test]
+fn every_collective_kind_straddles_the_line_and_recovers() {
+    let iters = 18;
+    let app = EveryKindApp { iters };
+    for n in [3, 5] {
+        let reference =
+            run_job(n, &C3Config::every_ops(1_000_000), None, &app).unwrap();
+        // (failures as (rank, at_op), restarts expected)
+        let schedules: [&[(usize, u64)]; 3] =
+            [&[], &[(n - 1, 70)], &[(1, 45), (0, 120)]];
+        for kills in schedules {
+            let sink = TraceSink::new();
+            let mut cfg = C3Config::every_ops(23).with_trace(sink.clone());
+            for &(rank, at_op) in kills {
+                cfg = cfg.with_failure(rank, at_op);
+            }
+            let report = run_job(n, &cfg, None, &app).unwrap();
+            let what = format!("n={n} kills={kills:?}");
+            assert_eq!(report.restarts, kills.len(), "{what}");
+            assert_eq!(report.outputs, reference.outputs, "{what}");
+            let total = |f: fn(&c3_core::ProcStats) -> u64| {
+                report.stats.iter().map(f).sum::<u64>()
+            };
+            assert!(total(|s| s.collectives_logged) > 0, "{what}");
+            if !kills.is_empty() {
+                assert!(total(|s| s.collectives_replayed) > 0, "{what}");
+            }
+            let records = sink.take();
+            // Both routes really met the line: every data kind ran with
+            // a participant still behind it, and logged a result.
+            for kind in 1..=8u8 {
+                let seen = |f: fn(u32, u32, bool) -> bool| {
+                    records.iter().any(|r| match r.event {
+                        TraceEvent::CollectiveControl {
+                            kind: k,
+                            epoch,
+                            max_epoch,
+                            logged,
+                            ..
+                        } => k == kind && f(epoch, max_epoch, logged),
+                        _ => false,
+                    })
+                };
+                assert!(seen(|e, max, _| e < max), "{what} kind {kind}");
+                assert!(seen(|_, _, logged| logged), "{what} kind {kind}");
+            }
+            let verdict = c3verify::analyze(&records);
+            assert!(verdict.is_clean(), "{what}:\n{}", verdict.render());
+            let races = c3verify::race_check(&records);
+            assert!(races.is_clean(), "{what}:\n{}", races.render());
+        }
+    }
 }
 
 /// Barrier epoch alignment: rank 1 never calls `potential_checkpoint`; its

@@ -13,11 +13,30 @@
 //! (≤ 64 ranks): binomial-tree broadcast, linear gather/reduce with
 //! ascending-rank combination order (deterministic floating-point results),
 //! dissemination barrier, pairwise all-to-all, linear-chain scan.
+//! `allgather` and `allreduce` are gather/reduce to an internal root
+//! followed by a broadcast from it, and that root is the communicator's
+//! *last* rank. The root is the first rank out of such a collective (it
+//! sends the broadcast and leaves; everyone else waits for it), so it is
+//! the first into the next one and whatever it contributes there is the
+//! stalest contribution. Rank 0 is where protocols above put their
+//! coordinator; rooting at the far end makes rank 0 the last rank the
+//! broadcast reaches and so the last to enter the next collective, which
+//! lets a decision it has just taken travel with its sideband word (below)
+//! to every participant in that same collective, not the one after.
+//! Results do not depend on the root: chunks are indexed, and reductions
+//! combined, by ascending rank.
+//!
+//! A caller may attach one 8-byte *sideband* word to a collective
+//! ([`Mpi::with_sideband`]): it rides in the inline header segment of the
+//! frames the algorithm sends anyway and comes back `max`-folded over
+//! every rank the call's output depends on. The protocol layer uses it
+//! to agree on `(epoch, amLogging)` without a control round of its own.
 
 use bytes::Bytes;
 
 use crate::comm::{Comm, COLLECTIVE_BIT};
 use crate::datatype::{DType, MpiType, ReduceOp};
+use crate::envelope::{HeaderBytes, RecvMsg};
 use crate::error::{MpiError, MpiResult};
 use crate::rank::{Mpi, Plane};
 
@@ -39,10 +58,17 @@ fn coll_tag(seq: u32, op: CollOp, round: u32) -> i32 {
     (((seq & 0xF_FFFF) << 12) | ((round & 0xFF) << 4) | (op as u32)) as i32
 }
 
-/// Frame a list of byte chunks into one payload (used when a gathered
-/// result is re-broadcast). The output has exact capacity, so converting
-/// it to [`Bytes`] is a move, not a copy.
-fn frame_chunks(chunks: &[Bytes]) -> Vec<u8> {
+/// Internal root of the gather-then-broadcast collectives (why the last
+/// rank: module docs).
+fn internal_root(comm: &Comm) -> usize {
+    comm.size() - 1
+}
+
+/// Frame a list of byte chunks into one byte string: a little-endian
+/// `u64` count followed by `u64`-length-prefixed chunks. This is the
+/// allgather broadcast buffer's format, and the one the protocol layer
+/// above logs ragged collective results in.
+pub fn frame_chunks(chunks: &[Bytes]) -> Bytes {
     let total: usize = 8 + chunks.iter().map(|c| 8 + c.len()).sum::<usize>();
     let mut out = Vec::with_capacity(total);
     out.extend_from_slice(&(chunks.len() as u64).to_le_bytes());
@@ -50,12 +76,12 @@ fn frame_chunks(chunks: &[Bytes]) -> Vec<u8> {
         out.extend_from_slice(&(c.len() as u64).to_le_bytes());
         out.extend_from_slice(c);
     }
-    out
+    Bytes::from(out)
 }
 
-/// Split a framed payload back into its chunks. Each chunk is a
+/// Split a framed byte string back into its chunks. Each chunk is a
 /// refcounted slice of `payload` — no per-chunk allocation or copy.
-fn unframe_chunks(payload: &Bytes) -> MpiResult<Vec<Bytes>> {
+pub fn unframe_chunks(payload: &Bytes) -> MpiResult<Vec<Bytes>> {
     let err = || MpiError::BadPayload("malformed framed chunks".into());
     let mut pos = 0usize;
     let read_len = |pos: &mut usize| -> MpiResult<usize> {
@@ -68,7 +94,13 @@ fn unframe_chunks(payload: &Bytes) -> MpiResult<Vec<Bytes>> {
         Ok(n)
     };
     let count = read_len(&mut pos)?;
-    let mut chunks = Vec::with_capacity(count.min(payload.len()));
+    // Every chunk costs at least its 8-byte length prefix, so a count
+    // beyond that is corrupt; refusing it here also bounds the
+    // reservation by the payload's own size.
+    if count > (payload.len() - pos) / 8 {
+        return Err(err());
+    }
+    let mut chunks = Vec::with_capacity(count);
     for _ in 0..count {
         let len = read_len(&mut pos)?;
         if payload.len() - pos < len {
@@ -83,7 +115,43 @@ fn unframe_chunks(payload: &Bytes) -> MpiResult<Vec<Bytes>> {
     Ok(chunks)
 }
 
+/// Decode a little-endian `u32` context id from the first four bytes of a
+/// context-agreement payload.
+fn ctx_word(payload: &[u8]) -> MpiResult<u32> {
+    payload
+        .get(..4)
+        .and_then(|b| b.try_into().ok())
+        .map(u32::from_le_bytes)
+        .ok_or_else(|| MpiError::BadPayload("short context id".into()))
+}
+
 impl Mpi {
+    /// Run `f` with an 8-byte *sideband* word riding on every internal
+    /// collective frame this rank sends and receives inside it, and
+    /// return `f`'s result with the fold.
+    ///
+    /// Each frame carries its sender's running fold in the inline header
+    /// segment — no extra frame, no extra round — and each receive folds
+    /// the incoming word in with `u64::max`. The fold therefore covers
+    /// exactly the ranks whose input the call's *output* already depends
+    /// on: every rank for `barrier`, `allgather`, `allreduce` and
+    /// `alltoall`; only those upstream of the caller for the one-way
+    /// kinds (`bcast`, `scatter`, `gather`, `reduce`, `scan`), whose fold
+    /// is partial. Every participant of a collective must open the scope
+    /// or none may: a frame with a word where none is expected, or the
+    /// reverse, is [`MpiError::BadPayload`]. The scope is closed on every
+    /// exit path, errors included.
+    pub fn with_sideband<R>(
+        &mut self,
+        word: u64,
+        f: impl FnOnce(&mut Mpi) -> MpiResult<R>,
+    ) -> MpiResult<(R, u64)> {
+        self.sideband = Some(word);
+        let result = f(self);
+        let fold = self.sideband.take().unwrap_or(word);
+        Ok((result?, fold))
+    }
+
     fn csend(
         &mut self,
         comm: &Comm,
@@ -91,7 +159,11 @@ impl Mpi {
         tag: i32,
         payload: Bytes,
     ) -> MpiResult<()> {
-        self.send_on(comm, Plane::Coll, dst, tag, payload)
+        let header = match self.sideband {
+            None => HeaderBytes::empty(),
+            Some(fold) => HeaderBytes::new(&fold.to_le_bytes()),
+        };
+        self.send_segments_on(comm, Plane::Coll, dst, tag, header, payload)
     }
 
     fn crecv(
@@ -100,7 +172,36 @@ impl Mpi {
         src: usize,
         tag: i32,
     ) -> MpiResult<Bytes> {
-        Ok(self.recv_on(comm, Plane::Coll, src, tag)?.payload)
+        let msg = self.recv_on(comm, Plane::Coll, src, tag)?;
+        self.cfold(msg)
+    }
+
+    /// Fold a received collective frame's sideband word into the open
+    /// scope and hand back its payload. The header must be exactly the
+    /// word when a scope is open and exactly empty when none is: anything
+    /// else did not come from a peer making the same call.
+    fn cfold(&mut self, msg: RecvMsg) -> MpiResult<Bytes> {
+        let word = <[u8; 8]>::try_from(msg.header.as_slice());
+        match (self.sideband.as_mut(), word) {
+            (None, _) if msg.header.is_empty() => {}
+            (Some(fold), Ok(word)) => {
+                *fold = (*fold).max(u64::from_le_bytes(word));
+            }
+            (scope, _) => {
+                return Err(MpiError::BadPayload(format!(
+                    "collective frame from rank {} has a {}-byte header, \
+                     expected {}",
+                    msg.src,
+                    msg.header.len(),
+                    if scope.is_some() {
+                        "the 8-byte sideband word"
+                    } else {
+                        "none"
+                    }
+                )));
+            }
+        }
+        Ok(msg.payload)
     }
 
     // ------------------------------------------------------------------
@@ -257,20 +358,30 @@ impl Mpi {
     }
 
     /// Gather every member's payload at every member (the `MPI_Allgather`
-    /// analogue, ragged payloads allowed). `chunks[r]` is rank `r`'s data,
-    /// a refcounted slice of the one broadcast buffer.
+    /// analogue, ragged payloads allowed) and return the one broadcast
+    /// buffer itself, in [`frame_chunks`] format: gather to the internal
+    /// root, broadcast from it.
+    pub fn allgather_framed(
+        &mut self,
+        comm: &Comm,
+        data: &[u8],
+    ) -> MpiResult<Bytes> {
+        let root = internal_root(comm);
+        let framed = match self.gather(comm, root, data)? {
+            Some(chunks) => frame_chunks(&chunks),
+            None => Bytes::new(),
+        };
+        self.bcast(comm, root, framed)
+    }
+
+    /// [`Mpi::allgather_framed`] split per rank: `chunks[r]` is rank `r`'s
+    /// data, a refcounted slice of the one broadcast buffer.
     pub fn allgather(
         &mut self,
         comm: &Comm,
         data: &[u8],
     ) -> MpiResult<Vec<Bytes>> {
-        let gathered = self.gather(comm, 0, data)?;
-        let framed = match gathered {
-            Some(chunks) => Bytes::from(frame_chunks(&chunks)),
-            None => Bytes::new(),
-        };
-        let bcasted = self.bcast(comm, 0, framed)?;
-        unframe_chunks(&bcasted)
+        unframe_chunks(&self.allgather_framed(comm, data)?)
     }
 
     /// Typed allgather returning per-rank vectors.
@@ -413,7 +524,8 @@ impl Mpi {
     }
 
     /// Element-wise reduction delivered to every member (the
-    /// `MPI_Allreduce` analogue). Reduce-to-0 followed by broadcast.
+    /// `MPI_Allreduce` analogue). Reduce to the internal root, broadcast
+    /// from it.
     pub fn allreduce_t<T: MpiType>(
         &mut self,
         comm: &Comm,
@@ -438,7 +550,8 @@ impl Mpi {
         dtype: DType,
         data: &[u8],
     ) -> MpiResult<Bytes> {
-        let reduced = self.reduce_bytes(comm, 0, op, dtype, data)?;
+        let root = internal_root(comm);
+        let reduced = self.reduce_bytes(comm, root, op, dtype, data)?;
         let payload = match reduced {
             // A pooled accumulator with spare capacity would be copied by
             // `Bytes::from`; share it with one explicit copy and return
@@ -451,7 +564,7 @@ impl Mpi {
             }
             None => Bytes::new(),
         };
-        self.bcast(comm, 0, payload)
+        self.bcast(comm, root, payload)
     }
 
     /// Inclusive prefix reduction (the `MPI_Scan` analogue): rank `r`
@@ -519,7 +632,7 @@ impl Mpi {
         out[me] = chunks[me].clone();
         for (src, mut req) in reqs {
             let msg = self.wait_recv(comm, &mut req)?;
-            out[src] = msg.payload;
+            out[src] = self.cfold(msg)?;
         }
         Ok(out)
     }
@@ -540,12 +653,7 @@ impl Mpi {
         let mut max = self.next_ctx_hint;
         if me == 0 {
             for src in 1..n {
-                let b = self.crecv(comm, src, tag)?;
-                let v =
-                    u32::from_le_bytes(b[..4].try_into().map_err(|_| {
-                        MpiError::BadPayload("short ctx hint".into())
-                    })?);
-                max = max.max(v);
+                max = max.max(ctx_word(&self.crecv(comm, src, tag)?)?);
             }
         } else {
             self.csend(
@@ -557,10 +665,7 @@ impl Mpi {
         }
         let agreed =
             self.bcast(comm, 0, Bytes::copy_from_slice(&max.to_le_bytes()))?;
-        let ctx =
-            u32::from_le_bytes(agreed[..4].try_into().map_err(|_| {
-                MpiError::BadPayload("short agreed ctx".into())
-            })?);
+        let ctx = ctx_word(&agreed)?;
         assert!(ctx < COLLECTIVE_BIT, "communicator context space exhausted");
         self.next_ctx_hint = ctx + 1;
         Ok(ctx)
@@ -618,16 +723,12 @@ mod tests {
             Bytes::copy_from_slice(&[9u8; 100]),
             chunk(&[42]),
         ];
-        let framed = frame_chunks(&chunks);
-        // Exact capacity: converting to Bytes must be a move, not a copy.
-        assert_eq!(framed.capacity(), framed.len());
-        assert_eq!(unframe_chunks(&Bytes::from(framed)).unwrap(), chunks);
+        assert_eq!(unframe_chunks(&frame_chunks(&chunks)).unwrap(), chunks);
     }
 
     #[test]
     fn unframed_chunks_share_the_framed_buffer() {
-        let framed =
-            Bytes::from(frame_chunks(&[chunk(&[1, 2, 3]), chunk(&[4])]));
+        let framed = frame_chunks(&[chunk(&[1, 2, 3]), chunk(&[4])]);
         let parts = unframe_chunks(&framed).unwrap();
         // Each part is a slice of `framed`'s backing allocation.
         let base = framed.as_slice().as_ptr() as usize;
@@ -643,13 +744,70 @@ mod tests {
     #[test]
     fn unframe_rejects_garbage() {
         assert!(unframe_chunks(&Bytes::from_static(&[1, 2, 3])).is_err());
-        let mut framed = frame_chunks(&[chunk(&[1, 2, 3])]);
-        framed.truncate(framed.len() - 1);
-        assert!(unframe_chunks(&Bytes::from(framed)).is_err());
+        let framed = frame_chunks(&[chunk(&[1, 2, 3])]);
+        assert!(unframe_chunks(&framed.slice(..framed.len() - 1)).is_err());
         // Trailing junk is also rejected.
-        let mut framed = frame_chunks(&[chunk(&[1, 2, 3])]);
-        framed.push(0);
-        assert!(unframe_chunks(&Bytes::from(framed)).is_err());
+        let mut junk = framed.to_vec();
+        junk.push(0);
+        assert!(unframe_chunks(&Bytes::from(junk)).is_err());
+        // A corrupted count must be refused before anything is reserved
+        // for it: here it claims more chunks than the payload has room
+        // for length prefixes.
+        for count in [3u64, u64::MAX] {
+            let mut hostile = count.to_le_bytes().to_vec();
+            hostile.extend_from_slice(&[0u8; 16]);
+            assert!(unframe_chunks(&Bytes::from(hostile)).is_err());
+        }
+    }
+
+    #[test]
+    fn short_context_id_is_rejected_not_a_panic() {
+        assert_eq!(ctx_word(&7u32.to_le_bytes()).unwrap(), 7);
+        for short in [&[][..], &[1, 2, 3]] {
+            assert!(matches!(ctx_word(short), Err(MpiError::BadPayload(_))));
+        }
+    }
+
+    /// A collective frame's header is the sideband word exactly when a
+    /// scope is open at the receiver: rank 0 forges the root's bcast
+    /// frame with each wrong header, rank 1 must refuse it and leave no
+    /// scope behind.
+    #[test]
+    fn mis_headed_collective_frames_are_rejected() {
+        use crate::world::World;
+        // (forged header length, receiver opens a scope)
+        let cases = [(3usize, false), (3, true), (8, false), (0, true)];
+        World::run(2, |mpi| {
+            let comm = mpi.world();
+            for (k, &(hdr_len, scoped)) in cases.iter().enumerate() {
+                if mpi.rank() == 0 {
+                    let tag = coll_tag(comm.next_coll_seq(), CollOp::Bcast, 0);
+                    let hdr = HeaderBytes::new(&[0xAB; 8][..hdr_len]);
+                    mpi.send_segments_on(
+                        &comm,
+                        Plane::Coll,
+                        1,
+                        tag,
+                        hdr,
+                        Bytes::new(),
+                    )?;
+                    continue;
+                }
+                let out = if scoped {
+                    mpi.with_sideband(1, |m| m.bcast(&comm, 0, Bytes::new()))
+                        .map(|(b, _)| b)
+                } else {
+                    mpi.bcast(&comm, 0, Bytes::new())
+                };
+                assert!(
+                    matches!(out, Err(MpiError::BadPayload(_))),
+                    "case {k}: {out:?}"
+                );
+                assert!(mpi.sideband.is_none(), "case {k} left a scope open");
+            }
+            Ok(())
+        })
+        .unwrap();
     }
 
     #[test]

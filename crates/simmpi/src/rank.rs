@@ -96,6 +96,11 @@ pub struct Mpi {
     /// Pre-registered metric handles; `None` until a registry is
     /// attached, which keeps the un-observed hot path at one branch.
     obs: Option<crate::obs::MpiObs>,
+    /// Running `max` fold of the sideband word while a
+    /// [`Mpi::with_sideband`] scope is open: every internal collective
+    /// frame carries it out and folds the sender's in. `None` (every
+    /// other time) leaves collective frames unheaded.
+    pub(crate) sideband: Option<u64>,
 }
 
 /// Catch-up state of a respawned incarnation: the dead incarnation's
@@ -151,6 +156,7 @@ impl Mpi {
             incarnation: 0,
             caught_up_pending: false,
             obs: None,
+            sideband: None,
         }
     }
 

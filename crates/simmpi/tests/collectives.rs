@@ -291,3 +291,136 @@ fn collectives_do_not_disturb_pending_p2p_receives() {
     })
     .unwrap();
 }
+
+// ----------------------------------------------------------------------
+// Sideband fold
+// ----------------------------------------------------------------------
+
+const FOLD_SIZES: &[usize] = &[1, 2, 3, 5, 8];
+
+/// Rank `r`'s sideband word in round `shift`: distinct per rank, with the
+/// maximum held by a different rank every round.
+fn word(r: usize, n: usize, shift: usize) -> u64 {
+    100 + ((r + shift) % n) as u64
+}
+
+/// Run `call` once plain and once per round under a sideband, at every
+/// fold size: the data result must not depend on the sideband, and every
+/// rank's fold must be the maximum of all ranks' words.
+fn assert_full_fold<R, F>(call: F)
+where
+    R: PartialEq + std::fmt::Debug + Send,
+    F: Fn(&mut simmpi::Mpi, &simmpi::Comm) -> simmpi::MpiResult<R> + Sync,
+{
+    for &n in FOLD_SIZES {
+        World::run(n, |mpi| {
+            let comm = mpi.world();
+            let plain = call(mpi, &comm)?;
+            for shift in 0..n {
+                let mine = word(mpi.rank(), n, shift);
+                let (out, fold) =
+                    mpi.with_sideband(mine, |m| call(m, &comm))?;
+                assert_eq!(out, plain, "n={n} shift={shift}");
+                assert_eq!(
+                    fold,
+                    100 + n as u64 - 1,
+                    "n={n} shift={shift} rank={}",
+                    mpi.rank()
+                );
+            }
+            Ok(())
+        })
+        .unwrap();
+    }
+}
+
+#[test]
+fn allgather_folds_every_word() {
+    assert_full_fold(|mpi, comm| {
+        mpi.allgather(comm, &vec![mpi.rank() as u8; mpi.rank() + 1])
+    });
+}
+
+#[test]
+fn allreduce_folds_every_word() {
+    assert_full_fold(|mpi, comm| {
+        let x = (mpi.rank() as u64 + 1).to_le_bytes();
+        mpi.allreduce_bytes(comm, ReduceOp::Sum, DType::U64, &x)
+    });
+}
+
+#[test]
+fn alltoall_folds_every_word() {
+    assert_full_fold(|mpi, comm| {
+        let me = mpi.rank() as u8;
+        let chunks: Vec<Bytes> = (0..comm.size())
+            .map(|d| Bytes::from(vec![me, d as u8]))
+            .collect();
+        mpi.alltoall(comm, &chunks)
+    });
+}
+
+#[test]
+fn barrier_folds_every_word() {
+    assert_full_fold(|mpi, comm| mpi.barrier(comm));
+}
+
+/// The one-way kinds fold only what flows toward the caller: a bcast
+/// root hears from nobody, a gather's non-roots hear from nobody. That
+/// is why the protocol layer cannot take its agreement from their frames.
+#[test]
+fn one_way_collectives_fold_partially() {
+    for &n in &FOLD_SIZES[1..] {
+        World::run(n, |mpi| {
+            let comm = mpi.world();
+            let me = mpi.rank();
+            // Ascending words: rank 0 holds the minimum, n-1 the maximum.
+            let mine = word(me, n, 0);
+            let top = word(n - 1, n, 0);
+
+            let (_, fold) =
+                mpi.with_sideband(mine, |m| m.bcast(&comm, 0, Bytes::new()))?;
+            if me == 0 {
+                assert_eq!(fold, mine, "bcast root folds nothing in");
+            } else {
+                // Own word and the root's, never more than the tree path.
+                assert!(fold >= mine && fold <= top);
+            }
+            // Rooted at the top word instead, everyone downstream has it.
+            let (_, fold) = mpi.with_sideband(mine, |m| {
+                m.bcast(&comm, n - 1, Bytes::new())
+            })?;
+            assert_eq!(fold, top);
+
+            let (_, fold) =
+                mpi.with_sideband(mine, |m| m.gather(&comm, 0, &[1]))?;
+            if me == 0 {
+                assert_eq!(fold, top, "gather root folds every word");
+            } else {
+                assert_eq!(fold, mine, "gather non-roots fold nothing in");
+            }
+            Ok(())
+        })
+        .unwrap();
+    }
+}
+
+#[test]
+fn sideband_scope_closes_on_error() {
+    World::run(2, |mpi| {
+        let comm = mpi.world();
+        if mpi.rank() == 0 {
+            // A local argument error inside the scope...
+            let err =
+                mpi.with_sideband(9, |m| m.bcast(&comm, 7, Bytes::new()));
+            assert!(matches!(err, Err(MpiError::InvalidRank { .. })));
+        }
+        // ...leaves no word behind: rank 1 would reject this plain
+        // barrier's frames if rank 0's still carried one.
+        mpi.barrier(&comm)?;
+        let (_, fold) = mpi.with_sideband(3, |m| m.barrier(&comm))?;
+        assert_eq!(fold, 3);
+        Ok(())
+    })
+    .unwrap();
+}
