@@ -2,7 +2,9 @@
 //! dependency): a minimal recursive-descent parser, just deep enough
 //! for the flat documents the repo writes — `c3obs` snapshots and the
 //! `c3_bench::report` artifacts — plus the string escaper their writers
-//! share. `null` is not part of either format and is rejected.
+//! share. `null` is not part of either format and is rejected. The
+//! documents come from files, so the reader is total on hostile input:
+//! bounded recursion, time linear in the document.
 
 /// Append `s` to `out` with JSON string escaping (no quotes added).
 pub fn escape_into(out: &mut String, s: &str) {
@@ -93,14 +95,20 @@ pub fn get<'a>(
         .ok_or_else(|| format!("missing key {key:?}"))
 }
 
+/// Deepest container nesting [`parse`] accepts. The repo's own documents
+/// nest four or five levels; the bound keeps the recursive descent off
+/// the end of the stack on hostile ones.
+const MAX_DEPTH: usize = 128;
+
 /// Parse one complete JSON document; anything but whitespace after the
-/// top-level value is an error.
+/// top-level value, or containers nested deeper than 128, is an error.
 pub fn parse(doc: &str) -> Result<Value, String> {
     let mut p = Parser {
+        doc,
         bytes: doc.as_bytes(),
         pos: 0,
     };
-    let top = p.parse_value()?;
+    let top = p.parse_value(0)?;
     p.skip_ws();
     if p.pos != p.bytes.len() {
         return Err(format!("trailing garbage at byte {}", p.pos));
@@ -109,6 +117,7 @@ pub fn parse(doc: &str) -> Result<Value, String> {
 }
 
 struct Parser<'a> {
+    doc: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
@@ -190,9 +199,12 @@ impl<'a> Parser<'a> {
                     }
                 }
                 Some(_) => {
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| "invalid UTF-8".to_string())?;
-                    let ch = rest.chars().next().unwrap();
+                    // `pos` only ever advances by whole characters.
+                    let ch = self
+                        .doc
+                        .get(self.pos..)
+                        .and_then(|rest| rest.chars().next())
+                        .ok_or("string position off a char boundary")?;
                     s.push(ch);
                     self.pos += ch.len_utf8();
                 }
@@ -200,9 +212,14 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn parse_value(&mut self) -> Result<Value, String> {
+    /// Parse the value at `pos`, itself nested inside `depth` containers.
+    fn parse_value(&mut self, depth: usize) -> Result<Value, String> {
         self.skip_ws();
         match self.peek() {
+            Some(b'{' | b'[') if depth == MAX_DEPTH => Err(format!(
+                "nesting deeper than {MAX_DEPTH} at byte {}",
+                self.pos
+            )),
             Some(b'{') => {
                 self.pos += 1;
                 let mut fields = Vec::new();
@@ -216,7 +233,7 @@ impl<'a> Parser<'a> {
                     let key = self.parse_string()?;
                     self.skip_ws();
                     self.expect(b':')?;
-                    let val = self.parse_value()?;
+                    let val = self.parse_value(depth + 1)?;
                     fields.push((key, val));
                     self.skip_ws();
                     match self.peek() {
@@ -243,7 +260,7 @@ impl<'a> Parser<'a> {
                     return Ok(Value::Arr(items));
                 }
                 loop {
-                    items.push(self.parse_value()?);
+                    items.push(self.parse_value(depth + 1)?);
                     self.skip_ws();
                     match self.peek() {
                         Some(b',') => self.pos += 1,
@@ -300,5 +317,36 @@ impl<'a> Parser<'a> {
                 self.pos
             )),
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn nesting_is_bounded_not_a_stack_overflow() {
+        let nested = |d: usize| "[".repeat(d) + &"]".repeat(d);
+        assert!(parse(&nested(MAX_DEPTH)).is_ok());
+        assert!(parse(&nested(MAX_DEPTH + 1))
+            .unwrap_err()
+            .contains("nesting"));
+        // Objects count too, and an unclosed flood is an error all the same.
+        let objs = r#"{"k":"#.repeat(MAX_DEPTH + 1);
+        assert!(parse(&objs).unwrap_err().contains("nesting"));
+        assert!(parse(&"[".repeat(200_000)).is_err());
+    }
+
+    #[test]
+    fn long_strings_parse_in_linear_time() {
+        // Stepping must not re-validate the rest of the document per
+        // character: that is quadratic, about fifteen seconds at this
+        // length instead of milliseconds.
+        let doc = format!("[\"{}\"]", r"aé\n".repeat(200_000));
+        let started = std::time::Instant::now();
+        let parsed = parse(&doc).unwrap();
+        assert!(started.elapsed() < std::time::Duration::from_secs(2));
+        let want = Value::Str("aé\n".repeat(200_000));
+        assert_eq!(parsed, Value::Arr(vec![want]));
     }
 }

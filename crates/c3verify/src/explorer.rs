@@ -252,6 +252,13 @@ impl Vm {
         }
     }
 
+    /// The run's trace: the ranks' streams reach the sink as their
+    /// tracers drop.
+    fn into_trace(self) -> Vec<TraceRecord> {
+        drop(self.ranks);
+        self.sink.take()
+    }
+
     fn send_ctrl(&mut self, from: usize, to: usize, cm: ControlMsg) {
         let (kind, arg) = control_code(&cm);
         self.ranks[from].tracer.record(TraceEvent::ControlSent {
@@ -673,7 +680,7 @@ impl Dfs<'_> {
         }
         vm.quiesce();
         self.out.interleavings += 1;
-        let trace = vm.sink.take();
+        let trace = vm.into_trace();
         self.out.violations.extend(analyze(&trace).violations);
         if self.cfg.collect_signatures {
             let mut canon = trace.clone();
@@ -839,7 +846,7 @@ mod tests {
             let enabled = vm.enabled_ranks();
             if enabled.is_empty() {
                 vm.quiesce();
-                for rec in vm.sink.take() {
+                for rec in vm.into_trace() {
                     if let TraceEvent::RecvClassified { class, .. } = rec.event
                     {
                         classes.insert(format!("{class:?}"));

@@ -37,11 +37,7 @@ const GEAR: [u64; 256] = {
     let mut s = 0xC3A1_5EED_0000_0000u64;
     let mut i = 0;
     while i < 256 {
-        s = s.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = s;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        t[i] = z ^ (z >> 31);
+        t[i] = crate::splitmix64(&mut s);
         i += 1;
     }
     t

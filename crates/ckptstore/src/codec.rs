@@ -469,6 +469,83 @@ macro_rules! impl_saveload_struct {
     };
 }
 
+/// Define an enum and implement [`SaveLoad`] for it from one table: each
+/// variant is stated once, with its explicit one-byte wire tag and its
+/// fields in wire order (each through its own [`SaveLoad`]). Also emits
+/// `TAGS`, every tag in declaration order.
+///
+/// ```
+/// use ckptstore::codec::{Decoder, Encoder};
+///
+/// ckptstore::impl_saveload_enum! {
+///     #[derive(Debug, PartialEq)]
+///     enum Shape {
+///         0 => Empty,
+///         /// Tags are explicit: they need not follow declaration order.
+///         7 => Rect { w: u32, h: u32 },
+///     }
+/// }
+/// let mut enc = Encoder::new();
+/// enc.put(&Shape::Rect { w: 2, h: 3 });
+/// assert_eq!(enc.into_bytes(), [7, 2, 0, 0, 0, 3, 0, 0, 0]);
+/// assert_eq!(Decoder::new(&[0]).get::<Shape>().unwrap(), Shape::Empty);
+/// assert!(Decoder::new(&[1]).get::<Shape>().is_err());
+/// assert_eq!(Shape::TAGS, [0, 7]);
+/// ```
+#[macro_export]
+macro_rules! impl_saveload_enum {
+    (
+        $(#[$emeta:meta])*
+        $vis:vis enum $name:ident {
+            $(
+                $(#[$vmeta:meta])*
+                $tag:literal => $variant:ident $({
+                    $( $(#[$fmeta:meta])* $field:ident : $ty:ty ),* $(,)?
+                })?
+            ),* $(,)?
+        }
+    ) => {
+        $(#[$emeta])*
+        $vis enum $name {
+            $(
+                $(#[$vmeta])*
+                $variant $({ $( $(#[$fmeta])* $field: $ty ),* })?
+            ),*
+        }
+
+        impl $name {
+            /// Every variant's wire tag, in declaration order.
+            pub const TAGS: &'static [u8] = &[$($tag),*];
+        }
+
+        impl $crate::codec::SaveLoad for $name {
+            fn save(&self, enc: &mut $crate::codec::Encoder) {
+                match self {
+                    $( Self::$variant $({ $($field),* })? => {
+                        enc.put_u8($tag);
+                        $($( <$ty as $crate::codec::SaveLoad>::save($field, enc); )*)?
+                    } )*
+                }
+            }
+            fn load(
+                dec: &mut $crate::codec::Decoder<'_>,
+            ) -> Result<Self, $crate::codec::CodecError> {
+                Ok(match dec.get_u8()? {
+                    $( $tag => Self::$variant $({
+                        $( $field: <$ty as $crate::codec::SaveLoad>::load(dec)? ),*
+                    })?, )*
+                    k => {
+                        return Err($crate::codec::CodecError::new(format!(
+                            "unknown {} tag {k}",
+                            stringify!($name)
+                        )))
+                    }
+                })
+            }
+        }
+    };
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

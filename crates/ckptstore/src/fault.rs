@@ -148,7 +148,11 @@ impl FaultPlan {
     }
 }
 
-fn splitmix64(state: &mut u64) -> u64 {
+/// One SplitMix64 step: advance `state`, return the next draw. The one
+/// seeded-stream primitive of every crate above the store — the gear
+/// table, fault plans, the protocol's non-determinism source, fuzz
+/// scenarios — so a seed means the same thing everywhere.
+pub const fn splitmix64(state: &mut u64) -> u64 {
     *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
     let mut z = *state;
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
@@ -229,6 +233,9 @@ impl FaultInjectingBackend {
     }
 }
 
+// `put_many` is the trait's default loop of `put`s, so every key of a
+// batch draws its own failure decision and counts as its own attempt: a
+// fault plan bites batched writers exactly as hard as looped ones.
 impl StorageBackend for FaultInjectingBackend {
     fn put(&self, key: &str, value: &[u8]) -> StoreResult<()> {
         if self.plan.slow_put_ms > 0 {
@@ -244,18 +251,6 @@ impl StorageBackend for FaultInjectingBackend {
             )));
         }
         self.inner.put(key, value)
-    }
-
-    /// Batches go through the same per-key fault machinery as individual
-    /// puts — each key draws its own failure decision and counts as its
-    /// own attempt — so a fault plan bites batched writers exactly as
-    /// hard as looped ones. The first injected failure aborts the batch
-    /// (already-written keys stay written; `put_many` is not atomic).
-    fn put_many(&self, items: &[(String, Vec<u8>)]) -> StoreResult<()> {
-        for (key, value) in items {
-            self.put(key, value)?;
-        }
-        Ok(())
     }
 
     fn get(&self, key: &str) -> StoreResult<Vec<u8>> {

@@ -64,7 +64,7 @@ pub use cdc::Chunker;
 pub use codec::{Decoder, Encoder, SaveLoad};
 pub use compress::Codec;
 pub use error::{StoreError, StoreResult};
-pub use fault::{FaultInjectingBackend, FaultPlan};
+pub use fault::{splitmix64, FaultInjectingBackend, FaultPlan};
 pub use integrity::{crc32, hash128, seal, unseal};
 pub use manifest::{chunk_key, ChunkRef, Manifest};
 pub use obs::ObservedBackend;

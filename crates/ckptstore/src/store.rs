@@ -26,7 +26,7 @@ use std::collections::HashSet;
 use std::sync::Arc;
 
 use crate::backend::StorageBackend;
-use crate::codec::{Decoder, Encoder};
+use crate::codec::{Decoder, Encoder, SaveLoad};
 use crate::error::{StoreError, StoreResult};
 use crate::manifest::{ChunkRef, Manifest};
 
@@ -69,10 +69,15 @@ pub struct CommitRecord {
     /// when the commit record was written (one entry per rank). On a
     /// single-tier backend — or before the async mover has drained
     /// anything — this is all zeros: commit covers tier-local
-    /// durability only; promotion happens after. Decoding a record
-    /// written before tiering existed yields zeros.
+    /// durability only; promotion happens after.
     pub tier_levels: Vec<u8>,
 }
+
+crate::impl_saveload_struct!(CommitRecord {
+    ckpt: CkptId,
+    nranks: usize,
+    tier_levels: Vec<u8>,
+});
 
 /// Extra attempts [`CheckpointStore::commit`] gives the commit-marker
 /// put when the backend reports a transient fault. Matches the
@@ -398,9 +403,7 @@ impl CheckpointStore {
                 .collect(),
         };
         let mut enc = Encoder::new();
-        enc.put_u64(record.ckpt);
-        enc.put_usize(record.nranks);
-        enc.put_bytes(&record.tier_levels);
+        record.save(&mut enc);
         // The commit marker gets the same transient-fault discipline as
         // data puts (which the pipeline retries): a glitch on this one
         // small write must not abandon a fully staged, validated line.
@@ -425,28 +428,13 @@ impl CheckpointStore {
     pub fn commit_record(&self, ckpt: CkptId) -> StoreResult<CommitRecord> {
         let key = Self::commit_key(ckpt);
         let bytes = self.backend.get(&key)?;
-        let mut dec = Decoder::new(&bytes);
-        let mut parse =
-            || -> Result<CommitRecord, crate::codec::CodecError> {
-                let ckpt = dec.get_u64()?;
-                let nranks = dec.get_usize()?;
-                // Tier levels were added later; a legacy record simply
-                // ends here and decodes as all-local (zeros).
-                let tier_levels = if dec.remaining() > 0 {
-                    dec.get_bytes()?.to_vec()
-                } else {
-                    vec![0; nranks]
-                };
-                Ok(CommitRecord {
-                    ckpt,
-                    nranks,
-                    tier_levels,
-                })
-            };
-        let rec = parse().map_err(|e| StoreError::Corrupt {
-            key: key.clone(),
-            detail: e.to_string(),
-        })?;
+        let rec =
+            CommitRecord::load(&mut Decoder::new(&bytes)).map_err(|e| {
+                StoreError::Corrupt {
+                    key: key.clone(),
+                    detail: e.to_string(),
+                }
+            })?;
         if rec.ckpt != ckpt {
             return Err(StoreError::Corrupt {
                 key,
@@ -1151,8 +1139,8 @@ mod tests {
     }
 
     #[test]
-    fn legacy_commit_record_decodes_with_zero_tier_levels() {
-        // A record written before tier levels existed: just ckpt + nranks.
+    fn truncated_commit_record_is_corrupt() {
+        // A record that ends after `nranks`: nothing writes that form.
         let backend = Arc::new(MemoryBackend::new());
         let s = CheckpointStore::new(backend.clone(), 2);
         let mut enc = Encoder::new();
@@ -1161,14 +1149,10 @@ mod tests {
         backend
             .put("ckpt/00000004/COMMIT", &enc.into_bytes())
             .unwrap();
-        assert_eq!(
-            s.commit_record(4).unwrap(),
-            CommitRecord {
-                ckpt: 4,
-                nranks: 2,
-                tier_levels: vec![0, 0],
-            }
-        );
+        assert!(matches!(
+            s.commit_record(4).unwrap_err(),
+            StoreError::Corrupt { .. }
+        ));
     }
 
     fn tiered_store(

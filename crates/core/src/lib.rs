@@ -10,7 +10,7 @@
 //!   late/early/intra-epoch classification, late-message and
 //!   non-determinism logging ([`logrec`]), `mySendCount` accounting
 //!   ([`counters`]), the initiator phase machine ([`initiator`]), and the
-//!   collective-communication rules (the `collective` wrappers);
+//!   collective-communication rules (`process::collective`);
 //! * **MPI library state reconstruction** through pseudo-handles
 //!   ([`pending`], Section 5.2);
 //! * the **recovery path** ([`recovery`]) — suppression of early re-sends,
@@ -67,7 +67,6 @@
 
 #![deny(missing_docs)]
 
-pub mod collective;
 pub mod config;
 pub mod control;
 pub mod counters;

@@ -49,6 +49,8 @@ use crate::recovery::{RankCheckpoint, Replay};
 use crate::rng::NondetSource;
 use crate::trace::{control_code, phase_code, RankTracer, TraceEvent};
 
+mod collective;
+
 /// Pseudo-handle for a non-blocking operation issued through the protocol
 /// layer (the Section 5.2 indirection over `MPI_Request`).
 #[derive(Debug)]
@@ -368,33 +370,10 @@ impl<'a> Process<'a> {
     }
 
     // ------------------------------------------------------------------
-    // Crate-internal accessors for the collective wrappers (collective.rs)
+    // Collective logging and replay (used by the `collective` child module)
     // ------------------------------------------------------------------
 
-    pub(crate) fn pump_public(&mut self) -> C3Result<()> {
-        self.pump()
-    }
-
-    pub(crate) fn piggybacks(&self) -> bool {
-        self.cfg.level.piggybacks()
-    }
-
-    pub(crate) fn mpi_mut(&mut self) -> &mut Mpi {
-        self.mpi
-    }
-
-    pub(crate) fn app_of(&self, comm: CommHandle) -> C3Result<Comm> {
-        Ok(self.pair(comm)?.app.clone())
-    }
-
-    pub(crate) fn ctrl_of(&self, comm: CommHandle) -> C3Result<Comm> {
-        Ok(self.pair(comm)?.ctrl.clone())
-    }
-
-    pub(crate) fn replay_collective(
-        &mut self,
-        kind: u8,
-    ) -> C3Result<Option<Bytes>> {
+    fn replay_collective(&mut self, kind: u8) -> C3Result<Option<Bytes>> {
         let Some(rep) = self.replay.as_mut() else {
             return Ok(None);
         };
@@ -405,31 +384,20 @@ impl<'a> Process<'a> {
         Ok(r)
     }
 
-    pub(crate) fn log_collective(&mut self, kind: u8, result: Bytes) {
+    fn log_collective(&mut self, kind: u8, result: Bytes) {
         self.log.push_collective(kind, result);
         self.stats.collectives_logged += 1;
     }
 
-    pub(crate) fn finalize_log_public(&mut self) -> C3Result<()> {
-        self.finalize_log()
-    }
-
-    pub(crate) fn force_local_checkpoint<S: SaveState>(
-        &mut self,
-        state: &S,
-    ) -> C3Result<()> {
-        self.take_local_checkpoint(state)
-    }
-
     /// Record a protocol event in the installed trace sink, if any.
-    pub(crate) fn trace_event(&mut self, event: TraceEvent) {
+    fn trace_event(&mut self, event: TraceEvent) {
         if let Some(t) = self.tracer.as_mut() {
             t.record(event);
         }
     }
 
     /// True if a trace sink is installed (gates costly event assembly).
-    pub(crate) fn tracing(&self) -> bool {
+    fn tracing(&self) -> bool {
         self.tracer.is_some()
     }
 

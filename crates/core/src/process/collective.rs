@@ -45,10 +45,10 @@ use simmpi::collective::{frame_chunks, unframe_chunks};
 use simmpi::{Comm, DType, Mpi, MpiResult, MpiType, ReduceOp};
 use statesave::snapshot::SaveState;
 
+use super::Process;
 use crate::error::C3Result;
 use crate::logrec::coll_kind;
 use crate::pending::CommHandle;
-use crate::process::Process;
 use crate::trace::TraceEvent;
 
 /// The participants' agreement, decoded from the folded control word.
@@ -124,11 +124,10 @@ impl<'a> Process<'a> {
         &mut self,
         comm: CommHandle,
     ) -> C3Result<CollControl> {
-        let ctrl = self.ctrl_of(comm)?;
+        let ctrl = self.pair(comm)?.ctrl.clone();
         let word = control_word(self.epoch(), self.is_logging());
-        let ((), fold) = self
-            .mpi_mut()
-            .with_sideband(word, |mpi| mpi.barrier(&ctrl))?;
+        let ((), fold) =
+            self.mpi.with_sideband(word, |mpi| mpi.barrier(&ctrl))?;
         Ok(CollControl::from_fold(fold))
     }
 
@@ -148,7 +147,7 @@ impl<'a> Process<'a> {
                 // A same-epoch participant has terminated logging: do not
                 // log the result, and stop logging ourselves (Section
                 // 4.5's conjunction rule, Figure 5's call B).
-                self.finalize_log_public()?;
+                self.finalize_log()?;
             } else {
                 // Refcount clone: the log and the caller share the buffer.
                 self.log_collective(kind, result.clone());
@@ -180,10 +179,10 @@ impl<'a> Process<'a> {
     where
         F: FnOnce(&mut Mpi, &Comm) -> MpiResult<Bytes>,
     {
-        self.pump_public()?;
-        let app = self.app_of(comm)?;
-        if !self.piggybacks() {
-            return f(self.mpi_mut(), &app).map_err(Into::into);
+        self.pump()?;
+        let app = self.pair(comm)?.app.clone();
+        if !self.cfg.level.piggybacks() {
+            return f(self.mpi, &app).map_err(Into::into);
         }
         if let Some(result) = self.replay_collective(kind)? {
             return Ok(result);
@@ -191,11 +190,11 @@ impl<'a> Process<'a> {
         let (result, ctl) = if fuses(kind) {
             let word = control_word(self.epoch(), self.is_logging());
             let (result, fold) =
-                self.mpi_mut().with_sideband(word, |mpi| f(mpi, &app))?;
+                self.mpi.with_sideband(word, |mpi| f(mpi, &app))?;
             (result, CollControl::from_fold(fold))
         } else {
             let ctl = self.preceding_control(comm)?;
-            (f(self.mpi_mut(), &app)?, ctl)
+            (f(self.mpi, &app)?, ctl)
         };
         self.conclude_collective(kind, comm, &ctl, &result)?;
         Ok(result)
@@ -215,10 +214,10 @@ impl<'a> Process<'a> {
         comm: CommHandle,
         state: &S,
     ) -> C3Result<()> {
-        self.pump_public()?;
-        let app = self.app_of(comm)?;
-        if !self.piggybacks() {
-            self.mpi_mut().barrier(&app)?;
+        self.pump()?;
+        let app = self.pair(comm)?.app.clone();
+        if !self.cfg.level.piggybacks() {
+            self.mpi.barrier(&app)?;
             return Ok(());
         }
         if self.replay_collective(coll_kind::BARRIER)?.is_some() {
@@ -232,9 +231,9 @@ impl<'a> Process<'a> {
                 from_epoch: self.epoch(),
                 to_epoch: ctl.max_epoch,
             });
-            self.force_local_checkpoint(state)?;
+            self.take_local_checkpoint(state)?;
         }
-        self.mpi_mut().barrier(&app)?;
+        self.mpi.barrier(&app)?;
         self.conclude_collective(coll_kind::BARRIER, comm, &ctl, &Bytes::new())
     }
 

@@ -23,7 +23,7 @@
 
 use std::sync::Arc;
 
-use ckptstore::codec::{CodecError, Decoder, Encoder};
+use ckptstore::codec::{CodecError, Decoder, Encoder, SaveLoad};
 use parking_lot::Mutex;
 
 use crate::control::ControlMsg;
@@ -75,14 +75,19 @@ pub fn control_code(cm: &ControlMsg) -> (u8, u64) {
     }
 }
 
+ckptstore::impl_saveload_enum! {
 /// One protocol decision, as seen by the rank that made it.
 ///
 /// Rank fields (`dst`, `src`) are **world** ranks except where noted;
 /// `comm` is the communicator pseudo-handle.
+///
+/// Each variant is stated once, with its one-byte kind code on the
+/// wire: the enum, its encoder and its decoder all expand from this
+/// table, fields in wire order.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum TraceEvent {
     /// A point-to-point send left the protocol layer (or was suppressed).
-    Send {
+    0 => Send {
         /// Communicator pseudo-handle.
         comm: u64,
         /// Destination world rank.
@@ -102,7 +107,7 @@ pub enum TraceEvent {
         payload_len: u64,
     },
     /// A received message was classified (Definition 1).
-    RecvClassified {
+    1 => RecvClassified {
         /// Communicator pseudo-handle.
         comm: u64,
         /// Source world rank.
@@ -122,21 +127,21 @@ pub enum TraceEvent {
         receiver_logging: bool,
     },
     /// A late message was appended to the recovery log.
-    LateLogged {
+    2 => LateLogged {
         /// Source world rank.
         src: u32,
         /// Piggybacked message id.
         message_id: u32,
     },
     /// An early message's id was recorded for recovery-time suppression.
-    EarlyRecorded {
+    3 => EarlyRecorded {
         /// Source world rank.
         src: u32,
         /// Piggybacked message id.
         message_id: u32,
     },
     /// A receive was satisfied from the recovered late-message log.
-    ReplayLate {
+    4 => ReplayLate {
         /// Communicator pseudo-handle.
         comm: u64,
         /// Source rank *in the communicator's frame* (as logged).
@@ -147,7 +152,7 @@ pub enum TraceEvent {
         message_id: u32,
     },
     /// A control message was sent (see [`control_kind`] for codes).
-    ControlSent {
+    5 => ControlSent {
         /// Destination world rank.
         dst: u32,
         /// Control kind code.
@@ -156,7 +161,7 @@ pub enum TraceEvent {
         arg: u64,
     },
     /// A control message was received and handled.
-    ControlRecv {
+    6 => ControlRecv {
         /// Source world rank.
         src: u32,
         /// Control kind code.
@@ -166,7 +171,7 @@ pub enum TraceEvent {
     },
     /// A local checkpoint was taken (Figure 4's bookkeeping ran); the
     /// rank's epoch is now `ckpt`.
-    CheckpointTaken {
+    7 => CheckpointTaken {
         /// The checkpoint number (= new epoch).
         ckpt: u64,
         /// `mySendCount` announced to each world rank for the epoch that
@@ -179,7 +184,7 @@ pub enum TraceEvent {
     },
     /// The recovery log for checkpoint `ckpt` was written to stable
     /// storage and logging stopped.
-    LogFinalized {
+    8 => LogFinalized {
         /// The checkpoint the log belongs to (= current epoch).
         ckpt: u64,
         /// Late messages in the log.
@@ -190,7 +195,7 @@ pub enum TraceEvent {
         collectives: u64,
     },
     /// The initiator (rank 0) changed phase (see [`phase_code`]).
-    InitiatorPhase {
+    9 => InitiatorPhase {
         /// The new phase code.
         phase: u8,
         /// The checkpoint number being created (or just committed for
@@ -199,7 +204,7 @@ pub enum TraceEvent {
     },
     /// The initiator committed global checkpoint `ckpt` as the recovery
     /// line.
-    Commit {
+    10 => Commit {
         /// The committed checkpoint number.
         ckpt: u64,
     },
@@ -208,7 +213,7 @@ pub enum TraceEvent {
     /// by kind) and the conjunction rule was applied (Section 4.5).
     /// Emitted after the data call, so `epoch` reflects any barrier
     /// alignment.
-    CollectiveControl {
+    11 => CollectiveControl {
         /// Communicator pseudo-handle.
         comm: u64,
         /// Collective kind (see `logrec::coll_kind`).
@@ -225,14 +230,14 @@ pub enum TraceEvent {
         logged: bool,
     },
     /// A barrier's epoch-alignment rule forced a local checkpoint.
-    BarrierAligned {
+    12 => BarrierAligned {
         /// Epoch before alignment.
         from_epoch: u32,
         /// Target epoch (the participants' maximum).
         to_epoch: u32,
     },
     /// Recovery from a committed checkpoint began on this rank.
-    RecoveryStart {
+    13 => RecoveryStart {
         /// The checkpoint recovered from.
         ckpt: u64,
         /// Late messages in the recovered log.
@@ -243,14 +248,14 @@ pub enum TraceEvent {
         early_counts: Vec<u64>,
     },
     /// A suppression list was sent to a sender during recovery.
-    SuppressSent {
+    14 => SuppressSent {
         /// The sender (world rank) whose re-sends it suppresses.
         dst: u32,
         /// Number of message ids in the list.
         count: u64,
     },
     /// A suppression list was received from a receiver during recovery.
-    SuppressRecv {
+    15 => SuppressRecv {
         /// The receiver (world rank) that recorded the early messages.
         src: u32,
         /// Number of message ids in the list.
@@ -258,16 +263,16 @@ pub enum TraceEvent {
     },
     /// This rank's recovery fully drained (log replayed, suppressed
     /// re-sends issued).
-    RecoveryComplete,
+    16 => RecoveryComplete,
     /// An injected stopping failure fired on this rank.
-    FailStop {
+    17 => FailStop {
         /// The rank's protocol-operation count at the failure.
         op: u64,
     },
     /// A checkpoint blob was handed to the write pipeline (synchronous or
     /// asynchronous). Staging happens on the rank's critical path; the
     /// write itself may complete much later.
-    BlobStaged {
+    18 => BlobStaged {
         /// Checkpoint the blob belongs to.
         ckpt: u64,
         /// Blob kind: 0 = state, 1 = log, 2 = MPI objects.
@@ -277,7 +282,7 @@ pub enum TraceEvent {
     /// `ckpt` — by any rank — is on stable storage. Emitted immediately
     /// before [`TraceEvent::Commit`]; the analyzer checks that ordering
     /// and that `blobs` covers all ranks' staged blobs.
-    PipelineDrained {
+    19 => PipelineDrained {
         /// The checkpoint about to be committed.
         ckpt: u64,
         /// Number of blobs the barrier accounted for.
@@ -288,7 +293,7 @@ pub enum TraceEvent {
     /// Emitted by rank 0 immediately after [`TraceEvent::Commit`]; the
     /// happens-before analyzer requires every blob staged for `kept` or
     /// older to be ordered before this sweep (the writer-vs-GC gate).
-    GcRan {
+    21 => GcRan {
         /// The committed checkpoint the sweep kept (the recovery line).
         kept: u64,
     },
@@ -297,7 +302,7 @@ pub enum TraceEvent {
     /// analyzer treats it as diagnostic context: its presence certifies
     /// that the invariants I1–I13 held *under* wire loss, duplication,
     /// and reordering, not over a perfect fabric.
-    NetSummary {
+    20 => NetSummary {
         /// Data frames this rank retransmitted.
         retransmits: u64,
         /// Duplicate data frames this rank received and discarded.
@@ -316,7 +321,7 @@ pub enum TraceEvent {
     /// [`TraceEvent::PipelineDrained`]). Emitted by rank 0 — the drain
     /// runs off the critical path, so the events surface at finalize or
     /// the next commit, after the mover's queue is flushed.
-    TierDrained {
+    22 => TierDrained {
         /// The committed checkpoint that was promoted.
         ckpt: u64,
         /// The tier it is now durable on.
@@ -327,7 +332,7 @@ pub enum TraceEvent {
     /// tier means the read fell through to a partner replica or an
     /// erasure-coded reconstruction. The analyzer checks (I14) that a
     /// restart never claims a tier the checkpoint was not drained to.
-    TierRecovered {
+    23 => TierRecovered {
         /// The checkpoint recovered from.
         ckpt: u64,
         /// The shallowest tier that could serve this rank's state.
@@ -339,7 +344,7 @@ pub enum TraceEvent {
     /// event of the new incarnation's stream. The analyzer checks (I15)
     /// that a superseded incarnation's stream ends in a failure and that
     /// the effective per-rank history is the highest incarnation's.
-    RankRespawned {
+    24 => RankRespawned {
         /// The new incarnation number (1 = first respawn).
         incarnation: u32,
         /// Messages on the consumed-message tape to be replayed.
@@ -350,7 +355,7 @@ pub enum TraceEvent {
     /// live on the real fabric. The analyzer checks (I16) that the
     /// squelched re-send count never exceeds what the tape could have
     /// induced and that exactly one catch-up completes per respawn.
-    SpliceReplayed {
+    25 => SpliceReplayed {
         /// Taped messages released during catch-up.
         replayed: u64,
         /// Re-executed sends squelched below the death-time sequence
@@ -358,372 +363,24 @@ pub enum TraceEvent {
         suppressed: u64,
     },
 }
-
-fn class_code(c: MsgClass) -> u8 {
-    match c {
-        MsgClass::IntraEpoch => 0,
-        MsgClass::Late => 1,
-        MsgClass::Early => 2,
-    }
 }
 
-fn class_from(b: u8) -> Result<MsgClass, CodecError> {
-    match b {
-        0 => Ok(MsgClass::IntraEpoch),
-        1 => Ok(MsgClass::Late),
-        2 => Ok(MsgClass::Early),
-        k => Err(CodecError::new(format!("bad message class code {k}"))),
-    }
-}
-
-impl TraceEvent {
+impl SaveLoad for MsgClass {
     fn save(&self, enc: &mut Encoder) {
-        match self {
-            TraceEvent::Send {
-                comm,
-                dst,
-                tag,
-                epoch,
-                logging,
-                message_id,
-                suppressed,
-                payload_len,
-            } => {
-                enc.put_u8(0);
-                enc.put_u64(*comm);
-                enc.put_u32(*dst);
-                enc.put_i32(*tag);
-                enc.put_u32(*epoch);
-                enc.put_bool(*logging);
-                enc.put_u32(*message_id);
-                enc.put_bool(*suppressed);
-                enc.put_u64(*payload_len);
-            }
-            TraceEvent::RecvClassified {
-                comm,
-                src,
-                tag,
-                message_id,
-                class,
-                sender_logging,
-                receiver_epoch,
-                receiver_logging,
-            } => {
-                enc.put_u8(1);
-                enc.put_u64(*comm);
-                enc.put_u32(*src);
-                enc.put_i32(*tag);
-                enc.put_u32(*message_id);
-                enc.put_u8(class_code(*class));
-                enc.put_bool(*sender_logging);
-                enc.put_u32(*receiver_epoch);
-                enc.put_bool(*receiver_logging);
-            }
-            TraceEvent::LateLogged { src, message_id } => {
-                enc.put_u8(2);
-                enc.put_u32(*src);
-                enc.put_u32(*message_id);
-            }
-            TraceEvent::EarlyRecorded { src, message_id } => {
-                enc.put_u8(3);
-                enc.put_u32(*src);
-                enc.put_u32(*message_id);
-            }
-            TraceEvent::ReplayLate {
-                comm,
-                src,
-                tag,
-                message_id,
-            } => {
-                enc.put_u8(4);
-                enc.put_u64(*comm);
-                enc.put_u32(*src);
-                enc.put_i32(*tag);
-                enc.put_u32(*message_id);
-            }
-            TraceEvent::ControlSent { dst, kind, arg } => {
-                enc.put_u8(5);
-                enc.put_u32(*dst);
-                enc.put_u8(*kind);
-                enc.put_u64(*arg);
-            }
-            TraceEvent::ControlRecv { src, kind, arg } => {
-                enc.put_u8(6);
-                enc.put_u32(*src);
-                enc.put_u8(*kind);
-                enc.put_u64(*arg);
-            }
-            TraceEvent::CheckpointTaken {
-                ckpt,
-                send_counts,
-                early_counts,
-            } => {
-                enc.put_u8(7);
-                enc.put_u64(*ckpt);
-                enc.put_u64_slice(send_counts);
-                enc.put_u64_slice(early_counts);
-            }
-            TraceEvent::LogFinalized {
-                ckpt,
-                late,
-                nondet,
-                collectives,
-            } => {
-                enc.put_u8(8);
-                enc.put_u64(*ckpt);
-                enc.put_u64(*late);
-                enc.put_u64(*nondet);
-                enc.put_u64(*collectives);
-            }
-            TraceEvent::InitiatorPhase { phase, ckpt } => {
-                enc.put_u8(9);
-                enc.put_u8(*phase);
-                enc.put_u64(*ckpt);
-            }
-            TraceEvent::Commit { ckpt } => {
-                enc.put_u8(10);
-                enc.put_u64(*ckpt);
-            }
-            TraceEvent::CollectiveControl {
-                comm,
-                kind,
-                epoch,
-                logging,
-                max_epoch,
-                stopped_at_max,
-                logged,
-            } => {
-                enc.put_u8(11);
-                enc.put_u64(*comm);
-                enc.put_u8(*kind);
-                enc.put_u32(*epoch);
-                enc.put_bool(*logging);
-                enc.put_u32(*max_epoch);
-                enc.put_bool(*stopped_at_max);
-                enc.put_bool(*logged);
-            }
-            TraceEvent::BarrierAligned {
-                from_epoch,
-                to_epoch,
-            } => {
-                enc.put_u8(12);
-                enc.put_u32(*from_epoch);
-                enc.put_u32(*to_epoch);
-            }
-            TraceEvent::RecoveryStart {
-                ckpt,
-                late_in_log,
-                early_counts,
-            } => {
-                enc.put_u8(13);
-                enc.put_u64(*ckpt);
-                enc.put_u64(*late_in_log);
-                enc.put_u64_slice(early_counts);
-            }
-            TraceEvent::SuppressSent { dst, count } => {
-                enc.put_u8(14);
-                enc.put_u32(*dst);
-                enc.put_u64(*count);
-            }
-            TraceEvent::SuppressRecv { src, count } => {
-                enc.put_u8(15);
-                enc.put_u32(*src);
-                enc.put_u64(*count);
-            }
-            TraceEvent::RecoveryComplete => enc.put_u8(16),
-            TraceEvent::FailStop { op } => {
-                enc.put_u8(17);
-                enc.put_u64(*op);
-            }
-            TraceEvent::BlobStaged { ckpt, kind } => {
-                enc.put_u8(18);
-                enc.put_u64(*ckpt);
-                enc.put_u8(*kind);
-            }
-            TraceEvent::PipelineDrained { ckpt, blobs } => {
-                enc.put_u8(19);
-                enc.put_u64(*ckpt);
-                enc.put_u64(*blobs);
-            }
-            TraceEvent::GcRan { kept } => {
-                enc.put_u8(21);
-                enc.put_u64(*kept);
-            }
-            TraceEvent::NetSummary {
-                retransmits,
-                dup_delivered,
-                wire_dropped,
-                wire_duplicated,
-                wire_held,
-            } => {
-                enc.put_u8(20);
-                enc.put_u64(*retransmits);
-                enc.put_u64(*dup_delivered);
-                enc.put_u64(*wire_dropped);
-                enc.put_u64(*wire_duplicated);
-                enc.put_u64(*wire_held);
-            }
-            TraceEvent::TierDrained { ckpt, tier } => {
-                enc.put_u8(22);
-                enc.put_u64(*ckpt);
-                enc.put_u8(*tier);
-            }
-            TraceEvent::TierRecovered { ckpt, tier } => {
-                enc.put_u8(23);
-                enc.put_u64(*ckpt);
-                enc.put_u8(*tier);
-            }
-            TraceEvent::RankRespawned {
-                incarnation,
-                replayed,
-            } => {
-                enc.put_u8(24);
-                enc.put_u32(*incarnation);
-                enc.put_u64(*replayed);
-            }
-            TraceEvent::SpliceReplayed {
-                replayed,
-                suppressed,
-            } => {
-                enc.put_u8(25);
-                enc.put_u64(*replayed);
-                enc.put_u64(*suppressed);
-            }
-        }
+        enc.put_u8(match self {
+            MsgClass::IntraEpoch => 0,
+            MsgClass::Late => 1,
+            MsgClass::Early => 2,
+        });
     }
 
-    fn load(dec: &mut Decoder<'_>) -> Result<TraceEvent, CodecError> {
-        Ok(match dec.get_u8()? {
-            0 => TraceEvent::Send {
-                comm: dec.get_u64()?,
-                dst: dec.get_u32()?,
-                tag: dec.get_i32()?,
-                epoch: dec.get_u32()?,
-                logging: dec.get_bool()?,
-                message_id: dec.get_u32()?,
-                suppressed: dec.get_bool()?,
-                payload_len: dec.get_u64()?,
-            },
-            1 => TraceEvent::RecvClassified {
-                comm: dec.get_u64()?,
-                src: dec.get_u32()?,
-                tag: dec.get_i32()?,
-                message_id: dec.get_u32()?,
-                class: class_from(dec.get_u8()?)?,
-                sender_logging: dec.get_bool()?,
-                receiver_epoch: dec.get_u32()?,
-                receiver_logging: dec.get_bool()?,
-            },
-            2 => TraceEvent::LateLogged {
-                src: dec.get_u32()?,
-                message_id: dec.get_u32()?,
-            },
-            3 => TraceEvent::EarlyRecorded {
-                src: dec.get_u32()?,
-                message_id: dec.get_u32()?,
-            },
-            4 => TraceEvent::ReplayLate {
-                comm: dec.get_u64()?,
-                src: dec.get_u32()?,
-                tag: dec.get_i32()?,
-                message_id: dec.get_u32()?,
-            },
-            5 => TraceEvent::ControlSent {
-                dst: dec.get_u32()?,
-                kind: dec.get_u8()?,
-                arg: dec.get_u64()?,
-            },
-            6 => TraceEvent::ControlRecv {
-                src: dec.get_u32()?,
-                kind: dec.get_u8()?,
-                arg: dec.get_u64()?,
-            },
-            7 => TraceEvent::CheckpointTaken {
-                ckpt: dec.get_u64()?,
-                send_counts: dec.get_u64_vec()?,
-                early_counts: dec.get_u64_vec()?,
-            },
-            8 => TraceEvent::LogFinalized {
-                ckpt: dec.get_u64()?,
-                late: dec.get_u64()?,
-                nondet: dec.get_u64()?,
-                collectives: dec.get_u64()?,
-            },
-            9 => TraceEvent::InitiatorPhase {
-                phase: dec.get_u8()?,
-                ckpt: dec.get_u64()?,
-            },
-            10 => TraceEvent::Commit {
-                ckpt: dec.get_u64()?,
-            },
-            11 => TraceEvent::CollectiveControl {
-                comm: dec.get_u64()?,
-                kind: dec.get_u8()?,
-                epoch: dec.get_u32()?,
-                logging: dec.get_bool()?,
-                max_epoch: dec.get_u32()?,
-                stopped_at_max: dec.get_bool()?,
-                logged: dec.get_bool()?,
-            },
-            12 => TraceEvent::BarrierAligned {
-                from_epoch: dec.get_u32()?,
-                to_epoch: dec.get_u32()?,
-            },
-            13 => TraceEvent::RecoveryStart {
-                ckpt: dec.get_u64()?,
-                late_in_log: dec.get_u64()?,
-                early_counts: dec.get_u64_vec()?,
-            },
-            14 => TraceEvent::SuppressSent {
-                dst: dec.get_u32()?,
-                count: dec.get_u64()?,
-            },
-            15 => TraceEvent::SuppressRecv {
-                src: dec.get_u32()?,
-                count: dec.get_u64()?,
-            },
-            16 => TraceEvent::RecoveryComplete,
-            17 => TraceEvent::FailStop { op: dec.get_u64()? },
-            18 => TraceEvent::BlobStaged {
-                ckpt: dec.get_u64()?,
-                kind: dec.get_u8()?,
-            },
-            19 => TraceEvent::PipelineDrained {
-                ckpt: dec.get_u64()?,
-                blobs: dec.get_u64()?,
-            },
-            21 => TraceEvent::GcRan {
-                kept: dec.get_u64()?,
-            },
-            20 => TraceEvent::NetSummary {
-                retransmits: dec.get_u64()?,
-                dup_delivered: dec.get_u64()?,
-                wire_dropped: dec.get_u64()?,
-                wire_duplicated: dec.get_u64()?,
-                wire_held: dec.get_u64()?,
-            },
-            22 => TraceEvent::TierDrained {
-                ckpt: dec.get_u64()?,
-                tier: dec.get_u8()?,
-            },
-            23 => TraceEvent::TierRecovered {
-                ckpt: dec.get_u64()?,
-                tier: dec.get_u8()?,
-            },
-            24 => TraceEvent::RankRespawned {
-                incarnation: dec.get_u32()?,
-                replayed: dec.get_u64()?,
-            },
-            25 => TraceEvent::SpliceReplayed {
-                replayed: dec.get_u64()?,
-                suppressed: dec.get_u64()?,
-            },
-            k => {
-                return Err(CodecError::new(format!(
-                    "unknown trace event kind {k}"
-                )))
-            }
-        })
+    fn load(dec: &mut Decoder<'_>) -> Result<Self, CodecError> {
+        match dec.get_u8()? {
+            0 => Ok(MsgClass::IntraEpoch),
+            1 => Ok(MsgClass::Late),
+            2 => Ok(MsgClass::Early),
+            k => Err(CodecError::new(format!("bad message class code {k}"))),
+        }
     }
 }
 
@@ -746,25 +403,13 @@ pub struct TraceRecord {
     pub event: TraceEvent,
 }
 
-impl TraceRecord {
-    fn save(&self, enc: &mut Encoder) {
-        enc.put_u32(self.rank);
-        enc.put_u64(self.attempt);
-        enc.put_u32(self.incarnation);
-        enc.put_u64(self.seq);
-        self.event.save(enc);
-    }
-
-    fn load(dec: &mut Decoder<'_>) -> Result<TraceRecord, CodecError> {
-        Ok(TraceRecord {
-            rank: dec.get_u32()?,
-            attempt: dec.get_u64()?,
-            incarnation: dec.get_u32()?,
-            seq: dec.get_u64()?,
-            event: TraceEvent::load(dec)?,
-        })
-    }
-}
+ckptstore::impl_saveload_struct!(TraceRecord {
+    rank: u32,
+    attempt: u64,
+    incarnation: u32,
+    seq: u64,
+    event: TraceEvent,
+});
 
 /// Magic bytes prefixing a serialized trace. Bumped to `2` when
 /// [`TraceRecord`] gained the `incarnation` stamp (localized recovery).
@@ -803,7 +448,9 @@ pub fn decode_trace(bytes: &[u8]) -> Result<Vec<TraceRecord>, CodecError> {
 }
 
 /// A shared, cheaply clonable collector of trace records. Install one in
-/// [`crate::C3Config::trace`]; every rank of every attempt appends to it.
+/// [`crate::C3Config::trace`]; every rank of every attempt hands it its
+/// stream when the rank's protocol layer is dropped. Streams arrive whole
+/// and in completion order; within one, `seq` is the order.
 #[derive(Clone, Default)]
 pub struct TraceSink {
     records: Arc<Mutex<Vec<TraceRecord>>>,
@@ -830,57 +477,61 @@ impl TraceSink {
         incarnation: u32,
     ) -> RankTracer {
         RankTracer {
-            records: self.records.clone(),
+            sink: self.clone(),
+            stream: Vec::new(),
             rank,
             attempt,
             incarnation,
-            seq: 0,
         }
     }
 
-    /// Number of records collected so far.
+    /// Number of records handed in so far.
     pub fn len(&self) -> usize {
         self.records.lock().len()
     }
 
-    /// True if nothing has been recorded.
+    /// True if nothing has been handed in.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
 
-    /// Drain and return all records collected so far.
+    /// Drain and return all records handed in so far.
     pub fn take(&self) -> Vec<TraceRecord> {
         std::mem::take(&mut *self.records.lock())
     }
 
-    /// Copy of all records collected so far.
+    /// Copy of all records handed in so far.
     pub fn snapshot(&self) -> Vec<TraceRecord> {
         self.records.lock().clone()
     }
 }
 
-/// Stamps and appends one rank's events to the shared sink.
-#[derive(Clone)]
+/// Stamps and buffers one rank's events; the stream reaches the sink
+/// once, when the tracer is dropped, so recording takes no lock.
 pub struct RankTracer {
-    records: Arc<Mutex<Vec<TraceRecord>>>,
+    sink: TraceSink,
+    stream: Vec<TraceRecord>,
     rank: u32,
     attempt: u64,
     incarnation: u32,
-    seq: u64,
 }
 
 impl RankTracer {
     /// Record one event.
     pub fn record(&mut self, event: TraceEvent) {
-        let seq = self.seq;
-        self.seq += 1;
-        self.records.lock().push(TraceRecord {
+        self.stream.push(TraceRecord {
             rank: self.rank,
             attempt: self.attempt,
             incarnation: self.incarnation,
-            seq,
+            seq: self.stream.len() as u64,
             event,
         });
+    }
+}
+
+impl Drop for RankTracer {
+    fn drop(&mut self) {
+        self.sink.records.lock().append(&mut self.stream);
     }
 }
 
@@ -995,9 +646,8 @@ mod tests {
         ]
     }
 
-    #[test]
-    fn every_event_kind_round_trips() {
-        let records: Vec<TraceRecord> = sample_events()
+    fn sample_records() -> Vec<TraceRecord> {
+        sample_events()
             .into_iter()
             .enumerate()
             .map(|(i, event)| TraceRecord {
@@ -1007,9 +657,40 @@ mod tests {
                 seq: i as u64,
                 event,
             })
-            .collect();
+            .collect()
+    }
+
+    #[test]
+    fn every_event_kind_round_trips() {
+        let records = sample_records();
         let bytes = encode_trace(&records);
         assert_eq!(decode_trace(&bytes).unwrap(), records);
+        // The sample covers the variant table, whatever it grows to.
+        let mut sampled: Vec<u8> = sample_events()
+            .iter()
+            .map(|e| {
+                let mut enc = Encoder::new();
+                e.save(&mut enc);
+                enc.into_bytes()[0]
+            })
+            .collect();
+        let mut table = TraceEvent::TAGS.to_vec();
+        sampled.sort_unstable();
+        table.sort_unstable();
+        assert_eq!(sampled, table);
+    }
+
+    /// `C3TRACE2` is pinned byte for byte by the length and digest of the
+    /// sample's encoding: a change here breaks every recorded artifact
+    /// and needs a new magic.
+    #[test]
+    fn c3trace2_golden_bytes() {
+        let bytes = encode_trace(&sample_records());
+        assert_eq!(bytes.len(), 1137);
+        assert_eq!(
+            ckptstore::hash128(&bytes),
+            0x5619_fbf4_1ffc_6920_4ab2_1696_93e2_5b74
+        );
     }
 
     #[test]
@@ -1035,6 +716,8 @@ mod tests {
         t0.record(TraceEvent::RecoveryComplete);
         t1.record(TraceEvent::Commit { ckpt: 1 });
         t0.record(TraceEvent::FailStop { op: 3 });
+        assert!(sink.is_empty(), "streams arrive when their tracer drops");
+        drop((t0, t1));
         let recs = sink.take();
         assert_eq!(recs.len(), 3);
         let r0: Vec<_> = recs.iter().filter(|r| r.rank == 0).collect();

@@ -454,6 +454,31 @@ fn localized_initiator_death_escalates_to_full_restart() {
 }
 
 #[test]
+fn localized_escalation_is_the_full_restart_path() {
+    // One failure path: a death the splice policy declines is handled by
+    // the very supervisor code that handles every death under
+    // `FullRestart`, so the two modes must report the same job. (The kill
+    // sits well after checkpoint 1's commit and before checkpoint 2 is
+    // initiated, so the recovery line does not depend on timing.)
+    let n = 3;
+    let iters = 24;
+    let run = |mode| {
+        let cfg = C3Config::every_ops(40)
+            .with_failure(0, 78)
+            .with_recovery(mode);
+        run_job(n, &cfg, None, &RingApp { iters }).unwrap()
+    };
+    let full = run(c3_core::RecoveryMode::FullRestart);
+    let localized = run(c3_core::RecoveryMode::Localized);
+    assert_eq!(full.outputs, reference_outputs(n, iters));
+    assert_eq!(localized.outputs, full.outputs);
+    assert_eq!((full.restarts, localized.restarts), (1, 1));
+    assert_eq!(full.recovered_from, vec![1]);
+    assert_eq!(localized.recovered_from, full.recovered_from);
+    assert_eq!((full.splices, localized.splices), (0, 0));
+}
+
+#[test]
 fn localized_second_kill_mid_splice_escalates() {
     // Two injections on the same rank at the same op: the first kills the
     // original incarnation, the second fires on the respawned incarnation

@@ -4,25 +4,16 @@
 //! A [`Scenario`] is plain data — all fields public, comparable by
 //! `Debug` rendering — so the shrinker can mutate dimensions directly
 //! and the reproducer can print a scenario back as Rust source. The
-//! derivation chains a SplitMix64 stream (the same primitive `netsim`
-//! and `ckptstore::fault` use), so a scenario is a pure function of its
-//! seed: two processes, two machines, two years apart — same seed, same
-//! campaign.
+//! derivation chains a SplitMix64 stream ([`ckptstore::splitmix64`]), so
+//! a scenario is a pure function of its seed: two processes, two
+//! machines, two years apart — same seed, same campaign.
 
 use std::sync::Arc;
 
 use c3_core::{C3Config, Chunker, Codec, PipelineConfig, TierTopology};
-use ckptstore::{FaultInjectingBackend, FaultPlan, MemoryBackend};
+use ckptstore::{splitmix64, FaultInjectingBackend, FaultPlan, MemoryBackend};
 use ftsim::FailureSchedule;
 use simmpi::{NetCond, RetransmitPolicy};
-
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
 
 /// Which application the campaign runs. Both are real `C3App`
 /// implementations from `c3-apps`, sized small enough that a campaign

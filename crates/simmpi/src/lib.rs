@@ -70,5 +70,5 @@ pub use error::{MpiError, MpiResult};
 pub use netsim::{NetCond, NetStats, Partition, RetransmitPolicy, WireStats};
 pub use rank::{Mpi, ANY_SOURCE, ANY_TAG};
 pub use request::Request;
-pub use splice::{SpliceDecision, SpliceQuery, SpliceStats};
+pub use splice::{SpliceDecision, SplicePolicy, SpliceQuery, SpliceStats};
 pub use world::{JobControl, World};

@@ -1,11 +1,10 @@
 //! Per-rank MPI handle: point-to-point operations and request completion.
 
 use std::collections::{HashMap, VecDeque};
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use bytes::Bytes;
-use crossbeam::channel::{Receiver, RecvTimeoutError};
+use crossbeam::channel::{Receiver, TryRecvError};
 
 use crate::comm::Comm;
 use crate::datatype::MpiType;
@@ -14,7 +13,7 @@ use crate::error::{MpiError, MpiResult};
 use crate::matching::{MatchEngine, PostOutcome, RecvId};
 use crate::netsim::{Frame, NetEndpoint, NetStats};
 use crate::request::{ReqState, Request};
-use crate::splice::{DeathStash, FlightRecorder, TapeEntry};
+use crate::splice::TapeEntry;
 use crate::transport::Fabric;
 use crate::world::JobControl;
 
@@ -23,6 +22,10 @@ pub const ANY_SOURCE: usize = usize::MAX;
 
 /// Wildcard tag for receives (the `MPI_ANY_TAG` analogue).
 pub const ANY_TAG: i32 = i32::MIN;
+
+/// How long a blocked receive polls its mailbox before it parks (see
+/// `Mpi::await_frame`).
+const SPIN: Duration = Duration::from_micros(25);
 
 /// Which message plane of a communicator an operation targets.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -58,41 +61,9 @@ pub struct Mpi {
     /// Local hint for the next free communicator context id; new contexts
     /// are agreed collectively as `max(hints) + 0` across participants.
     pub(crate) next_ctx_hint: u32,
-    /// Flight recorder of a supervised job: every consumed message is
-    /// taped so a dead rank can be respawned by deterministic replay.
-    /// `None` (the default) keeps the hot path untouched.
-    recorder: Option<Arc<FlightRecorder>>,
-    /// Operation count at which each engine-resident message was fed,
-    /// keyed by `(sender world rank, sender-assigned seq)`. Only
-    /// populated while a recorder is attached; consumption-time taping
-    /// reads (and removes) the entry to compute the release point.
-    feed_ops: HashMap<(usize, u64), u64>,
-    /// Catch-up replay state of a respawned incarnation; `None` once the
-    /// tape is exhausted (or on every ordinary incarnation).
-    replay: Option<ReplayState>,
-    /// Per-destination frame counts actually transmitted by this
-    /// incarnation, keyed by `(context, tag)`. Cheap bookkeeping that
-    /// becomes the successor's suppression budget if this incarnation
-    /// dies: within one `(context, tag)` class the send order is
-    /// deterministic under re-execution even when classes interleave
-    /// differently (control pumps may consume peers' messages at
-    /// slightly different points), so class-wise counting is the
-    /// finest sound unit of duplicate suppression.
-    class_sent: Vec<HashMap<(u32, i32), u64>>,
-    /// Remaining re-executed sends to squelch, per destination and
-    /// `(context, tag)` class: the dead incarnation's `class_sent`.
-    /// The survivors already hold (or will receive, via the resurrected
-    /// endpoint) those frames. Empty on an ordinary incarnation.
-    suppress_budget: Vec<HashMap<(u32, i32), u64>>,
-    /// Re-executed sends squelched so far.
-    suppressed_sends: u64,
-    /// Messages the replay tape held at respawn.
-    replayed_frames: u64,
-    /// Which incarnation of this rank this handle is (0 = original).
-    incarnation: u32,
-    /// Set when the replay tape exhausts; consumed once by the layer
-    /// above to note the catch-up completion.
-    caught_up_pending: bool,
+    /// Splice bookkeeping; `Some` only under a supervisor that was given
+    /// a splice policy, so everywhere else the hot path pays one branch.
+    pub(crate) splice: Option<Splice>,
     /// Pre-registered metric handles; `None` until a registry is
     /// attached, which keeps the un-observed hot path at one branch.
     obs: Option<crate::obs::MpiObs>,
@@ -101,6 +72,62 @@ pub struct Mpi {
     /// frame carries it out and folds the sender's in. `None` (every
     /// other time) leaves collective frames unheaded.
     pub(crate) sideband: Option<u64>,
+}
+
+/// What online rank substitution keeps per handle (see [`crate::splice`]):
+/// the tape a successor would replay, the counts it would squelch by, and
+/// — on a respawned incarnation — the catch-up state.
+pub(crate) struct Splice {
+    /// Every message this incarnation consumed, in consumption order,
+    /// each with its release point: what a successor replays.
+    tape: VecDeque<TapeEntry>,
+    /// Operation count at which each engine-resident message was fed,
+    /// keyed by `(sender world rank, sender-assigned seq)`;
+    /// consumption-time taping reads (and removes) the entry to compute
+    /// the release point.
+    feed_ops: HashMap<(usize, u64), u64>,
+    /// Catch-up replay state of a respawned incarnation; `None` once the
+    /// tape is exhausted (or on the original incarnation).
+    replay: Option<ReplayState>,
+    /// Per-destination frame counts actually transmitted by this
+    /// incarnation, keyed by `(context, tag)`. Becomes the successor's
+    /// suppression budget if this incarnation dies: within one
+    /// `(context, tag)` class the send order is deterministic under
+    /// re-execution even when classes interleave differently (control
+    /// pumps may consume peers' messages at slightly different points),
+    /// so class-wise counting is the finest sound unit of duplicate
+    /// suppression.
+    class_sent: Vec<HashMap<(u32, i32), u64>>,
+    /// Remaining re-executed sends to squelch, per destination and
+    /// `(context, tag)` class: the dead incarnation's `class_sent`. The
+    /// survivors already hold (or will receive, via the resurrected
+    /// endpoint) those frames. Empty on the original incarnation.
+    suppress_budget: Vec<HashMap<(u32, i32), u64>>,
+    /// Re-executed sends squelched so far.
+    suppressed_sends: u64,
+    /// Messages the replay tape held at respawn.
+    replayed_frames: u64,
+    /// Which incarnation of its rank this handle is (0 = original).
+    incarnation: u32,
+    /// Set when the replay tape exhausts; consumed once by the layer
+    /// above to note the catch-up completion.
+    caught_up_pending: bool,
+}
+
+impl Splice {
+    fn new(size: usize) -> Self {
+        Splice {
+            tape: VecDeque::new(),
+            feed_ops: HashMap::new(),
+            replay: None,
+            class_sent: vec![HashMap::new(); size],
+            suppress_budget: vec![HashMap::new(); size],
+            suppressed_sends: 0,
+            replayed_frames: 0,
+            incarnation: 0,
+            caught_up_pending: false,
+        }
+    }
 }
 
 /// Catch-up state of a respawned incarnation: the dead incarnation's
@@ -125,11 +152,14 @@ struct ReplayState {
 }
 
 impl Mpi {
+    /// A fresh handle; `spliceable` arms the splice bookkeeping (the
+    /// runner passes true iff its supervisor has a splice policy).
     pub(crate) fn new(
         rank: usize,
         size: usize,
         fabric: Fabric,
         inbox: Receiver<Frame>,
+        spliceable: bool,
     ) -> Self {
         let net = fabric
             .net_cond()
@@ -146,88 +176,65 @@ impl Mpi {
             send_seq: vec![0; size],
             ops: 0,
             next_ctx_hint: crate::comm::WORLD_CONTEXT + 1,
-            recorder: None,
-            feed_ops: HashMap::new(),
-            replay: None,
-            class_sent: vec![HashMap::new(); size],
-            suppress_budget: vec![HashMap::new(); size],
-            suppressed_sends: 0,
-            replayed_frames: 0,
-            incarnation: 0,
-            caught_up_pending: false,
+            splice: spliceable.then(|| Splice::new(size)),
             obs: None,
             sideband: None,
         }
     }
 
-    /// Tape every consumed message into `rec` (supervised jobs only).
-    pub(crate) fn attach_recorder(&mut self, rec: Arc<FlightRecorder>) {
-        self.recorder = Some(rec);
-    }
-
-    /// Extract what this dying incarnation leaves for its successor: the
-    /// per-class transmitted-frame counts, the reliable-delivery
-    /// endpoint, and the mailbox itself (the fabric's channels are
-    /// single-consumer, so the successor must inherit the receiver or
-    /// lose every frame queued during the death window).
-    pub(crate) fn export_stash(&mut self) -> DeathStash {
-        // Swap in a disconnected dummy; this handle issues no further
-        // receives (the rank function already unwound with `FailStop`).
-        let (_tx, dummy) = crossbeam::channel::unbounded();
+    /// Turn this fail-stopped handle into respawned incarnation
+    /// `incarnation` of its rank. The successor inherits the mailbox (the
+    /// fabric's channels are single-consumer, so frames queued during the
+    /// death window survive only this way) and the reliable-delivery
+    /// endpoint (wire sequencing continues), squelches re-executed sends
+    /// up to the dead incarnation's per-class transmitted counts, and
+    /// replays its consumed-message tape op-faithfully.
+    pub(crate) fn respawn(mut self, incarnation: u32) -> Mpi {
+        // (The supervisor only respawns spliceable handles; any other
+        // would simply have nothing to replay or squelch.)
+        let dead =
+            self.splice.take().unwrap_or_else(|| Splice::new(self.size));
         // Fed-but-unconsumed traffic: matched-but-unclaimed receives
         // first (RecvId order = per-class match order), then the
         // unexpected queue in arrival order. Within a (src, context,
         // tag) class every matched message arrived before every still
         // unexpected one, so this concatenation preserves the only
-        // ordering the matching engine guarantees.
+        // ordering the matching engine guarantees. The original never
+        // observed these, so they are not on the tape and go live only
+        // once catch-up ends.
         let mut matched: Vec<(RecvId, Message)> =
             self.completed.drain().collect();
         matched.sort_unstable_by_key(|(id, _)| *id);
         let mut undelivered: Vec<Message> =
             matched.into_iter().map(|(_, m)| m).collect();
         undelivered.extend(self.engine.drain_unexpected());
-        self.feed_ops.clear();
-        DeathStash {
-            class_sent: self.class_sent.clone(),
-            net: self.net.take(),
-            inbox: Some(std::mem::replace(&mut self.inbox, dummy)),
-            undelivered,
-        }
-    }
 
-    /// Turn a freshly built handle into respawned incarnation
-    /// `incarnation` of its rank: squelch re-executed sends up to the
-    /// dead incarnation's per-class transmitted counts, resurrect the
-    /// wire endpoint, and arm the consumed-message tape for op-faithful
-    /// replay.
-    pub(crate) fn configure_respawn(
-        &mut self,
-        incarnation: u32,
-        stash: DeathStash,
-        tape: VecDeque<TapeEntry>,
-    ) {
-        self.incarnation = incarnation;
-        self.suppress_budget = stash.class_sent;
-        if let Some(ep) = stash.net {
-            self.net = Some(ep);
-        }
-        self.replayed_frames = tape.len() as u64;
-        if tape.is_empty() {
+        let mut next =
+            Mpi::new(self.rank, self.size, self.fabric, self.inbox, false);
+        next.net = self.net;
+        let mut splice = Splice::new(next.size);
+        splice.incarnation = incarnation;
+        splice.suppress_budget = dead.class_sent;
+        splice.replayed_frames = dead.tape.len() as u64;
+        if dead.tape.is_empty() {
             // Nothing was consumed before death: the incarnation is live
             // from its first operation, and the predecessor's unconsumed
             // traffic is available immediately.
-            for msg in stash.undelivered {
-                self.feed(msg);
+            splice.caught_up_pending = true;
+            next.splice = Some(splice);
+            for msg in undelivered {
+                next.feed(msg);
             }
-            self.caught_up_pending = true;
         } else {
-            self.replay = Some(ReplayState {
-                tape,
+            splice.replay = Some(ReplayState {
+                tape: dead.tape,
                 held: VecDeque::new(),
-                undelivered: stash.undelivered,
+                undelivered,
                 outstanding: false,
             });
+            next.splice = Some(splice);
         }
+        next
     }
 
     /// Attach an observability registry: registers this rank's metric
@@ -280,11 +287,11 @@ impl Mpi {
     }
 
     /// Hand one message to the matching engine, noting its feed-time
-    /// operation count when a recorder is attached (consumption-time
+    /// operation count when splice bookkeeping is armed (consumption-time
     /// taping needs it to compute the release point).
     fn feed(&mut self, msg: Message) {
-        if self.recorder.is_some() {
-            self.feed_ops.insert((msg.src, msg.seq), self.ops);
+        if let Some(s) = self.splice.as_mut() {
+            s.feed_ops.insert((msg.src, msg.seq), self.ops);
         }
         if let Some(o) = self.obs.as_mut() {
             o.note_delivered();
@@ -304,31 +311,28 @@ impl Mpi {
     /// replay: a message the original fed but never polled must not be
     /// consumed mid-replay at a point the original never reached.
     fn record_consumed(&mut self, msg: &Message) {
-        let fed = self.feed_ops.remove(&(msg.src, msg.seq));
-        if let Some(rec) = &self.recorder {
-            let fed = fed.unwrap_or(self.ops);
-            rec.record(self.rank, fed.max(self.ops.saturating_sub(1)), msg);
-        }
+        let Some(s) = self.splice.as_mut() else {
+            return;
+        };
+        let fed = s.feed_ops.remove(&(msg.src, msg.seq)).unwrap_or(self.ops);
+        s.tape
+            .push_back((fed.max(self.ops.saturating_sub(1)), msg.clone()));
         // During catch-up every consumable message came off the tape
-        // (live frames are held, the undelivered stash waits for the
+        // (live frames are held, the undelivered messages wait for the
         // end), so this consumption clears the way for the next entry.
-        if let Some(rp) = self.replay.as_mut() {
+        if let Some(rp) = s.replay.as_mut() {
             rp.outstanding = false;
         }
     }
 
     /// Route one frame from the mailbox: direct frames go straight to the
     /// matching engine; sublayer frames pass through the reliable-delivery
-    /// endpoint, which may emit zero or more messages in wire order.
-    /// During a respawned incarnation's catch-up, live frames are held
-    /// back instead (they post-date everything on the replay tape).
+    /// endpoint, which may emit zero or more messages in wire order (and,
+    /// during catch-up, still drops duplicates and acks, so peers stop
+    /// retransmitting into it).
     fn dispatch(&mut self, frame: Frame) {
-        if self.replay.is_some() {
-            self.hold_frame(frame);
-            return;
-        }
         match frame {
-            Frame::Direct(msg) => self.feed(msg),
+            Frame::Direct(msg) => self.accept(msg),
             other => {
                 let msgs = match self.net.as_mut() {
                     Some(ep) => {
@@ -339,33 +343,20 @@ impl Mpi {
                     None => Vec::new(),
                 };
                 for m in msgs {
-                    self.feed(m);
+                    self.accept(m);
                 }
             }
         }
     }
 
-    /// Park one live frame behind the replay tape. Sublayer frames still
-    /// pass through the resurrected endpoint so duplicates are dropped
-    /// and acks flow (peers stop retransmitting into the catch-up).
-    fn hold_frame(&mut self, frame: Frame) {
-        debug_assert!(self.replay.is_some(), "hold_frame outside catch-up");
-        let Some(mut rp) = self.replay.take() else {
-            return;
-        };
-        match frame {
-            Frame::Direct(msg) => rp.held.push_back(msg),
-            other => {
-                if let Some(ep) = self.net.as_mut() {
-                    rp.held.extend(ep.on_frame(
-                        &self.fabric,
-                        other,
-                        Instant::now(),
-                    ));
-                }
-            }
+    /// Feed one live message — or, during a respawned incarnation's
+    /// catch-up, park it behind the replay tape (it post-dates
+    /// everything on it).
+    fn accept(&mut self, msg: Message) {
+        match self.splice.as_mut().and_then(|s| s.replay.as_mut()) {
+            Some(rp) => rp.held.push_back(msg),
+            None => self.feed(msg),
         }
-        self.replay = Some(rp);
     }
 
     /// Drive the reliable-delivery sublayer's timers (held-frame release
@@ -377,30 +368,24 @@ impl Mpi {
         Ok(())
     }
 
-    /// Move every frame waiting in the mailbox into the matching engine.
-    /// A respawned incarnation in catch-up instead releases tape entries
-    /// visible at the current operation count and holds live frames back.
+    /// Move every frame waiting in the mailbox into the matching engine
+    /// (or, in catch-up, behind the replay tape, whose next entry is then
+    /// released if the current operation count has reached it).
     fn drain(&mut self) -> MpiResult<()> {
         self.net_poll()?;
-        if self.replay.is_some() {
-            self.replay_step();
-            return Ok(());
-        }
         while let Ok(frame) = self.inbox.try_recv() {
             self.dispatch(frame);
         }
+        self.replay_step();
         Ok(())
     }
 
-    /// One catch-up round: absorb live frames into the hold queue (still
-    /// acking through the resurrected endpoint so peers stop
-    /// retransmitting), release tape entries whose recorded op count has
-    /// been reached, and go live once the tape is exhausted.
+    /// One catch-up round: release the head tape entry if its recorded
+    /// op count has been reached, and go live once the tape is
+    /// exhausted. No-op outside catch-up.
     fn replay_step(&mut self) {
-        while let Ok(frame) = self.inbox.try_recv() {
-            self.hold_frame(frame);
-        }
-        let Some(mut rp) = self.replay.take() else {
+        let Some(mut rp) = self.splice.as_mut().and_then(|s| s.replay.take())
+        else {
             return;
         };
         if !rp.outstanding {
@@ -413,21 +398,60 @@ impl Mpi {
                 None => {}
             }
         }
-        if rp.tape.is_empty() {
-            // Caught up: release the predecessor's fed-but-unconsumed
-            // messages (they physically arrived before the death), then
-            // the held live traffic (it post-dates them, so per-sender
-            // FIFO is preserved), and rejoin the ordinary delivery path.
-            for msg in rp.undelivered {
+        let caught_up = rp.tape.is_empty();
+        if caught_up {
+            // Release the predecessor's fed-but-unconsumed messages (they
+            // physically arrived before the death), then the held live
+            // traffic (it post-dates them, so per-sender FIFO is
+            // preserved), and rejoin the ordinary delivery path.
+            for msg in rp.undelivered.drain(..).chain(rp.held.drain(..)) {
                 self.feed(msg);
             }
-            for msg in rp.held {
-                self.feed(msg);
-            }
-            self.caught_up_pending = true;
-        } else {
-            self.replay = Some(rp);
         }
+        if let Some(s) = self.splice.as_mut() {
+            if caught_up {
+                s.caught_up_pending = true;
+            } else {
+                s.replay = Some(rp);
+            }
+        }
+    }
+
+    /// Wait for traffic: dispatch the next mailbox frame, or return after
+    /// about a millisecond without one (callers loop, re-reading the
+    /// liveness flags). The mailbox is polled for [`SPIN`] before the
+    /// thread parks on it: a peer in lock-step answers within
+    /// microseconds, and a parked thread's wake-up costs several times
+    /// that whenever its core has gone idle meanwhile. The poll yields
+    /// rather than pauses: with more ranks than cores the core goes to a
+    /// rank that has work, and under a hypervisor a pause loop is itself
+    /// descheduled (measured here: 6× slower than parking at once).
+    fn await_frame(&mut self) -> MpiResult<()> {
+        let spin_until = Instant::now() + SPIN;
+        let frame = loop {
+            match self.inbox.try_recv() {
+                Ok(frame) => break Some(frame),
+                Err(TryRecvError::Empty) if Instant::now() < spin_until => {
+                    std::thread::yield_now()
+                }
+                Err(TryRecvError::Empty) => {
+                    break self
+                        .inbox
+                        .recv_timeout(Duration::from_millis(1))
+                        .ok()
+                }
+                // Fabric holds a sender for every rank including
+                // ourselves, so this cannot happen while `self` is alive;
+                // treat defensively as an abort.
+                Err(TryRecvError::Disconnected) => {
+                    return Err(MpiError::Aborted)
+                }
+            }
+        };
+        if let Some(frame) = frame {
+            self.dispatch(frame);
+        }
+        Ok(())
     }
 
     /// Linger until every frame this rank sent has been acknowledged (or
@@ -543,10 +567,12 @@ impl Mpi {
         let context = Self::plane_context(comm, plane);
         let seq = self.send_seq[dst_world];
         self.send_seq[dst_world] += 1;
-        if let Some(budget) =
-            self.suppress_budget[dst_world].get_mut(&(context, tag))
-        {
-            if *budget > 0 {
+        if let Some(s) = self.splice.as_mut() {
+            let class = (context, tag);
+            if let Some(budget) = s.suppress_budget[dst_world]
+                .get_mut(&class)
+                .filter(|b| **b > 0)
+            {
                 // Re-executed send of a respawned incarnation: the dead
                 // incarnation already transmitted this class's next
                 // frame, so the destination holds (or will receive, via
@@ -559,13 +585,11 @@ impl Mpi {
                 // count would then spend suppression slots on the wrong
                 // frames and let duplicates through.
                 *budget -= 1;
-                self.suppressed_sends += 1;
+                s.suppressed_sends += 1;
                 return Ok(());
             }
+            *s.class_sent[dst_world].entry(class).or_insert(0) += 1;
         }
-        *self.class_sent[dst_world]
-            .entry((context, tag))
-            .or_insert(0) += 1;
         let timer = self
             .obs
             .as_mut()
@@ -681,19 +705,8 @@ impl Mpi {
                     if self.completed.contains_key(&id) {
                         continue;
                     }
-                    match self.inbox.recv_timeout(Duration::from_millis(1)) {
-                        Ok(frame) => {
-                            self.dispatch(frame);
-                            self.drain()?;
-                        }
-                        Err(RecvTimeoutError::Timeout) => {}
-                        Err(RecvTimeoutError::Disconnected) => {
-                            // Fabric holds a sender for every rank including
-                            // ourselves, so this cannot happen while `self`
-                            // is alive; treat defensively as an abort.
-                            return Err(MpiError::Aborted);
-                        }
-                    }
+                    self.await_frame()?;
+                    self.drain()?;
                 }
             }
         }
@@ -895,13 +908,7 @@ impl Mpi {
                     "waitany with no live requests".into(),
                 ));
             }
-            match self.inbox.recv_timeout(Duration::from_millis(1)) {
-                Ok(frame) => self.dispatch(frame),
-                Err(RecvTimeoutError::Timeout) => {}
-                Err(RecvTimeoutError::Disconnected) => {
-                    return Err(MpiError::Aborted)
-                }
-            }
+            self.await_frame()?;
         }
     }
 
@@ -919,8 +926,10 @@ impl Mpi {
                 // Discarded without reaching the caller: not taped (the
                 // re-execution cancels identically), but drop the
                 // feed-op bookkeeping.
-                if let Some(m) = self.completed.remove(&id) {
-                    self.feed_ops.remove(&(m.src, m.seq));
+                if let (Some(m), Some(s)) =
+                    (self.completed.remove(&id), self.splice.as_mut())
+                {
+                    s.feed_ops.remove(&(m.src, m.seq));
                 }
             }
         }
@@ -974,25 +983,25 @@ impl Mpi {
     /// Which incarnation of its rank this handle is: 0 for an ordinary
     /// rank, `k` for the `k`-th respawn spliced in by a supervised run.
     pub fn incarnation(&self) -> u32 {
-        self.incarnation
+        self.splice.as_ref().map_or(0, |s| s.incarnation)
     }
 
     /// Messages the replay tape held when this incarnation was respawned
     /// (0 on ordinary incarnations).
     pub fn replayed_frames(&self) -> u64 {
-        self.replayed_frames
+        self.splice.as_ref().map_or(0, |s| s.replayed_frames)
     }
 
     /// Re-executed sends squelched below the death-time sequence
     /// high-water so far.
     pub fn suppressed_sends(&self) -> u64 {
-        self.suppressed_sends
+        self.splice.as_ref().map_or(0, |s| s.suppressed_sends)
     }
 
     /// True while a respawned incarnation is still replaying its
     /// predecessor's consumed-message tape.
     pub fn in_catchup(&self) -> bool {
-        self.replay.is_some()
+        self.splice.as_ref().is_some_and(|s| s.replay.is_some())
     }
 
     /// One-shot catch-up completion signal: returns true exactly once,
@@ -1000,6 +1009,8 @@ impl Mpi {
     /// gone live on the real fabric. The protocol layer uses this to
     /// trace the splice completion.
     pub fn take_caught_up(&mut self) -> bool {
-        std::mem::take(&mut self.caught_up_pending)
+        self.splice
+            .as_mut()
+            .is_some_and(|s| std::mem::take(&mut s.caught_up_pending))
     }
 }

@@ -1,14 +1,18 @@
-//! Online rank substitution: the flight recorder and supervision types
-//! behind [`crate::World::run_supervised_net`].
+//! Online rank substitution: the supervision types behind
+//! [`crate::World::run_supervised_net`].
 //!
-//! Full-job rollback (the paper's recovery model) throws away every
-//! survivor's progress to repair one dead rank. The splice path keeps
-//! survivors running: while a job executes under supervision, a
-//! [`FlightRecorder`] tapes every message each rank *consumed* (in
-//! matching-engine arrival order, tagged with the consuming rank's
-//! operation count), and when a rank fail-stops the supervisor respawns it
-//! as a fresh incarnation that deterministically re-executes the rank
-//! function with the tape substituting for its peers:
+//! The supervisor has one failure path: a rank's death reaches it as the
+//! `Err(FailStop)` the rank thread exits with, and after the detection
+//! latency the attempt is aborted — full-job rollback, the paper's
+//! recovery model, which throws away every survivor's progress to repair
+//! one dead rank. A *splice policy*, when the caller supplies one, may
+//! instead keep the survivors running. Only then does each rank handle
+//! carry splice bookkeeping (`Mpi::splice`): it tapes every message the
+//! rank *consumed* (tagged with the consuming rank's operation count), and
+//! when the rank fail-stops the dead handle itself — tape, mailbox, wire
+//! endpoint — travels to the supervisor, which turns it into a fresh
+//! incarnation that deterministically re-executes the rank function with
+//! the tape substituting for its peers:
 //!
 //! * messages are taped at the moment the dead incarnation *consumed*
 //!   them (handed them to the caller), in consumption order, and
@@ -25,8 +29,8 @@
 //!   never reached), and one-at-a-time release sequences polls that
 //!   share an operation count (the original may consume a message
 //!   between two same-op probes, which no op threshold can tell
-//!   apart). Messages fed but never consumed travel in the death
-//!   stash instead and go live only after catch-up;
+//!   apart). Messages fed but never consumed are not on the tape and
+//!   go live only after catch-up;
 //! * re-executed sends are counted and squelched until the dead
 //!   incarnation's per-(destination, context, tag) transmitted-frame
 //!   budgets are spent — survivors already hold those messages, and the
@@ -37,7 +41,8 @@
 //!   resurrected into the new incarnation, so wire sequence numbers,
 //!   retransmission buffers, and cumulative-ack state continue seamlessly
 //!   (peers hold — rather than write off — traffic to a failed rank while
-//!   a supervisor is in charge; see [`crate::JobControl`]).
+//!   a supervisor with a splice policy is in charge; see
+//!   [`crate::JobControl::holds_failed_traffic`]).
 //!
 //! Determinism is what makes this sound: a rank's execution is a function
 //! of its rank id, the attempt-scoped seed material derived from them by
@@ -46,93 +51,12 @@
 //! reproduces the dead incarnation's execution exactly up to the death
 //! point, after which the incarnation goes live on the real fabric.
 
-use std::collections::VecDeque;
-
-use crossbeam::channel::Receiver;
-use parking_lot::Mutex;
-
 use crate::envelope::Message;
-use crate::netsim::{Frame, NetEndpoint};
 
-/// A taped consumed message: the consuming rank's operation count at the
-/// moment the message entered its matching engine, plus the message.
+/// A taped consumed message: its release point (the consuming rank's
+/// operation count from which a replay may make it visible) plus the
+/// message.
 pub(crate) type TapeEntry = (u64, Message);
-
-/// What a dying incarnation leaves behind for its successor.
-pub(crate) struct DeathStash {
-    /// Per-destination transmitted-frame counts at death, keyed by
-    /// `(context, tag)`: the successor squelches re-executed sends of
-    /// each class until its budget is spent.
-    pub class_sent: Vec<std::collections::HashMap<(u32, i32), u64>>,
-    /// The reliable-delivery endpoint (lossy wire only), carried over so
-    /// wire sequencing continues into the new incarnation.
-    pub net: Option<NetEndpoint>,
-    /// The rank's mailbox, moved out of the dying incarnation so frames
-    /// queued during the death window survive for the successor (the
-    /// fabric's channels are single-consumer).
-    pub inbox: Option<Receiver<Frame>>,
-    /// Messages the dying incarnation fed to its matching engine but
-    /// never handed to a caller (matched-but-unclaimed first, in match
-    /// order, then the unexpected queue in arrival order). They are not
-    /// on the consumption tape — the original never observed them — so
-    /// the successor receives them only once catch-up ends.
-    pub undelivered: Vec<Message>,
-}
-
-struct Tape {
-    consumed: VecDeque<TapeEntry>,
-    death: Option<DeathStash>,
-}
-
-/// Per-rank consumed-message tapes plus death stashes, shared between the
-/// supervisor and every rank handle of a supervised job.
-pub(crate) struct FlightRecorder {
-    ranks: Vec<Mutex<Tape>>,
-}
-
-impl FlightRecorder {
-    pub(crate) fn new(n: usize) -> Self {
-        FlightRecorder {
-            ranks: (0..n)
-                .map(|_| {
-                    Mutex::new(Tape {
-                        consumed: VecDeque::new(),
-                        death: None,
-                    })
-                })
-                .collect(),
-        }
-    }
-
-    /// Tape one message consumed by `rank` at operation count `at_op`.
-    pub(crate) fn record(&self, rank: usize, at_op: u64, msg: &Message) {
-        self.ranks[rank]
-            .lock()
-            .consumed
-            .push_back((at_op, msg.clone()));
-    }
-
-    /// Record what a dying incarnation leaves behind (called by the rank
-    /// thread as it unwinds from a fail-stop, before the supervisor joins
-    /// it).
-    pub(crate) fn record_death(&self, rank: usize, stash: DeathStash) {
-        self.ranks[rank].lock().death = Some(stash);
-    }
-
-    /// Claim the material for respawning `rank`: its death stash and the
-    /// consumed-message tape. Returns `None` if no death was recorded
-    /// (the supervisor must only call this after joining a fail-stopped
-    /// rank's thread). The tape is moved out — a second splice of the same
-    /// rank is not supported (supervision policies escalate instead).
-    pub(crate) fn begin_respawn(
-        &self,
-        rank: usize,
-    ) -> Option<(DeathStash, VecDeque<TapeEntry>)> {
-        let mut tape = self.ranks[rank].lock();
-        let stash = tape.death.take()?;
-        Some((stash, std::mem::take(&mut tape.consumed)))
-    }
-}
 
 /// What the supervisor tells a splice policy about a freshly detected
 /// rank death.
@@ -155,6 +79,10 @@ pub enum SpliceDecision {
     /// falls back to a full rollback-restart.
     Escalate,
 }
+
+/// A splice policy, as the supervisor borrows it: consulted once per
+/// detected rank death.
+pub type SplicePolicy<'p> = &'p mut dyn FnMut(SpliceQuery) -> SpliceDecision;
 
 /// What a supervised run did about failures, alongside the per-rank
 /// results.

@@ -1,7 +1,14 @@
 //! Job lifecycle: spawn ranks, run them, and coordinate abort/fail-stop.
+//!
+//! There is one runner. Each rank thread announces its exit — handle and
+//! result — on a channel, and the calling thread blocks on that channel
+//! until no rank is live. [`World::run_supervised_net`] additionally
+//! *reacts* to the exits that are deaths (`Err(FailStop)`): it is the
+//! job's failure detector, and the only code that knows about failures.
 
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{mpsc, Arc};
 use std::time::Duration;
 
 use crate::comm::Comm;
@@ -9,9 +16,7 @@ use crate::error::MpiError;
 use crate::error::MpiResult;
 use crate::netsim::NetCond;
 use crate::rank::Mpi;
-use crate::splice::{
-    FlightRecorder, SpliceDecision, SpliceQuery, SpliceStats,
-};
+use crate::splice::{SpliceDecision, SplicePolicy, SpliceQuery, SpliceStats};
 use crate::transport::Fabric;
 
 /// Shared job control block.
@@ -34,9 +39,10 @@ struct ControlInner {
     aborted: AtomicBool,
     failed: Vec<AtomicBool>,
     done: Vec<AtomicBool>,
-    /// When set (supervised jobs), the reliable-delivery sublayer *holds*
-    /// traffic to a failed rank instead of writing it off: a supervisor
-    /// may splice in a new incarnation that will drain it.
+    /// When set (by the runner, iff its supervisor has a splice policy),
+    /// the reliable-delivery sublayer *holds* traffic to a failed rank
+    /// instead of writing it off: a new incarnation may be spliced in
+    /// that will drain it.
     hold_failed_traffic: AtomicBool,
 }
 
@@ -93,16 +99,8 @@ impl JobControl {
         }
     }
 
-    /// Ask peers to *hold* (keep retransmitting later, never write off)
-    /// traffic to failed ranks, because a supervisor may splice in a new
-    /// incarnation that will drain it. Set once before a supervised run.
-    pub fn set_hold_failed_traffic(&self, hold: bool) {
-        self.inner
-            .hold_failed_traffic
-            .store(hold, Ordering::Release);
-    }
-
-    /// Whether traffic to failed ranks is held for a possible respawn.
+    /// Whether traffic to failed ranks is held for a possible respawn
+    /// (true exactly under a supervisor that was given a splice policy).
     pub fn holds_failed_traffic(&self) -> bool {
         self.inner.hold_failed_traffic.load(Ordering::Acquire)
     }
@@ -140,7 +138,8 @@ impl World {
     ///
     /// Unlike [`World::run`], individual rank errors (including injected
     /// `FailStop` and rollback `Aborted`) are returned per rank instead of
-    /// failing the whole call — this is what the recovery harness uses.
+    /// failing the whole call. Nobody reacts to a failure here: a caller
+    /// that injects one aborts the job itself.
     pub fn run_collect<T, F>(
         n: usize,
         control: JobControl,
@@ -166,198 +165,165 @@ impl World {
         T: Send,
         F: Fn(&mut Mpi) -> MpiResult<T> + Send + Sync,
     {
-        assert!(n > 0, "a job has at least one rank");
-        assert_eq!(control.size(), n, "control block sized for wrong job");
-        let (fabric, receivers) =
-            Fabric::new_with_net(n, control.clone(), cond);
-        std::thread::scope(|scope| {
-            let mut handles = Vec::with_capacity(n);
-            for (rank, inbox) in receivers.into_iter().enumerate() {
-                let fabric = fabric.clone();
-                let control = control.clone();
-                let f = &f;
-                handles.push(scope.spawn(move || {
-                    let mut mpi = Mpi::new(rank, n, fabric, inbox);
-                    let out = f(&mut mpi);
-                    // The rank stops issuing MPI calls now; let the
-                    // sublayer write off whatever nobody will ever ack.
-                    control.mark_done(rank);
-                    match out {
-                        // Linger until every frame this rank sent has been
-                        // acknowledged, so late retransmission requests
-                        // aren't orphaned by our exit.
-                        Ok(v) => mpi.net_flush().map(|_| v),
-                        err => err,
-                    }
-                }));
-            }
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("rank panicked"))
-                .collect()
-        })
+        Self::run_ranks(n, control, cond, None, f).0
     }
 
-    /// Run an `n`-rank job under a *splice supervisor*: survivors keep
-    /// running across a rank's stopping failure, and the dead rank is
-    /// respawned in place by deterministic replay of its consumed-message
-    /// tape (see [`crate::splice`]).
+    /// Run an `n`-rank job under the *supervisor* — the simulated
+    /// distributed failure detector, and the one place failures are
+    /// handled. `detection_latency` after a rank fail-stops, the
+    /// supervisor (this thread) acts on the death:
     ///
-    /// The supervisor (this thread) watches the fail-stop flags. When a
-    /// rank dies it joins the dead thread, waits `detection_latency`
-    /// (simulated failure-detection delay), and consults `policy`:
-    /// [`SpliceDecision::Respawn`] splices in a fresh incarnation that
-    /// replays the tape, squelches re-executed sends below the
-    /// death-time sequence high-water, and resumes the dead rank's wire
-    /// endpoint; [`SpliceDecision::Escalate`] aborts the attempt so the
-    /// caller can fall back to a full rollback-restart.
+    /// * with no `policy`, or when the policy answers
+    ///   [`SpliceDecision::Escalate`], it aborts the attempt so the
+    ///   caller can roll every rank back (the paper's recovery model);
+    /// * on [`SpliceDecision::Respawn`] survivors keep running and the
+    ///   dead rank is respawned in place: the new incarnation replays
+    ///   its predecessor's consumed-message tape, squelches re-executed
+    ///   sends below the death-time high-water, and resumes the dead
+    ///   rank's wire endpoint (see [`crate::splice`]).
+    ///
+    /// Splice bookkeeping exists only where a splice can happen: handles
+    /// tape their consumption, and peers *hold* reliable-delivery traffic
+    /// to failed ranks instead of writing it off, iff `policy` is `Some`.
     ///
     /// Returns each rank's final incarnation's result plus what the
-    /// supervisor did. While supervised, peers *hold* reliable-delivery
-    /// traffic to failed ranks instead of writing it off.
-    pub fn run_supervised_net<T, F, P>(
+    /// supervisor did.
+    pub fn run_supervised_net<T, F>(
         n: usize,
         control: JobControl,
         cond: NetCond,
         detection_latency: Duration,
-        mut policy: P,
+        policy: Option<SplicePolicy<'_>>,
         f: F,
     ) -> (Vec<MpiResult<T>>, SpliceStats)
     where
         T: Send,
         F: Fn(&mut Mpi) -> MpiResult<T> + Send + Sync,
-        P: FnMut(SpliceQuery) -> SpliceDecision,
+    {
+        Self::run_ranks(n, control, cond, Some((detection_latency, policy)), f)
+    }
+
+    /// The one runner: an event loop over rank exits. Without a
+    /// `supervisor` every exit is final; with one, an exit that is a
+    /// death is escalated or repaired as
+    /// [`World::run_supervised_net`] describes.
+    fn run_ranks<T, F>(
+        n: usize,
+        control: JobControl,
+        cond: NetCond,
+        mut supervisor: Option<(Duration, Option<SplicePolicy<'_>>)>,
+        f: F,
+    ) -> (Vec<MpiResult<T>>, SpliceStats)
+    where
+        T: Send,
+        F: Fn(&mut Mpi) -> MpiResult<T> + Send + Sync,
     {
         assert!(n > 0, "a job has at least one rank");
         assert_eq!(control.size(), n, "control block sized for wrong job");
-        control.set_hold_failed_traffic(true);
+        let spliceable = matches!(supervisor, Some((_, Some(_))));
+        control
+            .inner
+            .hold_failed_traffic
+            .store(spliceable, Ordering::Release);
         let (fabric, receivers) =
             Fabric::new_with_net(n, control.clone(), cond);
-        let recorder = Arc::new(FlightRecorder::new(n));
-        let slots: Vec<Mutex<Option<MpiResult<T>>>> =
-            (0..n).map(|_| Mutex::new(None)).collect();
+        let mut results: Vec<Option<MpiResult<T>>> =
+            (0..n).map(|_| None).collect();
         let mut stats = SpliceStats::default();
         let mut incarnations = vec![0u32; n];
 
         std::thread::scope(|scope| {
-            let slots = &slots;
-            let f = &f;
-            let control2 = &control;
-            let recorder2 = &recorder;
+            let (exits, supervisor_inbox) = mpsc::channel();
+            let (f, control) = (&f, &control);
             let spawn_rank = |mut mpi: Mpi| {
-                let rank = mpi.rank();
+                let exits = exits.clone();
                 scope.spawn(move || {
-                    let out = f(&mut mpi);
-                    match &out {
-                        Err(MpiError::FailStop) => {
-                            // Leave the successor's material behind; the
-                            // rank is *not* marked done — its mailbox
-                            // stays live for the incarnation to come.
-                            recorder2.record_death(rank, mpi.export_stash());
+                    let out = catch_unwind(AssertUnwindSafe(|| {
+                        let out = f(&mut mpi);
+                        // The rank stops issuing MPI calls now; let the
+                        // sublayer write off whatever nobody will ever
+                        // ack — unless a successor may inherit the
+                        // mailbox, which then stays live for it.
+                        if !(matches!(out, Err(MpiError::FailStop))
+                            && mpi.splice.is_some())
+                        {
+                            control.mark_done(mpi.rank());
                         }
-                        _ => control2.mark_done(rank),
-                    }
-                    let out = match out {
-                        Ok(v) => mpi.net_flush().map(|_| v),
-                        err => err,
-                    };
-                    *slots[rank].lock().expect("result slot") = Some(out);
-                })
+                        // Linger until every frame this rank sent has
+                        // been acknowledged, so late retransmission
+                        // requests aren't orphaned by our exit.
+                        out.and_then(|v| mpi.net_flush().map(|_| v))
+                    }));
+                    exits.send((mpi, out)).ok();
+                });
             };
-
-            let mut handles: Vec<Option<_>> = receivers
-                .into_iter()
-                .enumerate()
-                .map(|(rank, inbox)| {
-                    let mut mpi = Mpi::new(rank, n, fabric.clone(), inbox);
-                    mpi.attach_recorder(recorder.clone());
-                    Some(spawn_rank(mpi))
-                })
-                .collect();
-
-            loop {
-                let mut acted = false;
-                for rank in 0..n {
-                    if !control.is_failed(rank) {
-                        continue;
-                    }
-                    let Some(handle) = handles[rank].take() else {
-                        continue;
-                    };
-                    // The dying thread exits at its next liveness check;
-                    // joining it guarantees the death stash is recorded.
-                    handle.join().expect("rank thread panicked");
-                    std::thread::sleep(detection_latency);
-                    acted = true;
-                    if control.is_aborted() {
-                        continue;
-                    }
-                    let query = SpliceQuery {
-                        rank,
-                        rank_respawns: incarnations[rank],
-                        total_respawns: stats.respawns,
-                    };
-                    match policy(query) {
-                        SpliceDecision::Escalate => {
-                            stats.escalated = true;
-                            control.abort();
-                        }
-                        SpliceDecision::Respawn => {
-                            let (mut stash, tape) = recorder
-                                .begin_respawn(rank)
-                                .expect("joined rank left no stash");
-                            incarnations[rank] += 1;
-                            stats.respawns += 1;
-                            *slots[rank].lock().expect("result slot") = None;
-                            let inbox = stash
-                                .inbox
-                                .take()
-                                .expect("death stash carries the mailbox");
-                            let mut mpi =
-                                Mpi::new(rank, n, fabric.clone(), inbox);
-                            mpi.configure_respawn(
-                                incarnations[rank],
-                                stash,
-                                tape,
-                            );
-                            // Go live only once the successor exists:
-                            // peers held traffic for it meanwhile.
-                            control.clear_failed(rank);
-                            handles[rank] = Some(spawn_rank(mpi));
-                        }
-                    }
-                }
-                if acted {
-                    continue;
-                }
-                let all_finished = handles
-                    .iter()
-                    .all(|h| h.as_ref().is_none_or(|h| h.is_finished()));
-                if all_finished
-                    && (control.is_aborted() || !control.any_failed())
-                {
-                    break;
-                }
-                std::thread::sleep(Duration::from_micros(200));
+            for (rank, inbox) in receivers.into_iter().enumerate() {
+                let fabric = fabric.clone();
+                spawn_rank(Mpi::new(rank, n, fabric, inbox, spliceable));
             }
-            for handle in handles.into_iter().flatten() {
-                handle.join().expect("rank thread panicked");
+
+            let mut live = n;
+            while live > 0 {
+                let (mpi, out) = supervisor_inbox
+                    .recv()
+                    .expect("this thread holds a sender");
+                live -= 1;
+                let out = out.unwrap_or_else(|panic| {
+                    // Unblock the other ranks so the scope can unwind.
+                    control.abort();
+                    resume_unwind(panic)
+                });
+                let rank = mpi.rank();
+                if let (Err(MpiError::FailStop), Some((latency, policy))) =
+                    (&out, supervisor.as_mut())
+                {
+                    // A death in an attempt that is already being torn
+                    // down (by an earlier escalation, or a rank's genuine
+                    // error, possibly during the latency) needs no verdict.
+                    if !control.is_aborted() {
+                        std::thread::sleep(*latency);
+                    }
+                    if !control.is_aborted() {
+                        let query = SpliceQuery {
+                            rank,
+                            rank_respawns: incarnations[rank],
+                            total_respawns: stats.respawns,
+                        };
+                        match policy
+                            .as_mut()
+                            .map_or(SpliceDecision::Escalate, |p| p(query))
+                        {
+                            SpliceDecision::Escalate => {
+                                stats.escalated = true;
+                                control.abort();
+                            }
+                            SpliceDecision::Respawn => {
+                                incarnations[rank] += 1;
+                                stats.respawns += 1;
+                                let next = mpi.respawn(incarnations[rank]);
+                                // Go live only once the successor exists:
+                                // peers held traffic for it meanwhile.
+                                control.clear_failed(rank);
+                                spawn_rank(next);
+                                live += 1;
+                                continue;
+                            }
+                        }
+                    }
+                }
+                results[rank] = Some(out);
             }
         });
 
-        let results: Vec<MpiResult<T>> = slots
+        let results: Vec<MpiResult<T>> = results
             .into_iter()
-            .map(|s| {
-                s.into_inner()
-                    .expect("result slot")
-                    .expect("every rank stored a result")
-            })
+            .map(|r| r.expect("every rank exited with a result"))
             .collect();
-        for (rank, res) in results.iter().enumerate() {
-            if incarnations[rank] > 0 && res.is_ok() {
-                stats.completed += 1;
-            }
-        }
+        stats.completed = results
+            .iter()
+            .zip(&incarnations)
+            .filter(|(res, inc)| **inc > 0 && res.is_ok())
+            .count();
         (results, stats)
     }
 
@@ -464,7 +430,7 @@ mod tests {
             control,
             NetCond::perfect(),
             Duration::from_millis(1),
-            |_| SpliceDecision::Respawn,
+            Some(&mut |_| SpliceDecision::Respawn),
             ring_with_kill(8, 0, 0, &dead),
         );
         let got: Vec<u64> = results.into_iter().map(|r| r.unwrap()).collect();
@@ -488,10 +454,10 @@ mod tests {
             control,
             NetCond::perfect(),
             Duration::from_millis(1),
-            |q| {
+            Some(&mut |q| {
                 assert_eq!(q.rank, 2);
                 SpliceDecision::Respawn
-            },
+            }),
             ring_with_kill(20, 2, 10, &killed),
         );
         let got: Vec<u64> = results.into_iter().map(|r| r.unwrap()).collect();
@@ -515,7 +481,7 @@ mod tests {
             control,
             NetCond::lossy(0xC3),
             Duration::from_millis(1),
-            |_| SpliceDecision::Respawn,
+            Some(&mut |_| SpliceDecision::Respawn),
             ring_with_kill(12, 1, 5, &killed),
         );
         let got: Vec<u64> = results.into_iter().map(|r| r.unwrap()).collect();
@@ -534,7 +500,7 @@ mod tests {
             control,
             NetCond::perfect(),
             Duration::from_millis(1),
-            |_| SpliceDecision::Escalate,
+            Some(&mut |_| SpliceDecision::Escalate),
             ring_with_kill(20, 2, 10, &killed),
         );
         assert!(stats.escalated);
@@ -547,6 +513,46 @@ mod tests {
             .enumerate()
             .filter(|(r, _)| *r != 2)
             .any(|(_, res)| res.as_ref().unwrap_err() == &MpiError::Aborted));
+    }
+
+    #[test]
+    fn supervised_without_splice_policy_aborts_after_latency() {
+        let n = 4;
+        let killed = AtomicBool::new(false);
+        let ring = ring_with_kill(20, 2, 10, &killed);
+        let latency = Duration::from_millis(20);
+        let started = std::time::Instant::now();
+        let (results, stats) = World::run_supervised_net(
+            n,
+            JobControl::new(n),
+            NetCond::perfect(),
+            latency,
+            None,
+            |mpi| {
+                // No splice can happen, so no splice bookkeeping exists.
+                assert!(!mpi.control().holds_failed_traffic());
+                assert!(mpi.splice.is_none(), "no tape attached");
+                ring(mpi)
+            },
+        );
+        assert!(started.elapsed() >= latency);
+        assert_eq!(
+            stats,
+            SpliceStats {
+                respawns: 0,
+                completed: 0,
+                escalated: true
+            }
+        );
+        for (rank, res) in results.iter().enumerate() {
+            let want = if rank == 2 {
+                MpiError::FailStop
+            } else {
+                // Nobody finishes the ring without rank 2.
+                MpiError::Aborted
+            };
+            assert_eq!(res.as_ref().unwrap_err(), &want, "rank {rank}");
+        }
     }
 
     #[test]

@@ -307,10 +307,11 @@ fn kills_during_slow_remote_tier_drain_stay_clean() {
 fn forged_recovery_tier_violates_i14() {
     // The kill op is seeded, but whether the async pipeline managed to
     // commit a checkpoint before it fires is a thread-timing race; sweep
-    // seeds until a run actually restarts from a committed line (in
-    // practice the first seed almost always does).
+    // seeds until a run actually restarts from a committed line (the
+    // faster the ranks, the rarer: about one seed in three does, and
+    // five seeds all missed in one run of ten).
     let mut picked = None;
-    for seed in [3u64, 7, 11, 23, 31] {
+    for seed in [3u64, 7, 11, 23, 31, 43, 59, 71, 83, 97, 101, 113, 127, 131] {
         let tiered = Arc::new(TieredBackend::new(
             vec![
                 TierSpec::direct(Arc::new(MemoryBackend::new())),
