@@ -19,7 +19,7 @@
 use crate::butterfly::{allgather_flat, allreduce_scalar};
 use crate::digest_f64;
 use crate::linalg::{axpy, block_matvec, block_range, dot, spd_entry, xpby};
-use c3_core::{C3App, C3Result, Process};
+use c3_core::{C3App, C3Result, Process, Tracked};
 
 /// Dense CG configuration.
 #[derive(Debug, Clone)]
@@ -63,13 +63,18 @@ impl DenseCg {
 /// recomputation checkpointing is on, in which case `persist_matrix` is
 /// false, the block is skipped by `save`, and `run` regenerates it after a
 /// restore (it comes back empty).
+///
+/// The matrix block is written once, in `init`, and only read afterwards,
+/// so it is [`Tracked`]: every line after a rank's first names it by
+/// reference instead of serializing it again. The vectors change every
+/// iteration and stay plain.
 pub struct CgState {
     /// Completed iterations.
     pub iter: u64,
     /// Whether `a_block` is written into checkpoints.
     pub persist_matrix: bool,
     /// This rank's rows of `A`, row-major (`rows × n`).
-    pub a_block: Vec<f64>,
+    pub a_block: Tracked<Vec<f64>>,
     /// Local slice of the iterate `x`.
     pub x: Vec<f64>,
     /// Local slice of the residual `r`.
@@ -85,7 +90,7 @@ impl ckptstore::SaveLoad for CgState {
         enc.put_u64(self.iter);
         enc.put_bool(self.persist_matrix);
         if self.persist_matrix {
-            enc.put_f64_slice(&self.a_block);
+            self.a_block.save_with(enc, |a, enc| enc.put_f64_slice(a));
         }
         enc.put_f64_slice(&self.x);
         enc.put_f64_slice(&self.r);
@@ -97,11 +102,11 @@ impl ckptstore::SaveLoad for CgState {
     ) -> Result<Self, ckptstore::codec::CodecError> {
         let iter = dec.get_u64()?;
         let persist_matrix = dec.get_bool()?;
-        let a_block = if persist_matrix {
+        let a_block = Tracked::new(if persist_matrix {
             dec.get_f64_vec()?
         } else {
             Vec::new()
-        };
+        });
         Ok(CgState {
             iter,
             persist_matrix,
@@ -151,7 +156,7 @@ impl C3App for DenseCg {
         Ok(CgState {
             iter: 0,
             persist_matrix: !self.exclude_readonly,
-            a_block,
+            a_block: Tracked::new(a_block),
             x: vec![0.0; rows],
             r: b.clone(),
             p: b,
@@ -247,6 +252,36 @@ mod tests {
     fn sequential_cg_converges() {
         let (_, rho) = test_support::sequential_cg(32, 25);
         assert!(rho < 1e-18, "residual should be tiny, got {rho}");
+    }
+
+    #[test]
+    fn envelope_is_the_untracked_format_and_round_trips() {
+        use statesave::snapshot::{restore_from_bytes, snapshot_to_bytes};
+        let s = CgState {
+            iter: 3,
+            persist_matrix: true,
+            a_block: Tracked::new(
+                (0..32).map(|i| i as f64 * 0.5 - 3.0).collect(),
+            ),
+            x: vec![1.0, 2.0],
+            r: vec![-0.25, 0.125],
+            p: vec![3.5, -7.0],
+            rho: 1e-3,
+        };
+        let bytes = snapshot_to_bytes(&s);
+        // Golden: length, CRC-32 and hash128 of the envelope the commit
+        // before `a_block` became `Tracked` produced for this state, when
+        // the field was a plain `Vec<f64>`. Stores written then must
+        // restore now.
+        assert_eq!(bytes.len(), 357);
+        assert_eq!(ckptstore::crc32(&bytes), 0xadb0_c059);
+        assert_eq!(
+            ckptstore::hash128(&bytes),
+            0x27dd_0fc9_3368_3a63_dbdd_11c5_aacb_0d80
+        );
+        let back: CgState = restore_from_bytes(&bytes).unwrap();
+        assert_eq!(snapshot_to_bytes(&back), bytes);
+        assert!(back.a_block == s.a_block && back.p == s.p);
     }
 
     #[test]

@@ -42,7 +42,7 @@ pub(crate) mod obs;
 pub mod pipeline;
 
 pub use config::{PipelineConfig, RetryPolicy, TierTopology, WriteMode};
-pub use pipeline::{CheckpointPipeline, PipelineStats};
+pub use pipeline::{CheckpointPipeline, PipelineStats, StagedBlob};
 
 // The chunking/codec knobs live in ckptstore (the store owns the chunk
 // wire format); re-exported here so pipeline users configure everything
@@ -54,8 +54,8 @@ mod tests {
     use std::sync::Arc;
 
     use ckptstore::{
-        CheckpointStore, ChunkRef, FaultInjectingBackend, FaultPlan,
-        MemoryBackend, RankBlobKind, StorageBackend,
+        CheckpointStore, ChunkRef, Encoder, FaultInjectingBackend, FaultPlan,
+        MemoryBackend, RankBlobKind, StorageBackend, Tracked,
     };
 
     use super::*;
@@ -494,6 +494,180 @@ mod tests {
         assert!(after_first >= 32, "stats after first ckpt: {after_first}");
         assert_eq!(stats.chunks_compressed, after_first, "stats: {stats:?}");
         assert_eq!(store.get_rank_blob(2, 0, RankBlobKind::State).unwrap(), v);
+    }
+
+    /// A rank state with one large, rarely written field.
+    struct TrackedState {
+        iter: u64,
+        big: Tracked<Vec<u8>>,
+        tail: Vec<u8>,
+    }
+
+    impl TrackedState {
+        fn encode(&self, enc: &mut Encoder) {
+            enc.put_u64(self.iter);
+            enc.put(&self.big);
+            enc.put_bytes(&self.tail);
+        }
+
+        fn plain(&self) -> Vec<u8> {
+            let mut enc = Encoder::new();
+            self.encode(&mut enc);
+            enc.into_bytes()
+        }
+
+        /// Encode against `pipe`'s record of rank 0's state stream.
+        fn against(&self, pipe: &CheckpointPipeline) -> Encoder {
+            let base = pipe.clean_base(0, RankBlobKind::State);
+            let mut enc = Encoder::against(base);
+            self.encode(&mut enc);
+            enc
+        }
+    }
+
+    fn commit_line(
+        pipe: &CheckpointPipeline,
+        ckpt: u64,
+        state: impl Into<StagedBlob>,
+    ) {
+        pipe.stage(ckpt, 0, RankBlobKind::State, state).unwrap();
+        pipe.stage(ckpt, 0, RankBlobKind::Log, b"log".to_vec())
+            .unwrap();
+        pipe.drain(ckpt).unwrap();
+        pipe.store().commit(ckpt).unwrap();
+        pipe.gc_keeping(ckpt).unwrap();
+    }
+
+    #[test]
+    fn clean_references_write_what_plain_bytes_would() {
+        for (chunker, codec) in [
+            (Chunker::fixed(256), Codec::PackBits),
+            (Chunker::cdc(1024), Codec::Lz4),
+        ] {
+            let reg = c3obs::Registry::new();
+            let cfg = PipelineConfig::default()
+                .with_chunker(chunker)
+                .with_codec(codec);
+            let tracked = CheckpointPipeline::new(
+                mem_store(1).1,
+                cfg.clone().with_obs(reg.clone()),
+            );
+            let plain = CheckpointPipeline::new(mem_store(1).1, cfg);
+            let mut state = TrackedState {
+                iter: 0,
+                big: Tracked::new(blob(3, 40_000)),
+                tail: blob(1, 700),
+            };
+            let big_len = 8 + 40_000;
+            // Line 1 has no base and line 3 follows a write to the big
+            // field: those encode as bytes. Lines 2 and 4 refer.
+            let mut clean_total = 0;
+            for (ckpt, clean) in
+                [(1u64, 0), (2, big_len), (3, 0), (4, big_len)]
+            {
+                state.iter = ckpt;
+                state.tail[0] = ckpt as u8;
+                if ckpt == 3 {
+                    state.big[17] ^= 0xFF;
+                }
+                let enc = state.against(&tracked);
+                assert_eq!(enc.clean_len(), clean, "line {ckpt}");
+                clean_total += clean as u64;
+                commit_line(&tracked, ckpt, enc);
+                commit_line(&plain, ckpt, state.plain());
+                // Only line `ckpt` survives the GC, and its manifest is
+                // whole: same length, same end-to-end CRC, same bytes.
+                let m = |p: &CheckpointPipeline| {
+                    let m = p.store().get_rank_manifest(
+                        ckpt,
+                        0,
+                        RankBlobKind::State,
+                    );
+                    m.unwrap().expect("written incrementally")
+                };
+                let (mt, mp) = (m(&tracked), m(&plain));
+                assert_eq!(mt.total_len, mp.total_len, "line {ckpt}");
+                assert_eq!(mt.blob_crc, mp.blob_crc, "line {ckpt}");
+                let read = tracked.store().get_rank_blob(
+                    ckpt,
+                    0,
+                    RankBlobKind::State,
+                );
+                assert_eq!(read.unwrap(), state.plain(), "line {ckpt}");
+                assert_eq!(tracked.stats().bytes_clean, clean_total);
+            }
+            let (st, sp) = (tracked.stats(), plain.stats());
+            assert_eq!(st.bytes_staged, sp.bytes_staged);
+            assert_eq!(sp.bytes_clean, 0);
+            assert_eq!(
+                reg.snapshot().counter_total("io_clean_bytes_total"),
+                clean_total
+            );
+        }
+    }
+
+    #[test]
+    fn a_blob_whose_base_line_was_swept_is_refused() {
+        let (_, store) = mem_store(1);
+        let pipe = CheckpointPipeline::new(
+            store.clone(),
+            PipelineConfig::default()
+                .with_mode(WriteMode::Sync)
+                .with_chunker(Chunker::fixed(256)),
+        );
+        let mut state = TrackedState {
+            iter: 1,
+            big: Tracked::new(blob(3, 4_000)),
+            tail: Vec::new(),
+        };
+        commit_line(&pipe, 1, state.against(&pipe));
+        // Encoded against line 1, but held back while lines 2 and 3 are
+        // written with a different big field and line 1 is collected.
+        let stale = state.against(&pipe);
+        assert!(stale.clean_len() > 0);
+        for ckpt in [2, 3] {
+            *state.big = blob(ckpt as u8 + 9, 4_000);
+            commit_line(&pipe, ckpt, state.against(&pipe));
+        }
+        let err = pipe.stage(4, 0, RankBlobKind::State, stale).unwrap_err();
+        assert!(err.to_string().contains("garbage-collected"), "{err}");
+        // Nothing of line 4 was written: no manifest names swept chunks.
+        let m = store.get_rank_manifest(4, 0, RankBlobKind::State);
+        assert!(m.unwrap().is_none());
+        assert!(pipe.drain(4).is_err());
+    }
+
+    /// A `u8` that can change behind `&self`: what `Tracked` forbids.
+    struct Leaky(std::cell::Cell<u8>);
+
+    impl ckptstore::SaveLoad for Leaky {
+        fn save(&self, enc: &mut Encoder) {
+            enc.put_u8(self.0.get());
+        }
+        fn load(
+            dec: &mut ckptstore::Decoder<'_>,
+        ) -> Result<Self, ckptstore::codec::CodecError> {
+            dec.get_u8().map(|b| Leaky(b.into()))
+        }
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "changed without a new version")]
+    fn mutation_behind_deref_trips_the_debug_cross_check() {
+        let (_, store) = mem_store(1);
+        let pipe = CheckpointPipeline::new(
+            store,
+            PipelineConfig::default().with_mode(WriteMode::Sync),
+        );
+        let leaky = Tracked::new(Leaky(1.into()));
+        let mut enc = Encoder::new();
+        enc.put(&leaky);
+        commit_line(&pipe, 1, enc);
+        leaky.0.set(2);
+        let mut enc =
+            Encoder::against(pipe.clean_base(0, RankBlobKind::State));
+        enc.put(&leaky);
     }
 
     #[test]

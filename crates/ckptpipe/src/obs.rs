@@ -25,9 +25,12 @@ pub(crate) struct PipeObs {
     /// `io_staged_bytes_total` — raw bytes accepted by `stage`.
     pub staged_bytes: Counter,
     /// `io_dedup_hits_total` — chunks not written because an identical
-    /// chunk was already stored (previous-manifest set, within-blob
-    /// duplicate, or store probe).
+    /// chunk was already stored (clean reference, previous-line set,
+    /// within-blob duplicate, or store probe).
     pub dedup_hits: Counter,
+    /// `io_clean_bytes_total` — of the staged bytes, those that arrived
+    /// as clean references and were never serialized, cut or hashed.
+    pub clean_bytes: Counter,
     /// `io_dedup_misses_total` — chunks that had to be written.
     pub dedup_misses: Counter,
     /// `io_precompress_bytes_total` — raw bytes fed to the chunk codec
@@ -52,6 +55,7 @@ impl PipeObs {
             retries: reg.counter("io_retries_total"),
             staged_bytes: reg.counter("io_staged_bytes_total"),
             dedup_hits: reg.counter("io_dedup_hits_total"),
+            clean_bytes: reg.counter("io_clean_bytes_total"),
             dedup_misses: reg.counter("io_dedup_misses_total"),
             precompress_bytes: reg.counter("io_precompress_bytes_total"),
             postcompress_bytes: reg.counter("io_postcompress_bytes_total"),

@@ -10,13 +10,28 @@
 //! two-phase commit invariant survives asynchrony: **no checkpoint is
 //! committed while any of its blobs is still in flight**, and a crash
 //! mid-write recovers from the previous committed checkpoint.
+//!
+//! What a write costs follows what changed. After each manifest put the
+//! pipeline keeps a [`LineRecord`] of the `(rank, kind)` stream: the
+//! stored form of every chunk address, and per tracked-value version
+//! (`ckptstore::codec::Tracked`) the chunk run, length and CRC-32 it put
+//! on storage. A rank takes that record with
+//! [`CheckpointPipeline::clean_base`], encodes its next line against it,
+//! and stages the resulting [`StagedBlob`], in which a tracked value the
+//! record holds is a *clean reference* with no bytes. The writer copies
+//! the run into the new manifest and folds the CRC in
+//! (`crc32_combine`); only the other parts are cut, hashed and looked
+//! up. Manifests stay flat and self-contained, so GC, tier drain and
+//! recovery never see the difference.
 
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, RwLock};
 
 use bytes::Bytes;
-use ckptstore::manifest::{ChunkRef, Manifest};
+use ckptstore::codec::{Encoder, Part};
+use ckptstore::integrity::{crc32, crc32_combine};
+use ckptstore::manifest::{ChunkRef, CleanRun, LineRecord, Manifest};
 use ckptstore::{
     CheckpointStore, CkptId, Codec, RankBlobKind, StorageBackend, StoreError,
     StoreResult,
@@ -24,14 +39,68 @@ use ckptstore::{
 
 use crate::config::{PipelineConfig, WriteMode};
 
-/// One staged blob write. The payload is a refcounted [`Bytes`] so the
-/// protocol layer can stage a checkpoint blob it still holds a view of
-/// without copying it into the pipeline.
+/// A blob as [`CheckpointPipeline::stage`] takes it: the bytes that were
+/// produced, the parts that lay them out, and the base line the clean
+/// references among the parts resolve against. `Bytes` and `Vec<u8>`
+/// convert to one part with no base; an [`Encoder`] built against
+/// [`CheckpointPipeline::clean_base`] converts to whatever it recorded.
+/// The payload is refcounted, so a caller still holding a view of it
+/// stages without a copy.
+pub struct StagedBlob {
+    bytes: Bytes,
+    parts: Vec<Part>,
+    base: Option<Arc<LineRecord>>,
+}
+
+impl StagedBlob {
+    /// Bytes the parts cover by clean references.
+    fn clean_len(&self) -> usize {
+        self.parts
+            .iter()
+            .map(|p| match *p {
+                Part::Clean { len, .. } => len,
+                Part::Bytes { .. } => 0,
+            })
+            .sum()
+    }
+}
+
+impl From<Bytes> for StagedBlob {
+    fn from(bytes: Bytes) -> Self {
+        StagedBlob {
+            parts: vec![Part::Bytes {
+                len: bytes.len(),
+                version: None,
+            }],
+            bytes,
+            base: None,
+        }
+    }
+}
+
+impl From<Vec<u8>> for StagedBlob {
+    fn from(bytes: Vec<u8>) -> Self {
+        Bytes::from(bytes).into()
+    }
+}
+
+impl From<Encoder> for StagedBlob {
+    fn from(enc: Encoder) -> Self {
+        let (bytes, parts, base) = enc.into_parts();
+        StagedBlob {
+            bytes: bytes.into(),
+            parts,
+            base,
+        }
+    }
+}
+
+/// One staged blob write.
 struct Job {
     ckpt: CkptId,
     rank: usize,
     kind: RankBlobKind,
-    bytes: Bytes,
+    blob: StagedBlob,
 }
 
 /// Per-checkpoint barrier state: how many staged blobs are still in
@@ -60,16 +129,16 @@ struct QueueState {
 /// helping drain its own batch). Pure CPU work: subtasks never touch
 /// storage and never block, so helping cannot deadlock.
 struct ChunkTask {
-    /// The whole staged blob (refcounted; cloning is free).
+    /// One part of the staged blob (refcounted; cloning is free).
     bytes: Bytes,
-    /// Chunk boundaries of the blob, as `(start, end)` byte offsets.
+    /// Chunk boundaries of the part, as `(start, end)` byte offsets.
     ranges: Arc<Vec<(usize, usize)>>,
     /// This task prepares `ranges[lo..hi]`.
     lo: usize,
     hi: usize,
-    /// Stored forms from the previous manifest of this `(rank, kind)`
-    /// stream: hits skip hashing's follow-up compression entirely.
-    prev: Arc<PrevChunkMap>,
+    /// The stream's previous line: a chunk address it holds skips
+    /// hashing's follow-up compression entirely.
+    prev: Option<Arc<LineRecord>>,
     batch: Arc<BatchState>,
 }
 
@@ -122,6 +191,10 @@ pub struct PipelineStats {
     pub chunks_deduped: u64,
     /// Raw bytes the deduplicated chunks would have cost.
     pub bytes_deduped: u64,
+    /// Of `bytes_staged`, the bytes that arrived as clean references:
+    /// never serialized, CRC'd, cut or hashed (their chunks are counted
+    /// in `chunks_deduped` / `bytes_deduped` too).
+    pub bytes_clean: u64,
     /// Chunks stored in compressed form.
     pub chunks_compressed: u64,
     /// Retries performed after transient storage faults.
@@ -135,22 +208,17 @@ struct StatCells {
     chunks_written: AtomicU64,
     chunks_deduped: AtomicU64,
     bytes_deduped: AtomicU64,
+    bytes_clean: AtomicU64,
     chunks_compressed: AtomicU64,
     retries: AtomicU64,
 }
 
-/// Stored form `(stored_len, codec)` of each chunk address
-/// `(hash128, len)` in one previously written manifest. A dedup hit
-/// against this map yields the manifest entry directly — no
-/// recompression needed to reconstruct what the first writer chose.
-type PrevChunkMap = HashMap<(u128, u32), (u32, Codec)>;
-
-/// The most recent [`PrevChunkMap`] per `(rank, kind)` stream, tagged
-/// with the checkpoint that wrote it: the fast-path dedup set. The tag
-/// lets [`CheckpointPipeline::gc_keeping`] drop sets whose manifest was
+/// The most recent [`LineRecord`] per `(rank, kind)` stream: the
+/// fast-path dedup set and the base of clean references. Its `ckpt` lets
+/// [`CheckpointPipeline::gc_keeping`] drop records whose manifest was
 /// just collected, so dedup never trusts a chunk that only a dead
 /// checkpoint referenced.
-type PrevChunkSets = HashMap<(usize, u8), (CkptId, PrevChunkMap)>;
+type LineRecords = HashMap<(usize, u8), Arc<LineRecord>>;
 
 struct Shared {
     store: CheckpointStore,
@@ -166,14 +234,15 @@ struct Shared {
     staged_once: Mutex<HashSet<(CkptId, usize, RankBlobKind)>>,
     // Dedup misses fall back to `CheckpointStore::has_chunk`, which also
     // catches chunks written by earlier job attempts.
-    prev_chunks: Mutex<PrevChunkSets>,
-    // Writer-vs-GC gate. A blob write holds it shared from its first
-    // chunk probe to its manifest put, so chunks and the manifest that
-    // makes them live become visible to GC atomically; `gc_keeping`
-    // holds it exclusively so the orphan sweep can neither delete a
-    // chunk a writer just deduplicated against nor reap chunks whose
-    // manifest is still in flight.
-    gc_gate: RwLock<()>,
+    records: Mutex<LineRecords>,
+    // Writer-vs-GC gate, holding the GC floor (the highest `keep` a GC
+    // ran with). A blob write holds it shared from its first chunk probe
+    // to its manifest put, so chunks and the manifest that makes them
+    // live become visible to GC atomically; `gc_keeping` holds it
+    // exclusively so the orphan sweep can neither delete a chunk a
+    // writer just deduplicated against nor reap chunks whose manifest is
+    // still in flight.
+    gc_gate: RwLock<CkptId>,
     stats: StatCells,
     // Async tier-drain mover bookkeeping (empty and idle on single-tier
     // backends, where no mover thread is spawned).
@@ -239,8 +308,8 @@ impl CheckpointPipeline {
             tickets: Mutex::new(HashMap::new()),
             drained: Condvar::new(),
             staged_once: Mutex::new(HashSet::new()),
-            prev_chunks: Mutex::new(HashMap::new()),
-            gc_gate: RwLock::new(()),
+            records: Mutex::new(HashMap::new()),
+            gc_gate: RwLock::new(0),
             stats: StatCells::default(),
             mover: Mutex::new(MoverState::default()),
             mover_cv: Condvar::new(),
@@ -293,6 +362,7 @@ impl CheckpointPipeline {
             chunks_written: s.chunks_written.load(Ordering::Relaxed),
             chunks_deduped: s.chunks_deduped.load(Ordering::Relaxed),
             bytes_deduped: s.bytes_deduped.load(Ordering::Relaxed),
+            bytes_clean: s.bytes_clean.load(Ordering::Relaxed),
             chunks_compressed: s.chunks_compressed.load(Ordering::Relaxed),
             retries: s.retries.load(Ordering::Relaxed),
         }
@@ -308,11 +378,11 @@ impl CheckpointPipeline {
         ckpt: CkptId,
         rank: usize,
         kind: RankBlobKind,
-        bytes: impl Into<Bytes>,
+        blob: impl Into<StagedBlob>,
     ) -> StoreResult<()> {
         let timer =
             self.shared.obs.as_ref().map(|_| c3obs::Stopwatch::start());
-        let res = self.stage_inner(ckpt, rank, kind, bytes.into());
+        let res = self.stage_inner(ckpt, rank, kind, blob.into());
         if let (Some(o), Some(t)) = (self.shared.obs.as_ref(), timer) {
             o.stage_ns.record(t.elapsed_ns());
         }
@@ -331,7 +401,7 @@ impl CheckpointPipeline {
         ckpt: CkptId,
         rank: usize,
         kind: RankBlobKind,
-        bytes: impl Into<Bytes>,
+        blob: impl Into<StagedBlob>,
     ) -> StoreResult<bool> {
         if !self
             .shared
@@ -342,7 +412,7 @@ impl CheckpointPipeline {
         {
             return Ok(false);
         }
-        match self.stage(ckpt, rank, kind, bytes) {
+        match self.stage(ckpt, rank, kind, blob) {
             Ok(()) => Ok(true),
             Err(e) => {
                 // The blob never entered the queue; let a retry re-stage.
@@ -361,17 +431,21 @@ impl CheckpointPipeline {
         ckpt: CkptId,
         rank: usize,
         kind: RankBlobKind,
-        bytes: Bytes,
+        blob: StagedBlob,
     ) -> StoreResult<()> {
         let shared = &self.shared;
+        let clean = blob.clean_len() as u64;
+        let staged = blob.bytes.len() as u64 + clean;
         if let Some(o) = &shared.obs {
-            o.staged_bytes.add(bytes.len() as u64);
+            o.staged_bytes.add(staged);
+            o.clean_bytes.add(clean);
         }
         shared.stats.blobs_staged.fetch_add(1, Ordering::Relaxed);
         shared
             .stats
             .bytes_staged
-            .fetch_add(bytes.len() as u64, Ordering::Relaxed);
+            .fetch_add(staged, Ordering::Relaxed);
+        shared.stats.bytes_clean.fetch_add(clean, Ordering::Relaxed);
         {
             let mut tickets = shared.tickets.lock().unwrap();
             let t = tickets.entry(ckpt).or_default();
@@ -382,7 +456,7 @@ impl CheckpointPipeline {
             ckpt,
             rank,
             kind,
-            bytes,
+            blob,
         };
         match shared.cfg.mode {
             WriteMode::Sync => {
@@ -468,17 +542,66 @@ impl CheckpointPipeline {
     /// chunk whose referencing manifest is not yet on storage would see
     /// that chunk swept as an orphan, and the checkpoint later commits
     /// with a manifest naming a deleted chunk. The exclusive gate here
-    /// serializes the sweep against each whole blob write, and dedup
-    /// sets recorded by collected checkpoints' manifests are dropped so
-    /// they cannot vouch for chunks the sweep removed.
+    /// serializes the sweep against each whole blob write, and line
+    /// records of collected checkpoints' manifests are dropped so they
+    /// cannot vouch for chunks the sweep removed. A blob already encoded
+    /// against such a record still carries it; the raised floor makes its
+    /// write fail instead.
     pub fn gc_keeping(&self, keep: CkptId) -> StoreResult<()> {
-        let _gate = self.shared.gc_gate.write().unwrap();
+        let mut floor = self.shared.gc_gate.write().unwrap();
+        *floor = (*floor).max(keep);
         self.shared.store.gc_keeping(keep)?;
-        self.shared
-            .prev_chunks
-            .lock()
-            .unwrap()
-            .retain(|_, (ckpt, _)| *ckpt >= keep);
+        self.shared.records().retain(|_, rec| rec.ckpt >= keep);
+        Ok(())
+    }
+
+    /// The record of the last line written on the `(rank, kind)` stream,
+    /// for the rank to encode its next line against
+    /// (`Encoder::against`). `None` — everything encodes as bytes —
+    /// when writes are not incremental or the stream has no record: the
+    /// first line of an attempt, a line still in flight, a record GC
+    /// dropped.
+    pub fn clean_base(
+        &self,
+        rank: usize,
+        kind: RankBlobKind,
+    ) -> Option<Arc<LineRecord>> {
+        if !self.shared.cfg.incremental {
+            return None;
+        }
+        self.shared.records().get(&(rank, kind_tag(kind))).cloned()
+    }
+
+    /// Take the manifest a rank just recovered from as its stream's
+    /// record, unless the stream already has one (a respawned incarnation
+    /// meets its predecessor's). The first line after a restart then
+    /// finds the whole restored state in the record and neither encodes
+    /// nor probes the store for it. A blob stored raw has no manifest
+    /// and leaves nothing to adopt.
+    pub fn adopt_line(
+        &self,
+        ckpt: CkptId,
+        rank: usize,
+        kind: RankBlobKind,
+    ) -> StoreResult<()> {
+        let shared = &self.shared;
+        let slot = (rank, kind_tag(kind));
+        // Under the gate, like a write: a GC cannot collect the line
+        // between the manifest read and the insert.
+        let floor = shared.gc_gate.read().unwrap();
+        if !shared.cfg.incremental
+            || ckpt < *floor
+            || shared.records().contains_key(&slot)
+        {
+            return Ok(());
+        }
+        if let Some(m) = shared.store.get_rank_manifest(ckpt, rank, kind)? {
+            let record = LineRecord::new(ckpt, &m, HashMap::new());
+            shared
+                .records()
+                .entry(slot)
+                .or_insert_with(|| Arc::new(record));
+        }
         Ok(())
     }
 
@@ -610,6 +733,11 @@ impl Shared {
         self.mover.lock().unwrap()
     }
 
+    /// Lock the per-stream line records.
+    fn records(&self) -> std::sync::MutexGuard<'_, LineRecords> {
+        self.records.lock().expect("pipeline lock poisoned")
+    }
+
     /// Promote every key of checkpoint `ckpt` to each lower tier, in
     /// tier order, under the shared side of the writer-vs-GC gate (so
     /// GC cannot sweep a chunk between the manifest read and its
@@ -692,66 +820,94 @@ impl Shared {
         // Shared side of the writer-vs-GC gate: everything this write
         // stores (chunks, then the manifest that makes them live) lands
         // atomically with respect to `CheckpointPipeline::gc_keeping`.
-        let _gate = self.gc_gate.read().unwrap();
+        let floor = self.gc_gate.read().unwrap();
+        let blob = &job.blob;
+        let refused = |why: &str| {
+            StoreError::Commit(format!(
+                "checkpoint {} rank {} {:?} blob refused: {why}",
+                job.ckpt, job.rank, job.kind
+            ))
+        };
         if !self.cfg.incremental {
+            if blob.clean_len() > 0 {
+                return Err(refused(
+                    "clean references need incremental writes",
+                ));
+            }
             return self.retrying(|| {
-                self.store
-                    .put_rank_blob(job.ckpt, job.rank, job.kind, &job.bytes)
+                self.store.put_rank_blob(
+                    job.ckpt,
+                    job.rank,
+                    job.kind,
+                    &blob.bytes,
+                )
             });
         }
-        let mut manifest = Manifest::for_blob(&job.bytes);
-        let dedup_slot = (job.rank, kind_tag(job.kind));
-        let prev: Arc<PrevChunkMap> = Arc::new(
-            self.prev_chunks
-                .lock()
-                .unwrap()
-                .get(&dedup_slot)
-                .map(|(_, map)| map.clone())
-                .unwrap_or_default(),
-        );
-        // Cut first (cheap, sequential by nature: each CDC boundary
-        // determines where the next chunk starts), then hash + encode
-        // the pieces in parallel across the writer pool.
-        let mut ranges = Vec::new();
-        let mut off = 0;
-        for piece in self.cfg.chunker.cut(&job.bytes) {
-            ranges.push((off, off + piece.len()));
-            off += piece.len();
+        // A base below the GC floor vouches for chunks the sweep may have
+        // deleted. The initiator starts a line only after the previous
+        // one's commit and GC, so no job gets here.
+        if blob.base.as_ref().is_some_and(|b| b.ckpt < *floor) {
+            return Err(refused("its base line has been garbage-collected"));
         }
-        let prepared = self.prepare_all(&job.bytes, ranges, &prev);
+        let dedup_slot = (job.rank, kind_tag(job.kind));
+        let prev = blob
+            .base
+            .clone()
+            .or_else(|| self.records().get(&dedup_slot).cloned());
 
-        // Assemble in manifest order. Fresh chunks accumulate into one
-        // batched put; `batch_seen` catches within-blob duplicates,
-        // which the store probe no longer can (nothing lands until the
-        // batch goes out).
+        // Part by part, in manifest order. A clean reference is resolved
+        // from the base without touching bytes. Any other part is cut
+        // first (cheap, sequential by nature: each CDC boundary determines
+        // where the next chunk starts; cuts restart at every part, so a
+        // tracked value's chunks do not depend on what precedes it), then
+        // hashed + encoded in parallel across the writer pool. Fresh
+        // chunks accumulate into one batched put; `batch_seen` catches
+        // within-blob duplicates, which the store probe cannot (nothing
+        // lands until the batch goes out).
+        let mut manifest = Manifest::default();
+        let mut clean: HashMap<u64, Arc<CleanRun>> = HashMap::new();
         let mut fresh: Vec<(ChunkRef, Vec<u8>)> = Vec::new();
         let mut batch_seen: HashSet<(u128, u32)> = HashSet::new();
-        for p in prepared {
-            let chunk = p.chunk;
-            let addr = (chunk.hash, chunk.len);
-            let known = match &p.stored {
-                None => true, // previous-manifest hit, nothing encoded
-                Some(_) => {
-                    batch_seen.contains(&addr)
-                        || self.store.has_chunk(&chunk)?
+        let mut off = 0;
+        for part in &blob.parts {
+            let (len, crc) = match *part {
+                Part::Clean { version, len } => {
+                    let run = blob
+                        .base
+                        .as_ref()
+                        .and_then(|b| b.clean.get(&version))
+                        .filter(|run| run.len == len)
+                        .ok_or_else(|| {
+                            refused("unresolvable clean reference")
+                        })?;
+                    manifest.chunks.extend_from_slice(&run.chunks);
+                    self.count_deduped(run.chunks.len(), len);
+                    clean.insert(version, Arc::clone(run));
+                    (len, run.crc)
+                }
+                Part::Bytes { len, version } => {
+                    let bytes = blob.bytes.slice(off..off + len);
+                    off += len;
+                    let first = manifest.chunks.len();
+                    self.write_part(
+                        &bytes,
+                        prev.as_ref(),
+                        &mut manifest.chunks,
+                        &mut fresh,
+                        &mut batch_seen,
+                    )?;
+                    let crc = crc32(&bytes);
+                    if let Some(version) = version {
+                        let chunks = manifest.chunks[first..].to_vec();
+                        let run = CleanRun { len, crc, chunks };
+                        clean.insert(version, Arc::new(run));
+                    }
+                    (len, crc)
                 }
             };
-            if known {
-                self.stats.chunks_deduped.fetch_add(1, Ordering::Relaxed);
-                self.stats
-                    .bytes_deduped
-                    .fetch_add(u64::from(chunk.len), Ordering::Relaxed);
-                if let Some(o) = &self.obs {
-                    o.dedup_hits.inc();
-                }
-            } else {
-                if let Some(o) = &self.obs {
-                    o.dedup_misses.inc();
-                }
-                batch_seen.insert(addr);
-                fresh.push((chunk, p.stored.expect("miss carries payload")));
-            }
-            manifest.chunks.push(chunk);
+            manifest.blob_crc =
+                crc32_combine(manifest.blob_crc, crc, len as u64);
+            manifest.total_len += len as u64;
         }
         if !fresh.is_empty() {
             let compressed =
@@ -769,29 +925,73 @@ impl Shared {
             self.store
                 .put_rank_manifest(job.ckpt, job.rank, job.kind, &manifest)
         })?;
-        self.prev_chunks.lock().unwrap().insert(
-            dedup_slot,
-            (
-                job.ckpt,
-                manifest
-                    .chunks
-                    .iter()
-                    .map(|c| ((c.hash, c.len), (c.stored_len, c.codec)))
-                    .collect(),
-            ),
-        );
+        let record = Arc::new(LineRecord::new(job.ckpt, &manifest, clean));
+        self.records().insert(dedup_slot, record);
         Ok(())
     }
 
-    /// Hash and encode every chunk of a blob, fanning the work out
-    /// across the writer pool when there is one and the blob is big
+    /// Cut, hash and dedup one part's bytes: its chunk references go onto
+    /// `chunks` in order, the payloads nothing vouches for onto `fresh`.
+    fn write_part(
+        &self,
+        bytes: &Bytes,
+        prev: Option<&Arc<LineRecord>>,
+        chunks: &mut Vec<ChunkRef>,
+        fresh: &mut Vec<(ChunkRef, Vec<u8>)>,
+        batch_seen: &mut HashSet<(u128, u32)>,
+    ) -> StoreResult<()> {
+        let mut ranges = Vec::new();
+        let mut off = 0;
+        for piece in self.cfg.chunker.cut(bytes) {
+            ranges.push((off, off + piece.len()));
+            off += piece.len();
+        }
+        for p in self.prepare_all(bytes, ranges, prev) {
+            let chunk = p.chunk;
+            let addr = (chunk.hash, chunk.len);
+            let known = match &p.stored {
+                None => true, // previous-line hit, nothing encoded
+                Some(_) => {
+                    batch_seen.contains(&addr)
+                        || self.store.has_chunk(&chunk)?
+                }
+            };
+            if known {
+                self.count_deduped(1, chunk.len as usize);
+            } else {
+                if let Some(o) = &self.obs {
+                    o.dedup_misses.inc();
+                }
+                batch_seen.insert(addr);
+                fresh.push((chunk, p.stored.expect("miss carries payload")));
+            }
+            chunks.push(chunk);
+        }
+        Ok(())
+    }
+
+    /// Account `chunks` chunks of `bytes` raw bytes as not written.
+    fn count_deduped(&self, chunks: usize, bytes: usize) {
+        self.stats
+            .chunks_deduped
+            .fetch_add(chunks as u64, Ordering::Relaxed);
+        self.stats
+            .bytes_deduped
+            .fetch_add(bytes as u64, Ordering::Relaxed);
+        if let Some(o) = &self.obs {
+            o.dedup_hits.add(chunks as u64);
+        }
+    }
+
+    /// Hash and encode every chunk of a part, fanning the work out
+    /// across the writer pool when there is one and the part is big
     /// enough to amortize the handoff. Results come back in manifest
     /// order regardless of which thread prepared what.
     fn prepare_all(
         &self,
         bytes: &Bytes,
         ranges: Vec<(usize, usize)>,
-        prev: &Arc<PrevChunkMap>,
+        prev: Option<&Arc<LineRecord>>,
     ) -> Vec<Prepared> {
         let writers = match self.cfg.mode {
             WriteMode::Async { writers, .. } => writers.max(1),
@@ -822,7 +1022,7 @@ impl Shared {
             ranges: Arc::clone(&ranges),
             lo: b * span,
             hi: ((b + 1) * span).min(n),
-            prev: Arc::clone(prev),
+            prev: prev.cloned(),
             batch: Arc::clone(&batch),
         };
         {
@@ -864,7 +1064,9 @@ impl Shared {
         let mut out = Vec::with_capacity(task.hi - task.lo);
         for idx in task.lo..task.hi {
             let (s, e) = task.ranges[idx];
-            out.push(self.prepare_chunk(&task.bytes[s..e], &task.prev));
+            out.push(
+                self.prepare_chunk(&task.bytes[s..e], task.prev.as_ref()),
+            );
         }
         let mut inner = task.batch.inner.lock().unwrap();
         for (idx, p) in (task.lo..task.hi).zip(out) {
@@ -878,15 +1080,20 @@ impl Shared {
         }
     }
 
-    /// Hash one chunk and work out its stored form: from the
-    /// previous-manifest dedup map when possible (skipping compression
-    /// altogether), by encoding otherwise.
-    fn prepare_chunk(&self, piece: &[u8], prev: &PrevChunkMap) -> Prepared {
+    /// Hash one chunk and work out its stored form: from the stream's
+    /// previous line when possible (skipping compression altogether), by
+    /// encoding otherwise.
+    fn prepare_chunk(
+        &self,
+        piece: &[u8],
+        prev: Option<&Arc<LineRecord>>,
+    ) -> Prepared {
         let mut chunk = ChunkRef::for_piece(piece);
         if let Some(o) = &self.obs {
             o.chunk_bytes.record(piece.len() as u64);
         }
-        if let Some(&(stored_len, codec)) = prev.get(&(chunk.hash, chunk.len))
+        if let Some(&(stored_len, codec)) =
+            prev.and_then(|p| p.chunks.get(&(chunk.hash, chunk.len)))
         {
             chunk.stored_len = stored_len;
             chunk.codec = codec;

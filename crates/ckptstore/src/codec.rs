@@ -10,6 +10,11 @@
 
 use std::collections::BTreeMap;
 use std::fmt;
+use std::ops::{Deref, DerefMut};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
+
+use crate::manifest::LineRecord;
 
 /// Decode failure: the blob is shorter than expected or contains an invalid
 /// discriminant. Carries a human-readable description of what was expected.
@@ -37,6 +42,28 @@ impl fmt::Display for CodecError {
 
 impl std::error::Error for CodecError {}
 
+/// One stretch of an encoding, in order. An encoding with no tracked
+/// value in it is a single [`Part::Bytes`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Part {
+    /// The next `len` bytes of the encoder's buffer. `version` is set
+    /// when they are exactly one [`Tracked`] value's encoding.
+    Bytes {
+        /// Length in bytes.
+        len: usize,
+        /// The tracked value's version, if this part is one.
+        version: Option<u64>,
+    },
+    /// A [`Tracked`] value the encoder's base line already holds: `len`
+    /// bytes of the encoding that were never produced.
+    Clean {
+        /// The tracked value's version (a key of the base's `clean` map).
+        version: u64,
+        /// Length of the encoding the reference stands for.
+        len: usize,
+    },
+}
+
 /// Append-only binary encoder.
 ///
 /// ```
@@ -49,15 +76,33 @@ impl std::error::Error for CodecError {}
 /// assert_eq!(dec.get_u32().unwrap(), 7);
 /// assert_eq!(dec.get_str().unwrap(), "epoch");
 /// ```
+///
+/// The encoder also records *parts*: a [`Tracked`] value always starts a
+/// part of its own over the one buffer, and an encoder built
+/// [`against`](Encoder::against) a base line encodes a tracked value
+/// whose version the base holds as a [`Part::Clean`] reference with no
+/// bytes. [`Encoder::into_parts`] yields the parts; an encoder with no
+/// base never produces a reference, so [`Encoder::into_bytes`] is always
+/// the whole encoding there.
 #[derive(Default)]
 pub struct Encoder {
     buf: Vec<u8>,
+    /// Closed parts; buffer bytes from `open_at` on are an open untracked
+    /// part.
+    parts: Vec<Part>,
+    open_at: usize,
+    /// Bytes covered by `Part::Clean` references.
+    clean_len: usize,
+    /// Inside a tracked value's own encoding (nested tracked values
+    /// encode inline there).
+    in_tracked: bool,
+    base: Option<Arc<LineRecord>>,
 }
 
 impl Encoder {
     /// Create an empty encoder.
     pub fn new() -> Self {
-        Encoder { buf: Vec::new() }
+        Encoder::default()
     }
 
     /// Create an encoder with pre-reserved capacity (use when the caller
@@ -65,22 +110,111 @@ impl Encoder {
     pub fn with_capacity(cap: usize) -> Self {
         Encoder {
             buf: Vec::with_capacity(cap),
+            ..Encoder::default()
         }
     }
 
-    /// Consume the encoder, yielding the encoded bytes.
+    /// Create an encoder that encodes tracked values `base` already holds
+    /// as references. `None` is [`Encoder::new`].
+    pub fn against(base: Option<Arc<LineRecord>>) -> Self {
+        Encoder {
+            base,
+            ..Encoder::default()
+        }
+    }
+
+    /// Consume the encoder, yielding the encoded bytes. Panics if the
+    /// encoding holds clean references (only one built
+    /// [`against`](Encoder::against) a base can): use
+    /// [`Encoder::into_parts`].
     pub fn into_bytes(self) -> Vec<u8> {
+        assert_eq!(self.clean_len, 0, "encoding holds clean references");
         self.buf
     }
 
-    /// Number of bytes encoded so far.
+    /// Consume the encoder, yielding the buffer, the parts that lay it
+    /// out (clean references interleaved) and the base the references
+    /// resolve against.
+    pub fn into_parts(
+        mut self,
+    ) -> (Vec<u8>, Vec<Part>, Option<Arc<LineRecord>>) {
+        self.close_part(None);
+        (self.buf, self.parts, self.base)
+    }
+
+    /// Number of bytes the encoding stands for so far, clean references
+    /// included.
     pub fn len(&self) -> usize {
-        self.buf.len()
+        self.buf.len() + self.clean_len
+    }
+
+    /// Of [`Encoder::len`], the bytes covered by clean references.
+    pub fn clean_len(&self) -> usize {
+        self.clean_len
     }
 
     /// True if nothing has been encoded.
     pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
+        self.len() == 0
+    }
+
+    /// Close the open part: if it has bytes, or is a tracked value's.
+    fn close_part(&mut self, version: Option<u64>) {
+        let len = self.buf.len() - self.open_at;
+        if len > 0 || version.is_some() {
+            self.parts.push(Part::Bytes { len, version });
+            self.open_at = self.buf.len();
+        }
+    }
+
+    /// Encode one tracked value: as a reference if the base holds
+    /// `version`, as a part of its own otherwise.
+    fn put_tracked(&mut self, version: u64, save: impl FnOnce(&mut Encoder)) {
+        if self.in_tracked {
+            return save(self);
+        }
+        self.close_part(None);
+        let held = self.base.as_ref().and_then(|b| b.clean.get(&version));
+        if let Some(run) = held {
+            let len = run.len;
+            // Soundness net for every debug build (all of `cargo test`):
+            // a reference must stand for exactly the bytes the value
+            // encodes to now.
+            #[cfg(debug_assertions)]
+            {
+                let crc = run.crc;
+                let mut probe = Encoder {
+                    in_tracked: true,
+                    ..Encoder::default()
+                };
+                save(&mut probe);
+                assert!(
+                    probe.buf.len() == len
+                        && crate::integrity::crc32(&probe.buf) == crc,
+                    "tracked value changed without a new version {version} \
+                     (interior mutability behind Tracked?)"
+                );
+            }
+            self.parts.push(Part::Clean { version, len });
+            self.clean_len += len;
+            return;
+        }
+        self.in_tracked = true;
+        save(self);
+        self.in_tracked = false;
+        self.close_part(Some(version));
+    }
+
+    /// Length-prefixed nested encoding: whatever `body` appends, preceded
+    /// by its length as a fixed `u64` — the wire form of
+    /// [`Encoder::put_bytes`] without the intermediate buffer.
+    pub fn put_len_prefixed(&mut self, body: impl FnOnce(&mut Encoder)) {
+        let at = self.buf.len();
+        self.put_u64(0);
+        let start = self.len();
+        body(self);
+        let n = (self.len() - start) as u64;
+        self.buf[at..at + 8].copy_from_slice(&n.to_le_bytes());
     }
 
     /// Append a little-endian `u8`.
@@ -329,6 +463,89 @@ pub trait SaveLoad: Sized {
     fn save(&self, enc: &mut Encoder);
     /// Decode a value, consuming exactly the bytes written by `save`.
     fn load(dec: &mut Decoder<'_>) -> Result<Self, CodecError>;
+}
+
+/// A [`Tracked`] version: process-unique, never reused. `Relaxed`
+/// suffices, the value publishes nothing but itself.
+fn fresh_version() -> u64 {
+    static NEXT: AtomicU64 = AtomicU64::new(1);
+    NEXT.fetch_add(1, Ordering::Relaxed)
+}
+
+/// A state field that knows when it may have changed.
+///
+/// Reading through [`Deref`] is free. Every way of obtaining the value
+/// mutably — [`DerefMut`], and construction by [`Tracked::new`] or
+/// `load` — stamps it with a fresh process-unique *version*, so two
+/// `Tracked` values with equal versions hold equal bytes (`clone` keeps
+/// the version; `mem::swap` of two `Tracked` moves each version with its
+/// value). The checkpoint write path uses exactly that: a field whose
+/// version the previous line already wrote is recorded as a reference
+/// ([`Part::Clean`]) and is neither serialized, CRC'd, chunked nor
+/// hashed again. `save` clears nothing, so encoding a state for any
+/// other purpose (a digest, a probe) cannot make a later checkpoint
+/// unsound.
+///
+/// The wire bytes are exactly `T`'s: wrapping a field changes no stored
+/// format. Wrap fields that are large and rarely written (a matrix built
+/// once in `init`); a field written every iteration gains nothing.
+///
+/// `T` must have **no interior mutability** (`Cell`, `RefCell`, atomics,
+/// locks): a change behind `&T` mints no version and a stale reference
+/// would be restored under a matching CRC. Debug builds re-encode every
+/// referenced value and panic on a mismatch.
+#[derive(Debug, Clone)]
+pub struct Tracked<T> {
+    value: T,
+    version: u64,
+}
+
+impl<T> Tracked<T> {
+    /// Track `value`, under a fresh version.
+    pub fn new(value: T) -> Self {
+        let version = fresh_version();
+        Tracked { value, version }
+    }
+
+    /// Encode the value with `save` in place of `T::save` — for a bulk
+    /// path such as [`Encoder::put_f64_slice`]. `save` must be a pure
+    /// function of the value, as `T::save` is.
+    pub fn save_with(
+        &self,
+        enc: &mut Encoder,
+        save: impl FnOnce(&T, &mut Encoder),
+    ) {
+        enc.put_tracked(self.version, |enc| save(&self.value, enc));
+    }
+}
+
+impl<T> Deref for Tracked<T> {
+    type Target = T;
+    fn deref(&self) -> &T {
+        &self.value
+    }
+}
+
+impl<T> DerefMut for Tracked<T> {
+    fn deref_mut(&mut self) -> &mut T {
+        self.version = fresh_version();
+        &mut self.value
+    }
+}
+
+impl<T: PartialEq> PartialEq for Tracked<T> {
+    fn eq(&self, other: &Self) -> bool {
+        self.value == other.value
+    }
+}
+
+impl<T: SaveLoad> SaveLoad for Tracked<T> {
+    fn save(&self, enc: &mut Encoder) {
+        self.save_with(enc, T::save);
+    }
+    fn load(dec: &mut Decoder<'_>) -> Result<Self, CodecError> {
+        T::load(dec).map(Tracked::new)
+    }
 }
 
 macro_rules! impl_saveload_prim {
@@ -655,6 +872,106 @@ mod tests {
         let bytes = enc.into_bytes();
         let mut dec = Decoder::new(&bytes);
         assert_eq!(dec.get_u64_vec().unwrap(), xs);
+    }
+
+    #[test]
+    fn tracked_version_moves_only_with_mutable_access() {
+        let mut a = Tracked::new(vec![1u32, 2]);
+        let v0 = a.version;
+        assert_eq!(a.len(), 2, "Deref reads");
+        assert_eq!(a.version, v0, "and keeps the version");
+        let b = a.clone();
+        assert_eq!(b.version, v0, "a clone holds the same bytes");
+        a.push(3);
+        assert!(a.version > v0, "DerefMut mints a fresh version");
+        assert_eq!(b.version, v0);
+
+        // `mem::swap` moves each version with its value.
+        let mut c = Tracked::new(vec![9u32]);
+        let (va, vc) = (a.version, c.version);
+        assert_ne!(va, vc, "new mints a fresh version");
+        std::mem::swap(&mut a, &mut c);
+        assert_eq!((a.version, &*a), (vc, &vec![9]));
+        assert_eq!((c.version, &*c), (va, &vec![1, 2, 3]));
+
+        // The wire bytes are T's, and `load` mints a fresh version.
+        let mut enc = Encoder::new();
+        enc.put(&c);
+        let bytes = enc.into_bytes();
+        let mut plain = Encoder::new();
+        plain.put(&vec![1u32, 2, 3]);
+        assert_eq!(bytes, plain.into_bytes());
+        let back: Tracked<Vec<u32>> = Decoder::new(&bytes).get().unwrap();
+        assert_eq!(back, c);
+        assert!(back.version > va);
+    }
+
+    fn bytes(len: usize, version: Option<u64>) -> Part {
+        Part::Bytes { len, version }
+    }
+
+    #[test]
+    fn tracked_values_start_parts_and_nest_inline() {
+        let inner = Tracked::new(7u32);
+        let outer = Tracked::new(vec![inner.clone(), inner.clone()]);
+        let mut enc = Encoder::new();
+        enc.put_u8(1);
+        enc.put(&outer);
+        enc.put(&inner);
+        enc.put_len_prefixed(|enc| enc.put_u16(5));
+        assert_eq!(enc.len(), 1 + (8 + 4 + 4) + 4 + (8 + 2));
+        let (buf, parts, base) = enc.into_parts();
+        assert!(base.is_none());
+        assert_eq!(buf.len(), 31);
+        // The nested tracked values encode inside the outer part.
+        let expect = [
+            bytes(1, None),
+            bytes(16, Some(outer.version)),
+            bytes(4, Some(inner.version)),
+            bytes(10, None),
+        ];
+        assert_eq!(parts, expect);
+        assert_eq!(buf[21..29], 2u64.to_le_bytes(), "back-patched length");
+    }
+
+    #[test]
+    fn a_version_the_base_holds_encodes_as_a_reference() {
+        let mut t = Tracked::new(vec![5u8; 100]);
+        let held = crate::manifest::CleanRun {
+            len: 108,
+            crc: crate::integrity::crc32(
+                &[&[100, 0, 0, 0, 0, 0, 0, 0], &t[..]].concat(),
+            ),
+            chunks: Vec::new(),
+        };
+        let base = Arc::new(LineRecord {
+            clean: [(t.version, Arc::new(held))].into(),
+            ..LineRecord::default()
+        });
+        let encode = |t: &Tracked<Vec<u8>>| {
+            let mut enc = Encoder::against(Some(base.clone()));
+            enc.put_u8(1);
+            enc.put_len_prefixed(|enc| {
+                enc.put(t);
+                enc.put_u8(2);
+            });
+            (enc.len(), enc.clean_len(), enc.into_parts())
+        };
+        let (len, clean, (buf, parts, _)) = encode(&t);
+        assert_eq!((len, clean, buf.len()), (118, 108, 10));
+        assert_eq!(buf[1..9], 109u64.to_le_bytes(), "prefix counts it");
+        let version = t.version;
+        let expect = [
+            bytes(9, None),
+            Part::Clean { version, len: 108 },
+            bytes(1, None),
+        ];
+        assert_eq!(parts, expect);
+        // One mutable access later the same bytes are a part again.
+        t[0] = 5;
+        let (len, clean, (buf, parts, _)) = encode(&t);
+        assert_eq!((len, clean, buf.len()), (118, 0, 118));
+        assert_eq!(parts[1], bytes(108, Some(t.version)));
     }
 
     #[derive(Debug, PartialEq)]

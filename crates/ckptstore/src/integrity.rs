@@ -70,6 +70,53 @@ pub fn crc32(data: &[u8]) -> u32 {
     !crc
 }
 
+/// CRC-32 of `a ‖ b` from `crc32(a)`, `crc32(b)` and `b.len()`, without
+/// touching either's bytes (zlib's `crc32_combine`): appending `len_b`
+/// zero bytes to `a` is a linear map over GF(2), applied here by repeated
+/// squaring of the one-zero-bit operator, so the cost is O(log `len_b`).
+/// The write pipeline assembles a manifest's whole-blob CRC from the CRCs
+/// of a blob's parts with it, some of which it never sees as bytes.
+pub fn crc32_combine(crc_a: u32, crc_b: u32, len_b: u64) -> u32 {
+    fn times(mat: &[u32; 32], mut vec: u32) -> u32 {
+        let mut sum = 0;
+        for row in mat {
+            if vec == 0 {
+                break;
+            }
+            if vec & 1 != 0 {
+                sum ^= row;
+            }
+            vec >>= 1;
+        }
+        sum
+    }
+    fn square(mat: &[u32; 32]) -> [u32; 32] {
+        std::array::from_fn(|n| times(mat, mat[n]))
+    }
+    // A zero register stays zero under the operator (`a` empty, mostly).
+    if crc_a == 0 {
+        return crc_b;
+    }
+    // Operator for one zero *bit*: the CRC register's shift-and-reduce.
+    let mut op: [u32; 32] =
+        std::array::from_fn(
+            |n| if n == 0 { 0xEDB8_8320 } else { 1 << (n - 1) },
+        );
+    // Three squarings: one zero *byte*.
+    for _ in 0..3 {
+        op = square(&op);
+    }
+    let (mut crc, mut len) = (crc_a, len_b);
+    while len != 0 {
+        if len & 1 != 0 {
+            crc = times(&op, crc);
+        }
+        op = square(&op);
+        len >>= 1;
+    }
+    crc ^ crc_b
+}
+
 /// 128-bit content hash (MurmurHash3 x64/128, seed 0) used to address
 /// chunks in the incremental-checkpoint store. Not cryptographic — the
 /// threat model is accidental collision between a job's own chunks, not
@@ -194,6 +241,26 @@ mod tests {
                 (0..len).map(|i| (i.wrapping_mul(151) >> 3) as u8).collect();
             assert_eq!(crc32(&data), reference(&data), "len {len}");
         }
+    }
+
+    #[test]
+    fn combine_matches_crc_of_concatenation() {
+        let data: Vec<u8> = (0..10_000usize)
+            .map(|i| (i.wrapping_mul(151) >> 3) as u8)
+            .collect();
+        for split in [0usize, 1, 7, 8, 4096, 9_999, 10_000] {
+            let (a, b) = data.split_at(split);
+            assert_eq!(
+                crc32_combine(crc32(a), crc32(b), b.len() as u64),
+                crc32(&data),
+                "split {split}"
+            );
+        }
+        // Three parts fold left to right.
+        let (a, rest) = data.split_at(100);
+        let (b, c) = rest.split_at(5000);
+        let ab = crc32_combine(crc32(a), crc32(b), b.len() as u64);
+        assert_eq!(crc32_combine(ab, crc32(c), c.len() as u64), crc32(&data));
     }
 
     #[test]

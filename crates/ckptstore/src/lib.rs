@@ -61,7 +61,7 @@ pub mod tier;
 
 pub use backend::{DiskBackend, MemoryBackend, StorageBackend};
 pub use cdc::Chunker;
-pub use codec::{Decoder, Encoder, SaveLoad};
+pub use codec::{Decoder, Encoder, SaveLoad, Tracked};
 pub use compress::Codec;
 pub use error::{StoreError, StoreResult};
 pub use fault::{splitmix64, FaultInjectingBackend, FaultPlan};

@@ -18,9 +18,13 @@
 //! Thread-Based MPI Runtime"): the paper's own store writes full
 //! snapshots, which dominates its Figure 8 overhead numbers.
 
+use std::collections::HashMap;
+use std::sync::Arc;
+
 use crate::codec::{CodecError, Decoder, Encoder, SaveLoad};
 use crate::compress::Codec;
 use crate::integrity::{crc32, hash128};
+use crate::store::CkptId;
 
 /// Magic prefix of an encoded manifest (also a format version marker).
 /// `…0002` widened chunk addresses from CRC-32 to a 128-bit content hash;
@@ -166,6 +170,61 @@ impl Manifest {
             )));
         }
         Ok(m)
+    }
+}
+
+/// What one tracked value ([`crate::codec::Tracked`]) put on storage in
+/// a written line: its encoded length, the CRC-32 of that encoding and
+/// the chunk references covering it. Enough to name the value in a later
+/// manifest without its bytes.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct CleanRun {
+    /// Encoded length in bytes (the sum of the chunks' `len`s).
+    pub len: usize,
+    /// CRC-32 of the encoded bytes.
+    pub crc: u32,
+    /// The chunks covering the encoding, in order.
+    pub chunks: Vec<ChunkRef>,
+}
+
+/// What the last written line of one `(rank, kind)` blob stream left on
+/// storage, as the write pipeline remembers it: the dedup base of the
+/// stream's next line. An [`Encoder`] built against it encodes a tracked
+/// value whose version is in `clean` as a reference, and the pipeline
+/// resolves that reference — and every chunk whose address is in
+/// `chunks` — without encoding or storing anything.
+#[derive(Debug, Default)]
+pub struct LineRecord {
+    /// The checkpoint whose manifest this describes. The record vouches
+    /// for its chunks only while that manifest is on storage.
+    pub ckpt: CkptId,
+    /// Stored form `(stored_len, codec)` of every chunk address
+    /// `(hash128, len)` in the manifest: a hit yields the manifest entry
+    /// directly, with no recompression to reconstruct what the first
+    /// writer chose.
+    pub chunks: HashMap<(u128, u32), (u32, Codec)>,
+    /// Per tracked-value version in the line, what it put on storage.
+    /// Versions are process-unique and a value's version changes
+    /// whenever its bytes may have, so equal version ⇒ equal bytes.
+    pub clean: HashMap<u64, Arc<CleanRun>>,
+}
+
+impl LineRecord {
+    /// The record of a line whose manifest is `manifest`.
+    pub fn new(
+        ckpt: CkptId,
+        manifest: &Manifest,
+        clean: HashMap<u64, Arc<CleanRun>>,
+    ) -> Self {
+        LineRecord {
+            ckpt,
+            chunks: manifest
+                .chunks
+                .iter()
+                .map(|c| ((c.hash, c.len), (c.stored_len, c.codec)))
+                .collect(),
+            clean,
+        }
     }
 }
 

@@ -38,6 +38,21 @@ proptest! {
         prop_assert!(dec.is_exhausted());
     }
 
+    /// `crc32_combine` equals the CRC of the concatenation, either side
+    /// possibly empty.
+    #[test]
+    fn crc32_combine_is_crc_of_concatenation(
+        a in proptest::collection::vec(any::<u8>(), 0..600),
+        b in proptest::collection::vec(any::<u8>(), 0..600),
+    ) {
+        use ckptstore::integrity::{crc32, crc32_combine};
+        let whole = [a.as_slice(), b.as_slice()].concat();
+        prop_assert_eq!(
+            crc32_combine(crc32(&a), crc32(&b), b.len() as u64),
+            crc32(&whole)
+        );
+    }
+
     /// Vec / Option / BTreeMap compositions round-trip.
     #[test]
     fn container_round_trip(

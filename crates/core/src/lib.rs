@@ -99,6 +99,6 @@ pub use ckptpipe::{
     RetryPolicy, TierTopology, WriteMode,
 };
 pub use simmpi::{DType, ReduceOp, ANY_SOURCE, ANY_TAG};
-pub use statesave::snapshot::SaveState;
+pub use statesave::snapshot::{SaveState, Tracked};
 
 pub use obs::health_check;

@@ -27,11 +27,11 @@ use std::collections::{HashMap, HashSet};
 use std::time::Instant;
 
 use bytes::Bytes;
-use ckptpipe::CheckpointPipeline;
+use ckptpipe::{CheckpointPipeline, StagedBlob};
 use ckptstore::codec::{Decoder, Encoder};
 use ckptstore::{CheckpointStore, RankBlobKind, SaveLoad};
 use simmpi::{Comm, HeaderBytes, Mpi, MpiError, RecvMsg, ANY_SOURCE, ANY_TAG};
-use statesave::snapshot::{restore_from_bytes, snapshot_to_bytes, SaveState};
+use statesave::snapshot::{restore_from_bytes, snapshot_into, SaveState};
 
 use crate::config::{C3Config, CheckpointTrigger};
 use crate::control::{ControlMsg, SuppressList, CONTROL_TAG, SUPPRESS_TAG};
@@ -92,8 +92,12 @@ pub struct ProcStats {
     pub late_replayed: u64,
     /// Collective results replayed from the log.
     pub collectives_replayed: u64,
-    /// Application state bytes written across all checkpoints.
+    /// Application state bytes checkpointed across all lines (the
+    /// envelopes' lengths, whether or not every byte was produced).
     pub app_state_bytes: u64,
+    /// Of `app_state_bytes`, the bytes covered by clean references:
+    /// tracked fields the previous line already held, never serialized.
+    pub app_state_bytes_clean: u64,
     /// Data frames retransmitted by the reliable-delivery sublayer (zero
     /// on the perfect wire).
     pub net_retransmits: u64,
@@ -166,7 +170,9 @@ pub struct Process<'a> {
     /// dropped.
     suppress: Vec<HashSet<u32>>,
     recovery_reported: bool,
-    recovered_app_state: Option<Vec<u8>>,
+    /// The recovered state blob and where the application state
+    /// envelope lies in it.
+    recovered_app_state: Option<(Vec<u8>, std::ops::Range<usize>)>,
 
     // --- coordination ---
     initiator: Option<Initiator>,
@@ -351,12 +357,16 @@ impl<'a> Process<'a> {
     ) -> C3Result<Option<S>> {
         match self.recovered_app_state.take() {
             None => Ok(None),
-            Some(bytes) if bytes.is_empty() => Err(C3Error::Protocol(
-                "checkpoint has no application state (taken at \
-                 ProtocolOnly instrumentation?)"
-                    .into(),
-            )),
-            Some(bytes) => Ok(Some(restore_from_bytes::<S>(&bytes)?)),
+            Some((_, envelope)) if envelope.is_empty() => {
+                Err(C3Error::Protocol(
+                    "checkpoint has no application state (taken at \
+                     ProtocolOnly instrumentation?)"
+                        .into(),
+                ))
+            }
+            Some((blob, envelope)) => {
+                Ok(Some(restore_from_bytes::<S>(&blob[envelope])?))
+            }
         }
     }
 
@@ -1177,14 +1187,14 @@ impl<'a> Process<'a> {
         &mut self,
         ckpt: u64,
         kind: RankBlobKind,
-        bytes: Vec<u8>,
+        blob: impl Into<StagedBlob>,
     ) -> C3Result<()> {
         let rank = self.mpi.rank();
         let staged = self
             .pipeline
             .as_ref()
             .expect("checkpoints need a pipeline")
-            .stage_once(ckpt, rank, kind, bytes)?;
+            .stage_once(ckpt, rank, kind, blob)?;
         if staged {
             self.trace_event(TraceEvent::BlobStaged {
                 ckpt,
@@ -1211,22 +1221,31 @@ impl<'a> Process<'a> {
         // 1. Stage the local snapshot with the I/O pipeline: application
         //    state (level Full), early-message ids, pending-request
         //    pseudo-handles. The writes become durable before the
-        //    initiator's commit (phase 4 drains the pipeline).
-        let app_state = if self.cfg.level.saves_app_state() {
-            snapshot_to_bytes(state)
-        } else {
-            Vec::new()
-        };
-        self.stats.app_state_bytes += app_state.len() as u64;
+        //    initiator's commit (phase 4 drains the pipeline). The
+        //    blob is encoded against the line this rank last wrote, so
+        //    tracked state fields that line holds go in as references.
         let rc = RankCheckpoint {
             ckpt,
             early_ids: self.early_ids.clone(),
             pending: self.pending.clone(),
-            app_state,
         };
-        let mut enc = Encoder::new();
-        rc.save(&mut enc);
-        self.stage_blob(ckpt, RankBlobKind::State, enc.into_bytes())?;
+        let mut enc = Encoder::against(
+            self.pipeline
+                .as_ref()
+                .and_then(|p| p.clean_base(rank, RankBlobKind::State)),
+        );
+        let saves_app_state = self.cfg.level.saves_app_state();
+        let mut app_state_len = 0;
+        rc.save(&mut enc, |enc| {
+            if saves_app_state {
+                let start = enc.len();
+                snapshot_into(state, enc);
+                app_state_len = enc.len() - start;
+            }
+        });
+        self.stats.app_state_bytes += app_state_len as u64;
+        self.stats.app_state_bytes_clean += enc.clean_len() as u64;
+        self.stage_blob(ckpt, RankBlobKind::State, enc)?;
 
         // Persistent-object journal (MPI library state, Section 5.2).
         let mut enc = Encoder::new();
@@ -1236,12 +1255,6 @@ impl<'a> Process<'a> {
         // 2. Enter the new epoch (Figure 4's bookkeeping).
         self.epoch += 1;
         self.stats.checkpoints += 1;
-        if std::env::var_os("C3_DEBUG").is_some() {
-            eprintln!(
-                "[ckpt] rank {} took local checkpoint {} at op {}",
-                rank, ckpt, self.ops
-            );
-        }
         let n = self.mpi.size();
         let send_counts: Vec<u64> =
             (0..n).map(|dst| self.counters.send_count(dst)).collect();
@@ -1315,7 +1328,7 @@ impl<'a> Process<'a> {
         // Load and decode this rank's blobs.
         let state_bytes =
             store.get_rank_blob(ckpt, rank, RankBlobKind::State)?;
-        let rc = RankCheckpoint::load(&mut Decoder::new(&state_bytes))?;
+        let (rc, envelope) = RankCheckpoint::load(&state_bytes)?;
         if rc.ckpt != ckpt {
             return Err(C3Error::Protocol(format!(
                 "state blob names checkpoint {}, expected {ckpt}",
@@ -1378,7 +1391,12 @@ impl<'a> Process<'a> {
         // Early messages count as already received in the new epoch.
         self.counters.rotate_at_checkpoint(&early_counts);
         self.pending = rc.pending;
-        self.recovered_app_state = Some(rc.app_state);
+        self.recovered_app_state = Some((state_bytes, envelope));
+        // The restored state is what the next line will mostly hold:
+        // let the write pipeline start from the recovered manifest.
+        if let Some(pipe) = &self.pipeline {
+            pipe.adopt_line(ckpt, rank, RankBlobKind::State)?;
+        }
 
         // Suppression exchange: tell each sender which of its re-sends to
         // drop; collect the same from every receiver of ours.
@@ -1448,25 +1466,9 @@ impl<'a> Process<'a> {
             return Ok(());
         }
         let ctrl = self.ctrl_world();
-        let debug = std::env::var_os("C3_DEBUG").is_some();
-        for round in 0..32 {
+        for _ in 0..32 {
             self.mpi.barrier(&ctrl)?;
             self.drain_control()?;
-            if debug {
-                eprintln!(
-                    "[finalize r{round}] rank {} epoch {} logging {} \
-                     ready_sent {} ckpt_req {:?} deficits {:?} init {:?}",
-                    self.mpi.rank(),
-                    self.epoch,
-                    self.am_logging,
-                    self.ready_sent,
-                    self.checkpoint_requested,
-                    (0..self.mpi.size())
-                        .map(|q| self.counters.late_deficit(q))
-                        .collect::<Vec<_>>(),
-                    self.initiator.as_ref().map(|i| i.is_idle()),
-                );
-            }
             let busy = match &self.initiator {
                 Some(ini) => u8::from(!ini.is_idle()),
                 None => 0,

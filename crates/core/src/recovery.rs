@@ -18,14 +18,19 @@
 //! layer) — this preserves the invariant that suppressed re-sends carry the
 //! message ids the receivers recorded.
 
+use std::ops::Range;
+
 use bytes::Bytes;
-use ckptstore::codec::{CodecError, Decoder, Encoder, SaveLoad};
+use ckptstore::codec::{CodecError, Decoder, Encoder};
 
 use crate::error::{C3Error, C3Result};
 use crate::logrec::{LateMessage, RecoveryLog};
 use crate::pending::PendingTable;
 
-/// The per-rank state blob written at `potentialCheckpoint`.
+/// Header of the per-rank state blob written at `potentialCheckpoint`.
+/// The blob is this header followed by the application state envelope
+/// as a length-prefixed byte string (empty at `ProtocolOnly`
+/// instrumentation).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RankCheckpoint {
     /// The checkpoint number (equals the epoch the process enters).
@@ -35,24 +40,35 @@ pub struct RankCheckpoint {
     pub early_ids: Vec<Vec<u32>>,
     /// Live non-blocking request pseudo-handles at checkpoint time.
     pub pending: PendingTable,
-    /// Application state envelope (empty at `ProtocolOnly` instrumentation).
-    pub app_state: Vec<u8>,
 }
 
-impl SaveLoad for RankCheckpoint {
-    fn save(&self, enc: &mut Encoder) {
+impl RankCheckpoint {
+    /// Encode the state blob: the header, then whatever `app_state`
+    /// appends as the envelope. Header and envelope share the one
+    /// encoder, so the state is serialized exactly once and its tracked
+    /// fields keep their parts.
+    pub fn save(
+        &self,
+        enc: &mut Encoder,
+        app_state: impl FnOnce(&mut Encoder),
+    ) {
         enc.put_u64(self.ckpt);
         enc.put(&self.early_ids);
         enc.put(&self.pending);
-        enc.put_bytes(&self.app_state);
+        enc.put_len_prefixed(app_state);
     }
-    fn load(dec: &mut Decoder<'_>) -> Result<Self, CodecError> {
-        Ok(RankCheckpoint {
+
+    /// Decode the header of a state blob and locate the envelope in it.
+    pub fn load(blob: &[u8]) -> Result<(Self, Range<usize>), CodecError> {
+        let mut dec = Decoder::new(blob);
+        let rc = RankCheckpoint {
             ckpt: dec.get_u64()?,
             early_ids: dec.get()?,
             pending: dec.get()?,
-            app_state: dec.get_bytes()?.to_vec(),
-        })
+        };
+        let envelope = dec.get_bytes()?.len();
+        let end = blob.len() - dec.remaining();
+        Ok((rc, end - envelope..end))
     }
 }
 
@@ -160,20 +176,46 @@ mod tests {
     }
 
     #[test]
-    fn rank_checkpoint_round_trip() {
+    fn rank_checkpoint_blob_is_the_parent_format_and_round_trips() {
+        use crate::pending::PendingKind;
+        let mut pending = PendingTable::new();
+        pending.insert(PendingKind::Send);
+        pending.insert(PendingKind::Recv {
+            comm: 1,
+            src: 2,
+            tag: 7,
+        });
         let rc = RankCheckpoint {
             ckpt: 4,
             early_ids: vec![vec![], vec![0, 3], vec![7]],
-            pending: PendingTable::new(),
-            app_state: vec![9, 9, 9],
+            pending,
         };
         let mut enc = Encoder::new();
-        rc.save(&mut enc);
-        let bytes = enc.into_bytes();
-        assert_eq!(
-            RankCheckpoint::load(&mut Decoder::new(&bytes)).unwrap(),
-            rc
-        );
+        rc.save(&mut enc, |enc| {
+            enc.put_u8(9);
+            enc.put_u16(0x0909);
+        });
+        let blob = enc.into_bytes();
+        // Golden: the bytes the commit before the one-encoder write path
+        // produced for this checkpoint with app_state = [9, 9, 9] (its
+        // `put_bytes` of a separately built envelope). A store written
+        // then must restore now.
+        #[rustfmt::skip]
+        let golden = [
+            4, 0, 0, 0, 0, 0, 0, 0, 3, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
+            0, 0, 2, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 3, 0, 0, 0, 1, 0, 0, 0,
+            0, 0, 0, 0, 7, 0, 0, 0, 2, 0, 0, 0, 0, 0, 0, 0, 2, 0, 0, 0, 0, 0,
+            0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 1, 1, 0,
+            0, 0, 0, 0, 0, 0, 2, 0, 0, 0, 0, 0, 0, 0, 7, 0, 0, 0, 3, 0, 0, 0,
+            0, 0, 0, 0, 9, 9, 9,
+        ];
+        assert_eq!(blob, golden);
+        let (back, envelope) = RankCheckpoint::load(&blob).unwrap();
+        assert_eq!(back, rc);
+        assert_eq!(&blob[envelope], [9, 9, 9]);
+        // An envelope that claims more bytes than the blob has is an
+        // error, not a panic.
+        assert!(RankCheckpoint::load(&blob[..blob.len() - 1]).is_err());
     }
 
     #[test]

@@ -35,7 +35,8 @@
 //!   the `if (restart) goto PS.item(i++)` preamble of Figure 6.
 //! * [`snapshot`] — the [`snapshot::SaveState`] trait plus a driver used by
 //!   applications that manage their state as ordinary Rust structs (the
-//!   form most of the evaluation codes use).
+//!   form most of the evaluation codes use), and [`Tracked`] for the
+//!   fields of such a struct that rarely change.
 
 #![deny(missing_docs)]
 
@@ -51,4 +52,4 @@ pub use frame::Frame;
 pub use globals::Globals;
 pub use heap::{HPtr, ManagedHeap};
 pub use position::PositionStack;
-pub use snapshot::SaveState;
+pub use snapshot::{SaveState, Tracked};

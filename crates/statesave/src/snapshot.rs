@@ -8,21 +8,36 @@
 //! small versioned envelope that recovery can validate. This corresponds to
 //! the paper's observation that the instrumented code "saves the entire
 //! state" — the envelope *is* the per-process local checkpoint payload.
+//!
+//! Saving the entire state need not mean *writing* it: a field wrapped in
+//! [`Tracked`] carries a version that changes with every mutable access,
+//! and the protocol layer encodes the envelope ([`snapshot_into`])
+//! against the line the rank last wrote, so a field that line already
+//! holds goes into the checkpoint as a reference. The envelope's bytes —
+//! what [`snapshot_to_bytes`] returns and [`restore_from_bytes`] reads —
+//! are the same either way.
 
 use ckptstore::codec::{CodecError, Decoder, Encoder};
 
 /// Trait applications implement so the protocol layer can capture and
 /// restore their state at `potentialCheckpoint` sites.
 pub use ckptstore::codec::SaveLoad as SaveState;
+/// Wrapper for a state field that is large and rarely written.
+pub use ckptstore::codec::Tracked;
 
 /// Magic marking a state envelope.
 const MAGIC: u32 = 0xC3C3_0001;
 
+/// Append a state value's versioned envelope to `enc`.
+pub fn snapshot_into<T: SaveState>(state: &T, enc: &mut Encoder) {
+    enc.put_u32(MAGIC);
+    state.save(enc);
+}
+
 /// Serialize a state value into a versioned envelope.
 pub fn snapshot_to_bytes<T: SaveState>(state: &T) -> Vec<u8> {
     let mut enc = Encoder::new();
-    enc.put_u32(MAGIC);
-    state.save(&mut enc);
+    snapshot_into(state, &mut enc);
     enc.into_bytes()
 }
 

@@ -17,8 +17,8 @@ use std::sync::Arc;
 use c3_apps::{DenseCg, Laplace};
 use c3_core::trace::encode_trace;
 use c3_core::{
-    run_job, C3App, C3Config, Chunker, Codec, PipelineConfig, TierTopology,
-    TraceSink, WriteMode,
+    run_job, C3App, C3Config, Chunker, Codec, PipelineConfig, RecoveryMode,
+    TierTopology, TraceSink, WriteMode,
 };
 use c3verify::analyze;
 use ckptstore::{
@@ -177,5 +177,49 @@ fn laplace_survives_kills_on_a_tiered_store() {
             round,
             &tiered_io,
         );
+    }
+}
+
+#[test]
+fn dense_cg_killed_after_clean_lines_recovers_identically() {
+    // From its second line on, a rank's matrix block reaches storage as
+    // a clean reference. A kill well after that must roll back to (or,
+    // localized, catch up over) lines made of such references and still
+    // reproduce the failure-free outputs bit for bit — on the rank's own
+    // thread and through the background writers alike.
+    let app = DenseCg::new(32, 30);
+    let reference = run_job(4, &C3Config::every_ops(10), None, &app).unwrap();
+    for mode in [WriteMode::Sync, async_io().mode] {
+        for recovery in [RecoveryMode::FullRestart, RecoveryMode::Localized] {
+            let name = format!("{mode:?} {recovery:?}");
+            let cfg = C3Config::every_ops(10)
+                .with_io(PipelineConfig::default().with_mode(mode))
+                .with_recovery(recovery)
+                .with_failure(2, 300);
+            let report = run_job(4, &cfg, None, &app)
+                .unwrap_or_else(|e| panic!("{name}: {e}"));
+            assert_eq!(report.outputs, reference.outputs, "{name}");
+            match recovery {
+                RecoveryMode::FullRestart => {
+                    assert_eq!(report.restarts, 1, "{name}");
+                    assert!(
+                        report.recovered_from[0] >= 3,
+                        "{name}: the kill must follow two clean lines, \
+                         recovered from {:?}",
+                        report.recovered_from
+                    );
+                }
+                RecoveryMode::Localized => {
+                    assert_eq!(
+                        (report.restarts, report.splices),
+                        (0, 1),
+                        "{name}"
+                    );
+                }
+            }
+            for s in &report.stats {
+                assert!(s.app_state_bytes_clean > 0, "{name}: {s:?}");
+            }
+        }
     }
 }

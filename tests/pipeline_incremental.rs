@@ -12,9 +12,15 @@
 
 use std::sync::Arc;
 
+use c3_apps::dense_cg::CgState;
+use c3_apps::linalg::{block_range, spd_entry};
 use c3_apps::{DenseCg, Laplace};
+use c3_core::recovery::RankCheckpoint;
 use c3_core::{run_job, C3App, C3Config, Chunker, Codec, PipelineConfig};
-use ckptstore::{MemoryBackend, StorageBackend};
+use ckptstore::{
+    CheckpointStore, MemoryBackend, RankBlobKind, StorageBackend,
+};
+use statesave::snapshot::restore_from_bytes;
 
 /// Run `app` at 4 ranks and return (bytes written, last committed ckpt).
 fn bytes_for<A>(app: &A, interval: u64, io: PipelineConfig) -> (u64, u64)
@@ -80,4 +86,51 @@ fn laplace_incremental_checkpoints_are_smaller() {
         &Laplace { n: 64, iters: 24 },
         8,
     );
+}
+
+#[test]
+fn clean_referenced_chunks_outlive_every_gc() {
+    // Dense CG's matrix block is written at a rank's first line and only
+    // referred to afterwards. With `keep_last = 1` every commit collects
+    // the line before it, so the last line's manifest is the only thing
+    // keeping the line-1 chunks alive: it must still name all of them,
+    // and reassemble to the state the job ended with.
+    let (n, nranks) = (64, 2);
+    let backend: Arc<dyn StorageBackend> = Arc::new(MemoryBackend::new());
+    let io = PipelineConfig::default().with_chunker(Chunker::fixed(256));
+    assert_eq!(io.keep_last, 1);
+    let cfg = C3Config::every_ops(8).with_io(io);
+    let report =
+        run_job(nranks, &cfg, Some(backend.clone()), &DenseCg::new(n, 40))
+            .expect("job");
+    let last = report.last_committed.expect("lines committed");
+    assert!(last >= 5, "need at least 5 lines, got {last}");
+    for s in &report.stats {
+        assert!(s.checkpoints >= last);
+        // All but the first line refer to the matrix block.
+        let per_line = s.app_state_bytes_clean / (s.checkpoints - 1);
+        assert!(per_line >= (n * n / nranks * 8) as u64, "{s:?}");
+        assert!(s.app_state_bytes > s.app_state_bytes_clean);
+    }
+    let store = CheckpointStore::new(backend, nranks);
+    for rank in 0..nranks {
+        let manifest = store
+            .get_rank_manifest(last, rank, RankBlobKind::State)
+            .unwrap()
+            .expect("written incrementally");
+        for chunk in &manifest.chunks {
+            assert!(store.has_chunk(chunk).unwrap(), "{chunk:?} was swept");
+        }
+        let blob = store
+            .get_rank_blob(last, rank, RankBlobKind::State)
+            .unwrap();
+        let (rc, envelope) = RankCheckpoint::load(&blob).unwrap();
+        assert_eq!(rc.ckpt, last);
+        let state: CgState = restore_from_bytes(&blob[envelope]).unwrap();
+        let (lo, hi) = block_range(n, nranks, rank);
+        let matrix: Vec<f64> = (lo..hi)
+            .flat_map(|i| (0..n).map(move |j| spd_entry(n, i, j)))
+            .collect();
+        assert!(*state.a_block == matrix, "rank {rank} matrix block");
+    }
 }

@@ -10,11 +10,11 @@
 use std::path::PathBuf;
 use std::sync::Arc;
 
-use c3_apps::Laplace;
+use c3_apps::{DenseCg, Laplace};
 use c3_core::trace::encode_trace;
 use c3_core::{
-    run_job, C3Config, Chunker, Codec, PipelineConfig, TierTopology,
-    TraceEvent, TraceRecord, TraceSink,
+    run_job, C3App, C3Config, Chunker, Codec, JobReport, PipelineConfig,
+    TierTopology, TraceEvent, TraceRecord, TraceSink,
 };
 use c3verify::{analyze, invariant, race_check};
 use ckptstore::{
@@ -31,18 +31,30 @@ fn trace_dir() -> PathBuf {
     dir
 }
 
-/// Record the trace of one complete job over `backend` and assert it is
-/// analyzer- and race-clean. Returns (outputs, records).
+/// Record the trace of one complete Laplace job over `backend` and
+/// assert it is analyzer- and race-clean. Returns (outputs, records).
 fn clean_run(
     name: &str,
     nprocs: usize,
     cfg: &C3Config,
     backend: Arc<dyn StorageBackend>,
 ) -> (Vec<u64>, Vec<TraceRecord>) {
+    let app = Laplace { n: 16, iters: 36 };
+    let (report, records) = clean_run_of(name, nprocs, cfg, backend, &app);
+    (report.outputs, records)
+}
+
+/// [`clean_run`] for any application. Returns (report, records).
+fn clean_run_of<A: C3App>(
+    name: &str,
+    nprocs: usize,
+    cfg: &C3Config,
+    backend: Arc<dyn StorageBackend>,
+    app: &A,
+) -> (JobReport<A::Output>, Vec<TraceRecord>) {
     let sink = TraceSink::new();
     let cfg = cfg.clone().with_trace(sink.clone());
-    let app = Laplace { n: 16, iters: 36 };
-    let report = run_job(nprocs, &cfg, Some(backend), &app)
+    let report = run_job(nprocs, &cfg, Some(backend), app)
         .unwrap_or_else(|e| panic!("{name}: job failed: {e}"));
     let records = sink.take();
     let verdict = analyze(&records);
@@ -57,7 +69,7 @@ fn clean_run(
         "{name}: happens-before races:\n{}",
         races.render()
     );
-    (report.outputs, records)
+    (report, records)
 }
 
 fn has_tier_recovery(records: &[TraceRecord], min_tier: u8) -> bool {
@@ -117,6 +129,43 @@ fn lost_local_tier_recovers_from_partner_replica() {
     assert!(
         has_tier_recovery(&records2, 1),
         "rank 1's state must have been served by the partner tier"
+    );
+}
+
+/// Dense CG's matrix block reaches every line after a rank's first as a
+/// clean reference: its chunks are named by the manifest, never staged
+/// again. The mover drains per manifest, so they must be on the partner
+/// tier all the same, and a restart with the whole staging tier gone
+/// must reassemble the state from there (I14 clean).
+#[test]
+fn clean_referenced_chunks_recover_from_the_partner_tier() {
+    let tiered = Arc::new(TieredBackend::new(
+        vec![
+            TierSpec::direct(Arc::new(MemoryBackend::new())),
+            TierSpec::partner(Arc::new(MemoryBackend::new()), 1),
+        ],
+        2,
+    ));
+    let cfg = C3Config::every_ops(8).with_io(
+        PipelineConfig::default()
+            .with_chunker(Chunker::fixed(256))
+            .with_tiers(TierTopology::partner(1)),
+    );
+    let app = DenseCg::new(32, 30);
+    let (report, records) =
+        clean_run_of("cg_clean_run1", 2, &cfg, tiered.clone(), &app);
+    assert!(report.last_committed.is_some_and(|last| last >= 3));
+    assert!(report.stats.iter().all(|s| s.app_state_bytes_clean > 0));
+    assert!(!tier_drains(&records).is_empty());
+
+    tiered.wipe_tier(0).unwrap();
+
+    let (report2, records2) =
+        clean_run_of("cg_clean_run2", 2, &cfg, tiered.clone(), &app);
+    assert_eq!(report2.outputs, report.outputs);
+    assert!(
+        has_tier_recovery(&records2, 1),
+        "the state must have been served by the partner tier"
     );
 }
 
