@@ -2,7 +2,6 @@
 //!
 //! ```text
 //! c3obs summarize <snapshot.json>   per-rank, per-epoch phase table
-//! c3obs export    <snapshot.json>   OpenMetrics text exposition
 //! ```
 //!
 //! Exit codes: 0 success, 1 read/parse failure, 2 usage error.
@@ -13,7 +12,7 @@ use std::process::ExitCode;
 use c3obs::Snapshot;
 
 fn usage() -> ExitCode {
-    eprintln!("usage: c3obs <summarize|export> <snapshot.json>");
+    eprintln!("usage: c3obs summarize <snapshot.json>");
     ExitCode::from(2)
 }
 
@@ -86,8 +85,8 @@ fn summarize(snap: &Snapshot) {
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().collect();
-    let (cmd, path) = match (args.get(1), args.get(2)) {
-        (Some(c), Some(p)) if args.len() == 3 => (c.as_str(), p),
+    let path = match args.as_slice() {
+        [_, cmd, path] if cmd == "summarize" => path,
         _ => return usage(),
     };
     let snap = match load(path) {
@@ -105,15 +104,6 @@ fn main() -> ExitCode {
         }
         return ExitCode::from(1);
     }
-    match cmd {
-        "summarize" => {
-            summarize(&snap);
-            ExitCode::SUCCESS
-        }
-        "export" => {
-            print!("{}", snap.to_openmetrics());
-            ExitCode::SUCCESS
-        }
-        _ => usage(),
-    }
+    summarize(&snap);
+    ExitCode::SUCCESS
 }

@@ -4,11 +4,9 @@
 //! lands in the bucket whose index is the *bit length* of `v`
 //! (`64 - v.leading_zeros()`, with `v == 0` in bucket 0). Bucket `i`
 //! therefore covers the half-open power-of-two range
-//! `[2^(i-1), 2^i - 1]` and its inclusive upper bound is `2^i - 1`
-//! — which is exactly the cumulative `le` boundary the OpenMetrics
-//! exposition emits. The mapping is a single `leading_zeros`
-//! instruction: no floats, no search, no branches beyond the atomic
-//! increments themselves.
+//! `[2^(i-1), 2^i - 1]` and its inclusive upper bound is `2^i - 1`.
+//! The mapping is a single `leading_zeros` instruction: no floats, no
+//! search, no branches beyond the atomic increments themselves.
 
 use std::time::Instant;
 

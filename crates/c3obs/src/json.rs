@@ -73,15 +73,6 @@ impl Value {
             _ => Err(format!("{what}: expected integer")),
         }
     }
-
-    /// An integer in `i64` range; `what` names the value in the error.
-    pub fn as_i64(&self, what: &str) -> Result<i64, String> {
-        match self {
-            Value::Int(i) => i64::try_from(*i)
-                .map_err(|_| format!("{what}: out of i64 range")),
-            _ => Err(format!("{what}: expected integer")),
-        }
-    }
 }
 
 /// The first field of `obj` named `key`.

@@ -5,19 +5,18 @@
 //! it. This crate provides exactly the primitives the rest of the
 //! workspace needs and nothing more:
 //!
-//! * a [`Registry`] of named **counters**, **gauges**, and fixed-bucket
-//!   **log2 latency histograms** — registration takes a mutex and may
+//! * a [`Registry`] of named **counters** and fixed-bucket **log2
+//!   latency histograms** — registration takes a mutex and may
 //!   allocate, but recording through a pre-registered handle is a
 //!   handful of relaxed atomic increments: no locks, no floats, no
 //!   allocation;
 //! * lightweight **span** records ([`Registry::record_span`]) for
 //!   low-frequency protocol phases (initiator phases, local-checkpoint
 //!   duration, log drain, recovery replay) tagged with rank and epoch;
-//! * a [`Snapshot`] of everything, exportable as a JSON document
-//!   (following the `c3_bench::report` flat-scalar conventions) and as
-//!   an OpenMetrics/Prometheus text exposition, with hand-rolled
-//!   parsers for both so round-trips can be tested without external
-//!   dependencies;
+//! * a [`Snapshot`] of everything, written as one JSON document
+//!   (following the `c3_bench::report` flat-scalar conventions) and read
+//!   back by a hand-rolled parser, so round-trips can be tested without
+//!   external dependencies;
 //! * a `c3obs` CLI binary that renders a per-rank, per-epoch phase
 //!   table from a snapshot file.
 //!
@@ -28,11 +27,9 @@
 
 mod hist;
 pub mod json;
-mod openmetrics;
 mod registry;
 mod snapshot;
 
 pub use hist::{bucket_bound, bucket_index, Stopwatch, BUCKETS};
-pub use openmetrics::{parse as parse_openmetrics, Family, FamilyKind};
-pub use registry::{Counter, Gauge, Histogram, Registry};
+pub use registry::{Counter, Histogram, Registry};
 pub use snapshot::{HistogramSnapshot, MetricValue, Snapshot, SpanRecord};

@@ -12,7 +12,7 @@
 //! epoch), never per-message events.
 
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use crate::hist::{bucket_index, BUCKETS};
@@ -53,29 +53,6 @@ impl Counter {
 
     /// Current value.
     pub fn value(&self) -> u64 {
-        self.0.load(Ordering::Relaxed)
-    }
-}
-
-/// A gauge handle: a signed value that can move both ways.
-#[derive(Debug, Clone)]
-pub struct Gauge(Arc<AtomicI64>);
-
-impl Gauge {
-    /// Set the gauge to `v`.
-    #[inline]
-    pub fn set(&self, v: i64) {
-        self.0.store(v, Ordering::Relaxed);
-    }
-
-    /// Add `d` (may be negative) to the gauge.
-    #[inline]
-    pub fn add(&self, d: i64) {
-        self.0.fetch_add(d, Ordering::Relaxed);
-    }
-
-    /// Current value.
-    pub fn value(&self) -> i64 {
         self.0.load(Ordering::Relaxed)
     }
 }
@@ -126,7 +103,6 @@ impl Histogram {
 #[derive(Debug, Default)]
 struct Tables {
     counters: BTreeMap<Key, Arc<AtomicU64>>,
-    gauges: BTreeMap<Key, Arc<AtomicI64>>,
     hists: BTreeMap<Key, Arc<HistCells>>,
 }
 
@@ -194,21 +170,6 @@ impl Registry {
         Counter(Arc::clone(cell))
     }
 
-    /// Register (or look up) an unlabeled gauge.
-    pub fn gauge(&self, name: &str) -> Gauge {
-        self.gauge_with(name, &[])
-    }
-
-    /// Register (or look up) a labeled gauge.
-    pub fn gauge_with(&self, name: &str, labels: &[(&str, &str)]) -> Gauge {
-        let mut t = self.inner.tables.lock().unwrap();
-        let cell = t
-            .gauges
-            .entry(key(name, labels))
-            .or_insert_with(|| Arc::new(AtomicI64::new(0)));
-        Gauge(Arc::clone(cell))
-    }
-
     /// Register (or look up) an unlabeled histogram.
     pub fn histogram(&self, name: &str) -> Histogram {
         self.histogram_with(name, &[])
@@ -251,15 +212,6 @@ impl Registry {
                 value: cell.load(Ordering::Relaxed),
             })
             .collect();
-        let gauges = t
-            .gauges
-            .iter()
-            .map(|((name, labels), cell)| MetricValue {
-                name: name.clone(),
-                labels: labels.clone(),
-                value: cell.load(Ordering::Relaxed),
-            })
-            .collect();
         let histograms = t
             .hists
             .iter()
@@ -286,7 +238,6 @@ impl Registry {
         let spans = self.inner.spans.lock().unwrap().clone();
         Snapshot {
             counters,
-            gauges,
             histograms,
             spans,
         }
@@ -344,15 +295,6 @@ mod tests {
         assert_eq!(get(2), 2, "v=2,3");
         assert_eq!(get(10), 2, "v=900,1023");
         assert_eq!(get(11), 1, "v=1024");
-    }
-
-    #[test]
-    fn gauges_move_both_ways() {
-        let r = Registry::new();
-        let g = r.gauge("depth");
-        g.set(5);
-        g.add(-2);
-        assert_eq!(g.value(), 3);
     }
 
     #[test]

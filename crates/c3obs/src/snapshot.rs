@@ -8,9 +8,8 @@
 //!
 //! ```json
 //! {
-//!   "schema": "c3obs-snapshot-v1",
+//!   "schema": "c3obs-snapshot-v2",
 //!   "counters":   [ {"name": "...", "labels": "rank=0", "value": 3} ],
-//!   "gauges":     [ {"name": "...", "labels": "", "value": -1} ],
 //!   "histograms": [ {"name": "...", "labels": "", "count": 7,
 //!                    "sum": 2953, "buckets": "0:1,2:2"} ],
 //!   "spans":      [ {"name": "...", "rank": 0, "epoch": 1,
@@ -40,15 +39,15 @@ pub struct SpanRecord {
     pub nanos: u64,
 }
 
-/// A counter or gauge reading.
+/// A counter reading.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct MetricValue<T> {
+pub struct MetricValue {
     /// Metric name.
     pub name: String,
     /// Sorted label pairs.
     pub labels: Vec<(String, String)>,
     /// The value at snapshot time.
-    pub value: T,
+    pub value: u64,
 }
 
 /// A histogram reading. `buckets` holds only the non-empty buckets as
@@ -72,9 +71,7 @@ pub struct HistogramSnapshot {
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct Snapshot {
     /// All counters, in deterministic (name, labels) order.
-    pub counters: Vec<MetricValue<u64>>,
-    /// All gauges, in deterministic (name, labels) order.
-    pub gauges: Vec<MetricValue<i64>>,
+    pub counters: Vec<MetricValue>,
     /// All histograms, in deterministic (name, labels) order.
     pub histograms: Vec<HistogramSnapshot>,
     /// All spans, in recording order.
@@ -82,7 +79,7 @@ pub struct Snapshot {
 }
 
 /// Schema tag written into (and required from) every snapshot file.
-pub const SCHEMA: &str = "c3obs-snapshot-v1";
+pub const SCHEMA: &str = "c3obs-snapshot-v2";
 
 fn labels_to_str(labels: &[(String, String)]) -> String {
     labels
@@ -142,7 +139,7 @@ fn push_str_field(out: &mut String, key: &str, val: &str, first: bool) {
     out.push('"');
 }
 
-fn push_int_field(out: &mut String, key: &str, val: i128, first: bool) {
+fn push_int_field(out: &mut String, key: &str, val: u64, first: bool) {
     if !first {
         out.push_str(", ");
     }
@@ -168,20 +165,7 @@ impl Snapshot {
                 &labels_to_str(&c.labels),
                 false,
             );
-            push_int_field(&mut out, "value", c.value as i128, false);
-            out.push('}');
-        }
-        out.push_str("\n  ],\n  \"gauges\": [");
-        for (i, g) in self.gauges.iter().enumerate() {
-            out.push_str(if i == 0 { "\n    {" } else { ",\n    {" });
-            push_str_field(&mut out, "name", &g.name, true);
-            push_str_field(
-                &mut out,
-                "labels",
-                &labels_to_str(&g.labels),
-                false,
-            );
-            push_int_field(&mut out, "value", g.value as i128, false);
+            push_int_field(&mut out, "value", c.value, false);
             out.push('}');
         }
         out.push_str("\n  ],\n  \"histograms\": [");
@@ -194,8 +178,8 @@ impl Snapshot {
                 &labels_to_str(&h.labels),
                 false,
             );
-            push_int_field(&mut out, "count", h.count as i128, false);
-            push_int_field(&mut out, "sum", h.sum as i128, false);
+            push_int_field(&mut out, "count", h.count, false);
+            push_int_field(&mut out, "sum", h.sum, false);
             push_str_field(
                 &mut out,
                 "buckets",
@@ -208,9 +192,9 @@ impl Snapshot {
         for (i, s) in self.spans.iter().enumerate() {
             out.push_str(if i == 0 { "\n    {" } else { ",\n    {" });
             push_str_field(&mut out, "name", &s.name, true);
-            push_int_field(&mut out, "rank", s.rank as i128, false);
-            push_int_field(&mut out, "epoch", s.epoch as i128, false);
-            push_int_field(&mut out, "nanos", s.nanos as i128, false);
+            push_int_field(&mut out, "rank", u64::from(s.rank), false);
+            push_int_field(&mut out, "epoch", s.epoch, false);
+            push_int_field(&mut out, "nanos", s.nanos, false);
             out.push('}');
         }
         out.push_str("\n  ]\n}\n");
@@ -236,14 +220,6 @@ impl Snapshot {
                 name: get(o, "name")?.as_str("name")?.to_string(),
                 labels: labels_from_str(get(o, "labels")?.as_str("labels")?)?,
                 value: get(o, "value")?.as_u64("value")?,
-            });
-        }
-        for item in get(obj, "gauges")?.as_arr("gauges")? {
-            let o = item.as_obj("gauge")?;
-            snap.gauges.push(MetricValue {
-                name: get(o, "name")?.as_str("name")?.to_string(),
-                labels: labels_from_str(get(o, "labels")?.as_str("labels")?)?,
-                value: get(o, "value")?.as_i64("value")?,
             });
         }
         for item in get(obj, "histograms")?.as_arr("histograms")? {
@@ -373,7 +349,6 @@ mod tests {
         let r = Registry::new();
         r.counter_with("c3_commits_total", &[("rank", "0")]).add(3);
         r.counter_with("c3_commits_total", &[("rank", "1")]).add(3);
-        r.gauge("io_queue_depth").set(-2);
         let h = r.histogram_with("io_write_ns", &[("kind", "chunk")]);
         for v in [0, 5, 900, 1023, 70_000] {
             h.record(v);
@@ -426,23 +401,23 @@ mod tests {
             ("{}", "missing schema"),
             ("{\"schema\": \"other\"}", "wrong schema"),
             (
-                "{\"schema\": \"c3obs-snapshot-v1\", \
-                 \"counters\": [], \"gauges\": [], \
+                "{\"schema\": \"c3obs-snapshot-v2\", \
+                 \"counters\": [], \
                  \"histograms\": [], \"spans\": []} x",
                 "trailing garbage",
             ),
             (
-                "{\"schema\": \"c3obs-snapshot-v1\", \
+                "{\"schema\": \"c3obs-snapshot-v2\", \
                  \"counters\": [{\"name\": \"a\", \
                  \"labels\": \"oops\", \"value\": 1}], \
-                 \"gauges\": [], \"histograms\": [], \"spans\": []}",
+                 \"histograms\": [], \"spans\": []}",
                 "bad label pair",
             ),
             (
-                "{\"schema\": \"c3obs-snapshot-v1\", \
+                "{\"schema\": \"c3obs-snapshot-v2\", \
                  \"counters\": [{\"name\": \"a\", \
                  \"labels\": \"\", \"value\": -1}], \
-                 \"gauges\": [], \"histograms\": [], \"spans\": []}",
+                 \"histograms\": [], \"spans\": []}",
                 "negative counter",
             ),
         ] {

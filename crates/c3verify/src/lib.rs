@@ -31,7 +31,7 @@ pub mod verdict;
 
 use std::path::Path;
 
-use c3_core::trace::{decode_trace, TraceRecord, TraceSink};
+use c3_core::trace::{decode_trace, TraceRecord};
 
 pub use analyzer::{analyze, invariant};
 pub use explorer::{explore, ExploreConfig, ExploreOutcome, Op, Reduction};
@@ -51,19 +51,7 @@ pub fn analyze_file(path: &Path) -> Result<Report, String> {
     Ok(analyze(&read_trace_file(path)?))
 }
 
-/// Analyze the records currently held by a live sink (without draining
-/// it).
-pub fn analyze_sink(sink: &TraceSink) -> Report {
-    analyze(&sink.snapshot())
-}
-
 /// Race-check a trace artifact file (magic `C3TRACE2`).
 pub fn race_check_file(path: &Path) -> Result<Report, String> {
     Ok(race_check(&read_trace_file(path)?))
-}
-
-/// Race-check the records currently held by a live sink (without
-/// draining it).
-pub fn race_check_sink(sink: &TraceSink) -> Report {
-    race_check(&sink.snapshot())
 }

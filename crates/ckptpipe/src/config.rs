@@ -97,12 +97,6 @@ impl TierTopology {
             erasure: Some((data, parity)),
         }
     }
-
-    /// Number of tiers this topology adds below the staging tier.
-    pub fn extra_tiers(&self) -> usize {
-        usize::from(self.partner_replicas > 0)
-            + usize::from(self.erasure.is_some())
-    }
 }
 
 /// Full pipeline configuration, embedded in the protocol layer's

@@ -18,9 +18,8 @@
 //!   checkpoint (incremental / delta checkpoints, per the
 //!   differential-checkpointing line of work). Surviving chunks are
 //!   compressed per the configured [`Codec`] (PackBits RLE or an
-//!   LZ4-class block codec). Hashing and compression of one blob fan out
-//!   across the writer pool as subtasks, and fresh chunks land in one
-//!   batched put per blob.
+//!   LZ4-class block codec), and fresh chunks land in one batched put
+//!   per blob.
 //! * **Retry** — transient storage faults (see
 //!   `ckptstore::FaultInjectingBackend`) are retried with exponential
 //!   backoff.
@@ -441,9 +440,8 @@ mod tests {
 
     #[test]
     fn parallel_preparation_preserves_manifest_order() {
-        // A blob big enough to fan out across the writer pool as chunk
-        // subtasks must still reassemble byte-identically (results land
-        // in manifest order no matter which worker prepared them).
+        // A many-chunk blob written by a 4-writer pipeline reassembles
+        // byte-identically.
         let (_, store) = mem_store(1);
         let cfg = PipelineConfig::default()
             .with_mode(WriteMode::Async {
@@ -462,6 +460,80 @@ mod tests {
         assert_eq!(store.get_rank_blob(1, 0, RankBlobKind::State).unwrap(), v);
         let stats = pipe.stats();
         assert!(stats.chunks_written > 0, "stats: {stats:?}");
+    }
+
+    /// `len` seeded bytes alternating incompressible stretches, long runs
+    /// and a repeat of the opening stretch (a within-blob duplicate).
+    fn mixed_blob(seed: u64, len: usize) -> Vec<u8> {
+        let mut state = seed;
+        let mut out = Vec::with_capacity(len);
+        while out.len() < len {
+            let draw = ckptstore::splitmix64(&mut state);
+            let stretch = 2048 + (draw % 6000) as usize;
+            match draw >> 62 {
+                0 => out.extend(std::iter::repeat_n(draw as u8, stretch)),
+                1 if out.len() >= stretch => out.extend_from_within(..stretch),
+                _ => out.extend(
+                    (0..stretch)
+                        .map(|_| ckptstore::splitmix64(&mut state) as u8),
+                ),
+            }
+        }
+        out.truncate(len);
+        out
+    }
+
+    #[test]
+    fn four_writers_store_what_sync_stores() {
+        // Stored form is a pure function of the bytes: which thread wrote a
+        // blob, and in what order blobs landed, changes neither a manifest
+        // nor the set of keys on storage. Two ranks, two lines (the second
+        // mutates one stretch, so previous-line hits run too).
+        let line1 = [mixed_blob(1, 640 * 1024), mixed_blob(2, 512 * 1024)];
+        let mut line2 = line1.clone();
+        for (i, b) in line2[0][300_000..303_000].iter_mut().enumerate() {
+            *b = i as u8;
+        }
+        let run = |mode: WriteMode, chunker: Chunker, codec: Codec| {
+            let (backend, store) = mem_store(2);
+            let cfg = PipelineConfig::default()
+                .with_mode(mode)
+                .with_chunker(chunker)
+                .with_codec(codec);
+            let pipe = CheckpointPipeline::new(store.clone(), cfg);
+            let mut manifests = Vec::new();
+            for (ckpt, line) in [(1, &line1), (2, &line2)] {
+                stage_full_checkpoint(&pipe, ckpt, line);
+                assert_eq!(pipe.drain(ckpt).unwrap(), 4);
+                store.commit(ckpt).unwrap();
+                for rank in 0..2 {
+                    let m = store
+                        .get_rank_manifest(ckpt, rank, RankBlobKind::State)
+                        .unwrap()
+                        .expect("incremental writes leave a manifest");
+                    assert!(m.chunks.len() >= 16, "{} chunks", m.chunks.len());
+                    manifests.push(m);
+                }
+            }
+            let stats = pipe.stats();
+            assert!(stats.chunks_compressed > 0, "stats: {stats:?}");
+            assert!(stats.chunks_deduped > 0, "stats: {stats:?}");
+            (manifests, backend.list("").unwrap())
+        };
+        let four = WriteMode::Async {
+            writers: 4,
+            queue_depth: 8,
+        };
+        for (chunker, codec) in [
+            (Chunker::fixed(4096), Codec::PackBits),
+            (Chunker::cdc(4096), Codec::Lz4),
+        ] {
+            let (sync_manifests, sync_keys) =
+                run(WriteMode::Sync, chunker, codec);
+            let (async_manifests, async_keys) = run(four, chunker, codec);
+            assert_eq!(sync_manifests, async_manifests, "{chunker:?}");
+            assert_eq!(sync_keys, async_keys, "{chunker:?}");
+        }
     }
 
     #[test]

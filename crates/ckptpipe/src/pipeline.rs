@@ -116,53 +116,7 @@ struct WriteTicket {
 #[derive(Default)]
 struct QueueState {
     jobs: VecDeque<Job>,
-    /// Chunk-batch subtasks split off a blob currently being written.
-    /// Workers prefer these over whole blobs so an in-flight blob's
-    /// hashing/compression fans out across the pool instead of queueing
-    /// behind other blobs.
-    subtasks: VecDeque<ChunkTask>,
     shutdown: bool,
-}
-
-/// One contiguous span of a blob's chunks, to be hashed and encoded on
-/// whichever thread picks it up (a pool worker, or the owning writer
-/// helping drain its own batch). Pure CPU work: subtasks never touch
-/// storage and never block, so helping cannot deadlock.
-struct ChunkTask {
-    /// One part of the staged blob (refcounted; cloning is free).
-    bytes: Bytes,
-    /// Chunk boundaries of the part, as `(start, end)` byte offsets.
-    ranges: Arc<Vec<(usize, usize)>>,
-    /// This task prepares `ranges[lo..hi]`.
-    lo: usize,
-    hi: usize,
-    /// The stream's previous line: a chunk address it holds skips
-    /// hashing's follow-up compression entirely.
-    prev: Option<Arc<LineRecord>>,
-    batch: Arc<BatchState>,
-}
-
-/// Rendezvous between a blob's owner and the workers preparing its
-/// chunk batches.
-struct BatchState {
-    inner: Mutex<BatchInner>,
-    done: Condvar,
-}
-
-struct BatchInner {
-    /// One slot per chunk, filled as tasks complete (manifest order is
-    /// the slot order, independent of task completion order).
-    results: Vec<Option<Prepared>>,
-    /// Tasks still running.
-    remaining: usize,
-}
-
-/// A chunk after parallel preparation: its manifest reference, plus the
-/// encoded payload when the previous-manifest dedup set did not already
-/// cover it (`None` = prev-set hit, nothing to store).
-struct Prepared {
-    chunk: ChunkRef,
-    stored: Option<Vec<u8>>,
 }
 
 /// State of the async tier-drain mover: checkpoints queued for
@@ -569,7 +523,7 @@ impl CheckpointPipeline {
         if !self.shared.cfg.incremental {
             return None;
         }
-        self.shared.records().get(&(rank, kind_tag(kind))).cloned()
+        self.shared.records().get(&(rank, kind.tag())).cloned()
     }
 
     /// Take the manifest a rank just recovered from as its stream's
@@ -585,7 +539,7 @@ impl CheckpointPipeline {
         kind: RankBlobKind,
     ) -> StoreResult<()> {
         let shared = &self.shared;
-        let slot = (rank, kind_tag(kind));
+        let slot = (rank, kind.tag());
         // Under the gate, like a write: a GC cannot collect the line
         // between the manifest read and the insert.
         let floor = shared.gc_gate.read().unwrap();
@@ -663,39 +617,23 @@ impl CheckpointPipeline {
     }
 }
 
-/// Work a pool thread can pick up: a chunk-preparation subtask (always
-/// preferred — it unblocks a blob already in flight) or a whole blob.
-enum Work {
-    Chunk(ChunkTask),
-    Blob(Job),
-}
-
 fn worker_loop(shared: &Shared) {
     loop {
-        let work = {
+        let job = {
             let mut q = shared.queue.lock().unwrap();
             loop {
-                if let Some(task) = q.subtasks.pop_front() {
-                    break Some(Work::Chunk(task));
-                }
                 if let Some(job) = q.jobs.pop_front() {
                     shared.not_full.notify_all();
-                    break Some(Work::Blob(job));
+                    break job;
                 }
                 if q.shutdown {
-                    break None;
+                    return;
                 }
                 q = shared.not_empty.wait(q).unwrap();
             }
         };
-        match work {
-            Some(Work::Chunk(task)) => shared.run_chunk_task(task),
-            Some(Work::Blob(job)) => {
-                let result = shared.write_blob(&job);
-                shared.complete_job(job.ckpt, result);
-            }
-            None => return,
-        }
+        let result = shared.write_blob(&job);
+        shared.complete_job(job.ckpt, result);
     }
 }
 
@@ -849,7 +787,7 @@ impl Shared {
         if blob.base.as_ref().is_some_and(|b| b.ckpt < *floor) {
             return Err(refused("its base line has been garbage-collected"));
         }
-        let dedup_slot = (job.rank, kind_tag(job.kind));
+        let dedup_slot = (job.rank, job.kind.tag());
         let prev = blob
             .base
             .clone()
@@ -857,13 +795,11 @@ impl Shared {
 
         // Part by part, in manifest order. A clean reference is resolved
         // from the base without touching bytes. Any other part is cut
-        // first (cheap, sequential by nature: each CDC boundary determines
-        // where the next chunk starts; cuts restart at every part, so a
-        // tracked value's chunks do not depend on what precedes it), then
-        // hashed + encoded in parallel across the writer pool. Fresh
-        // chunks accumulate into one batched put; `batch_seen` catches
-        // within-blob duplicates, which the store probe cannot (nothing
-        // lands until the batch goes out).
+        // (cuts restart at every part, so a tracked value's chunks do not
+        // depend on what precedes it) and hashed + encoded chunk by chunk
+        // on the thread writing the blob. Fresh chunks accumulate into one
+        // batched put; `batch_seen` catches within-blob duplicates, which
+        // the store probe cannot (nothing lands until the batch goes out).
         let mut manifest = Manifest::default();
         let mut clean: HashMap<u64, Arc<CleanRun>> = HashMap::new();
         let mut fresh: Vec<(ChunkRef, Vec<u8>)> = Vec::new();
@@ -886,17 +822,17 @@ impl Shared {
                     (len, run.crc)
                 }
                 Part::Bytes { len, version } => {
-                    let bytes = blob.bytes.slice(off..off + len);
+                    let bytes = &blob.bytes[off..off + len];
                     off += len;
                     let first = manifest.chunks.len();
                     self.write_part(
-                        &bytes,
+                        bytes,
                         prev.as_ref(),
                         &mut manifest.chunks,
                         &mut fresh,
                         &mut batch_seen,
                     )?;
-                    let crc = crc32(&bytes);
+                    let crc = crc32(bytes);
                     if let Some(version) = version {
                         let chunks = manifest.chunks[first..].to_vec();
                         let run = CleanRun { len, crc, chunks };
@@ -934,22 +870,16 @@ impl Shared {
     /// `chunks` in order, the payloads nothing vouches for onto `fresh`.
     fn write_part(
         &self,
-        bytes: &Bytes,
+        bytes: &[u8],
         prev: Option<&Arc<LineRecord>>,
         chunks: &mut Vec<ChunkRef>,
         fresh: &mut Vec<(ChunkRef, Vec<u8>)>,
         batch_seen: &mut HashSet<(u128, u32)>,
     ) -> StoreResult<()> {
-        let mut ranges = Vec::new();
-        let mut off = 0;
         for piece in self.cfg.chunker.cut(bytes) {
-            ranges.push((off, off + piece.len()));
-            off += piece.len();
-        }
-        for p in self.prepare_all(bytes, ranges, prev) {
-            let chunk = p.chunk;
+            let (chunk, stored) = self.prepare_chunk(piece, prev);
             let addr = (chunk.hash, chunk.len);
-            let known = match &p.stored {
+            let known = match &stored {
                 None => true, // previous-line hit, nothing encoded
                 Some(_) => {
                     batch_seen.contains(&addr)
@@ -963,7 +893,7 @@ impl Shared {
                     o.dedup_misses.inc();
                 }
                 batch_seen.insert(addr);
-                fresh.push((chunk, p.stored.expect("miss carries payload")));
+                fresh.push((chunk, stored.expect("miss carries payload")));
             }
             chunks.push(chunk);
         }
@@ -983,111 +913,15 @@ impl Shared {
         }
     }
 
-    /// Hash and encode every chunk of a part, fanning the work out
-    /// across the writer pool when there is one and the part is big
-    /// enough to amortize the handoff. Results come back in manifest
-    /// order regardless of which thread prepared what.
-    fn prepare_all(
-        &self,
-        bytes: &Bytes,
-        ranges: Vec<(usize, usize)>,
-        prev: Option<&Arc<LineRecord>>,
-    ) -> Vec<Prepared> {
-        let writers = match self.cfg.mode {
-            WriteMode::Async { writers, .. } => writers.max(1),
-            WriteMode::Sync => 0,
-        };
-        // Spans below this many chunks are prepared inline: the lock
-        // traffic of a handoff costs more than hashing a few pieces.
-        const MIN_SPAN: usize = 8;
-        let n = ranges.len();
-        if writers <= 1 || n < 2 * MIN_SPAN {
-            return ranges
-                .iter()
-                .map(|&(s, e)| self.prepare_chunk(&bytes[s..e], prev))
-                .collect();
-        }
-        let span = ((n + writers) / (writers + 1)).max(MIN_SPAN);
-        let batches = n.div_ceil(span);
-        let ranges = Arc::new(ranges);
-        let batch = Arc::new(BatchState {
-            inner: Mutex::new(BatchInner {
-                results: std::iter::repeat_with(|| None).take(n).collect(),
-                remaining: batches,
-            }),
-            done: Condvar::new(),
-        });
-        let task = |b: usize| ChunkTask {
-            bytes: bytes.clone(),
-            ranges: Arc::clone(&ranges),
-            lo: b * span,
-            hi: ((b + 1) * span).min(n),
-            prev: prev.cloned(),
-            batch: Arc::clone(&batch),
-        };
-        {
-            let mut q = self.queue.lock().unwrap();
-            for b in 1..batches {
-                q.subtasks.push_back(task(b));
-            }
-        }
-        self.not_empty.notify_all();
-        // Work the first span ourselves, then help drain the subtask
-        // queue (ours or anyone's — subtasks are pure CPU and cannot
-        // block) until our batch is fully prepared.
-        self.run_chunk_task(task(0));
-        loop {
-            if batch.inner.lock().unwrap().remaining == 0 {
-                break;
-            }
-            let stolen = self.queue.lock().unwrap().subtasks.pop_front();
-            match stolen {
-                Some(t) => self.run_chunk_task(t),
-                None => {
-                    let mut inner = batch.inner.lock().unwrap();
-                    while inner.remaining > 0 {
-                        inner = batch.done.wait(inner).unwrap();
-                    }
-                    break;
-                }
-            }
-        }
-        let mut inner = batch.inner.lock().unwrap();
-        std::mem::take(&mut inner.results)
-            .into_iter()
-            .map(|p| p.expect("all batches completed"))
-            .collect()
-    }
-
-    /// Run one chunk-preparation subtask and publish its results.
-    fn run_chunk_task(&self, task: ChunkTask) {
-        let mut out = Vec::with_capacity(task.hi - task.lo);
-        for idx in task.lo..task.hi {
-            let (s, e) = task.ranges[idx];
-            out.push(
-                self.prepare_chunk(&task.bytes[s..e], task.prev.as_ref()),
-            );
-        }
-        let mut inner = task.batch.inner.lock().unwrap();
-        for (idx, p) in (task.lo..task.hi).zip(out) {
-            inner.results[idx] = Some(p);
-        }
-        inner.remaining -= 1;
-        let done = inner.remaining == 0;
-        drop(inner);
-        if done {
-            task.batch.done.notify_all();
-        }
-    }
-
     /// Hash one chunk and work out its stored form: from the stream's
-    /// previous line when possible (skipping compression altogether), by
-    /// encoding otherwise.
+    /// previous line when possible (skipping compression altogether; no
+    /// payload comes back, there is nothing to store), by encoding
+    /// otherwise.
     fn prepare_chunk(
         &self,
         piece: &[u8],
         prev: Option<&Arc<LineRecord>>,
-    ) -> Prepared {
+    ) -> (ChunkRef, Option<Vec<u8>>) {
         let mut chunk = ChunkRef::for_piece(piece);
         if let Some(o) = &self.obs {
             o.chunk_bytes.record(piece.len() as u64);
@@ -1097,10 +931,7 @@ impl Shared {
         {
             chunk.stored_len = stored_len;
             chunk.codec = codec;
-            return Prepared {
-                chunk,
-                stored: None,
-            };
+            return (chunk, None);
         }
         let (stored, codec) = self.stored_form(piece);
         chunk.stored_len = stored.len() as u32;
@@ -1109,10 +940,7 @@ impl Shared {
             o.precompress_bytes.add(piece.len() as u64);
             o.postcompress_bytes.add(stored.len() as u64);
         }
-        Prepared {
-            chunk,
-            stored: Some(stored),
-        }
+        (chunk, Some(stored))
     }
 
     /// Deterministic stored representation of a chunk: encoded with the
@@ -1190,14 +1018,6 @@ impl Shared {
                 Err(e) => return Err(e),
             }
         }
-    }
-}
-
-fn kind_tag(kind: RankBlobKind) -> u8 {
-    match kind {
-        RankBlobKind::State => 0,
-        RankBlobKind::Log => 1,
-        RankBlobKind::MpiObjects => 2,
     }
 }
 

@@ -87,11 +87,6 @@ impl MemoryBackend {
     pub fn blob_count(&self) -> usize {
         self.blobs.lock().len()
     }
-
-    /// Total bytes currently resident (not cumulative).
-    pub fn resident_bytes(&self) -> u64 {
-        self.blobs.lock().values().map(|v| v.len() as u64).sum()
-    }
 }
 
 impl StorageBackend for MemoryBackend {

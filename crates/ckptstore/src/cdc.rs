@@ -117,15 +117,6 @@ impl Chunker {
         Chunker::Cdc { min, avg, max }
     }
 
-    /// Upper bound on the size of any chunk this chunker produces; used
-    /// to pre-size buffers.
-    pub fn max_chunk(&self) -> usize {
-        match *self {
-            Chunker::Fixed { size } => size,
-            Chunker::Cdc { max, .. } => max,
-        }
-    }
-
     /// Length of the first chunk of `data` (the whole remainder when no
     /// boundary fires). Returns 0 only for empty input.
     fn next_cut(&self, data: &[u8]) -> usize {

@@ -325,10 +325,17 @@ impl<'a> Decoder<'a> {
         self.buf.len() - self.pos
     }
 
-    /// True if every byte has been consumed — recovery code asserts this to
-    /// catch schema drift between save and load.
-    pub fn is_exhausted(&self) -> bool {
-        self.remaining() == 0
+    /// Require that every byte has been consumed. Every site that decodes
+    /// a complete buffer ends with this, so bytes past the value — schema
+    /// drift between save and load, or a tampered blob — are an error
+    /// everywhere, never silently ignored.
+    pub fn finish(&self, what: &str) -> Result<(), CodecError> {
+        match self.remaining() {
+            0 => Ok(()),
+            n => Err(CodecError::new(format!(
+                "{n} trailing bytes after {what}"
+            ))),
+        }
     }
 
     fn take(&mut self, n: usize, what: &str) -> Result<&'a [u8], CodecError> {
@@ -792,7 +799,7 @@ mod tests {
         assert_eq!(dec.get_f64().unwrap(), std::f64::consts::PI);
         assert!(dec.get_bool().unwrap());
         assert_eq!(dec.get_usize().unwrap(), 12345);
-        assert!(dec.is_exhausted());
+        dec.finish("values").unwrap();
     }
 
     #[test]
@@ -806,7 +813,17 @@ mod tests {
         assert_eq!(dec.get_str().unwrap(), "épochs and colors");
         assert_eq!(dec.get_bytes().unwrap(), &[1, 2, 3]);
         assert_eq!(dec.get_bytes().unwrap(), &[] as &[u8]);
-        assert!(dec.is_exhausted());
+        dec.finish("values").unwrap();
+    }
+
+    #[test]
+    fn finish_accepts_exhausted_and_counts_trailing_bytes() {
+        let mut dec = Decoder::new(&[7, 8, 9]);
+        dec.get_u8().unwrap();
+        let err = dec.finish("one byte").unwrap_err().to_string();
+        assert!(err.contains("2 trailing bytes after one byte"), "{err}");
+        dec.get_u16().unwrap();
+        dec.finish("all three").unwrap();
     }
 
     #[test]
@@ -994,6 +1011,6 @@ mod tests {
         let bytes = enc.into_bytes();
         let mut dec = Decoder::new(&bytes);
         assert_eq!(dec.get::<Sample>().unwrap(), s);
-        assert!(dec.is_exhausted());
+        dec.finish("values").unwrap();
     }
 }

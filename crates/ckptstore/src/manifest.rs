@@ -159,9 +159,7 @@ impl Manifest {
             blob_crc: dec.get_u32()?,
             chunks: dec.get()?,
         };
-        if !dec.is_exhausted() {
-            return Err(CodecError::new("trailing bytes after manifest"));
-        }
+        dec.finish("manifest")?;
         let sum: u64 = m.chunks.iter().map(|c| u64::from(c.len)).sum();
         if sum != m.total_len {
             return Err(CodecError::new(format!(

@@ -56,6 +56,16 @@ impl RankBlobKind {
             RankBlobKind::MpiObjects => "mpi",
         }
     }
+
+    /// The kind as one stable byte: 0 = state, 1 = log, 2 = MPI objects.
+    /// The `BlobStaged` trace record carries it on the wire.
+    pub fn tag(self) -> u8 {
+        match self {
+            RankBlobKind::State => 0,
+            RankBlobKind::Log => 1,
+            RankBlobKind::MpiObjects => 2,
+        }
+    }
 }
 
 /// Metadata stored in a `COMMIT` record.
@@ -428,12 +438,12 @@ impl CheckpointStore {
     pub fn commit_record(&self, ckpt: CkptId) -> StoreResult<CommitRecord> {
         let key = Self::commit_key(ckpt);
         let bytes = self.backend.get(&key)?;
-        let rec =
-            CommitRecord::load(&mut Decoder::new(&bytes)).map_err(|e| {
-                StoreError::Corrupt {
-                    key: key.clone(),
-                    detail: e.to_string(),
-                }
+        let mut dec = Decoder::new(&bytes);
+        let rec = CommitRecord::load(&mut dec)
+            .and_then(|rec| dec.finish("commit record").map(|()| rec))
+            .map_err(|e| StoreError::Corrupt {
+                key: key.clone(),
+                detail: e.to_string(),
             })?;
         if rec.ckpt != ckpt {
             return Err(StoreError::Corrupt {
@@ -530,47 +540,7 @@ impl CheckpointStore {
     /// pipeline writers in flight (the previous attempt's pipeline is
     /// shut down before the driver probes recoverability).
     pub fn discard_after(&self, keep_newest: CkptId) -> StoreResult<u64> {
-        // Pass 1: live chunk set from the manifests of surviving lines.
-        let mut live: HashSet<String> = HashSet::new();
-        for key in self.backend.list("ckpt/")? {
-            let Some(id) = Self::parse_ckpt_id(&key) else {
-                continue;
-            };
-            if id <= keep_newest && key.ends_with(".m") {
-                if let Some(manifest) = self.load_manifest_at(&key)? {
-                    live.extend(manifest.chunks.iter().map(ChunkRef::key));
-                }
-            }
-        }
-        // Pass 2: drop the newer lines' keys.
-        let mut dropped = std::collections::BTreeSet::new();
-        for key in self.backend.list("ckpt/")? {
-            let Some(id) = Self::parse_ckpt_id(&key) else {
-                continue;
-            };
-            if id > keep_newest {
-                self.backend.delete(&key)?;
-                dropped.insert(id);
-            }
-        }
-        // Pass 3: drop orphaned chunks.
-        for key in self.backend.list("chunk/")? {
-            if !live.contains(&key) {
-                self.backend.delete(&key)?;
-            }
-        }
-        Ok(dropped.len() as u64)
-    }
-
-    /// Total stored bytes belonging to checkpoint `ckpt` (state + logs), for
-    /// the "size of application state" annotations in Figure 8.
-    pub fn checkpoint_bytes(&self, ckpt: CkptId) -> StoreResult<u64> {
-        let prefix = format!("ckpt/{ckpt:08}/");
-        let mut total = 0;
-        for key in self.backend.list(&prefix)? {
-            total += self.backend.get(&key)?.len() as u64;
-        }
-        Ok(total)
+        self.sweep(|id| id <= keep_newest)
     }
 
     /// Delete every blob of every checkpoint older than `keep`, plus any
@@ -592,35 +562,45 @@ impl CheckpointStore {
     /// under the pipeline's writer-vs-GC gate — or a freshly written /
     /// deduplicated chunk may be swept before its manifest lands.
     pub fn gc_keeping(&self, keep: CkptId) -> StoreResult<()> {
+        self.sweep(|id| id >= keep).map(drop)
+    }
+
+    /// Delete every key of the checkpoint lines `live` rejects, then every
+    /// chunk no surviving line's manifest references. Returns how many
+    /// lines were dropped.
+    fn sweep(&self, live: impl Fn(CkptId) -> bool) -> StoreResult<u64> {
         // Pass 1: live chunk set, from the manifests of every surviving
         // checkpoint.
-        let mut live: HashSet<String> = HashSet::new();
+        let mut live_chunks: HashSet<String> = HashSet::new();
         for key in self.backend.list("ckpt/")? {
             let Some(id) = Self::parse_ckpt_id(&key) else {
                 continue;
             };
-            if id >= keep && key.ends_with(".m") {
+            if live(id) && key.ends_with(".m") {
                 if let Some(manifest) = self.load_manifest_at(&key)? {
-                    live.extend(manifest.chunks.iter().map(ChunkRef::key));
+                    live_chunks
+                        .extend(manifest.chunks.iter().map(ChunkRef::key));
                 }
             }
         }
-        // Pass 2: drop collected checkpoints' keys.
+        // Pass 2: drop the other lines' keys.
+        let mut dropped = std::collections::BTreeSet::new();
         for key in self.backend.list("ckpt/")? {
             let Some(id) = Self::parse_ckpt_id(&key) else {
                 continue;
             };
-            if id < keep {
+            if !live(id) {
                 self.backend.delete(&key)?;
+                dropped.insert(id);
             }
         }
         // Pass 3: drop orphaned chunks.
         for key in self.backend.list("chunk/")? {
-            if !live.contains(&key) {
+            if !live_chunks.contains(&key) {
                 self.backend.delete(&key)?;
             }
         }
-        Ok(())
+        Ok(dropped.len() as u64)
     }
 
     fn parse_ckpt_id(key: &str) -> Option<CkptId> {
@@ -839,15 +819,6 @@ mod tests {
             .unwrap()
             .iter()
             .any(|k| k.contains("00000001")));
-    }
-
-    #[test]
-    fn checkpoint_bytes_sums_all_blobs() {
-        let s = store(2);
-        write_full_checkpoint(&s, 1);
-        // 2 ranks x ("state" 5 bytes + "log" 3 bytes), each blob carrying
-        // a 4-byte CRC seal.
-        assert_eq!(s.checkpoint_bytes(1).unwrap(), 2 * (5 + 4 + 3 + 4));
     }
 
     #[test]
@@ -1151,6 +1122,22 @@ mod tests {
             .unwrap();
         assert!(matches!(
             s.commit_record(4).unwrap_err(),
+            StoreError::Corrupt { .. }
+        ));
+    }
+
+    #[test]
+    fn commit_record_with_a_trailing_byte_is_corrupt() {
+        let backend = Arc::new(MemoryBackend::new());
+        let s = CheckpointStore::new(backend.clone(), 1);
+        write_full_checkpoint(&s, 3);
+        s.commit(3).unwrap();
+        s.commit_record(3).unwrap();
+        let mut raw = backend.get("ckpt/00000003/COMMIT").unwrap();
+        raw.push(0);
+        backend.put("ckpt/00000003/COMMIT", &raw).unwrap();
+        assert!(matches!(
+            s.commit_record(3).unwrap_err(),
             StoreError::Corrupt { .. }
         ));
     }

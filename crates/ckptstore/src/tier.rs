@@ -281,6 +281,7 @@ impl TieredBackend {
         let got_k = dec.get_u8().ok()?;
         let got_n = dec.get_u8().ok()?;
         let data = dec.get_bytes().ok()?;
+        dec.finish("shard").ok()?;
         if got_idx as usize != idx || got_k != k || got_n != n {
             return None;
         }

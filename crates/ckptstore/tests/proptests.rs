@@ -35,7 +35,7 @@ proptest! {
         prop_assert_eq!(dec.get_bool().unwrap(), d);
         prop_assert_eq!(dec.get_str().unwrap(), s);
         prop_assert_eq!(dec.get_bytes().unwrap(), &bytes[..]);
-        prop_assert!(dec.is_exhausted());
+        prop_assert!(dec.finish("values").is_ok());
     }
 
     /// `crc32_combine` equals the CRC of the concatenation, either side

@@ -91,9 +91,7 @@ impl ControlMsg {
                     )))
                 }
             };
-            if !dec.is_exhausted() {
-                return Err(CodecError::new("trailing control bytes"));
-            }
+            dec.finish("control message")?;
             Ok(msg)
         };
         parse(&mut dec).map_err(C3Error::Codec)
@@ -130,9 +128,7 @@ impl SuppressList {
                 for _ in 0..n {
                     ids.push(dec.get_u32()?);
                 }
-                if !dec.is_exhausted() {
-                    return Err(CodecError::new("trailing suppress bytes"));
-                }
+                dec.finish("suppress list")?;
                 Ok(SuppressList { ids })
             };
         parse(&mut dec).map_err(C3Error::Codec)

@@ -1198,7 +1198,7 @@ impl<'a> Process<'a> {
         if staged {
             self.trace_event(TraceEvent::BlobStaged {
                 ckpt,
-                kind: blob_kind_tag(kind),
+                kind: kind.tag(),
             });
         }
         Ok(())
@@ -1337,10 +1337,13 @@ impl<'a> Process<'a> {
         }
         let journal_bytes =
             store.get_rank_blob(ckpt, rank, RankBlobKind::MpiObjects)?;
-        let journal =
-            PersistentJournal::load(&mut Decoder::new(&journal_bytes))?;
+        let mut dec = Decoder::new(&journal_bytes);
+        let journal = PersistentJournal::load(&mut dec)?;
+        dec.finish("MPI-object journal")?;
         let log_bytes = store.get_rank_blob(ckpt, rank, RankBlobKind::Log)?;
-        let log = RecoveryLog::load(&mut Decoder::new(&log_bytes))?;
+        let mut dec = Decoder::new(&log_bytes);
+        let log = RecoveryLog::load(&mut dec)?;
+        dec.finish("recovery log")?;
         self.trace_event(TraceEvent::RecoveryStart {
             ckpt,
             late_in_log: log.late.len() as u64,
@@ -1509,15 +1512,5 @@ impl<'a> Process<'a> {
             wire_duplicated: ns.wire.duplicated,
             wire_held: ns.wire.reordered + ns.wire.delayed,
         });
-    }
-}
-
-/// Wire tag for [`TraceEvent::BlobStaged`]'s `kind` byte: 0 = state,
-/// 1 = log, 2 = MPI objects.
-fn blob_kind_tag(kind: RankBlobKind) -> u8 {
-    match kind {
-        RankBlobKind::State => 0,
-        RankBlobKind::Log => 1,
-        RankBlobKind::MpiObjects => 2,
     }
 }

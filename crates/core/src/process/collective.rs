@@ -303,12 +303,7 @@ impl<'a> Process<'a> {
         let framed =
             self.run_collective(coll_kind::REDUCE, comm, move |mpi, app| {
                 let out = mpi.reduce_bytes(app, root, op, T::DTYPE, &data)?;
-                let framed = frame_option(&out);
-                if let Some(acc) = out {
-                    // The accumulator came from simmpi's buffer pool.
-                    simmpi::pool::give(acc);
-                }
-                Ok(framed)
+                Ok(frame_option(&out))
             })?;
         match unframe_option(&framed)? {
             None => Ok(None),

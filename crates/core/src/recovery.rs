@@ -67,8 +67,8 @@ impl RankCheckpoint {
             pending: dec.get()?,
         };
         let envelope = dec.get_bytes()?.len();
-        let end = blob.len() - dec.remaining();
-        Ok((rc, end - envelope..end))
+        dec.finish("state blob")?;
+        Ok((rc, blob.len() - envelope..blob.len()))
     }
 }
 

@@ -441,9 +441,7 @@ pub fn decode_trace(bytes: &[u8]) -> Result<Vec<TraceRecord>, CodecError> {
     for _ in 0..n {
         out.push(TraceRecord::load(&mut dec)?);
     }
-    if !dec.is_exhausted() {
-        return Err(CodecError::new("trailing bytes after trace records"));
-    }
+    dec.finish("trace records")?;
     Ok(out)
 }
 
@@ -498,11 +496,6 @@ impl TraceSink {
     /// Drain and return all records handed in so far.
     pub fn take(&self) -> Vec<TraceRecord> {
         std::mem::take(&mut *self.records.lock())
-    }
-
-    /// Copy of all records handed in so far.
-    pub fn snapshot(&self) -> Vec<TraceRecord> {
-        self.records.lock().clone()
     }
 }
 

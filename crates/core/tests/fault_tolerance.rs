@@ -6,7 +6,7 @@ use std::sync::Arc;
 
 use c3_core::{
     run_job, C3App, C3Config, C3Result, CheckpointTrigger,
-    InstrumentationLevel, Process, ReduceOp,
+    InstrumentationLevel, PipelineConfig, Process, ReduceOp,
 };
 use ckptstore::{impl_saveload_struct, MemoryBackend, StorageBackend};
 
@@ -397,6 +397,42 @@ fn corrupt_committed_checkpoint_fails_loudly_not_wrongly() {
         matches!(err, c3_core::C3Error::Store(_)),
         "expected a storage error, got {err}"
     );
+}
+
+#[test]
+fn recovery_blob_with_a_trailing_byte_is_rejected() {
+    // The log and MPI-object journal blobs are decoded whole: a blob that
+    // passes its CRC seal but carries one byte past the value must fail
+    // recovery with a decode error, never be accepted. Raw (sync/full)
+    // blobs, so the tampered blob can be re-sealed in place.
+    for kind in ["log", "mpi"] {
+        let backend = Arc::new(MemoryBackend::new());
+        let cfg = C3Config::every_ops(16).with_io(PipelineConfig::sync_full());
+        run_job(2, &cfg, Some(backend.clone()), &RingApp { iters: 20 })
+            .unwrap();
+        let store = ckptstore::CheckpointStore::new(
+            backend.clone() as Arc<dyn StorageBackend>,
+            2,
+        );
+        let latest = store.latest_committed().unwrap().unwrap();
+        let key = format!("ckpt/{latest:08}/rank0/{kind}");
+        let sealed = backend.get(&key).unwrap();
+        let mut blob = ckptstore::unseal(&sealed).unwrap().to_vec();
+        blob.push(0);
+        backend.put(&key, &ckptstore::seal(&blob)).unwrap();
+
+        let err = run_job(
+            2,
+            &cfg.clone().with_failure(1, 10),
+            Some(backend),
+            &RingApp { iters: 20 },
+        )
+        .unwrap_err();
+        assert!(
+            matches!(err, c3_core::C3Error::Codec(_)),
+            "{kind}: expected a decode error, got {err}"
+        );
+    }
 }
 
 #[test]

@@ -481,21 +481,10 @@ impl Mpi {
             T::DTYPE,
             &T::slice_to_bytes(data),
         )?;
-        match bytes {
-            None => Ok(None),
-            Some(b) => {
-                let out = T::bytes_to_vec(&b)?;
-                crate::pool::give(b);
-                Ok(Some(out))
-            }
-        }
+        bytes.map(|b| T::bytes_to_vec(&b)).transpose()
     }
 
     /// Byte-level reduction to `root`.
-    ///
-    /// The returned accumulator comes from the thread-local
-    /// [`crate::pool`]; callers that are done with it may
-    /// [`crate::pool::give`] it back.
     pub fn reduce_bytes(
         &mut self,
         comm: &Comm,
@@ -513,8 +502,7 @@ impl Mpi {
                 let first = iter.next().ok_or_else(|| {
                     MpiError::CollectiveMismatch("empty reduce group".into())
                 })?;
-                let mut acc = crate::pool::take(first.len());
-                acc.extend_from_slice(&first);
+                let mut acc = first.to_vec();
                 for chunk in iter {
                     op.combine(dtype, &mut acc, &chunk)?;
                 }
@@ -552,18 +540,7 @@ impl Mpi {
     ) -> MpiResult<Bytes> {
         let root = internal_root(comm);
         let reduced = self.reduce_bytes(comm, root, op, dtype, data)?;
-        let payload = match reduced {
-            // A pooled accumulator with spare capacity would be copied by
-            // `Bytes::from`; share it with one explicit copy and return
-            // the buffer to the pool instead of leaking the capacity.
-            Some(b) if b.capacity() == b.len() => Bytes::from(b),
-            Some(b) => {
-                let out = Bytes::copy_from_slice(&b);
-                crate::pool::give(b);
-                out
-            }
-            None => Bytes::new(),
-        };
+        let payload = reduced.map(Bytes::from).unwrap_or_default();
         self.bcast(comm, root, payload)
     }
 
@@ -583,17 +560,14 @@ impl Mpi {
         T::DTYPE.check(&acc)?;
         if me > 0 {
             let prev = self.crecv(comm, me - 1, tag)?;
-            let mut combined = crate::pool::take(prev.len());
-            combined.extend_from_slice(&prev);
+            let mut combined = prev.to_vec();
             op.combine(T::DTYPE, &mut combined, &acc)?;
-            crate::pool::give(std::mem::replace(&mut acc, combined));
+            acc = combined;
         }
         if me + 1 < n {
             self.csend(comm, me + 1, tag, Bytes::copy_from_slice(&acc))?;
         }
-        let out = T::bytes_to_vec(&acc)?;
-        crate::pool::give(acc);
-        Ok(out)
+        T::bytes_to_vec(&acc)
     }
 
     // ------------------------------------------------------------------

@@ -56,7 +56,6 @@ pub mod error;
 pub mod matching;
 pub mod netsim;
 pub(crate) mod obs;
-pub mod pool;
 pub mod rank;
 pub mod request;
 pub mod splice;

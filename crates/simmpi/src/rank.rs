@@ -998,12 +998,6 @@ impl Mpi {
         self.splice.as_ref().map_or(0, |s| s.suppressed_sends)
     }
 
-    /// True while a respawned incarnation is still replaying its
-    /// predecessor's consumed-message tape.
-    pub fn in_catchup(&self) -> bool {
-        self.splice.as_ref().is_some_and(|s| s.replay.is_some())
-    }
-
     /// One-shot catch-up completion signal: returns true exactly once,
     /// when the replay tape has been exhausted and the incarnation has
     /// gone live on the real fabric. The protocol layer uses this to

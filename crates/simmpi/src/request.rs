@@ -51,21 +51,6 @@ impl Request {
         }
     }
 
-    /// True if this request was produced by a send operation.
-    pub fn is_send(&self) -> bool {
-        matches!(self.state, ReqState::SendDone)
-    }
-
-    /// True if `wait` would return without blocking *based on local state
-    /// alone* (a pending receive may still complete instantly if its message
-    /// has arrived but not yet been drained).
-    pub fn is_locally_complete(&self) -> bool {
-        matches!(
-            self.state,
-            ReqState::SendDone | ReqState::RecvReady(_) | ReqState::Consumed
-        )
-    }
-
     /// True if the result has already been taken.
     pub fn is_consumed(&self) -> bool {
         matches!(self.state, ReqState::Consumed)

@@ -233,14 +233,9 @@ impl CkptCtx {
                 self.restored.push(Frame::load(&mut dec)?);
             }
             self.heap = ManagedHeap::load(&mut dec)?;
-            Ok(())
+            dec.finish("snapshot")
         };
         parse().map_err(|e| ExecError::Corrupt(e.to_string()))?;
-        if !dec.is_exhausted() {
-            return Err(ExecError::Corrupt(
-                "trailing bytes after snapshot".into(),
-            ));
-        }
         self.vds.clear();
         self.ps.begin_restart();
         Ok(())

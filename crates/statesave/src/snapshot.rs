@@ -55,12 +55,7 @@ pub fn restore_from_bytes<T: SaveState>(
         )));
     }
     let state = T::load(&mut dec)?;
-    if !dec.is_exhausted() {
-        return Err(CodecError::new(format!(
-            "{} trailing bytes after state envelope",
-            dec.remaining()
-        )));
-    }
+    dec.finish("state envelope")?;
     Ok(state)
 }
 

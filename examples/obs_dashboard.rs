@@ -5,7 +5,6 @@
 //! ```sh
 //! cargo run --release --example obs_dashboard
 //! cargo run --release -p c3obs -- summarize target/c3-obs/snapshot.json
-//! cargo run --release -p c3obs -- export target/c3-obs/snapshot.json
 //! ```
 //!
 //! The run includes an injected rank kill, so the snapshot carries a
