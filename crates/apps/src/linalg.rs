@@ -21,7 +21,10 @@ pub fn block_matvec(block: &[f64], n: usize, x: &[f64], y: &mut [f64]) {
     assert_eq!(y.len(), rows);
     for (r, yr) in y.iter_mut().enumerate() {
         let row = &block[r * n..(r + 1) * n];
-        // Simple dot product; the compiler vectorizes this loop.
+        // One scalar accumulator, summed strictly left to right: the
+        // compiler may not reassociate an `f64` reduction, so this loop
+        // is not vectorized. Every reference digest depends on that
+        // summation order; a faster kernel would change them all.
         let mut acc = 0.0;
         for (a, b) in row.iter().zip(x.iter()) {
             acc += a * b;

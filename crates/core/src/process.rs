@@ -111,8 +111,10 @@ pub struct ProcStats {
     /// outgoing links.
     pub net_wire_held: u64,
     /// Application payload bytes the *protocol layer* copied on the
-    /// message path. The ingress copy from a borrowed `&[u8]` into a
-    /// refcounted buffer is not counted — raw simmpi pays it identically.
+    /// message path — this layer's own copies only, counted by hand; what
+    /// `simmpi` and the buffer type do is measured by their own tests.
+    /// The ingress copy from a borrowed `&[u8]` into a refcounted buffer
+    /// is not counted — raw simmpi pays it identically.
     /// Pinned at zero by the zero-copy send/receive path; the
     /// `zero_copy` regression test asserts it. Any change that
     /// reintroduces a payload copy must account for it here.
@@ -740,7 +742,7 @@ impl<'a> Process<'a> {
         tag: i32,
         data: &[T],
     ) -> C3Result<()> {
-        self.send(comm, dst, tag, &T::slice_to_bytes(data))
+        self.send_bytes(comm, dst, tag, T::slice_to_bytes(data).into())
     }
 
     /// Blocking receive. `src` may be [`ANY_SOURCE`], `tag` may be

@@ -41,7 +41,9 @@
 
 use bytes::Bytes;
 use ckptstore::codec::CodecError;
-use simmpi::collective::{frame_chunks, unframe_chunks};
+use simmpi::collective::{
+    chunks_to_vecs, frame_chunks, unframe_chunks, unframe_flat_t,
+};
 use simmpi::{Comm, DType, Mpi, MpiResult, MpiType, ReduceOp};
 use statesave::snapshot::SaveState;
 
@@ -247,11 +249,10 @@ impl<'a> Process<'a> {
         &mut self,
         comm: CommHandle,
         root: usize,
-        data: &[u8],
+        data: Bytes,
     ) -> C3Result<Bytes> {
-        let payload = Bytes::copy_from_slice(data);
         self.run_collective(coll_kind::BCAST, comm, move |mpi, app| {
-            mpi.bcast(app, root, payload)
+            mpi.bcast(app, root, data)
         })
     }
 
@@ -262,7 +263,7 @@ impl<'a> Process<'a> {
         root: usize,
         data: &[T],
     ) -> C3Result<Vec<T>> {
-        let bytes = self.bcast(comm, root, &T::slice_to_bytes(data))?;
+        let bytes = self.bcast(comm, root, T::slice_to_bytes(data).into())?;
         T::bytes_to_vec(&bytes).map_err(Into::into)
     }
 
@@ -272,9 +273,9 @@ impl<'a> Process<'a> {
         comm: CommHandle,
         op: ReduceOp,
         dtype: DType,
-        data: &[u8],
+        data: Bytes,
     ) -> C3Result<Bytes> {
-        self.run_collective(coll_kind::ALLREDUCE, comm, |mpi, app| {
+        self.run_collective(coll_kind::ALLREDUCE, comm, move |mpi, app| {
             mpi.allreduce_bytes(app, op, dtype, data)
         })
     }
@@ -286,8 +287,8 @@ impl<'a> Process<'a> {
         op: ReduceOp,
         data: &[T],
     ) -> C3Result<Vec<T>> {
-        let bytes =
-            self.allreduce(comm, op, T::DTYPE, &T::slice_to_bytes(data))?;
+        let data = T::slice_to_bytes(data).into();
+        let bytes = self.allreduce(comm, op, T::DTYPE, data)?;
         T::bytes_to_vec(&bytes).map_err(Into::into)
     }
 
@@ -299,10 +300,10 @@ impl<'a> Process<'a> {
         op: ReduceOp,
         data: &[T],
     ) -> C3Result<Option<Vec<T>>> {
-        let data = T::slice_to_bytes(data);
+        let data = T::slice_to_bytes(data).into();
         let framed =
             self.run_collective(coll_kind::REDUCE, comm, move |mpi, app| {
-                let out = mpi.reduce_bytes(app, root, op, T::DTYPE, &data)?;
+                let out = mpi.reduce_bytes(app, root, op, T::DTYPE, data)?;
                 Ok(frame_option(&out))
             })?;
         match unframe_option(&framed)? {
@@ -317,10 +318,10 @@ impl<'a> Process<'a> {
         &mut self,
         comm: CommHandle,
         root: usize,
-        data: &[u8],
+        data: Bytes,
     ) -> C3Result<Option<Vec<Bytes>>> {
         let framed =
-            self.run_collective(coll_kind::GATHER, comm, |mpi, app| {
+            self.run_collective(coll_kind::GATHER, comm, move |mpi, app| {
                 let out = mpi.gather(app, root, data)?;
                 Ok(frame_option(&out.map(|chunks| frame_chunks(&chunks))))
             })?;
@@ -337,16 +338,9 @@ impl<'a> Process<'a> {
         root: usize,
         data: &[T],
     ) -> C3Result<Option<Vec<Vec<T>>>> {
-        match self.gather(comm, root, &T::slice_to_bytes(data))? {
-            None => Ok(None),
-            Some(chunks) => {
-                let mut out = Vec::with_capacity(chunks.len());
-                for c in &chunks {
-                    out.push(T::bytes_to_vec(c)?);
-                }
-                Ok(Some(out))
-            }
-        }
+        let chunks =
+            self.gather(comm, root, T::slice_to_bytes(data).into())?;
+        Ok(chunks.as_deref().map(chunks_to_vecs).transpose()?)
     }
 
     /// Gather every member's payload at every member (ragged allowed).
@@ -355,13 +349,20 @@ impl<'a> Process<'a> {
     pub fn allgather(
         &mut self,
         comm: CommHandle,
-        data: &[u8],
+        data: Bytes,
     ) -> C3Result<Vec<Bytes>> {
-        let framed =
-            self.run_collective(coll_kind::ALLGATHER, comm, |mpi, app| {
-                mpi.allgather_framed(app, data)
-            })?;
-        unframe_chunks(&framed).map_err(Into::into)
+        unframe_chunks(&self.allgather_framed(comm, data)?).map_err(Into::into)
+    }
+
+    /// The allgather's one broadcast buffer, live or replayed from the log.
+    fn allgather_framed(
+        &mut self,
+        comm: CommHandle,
+        data: Bytes,
+    ) -> C3Result<Bytes> {
+        self.run_collective(coll_kind::ALLGATHER, comm, move |mpi, app| {
+            mpi.allgather_framed(app, data)
+        })
     }
 
     /// Typed allgather (per-rank vectors).
@@ -370,25 +371,20 @@ impl<'a> Process<'a> {
         comm: CommHandle,
         data: &[T],
     ) -> C3Result<Vec<Vec<T>>> {
-        let chunks = self.allgather(comm, &T::slice_to_bytes(data))?;
-        let mut out = Vec::with_capacity(chunks.len());
-        for c in &chunks {
-            out.push(T::bytes_to_vec(c)?);
-        }
-        Ok(out)
+        let chunks = self.allgather(comm, T::slice_to_bytes(data).into())?;
+        Ok(chunks_to_vecs(&chunks)?)
     }
 
-    /// Typed allgather, concatenated in rank order.
+    /// Typed allgather, concatenated in rank order and decoded straight
+    /// from the broadcast buffer.
     pub fn allgather_flat_t<T: MpiType>(
         &mut self,
         comm: CommHandle,
         data: &[T],
     ) -> C3Result<Vec<T>> {
-        Ok(self
-            .allgather_t(comm, data)?
-            .into_iter()
-            .flatten()
-            .collect())
+        let framed =
+            self.allgather_framed(comm, T::slice_to_bytes(data).into())?;
+        unframe_flat_t(&framed).map_err(Into::into)
     }
 
     /// Personalized all-to-all exchange (ragged allowed). Chunks are
@@ -433,9 +429,10 @@ impl<'a> Process<'a> {
         op: ReduceOp,
         data: &[T],
     ) -> C3Result<Vec<T>> {
+        let data = T::slice_to_bytes(data).into();
         let bytes =
-            self.run_collective(coll_kind::SCAN, comm, |mpi, app| {
-                Ok(Bytes::from(T::slice_to_bytes(&mpi.scan_t(app, op, data)?)))
+            self.run_collective(coll_kind::SCAN, comm, move |mpi, app| {
+                mpi.scan_bytes(app, op, T::DTYPE, data)
             })?;
         T::bytes_to_vec(&bytes).map_err(Into::into)
     }

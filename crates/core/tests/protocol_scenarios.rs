@@ -328,8 +328,14 @@ impl C3App for EveryKindApp {
                 .flatten()
                 .flatten()
                 .fold(h, |h, &v| mix(h, v));
-            let all = p.allgather_t::<u64>(world, &[s.i, h & 0xFF])?;
-            h = all.iter().flatten().fold(h, |h, &v| mix(h, v));
+            // Ragged, and empty at some rank in most iterations. The flat
+            // form decodes the broadcast buffer — live, or the logged one
+            // on replay — in one pass and must equal the nested form.
+            let mine = vec![h & 0xFF; (s.i + me) as usize % 3];
+            let all = p.allgather_t::<u64>(world, &mine)?;
+            let flat = p.allgather_flat_t::<u64>(world, &mine)?;
+            assert_eq!(flat, all.concat(), "iteration {}", s.i);
+            h = flat.iter().fold(mix(h, s.i), |h, &v| mix(h, v));
             let chunks: Vec<Vec<u8>> = (0..n)
                 .map(|d| vec![s.i as u8, me as u8, d as u8, (h & 0x7F) as u8])
                 .collect();
@@ -366,6 +372,12 @@ fn every_collective_kind_straddles_the_line_and_recovers() {
     for n in [3, 5] {
         let reference =
             run_job(n, &C3Config::every_ops(1_000_000), None, &app).unwrap();
+        let plain = C3Config {
+            level: InstrumentationLevel::None,
+            ..C3Config::default()
+        };
+        let uninstrumented = run_job(n, &plain, None, &app).unwrap();
+        assert_eq!(uninstrumented.outputs, reference.outputs, "n={n}");
         // (failures as (rank, at_op), restarts expected)
         let schedules: [&[(usize, u64)]; 3] =
             [&[], &[(n - 1, 70)], &[(1, 45), (0, 120)]];

@@ -19,6 +19,23 @@ struct Exchange {
     rounds: u64,
 }
 
+/// A payload built in a `Vec` that opens with that vector's own address.
+/// The counters are kept by hand; this lets a receiver measure the bytes.
+fn self_addressed() -> Bytes {
+    let mut filled = vec![0x5Au8; 4096];
+    let at = filled.as_ptr() as usize;
+    filled[..8].copy_from_slice(&at.to_le_bytes());
+    Bytes::from(filled)
+}
+
+/// Asserts that `payload` is the very allocation its sender filled (ranks
+/// are threads, so the addresses compare); returns its length.
+fn arrived_in_place(payload: &Bytes) -> u64 {
+    let at = payload.as_ptr() as usize;
+    assert_eq!(payload[..8], at.to_le_bytes(), "the payload was copied");
+    payload.len() as u64
+}
+
 impl C3App for Exchange {
     type State = u64;
     type Output = u64;
@@ -30,16 +47,16 @@ impl C3App for Exchange {
     fn run(&self, p: &mut Process<'_>, state: &mut u64) -> C3Result<u64> {
         let world = p.world();
         let peer = 1 - p.rank();
-        let owned = Bytes::from(vec![0x5Au8; 4096]);
+        let owned = self_addressed();
         let borrowed = [0xA5u8; 512];
         let mut sum = 0u64;
         while *state < self.rounds {
             if p.rank() == 0 {
                 p.send_bytes(world, peer, 1, owned.clone())?;
                 p.send(world, peer, 2, &borrowed)?;
-                sum += p.recv(world, peer, 3)?.payload.len() as u64;
+                sum += arrived_in_place(&p.recv(world, peer, 3)?.payload);
             } else {
-                sum += p.recv(world, peer, 1)?.payload.len() as u64;
+                sum += arrived_in_place(&p.recv(world, peer, 1)?.payload);
                 sum += p.recv(world, peer, 2)?.payload.len() as u64;
                 p.send_bytes(world, peer, 3, owned.clone())?;
             }
@@ -130,4 +147,23 @@ fn unheaded_frame_is_rejected_at_a_piggybacking_level() {
             "{mode:?}: expected a protocol violation, got {got:?}"
         );
     }
+}
+
+/// The late-message log shares the received payload, and replay hands
+/// that same allocation back — the sender's, when it was sent owned.
+#[test]
+fn late_log_replays_the_logged_allocation() {
+    use c3_core::logrec::{LateMessage, RecoveryLog};
+    use c3_core::recovery::Replay;
+
+    let mut log = RecoveryLog::new();
+    log.push_late(LateMessage {
+        comm: 0,
+        src: 1,
+        message_id: 0,
+        tag: 7,
+        payload: self_addressed(),
+    });
+    let replayed = Replay::new(log).take_late(0, Some(1), Some(7)).unwrap();
+    arrived_in_place(&replayed.payload);
 }

@@ -115,6 +115,24 @@ pub fn unframe_chunks(payload: &Bytes) -> MpiResult<Vec<Bytes>> {
     Ok(chunks)
 }
 
+/// Decode each chunk into its own typed vector.
+pub fn chunks_to_vecs<T: MpiType>(chunks: &[Bytes]) -> MpiResult<Vec<Vec<T>>> {
+    chunks.iter().map(|c| T::bytes_to_vec(c)).collect()
+}
+
+/// Decode a framed byte string of typed chunks into their concatenation:
+/// every chunk is decoded straight from `payload` onto the end of one
+/// vector reserved once for all of them.
+pub fn unframe_flat_t<T: MpiType>(payload: &Bytes) -> MpiResult<Vec<T>> {
+    let chunks = unframe_chunks(payload)?;
+    let bytes: usize = chunks.iter().map(Bytes::len).sum();
+    let mut out = Vec::with_capacity(bytes / T::DTYPE.width());
+    for c in &chunks {
+        T::extend_from_bytes(&mut out, c)?;
+    }
+    Ok(out)
+}
+
 /// Decode a little-endian `u32` context id from the first four bytes of a
 /// context-agreement payload.
 fn ctx_word(payload: &[u8]) -> MpiResult<u32> {
@@ -305,13 +323,13 @@ impl Mpi {
 
     /// Gather every member's payload at `root` (the `MPI_Gather` analogue,
     /// ragged payloads allowed). Returns `Some(chunks)` — indexed by
-    /// communicator rank — at the root, `None` elsewhere. Received chunks
-    /// are the senders' payloads by refcount, never re-copied.
+    /// communicator rank — at the root, `None` elsewhere. Every chunk, the
+    /// root's own included, is its contributor's buffer by refcount.
     pub fn gather(
         &mut self,
         comm: &Comm,
         root: usize,
-        data: &[u8],
+        data: Bytes,
     ) -> MpiResult<Option<Vec<Bytes>>> {
         let n = comm.size();
         if root >= n {
@@ -325,7 +343,7 @@ impl Mpi {
         let tag = coll_tag(seq, CollOp::Gather, 0);
         if me == root {
             let mut chunks = vec![Bytes::new(); n];
-            chunks[me] = Bytes::copy_from_slice(data);
+            chunks[me] = data;
             for (src, chunk) in chunks.iter_mut().enumerate() {
                 if src != me {
                     *chunk = self.crecv(comm, src, tag)?;
@@ -333,7 +351,7 @@ impl Mpi {
             }
             Ok(Some(chunks))
         } else {
-            self.csend(comm, root, tag, Bytes::copy_from_slice(data))?;
+            self.csend(comm, root, tag, data)?;
             Ok(None)
         }
     }
@@ -345,16 +363,9 @@ impl Mpi {
         root: usize,
         data: &[T],
     ) -> MpiResult<Option<Vec<Vec<T>>>> {
-        match self.gather(comm, root, &T::slice_to_bytes(data))? {
-            None => Ok(None),
-            Some(chunks) => {
-                let mut out = Vec::with_capacity(chunks.len());
-                for c in &chunks {
-                    out.push(T::bytes_to_vec(c)?);
-                }
-                Ok(Some(out))
-            }
-        }
+        let chunks =
+            self.gather(comm, root, T::slice_to_bytes(data).into())?;
+        chunks.as_deref().map(chunks_to_vecs).transpose()
     }
 
     /// Gather every member's payload at every member (the `MPI_Allgather`
@@ -364,7 +375,7 @@ impl Mpi {
     pub fn allgather_framed(
         &mut self,
         comm: &Comm,
-        data: &[u8],
+        data: Bytes,
     ) -> MpiResult<Bytes> {
         let root = internal_root(comm);
         let framed = match self.gather(comm, root, data)? {
@@ -379,7 +390,7 @@ impl Mpi {
     pub fn allgather(
         &mut self,
         comm: &Comm,
-        data: &[u8],
+        data: Bytes,
     ) -> MpiResult<Vec<Bytes>> {
         unframe_chunks(&self.allgather_framed(comm, data)?)
     }
@@ -390,26 +401,20 @@ impl Mpi {
         comm: &Comm,
         data: &[T],
     ) -> MpiResult<Vec<Vec<T>>> {
-        let chunks = self.allgather(comm, &T::slice_to_bytes(data))?;
-        let mut out = Vec::with_capacity(chunks.len());
-        for c in &chunks {
-            out.push(T::bytes_to_vec(c)?);
-        }
-        Ok(out)
+        chunks_to_vecs(&self.allgather(comm, T::slice_to_bytes(data).into())?)
     }
 
     /// Typed allgather returning the concatenation in rank order (the
-    /// contiguous-buffer shape of `MPI_Allgather`).
+    /// contiguous-buffer shape of `MPI_Allgather`), decoded straight from
+    /// the broadcast buffer.
     pub fn allgather_flat_t<T: MpiType>(
         &mut self,
         comm: &Comm,
         data: &[T],
     ) -> MpiResult<Vec<T>> {
-        Ok(self
-            .allgather_t(comm, data)?
-            .into_iter()
-            .flatten()
-            .collect())
+        let framed =
+            self.allgather_framed(comm, T::slice_to_bytes(data).into())?;
+        unframe_flat_t(&framed)
     }
 
     /// Distribute `root`'s per-rank chunks (the `MPI_Scatter` analogue,
@@ -479,7 +484,7 @@ impl Mpi {
             root,
             op,
             T::DTYPE,
-            &T::slice_to_bytes(data),
+            T::slice_to_bytes(data).into(),
         )?;
         bytes.map(|b| T::bytes_to_vec(&b)).transpose()
     }
@@ -491,9 +496,9 @@ impl Mpi {
         root: usize,
         op: ReduceOp,
         dtype: DType,
-        data: &[u8],
+        data: Bytes,
     ) -> MpiResult<Option<Vec<u8>>> {
-        dtype.check(data)?;
+        dtype.check(&data)?;
         let chunks = self.gather(comm, root, data)?;
         match chunks {
             None => Ok(None),
@@ -524,7 +529,7 @@ impl Mpi {
             comm,
             op,
             T::DTYPE,
-            &T::slice_to_bytes(data),
+            T::slice_to_bytes(data).into(),
         )?;
         T::bytes_to_vec(&bytes)
     }
@@ -536,7 +541,7 @@ impl Mpi {
         comm: &Comm,
         op: ReduceOp,
         dtype: DType,
-        data: &[u8],
+        data: Bytes,
     ) -> MpiResult<Bytes> {
         let root = internal_root(comm);
         let reduced = self.reduce_bytes(comm, root, op, dtype, data)?;
@@ -552,22 +557,39 @@ impl Mpi {
         op: ReduceOp,
         data: &[T],
     ) -> MpiResult<Vec<T>> {
+        let bytes = self.scan_bytes(
+            comm,
+            op,
+            T::DTYPE,
+            T::slice_to_bytes(data).into(),
+        )?;
+        T::bytes_to_vec(&bytes)
+    }
+
+    /// Byte-level scan. The result is the buffer sent down the chain,
+    /// shared by refcount with the next rank.
+    pub fn scan_bytes(
+        &mut self,
+        comm: &Comm,
+        op: ReduceOp,
+        dtype: DType,
+        data: Bytes,
+    ) -> MpiResult<Bytes> {
+        dtype.check(&data)?;
         let n = comm.size();
         let me = comm.rank();
         let seq = comm.next_coll_seq();
         let tag = coll_tag(seq, CollOp::Scan, 0);
-        let mut acc = T::slice_to_bytes(data);
-        T::DTYPE.check(&acc)?;
+        let mut acc = data;
         if me > 0 {
-            let prev = self.crecv(comm, me - 1, tag)?;
-            let mut combined = prev.to_vec();
-            op.combine(T::DTYPE, &mut combined, &acc)?;
-            acc = combined;
+            let mut combined = self.crecv(comm, me - 1, tag)?.to_vec();
+            op.combine(dtype, &mut combined, &acc)?;
+            acc = combined.into();
         }
         if me + 1 < n {
-            self.csend(comm, me + 1, tag, Bytes::copy_from_slice(&acc))?;
+            self.csend(comm, me + 1, tag, acc.clone())?;
         }
-        T::bytes_to_vec(&acc)
+        Ok(acc)
     }
 
     // ------------------------------------------------------------------
@@ -732,6 +754,18 @@ mod tests {
             hostile.extend_from_slice(&[0u8; 16]);
             assert!(unframe_chunks(&Bytes::from(hostile)).is_err());
         }
+    }
+
+    #[test]
+    fn flat_decode_refuses_a_ragged_chunk() {
+        let framed =
+            frame_chunks(&[chunk(&[0; 8]), chunk(&[]), chunk(&[1; 7])]);
+        assert!(matches!(
+            unframe_flat_t::<f64>(&framed),
+            Err(MpiError::BadPayload(_))
+        ));
+        let octets = unframe_flat_t::<u8>(&framed).unwrap();
+        assert_eq!(octets, [[0u8; 8].as_slice(), &[1; 7]].concat());
     }
 
     #[test]

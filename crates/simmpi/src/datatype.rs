@@ -72,66 +72,23 @@ pub enum ReduceOp {
     Bor,
 }
 
-macro_rules! combine_as {
-    ($t:ty, $op:expr, $acc:expr, $other:expr) => {{
-        let a = <$t>::from_le_bytes($acc.try_into().unwrap());
-        let b = <$t>::from_le_bytes($other.try_into().unwrap());
-        let r: $t = match $op {
-            ReduceOp::Sum => a + b,
-            ReduceOp::Prod => a * b,
-            ReduceOp::Min => {
-                if b < a {
-                    b
-                } else {
-                    a
-                }
-            }
-            ReduceOp::Max => {
-                if b > a {
-                    b
-                } else {
-                    a
-                }
-            }
-            ReduceOp::Land
-            | ReduceOp::Lor
-            | ReduceOp::Band
-            | ReduceOp::Bor => {
-                unreachable!("logical/bitwise ops handled integrally")
-            }
-        };
-        $acc.copy_from_slice(&r.to_le_bytes());
-    }};
+/// `b` if it compares below `a`, else `a`: the accumulator stays unless
+/// the comparison holds, so a NaN on either side leaves it in place.
+fn lower<T: PartialOrd>(a: T, b: T) -> T {
+    if b < a {
+        b
+    } else {
+        a
+    }
 }
 
-macro_rules! combine_int {
-    ($t:ty, $op:expr, $acc:expr, $other:expr) => {{
-        let a = <$t>::from_le_bytes($acc.try_into().unwrap());
-        let b = <$t>::from_le_bytes($other.try_into().unwrap());
-        let r: $t = match $op {
-            ReduceOp::Sum => a.wrapping_add(b),
-            ReduceOp::Prod => a.wrapping_mul(b),
-            ReduceOp::Min => {
-                if b < a {
-                    b
-                } else {
-                    a
-                }
-            }
-            ReduceOp::Max => {
-                if b > a {
-                    b
-                } else {
-                    a
-                }
-            }
-            ReduceOp::Land => ((a != 0) && (b != 0)) as $t,
-            ReduceOp::Lor => ((a != 0) || (b != 0)) as $t,
-            ReduceOp::Band => a & b,
-            ReduceOp::Bor => a | b,
-        };
-        $acc.copy_from_slice(&r.to_le_bytes());
-    }};
+/// [`lower`], for `Max`.
+fn upper<T: PartialOrd>(a: T, b: T) -> T {
+    if b > a {
+        b
+    } else {
+        a
+    }
 }
 
 impl ReduceOp {
@@ -155,66 +112,69 @@ impl ReduceOp {
             )));
         }
         dtype.check(acc)?;
-        let w = dtype.width();
-        if matches!(self, ReduceOp::Land | ReduceOp::Lor) {
-            // Logical ops: interpret floats via "nonzero" too.
-            for (a, b) in acc.chunks_exact_mut(w).zip(other.chunks_exact(w)) {
-                let an = a.iter().any(|&x| x != 0);
-                let bn = match dtype {
-                    DType::F32 => {
-                        f32::from_le_bytes(b.try_into().unwrap()) != 0.0
-                    }
-                    DType::F64 => {
-                        f64::from_le_bytes(b.try_into().unwrap()) != 0.0
-                    }
-                    _ => b.iter().any(|&x| x != 0),
-                };
-                let an = match dtype {
-                    DType::F32 => {
-                        f32::from_le_bytes(a[..].try_into().unwrap()) != 0.0
-                    }
-                    DType::F64 => {
-                        f64::from_le_bytes(a[..].try_into().unwrap()) != 0.0
-                    }
-                    _ => an,
-                };
-                let r = match self {
-                    ReduceOp::Land => an && bn,
-                    ReduceOp::Lor => an || bn,
-                    _ => unreachable!(),
-                };
-                a.fill(0);
-                a[0] = r as u8;
-                // Re-encode as the dtype's representation of 1/0.
-                match dtype {
-                    DType::F32 => a.copy_from_slice(
-                        &(if r { 1.0f32 } else { 0.0 }).to_le_bytes(),
-                    ),
-                    DType::F64 => a.copy_from_slice(
-                        &(if r { 1.0f64 } else { 0.0 }).to_le_bytes(),
-                    ),
-                    _ => {}
+        // One fixed-width bulk loop per (dtype, operator): both are matched
+        // before the loop, never inside it.
+        macro_rules! each {
+            ($t:ty, |$a:ident, $b:ident| $r:expr) => {{
+                let (acc, _) = acc.as_chunks_mut::<{ size_of::<$t>() }>();
+                let (other, _) = other.as_chunks::<{ size_of::<$t>() }>();
+                for (x, y) in acc.iter_mut().zip(other) {
+                    let $a = <$t>::from_le_bytes(*x);
+                    let $b = <$t>::from_le_bytes(*y);
+                    let r: $t = $r;
+                    *x = r.to_le_bytes();
                 }
-            }
-            return Ok(());
+            }};
         }
-        if matches!(self, ReduceOp::Band | ReduceOp::Bor)
-            && matches!(dtype, DType::F32 | DType::F64)
-        {
-            return Err(MpiError::BadPayload(
-                "bitwise reduction on floating-point dtype".into(),
-            ));
+        macro_rules! int {
+            ($t:ty) => {
+                match self {
+                    ReduceOp::Sum => each!($t, |a, b| a.wrapping_add(b)),
+                    ReduceOp::Prod => each!($t, |a, b| a.wrapping_mul(b)),
+                    ReduceOp::Min => each!($t, |a, b| lower(a, b)),
+                    ReduceOp::Max => each!($t, |a, b| upper(a, b)),
+                    ReduceOp::Land => {
+                        each!($t, |a, b| (a != 0 && b != 0) as $t)
+                    }
+                    ReduceOp::Lor => {
+                        each!($t, |a, b| (a != 0 || b != 0) as $t)
+                    }
+                    ReduceOp::Band => each!($t, |a, b| a & b),
+                    ReduceOp::Bor => each!($t, |a, b| a | b),
+                }
+            };
         }
-        for (a, b) in acc.chunks_exact_mut(w).zip(other.chunks_exact(w)) {
-            match dtype {
-                DType::U8 => combine_int!(u8, self, a, b),
-                DType::I32 => combine_int!(i32, self, a, b),
-                DType::U32 => combine_int!(u32, self, a, b),
-                DType::I64 => combine_int!(i64, self, a, b),
-                DType::U64 => combine_int!(u64, self, a, b),
-                DType::F32 => combine_as!(f32, self, a, b),
-                DType::F64 => combine_as!(f64, self, a, b),
-            }
+        // The logical operators read a float as "nonzero" (NaN is true,
+        // `-0.0` is false) and write 1.0 / 0.0.
+        macro_rules! float {
+            ($t:ty) => {
+                match self {
+                    ReduceOp::Sum => each!($t, |a, b| a + b),
+                    ReduceOp::Prod => each!($t, |a, b| a * b),
+                    ReduceOp::Min => each!($t, |a, b| lower(a, b)),
+                    ReduceOp::Max => each!($t, |a, b| upper(a, b)),
+                    ReduceOp::Land => {
+                        each!($t, |a, b| (a != 0.0 && b != 0.0) as u8 as $t)
+                    }
+                    ReduceOp::Lor => {
+                        each!($t, |a, b| (a != 0.0 || b != 0.0) as u8 as $t)
+                    }
+                    ReduceOp::Band | ReduceOp::Bor => {
+                        return Err(MpiError::BadPayload(
+                            "bitwise reduction on floating-point dtype".into(),
+                        ))
+                    }
+                }
+            };
+        }
+        match dtype {
+            DType::U8 => int!(u8),
+            DType::I32 => int!(i32),
+            DType::U32 => int!(u32),
+            DType::I64 => int!(i64),
+            DType::U64 => int!(u64),
+            DType::F32 => float!(f32),
+            DType::F64 => float!(f64),
         }
         Ok(())
     }
@@ -223,31 +183,25 @@ impl ReduceOp {
 /// Rust types that map onto a [`DType`] and can be shipped as payloads.
 ///
 /// This is the typed convenience layer; the wire format is always
-/// little-endian bytes, so blobs are stable across save/restore.
+/// little-endian bytes, so blobs are stable across save/restore. Each
+/// conversion is one fixed-width bulk loop over `[u8; W]` chunks, which on
+/// a little-endian target compiles to a memcpy.
 pub trait MpiType: Copy + Send + 'static {
     /// The wire dtype for this Rust type.
     const DTYPE: DType;
-    /// Append this value's little-endian encoding.
-    fn write_to(self, out: &mut Vec<u8>);
-    /// Decode one value from exactly `Self::DTYPE.width()` bytes.
-    fn read_from(bytes: &[u8]) -> Self;
 
     /// Encode a slice of values to bytes.
-    fn slice_to_bytes(vals: &[Self]) -> Vec<u8> {
-        let mut out = Vec::with_capacity(vals.len() * Self::DTYPE.width());
-        for &v in vals {
-            v.write_to(&mut out);
-        }
-        out
-    }
+    fn slice_to_bytes(vals: &[Self]) -> Vec<u8>;
+
+    /// Decode a byte payload onto the end of `out`; errors, leaving `out`
+    /// as it was, if the length is ragged.
+    fn extend_from_bytes(out: &mut Vec<Self>, bytes: &[u8]) -> MpiResult<()>;
 
     /// Decode a byte payload into values; errors if the length is ragged.
     fn bytes_to_vec(bytes: &[u8]) -> MpiResult<Vec<Self>> {
-        let n = Self::DTYPE.check(bytes)?;
-        let w = Self::DTYPE.width();
-        Ok((0..n)
-            .map(|i| Self::read_from(&bytes[i * w..(i + 1) * w]))
-            .collect())
+        let mut out = Vec::new();
+        Self::extend_from_bytes(&mut out, bytes)?;
+        Ok(out)
     }
 }
 
@@ -255,11 +209,20 @@ macro_rules! impl_mpi_type {
     ($t:ty, $dt:expr) => {
         impl MpiType for $t {
             const DTYPE: DType = $dt;
-            fn write_to(self, out: &mut Vec<u8>) {
-                out.extend_from_slice(&self.to_le_bytes());
+            fn slice_to_bytes(vals: &[Self]) -> Vec<u8> {
+                vals.iter()
+                    .map(|v| v.to_le_bytes())
+                    .collect::<Vec<_>>()
+                    .into_flattened()
             }
-            fn read_from(bytes: &[u8]) -> Self {
-                <$t>::from_le_bytes(bytes.try_into().unwrap())
+            fn extend_from_bytes(
+                out: &mut Vec<Self>,
+                bytes: &[u8],
+            ) -> MpiResult<()> {
+                Self::DTYPE.check(bytes)?;
+                let (chunks, _) = bytes.as_chunks::<{ size_of::<$t>() }>();
+                out.extend(chunks.iter().map(|c| <$t>::from_le_bytes(*c)));
+                Ok(())
             }
         }
     };
@@ -369,15 +332,87 @@ mod tests {
             .is_err());
     }
 
+    /// For one type: the wire format is the per-element `to_le_bytes`
+    /// concatenation, decoding gives the same bits back (compared as
+    /// bytes, so NaN payloads and `-0.0` count), appending leaves what
+    /// was there, and every length that is not a whole number of
+    /// elements is refused with the output untouched.
+    macro_rules! wire_format_case {
+        ($t:ty, $vals:expr) => {{
+            let vals: &[$t] = &$vals;
+            let bits = |xs: &[$t]| -> Vec<_> {
+                xs.iter().map(|v| v.to_le_bytes()).collect()
+            };
+            for n in 0..=vals.len() {
+                let xs = &vals[..n];
+                let bytes = <$t>::slice_to_bytes(xs);
+                assert_eq!(bytes, bits(xs).concat());
+                let mut back = <$t>::bytes_to_vec(&bytes).unwrap();
+                assert_eq!(bits(&back), bits(xs));
+                <$t>::extend_from_bytes(&mut back, &bytes).unwrap();
+                assert_eq!(bits(&back), [bits(xs), bits(xs)].concat());
+            }
+            let bytes = <$t>::slice_to_bytes(vals);
+            for len in (0..bytes.len()).filter(|l| l % size_of::<$t>() != 0) {
+                let ragged = &bytes[..len];
+                assert!(matches!(
+                    <$t>::bytes_to_vec(ragged),
+                    Err(MpiError::BadPayload(_))
+                ));
+                let mut out = vec![vals[0]];
+                assert!(<$t>::extend_from_bytes(&mut out, ragged).is_err());
+                assert_eq!(bits(&out), bits(&vals[..1]));
+            }
+        }};
+    }
+
     #[test]
     fn typed_round_trips() {
-        let xs = [1.5f64, -2.25, 0.0];
-        let bytes = f64::slice_to_bytes(&xs);
-        assert_eq!(f64::bytes_to_vec(&bytes).unwrap(), xs);
-        assert!(f64::bytes_to_vec(&bytes[..7]).is_err());
+        wire_format_case!(u8, [0, 1, 0x5A, u8::MAX]);
+        wire_format_case!(i32, [i32::MIN, -1, 0, 1, i32::MAX]);
+        wire_format_case!(u32, [0, 1, 0xDEAD_BEEF, u32::MAX]);
+        wire_format_case!(i64, [i64::MIN, -1, 0, 1, i64::MAX]);
+        wire_format_case!(u64, [0, 1, 0x0123_4567_89AB_CDEF, u64::MAX]);
+        // A quiet NaN with a payload, a signalling one with the sign set,
+        // -0.0 and 0.0; then MIN, MAX, the smallest subnormal and -inf.
+        let f32s = [0x7FC0_1234, 0xFF80_0001, 1 << 31, 0];
+        wire_format_case!(f32, f32s.map(f32::from_bits));
+        wire_format_case!(f32, [f32::MIN, f32::MAX, 1e-45, -f32::INFINITY]);
+        let f64s = [0x7FF8 << 48 | 0xBEEF, 0xFFF0 << 48 | 1, 1 << 63, 0];
+        wire_format_case!(f64, f64s.map(f64::from_bits));
+        wire_format_case!(f64, [f64::MIN, f64::MAX, 5e-324, -f64::INFINITY]);
+    }
 
-        let ys = [i32::MIN, 0, i32::MAX];
-        let bytes = i32::slice_to_bytes(&ys);
-        assert_eq!(i32::bytes_to_vec(&bytes).unwrap(), ys);
+    /// `Min`/`Max` replace the accumulator only when the comparison
+    /// holds, the logical operators read a float as "nonzero", integer
+    /// sums wrap, and a wide integer is nonzero in any byte.
+    #[test]
+    fn combine_edge_cases_are_pinned() {
+        use ReduceOp::*;
+        let check = |op: ReduceOp,
+                     acc: &[f64],
+                     other: &[f64],
+                     want: &[f64]| {
+            let mut bytes = f64::slice_to_bytes(acc);
+            op.combine(DType::F64, &mut bytes, &f64::slice_to_bytes(other))
+                .unwrap();
+            assert_eq!(bytes, f64::slice_to_bytes(want), "{op:?}");
+        };
+        let nan = f64::from_bits(0x7FF8_0000_0000_BEEF);
+        let kept = [nan, 1.0, -0.0, 0.0];
+        check(Min, &kept, &[1.0, nan, 0.0, -0.0], &kept);
+        check(Max, &kept, &[1.0, nan, 0.0, -0.0], &kept);
+        check(Land, &[nan, -0.0, 3.0], &[2.0, 2.0, 0.0], &[1.0, 0.0, 0.0]);
+        check(Lor, &[-0.0, 0.0, 3.0], &[0.0, nan, 0.0], &[0.0, 1.0, 1.0]);
+        check(Prod, &[-0.0, 0.5], &[3.0, 4.0], &[-0.0, 2.0]);
+
+        let mut acc = i32::slice_to_bytes(&[i32::MAX, i32::MIN]);
+        Sum.combine(DType::I32, &mut acc, &i32::slice_to_bytes(&[1, -1]))
+            .unwrap();
+        assert_eq!(i32::bytes_to_vec(&acc).unwrap(), [i32::MIN, i32::MAX]);
+        let mut acc = i64::slice_to_bytes(&[1 << 40, 0, 1 << 40]);
+        Land.combine(DType::I64, &mut acc, &i64::slice_to_bytes(&[-1, -1, 0]))
+            .unwrap();
+        assert_eq!(i64::bytes_to_vec(&acc).unwrap(), [1, 0, 0]);
     }
 }

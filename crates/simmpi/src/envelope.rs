@@ -130,25 +130,6 @@ pub struct RecvMsg {
 }
 
 impl RecvMsg {
-    /// Total bytes received: header segment plus payload.
-    pub fn total_len(&self) -> usize {
-        self.header.len() + self.payload.len()
-    }
-
-    /// The two segments as one logically contiguous buffer. Free when no
-    /// header segment is present (the common case after the protocol
-    /// layer strips it); otherwise the segments are joined with one copy.
-    pub fn contiguous(&self) -> Bytes {
-        if self.header.is_empty() {
-            return self.payload.clone();
-        }
-        let mut joined =
-            Vec::with_capacity(self.header.len() + self.payload.len());
-        joined.extend_from_slice(&self.header);
-        joined.extend_from_slice(&self.payload);
-        joined.into()
-    }
-
     /// Decode the payload as a typed slice.
     pub fn to_vec<T: crate::datatype::MpiType>(
         &self,
@@ -181,23 +162,5 @@ mod tests {
     #[should_panic(expected = "exceeds")]
     fn oversized_header_panics() {
         HeaderBytes::new(&[0; MAX_HEADER_LEN + 1]);
-    }
-
-    #[test]
-    fn contiguous_joins_segments() {
-        let m = RecvMsg {
-            src: 0,
-            tag: 1,
-            header: HeaderBytes::new(&[9, 9]),
-            payload: Bytes::from_static(b"abc"),
-        };
-        assert_eq!(m.total_len(), 5);
-        assert_eq!(&m.contiguous()[..], b"\x09\x09abc");
-        // Without a header segment, contiguous is the payload by refcount.
-        let plain = RecvMsg {
-            header: HeaderBytes::empty(),
-            ..m
-        };
-        assert_eq!(&plain.contiguous()[..], b"abc");
     }
 }

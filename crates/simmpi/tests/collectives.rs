@@ -62,7 +62,7 @@ fn gather_ragged_chunks() {
         let comm = mpi.world();
         let me = mpi.rank();
         let mine = vec![me as u8; me + 1]; // ragged: rank r sends r+1 bytes
-        let out = mpi.gather(&comm, 1, &mine)?;
+        let out = mpi.gather(&comm, 1, mine.into())?;
         if me == 1 {
             let chunks = out.unwrap();
             for (r, c) in chunks.iter().enumerate() {
@@ -82,7 +82,7 @@ fn allgather_all_sizes() {
         World::run(n, |mpi| {
             let comm = mpi.world();
             let me = mpi.rank();
-            let chunks = mpi.allgather(&comm, &[me as u8, 0xFF])?;
+            let chunks = mpi.allgather(&comm, vec![me as u8, 0xFF].into())?;
             assert_eq!(chunks.len(), n);
             for (r, c) in chunks.iter().enumerate() {
                 assert_eq!(c, &vec![r as u8, 0xFF]);
@@ -93,17 +93,38 @@ fn allgather_all_sizes() {
     }
 }
 
+/// The flat form decodes the broadcast buffer directly; it must equal
+/// the per-rank form concatenated, in rank order, whatever each rank
+/// contributes — ragged lengths, nothing at all, one-byte and eight-byte
+/// elements.
 #[test]
 fn allgather_flat_typed_matches_rank_order() {
-    World::run(3, |mpi| {
-        let comm = mpi.world();
-        let me = mpi.rank() as u64;
-        let flat =
-            mpi.allgather_flat_t::<u64>(&comm, &[me * 10, me * 10 + 1])?;
-        assert_eq!(flat, vec![0, 1, 10, 11, 20, 21]);
-        Ok(())
-    })
-    .unwrap();
+    for n in 1..=5 {
+        World::run(n, |mpi| {
+            let comm = mpi.world();
+            for round in 0..5 {
+                // Round 4: every contribution is empty.
+                let len =
+                    |r: usize| if round == 4 { 0 } else { (r + round) % 4 };
+                let floats = |r: usize| -> Vec<f64> {
+                    (0..len(r)).map(|k| (r * 10 + k) as f64 - 0.5).collect()
+                };
+                let mine = floats(mpi.rank());
+                let nested = mpi.allgather_t::<f64>(&comm, &mine)?;
+                let expect: Vec<_> = (0..n).map(floats).collect();
+                assert_eq!(nested, expect, "n={n} round={round}");
+                let flat = mpi.allgather_flat_t::<f64>(&comm, &mine)?;
+                assert_eq!(flat, expect.concat(), "n={n} round={round}");
+
+                let octets = vec![mpi.rank() as u8; len(mpi.rank())];
+                let nested = mpi.allgather_t::<u8>(&comm, &octets)?;
+                let flat = mpi.allgather_flat_t::<u8>(&comm, &octets)?;
+                assert_eq!(flat, nested.concat(), "n={n} round={round}");
+            }
+            Ok(())
+        })
+        .unwrap();
+    }
 }
 
 #[test]
@@ -207,8 +228,12 @@ fn allreduce_bytes_interface() {
         let comm = mpi.world();
         let me = mpi.rank() as u64;
         let bytes = me.to_le_bytes();
-        let out =
-            mpi.allreduce_bytes(&comm, ReduceOp::Sum, DType::U64, &bytes)?;
+        let out = mpi.allreduce_bytes(
+            &comm,
+            ReduceOp::Sum,
+            DType::U64,
+            bytes.to_vec().into(),
+        )?;
         assert_eq!(u64::from_le_bytes(out[..8].try_into().unwrap()), 3);
         Ok(())
     })
@@ -255,7 +280,7 @@ fn consecutive_collectives_do_not_cross_talk() {
         for round in 0..20u64 {
             let s = mpi.allreduce_t::<u64>(&comm, ReduceOp::Sum, &[round])?;
             assert_eq!(s, vec![4 * round]);
-            let g = mpi.allgather(&comm, &[mpi.rank() as u8])?;
+            let g = mpi.allgather(&comm, vec![mpi.rank() as u8].into())?;
             assert_eq!(g.len(), 4);
             mpi.barrier(&comm)?;
         }
@@ -337,7 +362,7 @@ where
 #[test]
 fn allgather_folds_every_word() {
     assert_full_fold(|mpi, comm| {
-        mpi.allgather(comm, &vec![mpi.rank() as u8; mpi.rank() + 1])
+        mpi.allgather(comm, vec![mpi.rank() as u8; mpi.rank() + 1].into())
     });
 }
 
@@ -345,7 +370,7 @@ fn allgather_folds_every_word() {
 fn allreduce_folds_every_word() {
     assert_full_fold(|mpi, comm| {
         let x = (mpi.rank() as u64 + 1).to_le_bytes();
-        mpi.allreduce_bytes(comm, ReduceOp::Sum, DType::U64, &x)
+        mpi.allreduce_bytes(comm, ReduceOp::Sum, DType::U64, x.to_vec().into())
     });
 }
 
@@ -392,8 +417,9 @@ fn one_way_collectives_fold_partially() {
             })?;
             assert_eq!(fold, top);
 
-            let (_, fold) =
-                mpi.with_sideband(mine, |m| m.gather(&comm, 0, &[1]))?;
+            let (_, fold) = mpi.with_sideband(mine, |m| {
+                m.gather(&comm, 0, Bytes::from_static(&[1]))
+            })?;
             if me == 0 {
                 assert_eq!(fold, top, "gather root folds every word");
             } else {

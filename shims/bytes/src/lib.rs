@@ -1,47 +1,70 @@
 //! Offline stand-in for the `bytes` crate (see `shims/README.md`).
 //!
-//! Provides a cheaply cloneable, sliceable, immutable byte buffer backed
-//! by `Arc<[u8]>`. Clones and slices share the allocation, which is the
-//! property the message fabric relies on: a broadcast payload is
-//! reference-counted, not copied per destination.
+//! Provides a cheaply cloneable, sliceable, immutable byte buffer. What
+//! backs a [`Bytes`] depends on how it was made, and so does what is and
+//! is not a copy:
+//!
+//! * [`Bytes::from`]`(Vec<u8>)` **adopts** the vector: the `Vec` is moved
+//!   behind an `Arc`, its heap allocation is kept, and no payload byte is
+//!   copied (the one allocation is the `Arc`'s small control block).
+//! * [`Bytes::copy_from_slice`] is one allocation and one copy
+//!   (`Arc<[u8]>`, counts and bytes in the same block).
+//! * [`Bytes::new`], [`Bytes::default`], [`Bytes::from_static`] and an
+//!   empty `Vec` borrow a `'static` slice and allocate nothing.
+//! * `clone` and [`Bytes::slice`] bump a refcount and share the backing
+//!   store; [`Bytes::to_vec`] is the only way bytes leave by copy.
+//!
+//! That is the property the message fabric relies on: a payload encoded
+//! into a `Vec` is handed to the transport by move, a broadcast buffer is
+//! reference-counted rather than copied per destination, and a receiver
+//! reads the very allocation the sender filled.
 
 use std::fmt;
 use std::hash::{Hash, Hasher};
 use std::ops::{Bound, Deref, RangeBounds};
 use std::sync::Arc;
 
+/// The backing store; see the module docs for which constructor picks
+/// which.
+#[derive(Clone)]
+enum Backing {
+    Static(&'static [u8]),
+    Slice(Arc<[u8]>),
+    Vec(Arc<Vec<u8>>),
+}
+
 /// An immutable, reference-counted byte buffer.
 #[derive(Clone)]
 pub struct Bytes {
-    data: Arc<[u8]>,
+    data: Backing,
     start: usize,
     end: usize,
 }
 
 impl Bytes {
-    /// The empty buffer. Does not allocate a fresh backing store per call
-    /// beyond the zero-length `Arc`.
-    pub fn new() -> Self {
-        Bytes::from_vec(Vec::new())
+    /// The empty buffer. Does not allocate.
+    pub const fn new() -> Self {
+        Bytes::from_static(&[])
     }
 
-    /// Buffer viewing a static slice. The shim copies (it has no borrow
-    /// variant); callers only use this for tiny test payloads.
-    pub fn from_static(data: &'static [u8]) -> Self {
-        Bytes::copy_from_slice(data)
-    }
-
-    /// Buffer holding a copy of `data`.
-    pub fn copy_from_slice(data: &[u8]) -> Self {
-        Bytes::from_vec(data.to_vec())
-    }
-
-    fn from_vec(data: Vec<u8>) -> Self {
-        let end = data.len();
+    /// Buffer viewing a static slice. Neither allocates nor copies.
+    pub const fn from_static(data: &'static [u8]) -> Self {
         Bytes {
-            data: data.into(),
+            data: Backing::Static(data),
             start: 0,
-            end,
+            end: data.len(),
+        }
+    }
+
+    /// Buffer holding a copy of `data`: one allocation, one copy.
+    pub fn copy_from_slice(data: &[u8]) -> Self {
+        if data.is_empty() {
+            return Bytes::new();
+        }
+        Bytes {
+            data: Backing::Slice(Arc::from(data)),
+            start: 0,
+            end: data.len(),
         }
     }
 
@@ -77,7 +100,7 @@ impl Bytes {
             "slice range {lo}..{hi} out of bounds for length {len}"
         );
         Bytes {
-            data: Arc::clone(&self.data),
+            data: self.data.clone(),
             start: self.start + lo,
             end: self.start + hi,
         }
@@ -85,7 +108,12 @@ impl Bytes {
 
     /// The view as a plain slice.
     pub fn as_slice(&self) -> &[u8] {
-        &self.data[self.start..self.end]
+        let whole: &[u8] = match &self.data {
+            Backing::Static(s) => s,
+            Backing::Slice(a) => a,
+            Backing::Vec(v) => v,
+        };
+        &whole[self.start..self.end]
     }
 
     /// Copy the view out into an owned vector.
@@ -113,15 +141,25 @@ impl AsRef<[u8]> for Bytes {
     }
 }
 
+/// Adopts the vector: its allocation becomes the backing store, no byte
+/// is copied. An empty vector becomes [`Bytes::new`].
 impl From<Vec<u8>> for Bytes {
     fn from(v: Vec<u8>) -> Self {
-        Bytes::from_vec(v)
+        if v.is_empty() {
+            return Bytes::new();
+        }
+        let end = v.len();
+        Bytes {
+            data: Backing::Vec(Arc::new(v)),
+            start: 0,
+            end,
+        }
     }
 }
 
 impl From<&'static [u8]> for Bytes {
     fn from(v: &'static [u8]) -> Self {
-        Bytes::copy_from_slice(v)
+        Bytes::from_static(v)
     }
 }
 
@@ -164,7 +202,56 @@ impl Hash for Bytes {
 }
 
 #[cfg(test)]
+mod test_alloc {
+    //! A counting global allocator for the shim's unit tests, so what each
+    //! constructor allocates is measured rather than asserted. Counts are
+    //! per-thread so concurrently running tests don't pollute each other.
+
+    use std::alloc::{GlobalAlloc, Layout, System};
+    use std::cell::Cell;
+
+    thread_local! {
+        static ALLOCS: Cell<u64> = const { Cell::new(0) };
+    }
+
+    struct CountingAlloc;
+
+    // SAFETY: delegates entirely to `System`; the counter uses
+    // `try_with` so allocation during thread-local teardown is safe.
+    unsafe impl GlobalAlloc for CountingAlloc {
+        unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+            let _ = ALLOCS.try_with(|c| c.set(c.get() + 1));
+            unsafe { System.alloc(layout) }
+        }
+        unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+            unsafe { System.dealloc(ptr, layout) }
+        }
+        unsafe fn realloc(
+            &self,
+            ptr: *mut u8,
+            layout: Layout,
+            new_size: usize,
+        ) -> *mut u8 {
+            let _ = ALLOCS.try_with(|c| c.set(c.get() + 1));
+            unsafe { System.realloc(ptr, layout, new_size) }
+        }
+    }
+
+    #[global_allocator]
+    static ALLOCATOR: CountingAlloc = CountingAlloc;
+
+    /// Heap allocations (including reallocations) `f` makes on this thread.
+    pub fn allocations_in<R>(f: impl FnOnce() -> R) -> (R, u64) {
+        let count = || ALLOCS.try_with(Cell::get).unwrap_or(0);
+        let before = count();
+        let out = f();
+        (out, count() - before)
+    }
+}
+
+#[cfg(test)]
 mod tests {
+    use super::test_alloc::allocations_in;
     use super::*;
 
     #[test]
@@ -174,16 +261,71 @@ mod tests {
         assert_eq!(&s[..], &[1, 2, 3]);
         let s2 = s.slice(1..);
         assert_eq!(&s2[..], &[2, 3]);
-        assert!(Arc::ptr_eq(&b.data, &s2.data));
+        assert_eq!(s2.as_ptr(), b[2..].as_ptr());
+    }
+
+    #[test]
+    fn from_vec_adopts_the_vectors_allocation() {
+        let v = vec![7u8; 4096];
+        let at = v.as_ptr();
+        let (b, allocs) = allocations_in(|| Bytes::from(v));
+        assert_eq!(b.as_ptr(), at);
+        // The `Arc`'s control block; the 4 KiB are not reallocated.
+        assert_eq!(allocs, 1);
+        let (views, allocs) = allocations_in(|| (b.clone(), b.slice(16..)));
+        assert_eq!(allocs, 0);
+        assert_eq!(views.0.as_ptr(), at);
+        assert_eq!(views.1.as_ptr(), at.wrapping_add(16));
+        // The views keep the allocation alive after the original is gone.
+        drop(b);
+        assert_eq!(views.1, vec![7u8; 4096 - 16]);
+    }
+
+    #[test]
+    fn empty_and_static_buffers_allocate_nothing() {
+        static TEXT: &[u8] = b"static";
+        let (made, allocs) = allocations_in(|| {
+            [
+                Bytes::new(),
+                Bytes::default(),
+                Bytes::from(Vec::new()),
+                Bytes::copy_from_slice(&[]),
+                Bytes::from_static(TEXT),
+            ]
+        });
+        assert_eq!(allocs, 0);
+        assert!(made[..4].iter().all(Bytes::is_empty));
+        assert_eq!(made[4].as_ptr(), TEXT.as_ptr());
+    }
+
+    #[test]
+    fn copy_from_slice_is_one_allocation() {
+        let src = [3u8; 1024];
+        let (b, allocs) = allocations_in(|| Bytes::copy_from_slice(&src));
+        assert_eq!(allocs, 1);
+        assert_eq!(b, src[..]);
+        assert_ne!(b.as_ptr(), src.as_ptr());
     }
 
     #[test]
     fn equality_and_indexing() {
-        let a = Bytes::copy_from_slice(b"hello");
-        let b = Bytes::from_static(b"hello");
-        assert_eq!(a, b);
+        use std::collections::hash_map::DefaultHasher;
+        let hash = |b: &Bytes| {
+            let mut h = DefaultHasher::new();
+            b.hash(&mut h);
+            h.finish()
+        };
+        let a = Bytes::copy_from_slice(b"he\"llo\n");
+        let b = Bytes::from_static(b"he\"llo\n");
+        let c = Bytes::from(b"xhe\"llo\n".to_vec()).slice(1..);
+        for other in [&b, &c] {
+            assert_eq!(&a, other);
+            assert_eq!(hash(&a), hash(other));
+            assert_eq!(format!("{a:?}"), format!("{other:?}"));
+        }
+        assert_eq!(format!("{a:?}"), r#"b"he\"llo\n""#);
         assert_eq!(&a[..2], b"he");
-        assert_eq!(a.len(), 5);
+        assert_eq!(a.len(), 7);
         assert!(Bytes::new().is_empty());
     }
 
