@@ -39,11 +39,6 @@ pub struct LaplaceState {
 impl_saveload_struct!(LaplaceState { iter: u64, grid: Vec<f64> });
 
 impl Laplace {
-    /// Bytes of checkpointable state per rank (for reporting).
-    pub fn state_bytes_per_rank(&self, nranks: usize) -> usize {
-        (self.n / nranks + 1) * self.n * 8 + 8
-    }
-
     fn initial_cell(&self, i: usize, j: usize) -> f64 {
         // Hot left edge, cold right edge, sinusoidal top/bottom flavor —
         // any fixed deterministic boundary works.
@@ -165,13 +160,6 @@ fn sweep(
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn state_bytes_scale_with_grid_area() {
-        let a = Laplace { n: 128, iters: 1 }.state_bytes_per_rank(4);
-        let b = Laplace { n: 256, iters: 1 }.state_bytes_per_rank(4);
-        assert!(b > 3 * a);
-    }
 
     #[test]
     fn boundary_values() {

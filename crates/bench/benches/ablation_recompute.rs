@@ -8,49 +8,40 @@
 //! and validates that recovery through a failure stays exact.
 
 use c3_apps::DenseCg;
-use c3_bench::fmt_bytes;
-use c3_core::{run_job, C3Config, CheckpointTrigger, InstrumentationLevel};
+use c3_bench::{fmt_bytes, measure_levels, Fig8Cell, REPS};
+use c3_core::{run_job, C3Config};
 
-fn run_one(nprocs: usize, app: &DenseCg) -> (std::time::Duration, u64, u64) {
-    let cfg = C3Config {
-        level: InstrumentationLevel::Full,
-        trigger: CheckpointTrigger::EveryMillis(25),
-        ..C3Config::default()
-    };
-    let mut best: Option<(std::time::Duration, u64, u64)> = None;
-    for _ in 0..2 {
-        let r = run_job(nprocs, &cfg, None, app).expect("run");
-        let bytes =
-            r.stats.iter().map(|s| s.app_state_bytes).max().unwrap_or(0);
-        let cand = (r.elapsed, bytes, r.last_committed.unwrap_or(0));
-        best = Some(match best {
-            None => cand,
-            Some(b) if cand.0 < b.0 => cand,
-            Some(b) => b,
-        });
-    }
-    best.unwrap()
+/// The full-checkpoint cell (last of the four) of one configuration,
+/// sampled exactly as a Figure 8a row is: same interval, interleaved
+/// levels, median.
+fn run_one(nprocs: usize, app: &DenseCg) -> Fig8Cell {
+    let mut row = measure_levels(nprocs, app, "", 25);
+    row.cells.pop().expect("four levels")
 }
 
 fn main() {
     let nprocs = 4;
     println!("=== §7 ablation — recomputation checkpointing (dense CG) ===");
+    println!("median of n={REPS} interleaved repetitions [q1 q3]");
     println!(
-        "{:>10} {:>14} {:>12} {:>14} {:>12} {:>9}",
+        "{:>10} {:>24} {:>10} {:>24} {:>10} {:>9}",
         "size", "full ckpt", "state", "recompute", "state", "Δtime"
     );
+    let timed = |c: &Fig8Cell| {
+        format!("{:.3}s {}", c.elapsed.as_secs_f64(), c.spread())
+    };
     for (n, iters) in [(192usize, 3000u64), (384, 1200), (768, 400)] {
-        let (t_full, b_full, _) = run_one(nprocs, &DenseCg::new(n, iters));
-        let (t_slim, b_slim, _) =
-            run_one(nprocs, &DenseCg::recompute(n, iters));
+        let full = run_one(nprocs, &DenseCg::new(n, iters));
+        let slim = run_one(nprocs, &DenseCg::recompute(n, iters));
         println!(
-            "{:>10} {:>13.3}s {:>12} {:>13.3}s {:>12} {:>+8.1}%",
+            "{:>10} {:>24} {:>10} {:>24} {:>10} {:>+8.1}%",
             format!("{n}x{n}"),
-            t_full.as_secs_f64(),
-            fmt_bytes(b_full),
-            t_slim.as_secs_f64(),
-            fmt_bytes(b_slim),
-            (t_slim.as_secs_f64() / t_full.as_secs_f64() - 1.0) * 100.0,
+            timed(&full),
+            fmt_bytes(full.app_state_bytes),
+            timed(&slim),
+            fmt_bytes(slim.app_state_bytes),
+            (slim.elapsed.as_secs_f64() / full.elapsed.as_secs_f64() - 1.0)
+                * 100.0,
         );
     }
 

@@ -18,7 +18,7 @@ fn main() {
     let mut rows = Vec::new();
     for (n, iters) in [(192usize, 3000u64), (384, 1200), (768, 400)] {
         let app = DenseCg::new(n, iters);
-        rows.push(measure_levels(nprocs, &app, format!("{n}x{n}"), 25, 2));
+        rows.push(measure_levels(nprocs, &app, format!("{n}x{n}"), 25));
     }
     print_fig8(
         "Figure 8a — Dense Conjugate Gradient (4 ranks, ckpt every 25ms)",

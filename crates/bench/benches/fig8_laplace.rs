@@ -16,7 +16,7 @@ fn main() {
     let mut rows = Vec::new();
     for (n, iters) in [(96usize, 6000u64), (192, 3000), (384, 1500)] {
         let app = Laplace { n, iters };
-        rows.push(measure_levels(nprocs, &app, format!("{n}x{n}"), 50, 2));
+        rows.push(measure_levels(nprocs, &app, format!("{n}x{n}"), 50));
     }
     print_fig8(
         "Figure 8b — Laplace Solver (4 ranks, ckpt every 50ms)",

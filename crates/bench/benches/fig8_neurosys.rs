@@ -18,7 +18,7 @@ fn main() {
     let mut rows = Vec::new();
     for (m, iters) in [(16usize, 700u64), (32, 400), (64, 180), (128, 60)] {
         let app = Neurosys::new(m, iters);
-        rows.push(measure_levels(nprocs, &app, format!("{m}x{m}"), 50, 2));
+        rows.push(measure_levels(nprocs, &app, format!("{m}x{m}"), 50));
     }
     print_fig8("Figure 8c — Neurosys (4 ranks, ckpt every 50ms)", &rows);
     print_csv("neurosys", &rows);

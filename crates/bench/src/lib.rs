@@ -19,8 +19,6 @@
 
 #![deny(missing_docs)]
 
-pub mod report;
-
 use std::time::Duration;
 
 use c3_core::{
@@ -32,14 +30,22 @@ use c3_core::{
 pub struct Fig8Cell {
     /// Which program version this cell measured.
     pub level: InstrumentationLevel,
-    /// Best-of-N wall time.
+    /// Median wall time over [`REPS`] repetitions.
     pub elapsed: Duration,
-    /// Global checkpoints committed during the run.
+    /// Lower and upper quartile of the wall time.
+    pub quartiles: (Duration, Duration),
+    /// Global checkpoints committed during the median run.
     pub checkpoints: u64,
-    /// Application state bytes written by the busiest rank.
+    /// Application state bytes written by the busiest rank of that run.
     pub app_state_bytes: u64,
-    /// Total bytes written to stable storage.
-    pub storage_bytes: u64,
+}
+
+impl Fig8Cell {
+    /// The quartiles as the tables print them: `[q1 q3]`, in seconds.
+    pub fn spread(&self) -> String {
+        let (q1, q3) = self.quartiles;
+        format!("[{:.3} {:.3}]", q1.as_secs_f64(), q3.as_secs_f64())
+    }
 }
 
 /// One row (problem size) of a Figure 8 chart.
@@ -52,7 +58,7 @@ pub struct Fig8Row {
 }
 
 impl Fig8Row {
-    /// Overhead of cell `i` relative to the unmodified version.
+    /// Overhead of cell `i`'s median relative to the unmodified version's.
     pub fn overhead_pct(&self, i: usize) -> f64 {
         let base = self.cells[0].elapsed.as_secs_f64();
         (self.cells[i].elapsed.as_secs_f64() / base - 1.0) * 100.0
@@ -67,8 +73,17 @@ pub const LEVELS: [InstrumentationLevel; 4] = [
     InstrumentationLevel::Full,
 ];
 
+/// Repetitions per cell, c3bench's minimum. With `REPS + 1` a multiple
+/// of four the quartiles (exclusive method, as c3bench computes them)
+/// and the median are order statistics: no interpolation.
+pub const REPS: usize = 7;
+const _: () = assert!((REPS + 1).is_multiple_of(4));
+
 /// Run one application configuration at all four levels.
 ///
+/// As c3bench does: one discarded warm-up job, then the four levels
+/// interleaved inside each of [`REPS`] repetitions, so drift over the
+/// run lands on all of them alike; each cell is its median run.
 /// `ckpt_interval_ms` plays the role of the paper's 30-second checkpoint
 /// interval, scaled to the benchmark's run time.
 pub fn measure_levels<A: C3App>(
@@ -76,50 +91,43 @@ pub fn measure_levels<A: C3App>(
     app: &A,
     label: impl Into<String>,
     ckpt_interval_ms: u64,
-    repeats: u32,
 ) -> Fig8Row {
-    let mut cells = Vec::with_capacity(LEVELS.len());
-    for level in LEVELS {
+    let run = |level| {
         let cfg = C3Config {
             level,
             trigger: CheckpointTrigger::EveryMillis(ckpt_interval_ms),
             ..C3Config::default()
         };
-        // Best-of-N wall time: robust against scheduler noise on the
-        // shared-core simulator.
-        let mut best: Option<(Duration, u64, u64, u64)> = None;
-        for _ in 0..repeats {
-            let report = run_job(nprocs, &cfg, None, app)
-                .expect("benchmark run failed");
-            let ckpts = report.last_committed.unwrap_or(0);
-            let app_bytes = report
-                .stats
-                .iter()
-                .map(|s| s.app_state_bytes)
-                .max()
-                .unwrap_or(0);
-            let cand = (
-                report.elapsed,
-                ckpts,
-                app_bytes,
-                report.storage_bytes_written,
-            );
-            best = Some(match best {
-                None => cand,
-                Some(b) if cand.0 < b.0 => cand,
-                Some(b) => b,
-            });
+        run_job(nprocs, &cfg, None, app).expect("benchmark run failed")
+    };
+    run(InstrumentationLevel::Full);
+    let mut runs = LEVELS.map(|_| Vec::with_capacity(REPS));
+    for _ in 0..REPS {
+        for (level, runs) in LEVELS.into_iter().zip(&mut runs) {
+            runs.push(run(level));
         }
-        let (elapsed, checkpoints, app_state_bytes, storage_bytes) =
-            best.expect("at least one repeat");
-        cells.push(Fig8Cell {
-            level,
-            elapsed,
-            checkpoints,
-            app_state_bytes,
-            storage_bytes,
-        });
     }
+    let cells = LEVELS
+        .into_iter()
+        .zip(runs)
+        .map(|(level, mut runs)| {
+            runs.sort_by_key(|r| r.elapsed);
+            let quartile = |q: usize| runs[q * (REPS + 1) / 4 - 1].elapsed;
+            let median = &runs[REPS / 2];
+            Fig8Cell {
+                level,
+                elapsed: median.elapsed,
+                quartiles: (quartile(1), quartile(3)),
+                checkpoints: median.last_committed.unwrap_or(0),
+                app_state_bytes: median
+                    .stats
+                    .iter()
+                    .map(|s| s.app_state_bytes)
+                    .max()
+                    .unwrap_or(0),
+            }
+        })
+        .collect();
     Fig8Row {
         label: label.into(),
         cells,
@@ -137,11 +145,14 @@ pub fn fmt_bytes(b: u64) -> String {
     }
 }
 
-/// Print a Figure 8 style table.
+/// Print a Figure 8 style table: per size one line of medians with
+/// their overhead over the unmodified version, and beneath it each
+/// median's quartiles.
 pub fn print_fig8(title: &str, rows: &[Fig8Row]) {
     println!("\n=== {title} ===");
+    println!("median of n={REPS} interleaved repetitions, [q1 q3] beneath");
     println!(
-        "{:>14} {:>12} {:>16} {:>16} {:>16} {:>10} {:>8}",
+        "{:>14} {:>16} {:>16} {:>16} {:>16} {:>10} {:>8}",
         "size",
         "unmodified",
         "+piggyback",
@@ -151,7 +162,6 @@ pub fn print_fig8(title: &str, rows: &[Fig8Row]) {
         "ckpts"
     );
     for row in rows {
-        let base = row.cells[0].elapsed.as_secs_f64();
         let cell = |i: usize| {
             format!(
                 "{:>7.3}s {:>+5.1}%",
@@ -160,28 +170,42 @@ pub fn print_fig8(title: &str, rows: &[Fig8Row]) {
             )
         };
         println!(
-            "{:>14} {:>11.3}s {:>16} {:>16} {:>16} {:>10} {:>8}",
+            "{:>14} {:>15.3}s {:>16} {:>16} {:>16} {:>10} {:>8}",
             row.label,
-            base,
+            row.cells[0].elapsed.as_secs_f64(),
             cell(1),
             cell(2),
             cell(3),
             fmt_bytes(row.cells[3].app_state_bytes),
             row.cells[3].checkpoints,
         );
+        let spread = |i: usize| row.cells[i].spread();
+        println!(
+            "{:>14} {:>16} {:>16} {:>16} {:>16}",
+            "",
+            spread(0),
+            spread(1),
+            spread(2),
+            spread(3)
+        );
     }
 }
 
 /// Machine-readable dump (one line per cell) for plotting.
 pub fn print_csv(chart: &str, rows: &[Fig8Row]) {
-    println!("csv,chart,size,level,seconds,overhead_pct,app_state_bytes,checkpoints");
+    println!(
+        "csv,chart,size,level,median_s,q1_s,q3_s,n,overhead_pct,\
+         app_state_bytes,checkpoints"
+    );
     for row in rows {
         for (i, cell) in row.cells.iter().enumerate() {
             println!(
-                "csv,{chart},{},{:?},{:.6},{:.2},{},{}",
+                "csv,{chart},{},{:?},{:.6},{:.6},{:.6},{REPS},{:.2},{},{}",
                 row.label,
                 cell.level,
                 cell.elapsed.as_secs_f64(),
+                cell.quartiles.0.as_secs_f64(),
+                cell.quartiles.1.as_secs_f64(),
                 row.overhead_pct(i),
                 cell.app_state_bytes,
                 cell.checkpoints

@@ -1,10 +1,10 @@
 //! The workspace's one hand-rolled JSON reader (no external parser
 //! dependency): a minimal recursive-descent parser, just deep enough
-//! for the flat documents the repo writes — `c3obs` snapshots and the
-//! `c3_bench::report` artifacts — plus the string escaper their writers
-//! share. `null` is not part of either format and is rejected. The
-//! documents come from files, so the reader is total on hostile input:
-//! bounded recursion, time linear in the document.
+//! for the flat documents the repo writes — `c3obs` snapshots — plus
+//! the string escaper their writer uses. `null` is not part of the
+//! format and is rejected. The documents come from files, so the
+//! reader is total on hostile input: bounded recursion, time linear in
+//! the document.
 
 /// Append `s` to `out` with JSON string escaping (no quotes added).
 pub fn escape_into(out: &mut String, s: &str) {

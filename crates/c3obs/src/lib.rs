@@ -14,8 +14,8 @@
 //!   low-frequency protocol phases (initiator phases, local-checkpoint
 //!   duration, log drain, recovery replay) tagged with rank and epoch;
 //! * a [`Snapshot`] of everything, written as one JSON document
-//!   (following the `c3_bench::report` flat-scalar conventions) and read
-//!   back by a hand-rolled parser, so round-trips can be tested without
+//!   (arrays of flat objects of scalars) and read back by a
+//!   hand-rolled parser, so round-trips can be tested without
 //!   external dependencies;
 //! * a `c3obs` CLI binary that renders a per-rank, per-epoch phase
 //!   table from a snapshot file.
@@ -26,7 +26,7 @@
 #![deny(missing_docs)]
 
 mod hist;
-pub mod json;
+mod json;
 mod registry;
 mod snapshot;
 

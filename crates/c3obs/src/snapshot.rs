@@ -1,9 +1,8 @@
 //! Point-in-time snapshots and their JSON document form.
 //!
-//! The JSON layout follows the `c3_bench::report` conventions: a
-//! shallow document whose arrays contain only *flat objects of
-//! scalars*, so downstream tooling can read any section with a
-//! two-level loop. Structured fields are packed into scalar strings —
+//! The JSON layout is a shallow document whose arrays contain only
+//! *flat objects of scalars*, so downstream tooling can read any section
+//! with a two-level loop. Structured fields are packed into scalar strings —
 //! labels as `"k=v,k=v"`, histogram buckets as `"idx:count,..."`:
 //!
 //! ```json

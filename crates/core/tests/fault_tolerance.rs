@@ -2,6 +2,7 @@
 //! injected stopping failures, with results identical to failure-free
 //! runs (the core guarantee of the paper's protocol).
 
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use c3_core::{
@@ -577,4 +578,76 @@ fn localized_mode_without_failures_is_inert() {
     let report = run_job(n, &cfg, None, &RingApp { iters }).unwrap();
     assert_eq!(report.outputs, expect);
     assert_eq!((report.restarts, report.splices), (0, 0));
+}
+
+/// A ring of sendrecvs and nothing else, counting every application
+/// iteration any rank executes in any attempt or incarnation: what a
+/// repair re-executes (rollback replay or splice catch-up) counts again.
+struct CountedRing {
+    iters: u64,
+    ran: Arc<AtomicU64>,
+}
+
+impl C3App for CountedRing {
+    type State = RingState;
+    type Output = u64;
+
+    fn init(&self, p: &mut Process<'_>) -> C3Result<RingState> {
+        Ok(RingState {
+            i: 0,
+            acc: p.rank() as u64 + 1,
+        })
+    }
+
+    fn run(&self, p: &mut Process<'_>, s: &mut RingState) -> C3Result<u64> {
+        let world = p.world();
+        let n = p.size();
+        let right = (p.rank() + 1) % n;
+        let left = (p.rank() + n - 1) % n;
+        while s.i < self.iters {
+            let got =
+                p.sendrecv(world, right, 7, &s.acc.to_le_bytes(), left, 7)?;
+            s.acc = s.acc.rotate_left(3)
+                ^ u64::from_le_bytes(got.payload[..8].try_into().unwrap());
+            s.i += 1;
+            self.ran.fetch_add(1, Ordering::Relaxed);
+            p.potential_checkpoint(s)?;
+        }
+        Ok(s.acc)
+    }
+}
+
+#[test]
+fn redone_work_grows_with_the_world_under_rollback_not_under_splice() {
+    // A rollback makes every rank redo the work since the last commit; a
+    // splice re-executes only the dead rank's tape. The splice's count is
+    // a function of the dead rank's own op stream; the rollback's varies
+    // by up to one checkpoint interval with which line had committed
+    // when the kill landed, so the bounds leave 2x (recorded: 8 -> 133
+    // iterations from 2 to 8 ranks against 25 -> 25).
+    let iters = 60;
+    let redone = |n: usize, mode| {
+        let app = CountedRing {
+            iters,
+            ran: Arc::default(),
+        };
+        let cfg = C3Config::every_ops(40);
+        let expect = run_job(n, &cfg, None, &app).unwrap().outputs;
+        let failure_free = app.ran.swap(0, Ordering::Relaxed);
+        assert_eq!(failure_free, n as u64 * iters);
+        let cfg = cfg.with_failure(1, 100).with_recovery(mode);
+        let report = run_job(n, &cfg, None, &app).unwrap();
+        assert_eq!(report.outputs, expect, "recovery must be exact");
+        assert_eq!(report.restarts + report.splices, 1);
+        app.ran.load(Ordering::Relaxed) - failure_free
+    };
+    let full = [2, 8].map(|n| redone(n, c3_core::RecoveryMode::FullRestart));
+    let localized =
+        [2, 8].map(|n| redone(n, c3_core::RecoveryMode::Localized));
+    assert!(full[1] >= 2 * full[0], "rollback: {full:?}");
+    assert!(
+        localized[1] <= 2 * localized[0].max(1),
+        "splice: {localized:?}"
+    );
+    assert!(localized[1] < full[1], "{localized:?} vs {full:?}");
 }

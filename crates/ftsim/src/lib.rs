@@ -12,20 +12,14 @@
 //!   (the observable definition of "the program makes progress in spite of
 //!   these faults");
 //! * [`metrics`] — recovery accounting: lost work, restart counts, and
-//!   wall-clock overhead versus a failure-free run, used by the recovery
-//!   benchmarks;
-//! * [`optimum`] — Young's checkpoint-interval approximation and the
-//!   first-order efficiency model it optimizes, for comparing the
-//!   simulator's measured interval trade-off against theory.
+//!   wall-clock overhead versus a failure-free run.
 
 #![deny(missing_docs)]
 
 pub mod harness;
 pub mod metrics;
-pub mod optimum;
 pub mod schedule;
 
 pub use harness::{chaos_check, ChaosReport};
 pub use metrics::RecoveryMetrics;
-pub use optimum::{best_interval, expected_efficiency, young_interval};
 pub use schedule::FailureSchedule;

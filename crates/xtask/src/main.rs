@@ -18,8 +18,9 @@
 //!   explicitly time-based pacing paths.
 //! * **hot-path-unwrap** — `unwrap()` / `expect()` in protocol hot-path
 //!   files is budgeted per file (a ratchet): the allowlist records the
-//!   current count, the lint fails when a file grows beyond it, and the
-//!   budget is lowered as call sites are converted to typed errors.
+//!   current count and the lint fails when a file's count differs from
+//!   it — above, a new site landed; below, the budget has slack that
+//!   would let one land unseen and must be lowered to the count.
 //! * **trace-pairing** — the trace vocabulary stays analyzable: every
 //!   `TraceEvent` variant declared in `crates/core/src/trace.rs` must be
 //!   matched somewhere in `crates/c3verify/src/analyzer.rs` (an emitted
@@ -282,11 +283,18 @@ fn check_hot_path_unwrap(
         })
         .sum::<usize>();
     let budget = allow.unwrap_budget.get(rel).copied().unwrap_or(0);
-    if count > budget {
+    // Slack is a finding too: a budget above the count lets that many
+    // new sites land unseen.
+    if count != budget {
+        let fix = if count > budget {
+            "convert to typed errors or raise the ratchet"
+        } else {
+            "lower the ratchet"
+        };
         findings.push(format!(
             "{rel}: [hot-path-unwrap] {count} unwrap/expect site(s) in a \
-             protocol hot path, budget {budget} (convert to typed errors \
-             or raise the ratchet in crates/xtask/lint-allow.txt)"
+             protocol hot path, budget {budget} ({fix} in \
+             crates/xtask/lint-allow.txt)"
         ));
     }
 }
@@ -486,6 +494,13 @@ mod tests {
             .unwrap_budget
             .insert("crates/core/src/process.rs".into(), 2);
         assert!(lint(&fx.root, &allow).unwrap().is_empty());
+
+        allow
+            .unwrap_budget
+            .insert("crates/core/src/process.rs".into(), 3);
+        let findings = lint(&fx.root, &allow).unwrap();
+        assert_eq!(findings.len(), 1, "{findings:?}");
+        assert!(findings[0].contains("lower the ratchet"), "{findings:?}");
     }
 
     #[test]
