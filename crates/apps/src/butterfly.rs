@@ -14,7 +14,7 @@
 //! * [`allgather`] — recursive-doubling chunk exchange for powers of two,
 //!   ring pipeline otherwise; handles ragged chunk sizes.
 
-use c3_core::{C3Result, CommHandle, Process};
+use c3_core::{C3Error, C3Result, CommHandle, Process};
 use simmpi::MpiType;
 
 /// Tags used by the butterfly phases; kept away from small app tags.
@@ -96,57 +96,68 @@ pub fn allreduce_scalar(
 }
 
 fn frame_known(have: &[Option<Vec<f64>>]) -> Vec<u8> {
-    let mut out = Vec::new();
-    let count = have.iter().filter(|c| c.is_some()).count() as u64;
-    out.extend_from_slice(&count.to_le_bytes());
+    let known = have.iter().flatten();
+    let body: usize = known.clone().map(|c| 16 + c.len() * 8).sum();
+    let mut out = Vec::with_capacity(8 + body);
+    out.extend_from_slice(&(known.count() as u64).to_le_bytes());
     for (idx, chunk) in have.iter().enumerate() {
         if let Some(c) = chunk {
             out.extend_from_slice(&(idx as u64).to_le_bytes());
             out.extend_from_slice(&(c.len() as u64).to_le_bytes());
-            for v in c {
-                out.extend_from_slice(&v.to_le_bytes());
-            }
+            out.extend_from_slice(&f64::slice_to_bytes(c));
         }
     }
     out
 }
 
-fn unframe_known(bytes: &[u8], have: &mut [Option<Vec<f64>>]) -> C3Result<()> {
-    let bad = || {
-        c3_core::C3Error::Protocol(
-            "malformed butterfly allgather frame".into(),
-        )
-    };
-    let mut pos = 0usize;
-    let take =
-        |pos: &mut usize, k: usize| -> Result<&[u8], c3_core::C3Error> {
-            if bytes.len() - *pos < k {
-                return Err(bad());
-            }
-            let s = &bytes[*pos..*pos + k];
-            *pos += k;
-            Ok(s)
-        };
-    let count =
-        u64::from_le_bytes(take(&mut pos, 8)?.try_into().unwrap()) as usize;
+fn bad_frame() -> C3Error {
+    C3Error::Protocol("malformed butterfly allgather frame".into())
+}
+
+/// Split `k` bytes off the front of `bytes`.
+fn take<'a>(bytes: &mut &'a [u8], k: usize) -> C3Result<&'a [u8]> {
+    let (head, rest) = bytes.split_at_checked(k).ok_or_else(bad_frame)?;
+    *bytes = rest;
+    Ok(head)
+}
+
+fn take_u64(bytes: &mut &[u8]) -> C3Result<usize> {
+    let word = take(bytes, 8)?.try_into().expect("took 8 bytes");
+    usize::try_from(u64::from_le_bytes(word)).map_err(|_| bad_frame())
+}
+
+fn unframe_known(
+    mut bytes: &[u8],
+    have: &mut [Option<Vec<f64>>],
+) -> C3Result<()> {
+    let count = take_u64(&mut bytes)?;
     for _ in 0..count {
-        let idx = u64::from_le_bytes(take(&mut pos, 8)?.try_into().unwrap())
-            as usize;
-        let len = u64::from_le_bytes(take(&mut pos, 8)?.try_into().unwrap())
-            as usize;
-        let raw = take(&mut pos, len * 8)?;
-        let chunk: Vec<f64> = raw
-            .chunks_exact(8)
-            .map(|c| f64::from_le_bytes(c.try_into().unwrap()))
-            .collect();
-        if idx >= have.len() {
-            return Err(bad());
-        }
-        have[idx] = Some(chunk);
+        let idx = take_u64(&mut bytes)?;
+        let len = take_u64(&mut bytes)?;
+        let raw = take(&mut bytes, len.checked_mul(8).ok_or_else(bad_frame)?)?;
+        *have.get_mut(idx).ok_or_else(bad_frame)? = Some(f64s(raw)?);
     }
-    if pos != bytes.len() {
-        return Err(bad());
+    if !bytes.is_empty() {
+        return Err(bad_frame());
     }
+    Ok(())
+}
+
+/// One ring step's frame: the chunk's owner, then the chunk.
+fn frame_ring(idx: usize, chunk: &[f64]) -> Vec<u8> {
+    let mut out = Vec::with_capacity(8 + chunk.len() * 8);
+    out.extend_from_slice(&(idx as u64).to_le_bytes());
+    out.extend_from_slice(&f64::slice_to_bytes(chunk));
+    out
+}
+
+fn unframe_ring(
+    mut bytes: &[u8],
+    have: &mut [Option<Vec<f64>>],
+) -> C3Result<()> {
+    let idx = take_u64(&mut bytes)?;
+    let chunk = f64s(bytes).map_err(|_| bad_frame())?;
+    *have.get_mut(idx).ok_or_else(bad_frame)? = Some(chunk);
     Ok(())
 }
 
@@ -184,26 +195,12 @@ pub fn allgather(
             let send_idx = (me + n - step) % n;
             let chunk = have[send_idx]
                 .as_ref()
-                .expect("ring invariant: chunk present")
-                .clone();
-            let mut payload = Vec::with_capacity(8 + chunk.len() * 8);
-            payload.extend_from_slice(&(send_idx as u64).to_le_bytes());
-            for v in &chunk {
-                payload.extend_from_slice(&v.to_le_bytes());
-            }
+                .expect("ring invariant: chunk present");
+            let payload = frame_ring(send_idx, chunk);
             let msg = p.sendrecv(
                 comm, right, TAG_GATHER, &payload, left, TAG_GATHER,
             )?;
-            let idx = u64::from_le_bytes(msg.payload[..8].try_into().map_err(
-                |_| c3_core::C3Error::Protocol("short ring frame".into()),
-            )?) as usize;
-            let vals = f64s(&msg.payload[8..])?;
-            if idx >= n {
-                return Err(c3_core::C3Error::Protocol(
-                    "ring frame index out of range".into(),
-                ));
-            }
-            have[idx] = Some(vals);
+            unframe_ring(&msg.payload, &mut have)?;
         }
     }
     Ok(have
@@ -219,4 +216,50 @@ pub fn allgather_flat(
     mine: &[f64],
 ) -> C3Result<Vec<f64>> {
     Ok(allgather(p, comm, mine)?.into_iter().flatten().collect())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn rejected(r: C3Result<()>) -> bool {
+        matches!(r, Err(C3Error::Protocol(_)))
+    }
+
+    #[test]
+    fn frames_round_trip_and_hostile_frames_are_protocol_errors() {
+        let have = vec![Some(vec![1.5, -0.0]), None, Some(vec![]), None];
+        let frame = frame_known(&have);
+        let mut back = vec![None; 4];
+        unframe_known(&frame, &mut back).unwrap();
+        assert_eq!(back, have);
+
+        // Truncated anywhere, or with bytes left over.
+        for cut in 0..frame.len() {
+            assert!(
+                rejected(unframe_known(&frame[..cut], &mut back)),
+                "{cut}"
+            );
+        }
+        let mut long = frame.clone();
+        long.push(0);
+        assert!(rejected(unframe_known(&long, &mut back)));
+        // `len` inflated: past the frame, and past `usize` once times 8.
+        for len in [3u64, 1 << 61, u64::MAX] {
+            let mut f = frame.clone();
+            f[16..24].copy_from_slice(&len.to_le_bytes());
+            assert!(rejected(unframe_known(&f, &mut back)), "len {len}");
+        }
+        // `idx` past the communicator.
+        let mut f = frame.clone();
+        f[8..16].copy_from_slice(&4u64.to_le_bytes());
+        assert!(rejected(unframe_known(&f, &mut back)));
+
+        let ring = frame_ring(2, &[7.0, 8.0]);
+        unframe_ring(&ring, &mut back).unwrap();
+        assert_eq!(back[2], Some(vec![7.0, 8.0]));
+        assert!(rejected(unframe_ring(&ring[..3], &mut back)));
+        assert!(rejected(unframe_ring(&ring[..ring.len() - 1], &mut back)));
+        assert!(rejected(unframe_ring(&frame_ring(4, &[]), &mut back)));
+    }
 }

@@ -123,6 +123,19 @@ impl ckptstore::SaveLoad for CgState {
 /// global residual bits.
 pub type CgOutput = (u64, u64);
 
+/// Rows `lo..hi` of the `n`×`n` test matrix, row-major: a rank's block in
+/// `init`, the same block again when a restore brought none back, and
+/// the whole matrix for the sequential reference.
+fn matrix_rows(n: usize, lo: usize, hi: usize) -> Vec<f64> {
+    let mut a = Vec::with_capacity((hi - lo) * n);
+    for i in lo..hi {
+        for j in 0..n {
+            a.push(spd_entry(n, i, j));
+        }
+    }
+    a
+}
+
 impl DenseCg {
     /// Bytes of checkpointable state per rank (for reporting).
     pub fn state_bytes_per_rank(&self, nranks: usize) -> usize {
@@ -138,12 +151,6 @@ impl C3App for DenseCg {
     fn init(&self, p: &mut Process<'_>) -> C3Result<CgState> {
         let (lo, hi) = block_range(self.n, p.size(), p.rank());
         let rows = hi - lo;
-        let mut a_block = Vec::with_capacity(rows * self.n);
-        for i in lo..hi {
-            for j in 0..self.n {
-                a_block.push(spd_entry(self.n, i, j));
-            }
-        }
         // b_i = 1 + i/n, x0 = 0 ⇒ r0 = b, p0 = r0.
         let b: Vec<f64> =
             (lo..hi).map(|i| 1.0 + i as f64 / self.n as f64).collect();
@@ -156,7 +163,7 @@ impl C3App for DenseCg {
         Ok(CgState {
             iter: 0,
             persist_matrix: !self.exclude_readonly,
-            a_block: Tracked::new(a_block),
+            a_block: Tracked::new(matrix_rows(self.n, lo, hi)),
             x: vec![0.0; rows],
             r: b.clone(),
             p: b,
@@ -177,12 +184,7 @@ impl C3App for DenseCg {
         if s.a_block.is_empty() && rows > 0 {
             let (lo, hi) = block_range(n, proc.size(), proc.rank());
             debug_assert_eq!(hi - lo, rows);
-            s.a_block.reserve_exact(rows * n);
-            for i in lo..hi {
-                for j in 0..n {
-                    s.a_block.push(spd_entry(n, i, j));
-                }
-            }
+            s.a_block = Tracked::new(matrix_rows(n, lo, hi));
         }
         let mut w = vec![0.0; rows];
         while s.iter < self.iters {
@@ -222,8 +224,7 @@ pub mod test_support {
     /// Sequential reference CG with exactly the operation order a
     /// single-rank parallel run performs.
     pub fn sequential_cg(n: usize, iters: u64) -> (Vec<f64>, f64) {
-        let a: Vec<f64> =
-            (0..n * n).map(|k| spd_entry(n, k / n, k % n)).collect();
+        let a = matrix_rows(n, 0, n);
         let b: Vec<f64> = (0..n).map(|i| 1.0 + i as f64 / n as f64).collect();
         let mut x = vec![0.0; n];
         let mut r = b.clone();

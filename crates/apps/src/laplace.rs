@@ -11,6 +11,7 @@
 
 use c3_core::{C3App, C3Result, Process};
 use ckptstore::impl_saveload_struct;
+use simmpi::MpiType;
 
 use crate::digest_f64;
 use crate::linalg::block_range;
@@ -78,39 +79,41 @@ impl C3App for Laplace {
         let rows = hi - lo;
         debug_assert_eq!(s.grid.len(), rows * n);
         let mut next = vec![0.0; rows * n];
-        let zeros = vec![0.0f64; n];
+        // The neighbours' boundary rows, decoded in place every
+        // iteration. An edge rank never receives into its outer one and
+        // the sweep never reads it: the row beside it is a global edge.
+        let mut top_halo = vec![0.0f64; n];
+        let mut bottom_halo = vec![0.0f64; n];
 
         while s.iter < self.iters {
             // Halo exchange with the rank above ("up" = smaller row
-            // indices) and below. Edge ranks use a fixed boundary row.
-            let top_halo: Vec<f64> = if me > 0 {
+            // indices) and below.
+            if me > 0 {
                 let first_row = &s.grid[0..n];
                 let msg = p.sendrecv(
                     world,
                     me - 1,
                     TAG_UP,
-                    &simmpi::MpiType::slice_to_bytes(first_row),
+                    &f64::slice_to_bytes(first_row),
                     me - 1,
                     TAG_DOWN,
                 )?;
-                simmpi::MpiType::bytes_to_vec(&msg.payload)?
-            } else {
-                zeros.clone()
-            };
-            let bottom_halo: Vec<f64> = if me + 1 < size {
+                top_halo.clear();
+                f64::extend_from_bytes(&mut top_halo, &msg.payload)?;
+            }
+            if me + 1 < size {
                 let last_row = &s.grid[(rows - 1) * n..rows * n];
                 let msg = p.sendrecv(
                     world,
                     me + 1,
                     TAG_DOWN,
-                    &simmpi::MpiType::slice_to_bytes(last_row),
+                    &f64::slice_to_bytes(last_row),
                     me + 1,
                     TAG_UP,
                 )?;
-                simmpi::MpiType::bytes_to_vec(&msg.payload)?
-            } else {
-                zeros.clone()
-            };
+                bottom_halo.clear();
+                f64::extend_from_bytes(&mut bottom_halo, &msg.payload)?;
+            }
 
             sweep(n, lo, &s.grid, &top_halo, &bottom_halo, &mut next);
             std::mem::swap(&mut s.grid, &mut next);
@@ -124,10 +127,15 @@ impl C3App for Laplace {
 /// Jacobi sweep over interior cells of the band `grid` (rows `lo..` of
 /// the `n`×`n` problem); global edges keep their boundary values.
 ///
+/// Row by row on slices: a global-edge row is copied; an interior row
+/// copies its two end cells and averages the rest in one branch-free
+/// pass over four equally long slices, which vectorizes. Each cell's sum
+/// is still `up + down + left + right` in that order, as every reference
+/// digest expects.
+///
 /// Out of line on purpose: inlined into `run`, this loop's code moved
-/// with whatever the halo exchange around it inlined — the same source
-/// ran 8% slower on c3bench `laplace_halo` once the halo decode became a
-/// bulk loop.
+/// with whatever the halo exchange around it inlined (EXPERIMENTS.md
+/// M10).
 #[inline(never)]
 fn sweep(
     n: usize,
@@ -138,21 +146,31 @@ fn sweep(
     next: &mut [f64],
 ) {
     let rows = grid.len() / n;
-    for r in 0..rows {
+    let row = |r: usize| &grid[r * n..(r + 1) * n];
+    for (r, out) in next.chunks_exact_mut(n).enumerate() {
+        let cur = row(r);
         let gi = lo + r;
-        for j in 0..n {
-            let idx = r * n + j;
-            if gi == 0 || gi == n - 1 || j == 0 || j == n - 1 {
-                next[idx] = grid[idx];
-                continue;
-            }
-            let up = if r == 0 { top_halo[j] } else { grid[idx - n] };
-            let down = if r == rows - 1 {
-                bottom_halo[j]
-            } else {
-                grid[idx + n]
-            };
-            next[idx] = 0.25 * (up + down + grid[idx - 1] + grid[idx + 1]);
+        // For n < 3 every row is a global edge.
+        if gi == 0 || gi == n - 1 {
+            out.copy_from_slice(cur);
+            continue;
+        }
+        let up = if r == 0 { top_halo } else { row(r - 1) };
+        let down = if r == rows - 1 {
+            bottom_halo
+        } else {
+            row(r + 1)
+        };
+        out[0] = cur[0];
+        out[n - 1] = cur[n - 1];
+        let cells = out[1..n - 1]
+            .iter_mut()
+            .zip(&up[1..n - 1])
+            .zip(&down[1..n - 1])
+            .zip(&cur[..n - 2])
+            .zip(&cur[2..]);
+        for ((((cell, up), down), left), right) in cells {
+            *cell = 0.25 * (up + down + left + right);
         }
     }
 }
@@ -168,5 +186,75 @@ mod tests {
         assert_eq!(l.initial_cell(3, 7), -20.0);
         assert_eq!(l.initial_cell(0, 3), 25.0);
         assert_eq!(l.initial_cell(3, 3), 0.0);
+    }
+
+    /// The sweep as it was written before the row-sliced form: one cell
+    /// at a time, four boundary tests per cell. The oracle.
+    fn sweep_per_cell(
+        n: usize,
+        lo: usize,
+        grid: &[f64],
+        top_halo: &[f64],
+        bottom_halo: &[f64],
+        next: &mut [f64],
+    ) {
+        let rows = grid.len() / n;
+        for r in 0..rows {
+            let gi = lo + r;
+            for j in 0..n {
+                let idx = r * n + j;
+                if gi == 0 || gi == n - 1 || j == 0 || j == n - 1 {
+                    next[idx] = grid[idx];
+                    continue;
+                }
+                let up = if r == 0 { top_halo[j] } else { grid[idx - n] };
+                let down = if r == rows - 1 {
+                    bottom_halo[j]
+                } else {
+                    grid[idx + n]
+                };
+                next[idx] = 0.25 * (up + down + grid[idx - 1] + grid[idx + 1]);
+            }
+        }
+    }
+
+    #[test]
+    fn sliced_sweep_is_the_per_cell_sweep_bit_for_bit() {
+        // Doubles over sixty orders of magnitude, both signs: a
+        // reassociated four-term sum would round differently.
+        let mut seed = 0x5eed_1a91_ace0_0001u64;
+        let mut value = move || {
+            let z = ckptstore::splitmix64(&mut seed);
+            let mantissa = (z >> 11) as f64 / (1u64 << 53) as f64 - 0.5;
+            mantissa * 10f64.powi((z % 61) as i32 - 30)
+        };
+        let mut bands = 0;
+        for n in [1usize, 2, 3, 4, 5, 33] {
+            for size in 1..=5 {
+                for rank in 0..size {
+                    let (lo, hi) = block_range(n, size, rank);
+                    let cells = (hi - lo) * n;
+                    let grid: Vec<f64> = (0..cells).map(|_| value()).collect();
+                    let top: Vec<f64> = (0..n).map(|_| value()).collect();
+                    let bottom: Vec<f64> = (0..n).map(|_| value()).collect();
+                    // Different fill on each side: a cell either form
+                    // leaves unwritten shows.
+                    let mut got = vec![1.0; cells];
+                    let mut want = vec![2.0; cells];
+                    sweep(n, lo, &grid, &top, &bottom, &mut got);
+                    sweep_per_cell(n, lo, &grid, &top, &bottom, &mut want);
+                    let bits = |v: &[f64]| -> Vec<u64> {
+                        v.iter().map(|x| x.to_bits()).collect()
+                    };
+                    assert_eq!(
+                        bits(&got),
+                        bits(&want),
+                        "n={n} rank {rank} of {size} (rows {lo}..{hi})"
+                    );
+                    bands += usize::from(hi - lo == 1);
+                }
+            }
+        }
+        assert!(bands > 10, "one-row bands must be among the cases");
     }
 }

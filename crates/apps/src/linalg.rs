@@ -11,25 +11,53 @@ pub fn spd_entry(n: usize, i: usize, j: usize) -> f64 {
     }
 }
 
+/// Rows [`block_matvec`] carries side by side.
+const R: usize = 8;
+
+/// One row's dot product with `x`: one accumulator, summed strictly left
+/// to right. Every reference digest depends on this order within a row.
+fn row_dot(row: &[f64], x: &[f64]) -> f64 {
+    let mut acc = 0.0;
+    for (a, b) in row.iter().zip(x) {
+        acc += a * b;
+    }
+    acc
+}
+
 /// Dense row-block × vector product: `y = A[lo..hi) · x`.
 ///
 /// `block` is stored row-major with `n` columns, rows `lo..hi`.
+///
+/// The compiler may not reassociate an `f64` reduction, so a row's sum
+/// is a chain of dependent adds and one row at a time runs at add
+/// latency. Rows are independent of each other: [`R`] of them advance
+/// together, each with its own accumulator in [`row_dot`]'s order, so
+/// every `y[r]` keeps its bits while the chains overlap and `x[j]` is
+/// loaded once per `R` rows. The `rows % R` tail is `row_dot` itself.
+///
+/// Out of line, like `laplace::sweep`: the job spends its time here and
+/// the code should not move with its caller's.
+#[inline(never)]
 pub fn block_matvec(block: &[f64], n: usize, x: &[f64], y: &mut [f64]) {
     let rows = block.len() / n;
     assert_eq!(block.len(), rows * n);
     assert_eq!(x.len(), n);
     assert_eq!(y.len(), rows);
-    for (r, yr) in y.iter_mut().enumerate() {
-        let row = &block[r * n..(r + 1) * n];
-        // One scalar accumulator, summed strictly left to right: the
-        // compiler may not reassociate an `f64` reduction, so this loop
-        // is not vectorized. Every reference digest depends on that
-        // summation order; a faster kernel would change them all.
-        let mut acc = 0.0;
-        for (a, b) in row.iter().zip(x.iter()) {
-            acc += a * b;
+    let mut bands = block.chunks_exact(R * n);
+    let mut ys = y.chunks_exact_mut(R);
+    for (band, yb) in bands.by_ref().zip(ys.by_ref()) {
+        let rows: [&[f64]; R] = std::array::from_fn(|k| &band[k * n..][..n]);
+        let mut acc = [0.0; R];
+        for (j, &xj) in x.iter().enumerate() {
+            for (a, row) in acc.iter_mut().zip(rows) {
+                *a += row[j] * xj;
+            }
         }
-        *yr = acc;
+        yb.copy_from_slice(&acc);
+    }
+    let tail = bands.remainder().chunks_exact(n);
+    for (row, yr) in tail.zip(ys.into_remainder()) {
+        *yr = row_dot(row, x);
     }
 }
 
@@ -96,6 +124,47 @@ mod tests {
             block_matvec(&full[lo * n..hi * n], n, &x, &mut y[lo..hi]);
         }
         assert_eq!(y, y_full);
+    }
+
+    #[test]
+    fn blocked_matvec_is_the_scalar_matvec_bit_for_bit() {
+        // Magnitudes 1e-150..1e150 on both sides (products 1e-300..1e300,
+        // sums below overflow), both signs, with `-0.0`, subnormals and
+        // the smallest normal mixed in: a sum taken in any other order,
+        // or split over two accumulators, rounds differently somewhere.
+        const SPECIAL: [f64; 6] =
+            [-0.0, 0.0, 5e-324, -3e-320, f64::MIN_POSITIVE, -1.0];
+        let mut seed = 0x5eed_b10c_ed00_0001u64;
+        let mut value = move || {
+            let z = ckptstore::splitmix64(&mut seed);
+            if z.is_multiple_of(16) {
+                return SPECIAL[(z >> 8) as usize % SPECIAL.len()];
+            }
+            let mantissa = (z >> 11) as f64 / (1u64 << 53) as f64 - 0.5;
+            mantissa * 10f64.powi((z % 301) as i32 - 150)
+        };
+        for rows in [0, 1, R - 1, R, R + 1, 2 * R + 3] {
+            for n in [1usize, 2, 7, 64, 1000] {
+                let block: Vec<f64> = (0..rows * n).map(|_| value()).collect();
+                let x: Vec<f64> = (0..n).map(|_| value()).collect();
+                let mut y = vec![1.0; rows];
+                block_matvec(&block, n, &x, &mut y);
+                // The kernel as it was: one row, one accumulator, left
+                // to right.
+                for (r, yr) in y.iter().enumerate() {
+                    let mut acc = 0.0;
+                    for j in 0..n {
+                        acc += block[r * n + j] * x[j];
+                    }
+                    assert!(acc.is_finite());
+                    assert_eq!(
+                        yr.to_bits(),
+                        acc.to_bits(),
+                        "row {r} of {rows}, n={n}: {yr:e} vs {acc:e}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

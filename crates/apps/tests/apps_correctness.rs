@@ -210,6 +210,58 @@ fn all_levels_produce_identical_results() {
 }
 
 // ---------------------------------------------------------------------
+// Golden outputs
+// ---------------------------------------------------------------------
+
+/// Per-rank outputs at 1, 2 and 3 ranks, taken at commit `50c4c29`: the
+/// last one whose `block_matvec` summed one row at a time and whose
+/// Jacobi sweep went cell by cell. A kernel may get faster; these bits
+/// may not move.
+#[test]
+fn outputs_match_the_digests_of_the_scalar_kernels() {
+    const CG: [&[(u64, u64)]; 3] = [
+        &[(0x411b_42f0_6b0b_f696, 0x2fb3_c2ea_8e5a_b6b2)],
+        &[
+            (0xd93f_4a6e_d32f_9b1a, 0x2fb3_c2ea_c893_018f),
+            (0x6a96_7bf1_d45f_b089, 0x2fb3_c2ea_c893_018f),
+        ],
+        &[
+            (0xfc4d_5603_46ef_88c4, 0x2fb3_c1f3_a12e_7655),
+            (0xdd89_38fc_d5d6_a66c, 0x2fb3_c1f3_a12e_7655),
+            (0x6163_0870_6fd5_533f, 0x2fb3_c1f3_a12e_7655),
+        ],
+    ];
+    const LAPLACE: [&[u64]; 3] = [
+        &[0x3eb2_f8ad_2c2b_a281],
+        &[0x2702_2c96_c9b7_6d6f, 0x0d20_b7d8_c1e5_cbe3],
+        &[
+            0x3bd0_f189_fc7e_9585,
+            0xde36_fce2_e48b_24cd,
+            0x8e5d_ebda_9603_2649,
+        ],
+    ];
+    const NEUROSYS: [&[u64]; 3] = [
+        &[0x9361_0520_dbdd_4be8],
+        &[0xc848_304b_2375_010c, 0x7b6f_afd8_1531_13ee],
+        &[
+            0x16b2_744a_78b6_7727,
+            0xfa1a_23f8_9068_ca99,
+            0xf7df_8f13_d512_6e18,
+        ],
+    ];
+    for n in 1..=3 {
+        let cfg = plain_cfg();
+        let cg = run_job(n, &cfg, None, &DenseCg::new(64, 20)).unwrap();
+        assert_eq!(cg.outputs, CG[n - 1], "dense CG at {n} ranks");
+        let la = Laplace { n: 24, iters: 60 };
+        let la = run_job(n, &cfg, None, &la).unwrap();
+        assert_eq!(la.outputs, LAPLACE[n - 1], "Laplace at {n} ranks");
+        let ns = run_job(n, &cfg, None, &Neurosys::new(8, 50)).unwrap();
+        assert_eq!(ns.outputs, NEUROSYS[n - 1], "Neurosys at {n} ranks");
+    }
+}
+
+// ---------------------------------------------------------------------
 // §7 recomputation checkpointing (exclude read-only matrix block)
 // ---------------------------------------------------------------------
 

@@ -8,14 +8,16 @@
 //! and validates that recovery through a failure stays exact.
 
 use c3_apps::DenseCg;
-use c3_bench::{fmt_bytes, measure_levels, Fig8Cell, REPS};
+use c3_bench::{
+    fmt_bytes, measure_levels, Fig8Cell, FIG8A_CKPT_MS, FIG8A_SIZES, REPS,
+};
 use c3_core::{run_job, C3Config};
 
 /// The full-checkpoint cell (last of the four) of one configuration,
 /// sampled exactly as a Figure 8a row is: same interval, interleaved
 /// levels, median.
 fn run_one(nprocs: usize, app: &DenseCg) -> Fig8Cell {
-    let mut row = measure_levels(nprocs, app, "", 25);
+    let mut row = measure_levels(nprocs, app, "", FIG8A_CKPT_MS);
     row.cells.pop().expect("four levels")
 }
 
@@ -30,7 +32,7 @@ fn main() {
     let timed = |c: &Fig8Cell| {
         format!("{:.3}s {}", c.elapsed.as_secs_f64(), c.spread())
     };
-    for (n, iters) in [(192usize, 3000u64), (384, 1200), (768, 400)] {
+    for (n, iters) in FIG8A_SIZES {
         let full = run_one(nprocs, &DenseCg::new(n, iters));
         let slim = run_one(nprocs, &DenseCg::recompute(n, iters));
         println!(

@@ -8,20 +8,27 @@
 //!   showing the cost is state volume, not the protocol.
 //!
 //! Paper sizes 4096/8192/16384 on 16 nodes are scaled to 192/384/768 on 4
-//! simulator ranks (single host); iterations scaled from 500.
+//! simulator ranks (single host); the paper's 500 iterations become as
+//! many as make an unmodified run take ≥ 0.3 s and commit 5–15 lines.
 
 use c3_apps::DenseCg;
-use c3_bench::{measure_levels, print_csv, print_fig8};
+use c3_bench::{
+    measure_levels, print_csv, print_fig8, FIG8A_CKPT_MS, FIG8A_SIZES,
+};
 
 fn main() {
     let nprocs = 4;
     let mut rows = Vec::new();
-    for (n, iters) in [(192usize, 3000u64), (384, 1200), (768, 400)] {
+    for (n, iters) in FIG8A_SIZES {
         let app = DenseCg::new(n, iters);
-        rows.push(measure_levels(nprocs, &app, format!("{n}x{n}"), 25));
+        let label = format!("{n}x{n}");
+        rows.push(measure_levels(nprocs, &app, label, FIG8A_CKPT_MS));
     }
     print_fig8(
-        "Figure 8a — Dense Conjugate Gradient (4 ranks, ckpt every 25ms)",
+        &format!(
+            "Figure 8a — Dense Conjugate Gradient (4 ranks, ckpt every \
+             {FIG8A_CKPT_MS}ms)"
+        ),
         &rows,
     );
     print_csv("dense_cg", &rows);

@@ -16,7 +16,8 @@ use c3_bench::{measure_levels, print_csv, print_fig8};
 fn main() {
     let nprocs = 4;
     let mut rows = Vec::new();
-    for (m, iters) in [(16usize, 700u64), (32, 400), (64, 180), (128, 60)] {
+    for (m, iters) in [(16usize, 8000u64), (32, 5200), (64, 1800), (128, 300)]
+    {
         let app = Neurosys::new(m, iters);
         rows.push(measure_levels(nprocs, &app, format!("{m}x{m}"), 50));
     }

@@ -73,6 +73,13 @@ pub const LEVELS: [InstrumentationLevel; 4] = [
     InstrumentationLevel::Full,
 ];
 
+/// Figure 8a's `(matrix dimension, iterations)` rows and its checkpoint
+/// interval in ms; `ablation_recompute` measures the same cells.
+pub const FIG8A_SIZES: [(usize, u64); 3] =
+    [(192, 8000), (384, 4000), (768, 1200)];
+/// See [`FIG8A_SIZES`].
+pub const FIG8A_CKPT_MS: u64 = 40;
+
 /// Repetitions per cell, c3bench's minimum. With `REPS + 1` a multiple
 /// of four the quartiles (exclusive method, as c3bench computes them)
 /// and the median are order statistics: no interpolation.
