@@ -102,11 +102,11 @@ impl ckptstore::SaveLoad for CgState {
     ) -> Result<Self, ckptstore::codec::CodecError> {
         let iter = dec.get_u64()?;
         let persist_matrix = dec.get_bool()?;
-        let a_block = Tracked::new(if persist_matrix {
-            dec.get_f64_vec()?
+        let a_block = if persist_matrix {
+            Tracked::load_with(dec, |dec| dec.get_f64_vec())?
         } else {
-            Vec::new()
-        });
+            Tracked::new(Vec::new())
+        };
         Ok(CgState {
             iter,
             persist_matrix,

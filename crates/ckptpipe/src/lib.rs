@@ -18,8 +18,10 @@
 //!   checkpoint (incremental / delta checkpoints, per the
 //!   differential-checkpointing line of work). Surviving chunks are
 //!   compressed per the configured [`Codec`] (PackBits RLE or an
-//!   LZ4-class block codec), and fresh chunks land in one batched put
-//!   per blob.
+//!   LZ4-class block codec; a PackBits trial a pre-scan shows cannot win
+//!   is not run), each is sealed once under the CRC that also folds into
+//!   the blob's, and fresh chunks leave in batched puts of 64 — a write
+//!   holds its blob and one batch, never a second copy of the blob.
 //! * **Retry** — transient storage faults (see
 //!   `ckptstore::FaultInjectingBackend`) are retried with exponential
 //!   backoff.
@@ -47,6 +49,70 @@ pub use pipeline::{CheckpointPipeline, PipelineStats, StagedBlob};
 // wire format); re-exported here so pipeline users configure everything
 // from one crate.
 pub use ckptstore::{Chunker, Codec};
+
+#[cfg(test)]
+mod test_alloc {
+    //! A global allocator for this crate's unit tests that tracks live
+    //! heap bytes per thread and their high-water mark, so a write path
+    //! can pin how much it holds at once. A thread's count is only
+    //! meaningful for memory it both allocates and frees (sync-mode
+    //! writes on the test's own thread).
+
+    use std::alloc::{GlobalAlloc, Layout, System};
+    use std::cell::Cell;
+
+    thread_local! {
+        static LIVE: Cell<i64> = const { Cell::new(0) };
+        static PEAK: Cell<i64> = const { Cell::new(0) };
+    }
+
+    fn add(bytes: i64) {
+        let _ = LIVE.try_with(|live| {
+            live.set(live.get() + bytes);
+            let _ = PEAK.try_with(|peak| peak.set(peak.get().max(live.get())));
+        });
+    }
+
+    struct TrackingAlloc;
+
+    // SAFETY: delegates entirely to `System`; the counters use
+    // `try_with` so allocation during thread-local teardown is safe.
+    unsafe impl GlobalAlloc for TrackingAlloc {
+        unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+            add(layout.size() as i64);
+            unsafe { System.alloc(layout) }
+        }
+        unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+            add(-(layout.size() as i64));
+            unsafe { System.dealloc(ptr, layout) }
+        }
+        unsafe fn realloc(
+            &self,
+            ptr: *mut u8,
+            layout: Layout,
+            new_size: usize,
+        ) -> *mut u8 {
+            add(new_size as i64 - layout.size() as i64);
+            unsafe { System.realloc(ptr, layout, new_size) }
+        }
+    }
+
+    #[global_allocator]
+    static ALLOCATOR: TrackingAlloc = TrackingAlloc;
+
+    /// Restart this thread's high-water mark at what it holds now, and
+    /// return that.
+    pub fn reset_peak() -> i64 {
+        let live = LIVE.try_with(Cell::get).unwrap_or(0);
+        let _ = PEAK.try_with(|peak| peak.set(live));
+        live
+    }
+
+    /// The most this thread has held since [`reset_peak`].
+    pub fn peak() -> i64 {
+        PEAK.try_with(Cell::get).unwrap_or(0)
+    }
+}
 
 #[cfg(test)]
 mod tests {
@@ -295,7 +361,7 @@ mod tests {
         pipe.gc_keeping(2).unwrap();
         // B's only reference was checkpoint 1's manifest: it is gone
         // (chunk A and the log blob's chunk survive).
-        assert!(!store.has_chunk(&ChunkRef::for_piece(&b)).unwrap());
+        assert!(!store.has_chunk(&ChunkRef::for_piece(&b).key()).unwrap());
         assert_eq!(backend.list("chunk/").unwrap().len(), 2);
         // Checkpoint 3 resurrects content B. It must round-trip after a
         // GC that keeps only checkpoint 3.
@@ -331,6 +397,12 @@ mod tests {
         assert_eq!(snap.histogram_count_total("io_write_ns"), 2);
         assert_eq!(snap.histogram_count_total("io_drain_ns"), 1);
         assert_eq!(snap.counter_total("io_retries_total"), 0);
+        // Neither chunk has three equal bytes in a row: no PackBits trial.
+        assert_eq!(snap.counter_total("io_codec_trials_skipped_total"), 2);
+        assert_eq!(
+            snap.counter_total("io_precompress_bytes_total"),
+            snap.counter_total("io_postcompress_bytes_total")
+        );
         assert!(snap.self_check().is_empty());
     }
 
@@ -597,6 +669,36 @@ mod tests {
         }
     }
 
+    impl TrackedState {
+        /// Decode a state blob as a restart does, and hand `pipe` the
+        /// blob with the tracked spans the decoder saw.
+        fn recover(
+            pipe: &CheckpointPipeline,
+            ckpt: u64,
+        ) -> ckptstore::StoreResult<TrackedState> {
+            let (blob, chunk_crcs) = pipe.store().get_rank_blob_crcs(
+                ckpt,
+                0,
+                RankBlobKind::State,
+            )?;
+            let mut dec = ckptstore::Decoder::new(&blob);
+            let state = TrackedState {
+                iter: dec.get_u64().unwrap(),
+                big: dec.get().unwrap(),
+                tail: dec.get_bytes().unwrap().to_vec(),
+            };
+            dec.finish("state").unwrap();
+            pipe.adopt_line(
+                ckpt,
+                0,
+                RankBlobKind::State,
+                &chunk_crcs,
+                dec.tracked_spans(),
+            )?;
+            Ok(state)
+        }
+    }
+
     fn commit_line(
         pipe: &CheckpointPipeline,
         ckpt: u64,
@@ -676,6 +778,120 @@ mod tests {
                 clean_total
             );
         }
+    }
+
+    #[test]
+    fn a_restart_keeps_the_clean_references_the_store_holds() {
+        let (_, store) = mem_store(1);
+        let cfg = PipelineConfig::default()
+            .with_mode(WriteMode::Sync)
+            .with_chunker(Chunker::fixed(256));
+        let new_attempt =
+            || CheckpointPipeline::new(store.clone(), cfg.clone());
+        let big_len = 8 + 40_000;
+        let pipe = new_attempt();
+        let mut state = TrackedState {
+            iter: 1,
+            big: Tracked::new(blob(3, 40_000)),
+            tail: blob(1, 700),
+        };
+        commit_line(&pipe, 1, state.against(&pipe));
+        // Restart twice: the second recovers from a line whose big field
+        // is itself a reference adopted from a recovered manifest.
+        for ckpt in [2u64, 3] {
+            let pipe = new_attempt();
+            let mut state = TrackedState::recover(&pipe, ckpt - 1).unwrap();
+            assert_eq!(*state.big, blob(3, 40_000));
+            state.iter = ckpt;
+            state.tail[0] ^= 0xFF;
+            let enc = state.against(&pipe);
+            assert_eq!(enc.clean_len(), big_len, "line {ckpt}");
+            commit_line(&pipe, ckpt, enc);
+            let stats = pipe.stats();
+            assert_eq!(stats.bytes_clean, big_len as u64);
+            // Cut, hashed and written: the header and tail, not the field.
+            assert!(stats.chunks_written <= 4, "{stats:?}");
+            let read =
+                store.get_rank_blob(ckpt, 0, RankBlobKind::State).unwrap();
+            assert_eq!(read, state.plain(), "line {ckpt}");
+        }
+        state.iter = 3;
+        state.tail[0] = blob(1, 1)[0];
+        let line3 = state.plain();
+
+        // A manifest another chunker cut (straight through the parts)
+        // and a blob stored raw adopt nothing, and still recover.
+        let mut foreign = ckptstore::Manifest::for_blob(&line3);
+        let mut chunks = Vec::new();
+        for piece in line3.chunks(300) {
+            let chunk = ChunkRef::for_piece(piece);
+            chunks.push((chunk.key(), ckptstore::seal(piece)));
+            foreign.chunks.push(chunk);
+        }
+        store.put_chunks(&chunks).unwrap();
+        store
+            .put_rank_manifest(4, 0, RankBlobKind::State, &foreign)
+            .unwrap();
+        store
+            .put_rank_blob(5, 0, RankBlobKind::State, &line3)
+            .unwrap();
+        for (ckpt, has_record) in [(4u64, true), (5, false)] {
+            let pipe = new_attempt();
+            let state = TrackedState::recover(&pipe, ckpt).unwrap();
+            assert_eq!(state.plain(), line3);
+            let base = pipe.clean_base(0, RankBlobKind::State);
+            assert_eq!(base.is_some(), has_record, "line {ckpt}");
+            assert!(base.is_none_or(|b| b.clean.is_empty()));
+            assert_eq!(state.against(&pipe).clean_len(), 0);
+        }
+    }
+
+    #[test]
+    fn writing_a_fresh_blob_holds_one_batch_beside_it() {
+        /// Accepts every put and keeps nothing, so the only live bytes
+        /// are the write path's own.
+        struct Sink;
+        impl StorageBackend for Sink {
+            fn put(&self, _: &str, _: &[u8]) -> ckptstore::StoreResult<()> {
+                Ok(())
+            }
+            fn get(&self, key: &str) -> ckptstore::StoreResult<Vec<u8>> {
+                Err(ckptstore::StoreError::Missing(key.to_owned()))
+            }
+            fn contains(&self, _: &str) -> ckptstore::StoreResult<bool> {
+                Ok(false)
+            }
+            fn delete(&self, _: &str) -> ckptstore::StoreResult<()> {
+                Ok(())
+            }
+            fn list(&self, _: &str) -> ckptstore::StoreResult<Vec<String>> {
+                Ok(Vec::new())
+            }
+            fn bytes_written(&self) -> u64 {
+                0
+            }
+        }
+        let pipe = CheckpointPipeline::new(
+            CheckpointStore::new(Arc::new(Sink), 1),
+            PipelineConfig::default().with_mode(WriteMode::Sync),
+        );
+        // 4 MiB of `f64`s, every chunk distinct: all fresh, all stored raw.
+        let fresh: Vec<u8> = (0..512 * 1024)
+            .flat_map(|i| (1.0 + i as f64).sqrt().to_le_bytes())
+            .collect();
+        // The blob is live from here on; the mark counts what joins it.
+        let with_blob = crate::test_alloc::reset_peak();
+        pipe.stage(1, 0, RankBlobKind::State, fresh).unwrap();
+        let beside = crate::test_alloc::peak() - with_blob;
+        assert_eq!(pipe.stats().chunks_written, 1024);
+        // One batch of 64 sealed 4 KiB chunks and their keys; the
+        // manifest's chunk list (grown by doubling), its encoding and the
+        // line record: some 360 KiB together. A copy of every fresh
+        // chunk, raw or sealed, would be 4 MiB more.
+        assert!(
+            beside <= 512 << 10,
+            "the write held {beside} bytes beside its 4 MiB blob"
+        );
     }
 
     #[test]

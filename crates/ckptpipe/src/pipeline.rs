@@ -22,16 +22,26 @@
 //! the run into the new manifest and folds the CRC in
 //! (`crc32_combine`); only the other parts are cut, hashed and looked
 //! up. Manifests stay flat and self-contained, so GC, tier drain and
-//! recovery never see the difference.
+//! recovery never see the difference. A restart keeps the arrangement:
+//! [`CheckpointPipeline::adopt_line`] rebuilds the record, clean runs
+//! included, from the manifest a rank recovered from and the places in
+//! the recovered blob its tracked values were decoded from.
+//!
+//! A byte that does have to be written is touched once per purpose: one
+//! CRC per chunk (the seal of a chunk stored raw *and* its share of the
+//! part's and the blob's CRC), one hash, one codec trial unless a
+//! pre-scan rules it out, one copy into the sealed buffer the backend is
+//! handed.
 
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, RwLock};
 
 use bytes::Bytes;
-use ckptstore::codec::{Encoder, Part};
-use ckptstore::integrity::{crc32, crc32_combine};
-use ckptstore::manifest::{ChunkRef, CleanRun, LineRecord, Manifest};
+use ckptstore::codec::{Encoder, Part, TrackedSpan};
+use ckptstore::compress::packbits_cannot_shrink;
+use ckptstore::integrity::{crc32, crc32_combine, seal_vec, seal_with};
+use ckptstore::manifest::{AddrMap, ChunkRef, CleanRun, LineRecord, Manifest};
 use ckptstore::{
     CheckpointStore, CkptId, Codec, RankBlobKind, StorageBackend, StoreError,
     StoreResult,
@@ -94,6 +104,11 @@ impl From<Encoder> for StagedBlob {
         }
     }
 }
+
+/// Fresh chunks leave a blob write for the backend this many at a time
+/// (256 KiB of 4 KiB chunks): enough to amortize the backend's per-call
+/// cost, small enough that a write never holds a second copy of its blob.
+const PUT_BATCH: usize = 64;
 
 /// One staged blob write.
 struct Job {
@@ -528,15 +543,24 @@ impl CheckpointPipeline {
 
     /// Take the manifest a rank just recovered from as its stream's
     /// record, unless the stream already has one (a respawned incarnation
-    /// meets its predecessor's). The first line after a restart then
-    /// finds the whole restored state in the record and neither encodes
-    /// nor probes the store for it. A blob stored raw has no manifest
-    /// and leaves nothing to adopt.
+    /// meets its predecessor's). `spans` are where in the recovered blob
+    /// the restored state's tracked values were decoded from and
+    /// `chunk_crcs` what `CheckpointStore::get_rank_blob_crcs` returned
+    /// with the blob: each span that starts and ends on chunk boundaries
+    /// of the manifest (a value the writing line tracked does — cuts
+    /// restart at every part) becomes a clean run under the decoded
+    /// value's version, its CRC folded from its chunks'. The first line
+    /// after a restart then finds the whole restored state in the record:
+    /// it neither encodes the tracked values nor probes the store for
+    /// anything. A blob stored raw has no manifest and leaves nothing to
+    /// adopt; a span that does not align is not adopted.
     pub fn adopt_line(
         &self,
         ckpt: CkptId,
         rank: usize,
         kind: RankBlobKind,
+        chunk_crcs: &[u32],
+        spans: &[TrackedSpan],
     ) -> StoreResult<()> {
         let shared = &self.shared;
         let slot = (rank, kind.tag());
@@ -550,7 +574,28 @@ impl CheckpointPipeline {
             return Ok(());
         }
         if let Some(m) = shared.store.get_rank_manifest(ckpt, rank, kind)? {
-            let record = LineRecord::new(ckpt, &m, HashMap::new());
+            let mut clean = HashMap::new();
+            if chunk_crcs.len() == m.chunks.len() {
+                for span in spans {
+                    let Some(run) = m.run_at(span.offset, span.len) else {
+                        continue;
+                    };
+                    let chunks = m.chunks[run.clone()].to_vec();
+                    let crc = chunks.iter().zip(&chunk_crcs[run]).fold(
+                        0,
+                        |crc, (chunk, &chunk_crc)| {
+                            crc32_combine(crc, chunk_crc, chunk.len.into())
+                        },
+                    );
+                    let run = CleanRun {
+                        len: span.len,
+                        crc,
+                        chunks,
+                    };
+                    clean.insert(span.version, Arc::new(run));
+                }
+            }
+            let record = LineRecord::new(ckpt, &m, clean);
             shared
                 .records()
                 .entry(slot)
@@ -796,14 +841,15 @@ impl Shared {
         // Part by part, in manifest order. A clean reference is resolved
         // from the base without touching bytes. Any other part is cut
         // (cuts restart at every part, so a tracked value's chunks do not
-        // depend on what precedes it) and hashed + encoded chunk by chunk
-        // on the thread writing the blob. Fresh chunks accumulate into one
-        // batched put; `batch_seen` catches within-blob duplicates, which
-        // the store probe cannot (nothing lands until the batch goes out).
+        // depend on what precedes it) and CRC'd, hashed and encoded chunk
+        // by chunk on the thread writing the blob. Fresh chunks go out in
+        // bounded batches, so what a write holds beside the blob itself
+        // is one batch; `seen` catches within-blob duplicates without a
+        // store probe.
         let mut manifest = Manifest::default();
         let mut clean: HashMap<u64, Arc<CleanRun>> = HashMap::new();
-        let mut fresh: Vec<(ChunkRef, Vec<u8>)> = Vec::new();
-        let mut batch_seen: HashSet<(u128, u32)> = HashSet::new();
+        let mut batch: Vec<(String, Vec<u8>)> = Vec::new();
+        let mut seen: AddrMap<()> = AddrMap::default();
         let mut off = 0;
         for part in &blob.parts {
             let (len, crc) = match *part {
@@ -825,14 +871,13 @@ impl Shared {
                     let bytes = &blob.bytes[off..off + len];
                     off += len;
                     let first = manifest.chunks.len();
-                    self.write_part(
+                    let crc = self.write_part(
                         bytes,
-                        prev.as_ref(),
+                        prev.as_deref(),
                         &mut manifest.chunks,
-                        &mut fresh,
-                        &mut batch_seen,
+                        &mut batch,
+                        &mut seen,
                     )?;
-                    let crc = crc32(bytes);
                     if let Some(version) = version {
                         let chunks = manifest.chunks[first..].to_vec();
                         let run = CleanRun { len, crc, chunks };
@@ -845,18 +890,7 @@ impl Shared {
                 crc32_combine(manifest.blob_crc, crc, len as u64);
             manifest.total_len += len as u64;
         }
-        if !fresh.is_empty() {
-            let compressed =
-                fresh.iter().filter(|(c, _)| c.codec != Codec::None).count()
-                    as u64;
-            self.put_chunk_batch(&fresh)?;
-            self.stats
-                .chunks_written
-                .fetch_add(fresh.len() as u64, Ordering::Relaxed);
-            self.stats
-                .chunks_compressed
-                .fetch_add(compressed, Ordering::Relaxed);
-        }
+        self.put_chunk_batch(&mut batch)?;
         self.retrying(|| {
             self.store
                 .put_rank_manifest(job.ckpt, job.rank, job.kind, &manifest)
@@ -866,38 +900,80 @@ impl Shared {
         Ok(())
     }
 
-    /// Cut, hash and dedup one part's bytes: its chunk references go onto
-    /// `chunks` in order, the payloads nothing vouches for onto `fresh`.
+    /// Cut, CRC, hash and dedup one part's bytes: its chunk references go
+    /// onto `chunks` in order, the sealed stored form of each chunk
+    /// nothing vouches for onto `batch`, which goes to the store whenever
+    /// it reaches [`PUT_BATCH`]. Returns the part's CRC-32, folded from
+    /// the one CRC taken of each piece — the same value also seals a
+    /// chunk stored raw.
     fn write_part(
         &self,
         bytes: &[u8],
-        prev: Option<&Arc<LineRecord>>,
+        prev: Option<&LineRecord>,
         chunks: &mut Vec<ChunkRef>,
-        fresh: &mut Vec<(ChunkRef, Vec<u8>)>,
-        batch_seen: &mut HashSet<(u128, u32)>,
-    ) -> StoreResult<()> {
+        batch: &mut Vec<(String, Vec<u8>)>,
+        seen: &mut AddrMap<()>,
+    ) -> StoreResult<u32> {
+        let mut part_crc = 0;
         for piece in self.cfg.chunker.cut(bytes) {
-            let (chunk, stored) = self.prepare_chunk(piece, prev);
+            let piece_crc = crc32(piece);
+            part_crc = crc32_combine(part_crc, piece_crc, piece.len() as u64);
+            let mut chunk = ChunkRef::for_piece(piece);
             let addr = (chunk.hash, chunk.len);
-            let known = match &stored {
-                None => true, // previous-line hit, nothing encoded
-                Some(_) => {
-                    batch_seen.contains(&addr)
-                        || self.store.has_chunk(&chunk)?
-                }
-            };
-            if known {
-                self.count_deduped(1, chunk.len as usize);
+            if let Some(o) = &self.obs {
+                o.chunk_bytes.record(piece.len() as u64);
+            }
+            // Who already holds this chunk? The stream's previous line
+            // (which also knows the stored form: no encoding, no probe),
+            // this blob, or the store. Otherwise it is fresh: its key,
+            // formatted once, and its encoding if that is what is stored.
+            let mut fresh = None;
+            if let Some(&(stored_len, codec)) =
+                prev.and_then(|p| p.chunks.get(&addr))
+            {
+                chunk.stored_len = stored_len;
+                chunk.codec = codec;
             } else {
-                if let Some(o) = &self.obs {
-                    o.dedup_misses.inc();
+                let encoded = self.encode_if_smaller(piece);
+                if let Some((enc, codec)) = &encoded {
+                    chunk.stored_len = enc.len() as u32;
+                    chunk.codec = *codec;
                 }
-                batch_seen.insert(addr);
-                fresh.push((chunk, stored.expect("miss carries payload")));
+                if let Some(o) = &self.obs {
+                    o.precompress_bytes.add(piece.len() as u64);
+                    o.postcompress_bytes.add(u64::from(chunk.stored_len));
+                }
+                if !seen.contains_key(&addr) {
+                    let key = chunk.key();
+                    if !self.store.has_chunk(&key)? {
+                        fresh = Some((key, encoded));
+                    }
+                }
             }
             chunks.push(chunk);
+            let Some((key, encoded)) = fresh else {
+                self.count_deduped(1, piece.len());
+                continue;
+            };
+            if let Some(o) = &self.obs {
+                o.dedup_misses.inc();
+            }
+            seen.insert(addr, ());
+            let sealed = match encoded {
+                Some((enc, _)) => {
+                    self.stats
+                        .chunks_compressed
+                        .fetch_add(1, Ordering::Relaxed);
+                    seal_vec(enc)
+                }
+                None => seal_with(piece, piece_crc),
+            };
+            batch.push((key, sealed));
+            if batch.len() >= PUT_BATCH {
+                self.put_chunk_batch(batch)?;
+            }
         }
-        Ok(())
+        Ok(part_crc)
     }
 
     /// Account `chunks` chunks of `bytes` raw bytes as not written.
@@ -913,87 +989,66 @@ impl Shared {
         }
     }
 
-    /// Hash one chunk and work out its stored form: from the stream's
-    /// previous line when possible (skipping compression altogether; no
-    /// payload comes back, there is nothing to store), by encoding
-    /// otherwise.
-    fn prepare_chunk(
-        &self,
-        piece: &[u8],
-        prev: Option<&Arc<LineRecord>>,
-    ) -> (ChunkRef, Option<Vec<u8>>) {
-        let mut chunk = ChunkRef::for_piece(piece);
-        if let Some(o) = &self.obs {
-            o.chunk_bytes.record(piece.len() as u64);
-        }
-        if let Some(&(stored_len, codec)) =
-            prev.and_then(|p| p.chunks.get(&(chunk.hash, chunk.len)))
-        {
-            chunk.stored_len = stored_len;
-            chunk.codec = codec;
-            return (chunk, None);
-        }
-        let (stored, codec) = self.stored_form(piece);
-        chunk.stored_len = stored.len() as u32;
-        chunk.codec = codec;
-        if let Some(o) = &self.obs {
-            o.precompress_bytes.add(piece.len() as u64);
-            o.postcompress_bytes.add(stored.len() as u64);
-        }
-        (chunk, Some(stored))
-    }
-
-    /// Deterministic stored representation of a chunk: encoded with the
-    /// configured codec iff the encoding actually shrinks it, raw
-    /// otherwise. Under [`Codec::Lz4`],
-    /// RLE-friendly pages still go through PackBits (smaller and much
-    /// cheaper on long runs). Must stay a pure function of the piece:
-    /// dedup is first-writer-wins, so every writer has to agree on what
-    /// the stored form of a given piece looks like.
-    fn stored_form(&self, piece: &[u8]) -> (Vec<u8>, Codec) {
-        if self.cfg.codec != Codec::None {
-            let codec = match self.cfg.codec {
-                Codec::Lz4 if ckptstore::compress::rle_friendly(piece) => {
-                    Codec::PackBits
-                }
-                c => c,
-            };
-            if let Some(enc) = codec.encode(piece) {
-                if enc.len() < piece.len() {
-                    return (enc, codec);
-                }
+    /// Deterministic stored representation of a chunk: its encoding
+    /// under the configured codec iff that actually shrinks it, `None`
+    /// (stored raw) otherwise. Under [`Codec::Lz4`], RLE-friendly pages
+    /// still go through PackBits (smaller and much cheaper on long runs).
+    /// A PackBits trial that provably cannot win is not run. Must stay a
+    /// pure function of the piece: dedup is first-writer-wins, so every
+    /// writer has to agree on what the stored form of a given piece looks
+    /// like.
+    fn encode_if_smaller(&self, piece: &[u8]) -> Option<(Vec<u8>, Codec)> {
+        let codec = match self.cfg.codec {
+            Codec::Lz4 if ckptstore::compress::rle_friendly(piece) => {
+                Codec::PackBits
             }
+            c => c,
+        };
+        if codec == Codec::PackBits && packbits_cannot_shrink(piece) {
+            if let Some(o) = &self.obs {
+                o.codec_trials_skipped.inc();
+            }
+            return None;
         }
-        (piece.to_vec(), Codec::None)
+        let enc = codec.encode(piece)?;
+        (enc.len() < piece.len()).then_some((enc, codec))
     }
 
-    /// Store a batch of fresh chunks: one `put_many` round-trip on the
-    /// happy path. A transient batch failure falls back to per-chunk
-    /// retried puts rather than retrying the whole batch — under an
-    /// injected per-key fault rate `p`, a batch of `n` fails with
+    /// Store the batch of fresh sealed chunks and empty it: one `put_many`
+    /// round-trip on the happy path. A transient batch failure falls back
+    /// to per-chunk retried puts rather than retrying the whole batch —
+    /// under an injected per-key fault rate `p`, a batch of `n` fails with
     /// probability `1 - (1-p)^n`, so whole-batch retry could spin
     /// near-forever while per-chunk retry converges. Chunk puts are
     /// idempotent (content-addressed, immutable), so re-putting the
     /// prefix the failed batch already landed is harmless.
     fn put_chunk_batch(
         &self,
-        fresh: &[(ChunkRef, Vec<u8>)],
+        batch: &mut Vec<(String, Vec<u8>)>,
     ) -> StoreResult<()> {
-        match self.store.put_chunks(fresh) {
-            Ok(()) => Ok(()),
+        if batch.is_empty() {
+            return Ok(());
+        }
+        match self.store.put_chunks(batch) {
+            Ok(()) => {}
             Err(e) if e.is_transient() => {
                 // The fallback is the batch's retry: count it as one.
                 self.stats.retries.fetch_add(1, Ordering::Relaxed);
                 if let Some(o) = &self.obs {
                     o.retries.inc();
                 }
-                for (chunk, stored) in fresh {
-                    self.retrying(|| self.store.put_chunk(chunk, stored))?;
+                for chunk in batch.iter() {
+                    let one = std::slice::from_ref(chunk);
+                    self.retrying(|| self.store.put_chunks(one))?;
                 }
-                Ok(())
             }
-            Err(e) => Err(e),
+            Err(e) => return Err(e),
         }
+        self.stats
+            .chunks_written
+            .fetch_add(batch.len() as u64, Ordering::Relaxed);
+        batch.clear();
+        Ok(())
     }
 
     fn retrying<T>(&self, op: impl Fn() -> StoreResult<T>) -> StoreResult<T> {

@@ -308,16 +308,48 @@ impl Encoder {
     }
 }
 
+/// Where one [`Tracked`] value was decoded from: the version it was given
+/// and the bytes of the decoder's buffer that are its encoding.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct TrackedSpan {
+    /// The decoded value's (fresh) version.
+    pub version: u64,
+    /// Offset of the encoding in the buffer.
+    pub offset: usize,
+    /// Length of the encoding in bytes.
+    pub len: usize,
+}
+
 /// Sequential binary decoder over a byte slice.
+///
+/// The decoder is the [`Encoder`]'s mirror for [`Tracked`] values too: it
+/// records where each outermost one was decoded from
+/// ([`Decoder::tracked_spans`]), so a restart can hand the write pipeline
+/// the stretches of the recovered blob that its next line may name by
+/// reference.
 pub struct Decoder<'a> {
     buf: &'a [u8],
     pos: usize,
+    spans: Vec<TrackedSpan>,
+    /// Inside a tracked value's own encoding (nested tracked values are
+    /// part of the outer one's span, as they are of its part).
+    in_tracked: bool,
 }
 
 impl<'a> Decoder<'a> {
     /// Begin decoding at the start of `buf`.
     pub fn new(buf: &'a [u8]) -> Self {
-        Decoder { buf, pos: 0 }
+        Decoder {
+            buf,
+            pos: 0,
+            spans: Vec::new(),
+            in_tracked: false,
+        }
+    }
+
+    /// The outermost [`Tracked`] values decoded so far, in buffer order.
+    pub fn tracked_spans(&self) -> &[TrackedSpan] {
+        &self.spans
     }
 
     /// Number of bytes not yet consumed.
@@ -524,6 +556,31 @@ impl<T> Tracked<T> {
     ) {
         enc.put_tracked(self.version, |enc| save(&self.value, enc));
     }
+
+    /// Decode the value with `load` in place of `T::load` — the twin of
+    /// [`Tracked::save_with`], for the same bulk paths. The decoder notes
+    /// the bytes `load` consumed under the new value's version: they are
+    /// what `save` would produce for it, because they were produced by
+    /// `save` (`load ∘ save` is the identity and `save` is a pure function
+    /// of the value).
+    pub fn load_with(
+        dec: &mut Decoder<'_>,
+        load: impl FnOnce(&mut Decoder<'_>) -> Result<T, CodecError>,
+    ) -> Result<Self, CodecError> {
+        let offset = dec.pos;
+        let nested = std::mem::replace(&mut dec.in_tracked, true);
+        let value = load(dec);
+        dec.in_tracked = nested;
+        let tracked = Tracked::new(value?);
+        if !nested {
+            dec.spans.push(TrackedSpan {
+                version: tracked.version,
+                offset,
+                len: dec.pos - offset,
+            });
+        }
+        Ok(tracked)
+    }
 }
 
 impl<T> Deref for Tracked<T> {
@@ -551,7 +608,7 @@ impl<T: SaveLoad> SaveLoad for Tracked<T> {
         self.save_with(enc, T::save);
     }
     fn load(dec: &mut Decoder<'_>) -> Result<Self, CodecError> {
-        T::load(dec).map(Tracked::new)
+        Self::load_with(dec, T::load)
     }
 }
 
@@ -949,6 +1006,32 @@ mod tests {
         ];
         assert_eq!(parts, expect);
         assert_eq!(buf[21..29], 2u64.to_le_bytes(), "back-patched length");
+
+        // The decoder spans what the encoder parted, under the versions
+        // the decoded values now carry; nested values span nothing.
+        let mut dec = Decoder::new(&buf);
+        dec.get_u8().unwrap();
+        let outer_back: Tracked<Vec<Tracked<u32>>> = dec.get().unwrap();
+        let inner_back =
+            Tracked::load_with(&mut dec, |dec| dec.get_u32()).unwrap();
+        assert!(outer_back == outer && inner_back == inner);
+        let span = |t_version, offset, len| TrackedSpan {
+            version: t_version,
+            offset,
+            len,
+        };
+        let expect = [
+            span(outer_back.version, 1, 16),
+            span(inner_back.version, 17, 4),
+        ];
+        assert_eq!(dec.tracked_spans(), expect);
+        assert!(outer_back.version > inner.version, "fresh versions");
+        // A failed load spans nothing and leaves the decoder usable.
+        let mut dec = Decoder::new(&[1, 2]);
+        assert!(Tracked::<u32>::load(&mut dec).is_err());
+        assert!(dec.tracked_spans().is_empty());
+        assert!(Tracked::<u8>::load(&mut dec).is_ok());
+        assert_eq!(dec.tracked_spans().len(), 1);
     }
 
     #[test]

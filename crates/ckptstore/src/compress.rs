@@ -134,6 +134,39 @@ pub fn compress(data: &[u8]) -> Vec<u8> {
     out
 }
 
+/// True when [`compress`] provably cannot make `data` smaller, decided in
+/// one branch-free pass instead of by running the encoder. Let `T` count
+/// the positions that start three equal bytes. A repeat record of `r`
+/// bytes saves `r − 2` and covers `r − 2` such positions, so the repeats
+/// save `S ≤ T` bytes in at most `S` records, leaving at least
+/// `len − 3·S` literal bytes, which cost a header per 128: the output is
+/// no shorter than the input whenever `(len − 3·S) / 128 ≥ S`, and
+/// `131·T ≤ len` guarantees that. Never true of an input the encoder
+/// shrinks, so "store raw iff the encoding is not smaller" is decided
+/// the same with or without it (the dedup invariant); `f64` arrays almost
+/// always take this exit.
+pub fn packbits_cannot_shrink(data: &[u8]) -> bool {
+    if data.len() < 3 {
+        return true;
+    }
+    // The input against itself shifted by one and by two, in stretches
+    // short enough for a `u8` counter: the inner loop compiles to byte
+    // compares sixteen or thirty-two wide.
+    let n = data.len() - 2;
+    let (a, b, c) = (&data[..n], &data[1..=n], &data[2..]);
+    let mut triples = 0usize;
+    for ((a, b), c) in a.chunks(255).zip(b.chunks(255)).zip(c.chunks(255)) {
+        let count: u8 = a
+            .iter()
+            .zip(b)
+            .zip(c)
+            .map(|((a, b), c)| u8::from((a == b) & (b == c)))
+            .sum();
+        triples += usize::from(count);
+    }
+    131 * triples <= data.len()
+}
+
 /// Decode a [`compress`] stream, validating that it expands to exactly
 /// `expected_len` bytes. `None` means the stream is malformed or the
 /// length disagrees — recovery treats that as blob corruption.
@@ -508,6 +541,87 @@ mod tests {
                 .map(|_| (rng.random_range(0..(palette * 64)) % 256) as u8)
                 .collect();
             round_trip(&data);
+        }
+    }
+
+    /// The pre-scan's contract, and how often it fires on `data`.
+    fn check_pre_scan(data: &[u8], fired: &mut usize) {
+        if packbits_cannot_shrink(data) {
+            *fired += 1;
+            assert!(
+                compress(data).len() >= data.len(),
+                "pre-scan said raw, encoder shrinks {data:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn packbits_pre_scan_never_refuses_an_input_the_encoder_shrinks() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(0x9AC4);
+        let mut fired = 0;
+        for len in (0..=600).chain([4096]) {
+            // Uniform noise, all-equal, and two symbols at several biases.
+            let noise: Vec<u8> =
+                (0..len).map(|_| rng.random_range(0..=255u8)).collect();
+            check_pre_scan(&noise, &mut fired);
+            check_pre_scan(
+                &vec![rng.random_range(0..=255u8); len],
+                &mut fired,
+            );
+            for bias in [2u32, 3, 5, 9] {
+                let two: Vec<u8> = (0..len)
+                    .map(|_| u8::from(rng.random_range(0..bias) == 0))
+                    .collect();
+                check_pre_scan(&two, &mut fired);
+            }
+            // Runs of random length 1..=max between random literals.
+            for max in [2usize, 3, 4, 8, 200] {
+                let mut runs = Vec::with_capacity(len);
+                while runs.len() < len {
+                    let n = rng.random_range(1..=max).min(len - runs.len());
+                    runs.resize(runs.len() + n, rng.random_range(0..4u8));
+                }
+                check_pre_scan(&runs, &mut fired);
+            }
+            // `f64` arrays: a smooth ramp, and one padded with zeros.
+            let ramp: Vec<u8> = (0..len.div_ceil(8))
+                .flat_map(|i| (1.0 + i as f64 / 7.0).sqrt().to_le_bytes())
+                .take(len)
+                .collect();
+            check_pre_scan(&ramp, &mut fired);
+            let mut padded = ramp.clone();
+            padded[len / 2..].fill(0);
+            check_pre_scan(&padded, &mut fired);
+        }
+        assert!(fired > 600, "the pre-scan fired on {fired} inputs only");
+        // It is a one-sided test: it may pass an input the encoder then
+        // fails to shrink, never the reverse.
+        assert!(packbits_cannot_shrink(b"") && packbits_cannot_shrink(b"aa"));
+        assert!(!packbits_cannot_shrink(b"aaa"));
+        assert_eq!(compress(b"aaa").len(), 2);
+    }
+
+    #[test]
+    fn packbits_pre_scan_boundary_is_131_triples_per_byte() {
+        // One run of `t + 2` equal bytes (t triples) in `len` bytes of
+        // otherwise run-free filler: the scan flips exactly at 131·t = len.
+        for t in [1usize, 2, 5, 30] {
+            for len in [131 * t - 1, 131 * t, 131 * t + 1] {
+                let mut data: Vec<u8> =
+                    (0..len).map(|i| 1 + (i % 250) as u8).collect();
+                data[..t + 2].fill(0);
+                assert_eq!(
+                    packbits_cannot_shrink(&data),
+                    131 * t <= len,
+                    "t {t} len {len}"
+                );
+                assert!(
+                    !packbits_cannot_shrink(&data)
+                        || compress(&data).len() >= len
+                );
+            }
         }
     }
 

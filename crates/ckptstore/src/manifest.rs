@@ -19,6 +19,8 @@
 //! snapshots, which dominates its Figure 8 overhead numbers.
 
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
+use std::ops::Range;
 use std::sync::Arc;
 
 use crate::codec::{CodecError, Decoder, Encoder, SaveLoad};
@@ -42,6 +44,56 @@ pub fn chunk_key(hash: u128, len: u32) -> String {
     let mut key = String::with_capacity(50);
     let _ = write!(key, "chunk/{hash:032x}-{len}");
     key
+}
+
+/// Inverse of [`chunk_key`]: the content address a chunk key names, or
+/// `None` for anything `chunk_key` would not have produced (so a key that
+/// parses is the one key of its address).
+pub fn parse_chunk_key(key: &str) -> Option<(u128, u32)> {
+    let (hex, len) = key.strip_prefix("chunk/")?.split_once('-')?;
+    if hex.len() != 32
+        || !len.bytes().all(|b| b.is_ascii_digit())
+        || (len.len() > 1 && len.starts_with('0'))
+    {
+        return None;
+    }
+    let mut hash = 0u128;
+    for b in hex.bytes() {
+        let digit = match b {
+            b'0'..=b'9' => b - b'0',
+            b'a'..=b'f' => b - b'a' + 10,
+            _ => return None,
+        };
+        hash = hash << 4 | u128::from(digit);
+    }
+    Some((hash, len.parse().ok()?))
+}
+
+/// A map keyed by chunk content address `(hash128, len)`. The key *is* a
+/// well-mixed hash of the job's own bytes, so the map's hasher passes its
+/// low 64 bits through instead of hashing them again.
+pub type AddrMap<V> = HashMap<(u128, u32), V, BuildHasherDefault<AddrHasher>>;
+
+/// The pass-through hasher of [`AddrMap`].
+#[derive(Default)]
+pub struct AddrHasher(u64);
+
+impl Hasher for AddrHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+    fn write_u128(&mut self, hash: u128) {
+        self.0 = hash as u64;
+    }
+    // The length half of the key: chunks that differ only there are rare
+    // and already apart in the hash.
+    fn write_u32(&mut self, _len: u32) {}
+    fn write(&mut self, bytes: &[u8]) {
+        // No `AddrMap` key reaches this; any other key still hashes.
+        for &b in bytes {
+            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x100_0000_01b3);
+        }
+    }
 }
 
 /// A reference to one content-addressed chunk of a blob.
@@ -133,10 +185,30 @@ impl Manifest {
         self.chunks.iter().map(|c| u64::from(c.stored_len)).sum()
     }
 
+    /// The chunks (as indices into `chunks`) covering exactly bytes
+    /// `offset .. offset + len` of the blob; `None` unless both ends fall
+    /// on chunk boundaries.
+    pub fn run_at(&self, offset: usize, len: usize) -> Option<Range<usize>> {
+        let end = offset.checked_add(len)?;
+        let (mut at, mut next) = (0usize, 0usize);
+        let mut advance_to = |target: usize| {
+            while at < target {
+                at += self.chunks.get(next)?.len as usize;
+                next += 1;
+            }
+            (at == target).then_some(next)
+        };
+        let first = advance_to(offset)?;
+        let last = advance_to(end)?;
+        Some(first..last)
+    }
+
     /// Serialize for storage (the result is additionally CRC-sealed by the
     /// store like every other blob).
     pub fn encode(&self) -> Vec<u8> {
-        let mut enc = Encoder::with_capacity(16 + self.chunks.len() * 25);
+        // Magic, length, CRC, the list's length prefix and 25 bytes per
+        // chunk — and the seal trailer, so `seal_vec` appends in place.
+        let mut enc = Encoder::with_capacity(24 + self.chunks.len() * 25 + 4);
         enc.put_u32(MANIFEST_MAGIC);
         enc.put_u64(self.total_len);
         enc.put_u32(self.blob_crc);
@@ -200,7 +272,7 @@ pub struct LineRecord {
     /// `(hash128, len)` in the manifest: a hit yields the manifest entry
     /// directly, with no recompression to reconstruct what the first
     /// writer chose.
-    pub chunks: HashMap<(u128, u32), (u32, Codec)>,
+    pub chunks: AddrMap<(u32, Codec)>,
     /// Per tracked-value version in the line, what it put on storage.
     /// Versions are process-unique and a value's version changes
     /// whenever its bytes may have, so equal version ⇒ equal bytes.
@@ -249,6 +321,81 @@ mod tests {
         assert_eq!(r.hash, hash128(piece));
         assert_eq!(r.len, piece.len() as u32);
         assert!(!r.compressed());
+    }
+
+    #[test]
+    fn parse_chunk_key_inverts_chunk_key_and_nothing_else() {
+        for addr in [(0u128, 0u32), (0xdead_beef, 4096), (u128::MAX, u32::MAX)]
+        {
+            assert_eq!(
+                parse_chunk_key(&chunk_key(addr.0, addr.1)),
+                Some(addr)
+            );
+        }
+        let good = chunk_key(0xab, 7);
+        for bad in [
+            "chunk/ab-7".to_owned(),           // hash not 32 digits
+            good.to_uppercase(),               // wrong prefix case
+            good.replace("ab-", "AB-"),        // upper-case hex
+            good.replace("-7", "-07"),         // leading zero
+            good.replace("-7", "-+7"),         // sign
+            good.replace("-7", "-"),           // no length
+            good.replace("-7", "-4294967296"), // length overflows u32
+            good.replace('-', "_"),
+            good.replace("chunk/", "ckpt/"),
+            format!("{good}/x"),
+        ] {
+            assert_eq!(parse_chunk_key(&bad), None, "{bad}");
+        }
+    }
+
+    #[test]
+    fn addr_map_keys_on_the_whole_address() {
+        let mut m: AddrMap<u8> = AddrMap::default();
+        // Equal low 64 bits, different high bits and lengths: the hasher
+        // collides them, the map still tells them apart.
+        m.insert((1, 5), 1);
+        m.insert((1 | (1 << 64), 5), 2);
+        m.insert((1, 6), 3);
+        assert_eq!(m.len(), 3);
+        assert_eq!(m.get(&(1, 5)), Some(&1));
+        assert_eq!(m.get(&(1 | (1 << 64), 5)), Some(&2));
+        assert_eq!(m.get(&(1, 6)), Some(&3));
+        assert_eq!(m.get(&(2, 5)), None);
+    }
+
+    #[test]
+    fn run_at_finds_only_chunk_aligned_spans() {
+        let chunk = |len| ChunkRef {
+            hash: u128::from(len),
+            len,
+            stored_len: len,
+            codec: Codec::None,
+        };
+        let m = Manifest {
+            total_len: 60,
+            blob_crc: 0,
+            chunks: vec![chunk(10), chunk(20), chunk(30)],
+        };
+        assert_eq!(m.run_at(0, 60), Some(0..3));
+        assert_eq!(m.run_at(10, 20), Some(1..2));
+        assert_eq!(m.run_at(10, 50), Some(1..3));
+        assert_eq!(m.run_at(30, 0), Some(2..2));
+        assert_eq!(m.run_at(60, 0), Some(3..3));
+        for (offset, len) in
+            [(5, 5), (10, 10), (0, 61), (61, 0), (10, usize::MAX)]
+        {
+            assert_eq!(m.run_at(offset, len), None, "({offset}, {len})");
+        }
+    }
+
+    #[test]
+    fn encode_reserves_exactly_with_room_for_the_seal() {
+        let mut m = Manifest::for_blob(&[0; 75]);
+        m.chunks = vec![ChunkRef::for_piece(&[0; 25]); 3];
+        let enc = m.encode();
+        assert_eq!(enc.len(), 24 + 25 * 3);
+        assert_eq!(enc.capacity(), enc.len() + 4);
     }
 
     #[test]

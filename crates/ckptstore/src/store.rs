@@ -22,13 +22,13 @@
 //! the job falls back to the previous committed checkpoint (or a
 //! from-scratch restart).
 
-use std::collections::HashSet;
 use std::sync::Arc;
 
 use crate::backend::StorageBackend;
 use crate::codec::{Decoder, Encoder, SaveLoad};
 use crate::error::{StoreError, StoreResult};
-use crate::manifest::{ChunkRef, Manifest};
+use crate::integrity::{crc32, crc32_combine, hash128, seal_vec, unseal_crc};
+use crate::manifest::{parse_chunk_key, AddrMap, ChunkRef, Manifest};
 
 /// Global checkpoint number. Checkpoint `n` separates epoch `n-1` from epoch
 /// `n` in the paper's terminology; the start of the program acts as an
@@ -183,43 +183,70 @@ impl CheckpointStore {
         rank: usize,
         kind: RankBlobKind,
     ) -> StoreResult<Vec<u8>> {
+        self.get_rank_blob_crcs(ckpt, rank, kind)
+            .map(|(blob, _)| blob)
+    }
+
+    /// [`Self::get_rank_blob`], also yielding the CRC-32 of each chunk's
+    /// raw bytes as reassembly verified it, in manifest order (empty for
+    /// a blob stored raw). A restart hands these back to the write
+    /// pipeline with the spans it wants to keep by reference
+    /// (`ckptpipe::CheckpointPipeline::adopt_line`), so no recovered byte
+    /// is CRC'd a second time.
+    pub fn get_rank_blob_crcs(
+        &self,
+        ckpt: CkptId,
+        rank: usize,
+        kind: RankBlobKind,
+    ) -> StoreResult<(Vec<u8>, Vec<u32>)> {
         if let Some(manifest) = self.get_rank_manifest(ckpt, rank, kind)? {
             return self
                 .reassemble(&Self::manifest_key(ckpt, rank, kind), &manifest);
         }
         let key = Self::rank_key(ckpt, rank, kind);
-        let sealed = self.backend.get(&key)?;
-        crate::integrity::unseal(&sealed).map(<[u8]>::to_vec).ok_or(
-            StoreError::Corrupt {
+        let mut blob = self.backend.get(&key)?;
+        match crate::integrity::unseal(&blob).map(<[u8]>::len) {
+            Some(len) => {
+                blob.truncate(len);
+                Ok((blob, Vec::new()))
+            }
+            None => Err(StoreError::Corrupt {
                 key,
                 detail: "CRC-32 integrity check failed".into(),
-            },
-        )
+            }),
+        }
     }
 
     fn reassemble(
         &self,
         manifest_key: &str,
         manifest: &Manifest,
-    ) -> StoreResult<Vec<u8>> {
+    ) -> StoreResult<(Vec<u8>, Vec<u32>)> {
         // Reserve the exact blob length up front and decode every chunk
         // straight into it — recovery of a large blob costs one output
         // allocation, not one temporary per chunk.
         let mut blob = Vec::with_capacity(manifest.total_len as usize);
+        let mut crcs = Vec::with_capacity(manifest.chunks.len());
+        let mut blob_crc = 0;
         for chunk in &manifest.chunks {
-            self.get_chunk_into(chunk, &mut blob)?;
+            let crc = self.get_chunk_into(chunk, &mut blob)?;
+            blob_crc = crc32_combine(blob_crc, crc, u64::from(chunk.len));
+            crcs.push(crc);
         }
         // End-to-end check over the reassembled blob: per-chunk CRCs
         // cannot catch ordering bugs or a manifest naming wrong chunks.
+        // The blob's CRC is folded from the CRCs of the chunks' raw bytes,
+        // each verified or computed a moment ago, in the order they were
+        // appended — the same value a pass over `blob` would give.
         if blob.len() as u64 != manifest.total_len
-            || crate::integrity::crc32(&blob) != manifest.blob_crc
+            || blob_crc != manifest.blob_crc
         {
             return Err(StoreError::Corrupt {
                 key: manifest_key.to_owned(),
                 detail: "reassembled blob fails whole-blob CRC".into(),
             });
         }
-        Ok(blob)
+        Ok((blob, crcs))
     }
 
     /// True if the given rank blob exists, whether written raw or as
@@ -253,7 +280,7 @@ impl CheckpointStore {
         }
         self.backend.put(
             &Self::manifest_key(ckpt, rank, kind),
-            &crate::integrity::seal(&manifest.encode()),
+            &seal_vec(manifest.encode()),
         )
     }
 
@@ -285,53 +312,22 @@ impl CheckpointStore {
             })
     }
 
-    /// Store one content-addressed chunk. `stored` is the chunk's stored
-    /// representation (encoded with `chunk.codec`, raw for
-    /// [`Codec::None`](crate::Codec::None)); its length must match
-    /// `chunk.stored_len`. Chunks are immutable and shared across
-    /// checkpoints, so re-putting an existing chunk is harmless (same
-    /// key, same content).
-    pub fn put_chunk(
-        &self,
-        chunk: &ChunkRef,
-        stored: &[u8],
-    ) -> StoreResult<()> {
-        assert_eq!(
-            stored.len() as u32,
-            chunk.stored_len,
-            "chunk ref disagrees with stored payload length"
-        );
-        self.backend
-            .put(&chunk.key(), &crate::integrity::seal(stored))
+    /// Store content-addressed chunks through one
+    /// [`StorageBackend::put_many`] call. Each item is a chunk's key
+    /// ([`ChunkRef::key`]) and its stored representation (encoded with the
+    /// chunk's codec, raw for [`Codec::None`](crate::Codec::None))
+    /// *already sealed* — the writer builds that buffer once and nothing
+    /// copies it again on the way to the backend. Chunks are immutable and
+    /// shared across checkpoints, so re-putting an existing chunk is
+    /// harmless (same key, same content), and so is the prefix a failed
+    /// batch leaves behind.
+    pub fn put_chunks(&self, sealed: &[(String, Vec<u8>)]) -> StoreResult<()> {
+        self.backend.put_many(sealed)
     }
 
-    /// Store a batch of content-addressed chunks through one
-    /// [`StorageBackend::put_many`] call, sealing each. Same semantics
-    /// as a loop of [`Self::put_chunk`]s — including non-atomicity: on
-    /// error a prefix may already be stored, which is harmless for
-    /// immutable content-addressed chunks (a retry rewrites the same
-    /// bytes).
-    pub fn put_chunks(
-        &self,
-        chunks: &[(ChunkRef, Vec<u8>)],
-    ) -> StoreResult<()> {
-        let items: Vec<(String, Vec<u8>)> = chunks
-            .iter()
-            .map(|(chunk, stored)| {
-                assert_eq!(
-                    stored.len() as u32,
-                    chunk.stored_len,
-                    "chunk ref disagrees with stored payload length"
-                );
-                (chunk.key(), crate::integrity::seal(stored))
-            })
-            .collect();
-        self.backend.put_many(&items)
-    }
-
-    /// True if the chunk is already on storage (the dedup test).
-    pub fn has_chunk(&self, chunk: &ChunkRef) -> StoreResult<bool> {
-        self.backend.contains(&chunk.key())
+    /// True if a chunk is already stored under `key` (the dedup test).
+    pub fn has_chunk(&self, key: &str) -> StoreResult<bool> {
+        self.backend.contains(key)
     }
 
     /// Fetch and validate one chunk, returning its raw (decoded) bytes.
@@ -342,20 +338,22 @@ impl CheckpointStore {
     }
 
     /// Fetch and validate one chunk, appending its raw bytes to `out`
-    /// (the zero-temporary reassembly path). On error `out` is restored
-    /// to its original length.
+    /// (the zero-temporary reassembly path) and returning their CRC-32:
+    /// the seal's, just verified, when the chunk is stored raw, a pass
+    /// over the decoded bytes otherwise. On error `out` is restored to
+    /// its original length.
     pub fn get_chunk_into(
         &self,
         chunk: &ChunkRef,
         out: &mut Vec<u8>,
-    ) -> StoreResult<()> {
+    ) -> StoreResult<u32> {
         let key = chunk.key();
         let corrupt = |detail: &str| StoreError::Corrupt {
             key: key.clone(),
             detail: detail.into(),
         };
         let sealed = self.backend.get(&key)?;
-        let stored = crate::integrity::unseal(&sealed)
+        let (stored, stored_crc) = unseal_crc(&sealed)
             .ok_or_else(|| corrupt("CRC-32 integrity check failed"))?;
         let start = out.len();
         if chunk
@@ -367,13 +365,15 @@ impl CheckpointStore {
             return Err(corrupt("chunk decode failed"));
         }
         let raw = &out[start..];
-        if raw.len() as u32 != chunk.len
-            || crate::integrity::hash128(raw) != chunk.hash
-        {
+        if raw.len() as u32 != chunk.len || hash128(raw) != chunk.hash {
             out.truncate(start);
             return Err(corrupt("chunk content disagrees with its address"));
         }
-        Ok(())
+        Ok(if chunk.compressed() {
+            crc32(raw)
+        } else {
+            stored_crc
+        })
     }
 
     /// Phase B: atomically mark checkpoint `ckpt` as the recovery line.
@@ -569,21 +569,10 @@ impl CheckpointStore {
     /// chunk no surviving line's manifest references. Returns how many
     /// lines were dropped.
     fn sweep(&self, live: impl Fn(CkptId) -> bool) -> StoreResult<u64> {
-        // Pass 1: live chunk set, from the manifests of every surviving
-        // checkpoint.
-        let mut live_chunks: HashSet<String> = HashSet::new();
-        for key in self.backend.list("ckpt/")? {
-            let Some(id) = Self::parse_ckpt_id(&key) else {
-                continue;
-            };
-            if live(id) && key.ends_with(".m") {
-                if let Some(manifest) = self.load_manifest_at(&key)? {
-                    live_chunks
-                        .extend(manifest.chunks.iter().map(ChunkRef::key));
-                }
-            }
-        }
-        // Pass 2: drop the other lines' keys.
+        // One listing of the checkpoint directories: the surviving lines'
+        // manifests give the live chunk addresses, every other line's
+        // keys go.
+        let mut live_chunks: AddrMap<()> = AddrMap::default();
         let mut dropped = std::collections::BTreeSet::new();
         for key in self.backend.list("ckpt/")? {
             let Some(id) = Self::parse_ckpt_id(&key) else {
@@ -592,11 +581,20 @@ impl CheckpointStore {
             if !live(id) {
                 self.backend.delete(&key)?;
                 dropped.insert(id);
+            } else if key.ends_with(".m") {
+                if let Some(manifest) = self.load_manifest_at(&key)? {
+                    live_chunks.extend(
+                        manifest.chunks.iter().map(|c| ((c.hash, c.len), ())),
+                    );
+                }
             }
         }
-        // Pass 3: drop orphaned chunks.
+        // Drop orphaned chunks — and anything under `chunk/` that is not
+        // a chunk key, which no manifest can name.
         for key in self.backend.list("chunk/")? {
-            if !live_chunks.contains(&key) {
+            let live = parse_chunk_key(&key)
+                .is_some_and(|addr| live_chunks.contains_key(&addr));
+            if !live {
                 self.backend.delete(&key)?;
             }
         }
@@ -852,6 +850,13 @@ mod tests {
         );
     }
 
+    /// Store one chunk's stored representation, sealing it.
+    fn put_chunk(s: &CheckpointStore, chunk: &ChunkRef, stored: &[u8]) {
+        assert_eq!(stored.len() as u32, chunk.stored_len);
+        s.put_chunks(&[(chunk.key(), crate::integrity::seal(stored))])
+            .unwrap();
+    }
+
     /// Write an incremental (manifest + chunks) blob: the raw bytes are
     /// cut into `chunk_size` pieces, each stored content-addressed.
     fn put_incremental(
@@ -865,8 +870,8 @@ mod tests {
         let mut manifest = Manifest::for_blob(blob);
         for piece in blob.chunks(chunk_size.max(1)) {
             let chunk = ChunkRef::for_piece(piece);
-            if !s.has_chunk(&chunk).unwrap() {
-                s.put_chunk(&chunk, piece).unwrap();
+            if !s.has_chunk(&chunk.key()).unwrap() {
+                put_chunk(s, &chunk, piece);
             }
             manifest.chunks.push(chunk);
         }
@@ -901,7 +906,7 @@ mod tests {
             let mut chunk = ChunkRef::for_piece(&piece);
             chunk.stored_len = stored.len() as u32;
             chunk.codec = codec;
-            s.put_chunk(&chunk, &stored).unwrap();
+            put_chunk(&s, &chunk, &stored);
             assert_eq!(s.get_chunk(&chunk).unwrap(), piece, "{codec:?}");
         }
     }
@@ -911,14 +916,17 @@ mod tests {
         let s = store(1);
         let pieces: Vec<Vec<u8>> =
             (0..16u8).map(|i| vec![i; 100 + i as usize]).collect();
-        let batch: Vec<(ChunkRef, Vec<u8>)> = pieces
+        let chunks: Vec<ChunkRef> =
+            pieces.iter().map(|p| ChunkRef::for_piece(p)).collect();
+        let batch: Vec<(String, Vec<u8>)> = chunks
             .iter()
-            .map(|p| (ChunkRef::for_piece(p), p.clone()))
+            .zip(&pieces)
+            .map(|(c, p)| (c.key(), crate::integrity::seal(p)))
             .collect();
         s.put_chunks(&batch).unwrap();
-        for (chunk, _) in &batch {
-            assert!(s.has_chunk(chunk).unwrap());
-            assert_eq!(s.get_chunk(chunk).unwrap().len() as u32, chunk.len);
+        for (chunk, piece) in chunks.iter().zip(&pieces) {
+            assert!(s.has_chunk(&chunk.key()).unwrap());
+            assert_eq!(s.get_chunk(chunk).unwrap(), *piece);
         }
         assert!(s.put_chunks(&[]).is_ok());
     }
@@ -941,9 +949,9 @@ mod tests {
             if enc.len() < piece.len() {
                 chunk.stored_len = enc.len() as u32;
                 chunk.codec = Codec::PackBits;
-                s.put_chunk(&chunk, &enc).unwrap();
+                put_chunk(&s, &chunk, &enc);
             } else {
-                s.put_chunk(&chunk, piece).unwrap();
+                put_chunk(&s, &chunk, piece);
             }
             manifest.chunks.push(chunk);
         }
@@ -1012,13 +1020,67 @@ mod tests {
         // Splice in a chunk from another blob with matching length.
         let other = [2u8; 50];
         let chunk = ChunkRef::for_piece(&other);
-        s.put_chunk(&chunk, &other).unwrap();
+        put_chunk(&s, &chunk, &other);
         m.chunks[0] = chunk;
         s.put_rank_manifest(1, 0, RankBlobKind::State, &m).unwrap();
         assert!(matches!(
             s.get_rank_blob(1, 0, RankBlobKind::State).unwrap_err(),
             StoreError::Corrupt { .. },
         ));
+    }
+
+    fn corrupt_detail(err: StoreError) -> String {
+        match err {
+            StoreError::Corrupt { detail, .. } => detail,
+            other => panic!("expected Corrupt, got {other}"),
+        }
+    }
+
+    #[test]
+    fn swapped_equal_length_chunks_fail_whole_blob_crc() {
+        // Every chunk is intact and at an address the manifest names, so
+        // only the folded whole-blob CRC can see the order is wrong.
+        let s = store(1);
+        let blob = [[1u8; 50], [2u8; 50], [3u8; 50]].concat();
+        put_incremental(&s, 1, 0, RankBlobKind::State, &blob, 50);
+        let m = s.get_rank_manifest(1, 0, RankBlobKind::State).unwrap();
+        let mut m = m.unwrap();
+        m.chunks.swap(0, 2);
+        s.put_rank_manifest(1, 0, RankBlobKind::State, &m).unwrap();
+        let err = s.get_rank_blob(1, 0, RankBlobKind::State).unwrap_err();
+        assert!(corrupt_detail(err).contains("whole-blob CRC"));
+    }
+
+    #[test]
+    fn consistently_rewritten_chunk_fails_the_address_check() {
+        // Payload and trailer rewritten together: the seal verifies, the
+        // content no longer hashes to the key it sits under.
+        let backend = Arc::new(MemoryBackend::new());
+        let s = CheckpointStore::new(backend.clone(), 1);
+        put_incremental(&s, 1, 0, RankBlobKind::State, &[5u8; 200], 50);
+        let key = ChunkRef::for_piece(&[5u8; 50]).key();
+        backend
+            .put(&key, &crate::integrity::seal(&[6u8; 50]))
+            .unwrap();
+        let err = s.get_rank_blob(1, 0, RankBlobKind::State).unwrap_err();
+        assert!(corrupt_detail(err).contains("address"));
+    }
+
+    #[test]
+    fn gc_sweeps_keys_under_chunk_that_name_no_address() {
+        let backend = Arc::new(MemoryBackend::new());
+        let s = CheckpointStore::new(backend.clone(), 1);
+        put_incremental(&s, 1, 0, RankBlobKind::State, &[7u8; 64], 64);
+        s.put_rank_blob(1, 0, RankBlobKind::Log, b"l").unwrap();
+        s.commit(1).unwrap();
+        let live = ChunkRef::for_piece(&[7u8; 64]).key();
+        // Not a chunk key, and a second spelling of the live address.
+        let strays = ["chunk/garbage".to_owned(), live.to_uppercase()];
+        for key in &strays {
+            backend.put(&key.replace("CHUNK", "chunk"), b"x").unwrap();
+        }
+        s.gc_keeping(1).unwrap();
+        assert_eq!(backend.list("chunk/").unwrap(), [live]);
     }
 
     /// Satellite coverage for manifest-aware GC: (a) chunks shared with
@@ -1046,7 +1108,10 @@ mod tests {
         // gone.
         assert_eq!(chunks_after.len(), 2, "kept {chunks_after:?}");
         let b_chunk = ChunkRef::for_piece(&[0xBBu8; 64]);
-        assert!(!s.has_chunk(&b_chunk).unwrap(), "orphan chunk not GCed");
+        assert!(
+            !s.has_chunk(&b_chunk.key()).unwrap(),
+            "orphan chunk not GCed"
+        );
         // (c) recovery from the kept checkpoint round-trips.
         assert_eq!(s.latest_committed().unwrap(), Some(2));
         assert_eq!(s.get_rank_blob(2, 0, RankBlobKind::State).unwrap(), blob2);
@@ -1238,7 +1303,10 @@ mod tests {
         // the union list sees neither its directory nor orphan B.
         assert!(t.list("ckpt/00000001/").unwrap().is_empty());
         let b_chunk = ChunkRef::for_piece(&[0xBBu8; 64]);
-        assert!(!s.has_chunk(&b_chunk).unwrap(), "orphan chunk survived GC");
+        assert!(
+            !s.has_chunk(&b_chunk.key()).unwrap(),
+            "orphan chunk survived GC"
+        );
         // No orphaned replicas or shards hiding behind derived keys.
         for tier_list in [t.list("ckpt/").unwrap(), t.list("chunk/").unwrap()]
         {

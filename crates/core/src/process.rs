@@ -31,7 +31,7 @@ use ckptpipe::{CheckpointPipeline, StagedBlob};
 use ckptstore::codec::{Decoder, Encoder};
 use ckptstore::{CheckpointStore, RankBlobKind, SaveLoad};
 use simmpi::{Comm, HeaderBytes, Mpi, MpiError, RecvMsg, ANY_SOURCE, ANY_TAG};
-use statesave::snapshot::{restore_from_bytes, snapshot_into, SaveState};
+use statesave::snapshot::{restore_tracked, snapshot_into, SaveState};
 
 use crate::config::{C3Config, CheckpointTrigger};
 use crate::control::{ControlMsg, SuppressList, CONTROL_TAG, SUPPRESS_TAG};
@@ -128,6 +128,16 @@ pub struct ProcStats {
 /// A communicator pair: the application-visible communicator plus its
 /// shadow control communicator (control messages, and the preceding
 /// control exchange of the collectives that need one).
+/// What `recover` keeps for [`Process::take_recovered_state`].
+struct RecoveredState {
+    /// The recovered state blob.
+    blob: Vec<u8>,
+    /// Where the application state envelope lies in it.
+    envelope: std::ops::Range<usize>,
+    /// CRC-32 of each of the blob's chunks, as reassembly verified them.
+    chunk_crcs: Vec<u32>,
+}
+
 struct CommPair {
     app: Comm,
     ctrl: Comm,
@@ -172,9 +182,7 @@ pub struct Process<'a> {
     /// dropped.
     suppress: Vec<HashSet<u32>>,
     recovery_reported: bool,
-    /// The recovered state blob and where the application state
-    /// envelope lies in it.
-    recovered_app_state: Option<(Vec<u8>, std::ops::Range<usize>)>,
+    recovered_app_state: Option<RecoveredState>,
 
     // --- coordination ---
     initiator: Option<Initiator>,
@@ -353,23 +361,38 @@ impl<'a> Process<'a> {
     }
 
     /// The recovered application state envelope, decoded. `None` on a
-    /// fresh start. Call once, before running the application body.
+    /// fresh start. Call once, before running the application body. The
+    /// restored state is what the next line will mostly hold, so the
+    /// write pipeline starts from the recovered manifest, with the
+    /// state's tracked fields as clean references into it.
     pub fn take_recovered_state<S: SaveState>(
         &mut self,
     ) -> C3Result<Option<S>> {
-        match self.recovered_app_state.take() {
-            None => Ok(None),
-            Some((_, envelope)) if envelope.is_empty() => {
-                Err(C3Error::Protocol(
-                    "checkpoint has no application state (taken at \
-                     ProtocolOnly instrumentation?)"
-                        .into(),
-                ))
-            }
-            Some((blob, envelope)) => {
-                Ok(Some(restore_from_bytes::<S>(&blob[envelope])?))
-            }
+        let Some(rec) = self.recovered_app_state.take() else {
+            return Ok(None);
+        };
+        if rec.envelope.is_empty() {
+            return Err(C3Error::Protocol(
+                "checkpoint has no application state (taken at \
+                 ProtocolOnly instrumentation?)"
+                    .into(),
+            ));
         }
+        let (state, mut spans) =
+            restore_tracked::<S>(&rec.blob[rec.envelope.clone()])?;
+        if let Some(pipe) = &self.pipeline {
+            for span in &mut spans {
+                span.offset += rec.envelope.start;
+            }
+            pipe.adopt_line(
+                u64::from(self.epoch),
+                self.mpi.rank(),
+                RankBlobKind::State,
+                &rec.chunk_crcs,
+                &spans,
+            )?;
+        }
+        Ok(Some(state))
     }
 
     fn pair(&self, comm: CommHandle) -> C3Result<&CommPair> {
@@ -1328,8 +1351,8 @@ impl<'a> Process<'a> {
         let timer = self.obs.as_ref().map(|_| c3obs::Stopwatch::start());
 
         // Load and decode this rank's blobs.
-        let state_bytes =
-            store.get_rank_blob(ckpt, rank, RankBlobKind::State)?;
+        let (state_bytes, chunk_crcs) =
+            store.get_rank_blob_crcs(ckpt, rank, RankBlobKind::State)?;
         let (rc, envelope) = RankCheckpoint::load(&state_bytes)?;
         if rc.ckpt != ckpt {
             return Err(C3Error::Protocol(format!(
@@ -1396,12 +1419,11 @@ impl<'a> Process<'a> {
         // Early messages count as already received in the new epoch.
         self.counters.rotate_at_checkpoint(&early_counts);
         self.pending = rc.pending;
-        self.recovered_app_state = Some((state_bytes, envelope));
-        // The restored state is what the next line will mostly hold:
-        // let the write pipeline start from the recovered manifest.
-        if let Some(pipe) = &self.pipeline {
-            pipe.adopt_line(ckpt, rank, RankBlobKind::State)?;
-        }
+        self.recovered_app_state = Some(RecoveredState {
+            blob: state_bytes,
+            envelope,
+            chunk_crcs,
+        });
 
         // Suppression exchange: tell each sender which of its re-sends to
         // drop; collect the same from every receiver of ours.

@@ -17,7 +17,7 @@
 //! what [`snapshot_to_bytes`] returns and [`restore_from_bytes`] reads —
 //! are the same either way.
 
-use ckptstore::codec::{CodecError, Decoder, Encoder};
+use ckptstore::codec::{CodecError, Decoder, Encoder, TrackedSpan};
 
 /// Trait applications implement so the protocol layer can capture and
 /// restore their state at `potentialCheckpoint` sites.
@@ -47,6 +47,16 @@ pub fn snapshot_to_bytes<T: SaveState>(state: &T) -> Vec<u8> {
 pub fn restore_from_bytes<T: SaveState>(
     bytes: &[u8],
 ) -> Result<T, CodecError> {
+    restore_tracked(bytes).map(|(state, _)| state)
+}
+
+/// [`restore_from_bytes`], also yielding where in `bytes` each tracked
+/// field of the state was decoded from, under the version it now carries.
+/// The protocol layer hands these to the write pipeline after a restart,
+/// so the first line it writes names those fields by reference too.
+pub fn restore_tracked<T: SaveState>(
+    bytes: &[u8],
+) -> Result<(T, Vec<TrackedSpan>), CodecError> {
     let mut dec = Decoder::new(bytes);
     let magic = dec.get_u32()?;
     if magic != MAGIC {
@@ -56,7 +66,7 @@ pub fn restore_from_bytes<T: SaveState>(
     }
     let state = T::load(&mut dec)?;
     dec.finish("state envelope")?;
-    Ok(state)
+    Ok((state, dec.tracked_spans().to_vec()))
 }
 
 #[cfg(test)]

@@ -119,7 +119,10 @@ fn clean_referenced_chunks_outlive_every_gc() {
             .unwrap()
             .expect("written incrementally");
         for chunk in &manifest.chunks {
-            assert!(store.has_chunk(chunk).unwrap(), "{chunk:?} was swept");
+            assert!(
+                store.has_chunk(&chunk.key()).unwrap(),
+                "{chunk:?} was swept"
+            );
         }
         let blob = store
             .get_rank_blob(last, rank, RankBlobKind::State)
@@ -133,4 +136,57 @@ fn clean_referenced_chunks_outlive_every_gc() {
             .collect();
         assert!(*state.a_block == matrix, "rank {rank} matrix block");
     }
+}
+
+#[test]
+fn a_restart_writes_the_matrix_block_by_reference_from_its_first_line() {
+    // Killed after line 2, and again after the first line of the restart.
+    // Every line either restart writes — its first included — must name
+    // the matrix block by a reference adopted from the recovered
+    // manifest, so the second restart recovers from such a line; the
+    // block's bytes are cut and hashed once per rank in the whole job.
+    let (n, nranks) = (256, 2);
+    let app = DenseCg::new(n, 40);
+    let a_block_len = (8 + n * n / nranks * 8) as u64;
+    let io = PipelineConfig::default().with_chunker(Chunker::fixed(256));
+    let reference = run_job(
+        nranks,
+        &C3Config::every_ops(10).with_io(io.clone()),
+        None,
+        &app,
+    )
+    .unwrap();
+    let reg = c3obs::Registry::new();
+    let cfg = C3Config::every_ops(10)
+        .with_io(io)
+        .with_obs(reg.clone())
+        .with_failure(1, 60)
+        .with_failure_from(1, 60, 2);
+    let report = run_job(nranks, &cfg, None, &app).unwrap();
+    assert_eq!(report.outputs, reference.outputs);
+    assert_eq!(report.restarts, 2);
+    let from = &report.recovered_from;
+    assert!(from[0] >= 1 && from[1] > from[0], "recovered from {from:?}");
+    for s in &report.stats {
+        assert!(s.checkpoints >= 1, "{s:?}");
+        assert_eq!(s.app_state_bytes_clean, s.checkpoints * a_block_len);
+    }
+    // 256-byte chunks: the block is 1025 of them per rank, everything
+    // else a line writes (header, vectors, log, journal) under twenty,
+    // over some forty lines; a block cut again costs another 1025.
+    let block_chunks = a_block_len.div_ceil(256) * nranks as u64;
+    let cut = reg.snapshot().histogram_count_total("io_chunk_bytes");
+    assert!(
+        (block_chunks..2 * block_chunks).contains(&cut),
+        "{cut} chunks cut, the matrix blocks are {block_chunks}"
+    );
+
+    // Blobs stored raw leave nothing to adopt: a restart still recovers,
+    // and writes everything.
+    let raw = PipelineConfig::default().with_incremental(false);
+    let cfg = C3Config::every_ops(10).with_io(raw).with_failure(1, 60);
+    let report = run_job(nranks, &cfg, None, &app).unwrap();
+    assert_eq!(report.outputs, reference.outputs);
+    assert_eq!(report.restarts, 1);
+    assert!(report.stats.iter().all(|s| s.app_state_bytes_clean == 0));
 }
