@@ -286,6 +286,27 @@ mod tests {
     }
 
     #[test]
+    fn lz4_stores_the_matrix_block_at_under_0_82_of_raw() {
+        // Rank 0's block of a two-rank `DenseCg::new(1024, _)`, in the
+        // pipeline's 4 KiB chunks, each stored raw if LZ4 cannot shrink
+        // it. The near-diagonal chunks carry each value twice, mirrored,
+        // and most of the gain; rows 0..8 have no mirrored half, so the
+        // first 64 KiB alone reads 0.875 (and 0.872 under the hash-chain
+        // encoder the fast one replaced).
+        let (lo, hi) = block_range(1024, 2, 0);
+        let block: Vec<u8> = matrix_rows(1024, lo, hi)
+            .iter()
+            .flat_map(|v| v.to_le_bytes())
+            .collect();
+        let stored: usize = block
+            .chunks(4096)
+            .map(|c| ckptstore::compress::lz4_compress(c).len().min(c.len()))
+            .sum();
+        let ratio = stored as f64 / block.len() as f64;
+        assert!(ratio <= 0.82, "stored at {ratio:.3} of raw");
+    }
+
+    #[test]
     fn state_bytes_estimate_scales_quadratically() {
         let cfg = DenseCg::new(256, 1);
         let small = cfg.state_bytes_per_rank(4);

@@ -114,10 +114,9 @@ pub struct PipelineConfig {
     /// pieces, or FastCDC content-defined cuts that keep dedup working
     /// when state shifts (see [`Chunker`]).
     pub chunker: Chunker,
-    /// Preferred chunk codec; [`Codec::None`] stores every chunk raw.
-    /// [`Codec::Lz4`] still stores RLE-friendly pages as PackBits (the
-    /// run-length form is both smaller and cheaper there); chunks that
-    /// no codec shrinks are stored raw either way.
+    /// Chunk codec; [`Codec::None`] stores every chunk raw. Chunks the
+    /// codec does not shrink are stored raw either way. Defaults to
+    /// [`Codec::Lz4`].
     pub codec: Codec,
     /// Transient-fault retry discipline.
     pub retry: RetryPolicy,
@@ -145,7 +144,7 @@ impl Default for PipelineConfig {
             },
             incremental: true,
             chunker: Chunker::Fixed { size: 4096 },
-            codec: Codec::PackBits,
+            codec: Codec::Lz4,
             retry: RetryPolicy::default(),
             keep_last: 1,
             tiers: None,
@@ -262,7 +261,7 @@ mod tests {
     fn chunker_and_codec_builders_plumb_through() {
         let cfg = PipelineConfig::default()
             .with_chunker(Chunker::cdc(1024))
-            .with_codec(Codec::Lz4);
+            .with_codec(Codec::PackBits);
         assert_eq!(
             cfg.chunker,
             Chunker::Cdc {
@@ -271,11 +270,10 @@ mod tests {
                 max: 4096
             }
         );
-        assert_eq!(cfg.codec, Codec::Lz4);
-        // Defaults preserve the pre-CDC behavior exactly.
+        assert_eq!(cfg.codec, Codec::PackBits);
         let d = PipelineConfig::default();
         assert_eq!(d.chunker, Chunker::Fixed { size: 4096 });
-        assert_eq!(d.codec, Codec::PackBits);
+        assert_eq!(d.codec, Codec::Lz4);
         // The paper's whole-blob mode stores raw bytes.
         assert_eq!(PipelineConfig::sync_full().codec, Codec::None);
     }

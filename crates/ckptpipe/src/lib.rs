@@ -380,30 +380,45 @@ mod tests {
 
     #[test]
     fn pipeline_records_obs_metrics() {
-        let reg = c3obs::Registry::new();
-        let (_, store) = mem_store(1);
-        let pipe = CheckpointPipeline::new(
-            store.clone(),
-            PipelineConfig::default().with_obs(reg.clone()),
-        );
-        pipe.stage(1, 0, RankBlobKind::State, blob(1, 2048))
-            .unwrap();
-        pipe.stage(1, 0, RankBlobKind::Log, b"log".to_vec())
-            .unwrap();
-        pipe.drain(1).unwrap();
-        let snap = reg.snapshot();
-        assert_eq!(snap.counter_total("io_staged_bytes_total"), 2048 + 3);
-        assert_eq!(snap.histogram_count_total("io_stage_ns"), 2);
-        assert_eq!(snap.histogram_count_total("io_write_ns"), 2);
-        assert_eq!(snap.histogram_count_total("io_drain_ns"), 1);
-        assert_eq!(snap.counter_total("io_retries_total"), 0);
-        // Neither chunk has three equal bytes in a row: no PackBits trial.
-        assert_eq!(snap.counter_total("io_codec_trials_skipped_total"), 2);
-        assert_eq!(
-            snap.counter_total("io_precompress_bytes_total"),
-            snap.counter_total("io_postcompress_bytes_total")
-        );
-        assert!(snap.self_check().is_empty());
+        // The default codec stores the period-61 state chunk as 61
+        // literals and one match (79 bytes); neither chunk has three
+        // equal bytes in a row, so PackBits is not even tried on them.
+        for (codec, skipped, stored) in
+            [(Codec::Lz4, 0, 79 + 3), (Codec::PackBits, 2, 2048 + 3)]
+        {
+            let reg = c3obs::Registry::new();
+            let (_, store) = mem_store(1);
+            let cfg = PipelineConfig::default().with_obs(reg.clone());
+            assert_eq!(cfg.codec, Codec::Lz4);
+            let pipe =
+                CheckpointPipeline::new(store.clone(), cfg.with_codec(codec));
+            pipe.stage(1, 0, RankBlobKind::State, blob(1, 2048))
+                .unwrap();
+            pipe.stage(1, 0, RankBlobKind::Log, b"log".to_vec())
+                .unwrap();
+            pipe.drain(1).unwrap();
+            let snap = reg.snapshot();
+            assert_eq!(snap.counter_total("io_staged_bytes_total"), 2048 + 3);
+            assert_eq!(snap.histogram_count_total("io_stage_ns"), 2);
+            assert_eq!(snap.histogram_count_total("io_write_ns"), 2);
+            assert_eq!(snap.histogram_count_total("io_drain_ns"), 1);
+            assert_eq!(snap.counter_total("io_retries_total"), 0);
+            assert_eq!(
+                snap.counter_total("io_codec_trials_skipped_total"),
+                skipped,
+                "{codec:?}"
+            );
+            assert_eq!(
+                snap.counter_total("io_precompress_bytes_total"),
+                2048 + 3
+            );
+            assert_eq!(
+                snap.counter_total("io_postcompress_bytes_total"),
+                stored,
+                "{codec:?}"
+            );
+            assert!(snap.self_check().is_empty());
+        }
     }
 
     #[test]

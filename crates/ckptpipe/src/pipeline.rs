@@ -935,9 +935,9 @@ impl Shared {
                 chunk.codec = codec;
             } else {
                 let encoded = self.encode_if_smaller(piece);
-                if let Some((enc, codec)) = &encoded {
+                if let Some(enc) = &encoded {
                     chunk.stored_len = enc.len() as u32;
-                    chunk.codec = *codec;
+                    chunk.codec = self.cfg.codec;
                 }
                 if let Some(o) = &self.obs {
                     o.precompress_bytes.add(piece.len() as u64);
@@ -960,7 +960,7 @@ impl Shared {
             }
             seen.insert(addr, ());
             let sealed = match encoded {
-                Some((enc, _)) => {
+                Some(enc) => {
                     self.stats
                         .chunks_compressed
                         .fetch_add(1, Ordering::Relaxed);
@@ -991,19 +991,12 @@ impl Shared {
 
     /// Deterministic stored representation of a chunk: its encoding
     /// under the configured codec iff that actually shrinks it, `None`
-    /// (stored raw) otherwise. Under [`Codec::Lz4`], RLE-friendly pages
-    /// still go through PackBits (smaller and much cheaper on long runs).
-    /// A PackBits trial that provably cannot win is not run. Must stay a
-    /// pure function of the piece: dedup is first-writer-wins, so every
-    /// writer has to agree on what the stored form of a given piece looks
-    /// like.
-    fn encode_if_smaller(&self, piece: &[u8]) -> Option<(Vec<u8>, Codec)> {
-        let codec = match self.cfg.codec {
-            Codec::Lz4 if ckptstore::compress::rle_friendly(piece) => {
-                Codec::PackBits
-            }
-            c => c,
-        };
+    /// (stored raw) otherwise. A PackBits trial that provably cannot win
+    /// is not run. Must stay a pure function of the piece: dedup is
+    /// first-writer-wins, so every writer has to agree on what the stored
+    /// form of a given piece looks like.
+    fn encode_if_smaller(&self, piece: &[u8]) -> Option<Vec<u8>> {
+        let codec = self.cfg.codec;
         if codec == Codec::PackBits && packbits_cannot_shrink(piece) {
             if let Some(o) = &self.obs {
                 o.codec_trials_skipped.inc();
@@ -1011,7 +1004,7 @@ impl Shared {
             return None;
         }
         let enc = codec.encode(piece)?;
-        (enc.len() < piece.len()).then_some((enc, codec))
+        (enc.len() < piece.len()).then_some(enc)
     }
 
     /// Store the batch of fresh sealed chunks and empty it: one `put_many`

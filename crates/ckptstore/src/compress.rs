@@ -1,16 +1,16 @@
 //! Chunk codecs: PackBits run-length encoding and a dependency-free
 //! LZ4-class compressor, selected per chunk via [`Codec`].
 //!
-//! Checkpoint state in the paper's applications is dominated by numeric
-//! arrays whose untouched regions are long runs of identical bytes (zero
-//! pages, constant boundary strips). A PackBits-style run-length encoding
-//! captures most of that redundancy at memcpy-like speed and with no
-//! dependencies. Pages that are *repetitive but not run-like* (struct
-//! arrays, strided floats, text) need real match finding, which is what
-//! the [`lz4_compress`] path provides: an LZ4-block-format encoder with a
-//! greedy hash-chain match finder. Compression everywhere stays
-//! opportunistic — a chunk is stored encoded only when the encoding is
-//! actually smaller (see [`crate::manifest::ChunkRef::codec`]).
+//! Checkpoint state in the paper's applications is dominated by `f64`
+//! arrays, where byte runs are rare and repeats are whole values or their
+//! high bytes. Measured in 4 KiB pieces (EXPERIMENTS.md M14), stored size
+//! over raw for PackBits → [`lz4_compress`]: rank 0's Dense CG block
+//! 0.976 → 0.789, a Laplace band after 300 sweeps 1.004 → 0.656 and
+//! after 2 000 sweeps 1.004 → 0.991, zero pages 0.016 → 0.006, noise
+//! 1.008 → 1.004. LZ4 is the pipeline's default; PackBits stays
+//! selectable. Compression everywhere stays opportunistic — a chunk is
+//! stored encoded only when the encoding is actually smaller (see
+//! [`crate::manifest::ChunkRef::codec`]).
 //!
 //! PackBits format (per control byte `h`):
 //! * `0..=127` — copy the next `h + 1` bytes literally,
@@ -215,18 +215,14 @@ pub fn decompress_into(
 }
 
 const LZ4_MIN_MATCH: usize = 4;
-const LZ4_WINDOW: usize = 65_535;
-const LZ4_HASH_BITS: u32 = 13;
-const LZ4_CHAIN_DEPTH: usize = 16;
-/// A match this long is accepted without scanning deeper candidates —
-/// on repetitive checkpoint pages the nearest candidate almost always
-/// extends to the end of the chunk and further search is wasted work.
-const LZ4_GOOD_MATCH: usize = 64;
-/// Stride for indexing the interior of an emitted match. Indexing every
-/// interior byte costs a hash insert per input byte on match-dominated
-/// data; a sparse grid keeps later data able to match into the region
-/// at a fraction of the cost.
-const LZ4_INDEX_STRIDE: usize = 8;
+/// The format's end-of-block rules: the last match starts at least this
+/// many bytes before the end of the input …
+const LZ4_MFLIMIT: usize = 12;
+/// … and the last five bytes are always literals.
+const LZ4_LAST_LITERALS: usize = 5;
+const LZ4_HASH_BITS: u32 = 12;
+/// The search step grows by one after every `2^6` probes that miss.
+const LZ4_SKIP_TRIGGER: u32 = 6;
 
 /// Documented worst-case size of [`lz4_compress`] output: incompressible
 /// input costs one length-extension byte per 255 literals plus constant
@@ -235,27 +231,20 @@ pub fn lz4_max_compressed_len(len: usize) -> usize {
     len + len / 255 + 16
 }
 
-fn lz4_hash(word: u32, bits: u32) -> usize {
-    (word.wrapping_mul(2_654_435_761) >> (32 - bits)) as usize
-}
-
-/// Extend a match at `data[c..]` vs `data[i..]` (already known equal for
-/// the first [`LZ4_MIN_MATCH`] bytes) as far as it goes, comparing eight
-/// bytes per step. Match extension dominates encoder time on long-match
-/// inputs, which checkpoint pages are.
-fn lz4_extend(data: &[u8], c: usize, i: usize) -> usize {
-    let n = data.len();
-    let mut l = LZ4_MIN_MATCH;
-    while i + l + 8 <= n {
-        let a = u64::from_le_bytes(data[c + l..c + l + 8].try_into().unwrap());
-        let b = u64::from_le_bytes(data[i + l..i + l + 8].try_into().unwrap());
-        let x = a ^ b;
+/// How many bytes from `data[c..]` and `data[i..]` (`c < i`) agree
+/// before `i` reaches `limit`, compared eight at a time.
+fn lz4_count(data: &[u8], c: usize, i: usize, limit: usize) -> usize {
+    let word =
+        |p: usize| u64::from_le_bytes(data[p..p + 8].try_into().unwrap());
+    let mut l = 0;
+    while i + l + 8 <= limit {
+        let x = word(c + l) ^ word(i + l);
         if x != 0 {
             return l + (x.trailing_zeros() >> 3) as usize;
         }
         l += 8;
     }
-    while i + l < n && data[c + l] == data[i + l] {
+    while i + l < limit && data[c + l] == data[i + l] {
         l += 1;
     }
     l
@@ -290,83 +279,81 @@ fn lz4_emit_seq(out: &mut Vec<u8>, literals: &[u8], m: Option<(u16, usize)>) {
     }
 }
 
-/// LZ4-block-format compression with a greedy hash-chain match finder
-/// (13-bit head table, chains bounded at [`LZ4_CHAIN_DEPTH`] candidates,
-/// 64 KiB window). Like [`compress`], the output is only useful when it
-/// is smaller than the input; callers compare lengths and keep the raw
-/// bytes otherwise. Output never exceeds [`lz4_max_compressed_len`].
+/// LZ4-block-format compression, the reference encoder's fast path: one
+/// probe per position into a 4096-slot table of 16-bit positions, zeroed
+/// on every call, a search step that grows after every 64 misses in a
+/// row, and matches extended backwards over pending literals. Like
+/// [`compress`], the output is only useful when it is smaller than the
+/// input; callers compare lengths and keep the raw bytes otherwise.
+/// Output never exceeds [`lz4_max_compressed_len`], and is a function of
+/// `data` alone (the dedup invariant).
 pub fn lz4_compress(data: &[u8]) -> Vec<u8> {
     let n = data.len();
-    let mut out = Vec::with_capacity(n / 2 + 16);
-    if n <= LZ4_MIN_MATCH {
-        lz4_emit_seq(&mut out, data, None);
-        return out;
-    }
-    const NIL: u32 = u32::MAX;
-    // Size the head table to the input: a 4 KiB chunk does not repay
-    // clearing a 32 KiB table. Deterministic in `n`, so identical chunks
-    // still encode identically (the dedup invariant).
-    let hash_bits = n
-        .next_power_of_two()
-        .trailing_zeros()
-        .clamp(8, LZ4_HASH_BITS);
-    let mut head = vec![NIL; 1 << hash_bits];
-    let mut prev = vec![NIL; n];
-    let insert =
-        |head: &mut [u32], prev: &mut [u32], data: &[u8], j: usize| {
-            let w = u32::from_le_bytes(data[j..j + 4].try_into().unwrap());
-            let h = lz4_hash(w, hash_bits);
-            prev[j] = head[h];
-            head[h] = j as u32;
+    let mut out = Vec::with_capacity(lz4_max_compressed_len(n));
+    let mut anchor = 0;
+    if n > LZ4_MFLIMIT {
+        let mflimit = n - LZ4_MFLIMIT;
+        let match_limit = n - LZ4_LAST_LITERALS;
+        let word =
+            |p: usize| u32::from_le_bytes(data[p..p + 4].try_into().unwrap());
+        // `probe` swaps `p` into its slot; the position the slot held is a
+        // match if it starts with the same four bytes. Slots hold positions
+        // modulo 2^16, so that one is always inside the 64 KiB window
+        // behind `p` (a stale slot aliases to some position there, which
+        // the compare rejects), and every zeroed slot names position 0.
+        let mut table = [0u16; 1 << LZ4_HASH_BITS];
+        let mut probe = |p: usize| {
+            let h =
+                word(p).wrapping_mul(2_654_435_761) >> (32 - LZ4_HASH_BITS);
+            let back = usize::from((p as u16).wrapping_sub(table[h as usize]));
+            table[h as usize] = p as u16;
+            (back != 0 && back <= p && word(p - back) == word(p))
+                .then(|| p - back)
         };
-    let mut lit_start = 0usize;
-    let mut i = 0usize;
-    while i + LZ4_MIN_MATCH <= n {
-        let word = u32::from_le_bytes(data[i..i + 4].try_into().unwrap());
-        let h = lz4_hash(word, hash_bits);
-        let mut best_len = 0usize;
-        let mut best_off = 0usize;
-        let mut cand = head[h];
-        let mut depth = 0;
-        while cand != NIL && depth < LZ4_CHAIN_DEPTH {
-            let c = cand as usize;
-            if i - c > LZ4_WINDOW {
-                break; // chain positions only get older
-            }
-            if data[c..c + 4] == data[i..i + 4] {
-                let l = lz4_extend(data, c, i);
-                if l > best_len {
-                    best_len = l;
-                    best_off = i - c;
-                    if l >= LZ4_GOOD_MATCH {
-                        break; // good enough; deeper search is waste
-                    }
+        let mut i = 1;
+        'block: loop {
+            let mut next = i;
+            let mut step = 1;
+            let mut probes = 1 << LZ4_SKIP_TRIGGER;
+            let mut c = loop {
+                i = next;
+                next += step;
+                step = probes >> LZ4_SKIP_TRIGGER;
+                probes += 1;
+                if next > mflimit + 1 {
+                    break 'block;
                 }
+                if let Some(c) = probe(i) {
+                    break c;
+                }
+            };
+            while i > anchor && c > 0 && data[i - 1] == data[c - 1] {
+                i -= 1;
+                c -= 1;
             }
-            cand = prev[c];
-            depth += 1;
-        }
-        insert(&mut head, &mut prev, data, i);
-        if best_len >= LZ4_MIN_MATCH {
-            lz4_emit_seq(
-                &mut out,
-                &data[lit_start..i],
-                Some((best_off as u16, best_len)),
-            );
-            // Index the interior of the match (sparsely) so later data
-            // can match into it.
-            let mut j = i + 1;
-            while j < i + best_len && j + LZ4_MIN_MATCH <= n {
-                insert(&mut head, &mut prev, data, j);
-                j += LZ4_INDEX_STRIDE;
+            loop {
+                let m = LZ4_MIN_MATCH;
+                let len = m + lz4_count(data, c + m, i + m, match_limit);
+                lz4_emit_seq(
+                    &mut out,
+                    &data[anchor..i],
+                    Some(((i - c) as u16, len)),
+                );
+                i += len;
+                anchor = i;
+                if i > mflimit {
+                    break 'block;
+                }
+                // Index two back from the match's end, then try for a
+                // match that starts right where this one stopped.
+                probe(i - 2);
+                let Some(next_c) = probe(i) else { break };
+                c = next_c;
             }
-            i += best_len;
-            lit_start = i;
-        } else {
             i += 1;
         }
     }
-    lz4_emit_seq(&mut out, &data[lit_start..], None);
+    lz4_emit_seq(&mut out, &data[anchor..], None);
     out
 }
 
@@ -374,7 +361,7 @@ pub fn lz4_compress(data: &[u8]) -> Vec<u8> {
 /// exactly `expected_len` bytes. `None` means malformed input or a
 /// length mismatch.
 pub fn lz4_decompress(data: &[u8], expected_len: usize) -> Option<Vec<u8>> {
-    let mut out = Vec::with_capacity(expected_len);
+    let mut out = Vec::new();
     lz4_decompress_into(data, expected_len, &mut out)?;
     Some(out)
 }
@@ -382,90 +369,110 @@ pub fn lz4_decompress(data: &[u8], expected_len: usize) -> Option<Vec<u8>> {
 /// [`lz4_decompress`], appending into a caller-owned buffer. Match
 /// offsets resolve only within the bytes this call has itself produced —
 /// a malicious stream cannot read the caller's earlier buffer contents.
-/// On failure `out` may hold a partial decode; callers discard it.
+/// On failure `out` is left as it was.
 pub fn lz4_decompress_into(
     data: &[u8],
     expected_len: usize,
     out: &mut Vec<u8>,
 ) -> Option<()> {
+    // No stream byte expands to more than 255 output bytes: a longer
+    // claim is refused before anything is allocated for it.
+    if expected_len > data.len().saturating_mul(255) {
+        return None;
+    }
     let base = out.len();
-    let mut i = 0usize;
+    out.resize(base + expected_len, 0);
+    let decoded = lz4_decode(data, &mut out[base..], copy_match);
+    if decoded.is_none() {
+        out.truncate(base);
+    }
+    decoded
+}
+
+/// Copy the `len` bytes that start `off` back from `dst[o]` to `dst[o..]`.
+/// A match with `off < len` overlaps its own output and repeats with
+/// period `off`: every copy takes all it can from `o - off`, which is a
+/// multiple of the period until the last, so each copy doubles the next
+/// and stays in phase.
+fn copy_match(dst: &mut [u8], o: usize, off: usize, len: usize) {
+    let src = o - off;
+    if off >= 16 && len <= 16 && o + 16 <= dst.len() {
+        // One fixed-size move; what lands past `len` is overwritten by
+        // the next sequence before anything can read it.
+        dst.copy_within(src..src + 16, o);
+        return;
+    }
+    let mut done = 0;
+    while done < len {
+        let n = (len - done).min(off + done);
+        dst.copy_within(src..src + n, o + done);
+        done += n;
+    }
+}
+
+/// A length nibble, extended by the `255`-run at `data[*i..]` when it is
+/// 15. `None` past the end of `data` or once the length exceeds `max`.
+fn lz4_len(
+    data: &[u8],
+    i: &mut usize,
+    nibble: u8,
+    max: usize,
+) -> Option<usize> {
+    let (mut len, mut b) = (usize::from(nibble), 255);
+    while nibble == 15 && b == 255 {
+        b = *data.get(*i)?;
+        *i += 1;
+        len = len.checked_add(usize::from(b))?;
+        if len > max {
+            return None;
+        }
+    }
+    Some(len)
+}
+
+/// Decode a stream into exactly `dst`, copying matches with
+/// `copy(dst, o, off, len)` — a parameter so tests can hold the decoder
+/// against a byte-at-a-time copy.
+fn lz4_decode(
+    data: &[u8],
+    dst: &mut [u8],
+    copy: impl Fn(&mut [u8], usize, usize, usize),
+) -> Option<()> {
+    let expected_len = dst.len();
+    let (mut i, mut o) = (0usize, 0usize);
     while i < data.len() {
         let token = data[i];
         i += 1;
-        let mut lit = (token >> 4) as usize;
-        if lit == 15 {
-            loop {
-                let b = *data.get(i)?;
-                i += 1;
-                lit = lit.checked_add(b as usize)?;
-                if lit > expected_len {
-                    return None;
-                }
-                if b != 255 {
-                    break;
-                }
-            }
-        }
-        if i + lit > data.len() || out.len() - base + lit > expected_len {
+        let lit = lz4_len(data, &mut i, token >> 4, expected_len)?;
+        if i + lit > data.len() || o + lit > expected_len {
             return None;
         }
-        out.extend_from_slice(&data[i..i + lit]);
+        if lit <= 16 && i + 16 <= data.len() && o + 16 <= expected_len {
+            // As in `copy_match`: one fixed-size move.
+            dst[o..o + 16].copy_from_slice(&data[i..i + 16]);
+        } else {
+            dst[o..o + lit].copy_from_slice(&data[i..i + lit]);
+        }
         i += lit;
+        o += lit;
         if i == data.len() {
             break; // final sequence carries no match
         }
-        if i + 2 > data.len() {
-            return None;
-        }
-        let off =
-            u16::from_le_bytes(data[i..i + 2].try_into().unwrap()) as usize;
+        let off = u16::from_le_bytes([*data.get(i)?, *data.get(i + 1)?]);
+        let off = usize::from(off);
         i += 2;
-        if off == 0 || off > out.len() - base {
+        if off == 0 || off > o {
             return None;
         }
-        let mut mlen = (token & 0x0F) as usize;
-        if mlen == 15 {
-            loop {
-                let b = *data.get(i)?;
-                i += 1;
-                mlen = mlen.checked_add(b as usize)?;
-                if mlen > expected_len {
-                    return None;
-                }
-                if b != 255 {
-                    break;
-                }
-            }
-        }
-        let mlen = mlen + LZ4_MIN_MATCH;
-        if out.len() - base + mlen > expected_len {
+        let mlen =
+            lz4_len(data, &mut i, token & 0x0F, expected_len)? + LZ4_MIN_MATCH;
+        if o + mlen > expected_len {
             return None;
         }
-        // Byte-by-byte so overlapping matches (off < mlen) replicate the
-        // produced bytes, per LZ77 semantics.
-        let start = out.len() - off;
-        for k in 0..mlen {
-            let b = out[start + k];
-            out.push(b);
-        }
+        copy(dst, o, off, mlen);
+        o += mlen;
     }
-    (out.len() - base == expected_len).then_some(())
-}
-
-/// Cheap RLE-friendliness probe for the pipeline's per-chunk codec
-/// picker: sample up to the first 1 KiB and count adjacent equal-byte
-/// pairs. Run-dominated pages compress as well under PackBits as under
-/// LZ4 at a fraction of the cost. Deterministic in the chunk bytes —
-/// the dedup invariant requires every writer to store identical bytes
-/// for an identical chunk.
-pub fn rle_friendly(data: &[u8]) -> bool {
-    let probe = &data[..data.len().min(1024)];
-    if probe.len() < 2 {
-        return true;
-    }
-    let pairs = probe.windows(2).filter(|w| w[0] == w[1]).count();
-    pairs * 2 >= probe.len()
+    (o == expected_len).then_some(())
 }
 
 #[cfg(test)]
@@ -625,21 +632,41 @@ mod tests {
         }
     }
 
+    /// The match copy as it was: one byte at a time, which replicates an
+    /// overlapping match by construction. The oracle.
+    fn copy_bytewise(dst: &mut [u8], o: usize, off: usize, len: usize) {
+        for k in o..o + len {
+            dst[k] = dst[k - off];
+        }
+    }
+
     fn lz4_round_trip(data: &[u8]) {
         let enc = lz4_compress(data);
+        let n = data.len();
         assert!(
-            enc.len() <= lz4_max_compressed_len(data.len()),
-            "{} bytes encoded to {} > documented bound {}",
-            data.len(),
+            enc.len() <= lz4_max_compressed_len(n),
+            "{n} bytes encoded to {} > documented bound {}",
             enc.len(),
-            lz4_max_compressed_len(data.len())
+            lz4_max_compressed_len(n)
         );
         assert_eq!(
-            lz4_decompress(&enc, data.len()).as_deref(),
+            lz4_decompress(&enc, n).as_deref(),
             Some(data),
-            "lz4 round trip failed for {} bytes",
-            data.len()
+            "lz4 round trip failed for {n} bytes"
         );
+        // Under the oracle too, and within the format's end-of-block
+        // rules: no match starts in the last 12 bytes or covers any of
+        // the last 5.
+        let mut out = vec![0; n];
+        let in_bounds = |dst: &mut [u8], o: usize, off: usize, len: usize| {
+            assert!(
+                o + LZ4_MFLIMIT <= n && o + len + LZ4_LAST_LITERALS <= n,
+                "match of {len} at {o} in {n} bytes"
+            );
+            copy_bytewise(dst, o, off, len);
+        };
+        lz4_decode(&enc, &mut out, in_bounds).unwrap();
+        assert_eq!(out, data);
     }
 
     #[test]
@@ -699,6 +726,187 @@ mod tests {
             .map(|i| (i.wrapping_mul(2_654_435_761) >> 11) as u8)
             .collect();
         lz4_round_trip(&noise);
+        // Every length across the end-of-block limits.
+        for len in 0..=64 {
+            lz4_round_trip(&noise[..len]);
+            lz4_round_trip(&vec![7u8; len]);
+        }
+    }
+
+    /// An LZ4 stream of one `off`/`mlen` match between random literals.
+    fn one_match_stream(
+        rng: &mut impl rand::Rng,
+        off: usize,
+        mlen: usize,
+    ) -> (Vec<u8>, usize) {
+        let lits: Vec<u8> = (0..off + rng.random_range(0..20usize))
+            .map(|_| rng.random_range(0..=255u8))
+            .collect();
+        let tail: Vec<u8> = (0..rng.random_range(0..20usize))
+            .map(|_| rng.random_range(0..=255u8))
+            .collect();
+        let mut s = Vec::new();
+        lz4_emit_seq(&mut s, &lits, Some((off as u16, mlen)));
+        lz4_emit_seq(&mut s, &tail, None);
+        (s, lits.len() + mlen + tail.len())
+    }
+
+    #[test]
+    fn lz4_decoder_matches_the_bytewise_oracle() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(0x1D4C);
+        let mut streams = Vec::new();
+        // Every overlap at every match length, then streams of random
+        // sequences at any offset (fewer of both under Miri).
+        let (stride, random) = if cfg!(miri) { (37, 20) } else { (1, 200) };
+        for off in 1..=16 {
+            for mlen in (4..=300).step_by(stride) {
+                streams.push(one_match_stream(&mut rng, off, mlen));
+            }
+        }
+        for _ in 0..random {
+            let mut s = Vec::new();
+            let mut len = 0;
+            for _ in 0..rng.random_range(1..40usize) {
+                let lits: Vec<u8> = (0..rng.random_range(0..40usize))
+                    .map(|_| rng.random_range(0..4u8))
+                    .collect();
+                len += lits.len();
+                if len == 0 {
+                    continue;
+                }
+                let far = rng.random_range(1..=len.min(65_535));
+                let off = if rng.random() { far } else { far.min(20) };
+                let mlen = rng.random_range(4..=300usize);
+                lz4_emit_seq(&mut s, &lits, Some((off as u16, mlen)));
+                len += mlen;
+            }
+            lz4_emit_seq(&mut s, b"end", None);
+            streams.push((s, len + 3));
+        }
+        for (s, len) in streams {
+            let decode = |copy: fn(&mut [u8], usize, usize, usize)| {
+                let mut out = vec![0; len];
+                lz4_decode(&s, &mut out, copy).map(|()| out)
+            };
+            let want = decode(copy_bytewise);
+            assert!(want.is_some());
+            assert_eq!(decode(copy_match), want);
+        }
+    }
+
+    #[test]
+    fn lz4_hostile_streams_are_refused_or_decode_to_the_expected_length() {
+        let f64s = |v: Vec<f64>| -> Vec<u8> {
+            v.iter().flat_map(|x| x.to_le_bytes()).collect()
+        };
+        // A row of the dense CG matrix, a 16 x 8 Laplace grid after ten
+        // Jacobi sweeps, noise and zeros: 1 KiB each.
+        let row = f64s((0..128).map(|j| 1.0 / (1.0 + j as f64)).collect());
+        let mut grid = vec![0.0; 128];
+        for _ in 0..10 {
+            let g = grid.clone();
+            for (k, cell) in grid.iter_mut().enumerate() {
+                let (i, j) = (k / 16, k % 16);
+                *cell = match (i, j) {
+                    (_, 0) => 100.0,
+                    (0 | 7, _) | (_, 15) => 25.0,
+                    _ => 0.25 * (g[k - 16] + g[k + 16] + g[k - 1] + g[k + 1]),
+                };
+            }
+        }
+        let mut seed = 0xB10C_u64;
+        let noise: Vec<u8> = (0..128)
+            .flat_map(|_| crate::splitmix64(&mut seed).to_le_bytes())
+            .collect();
+        let masks: &[u8] = if cfg!(miri) {
+            &[0xFF]
+        } else {
+            &[1, 2, 4, 8, 16, 32, 64, 128, 0xFF]
+        };
+        for data in [row, f64s(grid), noise, vec![0; 1024]] {
+            let n = data.len();
+            let enc = lz4_compress(&data);
+            let check = |stream: &[u8]| {
+                let mut out = b"prefix".to_vec();
+                let len = match lz4_decompress_into(stream, n, &mut out) {
+                    Some(()) => 6 + n,
+                    None => 6,
+                };
+                assert_eq!(out.len(), len);
+                assert_eq!(&out[..6], b"prefix");
+            };
+            check(&enc);
+            for cut in 0..enc.len() {
+                check(&enc[..cut]);
+            }
+            for at in 0..enc.len() {
+                for mask in masks {
+                    let mut s = enc.clone();
+                    s[at] ^= mask;
+                    check(&s);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn lz4_encoding_depends_on_the_input_alone() {
+        // The dedup invariant: whatever the thread encoded before.
+        let inputs: Vec<Vec<u8>> = vec![
+            vec![0; 4096],
+            (0..4096u32)
+                .map(|i| (i.wrapping_mul(2_654_435_761) >> 11) as u8)
+                .collect(),
+            b"abc".repeat(1000),
+            (0..512)
+                .flat_map(|i| (i as f64).sqrt().to_le_bytes())
+                .collect(),
+        ];
+        let first: Vec<Vec<u8>> =
+            inputs.iter().map(|d| lz4_compress(d)).collect();
+        for (d, e) in inputs.iter().zip(&first).rev() {
+            assert_eq!(&lz4_compress(d), e);
+        }
+        let fresh = std::thread::spawn(move || {
+            inputs
+                .iter()
+                .rev()
+                .map(|d| lz4_compress(d))
+                .collect::<Vec<_>>()
+        });
+        let mut fresh = fresh.join().unwrap();
+        fresh.reverse();
+        assert_eq!(fresh, first);
+    }
+
+    #[test]
+    fn lz4_streams_of_the_hash_chain_encoder_still_decode() {
+        // What the hash-chain encoder of a28e75e wrote for three inputs:
+        // stores written then must restore now. The first ends in a
+        // match, which that encoder allowed.
+        let text = b"abc".repeat(100);
+        let ramp: Vec<u8> =
+            (0..512).flat_map(|i| (i as f64).to_le_bytes()).collect();
+        let zeros = [0u8; 4096];
+        let text_stream = [0x3f, b'a', b'b', b'c', 3, 0, 0xff, 0x17, 0];
+        let zeros_stream =
+            [&[0x1f, 0, 1, 0][..], &[0xff; 15], &[0xfb, 0]].concat();
+        let vectors: [(&[u8], &[u8]); 3] = [
+            (&text, &text_stream),
+            (
+                &ramp,
+                include_bytes!("../testdata/lz4_a28e75e_f64_ramp.bin"),
+            ),
+            (&zeros, &zeros_stream),
+        ];
+        for (raw, stream) in vectors {
+            assert_eq!(
+                lz4_decompress(stream, raw.len()).as_deref(),
+                Some(raw)
+            );
+        }
     }
 
     #[test]
@@ -717,6 +925,11 @@ mod tests {
         assert!(lz4_decompress(&enc, 18).is_none());
         // Unterminated length-extension run.
         assert!(lz4_decompress(&[0xF0, 255, 255], 4096).is_none());
+        // A claim no stream of this length can expand to is refused
+        // before anything is allocated for it.
+        let mut out = Vec::new();
+        assert!(lz4_decompress_into(&enc, usize::MAX / 2, &mut out).is_none());
+        assert_eq!(out.capacity(), 0);
     }
 
     #[test]
@@ -756,15 +969,5 @@ mod tests {
             .unwrap();
         assert_eq!(out, data);
         assert!(Codec::None.decode_into(&data, 5, &mut Vec::new()).is_none());
-    }
-
-    #[test]
-    fn rle_probe_separates_runs_from_structured_data() {
-        assert!(rle_friendly(&[0u8; 4096]));
-        assert!(rle_friendly(b""));
-        assert!(rle_friendly(b"x"));
-        let strided: Vec<u8> =
-            (0..4096).map(|i| [1, 2, 3, 4][i % 4]).collect();
-        assert!(!rle_friendly(&strided));
     }
 }
