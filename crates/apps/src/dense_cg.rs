@@ -300,7 +300,9 @@ mod tests {
             .collect();
         let stored: usize = block
             .chunks(4096)
-            .map(|c| ckptstore::compress::lz4_compress(c).len().min(c.len()))
+            .map(|c| {
+                ckptstore::Codec::Lz4.encode(c).unwrap().len().min(c.len())
+            })
             .sum();
         let ratio = stored as f64 / block.len() as f64;
         assert!(ratio <= 0.82, "stored at {ratio:.3} of raw");

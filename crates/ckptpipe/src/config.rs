@@ -182,8 +182,7 @@ impl PipelineConfig {
         self
     }
 
-    /// Builder: set the preferred chunk codec (see
-    /// [`PipelineConfig::codec`]).
+    /// Builder: set the chunk codec (see [`PipelineConfig::codec`]).
     pub fn with_codec(mut self, codec: Codec) -> Self {
         self.codec = codec;
         self
@@ -261,7 +260,7 @@ mod tests {
     fn chunker_and_codec_builders_plumb_through() {
         let cfg = PipelineConfig::default()
             .with_chunker(Chunker::cdc(1024))
-            .with_codec(Codec::PackBits);
+            .with_codec(Codec::None);
         assert_eq!(
             cfg.chunker,
             Chunker::Cdc {
@@ -270,7 +269,7 @@ mod tests {
                 max: 4096
             }
         );
-        assert_eq!(cfg.codec, Codec::PackBits);
+        assert_eq!(cfg.codec, Codec::None);
         let d = PipelineConfig::default();
         assert_eq!(d.chunker, Chunker::Fixed { size: 4096 });
         assert_eq!(d.codec, Codec::Lz4);

@@ -17,11 +17,10 @@
 //!   hash + length, and skip chunks already stored by a previous
 //!   checkpoint (incremental / delta checkpoints, per the
 //!   differential-checkpointing line of work). Surviving chunks are
-//!   compressed per the configured [`Codec`] (PackBits RLE or an
-//!   LZ4-class block codec; a PackBits trial a pre-scan shows cannot win
-//!   is not run), each is sealed once under the CRC that also folds into
-//!   the blob's, and fresh chunks leave in batched puts of 64 — a write
-//!   holds its blob and one batch, never a second copy of the blob.
+//!   LZ4-compressed unless the configured [`Codec`] is raw, each is
+//!   sealed once under the CRC that also folds into the blob's, and fresh
+//!   chunks leave in batched puts of 64 — a write holds its blob and one
+//!   batch, never a second copy of the blob.
 //! * **Retry** — transient storage faults (see
 //!   `ckptstore::FaultInjectingBackend`) are retried with exponential
 //!   backoff.
@@ -381,44 +380,26 @@ mod tests {
     #[test]
     fn pipeline_records_obs_metrics() {
         // The default codec stores the period-61 state chunk as 61
-        // literals and one match (79 bytes); neither chunk has three
-        // equal bytes in a row, so PackBits is not even tried on them.
-        for (codec, skipped, stored) in
-            [(Codec::Lz4, 0, 79 + 3), (Codec::PackBits, 2, 2048 + 3)]
-        {
-            let reg = c3obs::Registry::new();
-            let (_, store) = mem_store(1);
-            let cfg = PipelineConfig::default().with_obs(reg.clone());
-            assert_eq!(cfg.codec, Codec::Lz4);
-            let pipe =
-                CheckpointPipeline::new(store.clone(), cfg.with_codec(codec));
-            pipe.stage(1, 0, RankBlobKind::State, blob(1, 2048))
-                .unwrap();
-            pipe.stage(1, 0, RankBlobKind::Log, b"log".to_vec())
-                .unwrap();
-            pipe.drain(1).unwrap();
-            let snap = reg.snapshot();
-            assert_eq!(snap.counter_total("io_staged_bytes_total"), 2048 + 3);
-            assert_eq!(snap.histogram_count_total("io_stage_ns"), 2);
-            assert_eq!(snap.histogram_count_total("io_write_ns"), 2);
-            assert_eq!(snap.histogram_count_total("io_drain_ns"), 1);
-            assert_eq!(snap.counter_total("io_retries_total"), 0);
-            assert_eq!(
-                snap.counter_total("io_codec_trials_skipped_total"),
-                skipped,
-                "{codec:?}"
-            );
-            assert_eq!(
-                snap.counter_total("io_precompress_bytes_total"),
-                2048 + 3
-            );
-            assert_eq!(
-                snap.counter_total("io_postcompress_bytes_total"),
-                stored,
-                "{codec:?}"
-            );
-            assert!(snap.self_check().is_empty());
-        }
+        // literals and one match (79 bytes).
+        let reg = c3obs::Registry::new();
+        let (_, store) = mem_store(1);
+        let cfg = PipelineConfig::default().with_obs(reg.clone());
+        assert_eq!(cfg.codec, Codec::Lz4);
+        let pipe = CheckpointPipeline::new(store.clone(), cfg);
+        pipe.stage(1, 0, RankBlobKind::State, blob(1, 2048))
+            .unwrap();
+        pipe.stage(1, 0, RankBlobKind::Log, b"log".to_vec())
+            .unwrap();
+        pipe.drain(1).unwrap();
+        let snap = reg.snapshot();
+        assert_eq!(snap.counter_total("io_staged_bytes_total"), 2048 + 3);
+        assert_eq!(snap.histogram_count_total("io_stage_ns"), 2);
+        assert_eq!(snap.histogram_count_total("io_write_ns"), 2);
+        assert_eq!(snap.histogram_count_total("io_drain_ns"), 1);
+        assert_eq!(snap.counter_total("io_retries_total"), 0);
+        assert_eq!(snap.counter_total("io_precompress_bytes_total"), 2048 + 3);
+        assert_eq!(snap.counter_total("io_postcompress_bytes_total"), 79 + 3);
+        assert!(snap.self_check().is_empty());
     }
 
     #[test]
@@ -603,7 +584,8 @@ mod tests {
                 }
             }
             let stats = pipe.stats();
-            assert!(stats.chunks_compressed > 0, "stats: {stats:?}");
+            let compressed = stats.chunks_compressed > 0;
+            assert_eq!(compressed, codec == Codec::Lz4, "stats: {stats:?}");
             assert!(stats.chunks_deduped > 0, "stats: {stats:?}");
             (manifests, backend.list("").unwrap())
         };
@@ -612,7 +594,7 @@ mod tests {
             queue_depth: 8,
         };
         for (chunker, codec) in [
-            (Chunker::fixed(4096), Codec::PackBits),
+            (Chunker::fixed(4096), Codec::None),
             (Chunker::cdc(4096), Codec::Lz4),
         ] {
             let (sync_manifests, sync_keys) =
@@ -730,7 +712,7 @@ mod tests {
     #[test]
     fn clean_references_write_what_plain_bytes_would() {
         for (chunker, codec) in [
-            (Chunker::fixed(256), Codec::PackBits),
+            (Chunker::fixed(256), Codec::None),
             (Chunker::cdc(1024), Codec::Lz4),
         ] {
             let reg = c3obs::Registry::new();

@@ -36,10 +36,6 @@ pub(crate) struct PipeObs {
     /// `io_precompress_bytes_total` — raw bytes fed to the chunk codec
     /// (dedup hits skip compression and are not counted).
     pub precompress_bytes: Counter,
-    /// `io_codec_trials_skipped_total` — of those chunks, the ones stored
-    /// raw without running the encoder, because a pre-scan showed it
-    /// could not shrink them.
-    pub codec_trials_skipped: Counter,
     /// `io_postcompress_bytes_total` — stored bytes those chunks came
     /// out as; the ratio against `io_precompress_bytes_total` is the
     /// achieved compression ratio.
@@ -62,7 +58,6 @@ impl PipeObs {
             clean_bytes: reg.counter("io_clean_bytes_total"),
             dedup_misses: reg.counter("io_dedup_misses_total"),
             precompress_bytes: reg.counter("io_precompress_bytes_total"),
-            codec_trials_skipped: reg.counter("io_codec_trials_skipped_total"),
             postcompress_bytes: reg.counter("io_postcompress_bytes_total"),
             chunk_bytes: reg.histogram("io_chunk_bytes"),
         }

@@ -29,9 +29,8 @@
 //!
 //! A byte that does have to be written is touched once per purpose: one
 //! CRC per chunk (the seal of a chunk stored raw *and* its share of the
-//! part's and the blob's CRC), one hash, one codec trial unless a
-//! pre-scan rules it out, one copy into the sealed buffer the backend is
-//! handed.
+//! part's and the blob's CRC), one hash, one codec trial, one copy into
+//! the sealed buffer the backend is handed.
 
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -39,11 +38,10 @@ use std::sync::{Arc, Condvar, Mutex, RwLock};
 
 use bytes::Bytes;
 use ckptstore::codec::{Encoder, Part, TrackedSpan};
-use ckptstore::compress::packbits_cannot_shrink;
 use ckptstore::integrity::{crc32, crc32_combine, seal_vec, seal_with};
 use ckptstore::manifest::{AddrMap, ChunkRef, CleanRun, LineRecord, Manifest};
 use ckptstore::{
-    CheckpointStore, CkptId, Codec, RankBlobKind, StorageBackend, StoreError,
+    CheckpointStore, CkptId, RankBlobKind, StorageBackend, StoreError,
     StoreResult,
 };
 
@@ -991,19 +989,11 @@ impl Shared {
 
     /// Deterministic stored representation of a chunk: its encoding
     /// under the configured codec iff that actually shrinks it, `None`
-    /// (stored raw) otherwise. A PackBits trial that provably cannot win
-    /// is not run. Must stay a pure function of the piece: dedup is
-    /// first-writer-wins, so every writer has to agree on what the stored
-    /// form of a given piece looks like.
+    /// (stored raw) otherwise. Must stay a pure function of the piece:
+    /// dedup is first-writer-wins, so every writer has to agree on what
+    /// the stored form of a given piece looks like.
     fn encode_if_smaller(&self, piece: &[u8]) -> Option<Vec<u8>> {
-        let codec = self.cfg.codec;
-        if codec == Codec::PackBits && packbits_cannot_shrink(piece) {
-            if let Some(o) = &self.obs {
-                o.codec_trials_skipped.inc();
-            }
-            return None;
-        }
-        let enc = codec.encode(piece)?;
+        let enc = self.cfg.codec.encode(piece)?;
         (enc.len() < piece.len()).then_some(enc)
     }
 

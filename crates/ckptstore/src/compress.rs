@@ -1,21 +1,14 @@
-//! Chunk codecs: PackBits run-length encoding and a dependency-free
-//! LZ4-class compressor, selected per chunk via [`Codec`].
+//! Chunk codec: a dependency-free LZ4-class block compressor, selected
+//! per chunk via [`Codec`].
 //!
 //! Checkpoint state in the paper's applications is dominated by `f64`
 //! arrays, where byte runs are rare and repeats are whole values or their
 //! high bytes. Measured in 4 KiB pieces (EXPERIMENTS.md M14), stored size
-//! over raw for PackBits → [`lz4_compress`]: rank 0's Dense CG block
-//! 0.976 → 0.789, a Laplace band after 300 sweeps 1.004 → 0.656 and
-//! after 2 000 sweeps 1.004 → 0.991, zero pages 0.016 → 0.006, noise
-//! 1.008 → 1.004. LZ4 is the pipeline's default; PackBits stays
-//! selectable. Compression everywhere stays opportunistic — a chunk is
-//! stored encoded only when the encoding is actually smaller (see
+//! over raw: rank 0's Dense CG block 0.789, a Laplace band after 300
+//! sweeps 0.656 and after 2 000 sweeps 0.991, zero pages 0.006, noise
+//! 1.004. Compression stays opportunistic — a chunk is stored encoded
+//! only when the encoding is actually smaller (see
 //! [`crate::manifest::ChunkRef::codec`]).
-//!
-//! PackBits format (per control byte `h`):
-//! * `0..=127` — copy the next `h + 1` bytes literally,
-//! * `129..=255` — repeat the next byte `257 - h` times (runs of 2..=128),
-//! * `128` — reserved, never produced; decode rejects it.
 //!
 //! LZ4 block format (per sequence):
 //! * token byte: high nibble = literal length, low nibble = match
@@ -26,15 +19,13 @@
 
 /// How a chunk's stored bytes are encoded. The numeric ids are the wire
 /// representation inside manifests ([`Codec::id`] / [`Codec::from_id`]);
-/// they are append-only — never renumber.
+/// they are append-only — never renumber. Id 1 (a run-length codec) is
+/// retired and never reused: it reads as an unknown id.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Codec {
     /// Raw bytes, stored as-is.
     None,
-    /// PackBits run-length encoding ([`compress`] / [`decompress`]).
-    PackBits,
-    /// LZ4-class block compression ([`lz4_compress`] /
-    /// [`lz4_decompress`]).
+    /// LZ4-class block compression.
     Lz4,
 }
 
@@ -43,7 +34,6 @@ impl Codec {
     pub fn id(self) -> u8 {
         match self {
             Codec::None => 0,
-            Codec::PackBits => 1,
             Codec::Lz4 => 2,
         }
     }
@@ -53,7 +43,6 @@ impl Codec {
     pub fn from_id(id: u8) -> Option<Codec> {
         match id {
             0 => Some(Codec::None),
-            1 => Some(Codec::PackBits),
             2 => Some(Codec::Lz4),
             _ => None,
         }
@@ -67,7 +56,6 @@ impl Codec {
     pub fn encode(self, data: &[u8]) -> Option<Vec<u8>> {
         match self {
             Codec::None => None,
-            Codec::PackBits => Some(compress(data)),
             Codec::Lz4 => Some(lz4_compress(data)),
         }
     }
@@ -75,7 +63,7 @@ impl Codec {
     /// Append the decoded form of `stored` to `out`, validating that it
     /// expands to exactly `expected_len` bytes. `None` means malformed
     /// input or a length mismatch — recovery treats that as corruption.
-    /// On failure `out` may hold a partial decode; callers discard it.
+    /// On failure `out` is left as it was.
     pub fn decode_into(
         self,
         stored: &[u8],
@@ -90,128 +78,9 @@ impl Codec {
                 out.extend_from_slice(stored);
                 Some(())
             }
-            Codec::PackBits => decompress_into(stored, expected_len, out),
             Codec::Lz4 => lz4_decompress_into(stored, expected_len, out),
         }
     }
-}
-
-/// Run-length encode `data`. The output is only useful if it is smaller
-/// than the input; callers compare lengths and keep the raw bytes
-/// otherwise.
-pub fn compress(data: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(data.len() / 2 + 8);
-    let mut i = 0;
-    while i < data.len() {
-        let b = data[i];
-        let mut run = 1;
-        while run < 128 && i + run < data.len() && data[i + run] == b {
-            run += 1;
-        }
-        if run >= 3 {
-            out.push((257 - run) as u8);
-            out.push(b);
-            i += run;
-        } else {
-            // Literal segment: up to 128 bytes, stopping where a run of at
-            // least 3 begins (that run compresses better as a repeat).
-            let start = i;
-            let mut j = i;
-            while j < data.len() && j - start < 128 {
-                if j + 2 < data.len()
-                    && data[j] == data[j + 1]
-                    && data[j] == data[j + 2]
-                {
-                    break;
-                }
-                j += 1;
-            }
-            out.push((j - start - 1) as u8);
-            out.extend_from_slice(&data[start..j]);
-            i = j;
-        }
-    }
-    out
-}
-
-/// True when [`compress`] provably cannot make `data` smaller, decided in
-/// one branch-free pass instead of by running the encoder. Let `T` count
-/// the positions that start three equal bytes. A repeat record of `r`
-/// bytes saves `r − 2` and covers `r − 2` such positions, so the repeats
-/// save `S ≤ T` bytes in at most `S` records, leaving at least
-/// `len − 3·S` literal bytes, which cost a header per 128: the output is
-/// no shorter than the input whenever `(len − 3·S) / 128 ≥ S`, and
-/// `131·T ≤ len` guarantees that. Never true of an input the encoder
-/// shrinks, so "store raw iff the encoding is not smaller" is decided
-/// the same with or without it (the dedup invariant); `f64` arrays almost
-/// always take this exit.
-pub fn packbits_cannot_shrink(data: &[u8]) -> bool {
-    if data.len() < 3 {
-        return true;
-    }
-    // The input against itself shifted by one and by two, in stretches
-    // short enough for a `u8` counter: the inner loop compiles to byte
-    // compares sixteen or thirty-two wide.
-    let n = data.len() - 2;
-    let (a, b, c) = (&data[..n], &data[1..=n], &data[2..]);
-    let mut triples = 0usize;
-    for ((a, b), c) in a.chunks(255).zip(b.chunks(255)).zip(c.chunks(255)) {
-        let count: u8 = a
-            .iter()
-            .zip(b)
-            .zip(c)
-            .map(|((a, b), c)| u8::from((a == b) & (b == c)))
-            .sum();
-        triples += usize::from(count);
-    }
-    131 * triples <= data.len()
-}
-
-/// Decode a [`compress`] stream, validating that it expands to exactly
-/// `expected_len` bytes. `None` means the stream is malformed or the
-/// length disagrees — recovery treats that as blob corruption.
-pub fn decompress(data: &[u8], expected_len: usize) -> Option<Vec<u8>> {
-    let mut out = Vec::with_capacity(expected_len);
-    decompress_into(data, expected_len, &mut out)?;
-    Some(out)
-}
-
-/// [`decompress`], but appending into a caller-owned buffer — the blob
-/// reassembly path decodes every chunk straight into the output blob
-/// without per-chunk temporaries. On failure `out` may hold a partial
-/// decode; callers discard it.
-pub fn decompress_into(
-    data: &[u8],
-    expected_len: usize,
-    out: &mut Vec<u8>,
-) -> Option<()> {
-    let base = out.len();
-    let mut i = 0;
-    while i < data.len() {
-        let h = data[i];
-        i += 1;
-        match h {
-            0..=127 => {
-                let n = h as usize + 1;
-                if i + n > data.len() {
-                    return None;
-                }
-                out.extend_from_slice(&data[i..i + n]);
-                i += n;
-            }
-            128 => return None,
-            129..=255 => {
-                let n = 257 - h as usize;
-                let b = *data.get(i)?;
-                i += 1;
-                out.resize(out.len() + n, b);
-            }
-        }
-        if out.len() - base > expected_len {
-            return None;
-        }
-    }
-    (out.len() - base == expected_len).then_some(())
 }
 
 const LZ4_MIN_MATCH: usize = 4;
@@ -227,7 +96,7 @@ const LZ4_SKIP_TRIGGER: u32 = 6;
 /// Documented worst-case size of [`lz4_compress`] output: incompressible
 /// input costs one length-extension byte per 255 literals plus constant
 /// framing. Pinned by a proptest over adversarial inputs.
-pub fn lz4_max_compressed_len(len: usize) -> usize {
+fn lz4_max_compressed_len(len: usize) -> usize {
     len + len / 255 + 16
 }
 
@@ -282,12 +151,12 @@ fn lz4_emit_seq(out: &mut Vec<u8>, literals: &[u8], m: Option<(u16, usize)>) {
 /// LZ4-block-format compression, the reference encoder's fast path: one
 /// probe per position into a 4096-slot table of 16-bit positions, zeroed
 /// on every call, a search step that grows after every 64 misses in a
-/// row, and matches extended backwards over pending literals. Like
-/// [`compress`], the output is only useful when it is smaller than the
-/// input; callers compare lengths and keep the raw bytes otherwise.
+/// row, and matches extended backwards over pending literals. The output
+/// is only useful when it is smaller than the input; callers compare
+/// lengths and keep the raw bytes otherwise.
 /// Output never exceeds [`lz4_max_compressed_len`], and is a function of
 /// `data` alone (the dedup invariant).
-pub fn lz4_compress(data: &[u8]) -> Vec<u8> {
+fn lz4_compress(data: &[u8]) -> Vec<u8> {
     let n = data.len();
     let mut out = Vec::with_capacity(lz4_max_compressed_len(n));
     let mut anchor = 0;
@@ -357,20 +226,12 @@ pub fn lz4_compress(data: &[u8]) -> Vec<u8> {
     out
 }
 
-/// Decode an [`lz4_compress`] stream, validating that it expands to
-/// exactly `expected_len` bytes. `None` means malformed input or a
-/// length mismatch.
-pub fn lz4_decompress(data: &[u8], expected_len: usize) -> Option<Vec<u8>> {
-    let mut out = Vec::new();
-    lz4_decompress_into(data, expected_len, &mut out)?;
-    Some(out)
-}
-
-/// [`lz4_decompress`], appending into a caller-owned buffer. Match
-/// offsets resolve only within the bytes this call has itself produced —
+/// Decode an [`lz4_compress`] stream into a caller-owned buffer,
+/// validating that it expands to exactly `expected_len` bytes. `None`
+/// means malformed input or a length mismatch. Match offsets resolve only within the bytes this call has itself produced —
 /// a malicious stream cannot read the caller's earlier buffer contents.
 /// On failure `out` is left as it was.
-pub fn lz4_decompress_into(
+fn lz4_decompress_into(
     data: &[u8],
     expected_len: usize,
     out: &mut Vec<u8>,
@@ -479,157 +340,10 @@ fn lz4_decode(
 mod tests {
     use super::*;
 
-    fn round_trip(data: &[u8]) {
-        let enc = compress(data);
-        assert_eq!(
-            decompress(&enc, data.len()).as_deref(),
-            Some(data),
-            "round trip failed for {} bytes",
-            data.len()
-        );
-    }
-
-    #[test]
-    fn round_trips() {
-        round_trip(b"");
-        round_trip(b"a");
-        round_trip(b"ab");
-        round_trip(b"aaa");
-        round_trip(&[0u8; 4096]);
-        round_trip(&[1, 1, 2, 2, 2, 3, 3, 3, 3, 0, 0]);
-        let mixed: Vec<u8> = (0..2000)
-            .map(|i| if i % 7 < 4 { 0 } else { i as u8 })
-            .collect();
-        round_trip(&mixed);
-        // Worst case: no runs at all.
-        let noisy: Vec<u8> = (0..1000u32)
-            .map(|i| (i.wrapping_mul(2_654_435_761) >> 13) as u8)
-            .collect();
-        round_trip(&noisy);
-    }
-
-    #[test]
-    fn zero_pages_shrink_dramatically() {
-        let data = vec![0u8; 64 * 1024];
-        let enc = compress(&data);
-        assert!(enc.len() < data.len() / 50, "got {} bytes", enc.len());
-    }
-
-    #[test]
-    fn long_runs_cross_the_128_limit() {
-        for n in [127, 128, 129, 255, 256, 257, 1000] {
-            round_trip(&vec![7u8; n]);
-        }
-    }
-
-    #[test]
-    fn malformed_streams_are_rejected() {
-        // Truncated literal.
-        assert!(decompress(&[5, 1, 2], 6).is_none());
-        // Reserved control byte.
-        assert!(decompress(&[128], 0).is_none());
-        // Repeat with missing byte.
-        assert!(decompress(&[250], 7).is_none());
-        // Length mismatch.
-        let enc = compress(b"hello world");
-        assert!(decompress(&enc, 10).is_none());
-        assert!(decompress(&enc, 12).is_none());
-    }
-
-    #[test]
-    fn proptest_round_trip() {
-        use rand::rngs::StdRng;
-        use rand::{Rng, SeedableRng};
-        let mut rng = StdRng::seed_from_u64(0xC3C3);
-        for _ in 0..50 {
-            let len = rng.random_range(0..3000usize);
-            let palette = rng.random_range(1..5u32);
-            let data: Vec<u8> = (0..len)
-                .map(|_| (rng.random_range(0..(palette * 64)) % 256) as u8)
-                .collect();
-            round_trip(&data);
-        }
-    }
-
-    /// The pre-scan's contract, and how often it fires on `data`.
-    fn check_pre_scan(data: &[u8], fired: &mut usize) {
-        if packbits_cannot_shrink(data) {
-            *fired += 1;
-            assert!(
-                compress(data).len() >= data.len(),
-                "pre-scan said raw, encoder shrinks {data:?}"
-            );
-        }
-    }
-
-    #[test]
-    fn packbits_pre_scan_never_refuses_an_input_the_encoder_shrinks() {
-        use rand::rngs::StdRng;
-        use rand::{Rng, SeedableRng};
-        let mut rng = StdRng::seed_from_u64(0x9AC4);
-        let mut fired = 0;
-        for len in (0..=600).chain([4096]) {
-            // Uniform noise, all-equal, and two symbols at several biases.
-            let noise: Vec<u8> =
-                (0..len).map(|_| rng.random_range(0..=255u8)).collect();
-            check_pre_scan(&noise, &mut fired);
-            check_pre_scan(
-                &vec![rng.random_range(0..=255u8); len],
-                &mut fired,
-            );
-            for bias in [2u32, 3, 5, 9] {
-                let two: Vec<u8> = (0..len)
-                    .map(|_| u8::from(rng.random_range(0..bias) == 0))
-                    .collect();
-                check_pre_scan(&two, &mut fired);
-            }
-            // Runs of random length 1..=max between random literals.
-            for max in [2usize, 3, 4, 8, 200] {
-                let mut runs = Vec::with_capacity(len);
-                while runs.len() < len {
-                    let n = rng.random_range(1..=max).min(len - runs.len());
-                    runs.resize(runs.len() + n, rng.random_range(0..4u8));
-                }
-                check_pre_scan(&runs, &mut fired);
-            }
-            // `f64` arrays: a smooth ramp, and one padded with zeros.
-            let ramp: Vec<u8> = (0..len.div_ceil(8))
-                .flat_map(|i| (1.0 + i as f64 / 7.0).sqrt().to_le_bytes())
-                .take(len)
-                .collect();
-            check_pre_scan(&ramp, &mut fired);
-            let mut padded = ramp.clone();
-            padded[len / 2..].fill(0);
-            check_pre_scan(&padded, &mut fired);
-        }
-        assert!(fired > 600, "the pre-scan fired on {fired} inputs only");
-        // It is a one-sided test: it may pass an input the encoder then
-        // fails to shrink, never the reverse.
-        assert!(packbits_cannot_shrink(b"") && packbits_cannot_shrink(b"aa"));
-        assert!(!packbits_cannot_shrink(b"aaa"));
-        assert_eq!(compress(b"aaa").len(), 2);
-    }
-
-    #[test]
-    fn packbits_pre_scan_boundary_is_131_triples_per_byte() {
-        // One run of `t + 2` equal bytes (t triples) in `len` bytes of
-        // otherwise run-free filler: the scan flips exactly at 131·t = len.
-        for t in [1usize, 2, 5, 30] {
-            for len in [131 * t - 1, 131 * t, 131 * t + 1] {
-                let mut data: Vec<u8> =
-                    (0..len).map(|i| 1 + (i % 250) as u8).collect();
-                data[..t + 2].fill(0);
-                assert_eq!(
-                    packbits_cannot_shrink(&data),
-                    131 * t <= len,
-                    "t {t} len {len}"
-                );
-                assert!(
-                    !packbits_cannot_shrink(&data)
-                        || compress(&data).len() >= len
-                );
-            }
-        }
+    fn lz4_decompress(data: &[u8], expected_len: usize) -> Option<Vec<u8>> {
+        let mut out = Vec::new();
+        lz4_decompress_into(data, expected_len, &mut out)?;
+        Some(out)
     }
 
     /// The match copy as it was: one byte at a time, which replicates an
@@ -670,6 +384,13 @@ mod tests {
     }
 
     #[test]
+    fn zero_pages_shrink_dramatically() {
+        let data = vec![0u8; 64 * 1024];
+        let enc = lz4_compress(&data);
+        assert!(enc.len() < data.len() / 50, "got {} bytes", enc.len());
+    }
+
+    #[test]
     fn lz4_round_trips() {
         lz4_round_trip(b"");
         lz4_round_trip(b"a");
@@ -685,24 +406,6 @@ mod tests {
             .map(|i| if i % 100 < 60 { 0 } else { (i / 7) as u8 })
             .collect();
         lz4_round_trip(&mixed);
-    }
-
-    #[test]
-    fn lz4_compresses_repetitive_pages_better_than_packbits() {
-        // A strided f64-like pattern: repetitive, but with no byte runs,
-        // so PackBits can't touch it and LZ4 must.
-        let data: Vec<u8> = (0..32 * 1024)
-            .map(|i| [0x3F, 0xF0, 0x12, (i / 256) as u8][i % 4])
-            .collect();
-        let lz = lz4_compress(&data);
-        let pb = compress(&data);
-        assert!(lz.len() < data.len() / 4, "lz4 got {} bytes", lz.len());
-        assert!(
-            lz.len() < pb.len(),
-            "lz4 {} !< packbits {}",
-            lz.len(),
-            pb.len()
-        );
     }
 
     #[test]
@@ -935,33 +638,30 @@ mod tests {
     #[test]
     fn decompress_into_appends_without_clobbering() {
         let mut out = b"prefix".to_vec();
-        let enc = compress(b"aaaaaaaaaa");
-        decompress_into(&enc, 10, &mut out).unwrap();
         let lz = lz4_compress(b"bcd bcd bcd bcd!");
         lz4_decompress_into(&lz, 16, &mut out).unwrap();
         assert_eq!(&out[..6], b"prefix");
-        assert_eq!(&out[6..16], b"aaaaaaaaaa");
-        assert_eq!(&out[16..], b"bcd bcd bcd bcd!");
+        assert_eq!(&out[6..], b"bcd bcd bcd bcd!");
     }
 
     #[test]
     fn codec_ids_round_trip_and_unknown_ids_are_rejected() {
-        for c in [Codec::None, Codec::PackBits, Codec::Lz4] {
+        for c in [Codec::None, Codec::Lz4] {
             assert_eq!(Codec::from_id(c.id()), Some(c));
         }
-        assert_eq!(Codec::from_id(3), None);
-        assert_eq!(Codec::from_id(255), None);
+        // Id 1 is retired, never reused.
+        for id in [1, 3, 255] {
+            assert_eq!(Codec::from_id(id), None);
+        }
     }
 
     #[test]
     fn codec_encode_decode_round_trips() {
         let data = b"runs: aaaaaaa and text text text".to_vec();
-        for c in [Codec::PackBits, Codec::Lz4] {
-            let enc = c.encode(&data).unwrap();
-            let mut out = Vec::new();
-            c.decode_into(&enc, data.len(), &mut out).unwrap();
-            assert_eq!(out, data, "{c:?}");
-        }
+        let enc = Codec::Lz4.encode(&data).unwrap();
+        let mut out = Vec::new();
+        Codec::Lz4.decode_into(&enc, data.len(), &mut out).unwrap();
+        assert_eq!(out, data);
         assert!(Codec::None.encode(&data).is_none());
         let mut out = Vec::new();
         Codec::None

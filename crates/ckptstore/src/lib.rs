@@ -32,9 +32,8 @@
 //! * [`cdc`] — FastCDC-style content-defined chunking behind a
 //!   [`cdc::Chunker`] enum, so dedup survives insertions and shifts in
 //!   the checkpointed state.
-//! * [`compress`] — dependency-free chunk codecs named by
-//!   [`compress::Codec`]: LZ4 block compression (the pipeline's default)
-//!   and PackBits run-length encoding.
+//! * [`compress`] — [`compress::Codec`]: raw bytes or dependency-free
+//!   LZ4 block compression (the pipeline's default).
 //! * [`fault`] — [`fault::FaultInjectingBackend`], a deterministic seeded
 //!   fault-injection decorator (fail-once, fail-N, random, slow-put, and a
 //!   seeded per-operation latency profile) used to prove the retry and

@@ -407,13 +407,13 @@ mod tests {
                 hash: 1 << 100,
                 len: 64,
                 stored_len: 4,
-                codec: Codec::PackBits,
+                codec: Codec::Lz4,
             },
             ChunkRef {
                 hash: 2,
                 len: 36,
                 stored_len: 36,
-                codec: Codec::Lz4,
+                codec: Codec::None,
             },
         ];
         let enc = m.encode();
@@ -459,11 +459,14 @@ mod tests {
         };
         m.blob_crc = 1;
         let mut enc = m.encode();
-        // The codec id is the last byte of the encoded chunk list.
+        // The codec id is the last byte of the encoded chunk list. Id 1
+        // is retired: a manifest naming it is as corrupt as any other.
         let last = enc.len() - 1;
         assert_eq!(enc[last], Codec::Lz4.id());
-        enc[last] = 7;
-        let err = Manifest::decode(&enc).unwrap_err();
-        assert!(err.to_string().contains("codec"), "{err}");
+        for id in [1, 3, 255] {
+            enc[last] = id;
+            let err = Manifest::decode(&enc).unwrap_err();
+            assert!(err.to_string().contains("codec"), "{id}: {err}");
+        }
     }
 }

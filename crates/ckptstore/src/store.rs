@@ -898,7 +898,7 @@ mod tests {
         let piece: Vec<u8> = (0..2048)
             .map(|i| [7u8, 7, 9, (i / 64) as u8][i % 4])
             .collect();
-        for codec in [Codec::None, Codec::PackBits, Codec::Lz4] {
+        for codec in [Codec::None, Codec::Lz4] {
             let stored = match codec.encode(&piece) {
                 Some(enc) => enc,
                 None => piece.clone(),
@@ -937,7 +937,7 @@ mod tests {
         const CHUNKS: u64 = 256;
         const CHUNK_LEN: usize = 256;
         let s = store(1);
-        // A compressible blob stored as 256 PackBits chunks, so the test
+        // A compressible blob stored as 256 LZ4 chunks, so the test
         // covers the decode-into path, not just raw copies.
         let blob: Vec<u8> = (0..CHUNKS as usize * CHUNK_LEN)
             .map(|i| (i / 1024) as u8)
@@ -945,10 +945,10 @@ mod tests {
         let mut manifest = Manifest::for_blob(&blob);
         for piece in blob.chunks(CHUNK_LEN) {
             let mut chunk = ChunkRef::for_piece(piece);
-            let enc = crate::compress::compress(piece);
+            let enc = Codec::Lz4.encode(piece).unwrap();
             if enc.len() < piece.len() {
                 chunk.stored_len = enc.len() as u32;
-                chunk.codec = Codec::PackBits;
+                chunk.codec = Codec::Lz4;
                 put_chunk(&s, &chunk, &enc);
             } else {
                 put_chunk(&s, &chunk, piece);
@@ -1064,6 +1064,27 @@ mod tests {
             .unwrap();
         let err = s.get_rank_blob(1, 0, RankBlobKind::State).unwrap_err();
         assert!(corrupt_detail(err).contains("address"));
+    }
+
+    #[test]
+    fn manifest_naming_the_retired_codec_id_is_corrupt() {
+        // Codec id 1 is retired: a sealed manifest that names it is as
+        // corrupt as one that names no codec at all, never a panic.
+        let backend = Arc::new(MemoryBackend::new());
+        let s = CheckpointStore::new(backend.clone(), 1);
+        put_incremental(&s, 1, 0, RankBlobKind::State, &[4u8; 100], 50);
+        s.put_rank_blob(1, 0, RankBlobKind::Log, b"l").unwrap();
+        s.commit(1).unwrap();
+        let key = CheckpointStore::manifest_key(1, 0, RankBlobKind::State);
+        let sealed = backend.get(&key).unwrap();
+        let mut payload = crate::integrity::unseal(&sealed).unwrap().to_vec();
+        // The last chunk's codec id is the manifest's last byte.
+        *payload.last_mut().unwrap() = 1;
+        backend.put(&key, &seal_vec(payload)).unwrap();
+        let err = s.get_rank_blob(1, 0, RankBlobKind::State).unwrap_err();
+        assert!(corrupt_detail(err).contains("codec"));
+        // GC skips the undecodable manifest instead of failing.
+        s.gc_keeping(1).unwrap();
     }
 
     #[test]

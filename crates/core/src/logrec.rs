@@ -144,20 +144,6 @@ impl RecoveryLog {
             && self.nondet.is_empty()
             && self.collectives.is_empty()
     }
-
-    /// Approximate stored size in bytes (reporting/benchmarks).
-    pub fn byte_size(&self) -> usize {
-        self.late
-            .iter()
-            .map(|m| 32 + m.payload.len())
-            .sum::<usize>()
-            + self.nondet.len() * 8
-            + self
-                .collectives
-                .iter()
-                .map(|c| 9 + c.result.len())
-                .sum::<usize>()
-    }
 }
 
 impl SaveLoad for RecoveryLog {
@@ -210,20 +196,6 @@ mod tests {
         let bytes = enc.into_bytes();
         let back = RecoveryLog::load(&mut Decoder::new(&bytes)).unwrap();
         assert!(back.is_empty());
-    }
-
-    #[test]
-    fn byte_size_tracks_content() {
-        let mut log = RecoveryLog::new();
-        let empty = log.byte_size();
-        log.push_late(LateMessage {
-            comm: 0,
-            src: 0,
-            message_id: 0,
-            tag: 0,
-            payload: vec![0; 100].into(),
-        });
-        assert!(log.byte_size() >= empty + 100);
     }
 
     #[test]

@@ -154,12 +154,6 @@ fn proposals(sc: &Scenario) -> Vec<Scenario> {
             ..sc.clone()
         });
     }
-    if sc.codec == c3_core::Codec::Lz4 {
-        push(Scenario {
-            codec: c3_core::Codec::PackBits,
-            ..sc.clone()
-        });
-    }
     out
 }
 
