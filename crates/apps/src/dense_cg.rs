@@ -286,26 +286,25 @@ mod tests {
     }
 
     #[test]
-    fn lz4_stores_the_matrix_block_at_under_0_82_of_raw() {
+    fn lz4_stores_the_matrix_block_at_under_0_75_of_raw() {
         // Rank 0's block of a two-rank `DenseCg::new(1024, _)`, in the
-        // pipeline's 4 KiB chunks, each stored raw if LZ4 cannot shrink
-        // it. The near-diagonal chunks carry each value twice, mirrored,
-        // and most of the gain; rows 0..8 have no mirrored half, so the
-        // first 64 KiB alone reads 0.875 (and 0.872 under the hash-chain
-        // encoder the fast one replaced).
+        // pipeline's 4 KiB chunks, each in the smallest of its stored
+        // forms: 0.738 of raw, where plain LZ4 alone reads 0.789 and LZ4
+        // over byte planes alone 0.818. The near-diagonal chunks carry
+        // each value twice, mirrored, and keep plain LZ4; planes win on
+        // 399 of the 1 024 chunks.
         let (lo, hi) = block_range(1024, 2, 0);
         let block: Vec<u8> = matrix_rows(1024, lo, hi)
             .iter()
             .flat_map(|v| v.to_le_bytes())
             .collect();
+        let mut trials = ckptstore::Trials::default();
         let stored: usize = block
             .chunks(4096)
-            .map(|c| {
-                ckptstore::Codec::Lz4.encode(c).unwrap().len().min(c.len())
-            })
+            .map(|c| ckptstore::Codec::Lz4.encode(c, &mut trials).1.len())
             .sum();
         let ratio = stored as f64 / block.len() as f64;
-        assert!(ratio <= 0.82, "stored at {ratio:.3} of raw");
+        assert!(ratio <= 0.75, "stored at {ratio:.3} of raw");
     }
 
     #[test]

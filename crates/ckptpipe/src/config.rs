@@ -114,9 +114,10 @@ pub struct PipelineConfig {
     /// pieces, or FastCDC content-defined cuts that keep dedup working
     /// when state shifts (see [`Chunker`]).
     pub chunker: Chunker,
-    /// Chunk codec; [`Codec::None`] stores every chunk raw. Chunks the
-    /// codec does not shrink are stored raw either way. Defaults to
-    /// [`Codec::Lz4`].
+    /// Chunk codec; [`Codec::None`] stores every chunk raw. The default,
+    /// [`Codec::Lz4`], stores each chunk in the smaller of its two LZ4
+    /// forms, over its bytes or over its byte planes; chunks neither
+    /// shrinks are stored raw either way.
     pub codec: Codec,
     /// Transient-fault retry discipline.
     pub retry: RetryPolicy,

@@ -17,10 +17,11 @@
 //!   hash + length, and skip chunks already stored by a previous
 //!   checkpoint (incremental / delta checkpoints, per the
 //!   differential-checkpointing line of work). Surviving chunks are
-//!   LZ4-compressed unless the configured [`Codec`] is raw, each is
-//!   sealed once under the CRC that also folds into the blob's, and fresh
-//!   chunks leave in batched puts of 64 — a write holds its blob and one
-//!   batch, never a second copy of the blob.
+//!   LZ4-compressed, as they are or as byte planes, whichever is smaller,
+//!   unless the configured [`Codec`] is raw; each is sealed once under
+//!   the CRC that also folds into the blob's, and fresh chunks leave in
+//!   batched puts of 64 — a write holds its blob and one batch, never a
+//!   second copy of the blob.
 //! * **Retry** — transient storage faults (see
 //!   `ckptstore::FaultInjectingBackend`) are retried with exponential
 //!   backoff.
@@ -872,7 +873,8 @@ mod tests {
             CheckpointStore::new(Arc::new(Sink), 1),
             PipelineConfig::default().with_mode(WriteMode::Sync),
         );
-        // 4 MiB of `f64`s, every chunk distinct: all fresh, all stored raw.
+        // 4 MiB of `f64`s, every chunk distinct: all fresh, all stored as
+        // planes (each tried twice in the same two reused buffers).
         let fresh: Vec<u8> = (0..512 * 1024)
             .flat_map(|i| (1.0 + i as f64).sqrt().to_le_bytes())
             .collect();

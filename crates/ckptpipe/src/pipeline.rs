@@ -29,8 +29,10 @@
 //!
 //! A byte that does have to be written is touched once per purpose: one
 //! CRC per chunk (the seal of a chunk stored raw *and* its share of the
-//! part's and the blob's CRC), one hash, one codec trial, one copy into
-//! the sealed buffer the backend is handed.
+//! part's and the blob's CRC), one hash, and one copy into the sealed
+//! buffer the backend is handed. The codec tries each fresh piece twice,
+//! as it is and as byte planes, in buffers the write reuses from chunk
+//! to chunk, and only the form it keeps is copied out.
 
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -38,11 +40,11 @@ use std::sync::{Arc, Condvar, Mutex, RwLock};
 
 use bytes::Bytes;
 use ckptstore::codec::{Encoder, Part, TrackedSpan};
-use ckptstore::integrity::{crc32, crc32_combine, seal_vec, seal_with};
+use ckptstore::integrity::{crc32, crc32_combine, seal, seal_with};
 use ckptstore::manifest::{AddrMap, ChunkRef, CleanRun, LineRecord, Manifest};
 use ckptstore::{
-    CheckpointStore, CkptId, RankBlobKind, StorageBackend, StoreError,
-    StoreResult,
+    CheckpointStore, CkptId, Form, RankBlobKind, StorageBackend, StoreError,
+    StoreResult, Trials,
 };
 
 use crate::config::{PipelineConfig, WriteMode};
@@ -848,6 +850,7 @@ impl Shared {
         let mut clean: HashMap<u64, Arc<CleanRun>> = HashMap::new();
         let mut batch: Vec<(String, Vec<u8>)> = Vec::new();
         let mut seen: AddrMap<()> = AddrMap::default();
+        let mut trials = Trials::default();
         let mut off = 0;
         for part in &blob.parts {
             let (len, crc) = match *part {
@@ -875,6 +878,7 @@ impl Shared {
                         &mut manifest.chunks,
                         &mut batch,
                         &mut seen,
+                        &mut trials,
                     )?;
                     if let Some(version) = version {
                         let chunks = manifest.chunks[first..].to_vec();
@@ -903,7 +907,9 @@ impl Shared {
     /// nothing vouches for onto `batch`, which goes to the store whenever
     /// it reaches [`PUT_BATCH`]. Returns the part's CRC-32, folded from
     /// the one CRC taken of each piece — the same value also seals a
-    /// chunk stored raw.
+    /// chunk stored raw. The stored form is [`ckptstore::Codec::encode`]'s
+    /// choice, a pure function of the piece: dedup is first-writer-wins,
+    /// so every writer has to agree on what a given piece is stored as.
     fn write_part(
         &self,
         bytes: &[u8],
@@ -911,6 +917,7 @@ impl Shared {
         chunks: &mut Vec<ChunkRef>,
         batch: &mut Vec<(String, Vec<u8>)>,
         seen: &mut AddrMap<()>,
+        trials: &mut Trials,
     ) -> StoreResult<u32> {
         let mut part_crc = 0;
         for piece in self.cfg.chunker.cut(bytes) {
@@ -924,32 +931,38 @@ impl Shared {
             // Who already holds this chunk? The stream's previous line
             // (which also knows the stored form: no encoding, no probe),
             // this blob, or the store. Otherwise it is fresh: its key,
-            // formatted once, and its encoding if that is what is stored.
+            // formatted once, and its stored form, sealed.
             let mut fresh = None;
-            if let Some(&(stored_len, codec)) =
+            if let Some(&(stored_len, form)) =
                 prev.and_then(|p| p.chunks.get(&addr))
             {
                 chunk.stored_len = stored_len;
-                chunk.codec = codec;
+                chunk.form = form;
             } else {
-                let encoded = self.encode_if_smaller(piece);
-                if let Some(enc) = &encoded {
-                    chunk.stored_len = enc.len() as u32;
-                    chunk.codec = self.cfg.codec;
-                }
+                let (form, stored) = self.cfg.codec.encode(piece, trials);
+                chunk.stored_len = stored.len() as u32;
+                chunk.form = form;
                 if let Some(o) = &self.obs {
                     o.precompress_bytes.add(piece.len() as u64);
-                    o.postcompress_bytes.add(u64::from(chunk.stored_len));
+                    o.postcompress_bytes.add(stored.len() as u64);
                 }
                 if !seen.contains_key(&addr) {
                     let key = chunk.key();
                     if !self.store.has_chunk(&key)? {
-                        fresh = Some((key, encoded));
+                        let sealed = if form == Form::Raw {
+                            seal_with(piece, piece_crc)
+                        } else {
+                            self.stats
+                                .chunks_compressed
+                                .fetch_add(1, Ordering::Relaxed);
+                            seal(stored)
+                        };
+                        fresh = Some((key, sealed));
                     }
                 }
             }
             chunks.push(chunk);
-            let Some((key, encoded)) = fresh else {
+            let Some((key, sealed)) = fresh else {
                 self.count_deduped(1, piece.len());
                 continue;
             };
@@ -957,15 +970,6 @@ impl Shared {
                 o.dedup_misses.inc();
             }
             seen.insert(addr, ());
-            let sealed = match encoded {
-                Some(enc) => {
-                    self.stats
-                        .chunks_compressed
-                        .fetch_add(1, Ordering::Relaxed);
-                    seal_vec(enc)
-                }
-                None => seal_with(piece, piece_crc),
-            };
             batch.push((key, sealed));
             if batch.len() >= PUT_BATCH {
                 self.put_chunk_batch(batch)?;
@@ -985,16 +989,6 @@ impl Shared {
         if let Some(o) = &self.obs {
             o.dedup_hits.add(chunks as u64);
         }
-    }
-
-    /// Deterministic stored representation of a chunk: its encoding
-    /// under the configured codec iff that actually shrinks it, `None`
-    /// (stored raw) otherwise. Must stay a pure function of the piece:
-    /// dedup is first-writer-wins, so every writer has to agree on what
-    /// the stored form of a given piece looks like.
-    fn encode_if_smaller(&self, piece: &[u8]) -> Option<Vec<u8>> {
-        let enc = self.cfg.codec.encode(piece)?;
-        (enc.len() < piece.len()).then_some(enc)
     }
 
     /// Store the batch of fresh sealed chunks and empty it: one `put_many`

@@ -1,14 +1,20 @@
-//! Chunk codec: a dependency-free LZ4-class block compressor, selected
-//! per chunk via [`Codec`].
+//! Chunk codec: a dependency-free LZ4-class block compressor, tried on
+//! each chunk twice — on its bytes as they are, and on its byte planes —
+//! with the smallest stored [`Form`] kept (see [`Codec::encode`]).
 //!
 //! Checkpoint state in the paper's applications is dominated by `f64`
 //! arrays, where byte runs are rare and repeats are whole values or their
-//! high bytes. Measured in 4 KiB pieces (EXPERIMENTS.md M14), stored size
-//! over raw: rank 0's Dense CG block 0.789, a Laplace band after 300
-//! sweeps 0.656 and after 2 000 sweeps 0.991, zero pages 0.006, noise
-//! 1.004. Compression stays opportunistic — a chunk is stored encoded
-//! only when the encoding is actually smaller (see
-//! [`crate::manifest::ChunkRef::codec`]).
+//! high bytes. Plain LZ4 finds the first kind; the second is far easier
+//! to find in byte planes — byte 0 of every 8-byte lane, then byte 1, and
+//! so on — where the sign, exponent and high mantissa bytes of
+//! neighbouring values of a smooth field sit side by side. Measured in
+//! 4 KiB pieces (EXPERIMENTS.md M16), stored size over raw with plain LZ4
+//! only / planes only / the per-chunk choice: rank 0's Dense CG block
+//! 0.789 / 0.818 / 0.738, a Laplace band after 300 sweeps 0.656 / 0.542
+//! / 0.542 and after 2 000 sweeps 0.989 / 0.805 / 0.805, zero pages
+//! 0.006 either way; noise stays raw. Compression stays opportunistic —
+//! a chunk is stored encoded only when the encoding is actually smaller
+//! (see [`crate::manifest::ChunkRef::form`]).
 //!
 //! LZ4 block format (per sequence):
 //! * token byte: high nibble = literal length, low nibble = match
@@ -17,69 +23,187 @@
 //! * a 2-byte little-endian match offset (1..=65535) and the match
 //!   length extension — omitted for the final, literals-only sequence.
 
-/// How a chunk's stored bytes are encoded. The numeric ids are the wire
-/// representation inside manifests ([`Codec::id`] / [`Codec::from_id`]);
-/// they are append-only — never renumber. Id 1 (a run-length codec) is
-/// retired and never reused: it reads as an unknown id.
+/// What a writer may try on a chunk: the pipeline's codec knob.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Codec {
-    /// Raw bytes, stored as-is.
+    /// Every chunk stored raw.
     None,
-    /// LZ4-class block compression.
+    /// Every chunk in the smaller of its two LZ4 forms, [`Form::Lz4`] and
+    /// [`Form::Lz4Planes`], or raw when neither is smaller.
     Lz4,
 }
 
-impl Codec {
-    /// Wire id of this codec (stored per chunk in manifests).
+/// How one chunk's stored bytes are encoded. The numeric ids are the wire
+/// representation inside manifests ([`Form::id`] / [`Form::from_id`]);
+/// they are append-only — never renumber. Id 1 (a run-length codec) is
+/// retired and never reused: it reads as an unknown id.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum Form {
+    /// Raw bytes, stored as-is (id 0).
+    Raw,
+    /// LZ4 block compression of the bytes (id 2).
+    Lz4,
+    /// LZ4 block compression of the bytes' planes (id 3): byte 0 of every
+    /// 8-byte lane, then byte 1, …, then byte 7, then the tail of fewer
+    /// than 8 bytes as it is.
+    Lz4Planes,
+}
+
+impl Form {
+    /// Wire id of this form (stored per chunk in manifests).
     pub fn id(self) -> u8 {
         match self {
-            Codec::None => 0,
-            Codec::Lz4 => 2,
+            Form::Raw => 0,
+            Form::Lz4 => 2,
+            Form::Lz4Planes => 3,
         }
     }
 
-    /// Inverse of [`Codec::id`]; `None` for unknown ids (treated as
+    /// Inverse of [`Form::id`]; `None` for unknown ids (treated as
     /// manifest corruption by the decoder).
-    pub fn from_id(id: u8) -> Option<Codec> {
+    pub fn from_id(id: u8) -> Option<Form> {
         match id {
-            0 => Some(Codec::None),
-            2 => Some(Codec::Lz4),
+            0 => Some(Form::Raw),
+            2 => Some(Form::Lz4),
+            3 => Some(Form::Lz4Planes),
             _ => None,
-        }
-    }
-
-    /// Encode `data` with this codec. `Codec::None` returns `None` (the
-    /// caller stores the raw bytes). The encoding is returned even when
-    /// it is larger than the input; callers compare lengths and fall
-    /// back to raw storage — that decision is recorded in the manifest,
-    /// not here.
-    pub fn encode(self, data: &[u8]) -> Option<Vec<u8>> {
-        match self {
-            Codec::None => None,
-            Codec::Lz4 => Some(lz4_compress(data)),
         }
     }
 
     /// Append the decoded form of `stored` to `out`, validating that it
     /// expands to exactly `expected_len` bytes. `None` means malformed
     /// input or a length mismatch — recovery treats that as corruption.
-    /// On failure `out` is left as it was.
+    /// On failure `out` is left as it was. `scratch` holds the planes of
+    /// a [`Form::Lz4Planes`] chunk on their way back to lanes; a caller
+    /// decoding many chunks passes the same one to each.
     pub fn decode_into(
         self,
         stored: &[u8],
         expected_len: usize,
         out: &mut Vec<u8>,
+        scratch: &mut Vec<u8>,
     ) -> Option<()> {
         match self {
-            Codec::None => {
+            Form::Raw => {
                 if stored.len() != expected_len {
                     return None;
                 }
                 out.extend_from_slice(stored);
                 Some(())
             }
-            Codec::Lz4 => lz4_decompress_into(stored, expected_len, out),
+            Form::Lz4 => lz4_decompress_into(stored, expected_len, out),
+            Form::Lz4Planes => {
+                scratch.clear();
+                lz4_decompress_into(stored, expected_len, scratch)?;
+                let base = out.len();
+                out.resize(base + expected_len, 0);
+                shuffle::<false>(scratch, &mut out[base..]);
+                Some(())
+            }
         }
+    }
+}
+
+/// The buffers a writer reuses across chunks while [`Codec::encode`]
+/// tries each one: its planes, and both LZ4 trials back to back.
+#[derive(Debug, Default)]
+pub struct Trials {
+    planes: Vec<u8>,
+    out: Vec<u8>,
+}
+
+impl Codec {
+    /// The stored form of `piece` and its stored bytes: the smallest of
+    /// raw, [`Form::Lz4`] and [`Form::Lz4Planes`], ties going to raw and
+    /// then to plain LZ4. `Codec::None` always stores raw. The choice is
+    /// a function of `piece` alone — dedup is first-writer-wins, so every
+    /// writer has to agree on what a given piece is stored as — and the
+    /// encodings live in `trials` until the next call.
+    pub fn encode<'a>(
+        self,
+        piece: &'a [u8],
+        trials: &'a mut Trials,
+    ) -> (Form, &'a [u8]) {
+        if self == Codec::None {
+            return (Form::Raw, piece);
+        }
+        let Trials { planes, out } = trials;
+        out.clear();
+        lz4_compress_into(piece, out);
+        let plain = out.len();
+        // Under two lanes the planes are the piece itself.
+        if piece.len() >= 16 {
+            planes.resize(piece.len(), 0);
+            shuffle::<true>(piece, planes);
+            lz4_compress_into(planes, out);
+            if out.len() - plain < plain.min(piece.len()) {
+                return (Form::Lz4Planes, &out[plain..]);
+            }
+        }
+        if plain < piece.len() {
+            (Form::Lz4, &out[..plain])
+        } else {
+            (Form::Raw, piece)
+        }
+    }
+}
+
+/// Copy `src` into the equally long `dst` between lane order and plane
+/// order ([`Form::Lz4Planes`]); `TO_PLANES` picks the direction. Eight
+/// lanes at a time the two are an 8 × 8 byte transpose of eight words,
+/// read from one side and written to the other; the last few lanes go
+/// byte by byte, and the tail is copied as it is.
+fn shuffle<const TO_PLANES: bool>(src: &[u8], dst: &mut [u8]) {
+    let lanes = src.len() / 8;
+    // Where word `w` of group `g` sits: lane `8g + w`, or bytes `8g..`
+    // of plane `w`.
+    let lane = |g: usize, w: usize| (8 * g + w) * 8;
+    let plane = |g: usize, w: usize| w * lanes + 8 * g;
+    for g in 0..lanes / 8 {
+        let mut words = [0u64; 8];
+        for (w, word) in words.iter_mut().enumerate() {
+            let at = if TO_PLANES { lane(g, w) } else { plane(g, w) };
+            let bytes = src[at..at + 8].try_into().expect("8-byte slice");
+            *word = u64::from_le_bytes(bytes);
+        }
+        transpose8x8(&mut words);
+        for (w, word) in words.iter().enumerate() {
+            let at = if TO_PLANES { plane(g, w) } else { lane(g, w) };
+            dst[at..at + 8].copy_from_slice(&word.to_le_bytes());
+        }
+    }
+    for l in lanes / 8 * 8..lanes {
+        for k in 0..8 {
+            let (at_lane, at_plane) = (8 * l + k, k * lanes + l);
+            if TO_PLANES {
+                dst[at_plane] = src[at_lane];
+            } else {
+                dst[at_lane] = src[at_plane];
+            }
+        }
+    }
+    dst[8 * lanes..].copy_from_slice(&src[8 * lanes..]);
+}
+
+/// Transpose the 8 × 8 byte matrix whose row `i` is `w[i]`, byte `j`
+/// (little-endian) in column `j`: swap the off-diagonal 4 × 4 blocks,
+/// then the 2 × 2 blocks inside each, then single bytes.
+fn transpose8x8(w: &mut [u64; 8]) {
+    // Swap the `rows` × `rows` block right of the diagonal in rows
+    // `i..` with the one below it, `rows` rows down.
+    let mut swap = |i: usize, rows: usize, mask: u64| {
+        let t = ((w[i] >> (8 * rows)) ^ w[i + rows]) & mask;
+        w[i] ^= t << (8 * rows);
+        w[i + rows] ^= t;
+    };
+    for i in [0, 1, 2, 3] {
+        swap(i, 4, 0x0000_0000_FFFF_FFFF);
+    }
+    for i in [0, 1, 4, 5] {
+        swap(i, 2, 0x0000_FFFF_0000_FFFF);
+    }
+    for i in [0, 2, 4, 6] {
+        swap(i, 1, 0x00FF_00FF_00FF_00FF);
     }
 }
 
@@ -93,9 +217,9 @@ const LZ4_HASH_BITS: u32 = 12;
 /// The search step grows by one after every `2^6` probes that miss.
 const LZ4_SKIP_TRIGGER: u32 = 6;
 
-/// Documented worst-case size of [`lz4_compress`] output: incompressible
-/// input costs one length-extension byte per 255 literals plus constant
-/// framing. Pinned by a proptest over adversarial inputs.
+/// Documented worst-case size of [`lz4_compress_into`] output:
+/// incompressible input costs one length-extension byte per 255 literals
+/// plus constant framing. Pinned by a proptest over adversarial inputs.
 fn lz4_max_compressed_len(len: usize) -> usize {
     len + len / 255 + 16
 }
@@ -151,14 +275,14 @@ fn lz4_emit_seq(out: &mut Vec<u8>, literals: &[u8], m: Option<(u16, usize)>) {
 /// LZ4-block-format compression, the reference encoder's fast path: one
 /// probe per position into a 4096-slot table of 16-bit positions, zeroed
 /// on every call, a search step that grows after every 64 misses in a
-/// row, and matches extended backwards over pending literals. The output
-/// is only useful when it is smaller than the input; callers compare
-/// lengths and keep the raw bytes otherwise.
-/// Output never exceeds [`lz4_max_compressed_len`], and is a function of
-/// `data` alone (the dedup invariant).
-fn lz4_compress(data: &[u8]) -> Vec<u8> {
+/// row, and matches extended backwards over pending literals. The
+/// encoding is appended to `out`. It is only useful when it is smaller
+/// than the input; callers compare lengths and keep the raw bytes
+/// otherwise. It never exceeds [`lz4_max_compressed_len`], and is a
+/// function of `data` alone (the dedup invariant).
+fn lz4_compress_into(data: &[u8], out: &mut Vec<u8>) {
     let n = data.len();
-    let mut out = Vec::with_capacity(lz4_max_compressed_len(n));
+    out.reserve(lz4_max_compressed_len(n));
     let mut anchor = 0;
     if n > LZ4_MFLIMIT {
         let mflimit = n - LZ4_MFLIMIT;
@@ -204,7 +328,7 @@ fn lz4_compress(data: &[u8]) -> Vec<u8> {
                 let m = LZ4_MIN_MATCH;
                 let len = m + lz4_count(data, c + m, i + m, match_limit);
                 lz4_emit_seq(
-                    &mut out,
+                    out,
                     &data[anchor..i],
                     Some(((i - c) as u16, len)),
                 );
@@ -222,11 +346,10 @@ fn lz4_compress(data: &[u8]) -> Vec<u8> {
             i += 1;
         }
     }
-    lz4_emit_seq(&mut out, &data[anchor..], None);
-    out
+    lz4_emit_seq(out, &data[anchor..], None);
 }
 
-/// Decode an [`lz4_compress`] stream into a caller-owned buffer,
+/// Decode an [`lz4_compress_into`] stream into a caller-owned buffer,
 /// validating that it expands to exactly `expected_len` bytes. `None`
 /// means malformed input or a length mismatch. Match offsets resolve only within the bytes this call has itself produced —
 /// a malicious stream cannot read the caller's earlier buffer contents.
@@ -339,6 +462,12 @@ fn lz4_decode(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn lz4_compress(data: &[u8]) -> Vec<u8> {
+        let mut out = Vec::new();
+        lz4_compress_into(data, &mut out);
+        out
+    }
 
     fn lz4_decompress(data: &[u8], expected_len: usize) -> Option<Vec<u8>> {
         let mut out = Vec::new();
@@ -504,9 +633,11 @@ mod tests {
         let f64s = |v: Vec<f64>| -> Vec<u8> {
             v.iter().flat_map(|x| x.to_le_bytes()).collect()
         };
-        // A row of the dense CG matrix, a 16 x 8 Laplace grid after ten
-        // Jacobi sweeps, noise and zeros: 1 KiB each.
-        let row = f64s((0..128).map(|j| 1.0 / (1.0 + j as f64)).collect());
+        // A row of the dense CG matrix cut to 1 021 bytes, a 16 x 8
+        // Laplace grid after ten Jacobi sweeps, noise and zeros: 1 KiB
+        // each.
+        let mut row = f64s((0..128).map(|j| 1.0 / (1.0 + j as f64)).collect());
+        row.truncate(1021);
         let mut grid = vec![0.0; 128];
         for _ in 0..10 {
             let g = grid.clone();
@@ -528,16 +659,20 @@ mod tests {
         } else {
             &[1, 2, 4, 8, 16, 32, 64, 128, 0xFF]
         };
+        // Every stream twice: plain (id 2) and over the planes (id 3).
+        let mut streams = Vec::new();
         for data in [row, f64s(grid), noise, vec![0; 1024]] {
-            let n = data.len();
-            let enc = lz4_compress(&data);
-            let check = |stream: &[u8]| {
+            streams.push((Form::Lz4, lz4_compress(&data), data.len()));
+            let enc = lz4_compress(&planes(&data));
+            streams.push((Form::Lz4Planes, enc, data.len()));
+        }
+        let mut scratch = Vec::new();
+        for (form, enc, n) in streams {
+            let mut check = |stream: &[u8]| {
                 let mut out = b"prefix".to_vec();
-                let len = match lz4_decompress_into(stream, n, &mut out) {
-                    Some(()) => 6 + n,
-                    None => 6,
-                };
-                assert_eq!(out.len(), len);
+                let got = form.decode_into(stream, n, &mut out, &mut scratch);
+                let len = if got.is_some() { 6 + n } else { 6 };
+                assert_eq!(out.len(), len, "{form:?}");
                 assert_eq!(&out[..6], b"prefix");
             };
             check(&enc);
@@ -646,28 +781,143 @@ mod tests {
 
     #[test]
     fn codec_ids_round_trip_and_unknown_ids_are_rejected() {
-        for c in [Codec::None, Codec::Lz4] {
-            assert_eq!(Codec::from_id(c.id()), Some(c));
+        for f in [Form::Raw, Form::Lz4, Form::Lz4Planes] {
+            assert_eq!(Form::from_id(f.id()), Some(f));
         }
         // Id 1 is retired, never reused.
-        for id in [1, 3, 255] {
-            assert_eq!(Codec::from_id(id), None);
+        for id in [1, 4, 255] {
+            assert_eq!(Form::from_id(id), None);
         }
     }
 
     #[test]
     fn codec_encode_decode_round_trips() {
         let data = b"runs: aaaaaaa and text text text".to_vec();
-        let enc = Codec::Lz4.encode(&data).unwrap();
-        let mut out = Vec::new();
-        Codec::Lz4.decode_into(&enc, data.len(), &mut out).unwrap();
-        assert_eq!(out, data);
-        assert!(Codec::None.encode(&data).is_none());
-        let mut out = Vec::new();
-        Codec::None
-            .decode_into(&data, data.len(), &mut out)
+        let mut trials = Trials::default();
+        let (form, stored) = Codec::Lz4.encode(&data, &mut trials);
+        assert_eq!(form, Form::Lz4);
+        let (mut out, mut scratch) = (Vec::new(), Vec::new());
+        form.decode_into(stored, data.len(), &mut out, &mut scratch)
             .unwrap();
         assert_eq!(out, data);
-        assert!(Codec::None.decode_into(&data, 5, &mut Vec::new()).is_none());
+        let (form, stored) = Codec::None.encode(&data, &mut trials);
+        assert_eq!((form, stored), (Form::Raw, &data[..]));
+        let mut out = Vec::new();
+        Form::Raw
+            .decode_into(&data, data.len(), &mut out, &mut scratch)
+            .unwrap();
+        assert_eq!(out, data);
+        let short = Form::Raw.decode_into(&data, 5, &mut out, &mut scratch);
+        assert!(short.is_none());
+    }
+
+    /// The planes of `data`, byte by byte. The oracle.
+    fn planes(data: &[u8]) -> Vec<u8> {
+        let lanes = data.len() / 8;
+        let mut out: Vec<u8> = (0..8)
+            .flat_map(|k| (0..lanes).map(move |l| data[8 * l + k]))
+            .collect();
+        out.extend_from_slice(&data[8 * lanes..]);
+        out
+    }
+
+    /// `len` bytes of `f64`s from `value(i)`, the last value cut short
+    /// when `len` is not a multiple of 8.
+    fn f64_bytes(len: usize, value: impl Fn(usize) -> f64) -> Vec<u8> {
+        let mut out: Vec<u8> = (0..len.div_ceil(8))
+            .flat_map(|i| value(i).to_le_bytes())
+            .collect();
+        out.truncate(len);
+        out
+    }
+
+    /// The inputs of the byte-plane properties: noise, an `f64` ramp, a
+    /// smooth field, a field that converges to a constant, and zeros.
+    fn plane_inputs(len: usize, seed: u64) -> [Vec<u8>; 5] {
+        let mut state = seed;
+        let noise = (0..len)
+            .map(|_| crate::splitmix64(&mut state) as u8)
+            .collect();
+        let x0 = (seed % 1000) as f64;
+        [
+            noise,
+            f64_bytes(len, |i| x0 + i as f64),
+            f64_bytes(len, |i| (0.01 * (x0 + i as f64)).sin() * 100.0),
+            f64_bytes(len, |i| 25.0 + 75.0 * 0.99f64.powi(i as i32)),
+            vec![0; len],
+        ]
+    }
+
+    #[test]
+    fn proptest_planes_round_trip_and_the_choice_never_stores_more() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(0x91A7E5);
+        // Every length across the lane and group edges, then random ones
+        // up to just past a 4 KiB chunk (fewer of both under Miri).
+        let (edges, random) = if cfg!(miri) { (20, 4) } else { (150, 60) };
+        let mut lens: Vec<usize> = (0..edges).collect();
+        lens.extend((0..random).map(|_| rng.random_range(0..=4100usize)));
+        lens.push(4100);
+        let mut cases = Vec::new();
+        for &len in &lens {
+            cases.extend(plane_inputs(len, rng.random()));
+        }
+        let mut trials = Trials::default();
+        let (mut lanes, mut scratch) = (Vec::new(), Vec::new());
+        let mut chosen = Vec::new();
+        for data in &cases {
+            let n = data.len();
+            let mut shuffled = vec![0; n];
+            shuffle::<true>(data, &mut shuffled);
+            assert_eq!(shuffled, planes(data), "{n} bytes");
+            let mut back = vec![0; n];
+            shuffle::<false>(&shuffled, &mut back);
+            assert_eq!(&back, data, "{n} bytes");
+
+            let (form, stored) = Codec::Lz4.encode(data, &mut trials);
+            let plain = lz4_compress(data).len().min(n);
+            assert!(stored.len() <= plain && plain <= n, "{n} bytes");
+            if form == Form::Lz4Planes {
+                assert!(stored.len() < plain, "{n} bytes");
+            }
+            lanes.clear();
+            form.decode_into(stored, n, &mut lanes, &mut scratch)
+                .unwrap();
+            assert_eq!(&lanes, data, "{form:?}, {n} bytes");
+            chosen.push((form, stored.to_vec()));
+        }
+        assert!(chosen.iter().any(|(f, _)| *f == Form::Lz4Planes));
+        assert!(chosen.iter().any(|(f, _)| *f == Form::Lz4));
+        // The same choice on a thread that has encoded nothing before.
+        let fresh = std::thread::spawn(move || {
+            let mut trials = Trials::default();
+            cases
+                .iter()
+                .rev()
+                .map(|d| {
+                    let (form, stored) = Codec::Lz4.encode(d, &mut trials);
+                    (form, stored.to_vec())
+                })
+                .collect::<Vec<_>>()
+        });
+        let mut fresh = fresh.join().unwrap();
+        fresh.reverse();
+        assert!(fresh == chosen);
+    }
+
+    #[test]
+    fn a_pinned_planes_stream_still_decodes() {
+        // A smooth field of 4 100 bytes, the last value cut to four: what
+        // the first encoder to write id 3 stored for it. Stores written
+        // then must restore now.
+        let field = f64_bytes(4100, |i| (0.01 * i as f64).sin() * 100.0);
+        let stream = include_bytes!("../testdata/lz4_planes_sine_4100.bin");
+        let (mut out, mut scratch) = (Vec::new(), Vec::new());
+        Form::Lz4Planes
+            .decode_into(stream, field.len(), &mut out, &mut scratch)
+            .unwrap();
+        assert!(out == field);
+        assert!(stream.len() < lz4_compress(&field).len());
     }
 }

@@ -24,13 +24,14 @@ use std::ops::Range;
 use std::sync::Arc;
 
 use crate::codec::{CodecError, Decoder, Encoder, SaveLoad};
-use crate::compress::Codec;
+use crate::compress::Form;
 use crate::integrity::{crc32, hash128};
 use crate::store::CkptId;
 
 /// Magic prefix of an encoded manifest (also a format version marker).
 /// `…0002` widened chunk addresses from CRC-32 to a 128-bit content hash;
-/// `…0003` replaced the per-chunk compressed flag with a codec id.
+/// `…0003` replaced the per-chunk compressed flag with a stored-form id
+/// ([`Form::id`]).
 const MANIFEST_MAGIC: u32 = 0xC3A1_0003;
 
 /// Storage key of the chunk with the given content address. Chunks live in
@@ -107,8 +108,9 @@ pub struct ChunkRef {
     /// the storage seal. Lets byte accounting and GC reason about actual
     /// storage cost without fetching the chunk.
     pub stored_len: u32,
-    /// Codec of the stored representation ([`Codec::None`] = raw bytes).
-    pub codec: Codec,
+    /// How the stored representation is encoded ([`Form::Raw`] = raw
+    /// bytes); on the wire, its [`Form::id`].
+    pub form: Form,
 }
 
 impl ChunkRef {
@@ -118,7 +120,7 @@ impl ChunkRef {
             hash: hash128(piece),
             len: piece.len() as u32,
             stored_len: piece.len() as u32,
-            codec: Codec::None,
+            form: Form::Raw,
         }
     }
 
@@ -129,7 +131,7 @@ impl ChunkRef {
 
     /// Whether the stored representation needs decoding on read.
     pub fn compressed(&self) -> bool {
-        self.codec != Codec::None
+        self.form != Form::Raw
     }
 }
 
@@ -138,16 +140,16 @@ impl SaveLoad for ChunkRef {
         enc.put_u128(self.hash);
         enc.put_u32(self.len);
         enc.put_u32(self.stored_len);
-        enc.put_u8(self.codec.id());
+        enc.put_u8(self.form.id());
     }
     fn load(dec: &mut Decoder<'_>) -> Result<Self, CodecError> {
         Ok(ChunkRef {
             hash: dec.get_u128()?,
             len: dec.get_u32()?,
             stored_len: dec.get_u32()?,
-            codec: {
+            form: {
                 let id = dec.get_u8()?;
-                Codec::from_id(id).ok_or_else(|| {
+                Form::from_id(id).ok_or_else(|| {
                     CodecError::new(format!("unknown chunk codec id {id}"))
                 })?
             },
@@ -268,11 +270,11 @@ pub struct LineRecord {
     /// The checkpoint whose manifest this describes. The record vouches
     /// for its chunks only while that manifest is on storage.
     pub ckpt: CkptId,
-    /// Stored form `(stored_len, codec)` of every chunk address
+    /// Stored form `(stored_len, form)` of every chunk address
     /// `(hash128, len)` in the manifest: a hit yields the manifest entry
     /// directly, with no recompression to reconstruct what the first
     /// writer chose.
-    pub chunks: AddrMap<(u32, Codec)>,
+    pub chunks: AddrMap<(u32, Form)>,
     /// Per tracked-value version in the line, what it put on storage.
     /// Versions are process-unique and a value's version changes
     /// whenever its bytes may have, so equal version ⇒ equal bytes.
@@ -291,7 +293,7 @@ impl LineRecord {
             chunks: manifest
                 .chunks
                 .iter()
-                .map(|c| ((c.hash, c.len), (c.stored_len, c.codec)))
+                .map(|c| ((c.hash, c.len), (c.stored_len, c.form)))
                 .collect(),
             clean,
         }
@@ -312,7 +314,7 @@ mod tests {
             hash: 0xff,
             len: 7,
             stored_len: 7,
-            codec: Codec::None,
+            form: Form::Raw,
         };
         assert_eq!(c.key(), "chunk/000000000000000000000000000000ff-7");
         // `for_piece` agrees with the content hash.
@@ -370,7 +372,7 @@ mod tests {
             hash: u128::from(len),
             len,
             stored_len: len,
-            codec: Codec::None,
+            form: Form::Raw,
         };
         let m = Manifest {
             total_len: 60,
@@ -400,25 +402,31 @@ mod tests {
 
     #[test]
     fn manifest_round_trip() {
-        let blob = vec![3u8; 100];
+        let blob = vec![3u8; 140];
         let mut m = Manifest::for_blob(&blob);
         m.chunks = vec![
             ChunkRef {
                 hash: 1 << 100,
                 len: 64,
                 stored_len: 4,
-                codec: Codec::Lz4,
+                form: Form::Lz4,
             },
             ChunkRef {
                 hash: 2,
                 len: 36,
                 stored_len: 36,
-                codec: Codec::None,
+                form: Form::Raw,
+            },
+            ChunkRef {
+                hash: 3,
+                len: 40,
+                stored_len: 9,
+                form: Form::Lz4Planes,
             },
         ];
         let enc = m.encode();
         assert_eq!(Manifest::decode(&enc).unwrap(), m);
-        assert_eq!(m.stored_bytes(), 40);
+        assert_eq!(m.stored_bytes(), 49);
     }
 
     #[test]
@@ -433,7 +441,7 @@ mod tests {
                 hash: 0,
                 len: 5,
                 stored_len: 5,
-                codec: Codec::None,
+                form: Form::Raw,
             }],
         };
         m.total_len = 99;
@@ -454,16 +462,16 @@ mod tests {
                 hash: 7,
                 len: 5,
                 stored_len: 5,
-                codec: Codec::Lz4,
+                form: Form::Lz4,
             }],
         };
         m.blob_crc = 1;
         let mut enc = m.encode();
-        // The codec id is the last byte of the encoded chunk list. Id 1
+        // The form id is the last byte of the encoded chunk list. Id 1
         // is retired: a manifest naming it is as corrupt as any other.
         let last = enc.len() - 1;
-        assert_eq!(enc[last], Codec::Lz4.id());
-        for id in [1, 3, 255] {
+        assert_eq!(enc[last], Form::Lz4.id());
+        for id in [1, 4, 255] {
             enc[last] = id;
             let err = Manifest::decode(&enc).unwrap_err();
             assert!(err.to_string().contains("codec"), "{id}: {err}");

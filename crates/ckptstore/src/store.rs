@@ -224,12 +224,14 @@ impl CheckpointStore {
     ) -> StoreResult<(Vec<u8>, Vec<u32>)> {
         // Reserve the exact blob length up front and decode every chunk
         // straight into it — recovery of a large blob costs one output
-        // allocation, not one temporary per chunk.
+        // allocation, not one temporary per chunk. Chunks stored as
+        // planes pass through one scratch buffer, reused.
         let mut blob = Vec::with_capacity(manifest.total_len as usize);
         let mut crcs = Vec::with_capacity(manifest.chunks.len());
+        let mut scratch = Vec::new();
         let mut blob_crc = 0;
         for chunk in &manifest.chunks {
-            let crc = self.get_chunk_into(chunk, &mut blob)?;
+            let crc = self.get_chunk_into(chunk, &mut blob, &mut scratch)?;
             blob_crc = crc32_combine(blob_crc, crc, u64::from(chunk.len));
             crcs.push(crc);
         }
@@ -314,8 +316,8 @@ impl CheckpointStore {
 
     /// Store content-addressed chunks through one
     /// [`StorageBackend::put_many`] call. Each item is a chunk's key
-    /// ([`ChunkRef::key`]) and its stored representation (encoded with the
-    /// chunk's codec, raw for [`Codec::None`](crate::Codec::None))
+    /// ([`ChunkRef::key`]) and its stored representation (encoded in the
+    /// chunk's form, raw for [`Form::Raw`](crate::compress::Form::Raw))
     /// *already sealed* — the writer builds that buffer once and nothing
     /// copies it again on the way to the backend. Chunks are immutable and
     /// shared across checkpoints, so re-putting an existing chunk is
@@ -333,19 +335,21 @@ impl CheckpointStore {
     /// Fetch and validate one chunk, returning its raw (decoded) bytes.
     pub fn get_chunk(&self, chunk: &ChunkRef) -> StoreResult<Vec<u8>> {
         let mut out = Vec::with_capacity(chunk.len as usize);
-        self.get_chunk_into(chunk, &mut out)?;
+        self.get_chunk_into(chunk, &mut out, &mut Vec::new())?;
         Ok(out)
     }
 
     /// Fetch and validate one chunk, appending its raw bytes to `out`
-    /// (the zero-temporary reassembly path) and returning their CRC-32:
-    /// the seal's, just verified, when the chunk is stored raw, a pass
-    /// over the decoded bytes otherwise. On error `out` is restored to
-    /// its original length.
-    pub fn get_chunk_into(
+    /// (the zero-temporary reassembly path, `scratch` reused by every
+    /// chunk stored as planes) and returning their CRC-32: the seal's,
+    /// just verified, when the chunk is stored raw, a pass over the
+    /// decoded bytes otherwise. On error `out` is restored to its
+    /// original length.
+    fn get_chunk_into(
         &self,
         chunk: &ChunkRef,
         out: &mut Vec<u8>,
+        scratch: &mut Vec<u8>,
     ) -> StoreResult<u32> {
         let key = chunk.key();
         let corrupt = |detail: &str| StoreError::Corrupt {
@@ -357,8 +361,8 @@ impl CheckpointStore {
             .ok_or_else(|| corrupt("CRC-32 integrity check failed"))?;
         let start = out.len();
         if chunk
-            .codec
-            .decode_into(stored, chunk.len as usize, out)
+            .form
+            .decode_into(stored, chunk.len as usize, out, scratch)
             .is_none()
         {
             out.truncate(start);
@@ -628,6 +632,7 @@ impl CheckpointStore {
 mod tests {
     use super::*;
     use crate::backend::MemoryBackend;
+    use crate::compress::{Codec, Form, Trials};
 
     fn store(nranks: usize) -> CheckpointStore {
         CheckpointStore::new(Arc::new(MemoryBackend::new()), nranks)
@@ -891,24 +896,48 @@ mod tests {
             .is_some());
     }
 
+    /// 256-byte pieces the LZ4 codec stores in every form: noise raw,
+    /// byte runs as plain LZ4, a smooth `f64` field as planes.
+    fn pieces_in_every_form() -> [Vec<u8>; 3] {
+        let mut seed = 0x5701E;
+        [
+            (0..256)
+                .map(|_| crate::splitmix64(&mut seed) as u8)
+                .collect(),
+            (0..256)
+                .map(|i| [7u8, 7, 9, (i / 64) as u8][i % 4])
+                .collect(),
+            (0..32)
+                .flat_map(|i| (0.1 * f64::from(i)).sin().to_le_bytes())
+                .collect(),
+        ]
+    }
+
+    /// Store `piece` in the form the LZ4 codec picks for it.
+    fn put_encoded(
+        s: &CheckpointStore,
+        piece: &[u8],
+        trials: &mut Trials,
+    ) -> ChunkRef {
+        let (form, stored) = Codec::Lz4.encode(piece, trials);
+        let mut chunk = ChunkRef::for_piece(piece);
+        chunk.stored_len = stored.len() as u32;
+        chunk.form = form;
+        put_chunk(s, &chunk, stored);
+        chunk
+    }
+
     #[test]
     fn chunks_round_trip_through_every_codec() {
-        use crate::compress::Codec;
         let s = store(1);
-        let piece: Vec<u8> = (0..2048)
-            .map(|i| [7u8, 7, 9, (i / 64) as u8][i % 4])
-            .collect();
-        for codec in [Codec::None, Codec::Lz4] {
-            let stored = match codec.encode(&piece) {
-                Some(enc) => enc,
-                None => piece.clone(),
-            };
-            let mut chunk = ChunkRef::for_piece(&piece);
-            chunk.stored_len = stored.len() as u32;
-            chunk.codec = codec;
-            put_chunk(&s, &chunk, &stored);
-            assert_eq!(s.get_chunk(&chunk).unwrap(), piece, "{codec:?}");
+        let mut trials = Trials::default();
+        let mut forms = Vec::new();
+        for piece in pieces_in_every_form() {
+            let chunk = put_encoded(&s, &piece, &mut trials);
+            assert_eq!(s.get_chunk(&chunk).unwrap(), piece, "{chunk:?}");
+            forms.push(chunk.form);
         }
+        assert_eq!(forms, [Form::Raw, Form::Lz4, Form::Lz4Planes]);
     }
 
     #[test]
@@ -933,28 +962,28 @@ mod tests {
 
     #[test]
     fn reassembly_allocates_a_constant_number_per_chunk() {
-        use crate::compress::Codec;
         const CHUNKS: u64 = 256;
-        const CHUNK_LEN: usize = 256;
         let s = store(1);
-        // A compressible blob stored as 256 LZ4 chunks, so the test
-        // covers the decode-into path, not just raw copies.
-        let blob: Vec<u8> = (0..CHUNKS as usize * CHUNK_LEN)
-            .map(|i| (i / 1024) as u8)
+        // A blob stored as 256 chunks of 256 bytes in all three forms,
+        // two thirds of them LZ4 over the bytes or over their planes, so
+        // the test covers both decode-into paths, not just raw copies.
+        let pieces = pieces_in_every_form();
+        let blob: Vec<u8> = pieces
+            .iter()
+            .cycle()
+            .take(CHUNKS as usize)
+            .flatten()
+            .copied()
             .collect();
         let mut manifest = Manifest::for_blob(&blob);
-        for piece in blob.chunks(CHUNK_LEN) {
-            let mut chunk = ChunkRef::for_piece(piece);
-            let enc = Codec::Lz4.encode(piece).unwrap();
-            if enc.len() < piece.len() {
-                chunk.stored_len = enc.len() as u32;
-                chunk.codec = Codec::Lz4;
-                put_chunk(&s, &chunk, &enc);
-            } else {
-                put_chunk(&s, &chunk, piece);
-            }
-            manifest.chunks.push(chunk);
+        let mut trials = Trials::default();
+        for piece in blob.chunks(256) {
+            manifest.chunks.push(put_encoded(&s, piece, &mut trials));
         }
+        let count =
+            |form| manifest.chunks.iter().filter(|c| c.form == form).count();
+        assert_eq!(count(Form::Lz4Planes), 85);
+        assert_eq!(count(Form::Lz4), 85);
         s.put_rank_manifest(1, 0, RankBlobKind::State, &manifest)
             .unwrap();
 

@@ -10,6 +10,7 @@
 //! byte counts taken from the backend's net `bytes_written` counter
 //! across at least three committed checkpoints.
 
+use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
 use c3_apps::dense_cg::CgState;
@@ -18,7 +19,8 @@ use c3_apps::{DenseCg, Laplace};
 use c3_core::recovery::RankCheckpoint;
 use c3_core::{run_job, C3App, C3Config, Chunker, Codec, PipelineConfig};
 use ckptstore::{
-    CheckpointStore, MemoryBackend, RankBlobKind, StorageBackend,
+    CheckpointStore, ChunkRef, Form, MemoryBackend, RankBlobKind,
+    StorageBackend,
 };
 use statesave::snapshot::restore_from_bytes;
 
@@ -189,4 +191,127 @@ fn a_restart_writes_the_matrix_block_by_reference_from_its_first_line() {
     assert_eq!(report.outputs, reference.outputs);
     assert_eq!(report.restarts, 1);
     assert!(report.stats.iter().all(|s| s.app_state_bytes_clean == 0));
+}
+
+#[test]
+fn laplace_lines_mix_both_lz4_forms_and_recover_from_them() {
+    // The default codec keeps each chunk's smaller LZ4 form: a band's
+    // smooth rows go in as byte planes (id 3), other chunks as plain LZ4
+    // (id 2). A restart reassembles both from the line it recovers from
+    // and ends as the failure-free job does — with fixed 4 KiB cuts and
+    // with content-defined ones. Chunks whose length is not a multiple
+    // of 8 (every CDC cut but a few, and a blob's last fixed cut) keep
+    // their tail as it is.
+    let app = Laplace { n: 64, iters: 64 };
+    for chunker in [Chunker::fixed(4096), Chunker::cdc(1024)] {
+        let io = PipelineConfig::default()
+            .with_chunker(chunker)
+            .with_keep_last(1000);
+        let cfg = C3Config::every_ops(8).with_io(io);
+        let reference = run_job(2, &cfg, None, &app).expect("job");
+        let backend = Arc::new(MemoryBackend::new());
+        let report = run_job(
+            2,
+            &cfg.with_failure(1, 60),
+            Some(backend.clone() as Arc<dyn StorageBackend>),
+            &app,
+        )
+        .expect("job");
+        assert_eq!(report.outputs, reference.outputs, "{chunker:?}");
+        assert_eq!(report.restarts, 1, "{chunker:?}");
+        let store = CheckpointStore::new(backend, 2);
+        let state_chunks = |ckpt| -> Vec<ChunkRef> {
+            (0..2)
+                .flat_map(|rank| {
+                    let m = store.get_rank_manifest(
+                        ckpt,
+                        rank,
+                        RankBlobKind::State,
+                    );
+                    m.unwrap().expect("written incrementally").chunks
+                })
+                .collect()
+        };
+        // Every committed line is still on storage (`keep_last`): the one
+        // recovered from names planes chunks, and the committed lines
+        // name plain ones too.
+        let last = report.last_committed.expect("lines committed");
+        let from = report.recovered_from[0];
+        let forms = |lines: std::ops::RangeInclusive<u64>| -> HashSet<Form> {
+            lines.flat_map(state_chunks).map(|c| c.form).collect()
+        };
+        assert!(from >= 1, "{chunker:?}: recovered from line {from}");
+        assert!(forms(from..=from).contains(&Form::Lz4Planes), "{chunker:?}");
+        let all = forms(1..=last);
+        assert!(all.contains(&Form::Lz4), "{chunker:?}: {all:?}");
+        let ragged = (1..=last)
+            .flat_map(state_chunks)
+            .filter(|c| c.form == Form::Lz4Planes && c.len % 8 != 0)
+            .count();
+        assert!(ragged > 0, "{chunker:?}: no ragged planes chunk");
+    }
+}
+
+#[test]
+fn a_line_repeating_planes_chunks_names_them_from_the_line_record() {
+    // `Laplace { n: 24, .. }` converges bit for bit long before 6 000
+    // sweeps; from then on every line repeats the previous line's grid
+    // chunks, most of them stored as planes. A chunk the previous line
+    // of its stream names goes into the manifest from that line's
+    // record, form included: the codec never sees it. So the bytes the
+    // codec saw are exactly those of the chunks no previous line names.
+    let reg = c3obs::Registry::new();
+    let backend = Arc::new(MemoryBackend::new());
+    let io = PipelineConfig::default()
+        .with_chunker(Chunker::fixed(256))
+        .with_keep_last(1000);
+    let cfg = C3Config::every_ops(500).with_io(io).with_obs(reg.clone());
+    let app = Laplace { n: 24, iters: 6000 };
+    let report = run_job(
+        2,
+        &cfg,
+        Some(backend.clone() as Arc<dyn StorageBackend>),
+        &app,
+    )
+    .expect("job");
+    let store = CheckpointStore::new(backend, 2);
+    let last = report.last_committed.expect("lines committed");
+    let (mut encoded, mut repeated_planes) = (0, 0);
+    for rank in 0..2 {
+        for kind in [
+            RankBlobKind::State,
+            RankBlobKind::Log,
+            RankBlobKind::MpiObjects,
+        ] {
+            let mut prev = HashMap::new();
+            for ckpt in 1..=last + 1 {
+                let Some(m) =
+                    store.get_rank_manifest(ckpt, rank, kind).unwrap()
+                else {
+                    continue;
+                };
+                for c in &m.chunks {
+                    match prev.get(&(c.hash, c.len)) {
+                        Some(&form) => {
+                            assert_eq!(form, c.form);
+                            repeated_planes +=
+                                usize::from(form == Form::Lz4Planes);
+                        }
+                        None => encoded += u64::from(c.len),
+                    }
+                }
+                prev = m
+                    .chunks
+                    .iter()
+                    .map(|c| ((c.hash, c.len), c.form))
+                    .collect();
+            }
+        }
+    }
+    assert!(
+        repeated_planes >= 100,
+        "{repeated_planes} repeated planes chunks"
+    );
+    let seen = reg.snapshot().counter_total("io_precompress_bytes_total");
+    assert_eq!(seen, encoded);
 }
