@@ -18,14 +18,21 @@
 //! on storage. A rank takes that record with
 //! [`CheckpointPipeline::clean_base`], encodes its next line against it,
 //! and stages the resulting [`StagedBlob`], in which a tracked value the
-//! record holds is a *clean reference* with no bytes. The writer copies
-//! the run into the new manifest and folds the CRC in
+//! record holds is a *clean reference* with no bytes. The writer names
+//! the value's run object — its chunk list, stored once when the value
+//! was written — in the new manifest and folds the CRC in
 //! (`crc32_combine`); only the other parts are cut, hashed and looked
-//! up. Manifests stay flat and self-contained, so GC, tier drain and
-//! recovery never see the difference. A restart keeps the arrangement:
+//! up. The store resolves runs back into the flat chunk list for every
+//! reader. A restart keeps the arrangement:
 //! [`CheckpointPipeline::adopt_line`] rebuilds the record, clean runs
 //! included, from the manifest a rank recovered from and the places in
 //! the recovered blob its tracked values were decoded from.
+//!
+//! GC counts rather than lists. The pipeline keeps a [`LiveIndex`] of
+//! how many manifests on storage name each chunk and run object, noting
+//! each manifest as it is put; a collection releases what the dead lines
+//! named and deletes what nothing names any more. An attempt's first GC
+//! builds the index with the store's listing sweep.
 //!
 //! A byte that does have to be written is touched once per purpose: one
 //! CRC per chunk (the seal of a chunk stored raw *and* its share of the
@@ -41,7 +48,11 @@ use std::sync::{Arc, Condvar, Mutex, RwLock};
 use bytes::Bytes;
 use ckptstore::codec::{Encoder, Part, TrackedSpan};
 use ckptstore::integrity::{crc32, crc32_combine, seal, seal_with};
-use ckptstore::manifest::{AddrMap, ChunkRef, CleanRun, LineRecord, Manifest};
+use ckptstore::manifest::{
+    encode_run, AddrMap, ChunkRef, CleanRun, LineRecord, Manifest,
+    RUN_MIN_CHUNKS,
+};
+use ckptstore::store::LiveIndex;
 use ckptstore::{
     CheckpointStore, CkptId, Form, RankBlobKind, StorageBackend, StoreError,
     StoreResult, Trials,
@@ -182,12 +193,21 @@ struct StatCells {
     retries: AtomicU64,
 }
 
-/// The most recent [`LineRecord`] per `(rank, kind)` stream: the
-/// fast-path dedup set and the base of clean references. Its `ckpt` lets
-/// [`CheckpointPipeline::gc_keeping`] drop records whose manifest was
-/// just collected, so dedup never trusts a chunk that only a dead
-/// checkpoint referenced.
-type LineRecords = HashMap<(usize, u8), Arc<LineRecord>>;
+/// What the pipeline knows of the lines on storage, under one lock.
+#[derive(Default)]
+struct Lines {
+    /// The most recent [`LineRecord`] per `(rank, kind)` stream: the
+    /// fast-path dedup set and the base of clean references. Its `ckpt`
+    /// lets [`CheckpointPipeline::gc_keeping`] drop records whose
+    /// manifest was just collected, so dedup never trusts a chunk that
+    /// only a dead checkpoint referenced.
+    records: HashMap<(usize, u8), Arc<LineRecord>>,
+    /// What GC collects by: every manifest on storage, counted. `None`
+    /// until the attempt's first GC lists the store, and again after
+    /// something may have left chunks no manifest names (a failed write,
+    /// a splice).
+    index: Option<LiveIndex>,
+}
 
 struct Shared {
     store: CheckpointStore,
@@ -203,7 +223,7 @@ struct Shared {
     staged_once: Mutex<HashSet<(CkptId, usize, RankBlobKind)>>,
     // Dedup misses fall back to `CheckpointStore::has_chunk`, which also
     // catches chunks written by earlier job attempts.
-    records: Mutex<LineRecords>,
+    lines: Mutex<Lines>,
     // Writer-vs-GC gate, holding the GC floor (the highest `keep` a GC
     // ran with). A blob write holds it shared from its first chunk probe
     // to its manifest put, so chunks and the manifest that makes them
@@ -277,7 +297,7 @@ impl CheckpointPipeline {
             tickets: Mutex::new(HashMap::new()),
             drained: Condvar::new(),
             staged_once: Mutex::new(HashSet::new()),
-            records: Mutex::new(HashMap::new()),
+            lines: Mutex::default(),
             gc_gate: RwLock::new(0),
             stats: StatCells::default(),
             mover: Mutex::new(MoverState::default()),
@@ -503,8 +523,8 @@ impl CheckpointPipeline {
         }
     }
 
-    /// Garbage-collect through the pipeline: run
-    /// [`CheckpointStore::gc_keeping`] while no blob write is in flight.
+    /// Garbage-collect through the pipeline: collect every line older
+    /// than `keep` while no blob write is in flight.
     ///
     /// Calling the store's GC directly while background writers run is
     /// unsound: a writer that deduplicated against (or just wrote) a
@@ -516,12 +536,26 @@ impl CheckpointPipeline {
     /// cannot vouch for chunks the sweep removed. A blob already encoded
     /// against such a record still carries it; the raised floor makes its
     /// write fail instead.
+    ///
+    /// The collection counts instead of listing
+    /// ([`CheckpointStore::gc_indexed`]): the pipeline's live index knows
+    /// how many manifests name each chunk and run object, so a GC touches
+    /// what the dead lines named. The attempt's first GC has no index and
+    /// runs the store's listing sweep, which builds it.
     pub fn gc_keeping(&self, keep: CkptId) -> StoreResult<()> {
         let mut floor = self.shared.gc_gate.write().unwrap();
         *floor = (*floor).max(keep);
-        self.shared.store.gc_keeping(keep)?;
-        self.shared.records().retain(|_, rec| rec.ckpt >= keep);
-        Ok(())
+        let mut lines = self.shared.lines();
+        let res = self.shared.store.gc_indexed(&mut lines.index, keep);
+        lines.records.retain(|_, rec| rec.ckpt >= keep);
+        res
+    }
+
+    /// Make the next GC list the store rather than count. A localized
+    /// splice calls this: the rank it replaces may have died mid-write,
+    /// with chunks on storage that no manifest names.
+    pub fn relist_at_next_gc(&self) {
+        self.shared.lines().index = None;
     }
 
     /// The record of the last line written on the `(rank, kind)` stream,
@@ -538,7 +572,11 @@ impl CheckpointPipeline {
         if !self.shared.cfg.incremental {
             return None;
         }
-        self.shared.records().get(&(rank, kind.tag())).cloned()
+        self.shared
+            .lines()
+            .records
+            .get(&(rank, kind.tag()))
+            .cloned()
     }
 
     /// Take the manifest a rank just recovered from as its stream's
@@ -549,7 +587,8 @@ impl CheckpointPipeline {
     /// with the blob: each span that starts and ends on chunk boundaries
     /// of the manifest (a value the writing line tracked does — cuts
     /// restart at every part) becomes a clean run under the decoded
-    /// value's version, its CRC folded from its chunks'. The first line
+    /// value's version, its CRC folded from its chunks', naming the run
+    /// object the line stored for it. The first line
     /// after a restart then finds the whole restored state in the record:
     /// it neither encodes the tracked values nor probes the store for
     /// anything. A blob stored raw has no manifest and leaves nothing to
@@ -569,7 +608,7 @@ impl CheckpointPipeline {
         let floor = shared.gc_gate.read().unwrap();
         if !shared.cfg.incremental
             || ckpt < *floor
-            || shared.records().contains_key(&slot)
+            || shared.lines().records.contains_key(&slot)
         {
             return Ok(());
         }
@@ -577,11 +616,18 @@ impl CheckpointPipeline {
             let mut clean = HashMap::new();
             if chunk_crcs.len() == m.chunks.len() {
                 for span in spans {
-                    let Some(run) = m.run_at(span.offset, span.len) else {
+                    let Some(at) = m.run_at(span.offset, span.len) else {
                         continue;
                     };
-                    let chunks = m.chunks[run.clone()].to_vec();
-                    let crc = chunks.iter().zip(&chunk_crcs[run]).fold(
+                    // A value of several chunks is named by the run object
+                    // its line stored; one stored without is not adopted.
+                    let run = m.runs.iter().find(|r| r.chunks == at);
+                    let run = run.map(|r| r.obj);
+                    if run.is_none() && at.len() >= RUN_MIN_CHUNKS {
+                        continue;
+                    }
+                    let chunks = m.chunks[at.clone()].to_vec();
+                    let crc = chunks.iter().zip(&chunk_crcs[at]).fold(
                         0,
                         |crc, (chunk, &chunk_crc)| {
                             crc32_combine(crc, chunk_crc, chunk.len.into())
@@ -591,13 +637,15 @@ impl CheckpointPipeline {
                         len: span.len,
                         crc,
                         chunks,
+                        run,
                     };
                     clean.insert(span.version, Arc::new(run));
                 }
             }
             let record = LineRecord::new(ckpt, &m, clean);
             shared
-                .records()
+                .lines()
+                .records
                 .entry(slot)
                 .or_insert_with(|| Arc::new(record));
         }
@@ -716,9 +764,9 @@ impl Shared {
         self.mover.lock().unwrap()
     }
 
-    /// Lock the per-stream line records.
-    fn records(&self) -> std::sync::MutexGuard<'_, LineRecords> {
-        self.records.lock().expect("pipeline lock poisoned")
+    /// Lock what the pipeline knows of the lines on storage.
+    fn lines(&self) -> std::sync::MutexGuard<'_, Lines> {
+        self.lines.lock().expect("pipeline lock poisoned")
     }
 
     /// Promote every key of checkpoint `ckpt` to each lower tier, in
@@ -736,28 +784,19 @@ impl Shared {
         let Some(t) = backend.as_tiered() else {
             return Ok(Vec::new());
         };
-        // The checkpoint's own keys, plus every chunk its manifests
-        // reference (chunks may predate this checkpoint: promoting per
+        // The checkpoint's own keys, plus every chunk and run object its
+        // manifests name (they may predate this checkpoint: promoting per
         // manifest makes each line whole on each tier by itself).
         let mut keys = t.list(&format!("ckpt/{ckpt:08}/"))?;
         if keys.is_empty() {
             return Ok(Vec::new());
         }
         let mut chunk_keys = std::collections::BTreeSet::new();
-        for key in &keys {
-            if !key.ends_with(".m") {
-                continue;
-            }
-            let sealed = match t.get(key) {
-                Ok(b) => b,
-                Err(StoreError::Missing(_)) => continue,
-                Err(e) => return Err(e),
-            };
-            let Some(payload) = ckptstore::unseal(&sealed) else {
-                continue; // undecodable manifest: nothing to promote
-            };
-            if let Ok(manifest) = Manifest::decode(payload) {
-                chunk_keys.extend(manifest.chunks.iter().map(ChunkRef::key));
+        for key in keys.iter().filter(|k| k.ends_with(".m")) {
+            if let Some(m) = self.store.manifest_at(key)? {
+                let runs = m.runs.iter().map(|r| &r.obj);
+                let named = m.chunks.iter().chain(runs);
+                chunk_keys.extend(named.map(ChunkRef::key));
             }
         }
         keys.extend(chunk_keys);
@@ -793,6 +832,10 @@ impl Shared {
     fn write_blob(&self, job: &Job) -> StoreResult<()> {
         let timer = self.obs.as_ref().map(|_| c3obs::Stopwatch::start());
         let res = self.write_blob_inner(job);
+        if res.is_err() {
+            // It may have put chunks no manifest names: the next GC lists.
+            self.lines().index = None;
+        }
         if let (Some(o), Some(t)) = (self.obs.as_ref(), timer) {
             o.write_ns.record(t.elapsed_ns());
         }
@@ -836,7 +879,7 @@ impl Shared {
         let prev = blob
             .base
             .clone()
-            .or_else(|| self.records().get(&dedup_slot).cloned());
+            .or_else(|| self.lines().records.get(&dedup_slot).cloned());
 
         // Part by part, in manifest order. A clean reference is resolved
         // from the base without touching bytes. Any other part is cut
@@ -863,7 +906,9 @@ impl Shared {
                         .ok_or_else(|| {
                             refused("unresolvable clean reference")
                         })?;
+                    let first = manifest.chunks.len();
                     manifest.chunks.extend_from_slice(&run.chunks);
+                    manifest.push_run(first, run.run);
                     self.count_deduped(run.chunks.len(), len);
                     clean.insert(version, Arc::clone(run));
                     (len, run.crc)
@@ -882,7 +927,19 @@ impl Shared {
                     )?;
                     if let Some(version) = version {
                         let chunks = manifest.chunks[first..].to_vec();
-                        let run = CleanRun { len, crc, chunks };
+                        let run = self.store_run(
+                            &chunks,
+                            &mut batch,
+                            &mut seen,
+                            &mut trials,
+                        )?;
+                        manifest.push_run(first, run);
+                        let run = CleanRun {
+                            len,
+                            crc,
+                            chunks,
+                            run,
+                        };
                         clean.insert(version, Arc::new(run));
                     }
                     (len, crc)
@@ -897,8 +954,16 @@ impl Shared {
             self.store
                 .put_rank_manifest(job.ckpt, job.rank, job.kind, &manifest)
         })?;
+        // Noted under the gate, after the put: a GC counts the manifest
+        // exactly when it can find it on storage.
         let record = Arc::new(LineRecord::new(job.ckpt, &manifest, clean));
-        self.records().insert(dedup_slot, record);
+        let mut lines = self.lines();
+        lines.records.insert(dedup_slot, record);
+        if let Some(index) = &mut lines.index {
+            let key =
+                CheckpointStore::manifest_key(job.ckpt, job.rank, job.kind);
+            index.note(key, Some(&manifest));
+        }
         Ok(())
     }
 
@@ -923,59 +988,90 @@ impl Shared {
         for piece in self.cfg.chunker.cut(bytes) {
             let piece_crc = crc32(piece);
             part_crc = crc32_combine(part_crc, piece_crc, piece.len() as u64);
-            let mut chunk = ChunkRef::for_piece(piece);
-            let addr = (chunk.hash, chunk.len);
             if let Some(o) = &self.obs {
                 o.chunk_bytes.record(piece.len() as u64);
             }
-            // Who already holds this chunk? The stream's previous line
-            // (which also knows the stored form: no encoding, no probe),
-            // this blob, or the store. Otherwise it is fresh: its key,
-            // formatted once, and its stored form, sealed.
-            let mut fresh = None;
-            if let Some(&(stored_len, form)) =
-                prev.and_then(|p| p.chunks.get(&addr))
-            {
-                chunk.stored_len = stored_len;
-                chunk.form = form;
-            } else {
-                let (form, stored) = self.cfg.codec.encode(piece, trials);
-                chunk.stored_len = stored.len() as u32;
-                chunk.form = form;
-                if let Some(o) = &self.obs {
-                    o.precompress_bytes.add(piece.len() as u64);
-                    o.postcompress_bytes.add(stored.len() as u64);
-                }
-                if !seen.contains_key(&addr) {
-                    let key = chunk.key();
-                    if !self.store.has_chunk(&key)? {
-                        let sealed = if form == Form::Raw {
-                            seal_with(piece, piece_crc)
-                        } else {
-                            self.stats
-                                .chunks_compressed
-                                .fetch_add(1, Ordering::Relaxed);
-                            seal(stored)
-                        };
-                        fresh = Some((key, sealed));
-                    }
-                }
+            let (chunk, fresh) =
+                self.store_piece(piece, piece_crc, prev, batch, seen, trials)?;
+            if !fresh {
+                self.count_deduped(1, piece.len());
             }
             chunks.push(chunk);
-            let Some((key, sealed)) = fresh else {
-                self.count_deduped(1, piece.len());
-                continue;
-            };
-            if let Some(o) = &self.obs {
-                o.dedup_misses.inc();
-            }
-            seen.insert(addr, ());
-            batch.push((key, sealed));
-            if batch.len() >= PUT_BATCH {
-                self.put_chunk_batch(batch)?;
-            }
         }
         Ok(part_crc)
+    }
+
+    /// The reference of one piece, stored unless something already holds
+    /// it: the stream's previous line (which also knows the stored form:
+    /// no encoding, no probe), this blob, or the store. Otherwise it is
+    /// fresh: its key, formatted once, and its stored form, sealed, go
+    /// onto `batch`, and the flag says so.
+    fn store_piece(
+        &self,
+        piece: &[u8],
+        piece_crc: u32,
+        prev: Option<&LineRecord>,
+        batch: &mut Vec<(String, Vec<u8>)>,
+        seen: &mut AddrMap<()>,
+        trials: &mut Trials,
+    ) -> StoreResult<(ChunkRef, bool)> {
+        let mut chunk = ChunkRef::for_piece(piece);
+        if let Some(&(stored_len, form)) =
+            prev.and_then(|p| p.chunks.get(&chunk.addr()))
+        {
+            chunk.stored_len = stored_len;
+            chunk.form = form;
+            return Ok((chunk, false));
+        }
+        let (form, stored) = self.cfg.codec.encode(piece, trials);
+        chunk.stored_len = stored.len() as u32;
+        chunk.form = form;
+        if let Some(o) = &self.obs {
+            o.precompress_bytes.add(piece.len() as u64);
+            o.postcompress_bytes.add(stored.len() as u64);
+        }
+        if seen.contains_key(&chunk.addr()) {
+            return Ok((chunk, false));
+        }
+        let key = chunk.key();
+        if self.store.has_chunk(&key)? {
+            return Ok((chunk, false));
+        }
+        let sealed = if form == Form::Raw {
+            seal_with(piece, piece_crc)
+        } else {
+            self.stats.chunks_compressed.fetch_add(1, Ordering::Relaxed);
+            seal(stored)
+        };
+        if let Some(o) = &self.obs {
+            o.dedup_misses.inc();
+        }
+        seen.insert(chunk.addr(), ());
+        batch.push((key, sealed));
+        if batch.len() >= PUT_BATCH {
+            self.put_chunk_batch(batch)?;
+        }
+        Ok((chunk, true))
+    }
+
+    /// The run object naming a tracked part's `chunks`, stored as a piece
+    /// of its own unless something already holds it; `None` below
+    /// [`RUN_MIN_CHUNKS`], where the manifest names the chunks directly.
+    fn store_run(
+        &self,
+        chunks: &[ChunkRef],
+        batch: &mut Vec<(String, Vec<u8>)>,
+        seen: &mut AddrMap<()>,
+        trials: &mut Trials,
+    ) -> StoreResult<Option<ChunkRef>> {
+        if chunks.len() < RUN_MIN_CHUNKS {
+            return Ok(None);
+        }
+        let bytes = encode_run(chunks);
+        let crc = crc32(&bytes);
+        let (obj, _) =
+            self.store_piece(&bytes, crc, None, batch, seen, trials)?;
+        Ok(Some(obj))
     }
 
     /// Account `chunks` chunks of `bytes` raw bytes as not written.

@@ -1043,6 +1043,7 @@ mod tests {
                 &[&[100, 0, 0, 0, 0, 0, 0, 0], &t[..]].concat(),
             ),
             chunks: Vec::new(),
+            run: None,
         };
         let base = Arc::new(LineRecord {
             clean: [(t.version, Arc::new(held))].into(),

@@ -84,15 +84,21 @@ mod test_alloc {
 
     thread_local! {
         static ALLOCS: Cell<u64> = const { Cell::new(0) };
+        static BYTES: Cell<u64> = const { Cell::new(0) };
+    }
+
+    fn count(bytes: usize) {
+        let _ = ALLOCS.try_with(|c| c.set(c.get() + 1));
+        let _ = BYTES.try_with(|c| c.set(c.get() + bytes as u64));
     }
 
     struct CountingAlloc;
 
-    // SAFETY: delegates entirely to `System`; the counter uses
+    // SAFETY: delegates entirely to `System`; the counters use
     // `try_with` so allocation during thread-local teardown is safe.
     unsafe impl GlobalAlloc for CountingAlloc {
         unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-            let _ = ALLOCS.try_with(|c| c.set(c.get() + 1));
+            count(layout.size());
             unsafe { System.alloc(layout) }
         }
         unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
@@ -104,7 +110,7 @@ mod test_alloc {
             layout: Layout,
             new_size: usize,
         ) -> *mut u8 {
-            let _ = ALLOCS.try_with(|c| c.set(c.get() + 1));
+            count(new_size);
             unsafe { System.realloc(ptr, layout, new_size) }
         }
     }
@@ -116,5 +122,11 @@ mod test_alloc {
     /// since it started.
     pub fn allocations() -> u64 {
         ALLOCS.try_with(Cell::get).unwrap_or(0)
+    }
+
+    /// Bytes those allocations asked for (a reallocation counts its new
+    /// size).
+    pub fn allocated_bytes() -> u64 {
+        BYTES.try_with(Cell::get).unwrap_or(0)
     }
 }

@@ -13,6 +13,13 @@
 //! refcounts chunks through the manifests of the surviving checkpoints so
 //! shared chunks outlive the checkpoints that first wrote them.
 //!
+//! The chunk list of a tracked value ([`crate::codec::Tracked`]) of more
+//! than one chunk is stored once, as a *run object*: its references
+//! ([`encode_run`]) stored content-addressed under `chunk/` like any
+//! chunk. A manifest names the run by one entry instead of listing its
+//! chunks, so a line whose tracked value did not change writes a manifest
+//! the size of what did.
+//!
 //! The scheme follows the storage-hierarchy / differential-checkpointing
 //! line of work (Adam et al., "Checkpoint/Restart Approaches for a
 //! Thread-Based MPI Runtime"): the paper's own store writes full
@@ -33,6 +40,20 @@ use crate::store::CkptId;
 /// `…0003` replaced the per-chunk compressed flag with a stored-form id
 /// ([`Form::id`]).
 const MANIFEST_MAGIC: u32 = 0xC3A1_0003;
+
+/// Form-id bit marking a manifest entry as a run object rather than a
+/// chunk; the entry is followed by the raw length the run covers. No
+/// [`Form`] id has it, so a reader that predates runs finds an unknown
+/// codec id and reads the manifest as corrupt.
+const RUN: u8 = 0x80;
+
+/// Bytes of one chunk entry on the wire (hash, len, stored len, form id);
+/// a run entry is 8 more.
+const ENTRY_LEN: usize = 25;
+
+/// A tracked part cut into at least this many chunks is stored as a run
+/// object; a shorter one is named chunk by chunk, as any other part.
+pub const RUN_MIN_CHUNKS: usize = 2;
 
 /// Storage key of the chunk with the given content address. Chunks live in
 /// a flat `chunk/` namespace outside any checkpoint directory, because
@@ -129,33 +150,113 @@ impl ChunkRef {
         chunk_key(self.hash, self.len)
     }
 
+    /// The content address `(hash128, len)`.
+    pub fn addr(&self) -> (u128, u32) {
+        (self.hash, self.len)
+    }
+
     /// Whether the stored representation needs decoding on read.
     pub fn compressed(&self) -> bool {
         self.form != Form::Raw
+    }
+
+    /// Encode as a manifest entry: a chunk, or with `run_len` a run
+    /// object covering that many raw bytes.
+    fn save_entry(&self, enc: &mut Encoder, run_len: Option<u64>) {
+        enc.put_u128(self.hash);
+        enc.put_u32(self.len);
+        enc.put_u32(self.stored_len);
+        enc.put_u8(self.form.id() | if run_len.is_some() { RUN } else { 0 });
+        if let Some(len) = run_len {
+            enc.put_u64(len);
+        }
+    }
+
+    /// Inverse of [`ChunkRef::save_entry`].
+    fn load_entry(
+        dec: &mut Decoder<'_>,
+    ) -> Result<(Self, Option<u64>), CodecError> {
+        let (hash, len, stored_len) =
+            (dec.get_u128()?, dec.get_u32()?, dec.get_u32()?);
+        let id = dec.get_u8()?;
+        let form = Form::from_id(id & !RUN).ok_or_else(|| {
+            CodecError::new(format!("unknown chunk codec id {id}"))
+        })?;
+        let run_len = (id & RUN != 0).then(|| dec.get_u64()).transpose()?;
+        let chunk = ChunkRef {
+            hash,
+            len,
+            stored_len,
+            form,
+        };
+        Ok((chunk, run_len))
     }
 }
 
 impl SaveLoad for ChunkRef {
     fn save(&self, enc: &mut Encoder) {
-        enc.put_u128(self.hash);
-        enc.put_u32(self.len);
-        enc.put_u32(self.stored_len);
-        enc.put_u8(self.form.id());
+        self.save_entry(enc, None);
     }
     fn load(dec: &mut Decoder<'_>) -> Result<Self, CodecError> {
-        Ok(ChunkRef {
-            hash: dec.get_u128()?,
-            len: dec.get_u32()?,
-            stored_len: dec.get_u32()?,
-            form: {
-                let id = dec.get_u8()?;
-                Form::from_id(id).ok_or_else(|| {
-                    CodecError::new(format!("unknown chunk codec id {id}"))
-                })?
-            },
-        })
+        match ChunkRef::load_entry(dec)? {
+            (chunk, None) => Ok(chunk),
+            (_, Some(_)) => Err(CodecError::new("a run names a run")),
+        }
     }
 }
+
+/// The raw bytes of the run object naming `chunks`: their count, then
+/// each reference as a manifest lists a chunk.
+pub fn encode_run(chunks: &[ChunkRef]) -> Vec<u8> {
+    let mut enc = Encoder::with_capacity(8 + chunks.len() * ENTRY_LEN);
+    enc.put_usize(chunks.len());
+    for chunk in chunks {
+        chunk.save(&mut enc);
+    }
+    enc.into_bytes()
+}
+
+/// Inverse of [`encode_run`], for a run its manifest says covers `len` raw
+/// bytes. Runs are one level deep: an entry that is itself a run, a count
+/// the bytes cannot hold exactly, or lengths that do not sum to `len` are
+/// errors, found before anything is reserved beyond the input.
+pub fn decode_run(
+    bytes: &[u8],
+    len: u64,
+) -> Result<Vec<ChunkRef>, CodecError> {
+    let mut dec = Decoder::new(bytes);
+    let n = dec.get_u64()?;
+    if n.checked_mul(ENTRY_LEN as u64) != Some(dec.remaining() as u64) {
+        return Err(CodecError::new(format!(
+            "run of {n} chunks does not fit its {} bytes",
+            bytes.len()
+        )));
+    }
+    let chunks = (0..n)
+        .map(|_| ChunkRef::load(&mut dec))
+        .collect::<Result<Vec<_>, _>>()?;
+    let sum: u64 = chunks.iter().map(|c| u64::from(c.len)).sum();
+    if sum != len {
+        return Err(CodecError::new(format!(
+            "run covers {sum} bytes, its manifest entry {len}"
+        )));
+    }
+    Ok(chunks)
+}
+
+/// A span of a manifest's chunks stored as one run object.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct RunSpan {
+    /// The chunks the run names: `Manifest::chunks[chunks]`.
+    pub chunks: Range<usize>,
+    /// The run object's content address and stored form.
+    pub obj: ChunkRef,
+}
+
+/// A run entry of a decoded manifest, not yet resolved: where in
+/// [`Manifest::chunks`] its chunks belong, the run object, and the raw
+/// length it covers.
+pub type UnresolvedRun = (usize, ChunkRef, u64);
 
 /// Ordered chunk list describing one rank blob of one checkpoint.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
@@ -166,8 +267,11 @@ pub struct Manifest {
     /// per-chunk CRCs, so a bug that reassembles valid chunks in the wrong
     /// order still surfaces as corruption.
     pub blob_crc: u32,
-    /// Chunk references in blob order.
+    /// Chunk references in blob order, every run's in place.
     pub chunks: Vec<ChunkRef>,
+    /// The spans of `chunks` stored as run objects, in order and
+    /// disjoint: the encoding names each by one entry.
+    pub runs: Vec<RunSpan>,
 }
 
 impl Manifest {
@@ -177,14 +281,16 @@ impl Manifest {
         Manifest {
             total_len: blob.len() as u64,
             blob_crc: crc32(blob),
-            chunks: Vec::new(),
+            ..Manifest::default()
         }
     }
 
-    /// Sum of stored chunk lengths (what the chunks cost on the backend,
-    /// ignoring seals and dedup).
-    pub fn stored_bytes(&self) -> u64 {
-        self.chunks.iter().map(|c| u64::from(c.stored_len)).sum()
+    /// Name `chunks[first..]` by the run object `obj`, if there is one.
+    pub fn push_run(&mut self, first: usize, obj: Option<ChunkRef>) {
+        if let Some(obj) = obj {
+            let chunks = first..self.chunks.len();
+            self.runs.push(RunSpan { chunks, obj });
+        }
     }
 
     /// The chunks (as indices into `chunks`) covering exactly bytes
@@ -206,21 +312,45 @@ impl Manifest {
     }
 
     /// Serialize for storage (the result is additionally CRC-sealed by the
-    /// store like every other blob).
+    /// store like every other blob). Without runs, the bytes are those of
+    /// a manifest written before runs existed.
     pub fn encode(&self) -> Vec<u8> {
-        // Magic, length, CRC, the list's length prefix and 25 bytes per
-        // chunk — and the seal trailer, so `seal_vec` appends in place.
-        let mut enc = Encoder::with_capacity(24 + self.chunks.len() * 25 + 4);
+        let named: usize = self.runs.iter().map(|r| r.chunks.len()).sum();
+        let entries = self.chunks.len() - named + self.runs.len();
+        // Magic, length, CRC, the entry count and 25 bytes per entry (8
+        // more per run) — and the seal trailer, so `seal_vec` appends in
+        // place.
+        let mut enc = Encoder::with_capacity(
+            24 + entries * ENTRY_LEN + self.runs.len() * 8 + 4,
+        );
         enc.put_u32(MANIFEST_MAGIC);
         enc.put_u64(self.total_len);
         enc.put_u32(self.blob_crc);
-        enc.put(&self.chunks);
+        enc.put_usize(entries);
+        let mut next = 0;
+        for run in &self.runs {
+            for chunk in &self.chunks[next..run.chunks.start] {
+                chunk.save(&mut enc);
+            }
+            let named = &self.chunks[run.chunks.clone()];
+            let len = named.iter().map(|c| u64::from(c.len)).sum();
+            run.obj.save_entry(&mut enc, Some(len));
+            next = run.chunks.end;
+        }
+        for chunk in &self.chunks[next..] {
+            chunk.save(&mut enc);
+        }
         enc.into_bytes()
     }
 
-    /// Decode a stored manifest, validating magic and internal length
-    /// consistency.
-    pub fn decode(bytes: &[u8]) -> Result<Self, CodecError> {
+    /// Decode a stored manifest, validating magic and that its entries
+    /// cover `total_len`. The chunks come back with every run left out;
+    /// the runs come back unresolved, for the store to fetch and splice
+    /// in (`CheckpointStore::get_rank_manifest`). Nothing is reserved
+    /// beyond a small multiple of the input.
+    pub fn decode(
+        bytes: &[u8],
+    ) -> Result<(Self, Vec<UnresolvedRun>), CodecError> {
         let mut dec = Decoder::new(bytes);
         let magic = dec.get_u32()?;
         if magic != MANIFEST_MAGIC {
@@ -228,20 +358,40 @@ impl Manifest {
                 "bad manifest magic {magic:#010x}"
             )));
         }
-        let m = Manifest {
+        let mut m = Manifest {
             total_len: dec.get_u64()?,
             blob_crc: dec.get_u32()?,
-            chunks: dec.get()?,
+            ..Manifest::default()
         };
+        let n = dec.get_usize()?;
+        if n > dec.remaining() / ENTRY_LEN {
+            return Err(CodecError::new(format!(
+                "manifest of {n} entries does not fit its {} bytes",
+                bytes.len()
+            )));
+        }
+        m.chunks.reserve_exact(n);
+        let (mut runs, mut sum) = (Vec::new(), 0u64);
+        for _ in 0..n {
+            match ChunkRef::load_entry(&mut dec)? {
+                (chunk, None) => {
+                    sum = sum.saturating_add(chunk.len.into());
+                    m.chunks.push(chunk);
+                }
+                (obj, Some(len)) => {
+                    sum = sum.saturating_add(len);
+                    runs.push((m.chunks.len(), obj, len));
+                }
+            }
+        }
         dec.finish("manifest")?;
-        let sum: u64 = m.chunks.iter().map(|c| u64::from(c.len)).sum();
         if sum != m.total_len {
             return Err(CodecError::new(format!(
                 "manifest total_len {} disagrees with chunk sum {sum}",
                 m.total_len
             )));
         }
-        Ok(m)
+        Ok((m, runs))
     }
 }
 
@@ -257,6 +407,9 @@ pub struct CleanRun {
     pub crc: u32,
     /// The chunks covering the encoding, in order.
     pub chunks: Vec<ChunkRef>,
+    /// The run object naming `chunks`, when there are at least
+    /// [`RUN_MIN_CHUNKS`]: a later manifest names the value by it alone.
+    pub run: Option<ChunkRef>,
 }
 
 /// What the last written line of one `(rank, kind)` blob stream left on
@@ -366,18 +519,21 @@ mod tests {
         assert_eq!(m.get(&(2, 5)), None);
     }
 
-    #[test]
-    fn run_at_finds_only_chunk_aligned_spans() {
-        let chunk = |len| ChunkRef {
-            hash: u128::from(len),
+    fn raw(hash: u128, len: u32) -> ChunkRef {
+        ChunkRef {
+            hash,
             len,
             stored_len: len,
             form: Form::Raw,
-        };
+        }
+    }
+
+    #[test]
+    fn run_at_finds_only_chunk_aligned_spans() {
         let m = Manifest {
             total_len: 60,
-            blob_crc: 0,
-            chunks: vec![chunk(10), chunk(20), chunk(30)],
+            chunks: vec![raw(10, 10), raw(20, 20), raw(30, 30)],
+            ..Manifest::default()
         };
         assert_eq!(m.run_at(0, 60), Some(0..3));
         assert_eq!(m.run_at(10, 20), Some(1..2));
@@ -397,6 +553,8 @@ mod tests {
         m.chunks = vec![ChunkRef::for_piece(&[0; 25]); 3];
         let enc = m.encode();
         assert_eq!(enc.len(), 24 + 25 * 3);
+        assert_eq!(enc.capacity(), enc.len() + 4);
+        let enc = manifest_with_a_run().encode();
         assert_eq!(enc.capacity(), enc.len() + 4);
     }
 
@@ -425,8 +583,7 @@ mod tests {
             },
         ];
         let enc = m.encode();
-        assert_eq!(Manifest::decode(&enc).unwrap(), m);
-        assert_eq!(m.stored_bytes(), 49);
+        assert_eq!(Manifest::decode(&enc).unwrap(), (m, Vec::new()));
     }
 
     #[test]
@@ -435,16 +592,10 @@ mod tests {
         assert!(Manifest::decode(&[0; 20]).is_err());
         // total_len disagreeing with the chunk sum.
         let mut m = Manifest {
-            total_len: 10,
-            blob_crc: 0,
-            chunks: vec![ChunkRef {
-                hash: 0,
-                len: 5,
-                stored_len: 5,
-                form: Form::Raw,
-            }],
+            total_len: 99,
+            chunks: vec![raw(0, 5)],
+            ..Manifest::default()
         };
-        m.total_len = 99;
         assert!(Manifest::decode(&m.encode()).is_err());
         // Trailing garbage.
         m.total_len = 5;
@@ -455,17 +606,15 @@ mod tests {
 
     #[test]
     fn decode_rejects_unknown_codec_ids() {
-        let mut m = Manifest {
+        let m = Manifest {
             total_len: 5,
-            blob_crc: 0,
+            blob_crc: 1,
             chunks: vec![ChunkRef {
-                hash: 7,
-                len: 5,
-                stored_len: 5,
                 form: Form::Lz4,
+                ..raw(7, 5)
             }],
+            ..Manifest::default()
         };
-        m.blob_crc = 1;
         let mut enc = m.encode();
         // The form id is the last byte of the encoded chunk list. Id 1
         // is retired: a manifest naming it is as corrupt as any other.
@@ -476,5 +625,101 @@ mod tests {
             let err = Manifest::decode(&enc).unwrap_err();
             assert!(err.to_string().contains("codec"), "{id}: {err}");
         }
+    }
+
+    /// A chunk, a run of three chunks stored as LZ4, and a chunk: the
+    /// shape of a Dense CG state line.
+    fn manifest_with_a_run() -> Manifest {
+        let mut m = Manifest {
+            total_len: 150,
+            blob_crc: 7,
+            chunks: (1..=5).map(|i| raw(i, 10 * i as u32)).collect(),
+            ..Manifest::default()
+        };
+        let obj = ChunkRef {
+            stored_len: 9,
+            form: Form::Lz4,
+            ..ChunkRef::for_piece(&encode_run(&m.chunks[1..4]))
+        };
+        m.runs.push(RunSpan { chunks: 1..4, obj });
+        m
+    }
+
+    #[test]
+    fn without_runs_the_encoding_is_the_one_before_runs() {
+        let mut m = manifest_with_a_run();
+        m.runs.clear();
+        let mut before = Encoder::new();
+        before.put_u32(MANIFEST_MAGIC);
+        before.put_u64(m.total_len);
+        before.put_u32(m.blob_crc);
+        before.put(&m.chunks);
+        assert_eq!(m.encode(), before.into_bytes());
+    }
+
+    #[test]
+    fn a_run_is_one_entry_a_reader_without_runs_refuses() {
+        let m = manifest_with_a_run();
+        let enc = m.encode();
+        // Two chunk entries and one run entry in place of five chunks.
+        assert_eq!(enc.len(), 24 + 3 * ENTRY_LEN + 8);
+        let (direct, runs) = Manifest::decode(&enc).unwrap();
+        assert_eq!(direct.chunks, [m.chunks[0], m.chunks[4]]);
+        assert!(direct.runs.is_empty());
+        assert_eq!(runs, [(1, m.runs[0].obj, 20 + 30 + 40)]);
+        // The run entry's form byte is no form id, so the chunk-list
+        // decoder of a reader that predates runs refuses it.
+        let entry = &enc[24 + ENTRY_LEN..];
+        assert_eq!(Form::from_id(entry[24]), None);
+        let err = ChunkRef::load(&mut Decoder::new(entry)).unwrap_err();
+        assert!(err.to_string().contains("run"), "{err}");
+        let obj = encode_run(&m.chunks[1..4]);
+        assert_eq!(decode_run(&obj, 90).unwrap(), &m.chunks[1..4]);
+    }
+
+    #[test]
+    fn hostile_runs_and_manifests_are_refused_never_panic() {
+        let m = manifest_with_a_run();
+        let run = encode_run(&m.chunks[1..4]);
+        // Every truncation and every bit and byte flip of a run object
+        // and of a manifest naming one: an error or a decode, never a
+        // panic, and never more than a small multiple of the input
+        // allocated.
+        let decode = |input: &[u8]| {
+            let before = crate::test_alloc::allocated_bytes();
+            let _ = decode_run(input, 90);
+            let _ = Manifest::decode(input);
+            let spent = crate::test_alloc::allocated_bytes() - before;
+            let bound = 8 * input.len() as u64 + 512;
+            assert!(spent <= bound, "{spent} bytes for {}", input.len());
+        };
+        for bytes in [&run, &m.encode()] {
+            (0..bytes.len()).for_each(|cut| decode(&bytes[..cut]));
+            for i in 0..bytes.len() {
+                for flip in (0..8).map(|bit| 1u8 << bit).chain([0xFF]) {
+                    let mut flipped = bytes.clone();
+                    flipped[i] ^= flip;
+                    decode(&flipped);
+                }
+            }
+        }
+        // A run naming a run.
+        let mut nested = run.clone();
+        nested[8 + 24] |= RUN;
+        let err = decode_run(&nested, 90).unwrap_err().to_string();
+        assert!(err.contains("a run names a run"), "{err}");
+        // Entries that do not sum to what the manifest says.
+        assert!(decode_run(&run, 91).is_err());
+        // Counts the object's length cannot hold.
+        for n in [2, 4, u64::MAX / 25 + 1, u64::MAX] {
+            let mut bad = run.clone();
+            bad[..8].copy_from_slice(&n.to_le_bytes());
+            let err = decode_run(&bad, 90).unwrap_err().to_string();
+            assert!(err.contains("does not fit"), "{n}: {err}");
+        }
+        let mut bad = m.encode();
+        bad[16..24].copy_from_slice(&u64::MAX.to_le_bytes());
+        let err = Manifest::decode(&bad).unwrap_err().to_string();
+        assert!(err.contains("does not fit"), "{err}");
     }
 }

@@ -22,13 +22,16 @@
 //! the job falls back to the previous committed checkpoint (or a
 //! from-scratch restart).
 
+use std::collections::{BTreeSet, HashMap};
 use std::sync::Arc;
 
 use crate::backend::StorageBackend;
 use crate::codec::{Decoder, Encoder, SaveLoad};
 use crate::error::{StoreError, StoreResult};
 use crate::integrity::{crc32, crc32_combine, hash128, seal_vec, unseal_crc};
-use crate::manifest::{parse_chunk_key, AddrMap, ChunkRef, Manifest};
+use crate::manifest::{
+    chunk_key, decode_run, parse_chunk_key, AddrMap, ChunkRef, Manifest,
+};
 
 /// Global checkpoint number. Checkpoint `n` separates epoch `n-1` from epoch
 /// `n` in the paper's terminology; the start of the program acts as an
@@ -139,10 +142,15 @@ impl CheckpointStore {
         format!("ckpt/{ckpt:08}/rank{rank}/{}", kind.as_str())
     }
 
-    // Manifest of an incrementally written blob. Lives alongside the raw
-    // blob key (a blob is stored either raw or as manifest + chunks, never
-    // both), under the checkpoint directory so GC scopes it naturally.
-    fn manifest_key(ckpt: CkptId, rank: usize, kind: RankBlobKind) -> String {
+    /// Key of the manifest of an incrementally written blob. It lives
+    /// alongside the raw blob key (a blob is stored either raw or as
+    /// manifest + chunks, never both), under the checkpoint directory so
+    /// GC scopes it naturally.
+    pub fn manifest_key(
+        ckpt: CkptId,
+        rank: usize,
+        kind: RankBlobKind,
+    ) -> String {
         format!("ckpt/{ckpt:08}/rank{rank}/{}.m", kind.as_str())
     }
 
@@ -286,32 +294,59 @@ impl CheckpointStore {
         )
     }
 
-    /// Read back a rank blob's chunk manifest; `None` means the blob was
-    /// written raw (or not at all).
+    /// Read back a rank blob's chunk manifest, its runs resolved; `None`
+    /// means the blob was written raw (or not at all).
     pub fn get_rank_manifest(
         &self,
         ckpt: CkptId,
         rank: usize,
         kind: RankBlobKind,
     ) -> StoreResult<Option<Manifest>> {
-        let key = Self::manifest_key(ckpt, rank, kind);
-        let sealed = match self.backend.get(&key) {
+        self.read_manifest(&Self::manifest_key(ckpt, rank, kind))
+    }
+
+    /// Read the manifest under `key` and resolve its run entries: each run
+    /// object is fetched and verified like a chunk, its entries must sum
+    /// to what the manifest says it covers, and its chunks are spliced in
+    /// place. Every reader of a manifest — reassembly, a restart's
+    /// adoption, GC, the tier mover — sees the flat chunk list.
+    fn read_manifest(&self, key: &str) -> StoreResult<Option<Manifest>> {
+        let sealed = match self.backend.get(key) {
             Ok(b) => b,
             Err(StoreError::Missing(_)) => return Ok(None),
             Err(e) => return Err(e),
         };
+        let corrupt = |key, detail| StoreError::Corrupt { key, detail };
         let payload = crate::integrity::unseal(&sealed).ok_or_else(|| {
-            StoreError::Corrupt {
-                key: key.clone(),
-                detail: "CRC-32 integrity check failed".into(),
-            }
+            corrupt(key.into(), "CRC-32 integrity check failed".into())
         })?;
-        Manifest::decode(payload)
-            .map(Some)
-            .map_err(|e| StoreError::Corrupt {
-                key,
-                detail: e.to_string(),
-            })
+        let (mut m, runs) = Manifest::decode(payload)
+            .map_err(|e| corrupt(key.into(), e.to_string()))?;
+        let direct = std::mem::take(&mut m.chunks);
+        let mut next = 0;
+        for (at, obj, len) in runs {
+            m.chunks.extend_from_slice(&direct[next..at]);
+            next = at;
+            let named = decode_run(&self.get_chunk(&obj)?, len)
+                .map_err(|e| corrupt(obj.key(), e.to_string()))?;
+            let first = m.chunks.len();
+            m.chunks.extend(named);
+            m.push_run(first, Some(obj));
+        }
+        m.chunks.extend_from_slice(&direct[next..]);
+        Ok(Some(m))
+    }
+
+    /// The manifest under `key` as GC and the tier mover read it: `None`
+    /// also when it or a run it names does not resolve — that blob is
+    /// already unrecoverable, so it names nothing.
+    pub fn manifest_at(&self, key: &str) -> StoreResult<Option<Manifest>> {
+        match self.read_manifest(key) {
+            Err(StoreError::Corrupt { .. } | StoreError::Missing(_)) => {
+                Ok(None)
+            }
+            other => other,
+        }
     }
 
     /// Store content-addressed chunks through one
@@ -556,7 +591,12 @@ impl CheckpointStore {
     /// surviving checkpoint (id ≥ `keep`, committed or still being
     /// written) is retained even if it was first written by a checkpoint
     /// being collected; chunks no surviving manifest references are
-    /// deleted.
+    /// deleted. A run object a surviving manifest names survives, and so
+    /// do the chunks it names.
+    ///
+    /// This is the listing sweep: every `ckpt/` and `chunk/` key is
+    /// listed and every surviving manifest read. The pipeline counts
+    /// instead ([`Self::gc_indexed`]) and sweeps only to start counting.
     ///
     /// **Concurrency**: the orphan sweep can only see chunks whose
     /// referencing manifest is already on storage. Callers with
@@ -569,16 +609,71 @@ impl CheckpointStore {
         self.sweep(|id| id >= keep).map(drop)
     }
 
-    /// Delete every key of the checkpoint lines `live` rejects, then every
-    /// chunk no surviving line's manifest references. Returns how many
-    /// lines were dropped.
+    /// [`Self::gc_keeping`] by a [`LiveIndex`]: delete the dead lines'
+    /// keys (`ckpt/` listed once), release what their manifests and any
+    /// overwritten one named, and delete what no manifest names any more;
+    /// no `chunk/` listing, no manifest read. With no index, or when the
+    /// listing shows a manifest it has not noted, this is the listing
+    /// sweep — which also collects chunks a killed attempt put without a
+    /// manifest — and `index` becomes what the sweep found. An error
+    /// after the listing leaves `index` `None`, so the next call lists
+    /// again.
+    ///
+    /// **Concurrency**: as [`Self::gc_keeping`]; besides, the index must
+    /// have noted every manifest put since it was built.
+    pub fn gc_indexed(
+        &self,
+        index: &mut Option<LiveIndex>,
+        keep: CkptId,
+    ) -> StoreResult<()> {
+        let keys = self.backend.list("ckpt/")?;
+        let noted = |ix: &LiveIndex| {
+            keys.iter()
+                .all(|k| !k.ends_with(".m") || ix.manifests.contains_key(k))
+        };
+        let Some(mut ix) = index.take().filter(noted) else {
+            *index = Some(self.sweep_listed(keys, |id| id >= keep)?.1);
+            return Ok(());
+        };
+        for key in &keys {
+            if Self::parse_ckpt_id(key).is_some_and(|id| id < keep) {
+                self.backend.delete(key)?;
+            }
+        }
+        let mut gone = std::mem::take(&mut ix.released);
+        ix.manifests.retain(|key, named| {
+            let live = Self::parse_ckpt_id(key).is_some_and(|id| id >= keep);
+            if !live {
+                gone.append(named);
+            }
+            live
+        });
+        let mut dead = Vec::new();
+        ix.release(gone, &mut dead);
+        for (hash, len) in dead {
+            self.backend.delete(&chunk_key(hash, len))?;
+        }
+        *index = Some(ix);
+        Ok(())
+    }
+
     fn sweep(&self, live: impl Fn(CkptId) -> bool) -> StoreResult<u64> {
-        // One listing of the checkpoint directories: the surviving lines'
-        // manifests give the live chunk addresses, every other line's
-        // keys go.
-        let mut live_chunks: AddrMap<()> = AddrMap::default();
-        let mut dropped = std::collections::BTreeSet::new();
-        for key in self.backend.list("ckpt/")? {
+        let keys = self.backend.list("ckpt/")?;
+        self.sweep_listed(keys, live).map(|(dropped, _)| dropped)
+    }
+
+    /// Delete every listed `ckpt/` key of the lines `live` rejects, then
+    /// every chunk and run object the surviving manifests do not name.
+    /// Returns how many lines were dropped, and the [`LiveIndex`] of what
+    /// survives.
+    fn sweep_listed(
+        &self,
+        keys: Vec<String>,
+        live: impl Fn(CkptId) -> bool,
+    ) -> StoreResult<(u64, LiveIndex)> {
+        let mut index = LiveIndex::default();
+        let mut dropped = BTreeSet::new();
+        for key in keys {
             let Some(id) = Self::parse_ckpt_id(&key) else {
                 continue;
             };
@@ -586,23 +681,20 @@ impl CheckpointStore {
                 self.backend.delete(&key)?;
                 dropped.insert(id);
             } else if key.ends_with(".m") {
-                if let Some(manifest) = self.load_manifest_at(&key)? {
-                    live_chunks.extend(
-                        manifest.chunks.iter().map(|c| ((c.hash, c.len), ())),
-                    );
-                }
+                let manifest = self.manifest_at(&key)?;
+                index.note(key, manifest.as_ref());
             }
         }
-        // Drop orphaned chunks — and anything under `chunk/` that is not
-        // a chunk key, which no manifest can name.
+        // Drop orphaned chunks and runs — and anything under `chunk/`
+        // that is not a chunk key, which no manifest can name.
         for key in self.backend.list("chunk/")? {
             let live = parse_chunk_key(&key)
-                .is_some_and(|addr| live_chunks.contains_key(&addr));
+                .is_some_and(|addr| index.refs.contains_key(&addr));
             if !live {
                 self.backend.delete(&key)?;
             }
         }
-        Ok(dropped.len() as u64)
+        Ok((dropped.len() as u64, index))
     }
 
     fn parse_ckpt_id(key: &str) -> Option<CkptId> {
@@ -610,21 +702,78 @@ impl CheckpointStore {
         let (num, _) = rest.split_once('/')?;
         num.parse().ok()
     }
+}
 
-    // Load a manifest by raw storage key (GC path). Returns `None` for a
-    // key that exists but does not decode as a sealed manifest — such a
-    // blob is already unrecoverable, so GC skips it rather than failing
-    // the initiator's post-commit cleanup.
-    fn load_manifest_at(&self, key: &str) -> StoreResult<Option<Manifest>> {
-        let sealed = match self.backend.get(key) {
-            Ok(b) => b,
-            Err(StoreError::Missing(_)) => return Ok(None),
-            Err(e) => return Err(e),
-        };
-        let Some(payload) = crate::integrity::unseal(&sealed) else {
-            return Ok(None);
-        };
-        Ok(Manifest::decode(payload).ok())
+/// A chunk's or run object's content address `(hash128, len)`.
+type Addr = (u128, u32);
+
+/// How many manifests on storage name each chunk and run object (a run's
+/// own chunks counted once while it is named): the live set, counted
+/// instead of listed. [`CheckpointStore::gc_indexed`] builds one with a
+/// listing sweep and collects by it; the writer notes every manifest it
+/// puts.
+#[derive(Default)]
+pub struct LiveIndex {
+    refs: AddrMap<u32>,
+    /// Each named run's chunk addresses.
+    runs: AddrMap<Vec<Addr>>,
+    /// What each noted manifest, by key, names itself.
+    manifests: HashMap<String, Vec<Addr>>,
+    /// What overwritten manifests named, released by the next collection.
+    released: Vec<Addr>,
+}
+
+impl LiveIndex {
+    /// Count the manifest just put under `key`
+    /// ([`CheckpointStore::manifest_key`]); `None` notes one that names
+    /// nothing. What a manifest it overwrote named is released by the
+    /// next collection.
+    pub fn note(&mut self, key: String, manifest: Option<&Manifest>) {
+        let mut named = Vec::new();
+        if let Some(m) = manifest {
+            let mut next = 0;
+            for run in &m.runs {
+                let before = &m.chunks[next..run.chunks.start];
+                named.extend(before.iter().map(ChunkRef::addr));
+                named.push(run.obj.addr());
+                if !self.runs.contains_key(&run.obj.addr()) {
+                    let chunks: Vec<Addr> = m.chunks[run.chunks.clone()]
+                        .iter()
+                        .map(ChunkRef::addr)
+                        .collect();
+                    for &addr in &chunks {
+                        *self.refs.entry(addr).or_default() += 1;
+                    }
+                    self.runs.insert(run.obj.addr(), chunks);
+                }
+                next = run.chunks.end;
+            }
+            named.extend(m.chunks[next..].iter().map(ChunkRef::addr));
+        }
+        for &addr in &named {
+            *self.refs.entry(addr).or_default() += 1;
+        }
+        if let Some(old) = self.manifests.insert(key, named) {
+            self.released.extend(old);
+        }
+    }
+
+    /// Drop one reference to each of `addrs`, pushing every address no
+    /// longer named onto `dead` (a dead run's chunks lose its reference).
+    fn release(&mut self, addrs: Vec<Addr>, dead: &mut Vec<Addr>) {
+        for addr in addrs {
+            let Some(count) = self.refs.get_mut(&addr) else {
+                continue;
+            };
+            *count -= 1;
+            if *count == 0 {
+                self.refs.remove(&addr);
+                if let Some(chunks) = self.runs.remove(&addr) {
+                    self.release(chunks, dead);
+                }
+                dead.push(addr);
+            }
+        }
     }
 }
 
@@ -633,6 +782,7 @@ mod tests {
     use super::*;
     use crate::backend::MemoryBackend;
     use crate::compress::{Codec, Form, Trials};
+    use crate::manifest::encode_run;
 
     fn store(nranks: usize) -> CheckpointStore {
         CheckpointStore::new(Arc::new(MemoryBackend::new()), nranks)
@@ -785,10 +935,15 @@ mod tests {
             2,
         ));
         let s = CheckpointStore::new(tiered.clone(), 2);
+        // Each line's MPI-objects blob names a run object of its own.
+        let mut runs = Vec::new();
         for ckpt in [1u64, 2] {
             write_full_checkpoint(&s, ckpt);
+            let blob = [[ckpt as u8; 64], [!(ckpt as u8); 64]].concat();
+            let kind = RankBlobKind::MpiObjects;
+            runs.push(put_with_run(&s, ckpt, kind, &blob, 0));
             s.commit(ckpt).unwrap();
-            for key in raw[0].list("ckpt/").unwrap() {
+            for key in raw[0].list("").unwrap() {
                 tiered.promote(&key, 1).unwrap();
                 tiered.promote(&key, 2).unwrap();
             }
@@ -802,12 +957,16 @@ mod tests {
             "precondition: line 2 has partner replicas"
         );
         assert_eq!(s.discard_after(1).unwrap(), 1);
+        let discarded = keys_of(&[&runs[1]]);
         for (t, prefix) in [(1usize, "rep/"), (2, "ec/")] {
             let stale: Vec<String> = raw[t]
                 .list(prefix)
                 .unwrap()
                 .into_iter()
-                .filter(|k| k.contains("00000002"))
+                .filter(|k| {
+                    k.contains("00000002")
+                        || discarded.iter().any(|d| k.ends_with(d.as_str()))
+                })
                 .collect();
             assert!(
                 stale.is_empty(),
@@ -815,13 +974,17 @@ mod tests {
                  {stale:?}"
             );
         }
-        // The surviving line is untouched on every tier.
+        // The surviving line is untouched on every tier, its run object
+        // and chunks included.
         assert!(s.is_committed(1).unwrap());
-        assert!(raw[1]
-            .list("rep/")
-            .unwrap()
-            .iter()
-            .any(|k| k.contains("00000001")));
+        let replicas = raw[1].list("rep/").unwrap();
+        assert!(replicas.iter().any(|k| k.contains("00000001")));
+        for key in keys_of(&[&runs[0]]) {
+            assert!(
+                replicas.iter().any(|k| k.ends_with(key.as_str())),
+                "{key}"
+            );
+        }
     }
 
     #[test]
@@ -881,6 +1044,159 @@ mod tests {
             manifest.chunks.push(chunk);
         }
         s.put_rank_manifest(ckpt, rank, kind, &manifest).unwrap();
+    }
+
+    /// Write rank 0's blob of 64-byte chunks naming chunks `first..`
+    /// through one run object, as the pipeline stores a tracked value's.
+    fn put_with_run(
+        s: &CheckpointStore,
+        ckpt: CkptId,
+        kind: RankBlobKind,
+        blob: &[u8],
+        first: usize,
+    ) -> Manifest {
+        let mut m = Manifest::for_blob(blob);
+        for piece in blob.chunks(64) {
+            let chunk = ChunkRef::for_piece(piece);
+            put_chunk(s, &chunk, piece);
+            m.chunks.push(chunk);
+        }
+        let run = encode_run(&m.chunks[first..]);
+        let obj = ChunkRef::for_piece(&run);
+        put_chunk(s, &obj, &run);
+        m.push_run(first, Some(obj));
+        s.put_rank_manifest(ckpt, 0, kind, &m).unwrap();
+        m
+    }
+
+    /// The sorted keys of the chunks and run objects `manifests` name.
+    fn keys_of(manifests: &[&Manifest]) -> Vec<String> {
+        let mut keys: Vec<String> = manifests
+            .iter()
+            .flat_map(|m| m.chunks.iter().chain(m.runs.iter().map(|r| &r.obj)))
+            .map(ChunkRef::key)
+            .collect();
+        keys.sort();
+        keys.dedup();
+        keys
+    }
+
+    #[test]
+    fn gc_follows_runs_listing_and_counting() {
+        // Each line is a chunk of its own and a run of two chunks that
+        // lines 1 and 2 share. The GC at line 2 lists and builds the
+        // index; the one at line 3 counts.
+        let backend = Arc::new(MemoryBackend::new());
+        let s = CheckpointStore::new(backend.clone(), 1);
+        let blob = |head: u8, run: u8| [[head; 64], [run; 64], [!run; 64]];
+        let mut lines = Vec::new();
+        let mut index = None;
+        for (ckpt, head, run) in
+            [(1, 0xA0, 0xB0), (2, 0xA1, 0xB0), (3, 0xA2, 0xC0)]
+        {
+            let blob = blob(head, run).concat();
+            let m = put_with_run(&s, ckpt, RankBlobKind::State, &blob, 1);
+            s.put_rank_blob(ckpt, 0, RankBlobKind::Log, b"l").unwrap();
+            s.commit(ckpt).unwrap();
+            let read = s.get_rank_manifest(ckpt, 0, RankBlobKind::State);
+            assert_eq!(read.unwrap().as_ref(), Some(&m));
+            assert_eq!(
+                s.get_rank_blob(ckpt, 0, RankBlobKind::State).unwrap(),
+                blob
+            );
+            let key =
+                CheckpointStore::manifest_key(ckpt, 0, RankBlobKind::State);
+            if let Some(ix) = index.as_mut() {
+                LiveIndex::note(ix, key, Some(&m));
+            }
+            lines.push(m);
+            if ckpt >= 2 {
+                s.gc_indexed(&mut index, ckpt).unwrap();
+                assert_eq!(
+                    backend.list("chunk/").unwrap(),
+                    keys_of(&[&lines[ckpt as usize - 1]])
+                );
+            }
+        }
+        assert!(backend
+            .list("ckpt/")
+            .unwrap()
+            .iter()
+            .all(|k| k.starts_with("ckpt/00000003/")));
+        // A manifest overwritten before the next GC: what it named is
+        // released then, what its successor names stays.
+        let ix = index.as_mut().unwrap();
+        let key = CheckpointStore::manifest_key(4, 0, RankBlobKind::State);
+        let state = RankBlobKind::State;
+        let old = put_with_run(&s, 4, state, &blob(0xA3, 0xD0).concat(), 1);
+        ix.note(key.clone(), Some(&old));
+        let new = put_with_run(&s, 4, state, &blob(0xA4, 0xC0).concat(), 1);
+        ix.note(key, Some(&new));
+        s.gc_indexed(&mut index, 3).unwrap();
+        let live = keys_of(&[&lines[2], &new]);
+        assert_eq!(backend.list("chunk/").unwrap(), live);
+        // It is what the listing sweep leaves.
+        s.gc_keeping(3).unwrap();
+        assert_eq!(backend.list("chunk/").unwrap(), live);
+    }
+
+    #[test]
+    fn a_line_naming_a_run_reads_exactly_or_as_corrupt() {
+        let backend = Arc::new(MemoryBackend::new());
+        let s = CheckpointStore::new(backend.clone(), 1);
+        let blob: Vec<u8> = (0..256u32).map(|i| (i * 7 % 251) as u8).collect();
+        let m = put_with_run(&s, 1, RankBlobKind::State, &blob, 1);
+        let read = || s.get_rank_blob(1, 0, RankBlobKind::State);
+        assert_eq!(read().unwrap(), blob);
+        // Every truncation and every bit and byte flip of the sealed
+        // manifest and of the stored run object.
+        let manifest_key =
+            CheckpointStore::manifest_key(1, 0, RankBlobKind::State);
+        for key in [manifest_key, m.runs[0].obj.key()] {
+            let good = backend.get(&key).unwrap();
+            let mut bad: Vec<Vec<u8>> =
+                (0..good.len()).map(|n| good[..n].to_vec()).collect();
+            for i in 0..good.len() {
+                for flip in (0..8).map(|bit| 1u8 << bit).chain([0xFF]) {
+                    let mut v = good.clone();
+                    v[i] ^= flip;
+                    bad.push(v);
+                }
+            }
+            for v in bad {
+                backend.put(&key, &v).unwrap();
+                match read() {
+                    Ok(got) => assert_eq!(got, blob, "{key}"),
+                    Err(e) => assert!(
+                        matches!(e, StoreError::Corrupt { .. }),
+                        "{key}: {e}"
+                    ),
+                }
+            }
+            backend.put(&key, &good).unwrap();
+        }
+        // Sealed and addressed consistently, and still corrupt: a run
+        // naming a run, entries not summing to what the manifest says,
+        // and a count the object cannot hold.
+        let run = encode_run(&m.chunks[1..]);
+        let mut nested = run.clone();
+        nested[8 + 24] |= 0x80;
+        let short = encode_run(&m.chunks[1..3]);
+        let mut counted = run.clone();
+        counted[..8].copy_from_slice(&(m.chunks.len() as u64).to_le_bytes());
+        for bytes in [nested, short, counted] {
+            let mut forged = m.clone();
+            forged.runs[0].obj = ChunkRef::for_piece(&bytes);
+            put_chunk(&s, &forged.runs[0].obj, &bytes);
+            s.put_rank_manifest(1, 0, RankBlobKind::State, &forged)
+                .unwrap();
+            let err = read().unwrap_err();
+            assert!(matches!(err, StoreError::Corrupt { .. }), "{err}");
+        }
+        // GC names nothing for a line it cannot resolve, and goes on.
+        s.put_rank_blob(1, 0, RankBlobKind::Log, b"l").unwrap();
+        s.commit(1).unwrap();
+        s.gc_keeping(1).unwrap();
     }
 
     #[test]
@@ -1333,40 +1649,40 @@ mod tests {
     #[test]
     fn gc_releases_every_tier_without_orphans() {
         let (s, t) = tiered_store(1);
-        // Two incremental checkpoints sharing chunk A.
-        let mut blob1 = vec![0xAAu8; 64];
-        blob1.extend_from_slice(&[0xBBu8; 64]);
-        put_incremental(&s, 1, 0, RankBlobKind::State, &blob1, 64);
+        // Two incremental checkpoints sharing chunk A, each naming its
+        // other two chunks through a run object.
+        let line = |x: u8| [[0xAAu8; 64], [x; 64], [!x; 64]].concat();
+        let (blob1, blob2) = (line(0xB0), line(0xC0));
+        let m1 = put_with_run(&s, 1, RankBlobKind::State, &blob1, 1);
         s.put_rank_blob(1, 0, RankBlobKind::Log, b"log1").unwrap();
         s.commit(1).unwrap();
         drain_all(&s, &t);
-        let mut blob2 = vec![0xAAu8; 64];
-        blob2.extend_from_slice(&[0xCCu8; 64]);
-        put_incremental(&s, 2, 0, RankBlobKind::State, &blob2, 64);
+        let m2 = put_with_run(&s, 2, RankBlobKind::State, &blob2, 1);
         s.put_rank_blob(2, 0, RankBlobKind::Log, b"log2").unwrap();
         s.commit(2).unwrap();
         drain_all(&s, &t);
 
         s.gc_keeping(2).unwrap();
 
-        // The collected checkpoint's keys are gone from every tier:
-        // the union list sees neither its directory nor orphan B.
+        // The collected checkpoint's keys are gone from every tier: the
+        // union list sees neither its directory, nor its run object, nor
+        // the chunks only that run named — no replica or shard of them
+        // hides behind a derived key.
         assert!(t.list("ckpt/00000001/").unwrap().is_empty());
-        let b_chunk = ChunkRef::for_piece(&[0xBBu8; 64]);
-        assert!(
-            !s.has_chunk(&b_chunk.key()).unwrap(),
-            "orphan chunk survived GC"
-        );
-        // No orphaned replicas or shards hiding behind derived keys.
-        for tier_list in [t.list("ckpt/").unwrap(), t.list("chunk/").unwrap()]
-        {
-            for key in tier_list {
-                assert!(
-                    !key.contains("00000001") && !key.contains(&b_chunk.key()),
-                    "orphan {key}"
-                );
-            }
+        let kept = keys_of(&[&m2]);
+        let dead: Vec<String> = keys_of(&[&m1])
+            .into_iter()
+            .filter(|k| !kept.contains(k))
+            .collect();
+        assert_eq!(dead.len(), 3, "a run object and two chunks: {dead:?}");
+        let ckpt_keys = t.list("ckpt/").unwrap();
+        for key in ckpt_keys.iter().chain(&t.list("chunk/").unwrap()) {
+            assert!(
+                !key.contains("00000001") && !dead.contains(key),
+                "orphan {key}"
+            );
         }
+        assert_eq!(t.list("chunk/").unwrap(), kept);
         // The kept checkpoint is recoverable from each tier in
         // isolation: local…
         assert_eq!(s.get_rank_blob(2, 0, RankBlobKind::State).unwrap(), blob2);

@@ -288,6 +288,11 @@ impl<'a> Process<'a> {
             stats: ProcStats::default(),
         };
         if incarnation > 0 {
+            // The rank this incarnation replaces may have died mid-write,
+            // leaving chunks no manifest names: the next GC lists.
+            if let Some(pipe) = &p.pipeline {
+                pipe.relist_at_next_gc();
+            }
             let replayed = p.mpi.replayed_frames();
             p.trace_event(TraceEvent::RankRespawned {
                 incarnation,

@@ -11,7 +11,7 @@
 //! across at least three committed checkpoints.
 
 use std::collections::{HashMap, HashSet};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 use c3_apps::dense_cg::CgState;
 use c3_apps::linalg::{block_range, spd_entry};
@@ -20,7 +20,7 @@ use c3_core::recovery::RankCheckpoint;
 use c3_core::{run_job, C3App, C3Config, Chunker, Codec, PipelineConfig};
 use ckptstore::{
     CheckpointStore, ChunkRef, Form, MemoryBackend, RankBlobKind,
-    StorageBackend,
+    StorageBackend, StoreResult,
 };
 use statesave::snapshot::restore_from_bytes;
 
@@ -120,7 +120,10 @@ fn clean_referenced_chunks_outlive_every_gc() {
             .get_rank_manifest(last, rank, RankBlobKind::State)
             .unwrap()
             .expect("written incrementally");
-        for chunk in &manifest.chunks {
+        // The block is named by one run object, stored at line 1.
+        assert_eq!(manifest.runs.len(), 1, "rank {rank}");
+        let runs = manifest.runs.iter().map(|r| &r.obj);
+        for chunk in manifest.chunks.iter().chain(runs) {
             assert!(
                 store.has_chunk(&chunk.key()).unwrap(),
                 "{chunk:?} was swept"
@@ -191,6 +194,87 @@ fn a_restart_writes_the_matrix_block_by_reference_from_its_first_line() {
     assert_eq!(report.outputs, reference.outputs);
     assert_eq!(report.restarts, 1);
     assert!(report.stats.iter().all(|s| s.app_state_bytes_clean == 0));
+}
+
+/// A `MemoryBackend` that counts the puts of each key, batched or not.
+#[derive(Default)]
+struct CountingPuts {
+    inner: MemoryBackend,
+    puts: Mutex<HashMap<String, usize>>,
+}
+
+impl CountingPuts {
+    fn count(&self, key: &str) {
+        let mut puts = self.puts.lock().unwrap();
+        *puts.entry(key.to_owned()).or_default() += 1;
+    }
+}
+
+impl StorageBackend for CountingPuts {
+    fn put(&self, key: &str, value: &[u8]) -> StoreResult<()> {
+        self.count(key);
+        self.inner.put(key, value)
+    }
+    fn put_many(&self, items: &[(String, Vec<u8>)]) -> StoreResult<()> {
+        items.iter().for_each(|(key, _)| self.count(key));
+        self.inner.put_many(items)
+    }
+    fn get(&self, key: &str) -> StoreResult<Vec<u8>> {
+        self.inner.get(key)
+    }
+    fn contains(&self, key: &str) -> StoreResult<bool> {
+        self.inner.contains(key)
+    }
+    fn delete(&self, key: &str) -> StoreResult<()> {
+        self.inner.delete(key)
+    }
+    fn list(&self, prefix: &str) -> StoreResult<Vec<String>> {
+        self.inner.list(prefix)
+    }
+    fn bytes_written(&self) -> u64 {
+        self.inner.bytes_written()
+    }
+}
+
+#[test]
+fn a_restart_names_the_run_it_recovered_from_without_a_put() {
+    // Dense CG's matrix block is one tracked value of 1 025 chunks, which
+    // every state line names by one run entry. Killed under
+    // `FullRestart`, the job recovers bit-identically from such a line,
+    // and the first line the restart writes names the same run object:
+    // put once in the whole job, at the first line.
+    let (n, nranks) = (256, 2);
+    let app = DenseCg::new(n, 40);
+    let io = PipelineConfig::default()
+        .with_chunker(Chunker::fixed(256))
+        .with_keep_last(1000);
+    let cfg = C3Config::every_ops(10).with_io(io);
+    let reference = run_job(nranks, &cfg, None, &app).unwrap();
+    let backend = Arc::new(CountingPuts::default());
+    let report = run_job(
+        nranks,
+        &cfg.with_failure(1, 60),
+        Some(backend.clone() as Arc<dyn StorageBackend>),
+        &app,
+    )
+    .unwrap();
+    assert_eq!(report.outputs, reference.outputs);
+    assert_eq!(report.restarts, 1);
+    let from = report.recovered_from[0];
+    assert!(from >= 1, "recovered from line {from}");
+    let store = CheckpointStore::new(backend.clone(), nranks);
+    let puts = backend.puts.lock().unwrap();
+    for rank in 0..nranks {
+        let run = |ckpt| {
+            let m = store.get_rank_manifest(ckpt, rank, RankBlobKind::State);
+            let runs = m.unwrap().expect("written incrementally").runs;
+            assert_eq!(runs.len(), 1, "rank {rank} line {ckpt}");
+            runs[0].obj
+        };
+        let recovered = run(from);
+        assert_eq!(run(from + 1), recovered, "rank {rank}");
+        assert_eq!(puts[&recovered.key()], 1, "rank {rank}");
+    }
 }
 
 #[test]
