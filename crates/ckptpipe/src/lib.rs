@@ -659,7 +659,7 @@ mod tests {
         }
 
         /// Encode against `pipe`'s record of rank 0's state stream.
-        fn against(&self, pipe: &CheckpointPipeline) -> Encoder {
+        fn against(&self, pipe: &CheckpointPipeline) -> Encoder<'static> {
             let base = pipe.clean_base(0, RankBlobKind::State);
             let mut enc = Encoder::against(base);
             self.encode(&mut enc);
@@ -844,31 +844,32 @@ mod tests {
         }
     }
 
+    /// Accepts every put and keeps nothing, so the only live bytes are
+    /// the write path's own.
+    struct Sink;
+    impl StorageBackend for Sink {
+        fn put(&self, _: &str, _: &[u8]) -> ckptstore::StoreResult<()> {
+            Ok(())
+        }
+        fn get(&self, key: &str) -> ckptstore::StoreResult<Vec<u8>> {
+            Err(ckptstore::StoreError::Missing(key.to_owned()))
+        }
+        fn contains(&self, _: &str) -> ckptstore::StoreResult<bool> {
+            Ok(false)
+        }
+        fn delete(&self, _: &str) -> ckptstore::StoreResult<()> {
+            Ok(())
+        }
+        fn list(&self, _: &str) -> ckptstore::StoreResult<Vec<String>> {
+            Ok(Vec::new())
+        }
+        fn bytes_written(&self) -> u64 {
+            0
+        }
+    }
+
     #[test]
     fn writing_a_fresh_blob_holds_one_batch_beside_it() {
-        /// Accepts every put and keeps nothing, so the only live bytes
-        /// are the write path's own.
-        struct Sink;
-        impl StorageBackend for Sink {
-            fn put(&self, _: &str, _: &[u8]) -> ckptstore::StoreResult<()> {
-                Ok(())
-            }
-            fn get(&self, key: &str) -> ckptstore::StoreResult<Vec<u8>> {
-                Err(ckptstore::StoreError::Missing(key.to_owned()))
-            }
-            fn contains(&self, _: &str) -> ckptstore::StoreResult<bool> {
-                Ok(false)
-            }
-            fn delete(&self, _: &str) -> ckptstore::StoreResult<()> {
-                Ok(())
-            }
-            fn list(&self, _: &str) -> ckptstore::StoreResult<Vec<String>> {
-                Ok(Vec::new())
-            }
-            fn bytes_written(&self) -> u64 {
-                0
-            }
-        }
         let pipe = CheckpointPipeline::new(
             CheckpointStore::new(Arc::new(Sink), 1),
             PipelineConfig::default().with_mode(WriteMode::Sync),
@@ -891,6 +892,135 @@ mod tests {
             beside <= 512 << 10,
             "the write held {beside} bytes beside its 4 MiB blob"
         );
+    }
+
+    #[test]
+    fn writing_a_fresh_tracked_value_holds_one_window_and_batch_beside_it() {
+        let pipe = CheckpointPipeline::new(
+            CheckpointStore::new(Arc::new(Sink), 1),
+            PipelineConfig::default().with_mode(WriteMode::Sync),
+        );
+        // A rank's 4 MiB block of `f64`s, tracked and not yet written.
+        let block = Tracked::new(
+            (0..512 * 1024)
+                .map(|i| (1.0 + i as f64).sqrt())
+                .collect::<Vec<f64>>(),
+        );
+        // The value is live from here on; the mark counts what joins it.
+        let with_value = crate::test_alloc::reset_peak();
+        let mut enc =
+            Encoder::against(pipe.clean_base(0, RankBlobKind::State));
+        enc.put_u64(1);
+        block.save_with(&mut enc, |v, enc| enc.put_f64_slice(v));
+        pipe.stage(1, 0, RankBlobKind::State, enc).unwrap();
+        let beside = crate::test_alloc::peak() - with_value;
+        // The header's chunk, the block's 1 025 and its run object.
+        assert_eq!(pipe.stats().chunks_written, 1027);
+        // One 64 KiB window, one batch of 64 sealed chunks, the manifest,
+        // the run object and the line record. Encoding the value into the
+        // blob first would hold 4 MiB more.
+        assert!(
+            beside <= 512 << 10,
+            "the write held {beside} bytes beside its 4 MiB value"
+        );
+    }
+
+    #[test]
+    fn a_value_mutated_in_flight_is_written_as_it_was_staged() {
+        // Every put and get waits 20 ms: the line is still being written
+        // when the rank mutates the value.
+        let backend: Arc<dyn StorageBackend> =
+            Arc::new(FaultInjectingBackend::new(
+                Arc::new(MemoryBackend::new()),
+                FaultPlan::none().latency(20, 0, 1),
+            ));
+        let pipe = CheckpointPipeline::new(
+            CheckpointStore::new(backend, 1),
+            PipelineConfig::default().with_mode(WriteMode::Async {
+                writers: 1,
+                queue_depth: 4,
+            }),
+        );
+        let mut state = TrackedState {
+            iter: 1,
+            big: Tracked::new(blob(3, 40_000)),
+            tail: blob(1, 700),
+        };
+        let line1 = state.plain();
+        let before: *const Vec<u8> = &*state.big;
+        pipe.stage(1, 0, RankBlobKind::State, state.against(&pipe))
+            .unwrap();
+        // Copy-on-write: the staged line holds the value, so the write
+        // below copies it and the line keeps the bytes it was given.
+        state.big[17] ^= 0xFF;
+        assert!(!std::ptr::eq(before, &*state.big), "the line held it");
+        pipe.stage(1, 0, RankBlobKind::Log, b"log".to_vec())
+            .unwrap();
+        pipe.drain(1).unwrap();
+        pipe.store().commit(1).unwrap();
+        let read = pipe.store().get_rank_blob(1, 0, RankBlobKind::State);
+        assert_eq!(read.unwrap(), line1);
+        // The new version is a fresh part; the line after names it, and
+        // the debug build re-encodes the value against that reference.
+        for (ckpt, clean) in [(2u64, 0), (3, 8 + 40_000)] {
+            let enc = state.against(&pipe);
+            assert_eq!(enc.clean_len(), clean, "line {ckpt}");
+            commit_line(&pipe, ckpt, enc);
+            let read =
+                pipe.store().get_rank_blob(ckpt, 0, RankBlobKind::State);
+            assert_eq!(read.unwrap(), state.plain(), "line {ckpt}");
+        }
+    }
+
+    #[test]
+    fn a_fault_mid_stream_is_retried_and_a_permanent_one_surfaces_at_drain() {
+        // 400 KB of noise: a hundred 4 KiB chunks, so the first batch of
+        // 64 leaves while the value is still streaming.
+        let mut seed = 7;
+        let noise: Vec<u8> = (0..400_000)
+            .map(|_| ckptstore::splitmix64(&mut seed) as u8)
+            .collect();
+        let write = |plan: FaultPlan| {
+            let memory = Arc::new(MemoryBackend::new());
+            let inject =
+                Arc::new(FaultInjectingBackend::new(memory.clone(), plan));
+            let pipe = CheckpointPipeline::new(
+                CheckpointStore::new(inject.clone(), 1),
+                PipelineConfig::default()
+                    .with_mode(WriteMode::Async {
+                        writers: 1,
+                        queue_depth: 4,
+                    })
+                    .with_retry(RetryPolicy {
+                        max_retries: 2,
+                        backoff_base_ms: 0,
+                    }),
+            );
+            let state = TrackedState {
+                iter: 1,
+                big: Tracked::new(noise.clone()),
+                tail: Vec::new(),
+            };
+            pipe.stage(1, 0, RankBlobKind::State, state.against(&pipe))
+                .unwrap();
+            let drained = pipe.drain(1);
+            let stored: Vec<(String, Vec<u8>)> = memory
+                .list("")
+                .unwrap()
+                .into_iter()
+                .map(|k| (k.clone(), memory.get(&k).unwrap()))
+                .collect();
+            (drained, stored, inject.faults_injected(), pipe.stats())
+        };
+        let (clean, stored, _, _) = write(FaultPlan::none());
+        assert_eq!(clean.unwrap(), 1);
+        let (once, stored_once, faults, stats) =
+            write(FaultPlan::none().fail_n(1));
+        assert_eq!(once.unwrap(), 1);
+        assert_eq!((faults, stats.retries), (1, 1));
+        assert_eq!(stored_once, stored, "the same keys and bytes");
+        let (permanent, _, _, _) = write(FaultPlan::none().fail_n(1000));
+        assert!(permanent.unwrap_err().is_transient());
     }
 
     #[test]
@@ -925,11 +1055,11 @@ mod tests {
     }
 
     /// A `u8` that can change behind `&self`: what `Tracked` forbids.
-    struct Leaky(std::cell::Cell<u8>);
+    struct Leaky(std::sync::atomic::AtomicU8);
 
     impl ckptstore::SaveLoad for Leaky {
         fn save(&self, enc: &mut Encoder) {
-            enc.put_u8(self.0.get());
+            enc.put_u8(self.0.load(std::sync::atomic::Ordering::Relaxed));
         }
         fn load(
             dec: &mut ckptstore::Decoder<'_>,
@@ -951,7 +1081,7 @@ mod tests {
         let mut enc = Encoder::new();
         enc.put(&leaky);
         commit_line(&pipe, 1, enc);
-        leaky.0.set(2);
+        leaky.0.store(2, std::sync::atomic::Ordering::Relaxed);
         let mut enc =
             Encoder::against(pipe.clean_base(0, RankBlobKind::State));
         enc.put(&leaky);

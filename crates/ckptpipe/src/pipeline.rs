@@ -46,7 +46,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, RwLock};
 
 use bytes::Bytes;
-use ckptstore::codec::{Encoder, Part, TrackedSpan};
+use ckptstore::codec::{Encoder, Fresh, Part, TrackedSpan};
 use ckptstore::integrity::{crc32, crc32_combine, seal, seal_with};
 use ckptstore::manifest::{
     encode_run, AddrMap, ChunkRef, CleanRun, LineRecord, Manifest,
@@ -61,28 +61,29 @@ use ckptstore::{
 use crate::config::{PipelineConfig, WriteMode};
 
 /// A blob as [`CheckpointPipeline::stage`] takes it: the bytes that were
-/// produced, the parts that lay them out, and the base line the clean
-/// references among the parts resolve against. `Bytes` and `Vec<u8>`
-/// convert to one part with no base; an [`Encoder`] built against
-/// [`CheckpointPipeline::clean_base`] converts to whatever it recorded.
-/// The payload is refcounted, so a caller still holding a view of it
-/// stages without a copy.
+/// produced, the parts that lay them out, the fresh tracked values the
+/// writer streams, and the base line the clean references among the
+/// parts resolve against. `Bytes` and `Vec<u8>` convert to one part with
+/// no base; an [`Encoder`] from [`CheckpointPipeline::line_encoder`]
+/// converts to whatever it recorded. The payload is refcounted, so a
+/// caller still holding a view of it stages without a copy.
 pub struct StagedBlob {
     bytes: Bytes,
     parts: Vec<Part>,
+    fresh: Vec<Fresh>,
     base: Option<Arc<LineRecord>>,
 }
 
 impl StagedBlob {
-    /// Bytes the parts cover by clean references.
-    fn clean_len(&self) -> usize {
-        self.parts
-            .iter()
-            .map(|p| match *p {
-                Part::Clean { len, .. } => len,
-                Part::Bytes { .. } => 0,
-            })
-            .sum()
+    /// Bytes the parts stand for, and of them the bytes covered by clean
+    /// references.
+    fn lens(&self) -> (usize, usize) {
+        self.parts.iter().fold((0, 0), |(all, clean), p| match *p {
+            Part::Clean { len, .. } => (all + len, clean + len),
+            Part::Bytes { len, .. } | Part::Fresh { len, .. } => {
+                (all + len, clean)
+            }
+        })
     }
 }
 
@@ -94,6 +95,7 @@ impl From<Bytes> for StagedBlob {
                 version: None,
             }],
             bytes,
+            fresh: Vec::new(),
             base: None,
         }
     }
@@ -105,15 +107,26 @@ impl From<Vec<u8>> for StagedBlob {
     }
 }
 
-impl From<Encoder> for StagedBlob {
-    fn from(enc: Encoder) -> Self {
-        let (bytes, parts, base) = enc.into_parts();
+impl From<Encoder<'_>> for StagedBlob {
+    fn from(enc: Encoder<'_>) -> Self {
+        let (bytes, parts, fresh, base) = enc.into_parts();
         StagedBlob {
             bytes: bytes.into(),
             parts,
+            fresh,
             base,
         }
     }
+}
+
+/// What one blob write carries from piece to piece: fresh sealed chunks
+/// not yet put, the addresses the blob already holds, and the codec's
+/// buffers, reused from chunk to chunk.
+#[derive(Default)]
+struct Pieces {
+    batch: Vec<(String, Vec<u8>)>,
+    seen: AddrMap<()>,
+    trials: Trials,
 }
 
 /// Fresh chunks leave a blob write for the backend this many at a time
@@ -423,8 +436,8 @@ impl CheckpointPipeline {
         blob: StagedBlob,
     ) -> StoreResult<()> {
         let shared = &self.shared;
-        let clean = blob.clean_len() as u64;
-        let staged = blob.bytes.len() as u64 + clean;
+        let (staged, clean) = blob.lens();
+        let (staged, clean) = (staged as u64, clean as u64);
         if let Some(o) = &shared.obs {
             o.staged_bytes.add(staged);
             o.clean_bytes.add(clean);
@@ -556,6 +569,21 @@ impl CheckpointPipeline {
     /// with chunks on storage that no manifest names.
     pub fn relist_at_next_gc(&self) {
         self.shared.lines().index = None;
+    }
+
+    /// An encoder for rank `rank`'s next line on the `kind` stream: built
+    /// [`against`](Encoder::against) the stream's record when writes are
+    /// incremental, so tracked values go in as references or as fresh
+    /// values the writer streams; a plain [`Encoder::new`] otherwise.
+    pub fn line_encoder(
+        &self,
+        rank: usize,
+        kind: RankBlobKind,
+    ) -> Encoder<'static> {
+        if !self.shared.cfg.incremental {
+            return Encoder::new();
+        }
+        Encoder::against(self.clean_base(rank, kind))
     }
 
     /// The record of the last line written on the `(rank, kind)` stream,
@@ -855,9 +883,9 @@ impl Shared {
             ))
         };
         if !self.cfg.incremental {
-            if blob.clean_len() > 0 {
+            if blob.lens().1 > 0 || !blob.fresh.is_empty() {
                 return Err(refused(
-                    "clean references need incremental writes",
+                    "clean references and fresh values need incremental writes",
                 ));
             }
             return self.retrying(|| {
@@ -885,18 +913,20 @@ impl Shared {
         // from the base without touching bytes. Any other part is cut
         // (cuts restart at every part, so a tracked value's chunks do not
         // depend on what precedes it) and CRC'd, hashed and encoded chunk
-        // by chunk on the thread writing the blob. Fresh chunks go out in
-        // bounded batches, so what a write holds beside the blob itself
-        // is one batch; `seen` catches within-blob duplicates without a
-        // store probe.
+        // by chunk on the thread writing the blob; a fresh value is
+        // encoded from the value itself a window at a time. Fresh chunks
+        // go out in bounded batches, so what a write holds beside the
+        // blob itself is one batch and one window; `seen` catches
+        // within-blob duplicates without a store probe.
         let mut manifest = Manifest::default();
         let mut clean: HashMap<u64, Arc<CleanRun>> = HashMap::new();
-        let mut batch: Vec<(String, Vec<u8>)> = Vec::new();
-        let mut seen: AddrMap<()> = AddrMap::default();
-        let mut trials = Trials::default();
+        let mut pieces = Pieces::default();
+        let mut fresh = blob.fresh.iter();
         let mut off = 0;
         for part in &blob.parts {
-            let (len, crc) = match *part {
+            let first = manifest.chunks.len();
+            let mut crc = 0;
+            let (len, version) = match *part {
                 Part::Clean { version, len } => {
                     let run = blob
                         .base
@@ -906,50 +936,64 @@ impl Shared {
                         .ok_or_else(|| {
                             refused("unresolvable clean reference")
                         })?;
-                    let first = manifest.chunks.len();
                     manifest.chunks.extend_from_slice(&run.chunks);
                     manifest.push_run(first, run.run);
                     self.count_deduped(run.chunks.len(), len);
                     clean.insert(version, Arc::clone(run));
-                    (len, run.crc)
+                    crc = run.crc;
+                    (len, None)
                 }
                 Part::Bytes { len, version } => {
                     let bytes = &blob.bytes[off..off + len];
                     off += len;
-                    let first = manifest.chunks.len();
-                    let crc = self.write_part(
+                    let chunks = &mut manifest.chunks;
+                    let prev = prev.as_deref();
+                    self.write_pieces(
                         bytes,
-                        prev.as_deref(),
-                        &mut manifest.chunks,
-                        &mut batch,
-                        &mut seen,
-                        &mut trials,
+                        true,
+                        &mut crc,
+                        prev,
+                        chunks,
+                        &mut pieces,
                     )?;
-                    if let Some(version) = version {
-                        let chunks = manifest.chunks[first..].to_vec();
-                        let run = self.store_run(
-                            &chunks,
-                            &mut batch,
-                            &mut seen,
-                            &mut trials,
-                        )?;
-                        manifest.push_run(first, run);
-                        let run = CleanRun {
-                            len,
-                            crc,
-                            chunks,
-                            run,
-                        };
-                        clean.insert(version, Arc::new(run));
+                    (len, version)
+                }
+                Part::Fresh { version, len } => {
+                    let value = fresh
+                        .next()
+                        .ok_or_else(|| refused("a fresh part has no value"))?;
+                    let chunks = &mut manifest.chunks;
+                    let prev = prev.as_deref();
+                    let streamed = self.stream_part(
+                        value,
+                        &mut crc,
+                        prev,
+                        chunks,
+                        &mut pieces,
+                    )?;
+                    if streamed != len {
+                        return Err(refused("a tracked value changed length"));
                     }
-                    (len, crc)
+                    (len, Some(version))
                 }
             };
+            if let Some(version) = version {
+                let chunks = manifest.chunks[first..].to_vec();
+                let run = self.store_run(&chunks, &mut pieces)?;
+                manifest.push_run(first, run);
+                let run = CleanRun {
+                    len,
+                    crc,
+                    chunks,
+                    run,
+                };
+                clean.insert(version, Arc::new(run));
+            }
             manifest.blob_crc =
                 crc32_combine(manifest.blob_crc, crc, len as u64);
             manifest.total_len += len as u64;
         }
-        self.put_chunk_batch(&mut batch)?;
+        self.put_chunk_batch(&mut pieces.batch)?;
         self.retrying(|| {
             self.store
                 .put_rank_manifest(job.ckpt, job.rank, job.kind, &manifest)
@@ -967,38 +1011,72 @@ impl Shared {
         Ok(())
     }
 
-    /// Cut, CRC, hash and dedup one part's bytes: its chunk references go
-    /// onto `chunks` in order, the sealed stored form of each chunk
-    /// nothing vouches for onto `batch`, which goes to the store whenever
-    /// it reaches [`PUT_BATCH`]. Returns the part's CRC-32, folded from
-    /// the one CRC taken of each piece — the same value also seals a
-    /// chunk stored raw. The stored form is [`ckptstore::Codec::encode`]'s
-    /// choice, a pure function of the piece: dedup is first-writer-wins,
-    /// so every writer has to agree on what a given piece is stored as.
-    fn write_part(
+    /// Cut, CRC, hash and dedup `bytes`, the next stretch of one part:
+    /// its chunk references go onto `chunks` in order, the sealed stored
+    /// form of each chunk nothing vouches for onto the batch, which goes
+    /// to the store whenever it reaches [`PUT_BATCH`]. Each piece's one
+    /// CRC is folded into `crc` (the part's CRC-32) and also seals a
+    /// chunk stored raw. Every piece is final but the last, which waits
+    /// for the next stretch unless `last`; returns the bytes done with.
+    /// The stored form is [`ckptstore::Codec::encode`]'s choice, a pure
+    /// function of the piece: dedup is first-writer-wins, so every writer
+    /// has to agree on what a given piece is stored as.
+    fn write_pieces(
         &self,
         bytes: &[u8],
+        last: bool,
+        crc: &mut u32,
         prev: Option<&LineRecord>,
         chunks: &mut Vec<ChunkRef>,
-        batch: &mut Vec<(String, Vec<u8>)>,
-        seen: &mut AddrMap<()>,
-        trials: &mut Trials,
-    ) -> StoreResult<u32> {
-        let mut part_crc = 0;
-        for piece in self.cfg.chunker.cut(bytes) {
+        pieces: &mut Pieces,
+    ) -> StoreResult<usize> {
+        let mut done = 0;
+        let mut cut = self.cfg.chunker.cut(bytes).peekable();
+        while let Some(piece) = cut.next() {
+            if !last && cut.peek().is_none() {
+                break;
+            }
             let piece_crc = crc32(piece);
-            part_crc = crc32_combine(part_crc, piece_crc, piece.len() as u64);
+            *crc = crc32_combine(*crc, piece_crc, piece.len() as u64);
             if let Some(o) = &self.obs {
                 o.chunk_bytes.record(piece.len() as u64);
             }
             let (chunk, fresh) =
-                self.store_piece(piece, piece_crc, prev, batch, seen, trials)?;
+                self.store_piece(piece, piece_crc, prev, pieces)?;
             if !fresh {
                 self.count_deduped(1, piece.len());
             }
             chunks.push(chunk);
+            done += piece.len();
         }
-        Ok(part_crc)
+        Ok(done)
+    }
+
+    /// Write a fresh tracked value's part from the value itself: its
+    /// encoding reaches [`Shared::write_pieces`] a window at a time, and
+    /// the last piece of each window waits for the next, so the pieces
+    /// are exactly those the whole encoding is cut into. Returns the
+    /// encoding's length.
+    fn stream_part(
+        &self,
+        value: &Fresh,
+        crc: &mut u32,
+        prev: Option<&LineRecord>,
+        chunks: &mut Vec<ChunkRef>,
+        pieces: &mut Pieces,
+    ) -> StoreResult<usize> {
+        let mut failed = Ok(0);
+        let (tail, len) = value.stream(&mut |window: &[u8]| {
+            if failed.is_ok() {
+                failed = self
+                    .write_pieces(window, false, crc, prev, chunks, pieces);
+            }
+            // After a failure the rest of the value is only let through.
+            *failed.as_ref().unwrap_or(&window.len())
+        });
+        failed?;
+        self.write_pieces(&tail, true, crc, prev, chunks, pieces)?;
+        Ok(len)
     }
 
     /// The reference of one piece, stored unless something already holds
@@ -1011,9 +1089,7 @@ impl Shared {
         piece: &[u8],
         piece_crc: u32,
         prev: Option<&LineRecord>,
-        batch: &mut Vec<(String, Vec<u8>)>,
-        seen: &mut AddrMap<()>,
-        trials: &mut Trials,
+        pieces: &mut Pieces,
     ) -> StoreResult<(ChunkRef, bool)> {
         let mut chunk = ChunkRef::for_piece(piece);
         if let Some(&(stored_len, form)) =
@@ -1023,14 +1099,14 @@ impl Shared {
             chunk.form = form;
             return Ok((chunk, false));
         }
-        let (form, stored) = self.cfg.codec.encode(piece, trials);
+        let (form, stored) = self.cfg.codec.encode(piece, &mut pieces.trials);
         chunk.stored_len = stored.len() as u32;
         chunk.form = form;
         if let Some(o) = &self.obs {
             o.precompress_bytes.add(piece.len() as u64);
             o.postcompress_bytes.add(stored.len() as u64);
         }
-        if seen.contains_key(&chunk.addr()) {
+        if pieces.seen.contains_key(&chunk.addr()) {
             return Ok((chunk, false));
         }
         let key = chunk.key();
@@ -1046,10 +1122,10 @@ impl Shared {
         if let Some(o) = &self.obs {
             o.dedup_misses.inc();
         }
-        seen.insert(chunk.addr(), ());
-        batch.push((key, sealed));
-        if batch.len() >= PUT_BATCH {
-            self.put_chunk_batch(batch)?;
+        pieces.seen.insert(chunk.addr(), ());
+        pieces.batch.push((key, sealed));
+        if pieces.batch.len() >= PUT_BATCH {
+            self.put_chunk_batch(&mut pieces.batch)?;
         }
         Ok((chunk, true))
     }
@@ -1060,17 +1136,14 @@ impl Shared {
     fn store_run(
         &self,
         chunks: &[ChunkRef],
-        batch: &mut Vec<(String, Vec<u8>)>,
-        seen: &mut AddrMap<()>,
-        trials: &mut Trials,
+        pieces: &mut Pieces,
     ) -> StoreResult<Option<ChunkRef>> {
         if chunks.len() < RUN_MIN_CHUNKS {
             return Ok(None);
         }
         let bytes = encode_run(chunks);
         let crc = crc32(&bytes);
-        let (obj, _) =
-            self.store_piece(&bytes, crc, None, batch, seen, trials)?;
+        let (obj, _) = self.store_piece(&bytes, crc, None, pieces)?;
         Ok(Some(obj))
     }
 

@@ -62,6 +62,79 @@ pub enum Part {
         /// Length of the encoding the reference stands for.
         len: usize,
     },
+    /// A [`Tracked`] value an encoder built for a line did not serialize:
+    /// the `len` bytes its [`Fresh`] handle (the next one
+    /// [`Encoder::into_parts`] yields) streams when the line is written.
+    Fresh {
+        /// The tracked value's version.
+        version: u64,
+        /// Length of its encoding.
+        len: usize,
+    },
+}
+
+/// A fresh [`Tracked`] value, shared with the state that owns it, and the
+/// pure `save` that encodes it: what a [`Part::Fresh`] stands for.
+#[derive(Clone)]
+pub struct Fresh(Arc<dyn Fn(&mut Encoder) + Send + Sync>);
+
+impl Fresh {
+    fn new(save: impl Fn(&mut Encoder) + Send + Sync + 'static) -> Self {
+        Fresh(Arc::new(save))
+    }
+
+    /// Append the value's encoding to `enc`.
+    pub fn save(&self, enc: &mut Encoder) {
+        (self.0)(enc)
+    }
+
+    /// Length of the encoding, from a pass that counts and copies nothing.
+    fn encoded_len(&self) -> usize {
+        let mut count = Encoder {
+            out: Out::Count,
+            in_tracked: true,
+            ..Encoder::default()
+        };
+        self.save(&mut count);
+        count.len()
+    }
+
+    /// Encode the value into `sink` a window at a time: whenever the
+    /// encoder's buffer of [`WINDOW`] bytes is full, the sink gets it and
+    /// returns how many leading bytes it is done with; the rest stay for
+    /// the next window. Returns the bytes the sink has not taken and the
+    /// length of the whole encoding.
+    pub fn stream(
+        &self,
+        sink: &mut dyn FnMut(&[u8]) -> usize,
+    ) -> (Vec<u8>, usize) {
+        let mut enc = Encoder {
+            buf: Vec::with_capacity(WINDOW),
+            out: Out::Stream(sink),
+            in_tracked: true,
+            ..Encoder::default()
+        };
+        self.save(&mut enc);
+        let len = enc.len();
+        (enc.buf, len)
+    }
+}
+
+/// What a streaming encoder holds before handing its bytes on: it grows
+/// only while the sink keeps a whole window (one of its pieces is longer)
+/// or a length prefix is open.
+const WINDOW: usize = 64 << 10;
+
+/// Where an encoder's bytes go.
+#[derive(Default)]
+enum Out<'s> {
+    /// Into its buffer.
+    #[default]
+    Buffer,
+    /// Nowhere: they are only counted.
+    Count,
+    /// Into a sink, a window at a time ([`Fresh::stream`]).
+    Stream(&'s mut dyn FnMut(&[u8]) -> usize),
 }
 
 /// Append-only binary encoder.
@@ -78,28 +151,40 @@ pub enum Part {
 /// ```
 ///
 /// The encoder also records *parts*: a [`Tracked`] value always starts a
-/// part of its own over the one buffer, and an encoder built
-/// [`against`](Encoder::against) a base line encodes a tracked value
-/// whose version the base holds as a [`Part::Clean`] reference with no
-/// bytes. [`Encoder::into_parts`] yields the parts; an encoder with no
-/// base never produces a reference, so [`Encoder::into_bytes`] is always
-/// the whole encoding there.
+/// part of its own. An encoder built [`against`](Encoder::against) a base
+/// line, for one incremental checkpoint line, encodes a tracked value
+/// whose version the base holds as a [`Part::Clean`] reference and any
+/// other outermost one as a [`Part::Fresh`] value, neither with bytes in
+/// the buffer. [`Encoder::into_parts`] yields the parts; any other
+/// encoder puts every byte in its buffer, so [`Encoder::into_bytes`] is
+/// always the whole encoding there.
 #[derive(Default)]
-pub struct Encoder {
+pub struct Encoder<'s> {
     buf: Vec<u8>,
+    out: Out<'s>,
     /// Closed parts; buffer bytes from `open_at` on are an open untracked
     /// part.
     parts: Vec<Part>,
     open_at: usize,
-    /// Bytes covered by `Part::Clean` references.
+    /// Bytes the encoding stands for outside `buf`: clean references,
+    /// fresh values, and bytes counted or handed to the sink.
+    away: usize,
+    /// Of `away`, the bytes covered by `Part::Clean` references.
     clean_len: usize,
+    /// The values of the `Part::Fresh` parts, in order.
+    fresh: Vec<Fresh>,
+    /// Length prefixes still open: a streaming encoder hands nothing on
+    /// until the last one is patched.
+    open_prefixes: usize,
     /// Inside a tracked value's own encoding (nested tracked values
     /// encode inline there).
     in_tracked: bool,
+    /// Built for a line: an outermost fresh tracked value is a handle.
+    line: bool,
     base: Option<Arc<LineRecord>>,
 }
 
-impl Encoder {
+impl<'s> Encoder<'s> {
     /// Create an empty encoder.
     pub fn new() -> Self {
         Encoder::default()
@@ -114,38 +199,41 @@ impl Encoder {
         }
     }
 
-    /// Create an encoder that encodes tracked values `base` already holds
-    /// as references. `None` is [`Encoder::new`].
+    /// Create an encoder for one incremental checkpoint line: a tracked
+    /// value whose version `base` holds encodes as a reference, any other
+    /// outermost one as a fresh value the line's writer streams from the
+    /// value itself. Only an incremental write stores what it yields.
     pub fn against(base: Option<Arc<LineRecord>>) -> Self {
         Encoder {
+            line: true,
             base,
             ..Encoder::default()
         }
     }
 
     /// Consume the encoder, yielding the encoded bytes. Panics if the
-    /// encoding holds clean references (only one built
-    /// [`against`](Encoder::against) a base can): use
+    /// encoding holds clean references or fresh values (only one built
+    /// [`against`](Encoder::against) a base line can): use
     /// [`Encoder::into_parts`].
     pub fn into_bytes(self) -> Vec<u8> {
-        assert_eq!(self.clean_len, 0, "encoding holds clean references");
+        assert_eq!(self.away, 0, "encoding holds references or values");
         self.buf
     }
 
     /// Consume the encoder, yielding the buffer, the parts that lay it
-    /// out (clean references interleaved) and the base the references
-    /// resolve against.
+    /// out (clean references and fresh values interleaved), the fresh
+    /// values in order, and the base the references resolve against.
     pub fn into_parts(
         mut self,
-    ) -> (Vec<u8>, Vec<Part>, Option<Arc<LineRecord>>) {
+    ) -> (Vec<u8>, Vec<Part>, Vec<Fresh>, Option<Arc<LineRecord>>) {
         self.close_part(None);
-        (self.buf, self.parts, self.base)
+        (self.buf, self.parts, self.fresh, self.base)
     }
 
     /// Number of bytes the encoding stands for so far, clean references
-    /// included.
+    /// and fresh values included.
     pub fn len(&self) -> usize {
-        self.buf.len() + self.clean_len
+        self.buf.len() + self.away
     }
 
     /// Of [`Encoder::len`], the bytes covered by clean references.
@@ -168,10 +256,11 @@ impl Encoder {
     }
 
     /// Encode one tracked value: as a reference if the base holds
-    /// `version`, as a part of its own otherwise.
-    fn put_tracked(&mut self, version: u64, save: impl FnOnce(&mut Encoder)) {
+    /// `version`, as a fresh value on a line, as a part of its own
+    /// otherwise.
+    fn put_tracked(&mut self, version: u64, value: Fresh) {
         if self.in_tracked {
-            return save(self);
+            return value.save(self);
         }
         self.close_part(None);
         let held = self.base.as_ref().and_then(|b| b.clean.get(&version));
@@ -187,7 +276,7 @@ impl Encoder {
                     in_tracked: true,
                     ..Encoder::default()
                 };
-                save(&mut probe);
+                value.save(&mut probe);
                 assert!(
                     probe.buf.len() == len
                         && crate::integrity::crc32(&probe.buf) == crc,
@@ -197,10 +286,18 @@ impl Encoder {
             }
             self.parts.push(Part::Clean { version, len });
             self.clean_len += len;
+            self.away += len;
+            return;
+        }
+        if self.line {
+            let len = value.encoded_len();
+            self.parts.push(Part::Fresh { version, len });
+            self.fresh.push(value);
+            self.away += len;
             return;
         }
         self.in_tracked = true;
-        save(self);
+        value.save(self);
         self.in_tracked = false;
         self.close_part(Some(version));
     }
@@ -209,62 +306,127 @@ impl Encoder {
     /// by its length as a fixed `u64` — the wire form of
     /// [`Encoder::put_bytes`] without the intermediate buffer.
     pub fn put_len_prefixed(&mut self, body: impl FnOnce(&mut Encoder)) {
+        // While the prefix is open nothing is handed on, so it can be
+        // patched in the buffer.
+        self.open_prefixes += 1;
         let at = self.buf.len();
         self.put_u64(0);
         let start = self.len();
         body(self);
         let n = (self.len() - start) as u64;
-        self.buf[at..at + 8].copy_from_slice(&n.to_le_bytes());
+        self.open_prefixes -= 1;
+        if !matches!(self.out, Out::Count) {
+            self.buf[at..at + 8].copy_from_slice(&n.to_le_bytes());
+        }
+    }
+
+    /// Append `bytes`: to the buffer, to the count, or to the window.
+    #[inline]
+    fn write(&mut self, bytes: &[u8]) {
+        match self.out {
+            Out::Buffer => self.buf.extend_from_slice(bytes),
+            Out::Count => self.away += bytes.len(),
+            Out::Stream(_) => self.write_window(bytes),
+        }
+    }
+
+    /// Append `bytes` to a streaming encoder's window, handing the sink
+    /// each full window and keeping what it leaves.
+    fn write_window(&mut self, mut bytes: &[u8]) {
+        loop {
+            let room = self.buf.capacity() - self.buf.len();
+            if bytes.len() <= room {
+                return self.buf.extend_from_slice(bytes);
+            }
+            let (now, later) = bytes.split_at(room);
+            self.buf.extend_from_slice(now);
+            bytes = later;
+            let done = match &mut self.out {
+                Out::Stream(sink) if self.open_prefixes == 0 => {
+                    sink(&self.buf)
+                }
+                _ => 0,
+            };
+            self.buf.drain(..done);
+            self.away += done;
+            if done == 0 {
+                self.buf.reserve(WINDOW);
+            }
+        }
+    }
+
+    /// Length-prefixed 8-byte words: reserved once in the buffer, counted
+    /// without a copy, or streamed a block on the stack at a time.
+    fn put_words<T: Copy>(&mut self, v: &[T], le: impl Fn(T) -> [u8; 8]) {
+        self.put_usize(v.len());
+        match self.out {
+            Out::Buffer => {
+                self.buf.reserve(v.len() * 8);
+                for &x in v {
+                    self.buf.extend_from_slice(&le(x));
+                }
+            }
+            Out::Count => self.away += v.len() * 8,
+            Out::Stream(_) => {
+                let mut block = [0u8; 4096];
+                for words in v.chunks(block.len() / 8) {
+                    for (to, &x) in block.chunks_exact_mut(8).zip(words) {
+                        to.copy_from_slice(&le(x));
+                    }
+                    self.write_window(&block[..words.len() * 8]);
+                }
+            }
+        }
     }
 
     /// Append a little-endian `u8`.
     pub fn put_u8(&mut self, v: u8) {
-        self.buf.push(v);
+        self.write(&[v]);
     }
 
     /// Append a boolean as a single 0/1 byte.
     pub fn put_bool(&mut self, v: bool) {
-        self.buf.push(v as u8);
+        self.write(&[v as u8]);
     }
 
     /// Append a little-endian `u16`.
     pub fn put_u16(&mut self, v: u16) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
+        self.write(&v.to_le_bytes());
     }
 
     /// Append a little-endian `u32`.
     pub fn put_u32(&mut self, v: u32) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
+        self.write(&v.to_le_bytes());
     }
 
     /// Append a little-endian `u64`.
     pub fn put_u64(&mut self, v: u64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
+        self.write(&v.to_le_bytes());
     }
 
     /// Append a little-endian `u128` (chunk content addresses).
     pub fn put_u128(&mut self, v: u128) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
+        self.write(&v.to_le_bytes());
     }
 
     /// Append a little-endian `i32`.
     pub fn put_i32(&mut self, v: i32) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
+        self.write(&v.to_le_bytes());
     }
 
     /// Append a little-endian `i64`.
     pub fn put_i64(&mut self, v: i64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
+        self.write(&v.to_le_bytes());
     }
 
     /// Append a little-endian `f32`.
     pub fn put_f32(&mut self, v: f32) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
+        self.write(&v.to_le_bytes());
     }
 
     /// Append a little-endian `f64`.
     pub fn put_f64(&mut self, v: f64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
+        self.write(&v.to_le_bytes());
     }
 
     /// Append a `usize`, encoded as `u64` for blob stability.
@@ -275,7 +437,7 @@ impl Encoder {
     /// Length-prefixed raw bytes.
     pub fn put_bytes(&mut self, v: &[u8]) {
         self.put_usize(v.len());
-        self.buf.extend_from_slice(v);
+        self.write(v);
     }
 
     /// Length-prefixed UTF-8 string.
@@ -286,20 +448,12 @@ impl Encoder {
     /// Bulk-encode an `f64` slice (length-prefixed). This is the hot path for
     /// application snapshots, whose state is dominated by numeric arrays.
     pub fn put_f64_slice(&mut self, v: &[f64]) {
-        self.put_usize(v.len());
-        self.buf.reserve(v.len() * 8);
-        for x in v {
-            self.buf.extend_from_slice(&x.to_le_bytes());
-        }
+        self.put_words(v, f64::to_le_bytes);
     }
 
     /// Bulk-encode a `u64` slice (length-prefixed).
     pub fn put_u64_slice(&mut self, v: &[u64]) {
-        self.put_usize(v.len());
-        self.buf.reserve(v.len() * 8);
-        for x in v {
-            self.buf.extend_from_slice(&x.to_le_bytes());
-        }
+        self.put_words(v, u64::to_le_bytes);
     }
 
     /// Encode any [`SaveLoad`] value.
@@ -513,17 +667,21 @@ fn fresh_version() -> u64 {
 
 /// A state field that knows when it may have changed.
 ///
-/// Reading through [`Deref`] is free. Every way of obtaining the value
+/// The value is shared (an `Arc`): reading through [`Deref`] is free and
+/// `clone` is a second handle on it. Every way of obtaining the value
 /// mutably — [`DerefMut`], and construction by [`Tracked::new`] or
 /// `load` — stamps it with a fresh process-unique *version*, so two
 /// `Tracked` values with equal versions hold equal bytes (`clone` keeps
 /// the version; `mem::swap` of two `Tracked` moves each version with its
-/// value). The checkpoint write path uses exactly that: a field whose
-/// version the previous line already wrote is recorded as a reference
-/// ([`Part::Clean`]) and is neither serialized, CRC'd, chunked nor
-/// hashed again. `save` clears nothing, so encoding a state for any
-/// other purpose (a digest, a probe) cannot make a later checkpoint
-/// unsound.
+/// value). [`DerefMut`] copies the value first while anything else holds
+/// it (copy-on-write), so a checkpoint write still streaming it never
+/// sees its bytes change. The checkpoint write path uses exactly that: a
+/// field whose version the previous line already wrote is recorded as a
+/// reference ([`Part::Clean`]) and is neither serialized, CRC'd, chunked
+/// nor hashed again, and any other is handed to the writer as a
+/// [`Part::Fresh`] value, which the writer encodes straight into its
+/// chunks. `save` clears nothing, so encoding a state for any other
+/// purpose (a digest, a probe) cannot make a later checkpoint unsound.
 ///
 /// The wire bytes are exactly `T`'s: wrapping a field changes no stored
 /// format. Wrap fields that are large and rarely written (a matrix built
@@ -533,28 +691,47 @@ fn fresh_version() -> u64 {
 /// locks): a change behind `&T` mints no version and a stale reference
 /// would be restored under a matching CRC. Debug builds re-encode every
 /// referenced value and panic on a mismatch.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct Tracked<T> {
-    value: T,
+    value: Arc<T>,
     version: u64,
+}
+
+impl<T> Clone for Tracked<T> {
+    fn clone(&self) -> Self {
+        Tracked {
+            value: Arc::clone(&self.value),
+            version: self.version,
+        }
+    }
 }
 
 impl<T> Tracked<T> {
     /// Track `value`, under a fresh version.
     pub fn new(value: T) -> Self {
         let version = fresh_version();
-        Tracked { value, version }
+        Tracked {
+            value: Arc::new(value),
+            version,
+        }
     }
 
     /// Encode the value with `save` in place of `T::save` — for a bulk
     /// path such as [`Encoder::put_f64_slice`]. `save` must be a pure
-    /// function of the value, as `T::save` is.
+    /// function of the value, as `T::save` is: an encoder built for a
+    /// line keeps it, with the shared value, for the writer to run.
     pub fn save_with(
         &self,
         enc: &mut Encoder,
-        save: impl FnOnce(&T, &mut Encoder),
-    ) {
-        enc.put_tracked(self.version, |enc| save(&self.value, enc));
+        save: impl Fn(&T, &mut Encoder) + Send + Sync + 'static,
+    ) where
+        T: Send + Sync + 'static,
+    {
+        let value = Arc::clone(&self.value);
+        enc.put_tracked(
+            self.version,
+            Fresh::new(move |enc| save(&value, enc)),
+        );
     }
 
     /// Decode the value with `load` in place of `T::load` — the twin of
@@ -590,10 +767,10 @@ impl<T> Deref for Tracked<T> {
     }
 }
 
-impl<T> DerefMut for Tracked<T> {
+impl<T: Clone> DerefMut for Tracked<T> {
     fn deref_mut(&mut self) -> &mut T {
         self.version = fresh_version();
-        &mut self.value
+        Arc::make_mut(&mut self.value)
     }
 }
 
@@ -603,7 +780,7 @@ impl<T: PartialEq> PartialEq for Tracked<T> {
     }
 }
 
-impl<T: SaveLoad> SaveLoad for Tracked<T> {
+impl<T: SaveLoad + Send + Sync + 'static> SaveLoad for Tracked<T> {
     fn save(&self, enc: &mut Encoder) {
         self.save_with(enc, T::save);
     }
@@ -994,7 +1171,7 @@ mod tests {
         enc.put(&inner);
         enc.put_len_prefixed(|enc| enc.put_u16(5));
         assert_eq!(enc.len(), 1 + (8 + 4 + 4) + 4 + (8 + 2));
-        let (buf, parts, base) = enc.into_parts();
+        let (buf, parts, _, base) = enc.into_parts();
         assert!(base.is_none());
         assert_eq!(buf.len(), 31);
         // The nested tracked values encode inside the outer part.
@@ -1058,7 +1235,7 @@ mod tests {
             });
             (enc.len(), enc.clean_len(), enc.into_parts())
         };
-        let (len, clean, (buf, parts, _)) = encode(&t);
+        let (len, clean, (buf, parts, _, _)) = encode(&t);
         assert_eq!((len, clean, buf.len()), (118, 108, 10));
         assert_eq!(buf[1..9], 109u64.to_le_bytes(), "prefix counts it");
         let version = t.version;
@@ -1068,11 +1245,15 @@ mod tests {
             bytes(1, None),
         ];
         assert_eq!(parts, expect);
-        // One mutable access later the same bytes are a part again.
+        // One mutable access later the same bytes are a fresh value: a
+        // part the writer streams, still with no bytes in the buffer.
         t[0] = 5;
-        let (len, clean, (buf, parts, _)) = encode(&t);
-        assert_eq!((len, clean, buf.len()), (118, 0, 118));
-        assert_eq!(parts[1], bytes(108, Some(t.version)));
+        let (len, clean, (buf, parts, fresh, _)) = encode(&t);
+        assert_eq!((len, clean, buf.len(), fresh.len()), (118, 0, 10, 1));
+        let version = t.version;
+        assert_eq!(parts[1], Part::Fresh { version, len: 108 });
+        let (tail, streamed) = fresh[0].stream(&mut |_| 0);
+        assert_eq!((streamed, &tail[..8]), (108, &100u64.to_le_bytes()[..]));
     }
 
     #[derive(Debug, PartialEq)]

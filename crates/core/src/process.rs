@@ -1259,11 +1259,9 @@ impl<'a> Process<'a> {
             early_ids: self.early_ids.clone(),
             pending: self.pending.clone(),
         };
-        let mut enc = Encoder::against(
-            self.pipeline
-                .as_ref()
-                .and_then(|p| p.clean_base(rank, RankBlobKind::State)),
-        );
+        let mut enc = self.pipeline.as_ref().map_or_else(Encoder::new, |p| {
+            p.line_encoder(rank, RankBlobKind::State)
+        });
         let saves_app_state = self.cfg.level.saves_app_state();
         let mut app_state_len = 0;
         rc.save(&mut enc, |enc| {

@@ -29,10 +29,14 @@
 //!   `ControlRecv`, `SuppressSent` / `SuppressRecv`) must emit the
 //!   other (a component that records sends but not receipts produces
 //!   traces the happens-before checker cannot order).
+//! * **no-unsafe** — no `unsafe` anywhere in `crates/*/src`, test
+//!   modules included, except below the first `#[cfg(test)]` marker of a
+//!   file allowlisted for it: the counting global allocators two crates'
+//!   unit tests install.
 //!
-//! Test modules are exempt: each file is scanned only up to its first
-//! `#[cfg(test)]` marker, and `tests/` / `benches/` directories are not
-//! scanned at all. Exit status: 0 clean, 1 findings, 2 usage/IO errors.
+//! Test modules are exempt from the other rules: each file is scanned
+//! only up to its first `#[cfg(test)]` marker, and `tests/` / `benches/`
+//! directories are not scanned at all. Exit status: 0 clean, 1 findings, 2 usage/IO errors.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::{Path, PathBuf};
@@ -122,6 +126,8 @@ struct Allow {
     instant: BTreeSet<String>,
     /// Per-file unwrap/expect budget.
     unwrap_budget: BTreeMap<String, usize>,
+    /// Files whose test region may hold `unsafe`.
+    unsafe_in_tests: BTreeSet<String>,
 }
 
 impl Allow {
@@ -140,6 +146,9 @@ impl Allow {
             match rule {
                 "instant-now" => {
                     allow.instant.insert(path.to_string());
+                }
+                "no-unsafe" => {
+                    allow.unsafe_in_tests.insert(path.to_string());
                 }
                 "hot-path-unwrap" => {
                     let budget: usize = parts
@@ -176,6 +185,7 @@ fn lint(root: &Path, allow: &Allow) -> Result<Vec<String>, String> {
         check_instant_now(rel, scanned, &instant_needle, allow, &mut findings);
         check_hot_path_unwrap(rel, scanned, allow, &mut findings);
         check_pair_emission(rel, scanned, &mut findings);
+        check_no_unsafe(rel, content, allow, &mut findings);
     }
     check_analyzer_coverage(root, &mut findings)?;
     Ok(findings)
@@ -296,6 +306,33 @@ fn check_hot_path_unwrap(
              protocol hot path, budget {budget} ({fix} in \
              crates/xtask/lint-allow.txt)"
         ));
+    }
+}
+
+/// The word `unsafe` outside comments: anywhere in the file, or in a file
+/// allowlisted for it, before its test region.
+fn check_no_unsafe(
+    rel: &str,
+    content: &str,
+    allow: &Allow,
+    findings: &mut Vec<String>,
+) {
+    let scanned = if allow.unsafe_in_tests.contains(rel) {
+        non_test_region(content)
+    } else {
+        content
+    };
+    for (lineno, line) in scanned.lines().enumerate() {
+        let code = line.split("//").next().unwrap_or_default();
+        let mut words =
+            code.split(|c: char| !c.is_ascii_alphanumeric() && c != '_');
+        if words.any(|w| w == "unsafe") {
+            findings.push(format!(
+                "{rel}:{}: [no-unsafe] `unsafe` outside an allowlisted test \
+                 allocator (crates/xtask/lint-allow.txt)",
+                lineno + 1
+            ));
+        }
     }
 }
 
@@ -531,6 +568,31 @@ mod tests {
         let findings = lint(&fx.root, &Allow::default()).unwrap();
         assert_eq!(findings.len(), 1, "{findings:?}");
         assert!(findings[0].contains("Mystery"), "{findings:?}");
+    }
+
+    #[test]
+    fn planted_unsafe_is_flagged() {
+        let kw = "unsafe";
+        let src = format!(
+            "pub fn f(p: *const u8) -> u8 {{\n    {kw} {{ *p }}\n}}\n\
+             // {kw} in a comment is not code\n#[cfg(test)]\nmod tests \
+             {{\n    {kw} fn g() {{}}\n}}\n"
+        );
+        let fx = Fixture::new(
+            "unsafe",
+            &[("crates/demo/src/lib.rs", src.as_str())],
+        );
+        let findings = lint(&fx.root, &Allow::default()).unwrap();
+        assert_eq!(findings.len(), 2, "{findings:?}");
+        assert!(findings.iter().all(|f| f.contains("[no-unsafe]")));
+        // Allowlisted, the test region may hold it; the planted block not.
+        let mut allow = Allow::default();
+        allow
+            .unsafe_in_tests
+            .insert("crates/demo/src/lib.rs".into());
+        let findings = lint(&fx.root, &allow).unwrap();
+        assert_eq!(findings.len(), 1, "{findings:?}");
+        assert!(findings[0].contains("lib.rs:2:"), "{findings:?}");
     }
 
     #[test]
