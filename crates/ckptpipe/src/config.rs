@@ -105,14 +105,9 @@ impl TierTopology {
 pub struct PipelineConfig {
     /// Synchronous or background writing.
     pub mode: WriteMode,
-    /// Write blobs as content-addressed chunk manifests, deduplicating
-    /// chunks against previously stored checkpoints (delta
-    /// checkpointing). When false, blobs are stored whole, as the paper
-    /// does.
-    pub incremental: bool,
-    /// How incremental mode splits a blob into chunks: fixed-size
-    /// pieces, or FastCDC content-defined cuts that keep dedup working
-    /// when state shifts (see [`Chunker`]).
+    /// How a blob is cut into the content-addressed chunks its manifest
+    /// names: FastCDC cuts around [`Chunker::avg`] bytes, which keep
+    /// dedup working when state shifts (see [`Chunker`]).
     pub chunker: Chunker,
     /// Chunk codec; [`Codec::None`] stores every chunk raw. The default,
     /// [`Codec::Lz4`], stores each chunk in the smaller of its two LZ4
@@ -143,8 +138,7 @@ impl Default for PipelineConfig {
                 writers: 2,
                 queue_depth: 8,
             },
-            incremental: true,
-            chunker: Chunker::Fixed { size: 4096 },
+            chunker: Chunker::default(),
             codec: Codec::Lz4,
             retry: RetryPolicy::default(),
             keep_last: 1,
@@ -155,29 +149,13 @@ impl Default for PipelineConfig {
 }
 
 impl PipelineConfig {
-    /// The paper's original behavior: full blobs, written synchronously.
-    pub fn sync_full() -> Self {
-        PipelineConfig {
-            mode: WriteMode::Sync,
-            incremental: false,
-            codec: Codec::None,
-            ..PipelineConfig::default()
-        }
-    }
-
     /// Builder: set the write mode.
     pub fn with_mode(mut self, mode: WriteMode) -> Self {
         self.mode = mode;
         self
     }
 
-    /// Builder: toggle incremental (chunked, deduplicated) writing.
-    pub fn with_incremental(mut self, on: bool) -> Self {
-        self.incremental = on;
-        self
-    }
-
-    /// Builder: set the chunking strategy (fixed-size or content-defined).
+    /// Builder: set the chunker (see [`PipelineConfig::chunker`]).
     pub fn with_chunker(mut self, chunker: Chunker) -> Self {
         self.chunker = chunker;
         self
@@ -262,19 +240,10 @@ mod tests {
         let cfg = PipelineConfig::default()
             .with_chunker(Chunker::cdc(1024))
             .with_codec(Codec::None);
-        assert_eq!(
-            cfg.chunker,
-            Chunker::Cdc {
-                min: 256,
-                avg: 1024,
-                max: 4096
-            }
-        );
+        assert_eq!(cfg.chunker, Chunker::cdc(1024));
         assert_eq!(cfg.codec, Codec::None);
         let d = PipelineConfig::default();
-        assert_eq!(d.chunker, Chunker::Fixed { size: 4096 });
+        assert_eq!(d.chunker, Chunker::cdc(4096));
         assert_eq!(d.codec, Codec::Lz4);
-        // The paper's whole-blob mode stores raw bytes.
-        assert_eq!(PipelineConfig::sync_full().codec, Codec::None);
     }
 }

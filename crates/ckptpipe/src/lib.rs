@@ -11,12 +11,13 @@
 //!   [`CheckpointPipeline::stage`] and returns immediately (async mode);
 //!   a bounded queue applies backpressure instead of buffering without
 //!   limit.
-//! * **Chunking + dedup** — writer threads cut the blob into chunks —
-//!   fixed-size, or content-defined FastCDC cuts that keep dedup working
-//!   when state shifts (see [`Chunker`]) — addressed by a 128-bit content
-//!   hash + length, and skip chunks already stored by a previous
+//! * **Chunking + dedup** — writer threads cut the blob into
+//!   content-defined FastCDC chunks, which keep dedup working when state
+//!   shifts (see [`Chunker`]), address each by a 128-bit content hash +
+//!   length, and skip chunks already stored by this blob or a previous
 //!   checkpoint (incremental / delta checkpoints, per the
-//!   differential-checkpointing line of work). Surviving chunks are
+//!   differential-checkpointing line of work). Every rank blob is stored
+//!   this way, as a manifest naming its chunks. Surviving chunks are
 //!   LZ4-compressed, as they are or as byte planes, whichever is smaller,
 //!   unless the configured [`Codec`] is raw; each is sealed once under
 //!   the CRC that also folds into the blob's, and fresh chunks leave in
@@ -116,6 +117,7 @@ mod test_alloc {
 
 #[cfg(test)]
 mod tests {
+    use std::collections::HashSet;
     use std::sync::Arc;
 
     use ckptstore::{
@@ -150,14 +152,19 @@ mod tests {
     }
 
     #[test]
-    fn sync_full_mode_matches_legacy_blob_writes() {
+    fn sync_mode_stores_each_blob_before_stage_returns() {
         let (_, store) = mem_store(2);
         let pipe = CheckpointPipeline::new(
             store.clone(),
-            PipelineConfig::sync_full(),
+            PipelineConfig::default().with_mode(WriteMode::Sync),
         );
         let payloads = vec![blob(1, 500), blob(2, 500)];
         stage_full_checkpoint(&pipe, 1, &payloads);
+        for rank in 0..2 {
+            for kind in [RankBlobKind::State, RankBlobKind::Log] {
+                assert!(store.has_rank_blob(1, rank, kind).unwrap());
+            }
+        }
         assert_eq!(pipe.drain(1).unwrap(), 4);
         store.commit(1).unwrap();
         for (rank, payload) in payloads.iter().enumerate() {
@@ -171,7 +178,7 @@ mod tests {
     #[test]
     fn async_incremental_round_trips_and_dedups() {
         let (backend, store) = mem_store(1);
-        let cfg = PipelineConfig::default().with_chunker(Chunker::fixed(128));
+        let cfg = PipelineConfig::default().with_chunker(Chunker::cdc(256));
         let pipe = CheckpointPipeline::new(store.clone(), cfg);
         let v1 = blob(7, 4096);
         pipe.stage(1, 0, RankBlobKind::State, v1.clone()).unwrap();
@@ -188,15 +195,20 @@ mod tests {
         pipe.drain(2).unwrap();
         store.commit(2).unwrap();
         let delta = backend.bytes_written() - after_first;
-        // The delta is one rewritten 128-byte chunk plus the new manifest
-        // (25 bytes per chunk entry for the 128-bit content address) —
-        // far below rewriting the 4 KiB blob.
+        // The delta is the chunk around the edit, rewritten, plus the new
+        // manifest (25 bytes per chunk entry for the 128-bit content
+        // address) — far below rewriting the 4 KiB blob.
         assert!(
             delta < v2.len() as u64 / 3,
             "checkpoint 2 should be a small delta, wrote {delta} bytes"
         );
+        // Every piece of checkpoint 2 that checkpoint 1 also cut dedups.
+        let chunker = pipe.config().chunker;
+        let first: HashSet<&[u8]> = chunker.cut(&v1).collect();
+        let kept = chunker.cut(&v2).filter(|c| first.contains(c)).count();
+        assert!(kept + 1 >= chunker.cut(&v2).count(), "one piece changed");
         let stats = pipe.stats();
-        assert!(stats.chunks_deduped >= 31, "stats: {stats:?}");
+        assert_eq!(stats.chunks_deduped, kept as u64, "stats: {stats:?}");
         assert_eq!(
             store.get_rank_blob(2, 0, RankBlobKind::State).unwrap(),
             v2
@@ -245,7 +257,7 @@ mod tests {
             CheckpointStore::new(inject.clone() as Arc<dyn StorageBackend>, 1);
         let pipe = CheckpointPipeline::new(
             store.clone(),
-            PipelineConfig::default().with_chunker(Chunker::fixed(256)),
+            PipelineConfig::default().with_chunker(Chunker::cdc(256)),
         );
         pipe.stage(1, 0, RankBlobKind::State, blob(9, 1000))
             .unwrap();
@@ -286,12 +298,13 @@ mod tests {
         // writer's completion then resurrected the ticket at count zero
         // and underflowed it (panic + poisoned mutex in debug builds, a
         // wrapped counter and a hung later drain in release builds).
-        // First two puts fail: blob 1's write and its only retry. The
-        // slow-put keeps blobs 2 and 3 in flight long enough that drain
-        // reliably observes the error while outstanding > 0.
+        // First three puts fail: blob 1's chunk batch, then the chunk's
+        // own put and its only retry. The slow-put keeps blobs 2 and 3 in
+        // flight long enough that drain reliably observes the error while
+        // outstanding > 0.
         let inject = Arc::new(FaultInjectingBackend::new(
             Arc::new(MemoryBackend::new()),
-            FaultPlan::none().fail_n(2).slow_ms(5),
+            FaultPlan::none().fail_n(3).slow_ms(5),
         ));
         let store =
             CheckpointStore::new(inject.clone() as Arc<dyn StorageBackend>, 1);
@@ -302,7 +315,6 @@ mod tests {
                     writers: 1,
                     queue_depth: 8,
                 })
-                .with_incremental(false)
                 .with_retry(RetryPolicy {
                     max_retries: 1,
                     backoff_base_ms: 0,
@@ -318,7 +330,7 @@ mod tests {
             pipe.stage(1, 0, kind, blob(5, 400)).unwrap();
         }
         assert!(pipe.drain(1).is_err());
-        assert!(inject.faults_injected() >= 2);
+        assert!(inject.faults_injected() >= 3);
         // The next checkpoint must succeed on the same pipeline, with no
         // panic, poisoned lock, or hung drain.
         pipe.stage(2, 0, RankBlobKind::State, blob(6, 400)).unwrap();
@@ -342,40 +354,31 @@ mod tests {
         let (backend, store) = mem_store(1);
         let cfg = PipelineConfig::default()
             .with_mode(WriteMode::Sync)
-            .with_chunker(Chunker::fixed(64))
             .with_codec(Codec::None);
         let pipe = CheckpointPipeline::new(store.clone(), cfg);
+        // Blobs below the chunker's minimum cut are one chunk each.
         let a = vec![0xAAu8; 64];
         let b = vec![0xBBu8; 64];
-        let ab: Vec<u8> = [a.clone(), b.clone()].concat();
-        let aa: Vec<u8> = [a.clone(), a.clone()].concat();
         // Checkpoint 1 stores chunks A and B; checkpoint 2 drops B.
-        for (ckpt, state) in [(1u64, &ab), (2u64, &aa)] {
-            pipe.stage(ckpt, 0, RankBlobKind::State, state.clone())
-                .unwrap();
-            pipe.stage(ckpt, 0, RankBlobKind::Log, b"log".to_vec())
-                .unwrap();
+        for (ckpt, log) in [(1u64, &b), (2u64, &a)] {
+            pipe.stage(ckpt, 0, RankBlobKind::State, a.clone()).unwrap();
+            pipe.stage(ckpt, 0, RankBlobKind::Log, log.clone()).unwrap();
             pipe.drain(ckpt).unwrap();
             store.commit(ckpt).unwrap();
         }
         pipe.gc_keeping(2).unwrap();
-        // B's only reference was checkpoint 1's manifest: it is gone
-        // (chunk A and the log blob's chunk survive).
+        // B's only reference was checkpoint 1's log manifest: it is gone
+        // (chunk A survives).
         assert!(!store.has_chunk(&ChunkRef::for_piece(&b).key()).unwrap());
-        assert_eq!(backend.list("chunk/").unwrap().len(), 2);
+        assert_eq!(backend.list("chunk/").unwrap().len(), 1);
         // Checkpoint 3 resurrects content B. It must round-trip after a
         // GC that keeps only checkpoint 3.
-        let ba: Vec<u8> = [b.clone(), a.clone()].concat();
-        pipe.stage(3, 0, RankBlobKind::State, ba.clone()).unwrap();
-        pipe.stage(3, 0, RankBlobKind::Log, b"log".to_vec())
-            .unwrap();
+        pipe.stage(3, 0, RankBlobKind::State, b.clone()).unwrap();
+        pipe.stage(3, 0, RankBlobKind::Log, a.clone()).unwrap();
         pipe.drain(3).unwrap();
         store.commit(3).unwrap();
         pipe.gc_keeping(3).unwrap();
-        assert_eq!(
-            store.get_rank_blob(3, 0, RankBlobKind::State).unwrap(),
-            ba
-        );
+        assert_eq!(store.get_rank_blob(3, 0, RankBlobKind::State).unwrap(), b);
     }
 
     #[test]
@@ -443,7 +446,7 @@ mod tests {
             store.clone(),
             PipelineConfig::default()
                 .with_mode(WriteMode::Sync)
-                .with_chunker(Chunker::fixed(1024)),
+                .with_chunker(Chunker::cdc(1024)),
         );
         // Highly compressible state: long zero runs.
         let v = vec![0u8; 64 * 1024];
@@ -461,8 +464,9 @@ mod tests {
     #[test]
     fn cdc_dedup_survives_a_front_insertion() {
         // The FastCDC win over fixed-size chunking: insert bytes at the
-        // front of the state and every fixed chunk boundary shifts (full
-        // rewrite), while content-defined cuts re-align after the edit.
+        // front of the state and every fixed chunk boundary would shift
+        // (a full rewrite), while content-defined cuts re-align after the
+        // edit.
         let mut base = Vec::with_capacity(256 * 1024);
         let mut x = 0x9E37_79B9_7F4A_7C15u64;
         while base.len() < 256 * 1024 {
@@ -472,38 +476,30 @@ mod tests {
         let mut shifted = vec![0x5Au8; 97];
         shifted.extend_from_slice(&base);
 
-        let written_delta = |chunker: Chunker| {
-            let (backend, store) = mem_store(1);
-            let cfg = PipelineConfig::default()
-                .with_mode(WriteMode::Sync)
-                .with_chunker(chunker)
-                .with_codec(Codec::Lz4);
-            let pipe = CheckpointPipeline::new(store.clone(), cfg);
-            pipe.stage(1, 0, RankBlobKind::State, base.clone()).unwrap();
-            pipe.stage(1, 0, RankBlobKind::Log, b"log".to_vec())
-                .unwrap();
-            pipe.drain(1).unwrap();
-            store.commit(1).unwrap();
-            let before = backend.bytes_written();
-            pipe.stage(2, 0, RankBlobKind::State, shifted.clone())
-                .unwrap();
-            pipe.stage(2, 0, RankBlobKind::Log, b"log".to_vec())
-                .unwrap();
-            pipe.drain(2).unwrap();
-            store.commit(2).unwrap();
-            assert_eq!(
-                store.get_rank_blob(2, 0, RankBlobKind::State).unwrap(),
-                shifted
-            );
-            backend.bytes_written() - before
-        };
-        let fixed = written_delta(Chunker::fixed(4096));
-        let cdc = written_delta(Chunker::cdc(4096));
-        // Fixed-size rewrites nearly everything; CDC rewrites only the
-        // chunks around the edit.
+        let (backend, store) = mem_store(1);
+        let cfg = PipelineConfig::default().with_mode(WriteMode::Sync);
+        let pipe = CheckpointPipeline::new(store.clone(), cfg);
+        pipe.stage(1, 0, RankBlobKind::State, base.clone()).unwrap();
+        pipe.stage(1, 0, RankBlobKind::Log, b"log".to_vec())
+            .unwrap();
+        pipe.drain(1).unwrap();
+        store.commit(1).unwrap();
+        let first = backend.bytes_written();
+        pipe.stage(2, 0, RankBlobKind::State, shifted.clone())
+            .unwrap();
+        pipe.stage(2, 0, RankBlobKind::Log, b"log".to_vec())
+            .unwrap();
+        pipe.drain(2).unwrap();
+        store.commit(2).unwrap();
+        assert_eq!(
+            store.get_rank_blob(2, 0, RankBlobKind::State).unwrap(),
+            shifted
+        );
+        // CDC rewrites only the chunks around the edit.
+        let delta = backend.bytes_written() - first;
         assert!(
-            cdc * 4 < fixed,
-            "cdc delta {cdc} should be far below fixed delta {fixed}"
+            delta * 4 < first,
+            "delta {delta} should be far below the first line's {first}"
         );
     }
 
@@ -595,8 +591,8 @@ mod tests {
             queue_depth: 8,
         };
         for (chunker, codec) in [
-            (Chunker::fixed(4096), Codec::None),
-            (Chunker::cdc(4096), Codec::Lz4),
+            (Chunker::cdc(1024), Codec::None),
+            (Chunker::default(), Codec::Lz4),
         ] {
             let (sync_manifests, sync_keys) =
                 run(WriteMode::Sync, chunker, codec);
@@ -613,7 +609,7 @@ mod tests {
         let (_, store) = mem_store(1);
         let cfg = PipelineConfig::default()
             .with_mode(WriteMode::Sync)
-            .with_chunker(Chunker::fixed(512))
+            .with_chunker(Chunker::cdc(512))
             .with_codec(Codec::Lz4);
         let pipe = CheckpointPipeline::new(store.clone(), cfg);
         let v: Vec<u8> =
@@ -630,10 +626,15 @@ mod tests {
             }
         }
         let stats = pipe.stats();
-        assert!(stats.chunks_deduped >= 32, "stats: {stats:?}");
+        let pieces: Vec<&[u8]> = Chunker::cdc(512).cut(&v).collect();
+        let distinct: HashSet<&[u8]> = pieces.iter().copied().collect();
+        assert!(distinct.len() >= 4, "{} distinct pieces", distinct.len());
+        // Checkpoint 1 repeats some pieces, checkpoint 2 all of them.
+        let repeats = 2 * pieces.len() - distinct.len();
+        assert_eq!(stats.chunks_deduped, repeats as u64 + 1, "and a log");
         // Every chunk was compressed during checkpoint 1; checkpoint 2's
         // dedup hits reused the stored forms without re-encoding.
-        assert!(after_first >= 32, "stats after first ckpt: {after_first}");
+        assert_eq!(after_first, distinct.len() as u64);
         assert_eq!(stats.chunks_compressed, after_first, "stats: {stats:?}");
         assert_eq!(store.get_rank_blob(2, 0, RankBlobKind::State).unwrap(), v);
     }
@@ -713,7 +714,7 @@ mod tests {
     #[test]
     fn clean_references_write_what_plain_bytes_would() {
         for (chunker, codec) in [
-            (Chunker::fixed(256), Codec::None),
+            (Chunker::cdc(256), Codec::None),
             (Chunker::cdc(1024), Codec::Lz4),
         ] {
             let reg = c3obs::Registry::new();
@@ -781,9 +782,7 @@ mod tests {
     #[test]
     fn a_restart_keeps_the_clean_references_the_store_holds() {
         let (_, store) = mem_store(1);
-        let cfg = PipelineConfig::default()
-            .with_mode(WriteMode::Sync)
-            .with_chunker(Chunker::fixed(256));
+        let cfg = PipelineConfig::default().with_mode(WriteMode::Sync);
         let new_attempt =
             || CheckpointPipeline::new(store.clone(), cfg.clone());
         let big_len = 8 + 40_000;
@@ -818,7 +817,8 @@ mod tests {
         let line3 = state.plain();
 
         // A manifest another chunker cut (straight through the parts)
-        // and a blob stored raw adopt nothing, and still recover.
+        // and one naming the whole blob as one chunk adopt nothing, and
+        // still recover.
         let mut foreign = ckptstore::Manifest::for_blob(&line3);
         let mut chunks = Vec::new();
         for piece in line3.chunks(300) {
@@ -833,13 +833,12 @@ mod tests {
         store
             .put_rank_blob(5, 0, RankBlobKind::State, &line3)
             .unwrap();
-        for (ckpt, has_record) in [(4u64, true), (5, false)] {
+        for ckpt in [4u64, 5] {
             let pipe = new_attempt();
             let state = TrackedState::recover(&pipe, ckpt).unwrap();
             assert_eq!(state.plain(), line3);
             let base = pipe.clean_base(0, RankBlobKind::State);
-            assert_eq!(base.is_some(), has_record, "line {ckpt}");
-            assert!(base.is_none_or(|b| b.clean.is_empty()));
+            assert!(base.unwrap().clean.is_empty(), "line {ckpt}");
             assert_eq!(state.against(&pipe).clean_len(), 0);
         }
     }
@@ -879,14 +878,15 @@ mod tests {
         let fresh: Vec<u8> = (0..512 * 1024)
             .flat_map(|i| (1.0 + i as f64).sqrt().to_le_bytes())
             .collect();
+        let chunks = Chunker::default().cut(&fresh).count() as u64;
         // The blob is live from here on; the mark counts what joins it.
         let with_blob = crate::test_alloc::reset_peak();
         pipe.stage(1, 0, RankBlobKind::State, fresh).unwrap();
         let beside = crate::test_alloc::peak() - with_blob;
-        assert_eq!(pipe.stats().chunks_written, 1024);
-        // One batch of 64 sealed 4 KiB chunks and their keys; the
+        assert_eq!(pipe.stats().chunks_written, chunks);
+        // One batch of 64 sealed chunks of some 4 KiB and their keys; the
         // manifest's chunk list (grown by doubling), its encoding and the
-        // line record: some 360 KiB together. A copy of every fresh
+        // line record: some 300 KiB together. A copy of every fresh
         // chunk, raw or sealed, would be 4 MiB more.
         assert!(
             beside <= 512 << 10,
@@ -906,6 +906,10 @@ mod tests {
                 .map(|i| (1.0 + i as f64).sqrt())
                 .collect::<Vec<f64>>(),
         );
+        // The header's chunk, the block's and its run object.
+        let mut plain = Encoder::new();
+        plain.put_f64_slice(&block);
+        let chunks = Chunker::default().cut(&plain.into_bytes()).count();
         // The value is live from here on; the mark counts what joins it.
         let with_value = crate::test_alloc::reset_peak();
         let mut enc =
@@ -914,8 +918,7 @@ mod tests {
         block.save_with(&mut enc, |v, enc| enc.put_f64_slice(v));
         pipe.stage(1, 0, RankBlobKind::State, enc).unwrap();
         let beside = crate::test_alloc::peak() - with_value;
-        // The header's chunk, the block's 1 025 and its run object.
-        assert_eq!(pipe.stats().chunks_written, 1027);
+        assert_eq!(pipe.stats().chunks_written, chunks as u64 + 2);
         // One 64 KiB window, one batch of 64 sealed chunks, the manifest,
         // the run object and the line record. Encoding the value into the
         // blob first would hold 4 MiB more.
@@ -1030,7 +1033,7 @@ mod tests {
             store.clone(),
             PipelineConfig::default()
                 .with_mode(WriteMode::Sync)
-                .with_chunker(Chunker::fixed(256)),
+                .with_chunker(Chunker::cdc(256)),
         );
         let mut state = TrackedState {
             iter: 1,
@@ -1105,7 +1108,7 @@ mod tests {
             CheckpointStore::new(tiered.clone() as Arc<dyn StorageBackend>, 2);
         let pipe = CheckpointPipeline::new(
             store.clone(),
-            PipelineConfig::default().with_chunker(Chunker::fixed(256)),
+            PipelineConfig::default().with_chunker(Chunker::cdc(256)),
         );
         let payloads = vec![blob(11, 1500), blob(12, 1500)];
         stage_full_checkpoint(&pipe, 1, &payloads);

@@ -64,9 +64,10 @@ use crate::config::{PipelineConfig, WriteMode};
 /// produced, the parts that lay them out, the fresh tracked values the
 /// writer streams, and the base line the clean references among the
 /// parts resolve against. `Bytes` and `Vec<u8>` convert to one part with
-/// no base; an [`Encoder`] from [`CheckpointPipeline::line_encoder`]
-/// converts to whatever it recorded. The payload is refcounted, so a
-/// caller still holding a view of it stages without a copy.
+/// no base; an [`Encoder`] built [`against`](Encoder::against) a
+/// stream's [`CheckpointPipeline::clean_base`] converts to whatever it
+/// recorded. The payload is refcounted, so a caller still holding a view
+/// of it stages without a copy.
 pub struct StagedBlob {
     bytes: Bytes,
     parts: Vec<Part>,
@@ -571,35 +572,16 @@ impl CheckpointPipeline {
         self.shared.lines().index = None;
     }
 
-    /// An encoder for rank `rank`'s next line on the `kind` stream: built
-    /// [`against`](Encoder::against) the stream's record when writes are
-    /// incremental, so tracked values go in as references or as fresh
-    /// values the writer streams; a plain [`Encoder::new`] otherwise.
-    pub fn line_encoder(
-        &self,
-        rank: usize,
-        kind: RankBlobKind,
-    ) -> Encoder<'static> {
-        if !self.shared.cfg.incremental {
-            return Encoder::new();
-        }
-        Encoder::against(self.clean_base(rank, kind))
-    }
-
     /// The record of the last line written on the `(rank, kind)` stream,
     /// for the rank to encode its next line against
-    /// (`Encoder::against`). `None` — everything encodes as bytes —
-    /// when writes are not incremental or the stream has no record: the
-    /// first line of an attempt, a line still in flight, a record GC
-    /// dropped.
+    /// (`Encoder::against`). `None` — everything encodes as bytes — when
+    /// the stream has no record: the first line of an attempt, a line
+    /// still in flight, a record GC dropped.
     pub fn clean_base(
         &self,
         rank: usize,
         kind: RankBlobKind,
     ) -> Option<Arc<LineRecord>> {
-        if !self.shared.cfg.incremental {
-            return None;
-        }
         self.shared
             .lines()
             .records
@@ -619,8 +601,7 @@ impl CheckpointPipeline {
     /// object the line stored for it. The first line
     /// after a restart then finds the whole restored state in the record:
     /// it neither encodes the tracked values nor probes the store for
-    /// anything. A blob stored raw has no manifest and leaves nothing to
-    /// adopt; a span that does not align is not adopted.
+    /// anything. A span that does not align is not adopted.
     pub fn adopt_line(
         &self,
         ckpt: CkptId,
@@ -634,10 +615,7 @@ impl CheckpointPipeline {
         // Under the gate, like a write: a GC cannot collect the line
         // between the manifest read and the insert.
         let floor = shared.gc_gate.read().unwrap();
-        if !shared.cfg.incremental
-            || ckpt < *floor
-            || shared.lines().records.contains_key(&slot)
-        {
+        if ckpt < *floor || shared.lines().records.contains_key(&slot) {
             return Ok(());
         }
         if let Some(m) = shared.store.get_rank_manifest(ckpt, rank, kind)? {
@@ -882,21 +860,6 @@ impl Shared {
                 job.ckpt, job.rank, job.kind
             ))
         };
-        if !self.cfg.incremental {
-            if blob.lens().1 > 0 || !blob.fresh.is_empty() {
-                return Err(refused(
-                    "clean references and fresh values need incremental writes",
-                ));
-            }
-            return self.retrying(|| {
-                self.store.put_rank_blob(
-                    job.ckpt,
-                    job.rank,
-                    job.kind,
-                    &blob.bytes,
-                )
-            });
-        }
         // A base below the GC floor vouches for chunks the sweep may have
         // deleted. The initiator starts a line only after the previous
         // one's commit and GC, so no job gets here.

@@ -102,6 +102,30 @@ fn noise(seed: &mut u64, len: usize) -> Vec<u8> {
     (0..len).map(|_| splitmix64(seed) as u8).collect()
 }
 
+/// Stage line `line` of every rank: its state, encoded against the
+/// stream's record, and a log. Returns each rank's state as plain bytes.
+fn stage_line(
+    pipe: &CheckpointPipeline,
+    ranks: &mut [RankState],
+    line: u64,
+    tracked: bool,
+) -> Vec<Vec<u8>> {
+    let mut blobs = Vec::new();
+    for (rank, state) in ranks.iter_mut().enumerate() {
+        state.line = line;
+        let mut plain = Encoder::new();
+        state.encode(&mut plain, tracked);
+        let mut enc =
+            Encoder::against(pipe.clean_base(rank, RankBlobKind::State));
+        state.encode(&mut enc, tracked);
+        pipe.stage(line, rank, RankBlobKind::State, enc).unwrap();
+        pipe.stage(line, rank, RankBlobKind::Log, vec![line as u8; 40])
+            .unwrap();
+        blobs.push(plain.into_bytes());
+    }
+    blobs
+}
+
 /// What a writer killed mid-blob leaves: fresh chunks no manifest names.
 fn orphans(store: &CheckpointStore, seed: &mut u64) {
     let sealed: Vec<(String, Vec<u8>)> = (0..3)
@@ -114,13 +138,13 @@ fn orphans(store: &CheckpointStore, seed: &mut u64) {
 }
 
 /// One interleaving. `config` picks one tier or three, a tracked or a
-/// plain big field, fixed or content-defined cuts and sync or async
+/// plain big field, cuts around 256 or 1024 bytes and sync or async
 /// writes; each op draws what to do next.
 fn interleaving(config: u64, ops: &[u64]) -> Result<(), TestCaseError> {
     let tiers = Tiers::new(if config & 1 == 0 { 1 } else { 3 });
     let tracked = config & 2 != 0;
     let chunker = if config & 4 == 0 {
-        Chunker::fixed(256)
+        Chunker::cdc(256)
     } else {
         Chunker::cdc(1024)
     };
@@ -179,20 +203,8 @@ fn interleaving(config: u64, ops: &[u64]) -> Result<(), TestCaseError> {
         let arg = op >> 8;
         match op % 7 {
             0 | 1 if staged.is_none() => {
-                let mut blobs = Vec::new();
-                for (rank, state) in ranks.iter_mut().enumerate() {
-                    state.line = next;
-                    let mut plain = Encoder::new();
-                    state.encode(&mut plain, tracked);
-                    let base = pipe.clean_base(rank, RankBlobKind::State);
-                    let mut enc = Encoder::against(base);
-                    state.encode(&mut enc, tracked);
-                    pipe.stage(next, rank, RankBlobKind::State, enc).unwrap();
-                    let log = vec![next as u8; 40];
-                    pipe.stage(next, rank, RankBlobKind::Log, log).unwrap();
-                    blobs.push(plain.into_bytes());
-                }
-                staged = Some((next, blobs));
+                staged =
+                    Some((next, stage_line(&pipe, &mut ranks, next, tracked)));
             }
             2 => {
                 if let Some((line, blobs)) = staged.take() {
@@ -245,5 +257,74 @@ proptest! {
         ops in proptest::collection::vec(any::<u64>(), 8..48),
     ) {
         interleaving(config, &ops)?;
+    }
+}
+
+/// A tracked value made of one noise stretch repeated: content-defined
+/// cuts find the same chunks in every repeat, so the run object of its
+/// first version names a few chunks many times. A new version supersedes
+/// it; the GC that collects the old line releases each of those chunks
+/// once per time the run names it, and leaves every tier as the listing
+/// sweep does.
+#[test]
+fn a_run_naming_one_chunk_many_times_is_collected_like_the_sweep() {
+    for n in [1, 3] {
+        let tiers = Tiers::new(n);
+        let store = tiers.store();
+        let cfg = PipelineConfig::default().with_mode(WriteMode::Sync);
+        let pipe = CheckpointPipeline::new(store.clone(), cfg);
+        let mut seed = 0x5EED;
+        let stretch = noise(&mut seed, 5000);
+        let mut ranks: Vec<RankState> = (0..RANKS)
+            .map(|rank| RankState {
+                line: 0,
+                big: Tracked::new(stretch.repeat(40 + rank)),
+            })
+            .collect();
+        let mut repeated = Vec::new();
+        for line in 1..=4u64 {
+            if line == 3 {
+                for state in &mut ranks {
+                    *state.big = noise(&mut seed, state.big.len());
+                }
+            }
+            let blobs = stage_line(&pipe, &mut ranks, line, true);
+            pipe.drain(line).unwrap();
+            store.commit(line).unwrap();
+            pipe.schedule_tier_drain(line);
+            pipe.flush_tier_drains();
+            if line == 1 {
+                for rank in 0..RANKS {
+                    let m =
+                        store.get_rank_manifest(1, rank, RankBlobKind::State);
+                    let m = m.unwrap().unwrap();
+                    let run = &m.chunks[m.runs[0].chunks.clone()];
+                    let mut distinct: Vec<String> =
+                        run.iter().map(ChunkRef::key).collect();
+                    distinct.sort();
+                    distinct.dedup();
+                    assert!(
+                        distinct.len() * 4 <= run.len(),
+                        "rank {rank}: the run names {} chunks, {} distinct",
+                        run.len(),
+                        distinct.len()
+                    );
+                    repeated.extend(distinct);
+                }
+            }
+            // Line 1's GC lists and builds the index; the later ones count.
+            let copy = tiers.copy();
+            copy.store().gc_keeping(line).unwrap();
+            pipe.gc_keeping(line).unwrap();
+            assert_eq!(tiers.keys(), copy.keys(), "{n} tiers, line {line}");
+            for (rank, blob) in blobs.iter().enumerate() {
+                let got = store.get_rank_blob(line, rank, RankBlobKind::State);
+                assert_eq!(&got.unwrap(), blob, "line {line}");
+            }
+        }
+        // The first version's chunks went with the last line naming them.
+        for key in &repeated {
+            assert!(!store.has_chunk(key).unwrap(), "{key} outlived its run");
+        }
     }
 }

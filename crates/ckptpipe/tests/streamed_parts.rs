@@ -80,11 +80,7 @@ fn streamed_equals_inline(
     config: u64,
     mut seed: u64,
 ) -> Result<(), TestCaseError> {
-    let chunkers = [
-        Chunker::fixed(4096),
-        Chunker::fixed(256),
-        Chunker::cdc(1024),
-    ];
+    let chunkers = [Chunker::default(), Chunker::cdc(256), Chunker::cdc(1024)];
     let mode = if config & 4 == 0 {
         WriteMode::Sync
     } else {

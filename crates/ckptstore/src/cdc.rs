@@ -1,5 +1,5 @@
-//! Content-defined chunking (FastCDC-style) for the incremental
-//! checkpoint pipeline.
+//! Content-defined chunking (FastCDC-style): the one way every rank blob
+//! is cut into chunks.
 //!
 //! Fixed-size chunking breaks dedup the moment state shifts: inserting a
 //! single byte at the front of a blob moves every later chunk boundary,
@@ -8,9 +8,11 @@
 //! cut — a rolling gear hash over the last ~64 bytes hits a boundary
 //! condition at data-dependent positions — so an insertion only disturbs
 //! the chunks overlapping the edit; boundaries downstream re-synchronise
-//! and those chunks dedup again.
+//! and those chunks dedup again. The same holds inside one blob: a matrix
+//! whose rows are shifted copies of each other cuts into chunks that
+//! repeat, and a repeated chunk is stored once.
 //!
-//! The [`Chunker::Cdc`] variant implements the FastCDC refinements:
+//! [`Chunker`] implements the FastCDC refinements:
 //!
 //! * **Gear hash**: `h = (h << 1) + GEAR[byte]` — one shift and one add
 //!   per byte, with a 256-entry random table. The shift ages a byte out
@@ -24,10 +26,6 @@
 //! * **Min/max clamps**: no boundary is considered before `min` bytes
 //!   (cheap skip, also guards against degenerate tiny chunks) and a cut
 //!   is forced at `max`.
-//!
-//! [`Chunker::Fixed`] keeps the old fixed-size behavior selectable — it
-//! is still the right choice for in-place update patterns where offsets
-//! never move and the cut loop itself is pure overhead.
 
 /// The 256-entry gear table. Generated deterministically by SplitMix64
 /// so the chunking function is identical across builds and machines —
@@ -69,111 +67,84 @@ fn gear_scan(window: &[u8], h: &mut u64, mask: u64) -> Option<usize> {
     None
 }
 
-/// How a staged blob is split into chunks before hashing and dedup.
+/// How a staged blob is split into chunks before hashing and dedup:
+/// FastCDC content-defined cuts with normalized `avg/4 .. avg*4` bounds.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum Chunker {
-    /// Fixed-size pieces of exactly `size` bytes (last piece shorter).
-    Fixed {
-        /// Piece size in bytes; must be non-zero.
-        size: usize,
-    },
-    /// FastCDC content-defined cuts with normalized min/avg/max bounds.
-    Cdc {
-        /// Smallest chunk the cut rule may produce (except the final
-        /// chunk of a blob).
-        min: usize,
-        /// Target average chunk size; must be a power of two ≥ 64.
-        avg: usize,
-        /// Forced-cut ceiling; every chunk is at most this long.
-        max: usize,
-    },
+pub struct Chunker {
+    /// Smallest chunk the cut rule may produce (except the final chunk
+    /// of a blob).
+    min: usize,
+    /// Target average chunk size, a power of two ≥ 256.
+    avg: usize,
+    /// Forced-cut ceiling; every chunk is at most this long.
+    max: usize,
+}
+
+impl Default for Chunker {
+    /// Cuts around 4 KiB.
+    fn default() -> Self {
+        Chunker::cdc(4096)
+    }
 }
 
 impl Chunker {
-    /// Fixed-size chunking. Panics if `size` is zero.
-    pub fn fixed(size: usize) -> Self {
-        assert!(size > 0, "chunk size must be non-zero");
-        Chunker::Fixed { size }
-    }
-
-    /// Content-defined chunking around `avg` bytes with the conventional
-    /// `avg/4 .. avg*4` spread. Panics unless `avg` is a power of two
-    /// ≥ 256 (the gear window needs room below `min`).
+    /// Content-defined chunking around `avg` bytes. Panics unless `avg`
+    /// is a power of two ≥ 256 (the gear window needs room below `min`).
     pub fn cdc(avg: usize) -> Self {
-        Chunker::cdc_with(avg / 4, avg, avg * 4)
-    }
-
-    /// Content-defined chunking with explicit bounds. Panics unless
-    /// `0 < min ≤ avg ≤ max` and `avg` is a power of two ≥ 256.
-    pub fn cdc_with(min: usize, avg: usize, max: usize) -> Self {
         assert!(
             avg.is_power_of_two() && avg >= 256,
             "avg must be a power of two ≥ 256"
         );
-        assert!(
-            min > 0 && min <= avg && avg <= max,
-            "need 0 < min ≤ avg ≤ max"
-        );
-        Chunker::Cdc { min, avg, max }
+        Chunker {
+            min: avg / 4,
+            avg,
+            max: avg * 4,
+        }
+    }
+
+    /// The target average chunk size.
+    pub fn avg(&self) -> usize {
+        self.avg
     }
 
     /// Length of the first chunk of `data` (the whole remainder when no
     /// boundary fires). Returns 0 only for empty input.
     fn next_cut(&self, data: &[u8]) -> usize {
+        let Chunker { min, avg, max } = *self;
         let n = data.len();
-        match *self {
-            Chunker::Fixed { size } => size.min(n),
-            Chunker::Cdc { min, avg, max } => {
-                if n <= min {
-                    return n;
-                }
-                let bits = avg.trailing_zeros();
-                let mask_s = high_mask(bits + 2);
-                let mask_l = high_mask(bits.saturating_sub(2).max(1));
-                let center = avg.min(n);
-                let end = max.min(n);
-                let mut h = 0u64;
-                if let Some(k) = gear_scan(&data[min..center], &mut h, mask_s)
-                {
-                    return min + k + 1;
-                }
-                if let Some(k) = gear_scan(&data[center..end], &mut h, mask_l)
-                {
-                    return center + k + 1;
-                }
-                end
-            }
+        if n <= min {
+            return n;
         }
+        let bits = avg.trailing_zeros();
+        let mask_s = high_mask(bits + 2);
+        let mask_l = high_mask(bits.saturating_sub(2).max(1));
+        let center = avg.min(n);
+        let end = max.min(n);
+        let mut h = 0u64;
+        if let Some(k) = gear_scan(&data[min..center], &mut h, mask_s) {
+            return min + k + 1;
+        }
+        if let Some(k) = gear_scan(&data[center..end], &mut h, mask_l) {
+            return center + k + 1;
+        }
+        end
     }
 
     /// Split `data` into chunks. The concatenation of the yielded slices
     /// is exactly `data`; empty input yields no chunks.
-    pub fn cut<'a>(&self, data: &'a [u8]) -> Chunks<'a> {
-        Chunks {
-            chunker: *self,
-            rest: data,
-        }
-    }
-}
-
-/// Iterator over the chunks of one blob. See [`Chunker::cut`].
-#[derive(Debug, Clone)]
-pub struct Chunks<'a> {
-    chunker: Chunker,
-    rest: &'a [u8],
-}
-
-impl<'a> Iterator for Chunks<'a> {
-    type Item = &'a [u8];
-
-    fn next(&mut self) -> Option<&'a [u8]> {
-        if self.rest.is_empty() {
-            return None;
-        }
-        let cut = self.chunker.next_cut(self.rest);
-        let (chunk, rest) = self.rest.split_at(cut);
-        self.rest = rest;
-        Some(chunk)
+    pub fn cut<'a>(
+        &self,
+        mut rest: &'a [u8],
+    ) -> impl Iterator<Item = &'a [u8]> + 'a {
+        let chunker = *self;
+        std::iter::from_fn(move || {
+            if rest.is_empty() {
+                return None;
+            }
+            let (chunk, tail) = rest.split_at(chunker.next_cut(rest));
+            rest = tail;
+            Some(chunk)
+        })
     }
 }
 
@@ -194,12 +165,9 @@ mod tests {
     #[test]
     fn chunks_concatenate_to_the_input() {
         let mut rng = StdRng::seed_from_u64(0xCDC0);
-        for chunker in [
-            Chunker::fixed(1),
-            Chunker::fixed(4096),
-            Chunker::cdc(1024),
-            Chunker::cdc_with(100, 512, 5000),
-        ] {
+        for chunker in
+            [Chunker::cdc(256), Chunker::cdc(1024), Chunker::default()]
+        {
             for len in [0usize, 1, 255, 256, 4096, 70_000] {
                 let data = random_bytes(&mut rng, len);
                 let joined: Vec<u8> =
@@ -213,10 +181,7 @@ mod tests {
     fn cdc_chunk_sizes_respect_the_bounds() {
         let mut rng = StdRng::seed_from_u64(0xCDC1);
         let chunker = Chunker::cdc(1024);
-        let (min, max) = match chunker {
-            Chunker::Cdc { min, max, .. } => (min, max),
-            _ => unreachable!(),
-        };
+        let Chunker { min, max, .. } = chunker;
         let data = random_bytes(&mut rng, 300_000);
         let chunks: Vec<&[u8]> = chunker.cut(&data).collect();
         assert!(chunks.len() > 10);
@@ -275,11 +240,13 @@ mod tests {
                 before.len()
             );
 
-            // Fixed-size chunking re-addresses every chunk after the
+            // Fixed-size pieces re-address every chunk after the
             // insertion point — the control that motivates CDC.
-            let fixed = Chunker::fixed(1024);
-            let fb = hashes(fixed, &data);
-            let fa = hashes(fixed, &shifted);
+            let fixed = |d: &[u8]| -> HashSet<u128> {
+                d.chunks(1024).map(hash128).collect()
+            };
+            let fb = fixed(&data);
+            let fa = fixed(&shifted);
             let fshared = fb.intersection(&fa).count();
             assert!(
                 fshared * 2 < fb.len(),
@@ -291,22 +258,8 @@ mod tests {
     }
 
     #[test]
-    fn fixed_matches_slice_chunks() {
-        let data: Vec<u8> = (0..10_000).map(|i| (i % 251) as u8).collect();
-        let ours: Vec<&[u8]> = Chunker::fixed(4096).cut(&data).collect();
-        let std: Vec<&[u8]> = data.chunks(4096).collect();
-        assert_eq!(ours, std);
-    }
-
-    #[test]
     #[should_panic(expected = "power of two")]
     fn cdc_rejects_non_power_of_two_avg() {
         let _ = Chunker::cdc(1000);
-    }
-
-    #[test]
-    #[should_panic(expected = "non-zero")]
-    fn fixed_rejects_zero() {
-        let _ = Chunker::fixed(0);
     }
 }

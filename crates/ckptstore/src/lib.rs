@@ -26,12 +26,11 @@
 //!   separate `COMMIT` record marks the checkpoint recoverable. Recovery
 //!   always reads the **latest committed** checkpoint; partially written
 //!   checkpoints are invisible and garbage-collectible.
-//! * [`manifest`] — content-addressed chunk manifests for incremental
-//!   checkpoints written by the `ckptpipe` I/O pipeline; GC refcounts
-//!   chunks through these.
-//! * [`cdc`] — FastCDC-style content-defined chunking behind a
-//!   [`cdc::Chunker`] enum, so dedup survives insertions and shifts in
-//!   the checkpointed state.
+//! * [`manifest`] — content-addressed chunk manifests: every rank blob
+//!   is stored as one, naming its chunks; GC refcounts chunks through
+//!   these.
+//! * [`cdc`] — FastCDC-style content-defined chunking ([`cdc::Chunker`]),
+//!   so dedup survives insertions and shifts in the checkpointed state.
 //! * [`compress`] — [`compress::Codec`]: raw bytes, or dependency-free
 //!   LZ4 block compression of each chunk's bytes or of its byte planes,
 //!   whichever is smaller (the pipeline's default); the chosen

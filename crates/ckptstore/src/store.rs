@@ -28,7 +28,9 @@ use std::sync::Arc;
 use crate::backend::StorageBackend;
 use crate::codec::{Decoder, Encoder, SaveLoad};
 use crate::error::{StoreError, StoreResult};
-use crate::integrity::{crc32, crc32_combine, hash128, seal_vec, unseal_crc};
+use crate::integrity::{
+    crc32, crc32_combine, hash128, seal_vec, seal_with, unseal_crc,
+};
 use crate::manifest::{
     chunk_key, decode_run, parse_chunk_key, AddrMap, ChunkRef, Manifest,
 };
@@ -138,14 +140,9 @@ impl CheckpointStore {
         ));
     }
 
-    fn rank_key(ckpt: CkptId, rank: usize, kind: RankBlobKind) -> String {
-        format!("ckpt/{ckpt:08}/rank{rank}/{}", kind.as_str())
-    }
-
-    /// Key of the manifest of an incrementally written blob. It lives
-    /// alongside the raw blob key (a blob is stored either raw or as
-    /// manifest + chunks, never both), under the checkpoint directory so
-    /// GC scopes it naturally.
+    /// Key of the manifest of a rank blob, under the checkpoint directory
+    /// so GC scopes it naturally. Every rank blob is a manifest naming
+    /// content-addressed chunks.
     pub fn manifest_key(
         ckpt: CkptId,
         rank: usize,
@@ -158,7 +155,11 @@ impl CheckpointStore {
         format!("ckpt/{ckpt:08}/COMMIT")
     }
 
-    /// Phase A: persist one rank blob for checkpoint `ckpt`.
+    /// Phase A: persist one rank blob for checkpoint `ckpt` as a manifest
+    /// naming the whole blob as one raw chunk, through the puts the write
+    /// pipeline makes: the sealed chunk, then the manifest. The pipeline
+    /// cuts, deduplicates and compresses where this stores the bytes as
+    /// they are; it is the direct form, for writing a line by hand.
     pub fn put_rank_blob(
         &self,
         ckpt: CkptId,
@@ -166,24 +167,21 @@ impl CheckpointStore {
         kind: RankBlobKind,
         bytes: &[u8],
     ) -> StoreResult<()> {
-        if self.is_committed(ckpt)? {
-            return Err(StoreError::Commit(format!(
-                "checkpoint {ckpt} is already committed; rank {rank} may not \
-                 modify it"
-            )));
+        let mut manifest = Manifest::for_blob(bytes);
+        if !bytes.is_empty() {
+            let chunk = ChunkRef::for_piece(bytes);
+            self.put_chunks(&[(
+                chunk.key(),
+                seal_with(bytes, manifest.blob_crc),
+            )])?;
+            manifest.chunks.push(chunk);
         }
-        // Blobs are CRC-sealed so recovery detects torn or rotted data.
-        self.backend.put(
-            &Self::rank_key(ckpt, rank, kind),
-            &crate::integrity::seal(bytes),
-        )
+        self.put_rank_manifest(ckpt, rank, kind, &manifest)
     }
 
-    /// Fetch one rank blob of a checkpoint (recovery path), validating its
-    /// integrity. A blob written incrementally by the I/O pipeline is
-    /// transparently reassembled from its manifest and chunk set (chunks
-    /// may have been written by any older checkpoint); a raw blob is
-    /// unsealed directly. Either way corruption surfaces as
+    /// Fetch one rank blob of a checkpoint (recovery path), reassembled
+    /// from its manifest and chunk set (chunks may have been written by
+    /// any older checkpoint) and validated: corruption surfaces as
     /// [`StoreError::Corrupt`], never as wrong bytes.
     pub fn get_rank_blob(
         &self,
@@ -196,32 +194,20 @@ impl CheckpointStore {
     }
 
     /// [`Self::get_rank_blob`], also yielding the CRC-32 of each chunk's
-    /// raw bytes as reassembly verified it, in manifest order (empty for
-    /// a blob stored raw). A restart hands these back to the write
-    /// pipeline with the spans it wants to keep by reference
-    /// (`ckptpipe::CheckpointPipeline::adopt_line`), so no recovered byte
-    /// is CRC'd a second time.
+    /// raw bytes as reassembly verified it, in manifest order. A restart
+    /// hands these back to the write pipeline with the spans it wants to
+    /// keep by reference (`ckptpipe::CheckpointPipeline::adopt_line`), so
+    /// no recovered byte is CRC'd a second time.
     pub fn get_rank_blob_crcs(
         &self,
         ckpt: CkptId,
         rank: usize,
         kind: RankBlobKind,
     ) -> StoreResult<(Vec<u8>, Vec<u32>)> {
-        if let Some(manifest) = self.get_rank_manifest(ckpt, rank, kind)? {
-            return self
-                .reassemble(&Self::manifest_key(ckpt, rank, kind), &manifest);
-        }
-        let key = Self::rank_key(ckpt, rank, kind);
-        let mut blob = self.backend.get(&key)?;
-        match crate::integrity::unseal(&blob).map(<[u8]>::len) {
-            Some(len) => {
-                blob.truncate(len);
-                Ok((blob, Vec::new()))
-            }
-            None => Err(StoreError::Corrupt {
-                key,
-                detail: "CRC-32 integrity check failed".into(),
-            }),
+        let key = Self::manifest_key(ckpt, rank, kind);
+        match self.read_manifest(&key)? {
+            Some(manifest) => self.reassemble(&key, &manifest),
+            None => Err(StoreError::Missing(key)),
         }
     }
 
@@ -259,22 +245,18 @@ impl CheckpointStore {
         Ok((blob, crcs))
     }
 
-    /// True if the given rank blob exists, whether written raw or as
-    /// manifest + chunks.
+    /// True if the given rank blob's manifest exists.
     pub fn has_rank_blob(
         &self,
         ckpt: CkptId,
         rank: usize,
         kind: RankBlobKind,
     ) -> StoreResult<bool> {
-        Ok(self
-            .backend
-            .contains(&Self::manifest_key(ckpt, rank, kind))?
-            || self.backend.contains(&Self::rank_key(ckpt, rank, kind))?)
+        self.backend.contains(&Self::manifest_key(ckpt, rank, kind))
     }
 
-    /// Persist the chunk manifest of an incrementally written rank blob.
-    /// Subject to the same commit-immutability rule as raw blobs.
+    /// Persist the chunk manifest of a rank blob. A committed checkpoint
+    /// is immutable: its manifests are refused.
     pub fn put_rank_manifest(
         &self,
         ckpt: CkptId,
@@ -295,7 +277,7 @@ impl CheckpointStore {
     }
 
     /// Read back a rank blob's chunk manifest, its runs resolved; `None`
-    /// means the blob was written raw (or not at all).
+    /// means the blob was not written.
     pub fn get_rank_manifest(
         &self,
         ckpt: CkptId,
@@ -540,10 +522,10 @@ impl CheckpointStore {
         Ok(None)
     }
 
-    /// The shallowest storage tier able to serve the given rank blob
-    /// (manifest or raw key), or `None` when the backend is not tiered
-    /// or no tier can serve it. Recovery uses this to report which tier
-    /// a restart actually read from.
+    /// The shallowest storage tier able to serve the given rank blob's
+    /// manifest, or `None` when the backend is not tiered or no tier can
+    /// serve it. Recovery uses this to report which tier a restart
+    /// actually read from.
     pub fn blob_tier(
         &self,
         ckpt: CkptId,
@@ -553,8 +535,7 @@ impl CheckpointStore {
         let Some(t) = self.backend.as_tiered() else {
             return Ok(None);
         };
-        Ok(t.probe_tier(&Self::manifest_key(ckpt, rank, kind))
-            .or_else(|| t.probe_tier(&Self::rank_key(ckpt, rank, kind))))
+        Ok(t.probe_tier(&Self::manifest_key(ckpt, rank, kind)))
     }
 
     fn parse_commit_key(key: &str) -> Option<CkptId> {
@@ -994,7 +975,7 @@ mod tests {
         s.put_rank_blob(1, 0, RankBlobKind::State, b"snapshot")
             .unwrap();
         // Flip one byte behind the store's back (bit rot / torn write).
-        let key = "ckpt/00000001/rank0/state";
+        let key = "ckpt/00000001/rank0/state.m";
         let mut raw = backend.get(key).unwrap();
         raw[3] ^= 0x40;
         backend.put(key, &raw).unwrap();
@@ -1084,11 +1065,15 @@ mod tests {
     #[test]
     fn gc_follows_runs_listing_and_counting() {
         // Each line is a chunk of its own and a run of two chunks that
-        // lines 1 and 2 share. The GC at line 2 lists and builds the
-        // index; the one at line 3 counts.
+        // lines 1 and 2 share, and a log every line shares. The GC at line
+        // 2 lists and builds the index; the one at line 3 counts.
         let backend = Arc::new(MemoryBackend::new());
         let s = CheckpointStore::new(backend.clone(), 1);
         let blob = |head: u8, run: u8| [[head; 64], [run; 64], [!run; 64]];
+        let log = Manifest {
+            chunks: vec![ChunkRef::for_piece(b"l")],
+            ..Manifest::default()
+        };
         let mut lines = Vec::new();
         let mut index = None;
         for (ckpt, head, run) in
@@ -1114,7 +1099,7 @@ mod tests {
                 s.gc_indexed(&mut index, ckpt).unwrap();
                 assert_eq!(
                     backend.list("chunk/").unwrap(),
-                    keys_of(&[&lines[ckpt as usize - 1]])
+                    keys_of(&[&lines[ckpt as usize - 1], &log])
                 );
             }
         }
@@ -1133,7 +1118,7 @@ mod tests {
         let new = put_with_run(&s, 4, state, &blob(0xA4, 0xC0).concat(), 1);
         ix.note(key, Some(&new));
         s.gc_indexed(&mut index, 3).unwrap();
-        let live = keys_of(&[&lines[2], &new]);
+        let live = keys_of(&[&lines[2], &new, &log]);
         assert_eq!(backend.list("chunk/").unwrap(), live);
         // It is what the listing sweep leaves.
         s.gc_keeping(3).unwrap();
@@ -1446,7 +1431,9 @@ mod tests {
             backend.put(&key.replace("CHUNK", "chunk"), b"x").unwrap();
         }
         s.gc_keeping(1).unwrap();
-        assert_eq!(backend.list("chunk/").unwrap(), [live]);
+        let mut want = [live, ChunkRef::for_piece(b"l").key()];
+        want.sort();
+        assert_eq!(backend.list("chunk/").unwrap(), want);
     }
 
     /// Satellite coverage for manifest-aware GC: (a) chunks shared with
@@ -1460,19 +1447,20 @@ mod tests {
         put_incremental(&s, 1, 0, RankBlobKind::State, &blob1, 64);
         s.put_rank_blob(1, 0, RankBlobKind::Log, b"log1").unwrap();
         s.commit(1).unwrap();
-        // Checkpoint 2 shares chunk A, replaces B with C.
+        // Checkpoint 2 shares chunk A, replaces B with C. Each log is a
+        // chunk of its own.
         let mut blob2 = vec![0xAAu8; 64];
         blob2.extend_from_slice(&[0xCCu8; 64]);
         put_incremental(&s, 2, 0, RankBlobKind::State, &blob2, 64);
         s.put_rank_blob(2, 0, RankBlobKind::Log, b"log2").unwrap();
         s.commit(2).unwrap();
-        assert_eq!(backend.list("chunk/").unwrap().len(), 3);
+        assert_eq!(backend.list("chunk/").unwrap().len(), 5);
 
         s.gc_keeping(2).unwrap();
         let chunks_after = backend.list("chunk/").unwrap();
-        // (a) shared chunk A and live chunk C survive; (b) orphan B is
-        // gone.
-        assert_eq!(chunks_after.len(), 2, "kept {chunks_after:?}");
+        // (a) shared chunk A, live chunk C and the live log survive;
+        // (b) orphan B and the first log are gone.
+        assert_eq!(chunks_after.len(), 3, "kept {chunks_after:?}");
         let b_chunk = ChunkRef::for_piece(&[0xBBu8; 64]);
         assert!(
             !s.has_chunk(&b_chunk.key()).unwrap(),
@@ -1606,7 +1594,7 @@ mod tests {
         // the initiator commits; rank 1's is still tier-local... but
         // probe_tier reports the *shallowest* serving tier, so both read
         // 0 while the local copy survives.
-        t.promote("ckpt/00000001/rank0/state", 2).unwrap();
+        t.promote("ckpt/00000001/rank0/state.m", 2).unwrap();
         s.commit(1).unwrap();
         assert_eq!(s.commit_record(1).unwrap().tier_levels, vec![0, 0]);
         // After the local tier is lost, the probe reflects where the
@@ -1638,7 +1626,7 @@ mod tests {
         );
         // Erasure loss beyond n−k on checkpoint 1's state: nothing left.
         t.wipe_tier(1).unwrap();
-        t.lose_shards(2, "ckpt/00000001/rank0/state", 2).unwrap();
+        t.lose_shards(2, "ckpt/00000001/rank0/state.m", 2).unwrap();
         assert_eq!(s.latest_recoverable().unwrap(), None);
     }
 
@@ -1663,13 +1651,14 @@ mod tests {
         drain_all(&s, &t);
 
         s.gc_keeping(2).unwrap();
+        let log2 = s.get_rank_manifest(2, 0, RankBlobKind::Log).unwrap();
 
         // The collected checkpoint's keys are gone from every tier: the
         // union list sees neither its directory, nor its run object, nor
         // the chunks only that run named — no replica or shard of them
         // hides behind a derived key.
         assert!(t.list("ckpt/00000001/").unwrap().is_empty());
-        let kept = keys_of(&[&m2]);
+        let kept = keys_of(&[&m2, &log2.unwrap()]);
         let dead: Vec<String> = keys_of(&[&m1])
             .into_iter()
             .filter(|k| !kept.contains(k))

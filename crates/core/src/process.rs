@@ -1260,7 +1260,7 @@ impl<'a> Process<'a> {
             pending: self.pending.clone(),
         };
         let mut enc = self.pipeline.as_ref().map_or_else(Encoder::new, |p| {
-            p.line_encoder(rank, RankBlobKind::State)
+            Encoder::against(p.clean_base(rank, RankBlobKind::State))
         });
         let saves_app_state = self.cfg.level.saves_app_state();
         let mut app_state_len = 0;

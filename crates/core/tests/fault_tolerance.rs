@@ -7,9 +7,11 @@ use std::sync::Arc;
 
 use c3_core::{
     run_job, C3App, C3Config, C3Result, CheckpointTrigger,
-    InstrumentationLevel, PipelineConfig, Process, ReduceOp,
+    InstrumentationLevel, Process, ReduceOp,
 };
-use ckptstore::{impl_saveload_struct, MemoryBackend, StorageBackend};
+use ckptstore::{
+    impl_saveload_struct, MemoryBackend, RankBlobKind, StorageBackend,
+};
 
 /// A deterministic ring-reduction app: every iteration each rank sends its
 /// accumulator right, receives from the left, folds, and allreduces a
@@ -377,15 +379,9 @@ fn corrupt_committed_checkpoint_fails_loudly_not_wrongly() {
     let store =
         CheckpointStore::new(backend.clone() as Arc<dyn StorageBackend>, 2);
     let latest = store.latest_committed().unwrap().unwrap();
-    // Corrupt rank 0's state blob of the committed checkpoint. Under the
-    // default incremental pipeline the blob is a chunk manifest (`.m`);
-    // with a sync/full config it is the raw sealed blob.
-    let raw_key = format!("ckpt/{latest:08}/rank0/state");
-    let key = if backend.contains(&raw_key).unwrap() {
-        raw_key
-    } else {
-        format!("ckpt/{latest:08}/rank0/state.m")
-    };
+    // Corrupt the manifest of rank 0's state blob of the committed
+    // checkpoint.
+    let key = format!("ckpt/{latest:08}/rank0/state.m");
     let mut raw = backend.get(&key).unwrap();
     let mid = raw.len() / 2;
     raw[mid] ^= 0xFF;
@@ -403,12 +399,13 @@ fn corrupt_committed_checkpoint_fails_loudly_not_wrongly() {
 #[test]
 fn recovery_blob_with_a_trailing_byte_is_rejected() {
     // The log and MPI-object journal blobs are decoded whole: a blob that
-    // passes its CRC seal but carries one byte past the value must fail
-    // recovery with a decode error, never be accepted. Raw (sync/full)
-    // blobs, so the tampered blob can be re-sealed in place.
-    for kind in ["log", "mpi"] {
+    // passes every integrity check but carries one byte past the value
+    // must fail recovery with a decode error, never be accepted. The
+    // tampered blob is stored again, as a manifest and chunk that verify,
+    // with the line's commit record lifted while it is rewritten.
+    for kind in [RankBlobKind::Log, RankBlobKind::MpiObjects] {
         let backend = Arc::new(MemoryBackend::new());
-        let cfg = C3Config::every_ops(16).with_io(PipelineConfig::sync_full());
+        let cfg = C3Config::every_ops(16);
         run_job(2, &cfg, Some(backend.clone()), &RingApp { iters: 20 })
             .unwrap();
         let store = ckptstore::CheckpointStore::new(
@@ -416,11 +413,13 @@ fn recovery_blob_with_a_trailing_byte_is_rejected() {
             2,
         );
         let latest = store.latest_committed().unwrap().unwrap();
-        let key = format!("ckpt/{latest:08}/rank0/{kind}");
-        let sealed = backend.get(&key).unwrap();
-        let mut blob = ckptstore::unseal(&sealed).unwrap().to_vec();
+        let mut blob = store.get_rank_blob(latest, 0, kind).unwrap();
         blob.push(0);
-        backend.put(&key, &ckptstore::seal(&blob)).unwrap();
+        let commit = format!("ckpt/{latest:08}/COMMIT");
+        let record = backend.get(&commit).unwrap();
+        backend.delete(&commit).unwrap();
+        store.put_rank_blob(latest, 0, kind, &blob).unwrap();
+        backend.put(&commit, &record).unwrap();
 
         let err = run_job(
             2,
@@ -431,7 +430,7 @@ fn recovery_blob_with_a_trailing_byte_is_rejected() {
         .unwrap_err();
         assert!(
             matches!(err, c3_core::C3Error::Codec(_)),
-            "{kind}: expected a decode error, got {err}"
+            "{kind:?}: expected a decode error, got {err}"
         );
     }
 }

@@ -281,8 +281,7 @@ mod tests {
             app: AppChoice::Laplace { n: 8, iters: 10 },
             interval: Some(6),
             sync_io: true,
-            incremental: false,
-            chunker: c3_core::Chunker::fixed(4096),
+            chunker: c3_core::Chunker::default(),
             codec: c3_core::Codec::None,
             keep_last: 1,
             tiers: None,
@@ -305,7 +304,6 @@ mod tests {
             app: AppChoice::Laplace { n: 16, iters: 30 },
             interval: Some(8),
             sync_io: false,
-            incremental: true,
             chunker: c3_core::Chunker::cdc(1024),
             codec: c3_core::Codec::Lz4,
             keep_last: 1,
@@ -327,8 +325,7 @@ mod tests {
             app: AppChoice::Laplace { n: 8, iters: 16 },
             interval: Some(6),
             sync_io: false,
-            incremental: true,
-            chunker: c3_core::Chunker::fixed(4096),
+            chunker: c3_core::Chunker::default(),
             codec: c3_core::Codec::None,
             keep_last: 1,
             tiers: None,

@@ -10,7 +10,9 @@
 
 use std::sync::Arc;
 
-use c3_core::{C3Config, Chunker, Codec, PipelineConfig, TierTopology};
+use c3_core::{
+    C3Config, Chunker, Codec, PipelineConfig, TierTopology, WriteMode,
+};
 use ckptstore::{splitmix64, FaultInjectingBackend, FaultPlan, MemoryBackend};
 use ftsim::FailureSchedule;
 use simmpi::{NetCond, RetransmitPolicy};
@@ -75,12 +77,11 @@ pub struct Scenario {
     /// manual trigger (no checkpoints — used by the determinized
     /// projection).
     pub interval: Option<u64>,
-    /// Synchronous full-blob writing instead of the async pipeline.
+    /// Synchronous writing on the staging rank instead of the async
+    /// writer threads.
     pub sync_io: bool,
-    /// Incremental (chunked, deduplicated) blob writing.
-    pub incremental: bool,
-    /// How incremental blobs are cut: fixed-size pieces or FastCDC
-    /// content-defined chunks (exercises boundary-shift dedup).
+    /// The content-defined chunker blobs are cut with: the default's
+    /// 4 KiB average, or a smaller or larger one.
     pub chunker: Chunker,
     /// Chunk codec: raw, or the LZ4-class block codec.
     pub codec: Codec,
@@ -123,7 +124,9 @@ impl Scenario {
             6 + next(9)
         };
         let sync_io = next(4) == 0;
-        let incremental = next(4) != 0;
+        // This draw once chose whole-blob writes; it is still spent so
+        // every later draw keeps its place.
+        let _ = next(4);
         let compression = next(2) == 0;
         let tiers = match next(3) {
             0 => None,
@@ -180,10 +183,11 @@ impl Scenario {
         };
 
         // The chunker/codec dimensions are drawn after everything else
-        // so corpus seeds predating them keep their original shapes.
+        // so corpus seeds predating them keep their original shapes. The
+        // first two arms once drew fixed-size cuts of the same sizes.
         let chunker = match next(3) {
-            0 => Chunker::fixed(4096),
-            1 => Chunker::fixed(1024),
+            0 => Chunker::cdc(4096),
+            1 => Chunker::cdc(1024),
             _ => Chunker::cdc(1024usize << next(3)),
         };
         // This draw once picked between two compressors; it is still
@@ -208,7 +212,6 @@ impl Scenario {
             app,
             interval: Some(interval),
             sync_io,
-            incremental,
             chunker,
             codec,
             keep_last,
@@ -223,12 +226,10 @@ impl Scenario {
     /// adversarial run. The trace sink and metrics registry are the
     /// campaign runner's to add.
     pub fn config(&self) -> C3Config {
-        let mut io = if self.sync_io {
-            PipelineConfig::sync_full()
-        } else {
-            PipelineConfig::default()
-        };
-        io.incremental = self.incremental;
+        let mut io = PipelineConfig::default();
+        if self.sync_io {
+            io.mode = WriteMode::Sync;
+        }
         io.chunker = self.chunker;
         io.codec = self.codec;
         io.keep_last = self.keep_last;
@@ -356,24 +357,21 @@ mod tests {
             "both apps appear"
         );
         assert!(
-            count(&|s| matches!(s.chunker, Chunker::Cdc { .. })) >= 48,
-            "content-defined chunking scenarios"
+            count(&|s| s.chunker == Chunker::default()) >= 96,
+            "default-size cuts"
         );
-        assert!(
-            count(&|s| matches!(s.chunker, Chunker::Fixed { .. })) >= 48,
-            "fixed-size chunking scenarios"
-        );
+        assert!(count(&|s| s.chunker.avg() < 4096) >= 96, "smaller cuts");
         assert!(count(&|s| s.codec == Codec::Lz4) >= 64, "LZ4 scenarios");
         assert!(
             count(&|s| s.codec == Codec::None) >= 64,
             "compression-off scenarios"
         );
         assert!(
-            count(&|s| matches!(s.chunker, Chunker::Cdc { .. })
+            count(&|s| s.chunker == Chunker::default()
                 && s.codec == Codec::Lz4
-                && s.incremental)
-                >= 8,
-            "the CDC+LZ4 hot path is exercised"
+                && !s.sync_io)
+                >= 32,
+            "the default write path is exercised"
         );
         for s in &scenarios {
             assert!((2..=5).contains(&s.nranks));
@@ -396,19 +394,19 @@ mod tests {
         // the draw order must show up here. `codec` is `None` where the
         // compression bit drew "off".
         use AppChoice::{DenseCg, Laplace};
-        let fixed = Chunker::fixed;
+        let cdc = Chunker::cdc;
         #[rustfmt::skip]
         let want = [
-            (1, 2, DenseCg { n: 32, iters: 29 }, false, true, fixed(4096), Codec::Lz4),
-            (4, 2, DenseCg { n: 24, iters: 31 }, false, true, Chunker::cdc(1024), Codec::Lz4),
-            (5, 5, DenseCg { n: 24, iters: 23 }, true, false, fixed(4096), Codec::Lz4),
-            (6, 3, DenseCg { n: 24, iters: 21 }, false, true, fixed(4096), Codec::None),
-            (9, 5, DenseCg { n: 24, iters: 21 }, true, true, fixed(1024), Codec::Lz4),
-            (16, 5, DenseCg { n: 24, iters: 20 }, true, true, fixed(4096), Codec::None),
-            (19, 2, DenseCg { n: 24, iters: 36 }, false, true, Chunker::cdc(4096), Codec::Lz4),
-            (38, 3, Laplace { n: 16, iters: 37 }, true, false, fixed(1024), Codec::None),
-            (44, 2, DenseCg { n: 32, iters: 28 }, false, true, fixed(1024), Codec::None),
-            (59, 5, Laplace { n: 16, iters: 37 }, false, false, fixed(4096), Codec::None),
+            (1, 2, DenseCg { n: 32, iters: 29 }, false, cdc(4096), Codec::Lz4),
+            (4, 2, DenseCg { n: 24, iters: 31 }, false, cdc(1024), Codec::Lz4),
+            (5, 5, DenseCg { n: 24, iters: 23 }, true, cdc(4096), Codec::Lz4),
+            (6, 3, DenseCg { n: 24, iters: 21 }, false, cdc(4096), Codec::None),
+            (9, 5, DenseCg { n: 24, iters: 21 }, true, cdc(1024), Codec::Lz4),
+            (16, 5, DenseCg { n: 24, iters: 20 }, true, cdc(4096), Codec::None),
+            (19, 2, DenseCg { n: 24, iters: 36 }, false, cdc(4096), Codec::Lz4),
+            (38, 3, Laplace { n: 16, iters: 37 }, true, cdc(1024), Codec::None),
+            (44, 2, DenseCg { n: 32, iters: 28 }, false, cdc(1024), Codec::None),
+            (59, 5, Laplace { n: 16, iters: 37 }, false, cdc(4096), Codec::None),
         ];
         let corpus = concat!(
             env!("CARGO_MANIFEST_DIR"),
@@ -418,15 +416,7 @@ mod tests {
         assert_eq!(seeds, want.map(|w| w.0), "corpus and table differ");
         for row in want {
             let d = Scenario::from_seed(row.0).determinized();
-            let got = (
-                d.seed,
-                d.nranks,
-                d.app,
-                d.sync_io,
-                d.incremental,
-                d.chunker,
-                d.codec,
-            );
+            let got = (d.seed, d.nranks, d.app, d.sync_io, d.chunker, d.codec);
             assert_eq!(got, row);
         }
     }

@@ -136,18 +136,6 @@ fn proposals(sc: &Scenario) -> Vec<Scenario> {
             ..sc.clone()
         });
     }
-    if sc.incremental {
-        push(Scenario {
-            incremental: false,
-            ..sc.clone()
-        });
-    }
-    if sc.chunker != c3_core::Chunker::fixed(4096) {
-        push(Scenario {
-            chunker: c3_core::Chunker::fixed(4096),
-            ..sc.clone()
-        });
-    }
     if sc.codec != c3_core::Codec::None {
         push(Scenario {
             codec: c3_core::Codec::None,
@@ -288,17 +276,6 @@ fn fmt_schedule(s: &FailureSchedule) -> String {
     )
 }
 
-fn fmt_chunker(c: &c3_core::Chunker) -> String {
-    match *c {
-        c3_core::Chunker::Fixed { size } => {
-            format!("c3_core::Chunker::Fixed {{ size: {size} }}")
-        }
-        c3_core::Chunker::Cdc { min, avg, max } => format!(
-            "c3_core::Chunker::Cdc {{ min: {min}, avg: {avg}, max: {max} }}"
-        ),
-    }
-}
-
 fn fmt_tiers(t: &Option<c3_core::TierTopology>) -> String {
     match t {
         None => "None".into(),
@@ -342,8 +319,7 @@ pub fn reproducer(
          \x20       app: ftfuzz::AppChoice::{app:?},\n\
          \x20       interval: {interval:?},\n\
          \x20       sync_io: {sync_io},\n\
-         \x20       incremental: {incremental},\n\
-         \x20       chunker: {chunker},\n\
+         \x20       chunker: c3_core::Chunker::cdc({avg}),\n\
          \x20       codec: c3_core::Codec::{codec:?},\n\
          \x20       keep_last: {keep_last},\n\
          \x20       tiers: {tiers},\n\
@@ -363,8 +339,7 @@ pub fn reproducer(
         app = sc.app,
         interval = sc.interval,
         sync_io = sc.sync_io,
-        incremental = sc.incremental,
-        chunker = fmt_chunker(&sc.chunker),
+        avg = sc.chunker.avg(),
         codec = sc.codec,
         keep_last = sc.keep_last,
         tiers = fmt_tiers(&sc.tiers),
@@ -386,7 +361,6 @@ mod tests {
             app: AppChoice::Laplace { n: 16, iters: 32 },
             interval: Some(8),
             sync_io: false,
-            incremental: true,
             chunker: c3_core::Chunker::cdc(1024),
             codec: c3_core::Codec::Lz4,
             keep_last: 2,
@@ -429,8 +403,7 @@ mod tests {
             app: AppChoice::Laplace { n: 8, iters: 8 },
             interval: Some(8),
             sync_io: true,
-            incremental: false,
-            chunker: c3_core::Chunker::fixed(4096),
+            chunker: c3_core::Chunker::default(),
             codec: c3_core::Codec::None,
             keep_last: 1,
             tiers: None,
@@ -458,9 +431,7 @@ mod tests {
         assert!(code.contains("fail_first_puts: 1"));
         assert!(code.contains("dup_ppm: 10000"));
         assert!(code.contains("TierTopology::partner(1)"));
-        assert!(code.contains(
-            "c3_core::Chunker::Cdc { min: 256, avg: 1024, max: 4096 }"
-        ));
+        assert!(code.contains("c3_core::Chunker::cdc(1024)"));
         assert!(code.contains("c3_core::Codec::Lz4"));
         assert!(code.contains("outcome.failure.is_none()"));
     }

@@ -1,14 +1,16 @@
-//! Incremental checkpoints write measurably fewer bytes than full ones.
+//! Incremental checkpoints store measurably fewer bytes than the state
+//! they checkpoint.
 //!
 //! Both the paper's benchmark shapes have large state regions that are
 //! stable between consecutive checkpoints — Dense CG persists its
 //! read-only matrix block with every snapshot, and the Laplace grid's
 //! interior stays exactly zero until the boundary heat front reaches it —
 //! so content-addressed chunking must skip most of the bytes from the
-//! second checkpoint on. The comparison isolates the `incremental` knob:
-//! same write mode, same chunk size, compression off in both runs, and
-//! byte counts taken from the backend's net `bytes_written` counter
-//! across at least three committed checkpoints.
+//! second checkpoint on. The comparison is against what storing every
+//! line whole would cost at the least, the application state the ranks
+//! serialised (`app_state_bytes`), with compression off and the stored
+//! bytes taken from the backend's net `bytes_written` counter across at
+//! least three committed checkpoints.
 
 use std::collections::{HashMap, HashSet};
 use std::sync::{Arc, Mutex};
@@ -19,17 +21,22 @@ use c3_apps::{DenseCg, Laplace};
 use c3_core::recovery::RankCheckpoint;
 use c3_core::{run_job, C3App, C3Config, Chunker, Codec, PipelineConfig};
 use ckptstore::{
-    CheckpointStore, ChunkRef, Form, MemoryBackend, RankBlobKind,
+    CheckpointStore, ChunkRef, Encoder, Form, MemoryBackend, RankBlobKind,
     StorageBackend, StoreResult,
 };
 use statesave::snapshot::restore_from_bytes;
 
-/// Run `app` at 4 ranks and return (bytes written, last committed ckpt).
-fn bytes_for<A>(app: &A, interval: u64, io: PipelineConfig) -> (u64, u64)
+/// Run `app` at 4 ranks, cuts around 256 bytes and compression off, and
+/// compare the bytes it stored with the application state its lines
+/// serialised.
+fn assert_incremental_writes_fewer<A>(name: &str, app: &A, interval: u64)
 where
     A: C3App,
 {
     let backend = Arc::new(MemoryBackend::new());
+    let io = PipelineConfig::default()
+        .with_codec(Codec::None)
+        .with_chunker(Chunker::cdc(256));
     let cfg = C3Config::every_ops(interval).with_io(io);
     let report = run_job(
         4,
@@ -39,35 +46,19 @@ where
     )
     .expect("job");
     assert_eq!(report.restarts, 0, "these runs are failure-free");
-    (backend.bytes_written(), report.last_committed.unwrap_or(0))
-}
-
-fn assert_incremental_writes_fewer<A>(name: &str, app: &A, interval: u64)
-where
-    A: C3App,
-{
-    let full_io = PipelineConfig::default()
-        .with_incremental(false)
-        .with_codec(Codec::None);
-    let incr_io = PipelineConfig::default()
-        .with_codec(Codec::None)
-        .with_chunker(Chunker::fixed(256));
-    let (full_bytes, full_ckpts) = bytes_for(app, interval, full_io);
-    let (incr_bytes, incr_ckpts) = bytes_for(app, interval, incr_io);
+    let ckpts = report.last_committed.unwrap_or(0);
     assert!(
-        full_ckpts >= 3 && incr_ckpts >= 3,
+        ckpts >= 3,
         "{name}: need at least 3 committed checkpoints for a delta \
-         comparison (full {full_ckpts}, incremental {incr_ckpts})"
+         comparison, got {ckpts}"
     );
-    assert!(
-        incr_bytes < full_bytes,
-        "{name}: incremental wrote {incr_bytes} bytes, full wrote \
-         {full_bytes}"
-    );
+    let stored = backend.bytes_written();
+    let state: u64 = report.stats.iter().map(|s| s.app_state_bytes).sum();
     // "Measurably" fewer: at least a 10% saving, not a rounding artifact.
     assert!(
-        incr_bytes * 10 <= full_bytes * 9,
-        "{name}: saving below 10% ({incr_bytes} vs {full_bytes} bytes)"
+        stored * 10 <= state * 9,
+        "{name}: saving below 10% ({stored} bytes stored for {state} \
+         bytes of state)"
     );
 }
 
@@ -99,7 +90,7 @@ fn clean_referenced_chunks_outlive_every_gc() {
     // and reassemble to the state the job ended with.
     let (n, nranks) = (64, 2);
     let backend: Arc<dyn StorageBackend> = Arc::new(MemoryBackend::new());
-    let io = PipelineConfig::default().with_chunker(Chunker::fixed(256));
+    let io = PipelineConfig::default();
     assert_eq!(io.keep_last, 1);
     let cfg = C3Config::every_ops(8).with_io(io);
     let report =
@@ -153,7 +144,8 @@ fn a_restart_writes_the_matrix_block_by_reference_from_its_first_line() {
     let (n, nranks) = (256, 2);
     let app = DenseCg::new(n, 40);
     let a_block_len = (8 + n * n / nranks * 8) as u64;
-    let io = PipelineConfig::default().with_chunker(Chunker::fixed(256));
+    let chunker = Chunker::cdc(256);
+    let io = PipelineConfig::default().with_chunker(chunker);
     let reference = run_job(
         nranks,
         &C3Config::every_ops(10).with_io(io.clone()),
@@ -176,24 +168,57 @@ fn a_restart_writes_the_matrix_block_by_reference_from_its_first_line() {
         assert!(s.checkpoints >= 1, "{s:?}");
         assert_eq!(s.app_state_bytes_clean, s.checkpoints * a_block_len);
     }
-    // 256-byte chunks: the block is 1025 of them per rank, everything
-    // else a line writes (header, vectors, log, journal) under twenty,
-    // over some forty lines; a block cut again costs another 1025.
-    let block_chunks = a_block_len.div_ceil(256) * nranks as u64;
+    // Cuts around 256 bytes: each block is some thousand chunks,
+    // everything else a line writes (header, vectors, log, journal) a few
+    // dozen, over some forty lines; a block cut again costs another
+    // thousand.
+    let block_chunks: u64 = (0..nranks)
+        .map(|rank| {
+            let (lo, hi) = block_range(n, nranks, rank);
+            let block: Vec<f64> = (lo..hi)
+                .flat_map(|i| (0..n).map(move |j| spd_entry(n, i, j)))
+                .collect();
+            let mut enc = Encoder::new();
+            enc.put_f64_slice(&block);
+            let bytes = enc.into_bytes();
+            assert_eq!(bytes.len() as u64, a_block_len);
+            chunker.cut(&bytes).count() as u64
+        })
+        .sum();
     let cut = reg.snapshot().histogram_count_total("io_chunk_bytes");
     assert!(
         (block_chunks..2 * block_chunks).contains(&cut),
         "{cut} chunks cut, the matrix blocks are {block_chunks}"
     );
+}
 
-    // Blobs stored raw leave nothing to adopt: a restart still recovers,
-    // and writes everything.
-    let raw = PipelineConfig::default().with_incremental(false);
-    let cfg = C3Config::every_ops(10).with_io(raw).with_failure(1, 60);
-    let report = run_job(nranks, &cfg, None, &app).unwrap();
-    assert_eq!(report.outputs, reference.outputs);
-    assert_eq!(report.restarts, 1);
-    assert!(report.stats.iter().all(|s| s.app_state_bytes_clean == 0));
+#[test]
+fn a_dense_cg_block_of_shifted_rows_stores_under_0_7_of_the_chunks_it_names() {
+    // Each row of Dense CG's matrix is the row before it shifted by one
+    // element. Content-defined cuts land on the same bytes row after row,
+    // so with rows of 8 KiB a rank's block names many chunks more than
+    // once, and stores each once.
+    let (n, nranks) = (1024, 2);
+    let backend = Arc::new(MemoryBackend::new());
+    let cfg = C3Config::every_ops(8);
+    let report =
+        run_job(nranks, &cfg, Some(backend.clone()), &DenseCg::new(n, 12))
+            .expect("job");
+    let line = report.last_committed.expect("lines committed");
+    let store = CheckpointStore::new(backend, nranks);
+    for rank in 0..nranks {
+        let m = store.get_rank_manifest(line, rank, RankBlobKind::State);
+        let m = m.unwrap().expect("written incrementally");
+        assert_eq!(m.runs.len(), 1, "rank {rank}: the block is one run");
+        let named = &m.chunks[m.runs[0].chunks.clone()];
+        let stored: HashSet<_> = named.iter().map(ChunkRef::addr).collect();
+        assert!(
+            stored.len() * 10 <= named.len() * 7,
+            "rank {rank}: the block names {} chunks and stores {}",
+            named.len(),
+            stored.len()
+        );
+    }
 }
 
 /// A `MemoryBackend` that counts the puts of each key, batched or not.
@@ -238,16 +263,14 @@ impl StorageBackend for CountingPuts {
 
 #[test]
 fn a_restart_names_the_run_it_recovered_from_without_a_put() {
-    // Dense CG's matrix block is one tracked value of 1 025 chunks, which
+    // Dense CG's matrix block is one tracked value of many chunks, which
     // every state line names by one run entry. Killed under
     // `FullRestart`, the job recovers bit-identically from such a line,
     // and the first line the restart writes names the same run object:
     // put once in the whole job, at the first line.
     let (n, nranks) = (256, 2);
     let app = DenseCg::new(n, 40);
-    let io = PipelineConfig::default()
-        .with_chunker(Chunker::fixed(256))
-        .with_keep_last(1000);
+    let io = PipelineConfig::default().with_keep_last(1000);
     let cfg = C3Config::every_ops(10).with_io(io);
     let reference = run_job(nranks, &cfg, None, &app).unwrap();
     let backend = Arc::new(CountingPuts::default());
@@ -282,12 +305,11 @@ fn laplace_lines_mix_both_lz4_forms_and_recover_from_them() {
     // The default codec keeps each chunk's smaller LZ4 form: a band's
     // smooth rows go in as byte planes (id 3), other chunks as plain LZ4
     // (id 2). A restart reassembles both from the line it recovers from
-    // and ends as the failure-free job does — with fixed 4 KiB cuts and
-    // with content-defined ones. Chunks whose length is not a multiple
-    // of 8 (every CDC cut but a few, and a blob's last fixed cut) keep
-    // their tail as it is.
+    // and ends as the failure-free job does — with cuts around 4 KiB and
+    // around 1 KiB. Chunks whose length is not a multiple of 8 (every cut
+    // but a few) keep their tail as it is.
     let app = Laplace { n: 64, iters: 64 };
-    for chunker in [Chunker::fixed(4096), Chunker::cdc(1024)] {
+    for chunker in [Chunker::default(), Chunker::cdc(1024)] {
         let io = PipelineConfig::default()
             .with_chunker(chunker)
             .with_keep_last(1000);
@@ -347,7 +369,7 @@ fn a_line_repeating_planes_chunks_names_them_from_the_line_record() {
     let reg = c3obs::Registry::new();
     let backend = Arc::new(MemoryBackend::new());
     let io = PipelineConfig::default()
-        .with_chunker(Chunker::fixed(256))
+        .with_chunker(Chunker::cdc(256))
         .with_keep_last(1000);
     let cfg = C3Config::every_ops(500).with_io(io).with_obs(reg.clone());
     let app = Laplace { n: 24, iters: 6000 };

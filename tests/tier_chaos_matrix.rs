@@ -148,7 +148,7 @@ fn clean_referenced_chunks_recover_from_the_partner_tier() {
     ));
     let cfg = C3Config::every_ops(8).with_io(
         PipelineConfig::default()
-            .with_chunker(Chunker::fixed(256))
+            .with_chunker(Chunker::cdc(256))
             .with_tiers(TierTopology::partner(1)),
     );
     let app = DenseCg::new(32, 30);
@@ -221,10 +221,9 @@ fn damage_beyond_parity_falls_back_a_whole_checkpoint_line() {
         ],
         3,
     ));
-    // Whole blobs (no chunk sharing between lines) so per-line damage is
-    // surgical, and two retained lines so a fallback target exists.
+    // Two retained lines so a fallback target exists. Lines share chunks,
+    // so the damage is to the newest line's own keys: its manifests.
     let io = PipelineConfig::default()
-        .with_incremental(false)
         .with_codec(Codec::None)
         .with_keep_last(2)
         .with_tiers(TierTopology::erasure(2, 1));
@@ -238,15 +237,17 @@ fn damage_beyond_parity_falls_back_a_whole_checkpoint_line() {
     let newest = store.latest_committed().unwrap().expect("commits exist");
     assert!(newest >= 2, "need two committed lines, got {newest}");
 
-    // The local tier is gone and the newest line's rank blobs lose two
-    // of three shards — beyond the (2, 1) parity budget. The COMMIT
+    // The local tier is gone and the newest line's rank manifests lose
+    // two of three shards — beyond the (2, 1) parity budget. The COMMIT
     // record survives, so fallback must come from `latest_recoverable`'s
     // servability probe, not from a missing commit marker.
     tiered.wipe_tier(0).unwrap();
-    for key in tiered.list(&format!("ckpt/{newest:08}/")).unwrap() {
-        if key.contains("/rank") {
-            tiered.lose_shards(1, &key, 2).unwrap();
-        }
+    let keys = tiered.list(&format!("ckpt/{newest:08}/")).unwrap();
+    let manifests: Vec<&String> =
+        keys.iter().filter(|k| k.ends_with(".m")).collect();
+    assert!(manifests.len() >= 6, "every rank's blobs: {keys:?}");
+    for key in manifests {
+        tiered.lose_shards(1, key, 2).unwrap();
     }
     assert_eq!(
         store.latest_recoverable().unwrap(),
