@@ -284,7 +284,7 @@ mod tests {
         let mut trials = ckptstore::Trials::default();
         let stored: usize = band
             .chunks(4096)
-            .map(|c| ckptstore::Codec::Lz4.encode(c, &mut trials).1.len())
+            .map(|c| ckptstore::Form::encode(c, &mut trials).1.len())
             .sum();
         let ratio = stored as f64 / band.len() as f64;
         assert!(ratio <= 0.82, "stored at {ratio:.3} of raw");

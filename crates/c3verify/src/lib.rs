@@ -29,9 +29,9 @@ pub mod hb;
 pub mod report;
 pub mod verdict;
 
-use std::path::Path;
+use std::path::{Path, PathBuf};
 
-use c3_core::trace::{decode_trace, TraceRecord};
+use c3_core::trace::{decode_trace, encode_trace, TraceRecord};
 
 pub use analyzer::{analyze, invariant};
 pub use explorer::{explore, ExploreConfig, ExploreOutcome, Op, Reduction};
@@ -46,12 +46,20 @@ pub fn read_trace_file(path: &Path) -> Result<Vec<TraceRecord>, String> {
     decode_trace(&bytes).map_err(|e| format!("{}: {e}", path.display()))
 }
 
-/// Analyze a trace artifact file.
-pub fn analyze_file(path: &Path) -> Result<Report, String> {
-    Ok(analyze(&read_trace_file(path)?))
-}
-
-/// Race-check a trace artifact file (magic `C3TRACE2`).
-pub fn race_check_file(path: &Path) -> Result<Report, String> {
-    Ok(race_check(&read_trace_file(path)?))
+/// Write `records` as the artifact `target/c3-traces/<name>.c3trace` of
+/// this workspace, creating directories as needed, and return its path.
+/// CI checks every `*.c3trace` directly in that directory; a clean-trace
+/// precondition saves a trace it rejects under `failed/`, out of reach of
+/// those globs.
+pub fn write_trace(
+    name: &str,
+    records: &[TraceRecord],
+) -> std::io::Result<PathBuf> {
+    let path = Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join(format!("../../target/c3-traces/{name}.c3trace"));
+    if let Some(dir) = path.parent() {
+        std::fs::create_dir_all(dir)?;
+    }
+    std::fs::write(&path, encode_trace(records))?;
+    Ok(path)
 }

@@ -67,13 +67,14 @@ pub struct Verdict {
 /// Run `kind` over a set of trace artifact files. Evaluation stops at
 /// the first unreadable/undecodable file, as the CLI does.
 pub fn verdict<P: AsRef<Path>>(kind: CheckKind, paths: &[P]) -> Verdict {
+    let check = match kind {
+        CheckKind::Invariants => crate::analyze,
+        CheckKind::Races => crate::race_check,
+    };
     let mut files = Vec::with_capacity(paths.len());
     for p in paths {
         let path = p.as_ref();
-        let outcome = match kind {
-            CheckKind::Invariants => crate::analyze_file(path),
-            CheckKind::Races => crate::race_check_file(path),
-        };
+        let outcome = crate::read_trace_file(path).map(|r| check(&r));
         let errored = outcome.is_err();
         files.push(FileVerdict {
             input: path.display().to_string(),

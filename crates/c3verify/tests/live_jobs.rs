@@ -11,6 +11,8 @@ use c3_core::{run_job, C3Config};
 use c3verify::analyze;
 use ftsim::FailureSchedule;
 
+mod common;
+
 /// A job that is nothing but collectives (five fused allgathers and one
 /// gather behind a preceding exchange per iteration) fails over and
 /// recovers; its trace also lands in `target/c3-traces/` so the CI
@@ -32,14 +34,8 @@ fn recovering_job_trace_is_clean() {
         "recovery trace must be invariant-clean:\n{}",
         verdict.render()
     );
-    let dir = std::path::PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-        .join("../../target/c3-traces");
-    std::fs::create_dir_all(&dir).expect("create trace dir");
-    std::fs::write(
-        dir.join("coll_neurosys_kill.c3trace"),
-        encode_trace(&records),
-    )
-    .expect("write trace artifact");
+    c3verify::write_trace("coll_neurosys_kill", &records)
+        .expect("write trace artifact");
 }
 
 #[test]
@@ -60,23 +56,11 @@ fn multi_failure_trace_is_clean() {
 
 #[test]
 fn cli_matches_in_process_verdict() {
-    // Whether a run logs a late message is up to thread timing (as in
-    // `mutation.rs::clean_trace`): take the first run that does.
-    let mut records = Vec::new();
-    for _ in 0..32 {
-        let sink = TraceSink::new();
-        let cfg = C3Config::every_ops(8).with_trace(sink.clone());
-        run_job(3, &cfg, None, &Laplace { n: 12, iters: 24 })
-            .expect("reference job");
-        records = sink.take();
-        assert!(analyze(&records).is_clean());
-        if records
+    let mut records = common::laplace_trace("live_jobs_cli", |records| {
+        records
             .iter()
             .any(|r| matches!(r.event, TraceEvent::LateLogged { .. }))
-        {
-            break;
-        }
-    }
+    });
 
     let dir = std::env::temp_dir()
         .join(format!("c3verify-cli-{}", std::process::id()));

@@ -6,35 +6,18 @@
 //! initiator rounds occur), asserts it is clean, applies exactly one
 //! corruption, and asserts the corresponding invariant is flagged.
 
-use c3_apps::{Laplace, Neurosys};
+use c3_apps::Neurosys;
 use c3_core::epoch::MsgClass;
 use c3_core::trace::{TraceEvent, TraceRecord, TraceSink};
 use c3_core::{run_job, C3Config};
 use c3verify::{analyze, invariant};
 
-/// Record one clean trace. Returns the records of the (single) attempt.
-///
-/// Whether a given run produces late messages is scheduling-dependent
-/// (a rank must receive from a pre-checkpoint peer while logging), so
-/// retry until the trace contains every event class the mutation tests
-/// corrupt — otherwise the tests flake on a fast, lucky interleaving.
+mod common;
+
+/// A clean trace with a late-classified receive and a logged late
+/// message. Returns the records of the (single) attempt.
 fn clean_trace() -> Vec<TraceRecord> {
-    for _ in 0..32 {
-        let sink = TraceSink::new();
-        let cfg = C3Config::every_ops(8).with_trace(sink.clone());
-        let app = Laplace { n: 12, iters: 24 };
-        run_job(3, &cfg, None, &app).expect("reference job");
-        let records = sink.take();
-        let report = analyze(&records);
-        assert!(
-            report.is_clean(),
-            "reference trace must be clean:\n{}",
-            report.render()
-        );
-        report
-            .commits
-            .iter()
-            .for_each(|c| assert!(*c > 0, "expected committed checkpoints"));
+    common::laplace_trace("mutation", |records| {
         let has_late_class = records.iter().any(|r| {
             matches!(
                 r.event,
@@ -47,19 +30,8 @@ fn clean_trace() -> Vec<TraceRecord> {
         let has_late_logged = records
             .iter()
             .any(|r| matches!(r.event, TraceEvent::LateLogged { .. }));
-        if has_late_class && has_late_logged {
-            return records;
-        }
-    }
-    panic!("no run out of 32 produced a late message");
-}
-
-/// True when `inv` appears among the report's violations for `records`.
-fn flags(records: &[TraceRecord], inv: &str) -> bool {
-    analyze(records)
-        .violations
-        .iter()
-        .any(|v| v.invariant == inv)
+        has_late_class && has_late_logged
+    })
 }
 
 #[test]
@@ -71,7 +43,7 @@ fn dropping_a_log_record_is_detected() {
         .expect("trace must contain a logged late message");
     records.remove(pos);
     assert!(
-        flags(&records, invariant::I3),
+        common::flags(&records, invariant::I3),
         "dropped LateLogged must violate I3"
     );
 }
@@ -164,7 +136,7 @@ fn corrupting_a_send_count_announcement_is_detected() {
         send_counts[q] += 1;
     }
     assert!(
-        flags(&records, invariant::I4),
+        common::flags(&records, invariant::I4),
         "corrupted mySendCount must violate I4"
     );
 }
@@ -180,7 +152,7 @@ fn forging_an_epoch_is_detected() {
         *ckpt += 1;
     }
     assert!(
-        flags(&records, invariant::I1),
+        common::flags(&records, invariant::I1),
         "skipped epoch must violate I1"
     );
 }
@@ -194,7 +166,7 @@ fn dropping_a_pipeline_drain_is_detected() {
         .expect("trace must contain a pipeline drain barrier");
     records.remove(pos);
     assert!(
-        flags(&records, invariant::I13),
+        common::flags(&records, invariant::I13),
         "a commit without its drain barrier must violate I13"
     );
 }
@@ -210,7 +182,7 @@ fn undercounting_a_drain_barrier_is_detected() {
         *blobs -= 1;
     }
     assert!(
-        flags(&records, invariant::I13),
+        common::flags(&records, invariant::I13),
         "a drain accounting for fewer blobs than staged must violate I13"
     );
 }
@@ -234,7 +206,7 @@ fn flipping_a_piggybacked_logging_flag_is_detected() {
         *sender_logging = !*sender_logging;
     }
     assert!(
-        flags(&records, invariant::I2),
+        common::flags(&records, invariant::I2),
         "corrupted piggybacked amLogging must violate I2"
     );
 }
@@ -248,8 +220,7 @@ fn flipping_one_ranks_collective_fold_is_detected() {
     let cfg = C3Config::every_ops(10).with_trace(sink.clone());
     run_job(3, &cfg, None, &Neurosys::new(8, 30)).expect("reference job");
     let mut records = sink.take();
-    let report = analyze(&records);
-    assert!(report.is_clean(), "{}", report.render());
+    common::assert_clean("mutation_collective", &records);
     // A record of a rank that was not logging: its own conjunction rule
     // (`logged == logging && !stopped_at_max`) holds either way, so only
     // the cross-rank agreement can notice the flip.
@@ -268,7 +239,7 @@ fn flipping_one_ranks_collective_fold_is_detected() {
         *stopped_at_max = !*stopped_at_max;
     }
     assert!(
-        flags(&records, invariant::I7),
+        common::flags(&records, invariant::I7),
         "one rank disagreeing on stopped_at_max must violate I7"
     );
 }

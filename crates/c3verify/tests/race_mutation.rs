@@ -11,7 +11,7 @@
 //! positions every transitive happens-before path provably cannot
 //! reach, so the assertions never depend on scheduling luck.
 
-use c3_apps::{DenseCg, Laplace};
+use c3_apps::DenseCg;
 use c3_core::epoch::MsgClass;
 use c3_core::trace::{
     encode_trace, phase_code, TraceEvent, TraceRecord, TraceSink,
@@ -19,40 +19,29 @@ use c3_core::trace::{
 use c3_core::{run_job, C3Config};
 use c3verify::{race, race_check};
 
+mod common;
+
+/// The first late-classified receive's epoch `c` that is a committed
+/// checkpoint of `records`, if any.
+fn late_commit(records: &[TraceRecord]) -> Option<u64> {
+    let commits = race_check(records).commits;
+    records.iter().find_map(|r| match r.event {
+        TraceEvent::RecvClassified {
+            class: MsgClass::Late,
+            receiver_epoch,
+            ..
+        } => Some(u64::from(receiver_epoch)).filter(|e| commits.contains(e)),
+        _ => None,
+    })
+}
+
 /// Record one clean Laplace trace containing a committed checkpoint `c`
-/// with a late-classified receive of epoch `c` (retrying — whether a
-/// late message occurs is scheduling-dependent).
+/// with a late-classified receive of epoch `c`.
 fn clean_trace_with_late_commit() -> (Vec<TraceRecord>, u64) {
-    for _ in 0..32 {
-        let sink = TraceSink::new();
-        let cfg = C3Config::every_ops(8).with_trace(sink.clone());
-        let app = Laplace { n: 12, iters: 24 };
-        run_job(3, &cfg, None, &app).expect("reference job");
-        let records = sink.take();
-        let report = race_check(&records);
-        assert!(
-            report.is_clean(),
-            "reference trace must be race-clean:\n{}",
-            report.render()
-        );
-        let late_epochs: Vec<u64> = records
-            .iter()
-            .filter_map(|r| match r.event {
-                TraceEvent::RecvClassified {
-                    class: MsgClass::Late,
-                    receiver_epoch,
-                    ..
-                } => Some(u64::from(receiver_epoch)),
-                _ => None,
-            })
-            .collect();
-        if let Some(&c) =
-            late_epochs.iter().find(|&&e| report.commits.contains(&e))
-        {
-            return (records, c);
-        }
-    }
-    panic!("no run out of 32 produced a late message in a committed epoch");
+    let records =
+        common::laplace_trace("race_mutation", |r| late_commit(r).is_some());
+    let c = late_commit(&records).expect("accepted for its late commit");
+    (records, c)
 }
 
 /// Index (into `records`) of the rank-0 record for checkpoint `c`'s

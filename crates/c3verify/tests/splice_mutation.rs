@@ -12,7 +12,9 @@
 use c3_apps::Laplace;
 use c3_core::trace::{TraceEvent, TraceRecord, TraceSink};
 use c3_core::{run_job, C3Config, RecoveryMode};
-use c3verify::{analyze, invariant, race_check};
+use c3verify::invariant;
+
+mod common;
 
 /// The rank the schedule kills (never 0: the initiator escalates).
 const VICTIM: u32 = 1;
@@ -34,27 +36,8 @@ fn spliced_trace() -> Vec<TraceRecord> {
         records.iter().any(|r| r.incarnation > 0),
         "trace must contain a respawned incarnation's stream"
     );
-    let verdict = analyze(&records);
-    assert!(
-        verdict.is_clean(),
-        "spliced trace must be invariant-clean:\n{}",
-        verdict.render()
-    );
-    let races = race_check(&records);
-    assert!(
-        races.is_clean(),
-        "spliced trace must be race-clean:\n{}",
-        races.render()
-    );
+    common::assert_clean("splice_mutation", &records);
     records
-}
-
-/// True when `inv` appears among the report's violations for `records`.
-fn flags(records: &[TraceRecord], inv: &str) -> bool {
-    analyze(records)
-        .violations
-        .iter()
-        .any(|v| v.invariant == inv)
 }
 
 fn position(
@@ -75,7 +58,7 @@ fn dropping_the_respawn_announcement_is_detected() {
     });
     records.remove(pos);
     assert!(
-        flags(&records, invariant::I15),
+        common::flags(&records, invariant::I15),
         "a respawned stream without RankRespawned must violate I15"
     );
 }
@@ -92,7 +75,7 @@ fn forging_the_announced_incarnation_is_detected() {
         *incarnation += 1;
     }
     assert!(
-        flags(&records, invariant::I15),
+        common::flags(&records, invariant::I15),
         "a respawn announcing the wrong incarnation must violate I15"
     );
 }
@@ -107,7 +90,7 @@ fn erasing_the_superseded_failure_is_detected() {
     });
     records.remove(pos);
     assert!(
-        flags(&records, invariant::I15),
+        common::flags(&records, invariant::I15),
         "a superseded stream that does not end in a failure must \
          violate I15"
     );
@@ -122,7 +105,7 @@ fn an_incarnation_gap_is_detected() {
         }
     }
     assert!(
-        flags(&records, invariant::I15),
+        common::flags(&records, invariant::I15),
         "incarnations 0 and 2 without 1 must violate I15"
     );
 }
@@ -135,7 +118,7 @@ fn dropping_the_catchup_completion_is_detected() {
     });
     records.remove(pos);
     assert!(
-        flags(&records, invariant::I16),
+        common::flags(&records, invariant::I16),
         "a finished respawn without a catch-up completion must \
          violate I16"
     );
@@ -151,7 +134,7 @@ fn duplicating_the_catchup_completion_is_detected() {
     dup.seq += 1_000_000; // append to the same stream, well past its end
     records.push(dup);
     assert!(
-        flags(&records, invariant::I16),
+        common::flags(&records, invariant::I16),
         "two catch-up completions in one incarnation must violate I16"
     );
 }
@@ -170,7 +153,7 @@ fn moving_catchup_into_an_original_incarnation_is_detected() {
     moved.seq = 1_000_000;
     records.push(moved);
     assert!(
-        flags(&records, invariant::I16),
+        common::flags(&records, invariant::I16),
         "a catch-up completion in an original incarnation must \
          violate I16"
     );
@@ -189,7 +172,7 @@ fn shrinking_the_replayed_counter_is_detected() {
         *replayed = u64::MAX;
     }
     assert!(
-        flags(&records, invariant::I16),
+        common::flags(&records, invariant::I16),
         "a catch-up replaying fewer frames than the respawn already \
          observed must violate I16"
     );

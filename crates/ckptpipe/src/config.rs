@@ -1,6 +1,6 @@
 //! Pipeline tuning knobs.
 
-use ckptstore::{Chunker, Codec};
+use ckptstore::Chunker;
 
 /// How staged blobs reach stable storage.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -109,11 +109,6 @@ pub struct PipelineConfig {
     /// names: FastCDC cuts around [`Chunker::avg`] bytes, which keep
     /// dedup working when state shifts (see [`Chunker`]).
     pub chunker: Chunker,
-    /// Chunk codec; [`Codec::None`] stores every chunk raw. The default,
-    /// [`Codec::Lz4`], stores each chunk in the smaller of its two LZ4
-    /// forms, over its bytes or over its byte planes; chunks neither
-    /// shrinks are stored raw either way.
-    pub codec: Codec,
     /// Transient-fault retry discipline.
     pub retry: RetryPolicy,
     /// Committed checkpoint lines to retain: the initiator GCs
@@ -126,9 +121,6 @@ pub struct PipelineConfig {
     /// Storage-tier topology to run over (`None` = single-tier, the
     /// paper's flat stable storage).
     pub tiers: Option<TierTopology>,
-    /// Metrics registry the pipeline records into (stage/write/drain
-    /// latency, retry and byte counters). `None` disables recording.
-    pub obs: Option<c3obs::Registry>,
 }
 
 impl Default for PipelineConfig {
@@ -139,11 +131,9 @@ impl Default for PipelineConfig {
                 queue_depth: 8,
             },
             chunker: Chunker::default(),
-            codec: Codec::Lz4,
             retry: RetryPolicy::default(),
             keep_last: 1,
             tiers: None,
-            obs: None,
         }
     }
 }
@@ -158,12 +148,6 @@ impl PipelineConfig {
     /// Builder: set the chunker (see [`PipelineConfig::chunker`]).
     pub fn with_chunker(mut self, chunker: Chunker) -> Self {
         self.chunker = chunker;
-        self
-    }
-
-    /// Builder: set the chunk codec (see [`PipelineConfig::codec`]).
-    pub fn with_codec(mut self, codec: Codec) -> Self {
-        self.codec = codec;
         self
     }
 
@@ -184,12 +168,6 @@ impl PipelineConfig {
     /// Builder: run over a multi-level storage hierarchy.
     pub fn with_tiers(mut self, topology: TierTopology) -> Self {
         self.tiers = Some(topology);
-        self
-    }
-
-    /// Builder: record pipeline metrics into `reg`.
-    pub fn with_obs(mut self, reg: c3obs::Registry) -> Self {
-        self.obs = Some(reg);
         self
     }
 }
@@ -236,14 +214,9 @@ mod tests {
     }
 
     #[test]
-    fn chunker_and_codec_builders_plumb_through() {
-        let cfg = PipelineConfig::default()
-            .with_chunker(Chunker::cdc(1024))
-            .with_codec(Codec::None);
+    fn chunker_builder_plumbs_through() {
+        let cfg = PipelineConfig::default().with_chunker(Chunker::cdc(1024));
         assert_eq!(cfg.chunker, Chunker::cdc(1024));
-        assert_eq!(cfg.codec, Codec::None);
-        let d = PipelineConfig::default();
-        assert_eq!(d.chunker, Chunker::cdc(4096));
-        assert_eq!(d.codec, Codec::Lz4);
+        assert_eq!(PipelineConfig::default().chunker, Chunker::cdc(4096));
     }
 }

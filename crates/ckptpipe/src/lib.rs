@@ -18,11 +18,11 @@
 //!   checkpoint (incremental / delta checkpoints, per the
 //!   differential-checkpointing line of work). Every rank blob is stored
 //!   this way, as a manifest naming its chunks. Surviving chunks are
-//!   LZ4-compressed, as they are or as byte planes, whichever is smaller,
-//!   unless the configured [`Codec`] is raw; each is sealed once under
-//!   the CRC that also folds into the blob's, and fresh chunks leave in
-//!   batched puts of 64 — a write holds its blob and one batch, never a
-//!   second copy of the blob.
+//!   LZ4-compressed, as they are or as byte planes, whichever is smaller
+//!   ([`ckptstore::Form::encode`]), or stored raw when neither shrinks
+//!   them; each is sealed once under the CRC that also folds into the
+//!   blob's, and fresh chunks leave in batched puts of 64 — a write holds
+//!   its blob and one batch, never a second copy of the blob.
 //! * **Retry** — transient storage faults (see
 //!   `ckptstore::FaultInjectingBackend`) are retried with exponential
 //!   backoff.
@@ -46,10 +46,9 @@ pub mod pipeline;
 pub use config::{PipelineConfig, RetryPolicy, TierTopology, WriteMode};
 pub use pipeline::{CheckpointPipeline, PipelineStats, StagedBlob};
 
-// The chunking/codec knobs live in ckptstore (the store owns the chunk
-// wire format); re-exported here so pipeline users configure everything
-// from one crate.
-pub use ckptstore::{Chunker, Codec};
+// The chunker lives in ckptstore (the store owns the chunk wire format);
+// re-exported here so pipeline users configure everything from one crate.
+pub use ckptstore::Chunker;
 
 #[cfg(test)]
 mod test_alloc {
@@ -178,7 +177,8 @@ mod tests {
     #[test]
     fn async_incremental_round_trips_and_dedups() {
         let (backend, store) = mem_store(1);
-        let cfg = PipelineConfig::default().with_chunker(Chunker::cdc(256));
+        let chunker = Chunker::cdc(256);
+        let cfg = PipelineConfig::default().with_chunker(chunker);
         let pipe = CheckpointPipeline::new(store.clone(), cfg);
         let v1 = blob(7, 4096);
         pipe.stage(1, 0, RankBlobKind::State, v1.clone()).unwrap();
@@ -203,7 +203,6 @@ mod tests {
             "checkpoint 2 should be a small delta, wrote {delta} bytes"
         );
         // Every piece of checkpoint 2 that checkpoint 1 also cut dedups.
-        let chunker = pipe.config().chunker;
         let first: HashSet<&[u8]> = chunker.cut(&v1).collect();
         let kept = chunker.cut(&v2).filter(|c| first.contains(c)).count();
         assert!(kept + 1 >= chunker.cut(&v2).count(), "one piece changed");
@@ -352,9 +351,7 @@ mod tests {
         // than trusting a stale dedup set (which would commit a manifest
         // naming a deleted chunk — unrecoverable).
         let (backend, store) = mem_store(1);
-        let cfg = PipelineConfig::default()
-            .with_mode(WriteMode::Sync)
-            .with_codec(Codec::None);
+        let cfg = PipelineConfig::default().with_mode(WriteMode::Sync);
         let pipe = CheckpointPipeline::new(store.clone(), cfg);
         // Blobs below the chunker's minimum cut are one chunk each.
         let a = vec![0xAAu8; 64];
@@ -386,10 +383,10 @@ mod tests {
         // The default codec stores the period-61 state chunk as 61
         // literals and one match (79 bytes).
         let reg = c3obs::Registry::new();
-        let (_, store) = mem_store(1);
-        let cfg = PipelineConfig::default().with_obs(reg.clone());
-        assert_eq!(cfg.codec, Codec::Lz4);
-        let pipe = CheckpointPipeline::new(store.clone(), cfg);
+        let (_, mut store) = mem_store(1);
+        store.attach_obs(&reg);
+        let pipe =
+            CheckpointPipeline::new(store.clone(), PipelineConfig::default());
         pipe.stage(1, 0, RankBlobKind::State, blob(1, 2048))
             .unwrap();
         pipe.stage(1, 0, RankBlobKind::Log, b"log".to_vec())
@@ -462,6 +459,26 @@ mod tests {
     }
 
     #[test]
+    fn incompressible_chunks_are_stored_raw_and_read_back() {
+        // Noise neither LZ4 form shrinks: every chunk keeps its bytes.
+        let (_, store) = mem_store(1);
+        let cfg = PipelineConfig::default().with_mode(WriteMode::Sync);
+        let pipe = CheckpointPipeline::new(store.clone(), cfg);
+        let mut state = 7;
+        let v: Vec<u8> = (0..64 << 10)
+            .map(|_| ckptstore::splitmix64(&mut state) as u8)
+            .collect();
+        pipe.stage(1, 0, RankBlobKind::State, v.clone()).unwrap();
+        let m = store.get_rank_manifest(1, 0, RankBlobKind::State);
+        let m = m.unwrap().expect("every blob leaves a manifest");
+        assert!(m.chunks.len() >= 8, "{} chunks", m.chunks.len());
+        for c in &m.chunks {
+            assert_eq!((c.form, c.stored_len), (ckptstore::Form::Raw, c.len));
+        }
+        assert_eq!(store.get_rank_blob(1, 0, RankBlobKind::State).unwrap(), v);
+    }
+
+    #[test]
     fn cdc_dedup_survives_a_front_insertion() {
         // The FastCDC win over fixed-size chunking: insert bytes at the
         // front of the state and every fixed chunk boundary would shift
@@ -513,8 +530,7 @@ mod tests {
                 writers: 4,
                 queue_depth: 8,
             })
-            .with_chunker(Chunker::cdc(1024))
-            .with_codec(Codec::Lz4);
+            .with_chunker(Chunker::cdc(1024));
         let pipe = CheckpointPipeline::new(store.clone(), cfg);
         let v = blob(13, 512 * 1024);
         pipe.stage(1, 0, RankBlobKind::State, v.clone()).unwrap();
@@ -559,12 +575,11 @@ mod tests {
         for (i, b) in line2[0][300_000..303_000].iter_mut().enumerate() {
             *b = i as u8;
         }
-        let run = |mode: WriteMode, chunker: Chunker, codec: Codec| {
+        let run = |mode: WriteMode, chunker: Chunker| {
             let (backend, store) = mem_store(2);
             let cfg = PipelineConfig::default()
                 .with_mode(mode)
-                .with_chunker(chunker)
-                .with_codec(codec);
+                .with_chunker(chunker);
             let pipe = CheckpointPipeline::new(store.clone(), cfg);
             let mut manifests = Vec::new();
             for (ckpt, line) in [(1, &line1), (2, &line2)] {
@@ -581,8 +596,7 @@ mod tests {
                 }
             }
             let stats = pipe.stats();
-            let compressed = stats.chunks_compressed > 0;
-            assert_eq!(compressed, codec == Codec::Lz4, "stats: {stats:?}");
+            assert!(stats.chunks_compressed > 0, "stats: {stats:?}");
             assert!(stats.chunks_deduped > 0, "stats: {stats:?}");
             (manifests, backend.list("").unwrap())
         };
@@ -590,13 +604,9 @@ mod tests {
             writers: 4,
             queue_depth: 8,
         };
-        for (chunker, codec) in [
-            (Chunker::cdc(1024), Codec::None),
-            (Chunker::default(), Codec::Lz4),
-        ] {
-            let (sync_manifests, sync_keys) =
-                run(WriteMode::Sync, chunker, codec);
-            let (async_manifests, async_keys) = run(four, chunker, codec);
+        for chunker in [Chunker::cdc(1024), Chunker::default()] {
+            let (sync_manifests, sync_keys) = run(WriteMode::Sync, chunker);
+            let (async_manifests, async_keys) = run(four, chunker);
             assert_eq!(sync_manifests, async_manifests, "{chunker:?}");
             assert_eq!(sync_keys, async_keys, "{chunker:?}");
         }
@@ -609,8 +619,7 @@ mod tests {
         let (_, store) = mem_store(1);
         let cfg = PipelineConfig::default()
             .with_mode(WriteMode::Sync)
-            .with_chunker(Chunker::cdc(512))
-            .with_codec(Codec::Lz4);
+            .with_chunker(Chunker::cdc(512));
         let pipe = CheckpointPipeline::new(store.clone(), cfg);
         let v: Vec<u8> =
             (0..16 * 1024).map(|i| ((i / 7) % 251) as u8).collect();
@@ -713,18 +722,12 @@ mod tests {
 
     #[test]
     fn clean_references_write_what_plain_bytes_would() {
-        for (chunker, codec) in [
-            (Chunker::cdc(256), Codec::None),
-            (Chunker::cdc(1024), Codec::Lz4),
-        ] {
+        for chunker in [Chunker::cdc(256), Chunker::cdc(1024)] {
             let reg = c3obs::Registry::new();
-            let cfg = PipelineConfig::default()
-                .with_chunker(chunker)
-                .with_codec(codec);
-            let tracked = CheckpointPipeline::new(
-                mem_store(1).1,
-                cfg.clone().with_obs(reg.clone()),
-            );
+            let cfg = PipelineConfig::default().with_chunker(chunker);
+            let mut tracked_store = mem_store(1).1;
+            tracked_store.attach_obs(&reg);
+            let tracked = CheckpointPipeline::new(tracked_store, cfg.clone());
             let plain = CheckpointPipeline::new(mem_store(1).1, cfg);
             let mut state = TrackedState {
                 iter: 0,

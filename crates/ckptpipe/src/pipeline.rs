@@ -298,9 +298,10 @@ pub struct CheckpointPipeline {
 
 impl CheckpointPipeline {
     /// Create a pipeline over `store`, spawning writer threads when the
-    /// mode is asynchronous.
+    /// mode is asynchronous. It records into the registry the store was
+    /// given ([`CheckpointStore::obs`]), if any.
     pub fn new(store: CheckpointStore, cfg: PipelineConfig) -> Self {
-        let obs = cfg.obs.as_ref().map(crate::obs::PipeObs::register);
+        let obs = store.obs().map(crate::obs::PipeObs::register);
         let shared = Arc::new(Shared {
             store,
             cfg,
@@ -349,11 +350,6 @@ impl CheckpointPipeline {
     /// The store this pipeline writes through.
     pub fn store(&self) -> &CheckpointStore {
         &self.shared.store
-    }
-
-    /// The active configuration.
-    pub fn config(&self) -> &PipelineConfig {
-        &self.shared.cfg
     }
 
     /// Snapshot of the cumulative counters.
@@ -981,7 +977,7 @@ impl Shared {
     /// CRC is folded into `crc` (the part's CRC-32) and also seals a
     /// chunk stored raw. Every piece is final but the last, which waits
     /// for the next stretch unless `last`; returns the bytes done with.
-    /// The stored form is [`ckptstore::Codec::encode`]'s choice, a pure
+    /// The stored form is [`Form::encode`]'s choice, a pure
     /// function of the piece: dedup is first-writer-wins, so every writer
     /// has to agree on what a given piece is stored as.
     fn write_pieces(
@@ -1062,7 +1058,7 @@ impl Shared {
             chunk.form = form;
             return Ok((chunk, false));
         }
-        let (form, stored) = self.cfg.codec.encode(piece, &mut pieces.trials);
+        let (form, stored) = Form::encode(piece, &mut pieces.trials);
         chunk.stored_len = stored.len() as u32;
         chunk.form = form;
         if let Some(o) = &self.obs {

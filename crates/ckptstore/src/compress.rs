@@ -1,6 +1,6 @@
 //! Chunk codec: a dependency-free LZ4-class block compressor, tried on
 //! each chunk twice — on its bytes as they are, and on its byte planes —
-//! with the smallest stored [`Form`] kept (see [`Codec::encode`]).
+//! with the smallest stored [`Form`] kept (see [`Form::encode`]).
 //!
 //! Checkpoint state in the paper's applications is dominated by `f64`
 //! arrays, where byte runs are rare and repeats are whole values or their
@@ -22,16 +22,6 @@
 //! * the literals,
 //! * a 2-byte little-endian match offset (1..=65535) and the match
 //!   length extension — omitted for the final, literals-only sequence.
-
-/// What a writer may try on a chunk: the pipeline's codec knob.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum Codec {
-    /// Every chunk stored raw.
-    None,
-    /// Every chunk in the smaller of its two LZ4 forms, [`Form::Lz4`] and
-    /// [`Form::Lz4Planes`], or raw when neither is smaller.
-    Lz4,
-}
 
 /// How one chunk's stored bytes are encoded. The numeric ids are the wire
 /// representation inside manifests ([`Form::id`] / [`Form::from_id`]);
@@ -70,6 +60,36 @@ impl Form {
         }
     }
 
+    /// The stored form of `piece` and its stored bytes: the smallest of
+    /// raw, [`Form::Lz4`] and [`Form::Lz4Planes`], ties going to raw and
+    /// then to plain LZ4. The choice is a function of `piece` alone —
+    /// dedup is first-writer-wins, so every writer has to agree on what a
+    /// given piece is stored as — and the encodings live in `trials`
+    /// until the next call.
+    pub fn encode<'a>(
+        piece: &'a [u8],
+        trials: &'a mut Trials,
+    ) -> (Form, &'a [u8]) {
+        let Trials { planes, out } = trials;
+        out.clear();
+        lz4_compress_into(piece, out);
+        let plain = out.len();
+        // Under two lanes the planes are the piece itself.
+        if piece.len() >= 16 {
+            planes.resize(piece.len(), 0);
+            shuffle::<true>(piece, planes);
+            lz4_compress_into(planes, out);
+            if out.len() - plain < plain.min(piece.len()) {
+                return (Form::Lz4Planes, &out[plain..]);
+            }
+        }
+        if plain < piece.len() {
+            (Form::Lz4, &out[..plain])
+        } else {
+            (Form::Raw, piece)
+        }
+    }
+
     /// Append the decoded form of `stored` to `out`, validating that it
     /// expands to exactly `expected_len` bytes. `None` means malformed
     /// input or a length mismatch — recovery treats that as corruption.
@@ -104,48 +124,12 @@ impl Form {
     }
 }
 
-/// The buffers a writer reuses across chunks while [`Codec::encode`]
+/// The buffers a writer reuses across chunks while [`Form::encode`]
 /// tries each one: its planes, and both LZ4 trials back to back.
 #[derive(Debug, Default)]
 pub struct Trials {
     planes: Vec<u8>,
     out: Vec<u8>,
-}
-
-impl Codec {
-    /// The stored form of `piece` and its stored bytes: the smallest of
-    /// raw, [`Form::Lz4`] and [`Form::Lz4Planes`], ties going to raw and
-    /// then to plain LZ4. `Codec::None` always stores raw. The choice is
-    /// a function of `piece` alone — dedup is first-writer-wins, so every
-    /// writer has to agree on what a given piece is stored as — and the
-    /// encodings live in `trials` until the next call.
-    pub fn encode<'a>(
-        self,
-        piece: &'a [u8],
-        trials: &'a mut Trials,
-    ) -> (Form, &'a [u8]) {
-        if self == Codec::None {
-            return (Form::Raw, piece);
-        }
-        let Trials { planes, out } = trials;
-        out.clear();
-        lz4_compress_into(piece, out);
-        let plain = out.len();
-        // Under two lanes the planes are the piece itself.
-        if piece.len() >= 16 {
-            planes.resize(piece.len(), 0);
-            shuffle::<true>(piece, planes);
-            lz4_compress_into(planes, out);
-            if out.len() - plain < plain.min(piece.len()) {
-                return (Form::Lz4Planes, &out[plain..]);
-            }
-        }
-        if plain < piece.len() {
-            (Form::Lz4, &out[..plain])
-        } else {
-            (Form::Raw, piece)
-        }
-    }
 }
 
 /// Copy `src` into the equally long `dst` between lane order and plane
@@ -794,14 +778,16 @@ mod tests {
     fn codec_encode_decode_round_trips() {
         let data = b"runs: aaaaaaa and text text text".to_vec();
         let mut trials = Trials::default();
-        let (form, stored) = Codec::Lz4.encode(&data, &mut trials);
+        let (form, stored) = Form::encode(&data, &mut trials);
         assert_eq!(form, Form::Lz4);
         let (mut out, mut scratch) = (Vec::new(), Vec::new());
         form.decode_into(stored, data.len(), &mut out, &mut scratch)
             .unwrap();
         assert_eq!(out, data);
-        let (form, stored) = Codec::None.encode(&data, &mut trials);
-        assert_eq!((form, stored), (Form::Raw, &data[..]));
+        // Bytes no form shrinks are stored as they are.
+        let text = b"no repeats";
+        let (form, stored) = Form::encode(text, &mut trials);
+        assert_eq!((form, stored), (Form::Raw, &text[..]));
         let mut out = Vec::new();
         Form::Raw
             .decode_into(&data, data.len(), &mut out, &mut scratch)
@@ -875,7 +861,7 @@ mod tests {
             shuffle::<false>(&shuffled, &mut back);
             assert_eq!(&back, data, "{n} bytes");
 
-            let (form, stored) = Codec::Lz4.encode(data, &mut trials);
+            let (form, stored) = Form::encode(data, &mut trials);
             let plain = lz4_compress(data).len().min(n);
             assert!(stored.len() <= plain && plain <= n, "{n} bytes");
             if form == Form::Lz4Planes {
@@ -896,7 +882,7 @@ mod tests {
                 .iter()
                 .rev()
                 .map(|d| {
-                    let (form, stored) = Codec::Lz4.encode(d, &mut trials);
+                    let (form, stored) = Form::encode(d, &mut trials);
                     (form, stored.to_vec())
                 })
                 .collect::<Vec<_>>()

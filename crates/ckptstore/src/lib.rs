@@ -31,10 +31,10 @@
 //!   these.
 //! * [`cdc`] — FastCDC-style content-defined chunking ([`cdc::Chunker`]),
 //!   so dedup survives insertions and shifts in the checkpointed state.
-//! * [`compress`] — [`compress::Codec`]: raw bytes, or dependency-free
-//!   LZ4 block compression of each chunk's bytes or of its byte planes,
-//!   whichever is smaller (the pipeline's default); the chosen
-//!   [`compress::Form`] is recorded per chunk.
+//! * [`compress`] — [`compress::Form`], the one chunk codec: each chunk
+//!   is stored as dependency-free LZ4 block compression of its bytes or
+//!   of its byte planes, whichever is smaller, or raw when neither
+//!   shrinks it; the chosen form is recorded per chunk.
 //! * [`fault`] — [`fault::FaultInjectingBackend`], a deterministic seeded
 //!   fault-injection decorator (fail-once, fail-N, random, slow-put, and a
 //!   seeded per-operation latency profile) used to prove the retry and
@@ -62,7 +62,7 @@ pub mod tier;
 pub use backend::{DiskBackend, MemoryBackend, StorageBackend};
 pub use cdc::Chunker;
 pub use codec::{Decoder, Encoder, SaveLoad, Tracked};
-pub use compress::{Codec, Form, Trials};
+pub use compress::{Form, Trials};
 pub use error::{StoreError, StoreResult};
 pub use fault::{splitmix64, FaultInjectingBackend, FaultPlan};
 pub use integrity::{crc32, hash128, seal, unseal};

@@ -106,13 +106,18 @@ const COMMIT_PUT_RETRIES: usize = 4;
 pub struct CheckpointStore {
     backend: Arc<dyn StorageBackend>,
     nranks: usize,
+    obs: Option<c3obs::Registry>,
 }
 
 impl CheckpointStore {
     /// Create a store for a job with `nranks` processes.
     pub fn new(backend: Arc<dyn StorageBackend>, nranks: usize) -> Self {
         assert!(nranks > 0, "a job has at least one rank");
-        CheckpointStore { backend, nranks }
+        CheckpointStore {
+            backend,
+            nranks,
+            obs: None,
+        }
     }
 
     /// The number of ranks this store validates commits against.
@@ -138,6 +143,13 @@ impl CheckpointStore {
             Arc::clone(&self.backend),
             reg,
         ));
+        self.obs = Some(reg.clone());
+    }
+
+    /// The registry [`Self::attach_obs`] attached, if any: a write
+    /// pipeline over this store records into it too.
+    pub fn obs(&self) -> Option<&c3obs::Registry> {
+        self.obs.as_ref()
     }
 
     /// Key of the manifest of a rank blob, under the checkpoint directory
@@ -762,7 +774,7 @@ impl LiveIndex {
 mod tests {
     use super::*;
     use crate::backend::MemoryBackend;
-    use crate::compress::{Codec, Form, Trials};
+    use crate::compress::{Form, Trials};
     use crate::manifest::encode_run;
 
     fn store(nranks: usize) -> CheckpointStore {
@@ -1214,13 +1226,13 @@ mod tests {
         ]
     }
 
-    /// Store `piece` in the form the LZ4 codec picks for it.
+    /// Store `piece` in the form [`Form::encode`] picks for it.
     fn put_encoded(
         s: &CheckpointStore,
         piece: &[u8],
         trials: &mut Trials,
     ) -> ChunkRef {
-        let (form, stored) = Codec::Lz4.encode(piece, trials);
+        let (form, stored) = Form::encode(piece, trials);
         let mut chunk = ChunkRef::for_piece(piece);
         chunk.stored_len = stored.len() as u32;
         chunk.form = form;

@@ -169,11 +169,11 @@ pub struct C3Config {
     /// rank of every attempt appends its events; `None` disables tracing.
     pub trace: Option<crate::trace::TraceSink>,
     /// Checkpoint I/O pipeline knobs: sync/async staging, writer count,
-    /// chunk size, compression, and transient-fault retry (see
-    /// `ckptpipe`). Every rank blob is stored as a manifest of
-    /// content-defined, deduplicated chunks. The default writes
-    /// asynchronously; [`ckptpipe::WriteMode::Sync`] blocks the rank on
-    /// the write, as the paper's checkpoints did.
+    /// chunk size, and transient-fault retry (see `ckptpipe`). Every rank
+    /// blob is stored as a manifest of content-defined, deduplicated
+    /// chunks, each LZ4-compressed where that shrinks it. The default
+    /// writes asynchronously; [`ckptpipe::WriteMode::Sync`] blocks the
+    /// rank on the write, as the paper's checkpoints did.
     pub io: ckptpipe::PipelineConfig,
     /// Network conditions of the simulated interconnect. The default is
     /// the perfect wire (the paper's reliable-fabric assumption, §1.1),

@@ -142,16 +142,11 @@ pub fn run_job<A: C3App>(
         .checkpoints()
         .then(|| CheckpointStore::new(backend.clone(), nprocs));
     // Observability plumbing: every store access records through the
-    // registry, and the per-attempt pipelines inherit it. The report's
-    // `storage_bytes_written` still reads the raw backend directly.
-    let mut io_cfg = cfg.io.clone();
-    if let Some(reg) = &cfg.obs {
-        if let Some(s) = store.as_mut() {
-            s.attach_obs(reg);
-        }
-        if io_cfg.obs.is_none() {
-            io_cfg.obs = Some(reg.clone());
-        }
+    // registry, and the per-attempt pipelines record into the store's.
+    // The report's `storage_bytes_written` still reads the raw backend
+    // directly.
+    if let (Some(reg), Some(s)) = (&cfg.obs, store.as_mut()) {
+        s.attach_obs(reg);
     }
 
     let started = Instant::now();
@@ -197,7 +192,7 @@ pub fn run_job<A: C3App>(
         // next attempt starts with a quiescent store.
         let pipeline = store
             .clone()
-            .map(|s| CheckpointPipeline::new(s, io_cfg.clone()));
+            .map(|s| CheckpointPipeline::new(s, cfg.io.clone()));
 
         type Inner<O> = C3Result<(O, ProcStats)>;
         let rank_fn = |mpi: &mut simmpi::Mpi| {

@@ -95,8 +95,8 @@ pub use trace::{TraceEvent, TraceRecord, TraceSink};
 
 // Re-exports applications typically need alongside the protocol layer.
 pub use ckptpipe::{
-    CheckpointPipeline, Chunker, Codec, PipelineConfig, PipelineStats,
-    RetryPolicy, TierTopology, WriteMode,
+    CheckpointPipeline, Chunker, PipelineConfig, PipelineStats, RetryPolicy,
+    TierTopology, WriteMode,
 };
 pub use simmpi::{DType, ReduceOp, ANY_SOURCE, ANY_TAG};
 pub use statesave::snapshot::{SaveState, Tracked};

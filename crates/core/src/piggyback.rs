@@ -63,10 +63,12 @@ impl Piggyback {
         Color::of(self.epoch)
     }
 
-    /// Pack into the optimized single word, checking that the message id
-    /// fits its 30 bits. An oversized id would otherwise spill into the
-    /// color and `amLogging` bits and corrupt every classification the
-    /// receiver makes — the failure must be loud, not silent.
+    /// Pack into the optimized single word. The true epoch number is
+    /// reduced to its color; the receiver recovers a full classification
+    /// from its own state (see [`crate::epoch::classify_by_color`]). An
+    /// id over 30 bits is an error: it would spill into the color and
+    /// `amLogging` bits and corrupt every classification the receiver
+    /// makes — the failure must be loud, not silent.
     pub fn try_pack(&self) -> Result<u32, CodecError> {
         if self.message_id > PACKED_MAX_MESSAGE_ID {
             return Err(CodecError::new(format!(
@@ -83,20 +85,6 @@ impl Piggyback {
             w |= PACKED_LOGGING_BIT;
         }
         Ok(w)
-    }
-
-    /// Pack into the optimized single word. The true epoch number is
-    /// reduced to its color; the receiver recovers a full classification
-    /// from its own state (see [`crate::epoch::classify_by_color`]).
-    ///
-    /// # Panics
-    /// If the message id exceeds 30 bits; use [`Piggyback::try_pack`] on
-    /// paths that must report the overflow as an error.
-    pub fn pack(&self) -> u32 {
-        match self.try_pack() {
-            Ok(w) => w,
-            Err(e) => panic!("{e}"),
-        }
     }
 
     /// Encode as an inline header segment for the zero-copy send path:
@@ -238,7 +226,7 @@ mod tests {
                         logging,
                         message_id: id,
                     };
-                    let un = PackedPiggyback::unpack(pb.pack());
+                    let un = PackedPiggyback::unpack(pb.try_pack().unwrap());
                     assert_eq!(un.color, Color::of(epoch));
                     assert_eq!(un.logging, logging);
                     assert_eq!(un.message_id, id);
@@ -255,7 +243,8 @@ mod tests {
             logging: false,
             message_id: PACKED_MAX_MESSAGE_ID + 1,
         }
-        .pack();
+        .try_pack()
+        .unwrap();
     }
 
     #[test]
@@ -396,7 +385,7 @@ mod tests {
                     logging: false,
                     message_id: 0,
                 };
-                let un = PackedPiggyback::unpack(pb.pack());
+                let un = PackedPiggyback::unpack(pb.try_pack().unwrap());
                 assert_eq!(
                     classify_by_color(
                         un.color,

@@ -360,11 +360,6 @@ impl<'a> Process<'a> {
         s
     }
 
-    /// Protocol operations issued so far.
-    pub fn op_count(&self) -> u64 {
-        self.ops
-    }
-
     /// The recovered application state envelope, decoded. `None` on a
     /// fresh start. Call once, before running the application body. The
     /// restored state is what the next line will mostly hold, so the
@@ -1174,12 +1169,6 @@ impl<'a> Process<'a> {
             self.stats.nondet_logged += 1;
         }
         Ok(v)
-    }
-
-    /// Draw a non-deterministic uniform float in `[0, 1)` (built on
-    /// [`Process::nondet_u64`], so logging/replay apply).
-    pub fn nondet_f64(&mut self) -> C3Result<f64> {
-        Ok((self.nondet_u64()? >> 11) as f64 * (1.0 / (1u64 << 53) as f64))
     }
 
     // ==================================================================

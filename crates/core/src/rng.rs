@@ -34,11 +34,6 @@ impl NondetSource {
     pub fn next_u64(&mut self) -> u64 {
         ckptstore::splitmix64(&mut self.state)
     }
-
-    /// Draw a float uniform in `[0, 1)`.
-    pub fn next_f64(&mut self) -> f64 {
-        (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
-    }
 }
 
 #[cfg(test)]
@@ -68,14 +63,5 @@ mod tests {
         let mut b = NondetSource::new(1, 1);
         let same = (0..64).filter(|_| a.next_u64() == b.next_u64()).count();
         assert!(same < 4);
-    }
-
-    #[test]
-    fn f64_in_unit_interval() {
-        let mut s = NondetSource::new(9, 9);
-        for _ in 0..1000 {
-            let x = s.next_f64();
-            assert!((0.0..1.0).contains(&x));
-        }
     }
 }

@@ -24,7 +24,7 @@ proptest! {
         id in 0u32..=PACKED_MAX_MESSAGE_ID,
     ) {
         let pb = Piggyback { epoch, logging, message_id: id };
-        let un = PackedPiggyback::unpack(pb.pack());
+        let un = PackedPiggyback::unpack(pb.try_pack().unwrap());
         prop_assert_eq!(un.color, Color::of(epoch));
         prop_assert_eq!(un.logging, logging);
         prop_assert_eq!(un.message_id, id);

@@ -272,24 +272,26 @@ where
 mod tests {
     use super::*;
 
-    #[test]
-    fn a_tame_scenario_runs_clean() {
-        // Hand-built minimal scenario: 2 ranks, no adversity at all.
-        let sc = Scenario {
+    /// Hand-built minimal scenario: 2 ranks, no adversity at all.
+    fn tame() -> Scenario {
+        Scenario {
             seed: 0,
             nranks: 2,
             app: AppChoice::Laplace { n: 8, iters: 10 },
             interval: Some(6),
             sync_io: true,
             chunker: c3_core::Chunker::default(),
-            codec: c3_core::Codec::None,
             keep_last: 1,
             tiers: None,
             net: simmpi::NetCond::perfect(),
             faults: ckptstore::FaultPlan::none(),
             schedule: ftsim::FailureSchedule::none(),
-        };
-        let out = run_campaign(&sc, None);
+        }
+    }
+
+    #[test]
+    fn a_tame_scenario_runs_clean() {
+        let out = run_campaign(&tame(), None);
         assert!(out.failure.is_none(), "{}", out.failure.unwrap());
         assert_eq!(out.restarts, 0);
         assert!(out.last_committed.is_some(), "lines must commit");
@@ -299,18 +301,13 @@ mod tests {
     #[test]
     fn a_kill_recovers_and_verifies() {
         let sc = Scenario {
-            seed: 0,
             nranks: 3,
             app: AppChoice::Laplace { n: 16, iters: 30 },
             interval: Some(8),
             sync_io: false,
             chunker: c3_core::Chunker::cdc(1024),
-            codec: c3_core::Codec::Lz4,
-            keep_last: 1,
-            tiers: None,
-            net: simmpi::NetCond::perfect(),
-            faults: ckptstore::FaultPlan::none(),
             schedule: ftsim::FailureSchedule::single(1, 40),
+            ..tame()
         };
         let out = run_campaign(&sc, None);
         assert!(out.failure.is_none(), "{}", out.failure.unwrap());
@@ -320,18 +317,9 @@ mod tests {
     #[test]
     fn the_planted_drain_hoist_is_detected() {
         let sc = Scenario {
-            seed: 0,
-            nranks: 2,
             app: AppChoice::Laplace { n: 8, iters: 16 },
-            interval: Some(6),
             sync_io: false,
-            chunker: c3_core::Chunker::default(),
-            codec: c3_core::Codec::None,
-            keep_last: 1,
-            tiers: None,
-            net: simmpi::NetCond::perfect(),
-            faults: ckptstore::FaultPlan::none(),
-            schedule: ftsim::FailureSchedule::none(),
+            ..tame()
         };
         let out = run_campaign(&sc, Some(Plant::HoistCommitBeforeDrain));
         assert!(out.plant_applied, "a committing run has a plant site");

@@ -10,9 +10,7 @@
 
 use std::sync::Arc;
 
-use c3_core::{
-    C3Config, Chunker, Codec, PipelineConfig, TierTopology, WriteMode,
-};
+use c3_core::{C3Config, Chunker, PipelineConfig, TierTopology, WriteMode};
 use ckptstore::{splitmix64, FaultInjectingBackend, FaultPlan, MemoryBackend};
 use ftsim::FailureSchedule;
 use simmpi::{NetCond, RetransmitPolicy};
@@ -83,8 +81,6 @@ pub struct Scenario {
     /// The content-defined chunker blobs are cut with: the default's
     /// 4 KiB average, or a smaller or larger one.
     pub chunker: Chunker,
-    /// Chunk codec: raw, or the LZ4-class block codec.
-    pub codec: Codec,
     /// Committed lines to retain.
     pub keep_last: u64,
     /// Multi-level storage topology behind the faulty staging tier.
@@ -124,10 +120,10 @@ impl Scenario {
             6 + next(9)
         };
         let sync_io = next(4) == 0;
-        // This draw once chose whole-blob writes; it is still spent so
-        // every later draw keeps its place.
+        // These draws once chose whole-blob writes and turned compression
+        // off; they are still spent so every later draw keeps its place.
         let _ = next(4);
-        let compression = next(2) == 0;
+        let _ = next(2);
         let tiers = match next(3) {
             0 => None,
             _ => Some(match next(3) {
@@ -182,8 +178,8 @@ impl Scenario {
             FailureSchedule::compose(parts)
         };
 
-        // The chunker/codec dimensions are drawn after everything else
-        // so corpus seeds predating them keep their original shapes. The
+        // The chunker dimension is drawn after everything else
+        // so corpus seeds predating it keep their original shapes. The
         // first two arms once drew fixed-size cuts of the same sizes.
         let chunker = match next(3) {
             0 => Chunker::cdc(4096),
@@ -193,9 +189,6 @@ impl Scenario {
         // This draw once picked between two compressors; it is still
         // spent so every later draw keeps its place.
         let _ = next(2);
-        // The compression bit keeps its early place in the draw order;
-        // "off" is the raw codec.
-        let codec = if compression { Codec::Lz4 } else { Codec::None };
         // Recovery-mode dimension (drawn last, same reason): one seed in
         // three repairs its kills by online splice instead of global
         // rollback — kills of rank 0 or double kills of one rank then
@@ -213,7 +206,6 @@ impl Scenario {
             interval: Some(interval),
             sync_io,
             chunker,
-            codec,
             keep_last,
             tiers,
             net: NetCond::from_seed(seed, nranks),
@@ -231,7 +223,6 @@ impl Scenario {
             io.mode = WriteMode::Sync;
         }
         io.chunker = self.chunker;
-        io.codec = self.codec;
         io.keep_last = self.keep_last;
         io.tiers = self.tiers;
         let base = match self.interval {
@@ -361,16 +352,8 @@ mod tests {
             "default-size cuts"
         );
         assert!(count(&|s| s.chunker.avg() < 4096) >= 96, "smaller cuts");
-        assert!(count(&|s| s.codec == Codec::Lz4) >= 64, "LZ4 scenarios");
         assert!(
-            count(&|s| s.codec == Codec::None) >= 64,
-            "compression-off scenarios"
-        );
-        assert!(
-            count(&|s| s.chunker == Chunker::default()
-                && s.codec == Codec::Lz4
-                && !s.sync_io)
-                >= 32,
+            count(&|s| s.chunker == Chunker::default() && !s.sync_io) >= 32,
             "the default write path is exercised"
         );
         for s in &scenarios {
@@ -391,22 +374,21 @@ mod tests {
     fn corpus_seeds_keep_their_determinized_shapes() {
         // The checked-in corpus guards regressions only while each seed
         // keeps deriving the campaign it was promoted for, so a change to
-        // the draw order must show up here. `codec` is `None` where the
-        // compression bit drew "off".
+        // the draw order must show up here.
         use AppChoice::{DenseCg, Laplace};
         let cdc = Chunker::cdc;
         #[rustfmt::skip]
         let want = [
-            (1, 2, DenseCg { n: 32, iters: 29 }, false, cdc(4096), Codec::Lz4),
-            (4, 2, DenseCg { n: 24, iters: 31 }, false, cdc(1024), Codec::Lz4),
-            (5, 5, DenseCg { n: 24, iters: 23 }, true, cdc(4096), Codec::Lz4),
-            (6, 3, DenseCg { n: 24, iters: 21 }, false, cdc(4096), Codec::None),
-            (9, 5, DenseCg { n: 24, iters: 21 }, true, cdc(1024), Codec::Lz4),
-            (16, 5, DenseCg { n: 24, iters: 20 }, true, cdc(4096), Codec::None),
-            (19, 2, DenseCg { n: 24, iters: 36 }, false, cdc(4096), Codec::Lz4),
-            (38, 3, Laplace { n: 16, iters: 37 }, true, cdc(1024), Codec::None),
-            (44, 2, DenseCg { n: 32, iters: 28 }, false, cdc(1024), Codec::None),
-            (59, 5, Laplace { n: 16, iters: 37 }, false, cdc(4096), Codec::None),
+            (1, 2, DenseCg { n: 32, iters: 29 }, false, cdc(4096)),
+            (4, 2, DenseCg { n: 24, iters: 31 }, false, cdc(1024)),
+            (5, 5, DenseCg { n: 24, iters: 23 }, true, cdc(4096)),
+            (6, 3, DenseCg { n: 24, iters: 21 }, false, cdc(4096)),
+            (9, 5, DenseCg { n: 24, iters: 21 }, true, cdc(1024)),
+            (16, 5, DenseCg { n: 24, iters: 20 }, true, cdc(4096)),
+            (19, 2, DenseCg { n: 24, iters: 36 }, false, cdc(4096)),
+            (38, 3, Laplace { n: 16, iters: 37 }, true, cdc(1024)),
+            (44, 2, DenseCg { n: 32, iters: 28 }, false, cdc(1024)),
+            (59, 5, Laplace { n: 16, iters: 37 }, false, cdc(4096)),
         ];
         let corpus = concat!(
             env!("CARGO_MANIFEST_DIR"),
@@ -416,7 +398,7 @@ mod tests {
         assert_eq!(seeds, want.map(|w| w.0), "corpus and table differ");
         for row in want {
             let d = Scenario::from_seed(row.0).determinized();
-            let got = (d.seed, d.nranks, d.app, d.sync_io, d.chunker, d.codec);
+            let got = (d.seed, d.nranks, d.app, d.sync_io, d.chunker);
             assert_eq!(got, row);
         }
     }

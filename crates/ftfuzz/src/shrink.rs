@@ -136,12 +136,6 @@ fn proposals(sc: &Scenario) -> Vec<Scenario> {
             ..sc.clone()
         });
     }
-    if sc.codec != c3_core::Codec::None {
-        push(Scenario {
-            codec: c3_core::Codec::None,
-            ..sc.clone()
-        });
-    }
     out
 }
 
@@ -320,7 +314,6 @@ pub fn reproducer(
          \x20       interval: {interval:?},\n\
          \x20       sync_io: {sync_io},\n\
          \x20       chunker: c3_core::Chunker::cdc({avg}),\n\
-         \x20       codec: c3_core::Codec::{codec:?},\n\
          \x20       keep_last: {keep_last},\n\
          \x20       tiers: {tiers},\n\
          \x20       net: {net},\n\
@@ -340,7 +333,6 @@ pub fn reproducer(
         interval = sc.interval,
         sync_io = sc.sync_io,
         avg = sc.chunker.avg(),
-        codec = sc.codec,
         keep_last = sc.keep_last,
         tiers = fmt_tiers(&sc.tiers),
         net = fmt_net(&sc.net),
@@ -362,7 +354,6 @@ mod tests {
             interval: Some(8),
             sync_io: false,
             chunker: c3_core::Chunker::cdc(1024),
-            codec: c3_core::Codec::Lz4,
             keep_last: 2,
             tiers: Some(c3_core::TierTopology::partner(1)),
             net: NetCond::perfect().with_dup_ppm(10_000),
@@ -404,7 +395,6 @@ mod tests {
             interval: Some(8),
             sync_io: true,
             chunker: c3_core::Chunker::default(),
-            codec: c3_core::Codec::None,
             keep_last: 1,
             tiers: None,
             net: NetCond::perfect(),
@@ -432,7 +422,6 @@ mod tests {
         assert!(code.contains("dup_ppm: 10000"));
         assert!(code.contains("TierTopology::partner(1)"));
         assert!(code.contains("c3_core::Chunker::cdc(1024)"));
-        assert!(code.contains("c3_core::Codec::Lz4"));
         assert!(code.contains("outcome.failure.is_none()"));
     }
 }

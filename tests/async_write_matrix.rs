@@ -11,13 +11,11 @@
 //! trace to `target/c3-traces/` for the CI verification job to re-check
 //! with the `c3verify` CLI.
 
-use std::path::PathBuf;
 use std::sync::Arc;
 
 use c3_apps::{DenseCg, Laplace};
-use c3_core::trace::encode_trace;
 use c3_core::{
-    run_job, C3App, C3Config, Chunker, Codec, PipelineConfig, RecoveryMode,
+    run_job, C3App, C3Config, Chunker, PipelineConfig, RecoveryMode,
     TierTopology, TraceSink, WriteMode,
 };
 use c3verify::analyze;
@@ -25,14 +23,6 @@ use ckptstore::{
     FaultInjectingBackend, FaultPlan, MemoryBackend, StorageBackend,
 };
 use ftsim::FailureSchedule;
-
-/// Directory the CI verification job reads recorded traces from.
-fn trace_dir() -> PathBuf {
-    let dir = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-        .join("../../target/c3-traces");
-    std::fs::create_dir_all(&dir).expect("create trace dir");
-    dir
-}
 
 /// Asynchronous incremental writing with a small queue, so staging and
 /// the application genuinely overlap.
@@ -43,13 +33,11 @@ fn async_io() -> PipelineConfig {
     })
 }
 
-/// The CDC+LZ4 column: the same async pipeline with content-defined
-/// chunking and the LZ4 codec engaged, so kills land while CDC chunk
-/// batches are being hashed, encoded, and written in the background.
+/// The small-cut column: the same async pipeline with content-defined
+/// cuts around 1 KiB, so kills land while many more CDC chunks are being
+/// hashed, encoded, and written in the background.
 fn cdc_io() -> PipelineConfig {
-    async_io()
-        .with_chunker(Chunker::cdc(1024))
-        .with_codec(Codec::Lz4)
+    async_io().with_chunker(Chunker::cdc(1024))
 }
 
 /// One matrix cell: a failure-free reference run, then a run on slow
@@ -122,11 +110,7 @@ fn kill_mid_write_case<A>(
         "{name}: protocol invariants violated:\n{}",
         verdict.render()
     );
-    std::fs::write(
-        trace_dir().join(format!("{name}.c3trace")),
-        encode_trace(&records),
-    )
-    .expect("write trace artifact");
+    c3verify::write_trace(name, &records).expect("write trace artifact");
 }
 
 #[test]

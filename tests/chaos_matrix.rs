@@ -241,11 +241,10 @@ fn chaos_kill_lands_during_retransmission() {
 /// extra machinery engaged.
 #[test]
 fn chaos_kills_on_a_multi_level_store() {
-    // CDC+LZ4 column: the kills also land while content-defined chunk
+    // Small-cut column: the kills also land while content-defined chunk
     // batches are being encoded and drained to the tiers.
     let io = c3_core::PipelineConfig::default()
         .with_chunker(c3_core::Chunker::cdc(1024))
-        .with_codec(c3_core::Codec::Lz4)
         .with_keep_last(2)
         .with_tiers(c3_core::TierTopology::partner_and_erasure(1, 2, 1));
     let schedules: Vec<FailureSchedule> = (0..3)

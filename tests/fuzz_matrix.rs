@@ -22,14 +22,6 @@ use ftfuzz::{
     Scenario,
 };
 
-/// Directory the CI verification job reads recorded traces from.
-fn trace_dir() -> PathBuf {
-    let dir = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-        .join("../../target/c3-traces");
-    std::fs::create_dir_all(&dir).expect("create trace dir");
-    dir
-}
-
 fn corpus_path() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR"))
         .join("../../tests/fuzz_corpus/seeds.txt")
@@ -51,11 +43,8 @@ fn corpus_seeds_replay_clean() {
             out.last_committed.is_some(),
             "corpus seed {seed}: no line ever committed"
         );
-        std::fs::write(
-            trace_dir().join(format!("fuzz_s{seed}.c3trace")),
-            encode_trace(&out.records),
-        )
-        .expect("write trace artifact");
+        c3verify::write_trace(&format!("fuzz_s{seed}"), &out.records)
+            .expect("write trace artifact");
     }
 }
 

@@ -8,22 +8,12 @@
 //! Traces are also written to `target/c3-traces/` so the CI `net-chaos`
 //! job can re-check them with the `c3verify` CLI.
 
-use std::path::PathBuf;
-
 use c3_apps::{DenseCg, Laplace};
 use c3_core::trace::{encode_trace, TraceRecord};
 use c3_core::{run_job, C3App, C3Config, TraceSink};
 use c3verify::analyze;
 use ftsim::FailureSchedule;
 use simmpi::{NetCond, RetransmitPolicy};
-
-/// Directory the CI verification job reads recorded traces from.
-fn trace_dir() -> PathBuf {
-    let dir = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-        .join("../../target/c3-traces");
-    std::fs::create_dir_all(&dir).expect("create trace dir");
-    dir
-}
 
 /// One matrix cell: a perfect-wire failure-free reference, then the same
 /// app over a seeded lossy wire with a rank kill, trace-checked.
@@ -92,11 +82,7 @@ where
         "{name}: happens-before races over the lossy wire:\n{}",
         races.render()
     );
-    std::fs::write(
-        trace_dir().join(format!("{name}.c3trace")),
-        encode_trace(&records),
-    )
-    .expect("write trace artifact");
+    c3verify::write_trace(name, &records).expect("write trace artifact");
 }
 
 #[test]

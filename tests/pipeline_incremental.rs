@@ -8,9 +8,9 @@
 //! so content-addressed chunking must skip most of the bytes from the
 //! second checkpoint on. The comparison is against what storing every
 //! line whole would cost at the least, the application state the ranks
-//! serialised (`app_state_bytes`), with compression off and the stored
-//! bytes taken from the backend's net `bytes_written` counter across at
-//! least three committed checkpoints.
+//! serialised (`app_state_bytes`), and counts the raw length of every
+//! chunk put across at least three committed checkpoints, so compression
+//! cannot hide a dedup regression.
 
 use std::collections::{HashMap, HashSet};
 use std::sync::{Arc, Mutex};
@@ -19,24 +19,23 @@ use c3_apps::dense_cg::CgState;
 use c3_apps::linalg::{block_range, spd_entry};
 use c3_apps::{DenseCg, Laplace};
 use c3_core::recovery::RankCheckpoint;
-use c3_core::{run_job, C3App, C3Config, Chunker, Codec, PipelineConfig};
+use c3_core::{run_job, C3App, C3Config, Chunker, PipelineConfig};
+use ckptstore::manifest::parse_chunk_key;
 use ckptstore::{
     CheckpointStore, ChunkRef, Encoder, Form, MemoryBackend, RankBlobKind,
     StorageBackend, StoreResult,
 };
 use statesave::snapshot::restore_from_bytes;
 
-/// Run `app` at 4 ranks, cuts around 256 bytes and compression off, and
-/// compare the bytes it stored with the application state its lines
+/// Run `app` at 4 ranks and cuts around 256 bytes, and compare the raw
+/// bytes of the chunks it put with the application state its lines
 /// serialised.
 fn assert_incremental_writes_fewer<A>(name: &str, app: &A, interval: u64)
 where
     A: C3App,
 {
-    let backend = Arc::new(MemoryBackend::new());
-    let io = PipelineConfig::default()
-        .with_codec(Codec::None)
-        .with_chunker(Chunker::cdc(256));
+    let backend = Arc::new(CountingPuts::default());
+    let io = PipelineConfig::default().with_chunker(Chunker::cdc(256));
     let cfg = C3Config::every_ops(interval).with_io(io);
     let report = run_job(
         4,
@@ -52,12 +51,20 @@ where
         "{name}: need at least 3 committed checkpoints for a delta \
          comparison, got {ckpts}"
     );
-    let stored = backend.bytes_written();
+    let stored: u64 = backend
+        .puts
+        .lock()
+        .unwrap()
+        .iter()
+        .filter_map(|(key, &n)| {
+            Some(parse_chunk_key(key)?.1 as u64 * n as u64)
+        })
+        .sum();
     let state: u64 = report.stats.iter().map(|s| s.app_state_bytes).sum();
     // "Measurably" fewer: at least a 10% saving, not a rounding artifact.
     assert!(
         stored * 10 <= state * 9,
-        "{name}: saving below 10% ({stored} bytes stored for {state} \
+        "{name}: saving below 10% ({stored} chunk bytes put for {state} \
          bytes of state)"
     );
 }

@@ -7,13 +7,11 @@
 //! line is damaged beyond repair — while `c3verify` finds zero
 //! violations (I1–I14) and zero happens-before races.
 
-use std::path::PathBuf;
 use std::sync::Arc;
 
 use c3_apps::{DenseCg, Laplace};
-use c3_core::trace::encode_trace;
 use c3_core::{
-    run_job, C3App, C3Config, Chunker, Codec, JobReport, PipelineConfig,
+    run_job, C3App, C3Config, Chunker, JobReport, PipelineConfig,
     TierTopology, TraceEvent, TraceRecord, TraceSink,
 };
 use c3verify::{analyze, invariant, race_check};
@@ -22,14 +20,6 @@ use ckptstore::{
     TieredBackend,
 };
 use ftsim::FailureSchedule;
-
-/// Directory the CI verification job reads recorded traces from.
-fn trace_dir() -> PathBuf {
-    let dir = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-        .join("../../target/c3-traces");
-    std::fs::create_dir_all(&dir).expect("create trace dir");
-    dir
-}
 
 /// Record the trace of one complete Laplace job over `backend` and
 /// assert it is analyzer- and race-clean. Returns (outputs, records).
@@ -101,12 +91,11 @@ fn lost_local_tier_recovers_from_partner_replica() {
         ],
         3,
     ));
-    // This column runs with content-defined chunking and the LZ4 codec,
-    // so partner-replica recovery decodes CDC-cut, LZ4-stored chunks.
+    // This column cuts around 1 KiB, so partner-replica recovery
+    // decodes many small CDC-cut, LZ4-stored chunks.
     let cfg = C3Config::every_ops(9).with_io(
         PipelineConfig::default()
             .with_chunker(Chunker::cdc(1024))
-            .with_codec(Codec::Lz4)
             .with_tiers(TierTopology::partner(1)),
     );
     let (outputs, records) =
@@ -224,7 +213,6 @@ fn damage_beyond_parity_falls_back_a_whole_checkpoint_line() {
     // Two retained lines so a fallback target exists. Lines share chunks,
     // so the damage is to the newest line's own keys: its manifests.
     let io = PipelineConfig::default()
-        .with_codec(Codec::None)
         .with_keep_last(2)
         .with_tiers(TierTopology::erasure(2, 1));
     let cfg = C3Config::every_ops(9).with_io(io);
@@ -341,11 +329,7 @@ fn kills_during_slow_remote_tier_drain_stay_clean() {
             !tier_drains(&records).is_empty(),
             "{name}: the surviving attempt must drain tiers"
         );
-        std::fs::write(
-            trace_dir().join(format!("{name}.c3trace")),
-            encode_trace(&records),
-        )
-        .expect("write trace artifact");
+        c3verify::write_trace(&name, &records).expect("write trace artifact");
     }
 }
 
@@ -355,46 +339,35 @@ fn kills_during_slow_remote_tier_drain_stay_clean() {
 /// covered by every other test in this file.)
 #[test]
 fn forged_recovery_tier_violates_i14() {
-    // The kill op is seeded, but whether the async pipeline managed to
-    // commit a checkpoint before it fires is a thread-timing race; sweep
-    // seeds until a run actually restarts from a committed line (the
-    // faster the ranks, the rarer: about one seed in three does, and
-    // five seeds all missed in one run of ten).
-    let mut picked = None;
-    for seed in [3u64, 7, 11, 23, 31, 43, 59, 71, 83, 97, 101, 113, 127, 131] {
-        let tiered = Arc::new(TieredBackend::new(
-            vec![
-                TierSpec::direct(Arc::new(MemoryBackend::new())),
-                TierSpec::partner(Arc::new(MemoryBackend::new()), 1),
-            ],
-            3,
-        ));
-        let io = PipelineConfig::default()
-            .with_keep_last(2)
-            .with_tiers(TierTopology::partner(1));
-        let sink = TraceSink::new();
-        let cfg = FailureSchedule::kill_during_tier_drain(seed, 3, 10, 2)
-            .apply(C3Config::every_ops(10).with_io(io))
-            .with_trace(sink.clone());
-        let report =
-            run_job(3, &cfg, Some(tiered), &Laplace { n: 16, iters: 36 })
-                .unwrap();
-        assert!(report.restarts >= 1, "the kill must fire (seed {seed})");
-        let records = sink.take();
-        assert!(
-            analyze(&records).is_clean(),
-            "reference trace must be clean (seed {seed})"
-        );
-        if records.iter().any(|r| {
-            r.attempt > 1
-                && matches!(r.event, TraceEvent::TierRecovered { .. })
-        }) {
-            picked = Some(records);
-            break;
-        }
-    }
-    let records =
-        picked.expect("some seeded kill must restart from a committed line");
+    // A failure-free job leaves committed lines on the store, so the
+    // traced job's restart after its kill recovers from a committed line
+    // whatever the threads did before the kill. Its first attempt starts
+    // from that job's lines; the analyzer exempts a first attempt from
+    // I14, as it may continue an earlier job.
+    let tiered = Arc::new(TieredBackend::new(
+        vec![
+            TierSpec::direct(Arc::new(MemoryBackend::new())),
+            TierSpec::partner(Arc::new(MemoryBackend::new()), 1),
+        ],
+        3,
+    ));
+    let io = PipelineConfig::default()
+        .with_keep_last(2)
+        .with_tiers(TierTopology::partner(1));
+    let cfg = C3Config::every_ops(10).with_io(io);
+    let backend = || Some(tiered.clone() as Arc<dyn StorageBackend>);
+    let first = run_job(3, &cfg, backend(), &Laplace { n: 16, iters: 12 });
+    assert!(first.unwrap().last_committed.is_some(), "lines committed");
+    let sink = TraceSink::new();
+    let cfg = cfg.with_failure(1, 15).with_trace(sink.clone());
+    let report =
+        run_job(3, &cfg, backend(), &Laplace { n: 16, iters: 36 }).unwrap();
+    assert_eq!(report.restarts, 1, "the kill must fire");
+    let records = sink.take();
+    assert!(
+        analyze(&records).is_clean(),
+        "reference trace must be clean"
+    );
 
     // The killed attempt never finalized, so nothing was drained before
     // the restart: any claimed recovery tier > 0 in a later attempt is
