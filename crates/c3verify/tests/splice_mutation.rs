@@ -10,7 +10,8 @@
 //! flagged.
 
 use c3_apps::Laplace;
-use c3_core::trace::{TraceEvent, TraceRecord, TraceSink};
+use c3_core::trace::control_kind::MY_SEND_COUNT;
+use c3_core::trace::{decode_trace, TraceEvent, TraceRecord, TraceSink};
 use c3_core::{run_job, C3Config, RecoveryMode};
 use c3verify::invariant;
 
@@ -176,4 +177,40 @@ fn shrinking_the_replayed_counter_is_detected() {
         "a catch-up replaying fewer frames than the respawn already \
          observed must violate I16"
     );
+}
+
+/// A trace `spliced_trace()` recorded once and the analyzer rejected
+/// (I4): rank 1, killed after its second checkpoint, was respawned and
+/// re-took checkpoints 1 and 2 with other send counts than the
+/// incarnation that died. These are facts of the trace, not a verdict.
+#[test]
+fn golden_i4_splice_trace_records_two_sets_of_send_counts() {
+    let records =
+        decode_trace(include_bytes!("golden/splice_i4.c3trace")).unwrap();
+    assert_eq!(records.len(), 569);
+    // The first two `mySendCount`s, those of epochs 0 and 1, in one
+    // incarnation's stream: sent to rank 0, or received from rank 1.
+    let counts = |rank: u32, incarnation: u32, sent: bool| -> Vec<u64> {
+        let stream = records
+            .iter()
+            .filter(|r| (r.rank, r.incarnation) == (rank, incarnation));
+        let count = |r: &TraceRecord| match r.event {
+            TraceEvent::ControlSent {
+                dst: 0,
+                kind: MY_SEND_COUNT,
+                arg,
+            } if sent => Some(arg),
+            TraceEvent::ControlRecv {
+                src: VICTIM,
+                kind: MY_SEND_COUNT,
+                arg,
+            } if !sent => Some(arg),
+            _ => None,
+        };
+        stream.filter_map(count).take(2).collect()
+    };
+    assert_eq!(counts(VICTIM, 0, true), [3, 5], "sent by the one that died");
+    assert_eq!(counts(VICTIM, 1, true), [2, 6], "sent by the respawned one");
+    assert_eq!(counts(0, 0, false), [3, 5], "received by rank 0");
+    assert_eq!(counts(2, 0, false), [3, 5], "received by rank 2");
 }

@@ -379,54 +379,9 @@ impl<'s> Encoder<'s> {
         }
     }
 
-    /// Append a little-endian `u8`.
-    pub fn put_u8(&mut self, v: u8) {
-        self.write(&[v]);
-    }
-
     /// Append a boolean as a single 0/1 byte.
     pub fn put_bool(&mut self, v: bool) {
         self.write(&[v as u8]);
-    }
-
-    /// Append a little-endian `u16`.
-    pub fn put_u16(&mut self, v: u16) {
-        self.write(&v.to_le_bytes());
-    }
-
-    /// Append a little-endian `u32`.
-    pub fn put_u32(&mut self, v: u32) {
-        self.write(&v.to_le_bytes());
-    }
-
-    /// Append a little-endian `u64`.
-    pub fn put_u64(&mut self, v: u64) {
-        self.write(&v.to_le_bytes());
-    }
-
-    /// Append a little-endian `u128` (chunk content addresses).
-    pub fn put_u128(&mut self, v: u128) {
-        self.write(&v.to_le_bytes());
-    }
-
-    /// Append a little-endian `i32`.
-    pub fn put_i32(&mut self, v: i32) {
-        self.write(&v.to_le_bytes());
-    }
-
-    /// Append a little-endian `i64`.
-    pub fn put_i64(&mut self, v: i64) {
-        self.write(&v.to_le_bytes());
-    }
-
-    /// Append a little-endian `f32`.
-    pub fn put_f32(&mut self, v: f32) {
-        self.write(&v.to_le_bytes());
-    }
-
-    /// Append a little-endian `f64`.
-    pub fn put_f64(&mut self, v: f64) {
-        self.write(&v.to_le_bytes());
     }
 
     /// Append a `usize`, encoded as `u64` for blob stability.
@@ -536,11 +491,6 @@ impl<'a> Decoder<'a> {
         Ok(s)
     }
 
-    /// Decode a little-endian `u8`.
-    pub fn get_u8(&mut self) -> Result<u8, CodecError> {
-        Ok(self.take(1, "u8")?[0])
-    }
-
     /// Decode a 0/1 byte into a boolean; other values error.
     pub fn get_bool(&mut self) -> Result<bool, CodecError> {
         match self.get_u8()? {
@@ -548,48 +498,6 @@ impl<'a> Decoder<'a> {
             1 => Ok(true),
             b => Err(CodecError::new(format!("invalid bool byte {b}"))),
         }
-    }
-
-    /// Decode a little-endian `u16`.
-    pub fn get_u16(&mut self) -> Result<u16, CodecError> {
-        Ok(u16::from_le_bytes(self.take(2, "u16")?.try_into().unwrap()))
-    }
-
-    /// Decode a little-endian `u32`.
-    pub fn get_u32(&mut self) -> Result<u32, CodecError> {
-        Ok(u32::from_le_bytes(self.take(4, "u32")?.try_into().unwrap()))
-    }
-
-    /// Decode a little-endian `u64`.
-    pub fn get_u64(&mut self) -> Result<u64, CodecError> {
-        Ok(u64::from_le_bytes(self.take(8, "u64")?.try_into().unwrap()))
-    }
-
-    /// Decode a little-endian `u128`.
-    pub fn get_u128(&mut self) -> Result<u128, CodecError> {
-        Ok(u128::from_le_bytes(
-            self.take(16, "u128")?.try_into().unwrap(),
-        ))
-    }
-
-    /// Decode a little-endian `i32`.
-    pub fn get_i32(&mut self) -> Result<i32, CodecError> {
-        Ok(i32::from_le_bytes(self.take(4, "i32")?.try_into().unwrap()))
-    }
-
-    /// Decode a little-endian `i64`.
-    pub fn get_i64(&mut self) -> Result<i64, CodecError> {
-        Ok(i64::from_le_bytes(self.take(8, "i64")?.try_into().unwrap()))
-    }
-
-    /// Decode a little-endian `f32`.
-    pub fn get_f32(&mut self) -> Result<f32, CodecError> {
-        Ok(f32::from_le_bytes(self.take(4, "f32")?.try_into().unwrap()))
-    }
-
-    /// Decode a little-endian `f64`.
-    pub fn get_f64(&mut self) -> Result<f64, CodecError> {
-        Ok(f64::from_le_bytes(self.take(8, "f64")?.try_into().unwrap()))
     }
 
     /// Decode a `u64`-encoded `usize`; errors if it does not fit.
@@ -611,32 +519,31 @@ impl<'a> Decoder<'a> {
             .map_err(|e| CodecError::new(format!("invalid utf-8: {e}")))
     }
 
-    /// Bulk-decode an `f64` slice.
-    pub fn get_f64_vec(&mut self) -> Result<Vec<f64>, CodecError> {
+    /// Length-prefixed 8-byte words, the mirror of `Encoder::put_words`.
+    fn get_words<T>(
+        &mut self,
+        what: &str,
+        from_le: impl Fn([u8; 8]) -> T,
+    ) -> Result<Vec<T>, CodecError> {
         let n = self.get_usize()?;
-        let raw = self.take(
-            n.checked_mul(8)
-                .ok_or_else(|| CodecError::new("f64 slice length overflow"))?,
-            "f64 slice",
-        )?;
+        let len = n.checked_mul(8).ok_or_else(|| {
+            CodecError::new(format!("{what} length overflow"))
+        })?;
+        let raw = self.take(len, what)?;
         Ok(raw
             .chunks_exact(8)
-            .map(|c| f64::from_le_bytes(c.try_into().unwrap()))
+            .map(|c| from_le(c.try_into().unwrap()))
             .collect())
+    }
+
+    /// Bulk-decode an `f64` slice.
+    pub fn get_f64_vec(&mut self) -> Result<Vec<f64>, CodecError> {
+        self.get_words("f64 slice", f64::from_le_bytes)
     }
 
     /// Bulk-decode a `u64` slice.
     pub fn get_u64_vec(&mut self) -> Result<Vec<u64>, CodecError> {
-        let n = self.get_usize()?;
-        let raw = self.take(
-            n.checked_mul(8)
-                .ok_or_else(|| CodecError::new("u64 slice length overflow"))?,
-            "u64 slice",
-        )?;
-        Ok(raw
-            .chunks_exact(8)
-            .map(|c| u64::from_le_bytes(c.try_into().unwrap()))
-            .collect())
+        self.get_words("u64 slice", u64::from_le_bytes)
     }
 
     /// Decode any [`SaveLoad`] value.
@@ -656,6 +563,25 @@ pub trait SaveLoad: Sized {
     fn save(&self, enc: &mut Encoder);
     /// Decode a value, consuming exactly the bytes written by `save`.
     fn load(dec: &mut Decoder<'_>) -> Result<Self, CodecError>;
+}
+
+/// Encode one value.
+pub fn encode<T: SaveLoad>(v: &T) -> Vec<u8> {
+    let mut enc = Encoder::new();
+    v.save(&mut enc);
+    enc.into_bytes()
+}
+
+/// Decode a whole record: one `T` that is every byte of `bytes`. `what`
+/// names the record in the error for bytes left over.
+pub fn decode_exact<T: SaveLoad>(
+    bytes: &[u8],
+    what: &str,
+) -> Result<T, CodecError> {
+    let mut dec = Decoder::new(bytes);
+    let v = T::load(&mut dec)?;
+    dec.finish(what)?;
+    Ok(v)
 }
 
 /// A [`Tracked`] version: process-unique, never reused. `Relaxed`
@@ -802,14 +728,46 @@ macro_rules! impl_saveload_prim {
     };
 }
 
-impl_saveload_prim!(u8, put_u8, get_u8);
-impl_saveload_prim!(u16, put_u16, get_u16);
-impl_saveload_prim!(u32, put_u32, get_u32);
-impl_saveload_prim!(u64, put_u64, get_u64);
-impl_saveload_prim!(i32, put_i32, get_i32);
-impl_saveload_prim!(i64, put_i64, get_i64);
-impl_saveload_prim!(f32, put_f32, get_f32);
-impl_saveload_prim!(f64, put_f64, get_f64);
+/// The fixed-width little-endian scalars, each declared once: the
+/// [`Encoder`] method that appends one, the [`Decoder`] method that reads
+/// it back, and its [`SaveLoad`].
+macro_rules! le_scalars {
+    ($($t:ident: $put:ident, $get:ident;)*) => {
+        impl Encoder<'_> {
+            $(
+                #[doc = concat!("Append a little-endian `", stringify!($t), "`.")]
+                pub fn $put(&mut self, v: $t) {
+                    self.write(&v.to_le_bytes());
+                }
+            )*
+        }
+
+        impl Decoder<'_> {
+            $(
+                #[doc = concat!("Decode a little-endian `", stringify!($t), "`.")]
+                pub fn $get(&mut self) -> Result<$t, CodecError> {
+                    let n = std::mem::size_of::<$t>();
+                    let raw = self.take(n, stringify!($t))?;
+                    Ok($t::from_le_bytes(raw.try_into().unwrap()))
+                }
+            )*
+        }
+
+        $( impl_saveload_prim!($t, $put, $get); )*
+    };
+}
+
+le_scalars! {
+    u8: put_u8, get_u8;
+    u16: put_u16, get_u16;
+    u32: put_u32, get_u32;
+    u64: put_u64, get_u64;
+    u128: put_u128, get_u128;
+    i32: put_i32, get_i32;
+    i64: put_i64, get_i64;
+    f32: put_f32, get_f32;
+    f64: put_f64, get_f64;
+}
 impl_saveload_prim!(bool, put_bool, get_bool);
 impl_saveload_prim!(usize, put_usize, get_usize);
 
@@ -831,8 +789,10 @@ impl<T: SaveLoad> SaveLoad for Vec<T> {
     }
     fn load(dec: &mut Decoder<'_>) -> Result<Self, CodecError> {
         let n = dec.get_usize()?;
-        // Guard against hostile lengths: never reserve more than remains.
-        let mut v = Vec::with_capacity(n.min(dec.remaining()));
+        // Guard against hostile lengths: never reserve more bytes than
+        // remain to be decoded.
+        let fit = dec.remaining() / std::mem::size_of::<T>().max(1);
+        let mut v = Vec::with_capacity(n.min(fit));
         for _ in 0..n {
             v.push(T::load(dec)?);
         }
@@ -859,26 +819,21 @@ impl<T: SaveLoad> SaveLoad for Option<T> {
     }
 }
 
-impl<A: SaveLoad, B: SaveLoad> SaveLoad for (A, B) {
-    fn save(&self, enc: &mut Encoder) {
-        self.0.save(enc);
-        self.1.save(enc);
-    }
-    fn load(dec: &mut Decoder<'_>) -> Result<Self, CodecError> {
-        Ok((A::load(dec)?, B::load(dec)?))
-    }
+macro_rules! impl_saveload_tuple {
+    ($($t:ident . $i:tt),+) => {
+        impl<$($t: SaveLoad),+> SaveLoad for ($($t,)+) {
+            fn save(&self, enc: &mut Encoder) {
+                $( self.$i.save(enc); )+
+            }
+            fn load(dec: &mut Decoder<'_>) -> Result<Self, CodecError> {
+                Ok(($( $t::load(dec)?, )+))
+            }
+        }
+    };
 }
 
-impl<A: SaveLoad, B: SaveLoad, C: SaveLoad> SaveLoad for (A, B, C) {
-    fn save(&self, enc: &mut Encoder) {
-        self.0.save(enc);
-        self.1.save(enc);
-        self.2.save(enc);
-    }
-    fn load(dec: &mut Decoder<'_>) -> Result<Self, CodecError> {
-        Ok((A::load(dec)?, B::load(dec)?, C::load(dec)?))
-    }
-}
+impl_saveload_tuple!(A.0, B.1);
+impl_saveload_tuple!(A.0, B.1, C.2);
 
 impl<K: SaveLoad + Ord, V: SaveLoad> SaveLoad for BTreeMap<K, V> {
     fn save(&self, enc: &mut Encoder) {
@@ -1062,11 +1017,8 @@ mod tests {
 
     #[test]
     fn truncated_input_is_an_error_not_a_panic() {
-        let mut enc = Encoder::new();
-        enc.put_u64(7);
-        let bytes = enc.into_bytes();
-        let mut dec = Decoder::new(&bytes[..5]);
-        let err = dec.get_u64().unwrap_err();
+        let bytes = encode(&7u64);
+        let err = Decoder::new(&bytes[..5]).get_u64().unwrap_err();
         assert!(err.detail.contains("truncated"));
     }
 
@@ -1081,11 +1033,25 @@ mod tests {
     #[test]
     fn hostile_vec_length_does_not_oom() {
         // Claim a huge length with almost no payload behind it.
+        let bytes = encode(&(usize::MAX / 2));
+        assert!(Vec::<u64>::load(&mut Decoder::new(&bytes)).is_err());
+    }
+
+    #[test]
+    fn vec_reserves_no_more_memory_than_input() {
+        // A count equal to the bytes that follow: at most one triple per
+        // 24 of them can decode, so reserving a triple per byte would
+        // spend 24 bytes of memory per byte of input.
         let mut enc = Encoder::new();
-        enc.put_usize(usize::MAX / 2);
-        let bytes = enc.into_bytes();
-        let mut dec = Decoder::new(&bytes);
-        assert!(Vec::<u64>::load(&mut dec).is_err());
+        enc.put_usize(64 << 10);
+        let mut input = enc.into_bytes();
+        input.resize(8 + (64 << 10), 0);
+        let before = crate::test_alloc::allocated_bytes();
+        let out = Vec::<(u64, u64, u64)>::load(&mut Decoder::new(&input));
+        let spent = crate::test_alloc::allocated_bytes() - before;
+        assert!(out.is_err(), "the count overruns the input");
+        let bound = 8 * input.len() as u64 + 512;
+        assert!(spent <= bound, "{spent} bytes for {}", input.len());
     }
 
     #[test]
@@ -1146,12 +1112,8 @@ mod tests {
         assert_eq!((c.version, &*c), (va, &vec![1, 2, 3]));
 
         // The wire bytes are T's, and `load` mints a fresh version.
-        let mut enc = Encoder::new();
-        enc.put(&c);
-        let bytes = enc.into_bytes();
-        let mut plain = Encoder::new();
-        plain.put(&vec![1u32, 2, 3]);
-        assert_eq!(bytes, plain.into_bytes());
+        let bytes = encode(&c);
+        assert_eq!(bytes, encode(&vec![1u32, 2, 3]));
         let back: Tracked<Vec<u32>> = Decoder::new(&bytes).get().unwrap();
         assert_eq!(back, c);
         assert!(back.version > va);
@@ -1271,11 +1233,6 @@ mod tests {
             b: "x".into(),
             c: vec![1.0, -2.0],
         };
-        let mut enc = Encoder::new();
-        enc.put(&s);
-        let bytes = enc.into_bytes();
-        let mut dec = Decoder::new(&bytes);
-        assert_eq!(dec.get::<Sample>().unwrap(), s);
-        dec.finish("values").unwrap();
+        assert_eq!(decode_exact(&encode(&s), "sample"), Ok(s));
     }
 }

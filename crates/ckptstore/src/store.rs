@@ -26,7 +26,7 @@ use std::collections::{BTreeSet, HashMap};
 use std::sync::Arc;
 
 use crate::backend::StorageBackend;
-use crate::codec::{Decoder, Encoder, SaveLoad};
+use crate::codec::{decode_exact, encode};
 use crate::error::{StoreError, StoreResult};
 use crate::integrity::{
     crc32, crc32_combine, hash128, seal_vec, seal_with, unseal_crc,
@@ -445,12 +445,10 @@ impl CheckpointStore {
                 })
                 .collect(),
         };
-        let mut enc = Encoder::new();
-        record.save(&mut enc);
         // The commit marker gets the same transient-fault discipline as
         // data puts (which the pipeline retries): a glitch on this one
         // small write must not abandon a fully staged, validated line.
-        let bytes = enc.into_bytes();
+        let bytes = encode(&record);
         let key = Self::commit_key(ckpt);
         let mut last = None;
         for _ in 0..=COMMIT_PUT_RETRIES {
@@ -471,9 +469,7 @@ impl CheckpointStore {
     pub fn commit_record(&self, ckpt: CkptId) -> StoreResult<CommitRecord> {
         let key = Self::commit_key(ckpt);
         let bytes = self.backend.get(&key)?;
-        let mut dec = Decoder::new(&bytes);
-        let rec = CommitRecord::load(&mut dec)
-            .and_then(|rec| dec.finish("commit record").map(|()| rec))
+        let rec: CommitRecord = decode_exact(&bytes, "commit record")
             .map_err(|e| StoreError::Corrupt {
                 key: key.clone(),
                 detail: e.to_string(),
@@ -774,6 +770,7 @@ impl LiveIndex {
 mod tests {
     use super::*;
     use crate::backend::MemoryBackend;
+    use crate::codec::Encoder;
     use crate::compress::{Form, Trials};
     use crate::manifest::encode_run;
 

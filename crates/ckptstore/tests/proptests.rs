@@ -5,7 +5,7 @@ use std::collections::BTreeMap;
 
 use proptest::prelude::*;
 
-use ckptstore::codec::{Decoder, Encoder, SaveLoad};
+use ckptstore::codec::{decode_exact, encode, Decoder, Encoder, SaveLoad};
 use ckptstore::{MemoryBackend, StorageBackend};
 
 proptest! {
@@ -77,14 +77,10 @@ proptest! {
     fn decoder_never_panics_on_garbage(
         garbage in proptest::collection::vec(any::<u8>(), 0..512),
     ) {
-        let mut dec = Decoder::new(&garbage);
-        let _ = Vec::<u64>::load(&mut dec);
-        let mut dec = Decoder::new(&garbage);
-        let _ = Option::<String>::load(&mut dec);
-        let mut dec = Decoder::new(&garbage);
-        let _ = dec.get_f64_vec();
-        let mut dec = Decoder::new(&garbage);
-        let _ = dec.get_str();
+        let _ = decode_exact::<Vec<u64>>(&garbage, "garbage");
+        let _ = decode_exact::<Option<String>>(&garbage, "garbage");
+        let _ = Decoder::new(&garbage).get_f64_vec();
+        let _ = Decoder::new(&garbage).get_str();
     }
 
     /// Truncating a valid encoding at any point yields an error (never a
@@ -94,12 +90,9 @@ proptest! {
         v in proptest::collection::vec(any::<u64>(), 1..32),
         cut_frac in 0.0f64..1.0,
     ) {
-        let mut enc = Encoder::new();
-        enc.put(&v);
-        let buf = enc.into_bytes();
+        let buf = encode(&v);
         let cut = ((buf.len() - 1) as f64 * cut_frac) as usize;
-        let mut dec = Decoder::new(&buf[..cut]);
-        prop_assert!(Vec::<u64>::load(&mut dec).is_err());
+        prop_assert!(Vec::<u64>::load(&mut Decoder::new(&buf[..cut])).is_err());
     }
 
     /// Memory backend: last write wins; delete removes; list is sorted and

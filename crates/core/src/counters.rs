@@ -148,6 +148,7 @@ impl SaveLoad for ChannelCounters {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ckptstore::codec::{decode_exact, encode};
 
     #[test]
     fn received_all_requires_every_announcement() {
@@ -218,10 +219,8 @@ mod tests {
         c.on_late_recv(1);
         c.on_intra_epoch_recv(3);
         c.set_total_sent(0, 9);
-        let mut enc = Encoder::new();
-        c.save(&mut enc);
-        let bytes = enc.into_bytes();
-        let back = ChannelCounters::load(&mut Decoder::new(&bytes)).unwrap();
+        let back: ChannelCounters =
+            decode_exact(&encode(&c), "counters").unwrap();
         assert_eq!(back, c);
     }
 }

@@ -58,15 +58,17 @@ impl Color {
     }
 }
 
+ckptstore::impl_saveload_enum! {
 /// Message classification per Definition 1.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MsgClass {
     /// Sent in an earlier epoch than received (logged + replayed).
-    Late,
+    1 => Late,
     /// Sent and received in the same epoch.
-    IntraEpoch,
+    0 => IntraEpoch,
     /// Sent in a later epoch than received (recorded + suppressed).
-    Early,
+    2 => Early,
+}
 }
 
 /// Classify from full epoch numbers (the unoptimized protocol).

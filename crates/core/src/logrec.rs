@@ -146,55 +146,22 @@ impl RecoveryLog {
     }
 }
 
-impl SaveLoad for RecoveryLog {
-    fn save(&self, enc: &mut Encoder) {
-        enc.put(&self.late);
-        enc.put_u64_slice(&self.nondet);
-        enc.put(&self.collectives);
-    }
-    fn load(dec: &mut Decoder<'_>) -> Result<Self, CodecError> {
-        Ok(RecoveryLog {
-            late: dec.get()?,
-            nondet: dec.get_u64_vec()?,
-            collectives: dec.get()?,
-        })
-    }
-}
+ckptstore::impl_saveload_struct!(RecoveryLog {
+    late: Vec<LateMessage>,
+    nondet: Vec<u64>,
+    collectives: Vec<CollectiveRecord>,
+});
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn round_trip() {
-        let mut log = RecoveryLog::new();
-        log.push_late(LateMessage {
-            comm: 0,
-            src: 3,
-            message_id: 17,
-            tag: -5,
-            payload: vec![1, 2, 3].into(),
-        });
-        log.push_nondet(0xdead_beef);
-        log.push_nondet(42);
-        log.push_collective(coll_kind::ALLREDUCE, vec![9; 16].into());
-        assert!(!log.is_empty());
-
-        let mut enc = Encoder::new();
-        log.save(&mut enc);
-        let bytes = enc.into_bytes();
-        let back = RecoveryLog::load(&mut Decoder::new(&bytes)).unwrap();
-        assert_eq!(back, log);
-    }
+    use ckptstore::codec::{decode_exact, encode};
 
     #[test]
     fn empty_log_round_trip() {
         let log = RecoveryLog::new();
         assert!(log.is_empty());
-        let mut enc = Encoder::new();
-        log.save(&mut enc);
-        let bytes = enc.into_bytes();
-        let back = RecoveryLog::load(&mut Decoder::new(&bytes)).unwrap();
+        let back: RecoveryLog = decode_exact(&encode(&log), "log").unwrap();
         assert!(back.is_empty());
     }
 
@@ -202,12 +169,8 @@ mod tests {
     fn truncated_log_blob_errors() {
         let mut log = RecoveryLog::new();
         log.push_nondet(7);
-        let mut enc = Encoder::new();
-        log.save(&mut enc);
-        let bytes = enc.into_bytes();
-        assert!(RecoveryLog::load(&mut Decoder::new(
-            &bytes[..bytes.len() - 1]
-        ))
-        .is_err());
+        let bytes = encode(&log);
+        let cut = &bytes[..bytes.len() - 1];
+        assert!(decode_exact::<RecoveryLog>(cut, "log").is_err());
     }
 }

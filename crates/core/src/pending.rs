@@ -18,8 +18,6 @@
 
 use std::collections::BTreeMap;
 
-use ckptstore::codec::{CodecError, Decoder, Encoder, SaveLoad};
-
 /// Pseudo-handle for a non-blocking request, stable across checkpoints.
 pub type ReqHandle = u64;
 
@@ -27,15 +25,16 @@ pub type ReqHandle = u64;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub struct CommHandle(pub usize);
 
+ckptstore::impl_saveload_enum! {
 /// What a pending request was, as persisted in a checkpoint.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum PendingKind {
     /// An `Isend`: on recovery, `wait` returns immediately.
-    Send,
+    0 => Send,
     /// An `Irecv` with its repost arguments: communicator pseudo-handle,
     /// source pattern (`usize::MAX` = any), and tag pattern
     /// (`i32::MIN` = any).
-    Recv {
+    1 => Recv {
         /// Communicator pseudo-handle index the receive was posted on.
         comm: usize,
         /// Source pattern (`usize::MAX` = any source).
@@ -44,30 +43,6 @@ pub enum PendingKind {
         tag: i32,
     },
 }
-
-impl SaveLoad for PendingKind {
-    fn save(&self, enc: &mut Encoder) {
-        match self {
-            PendingKind::Send => enc.put_u8(0),
-            PendingKind::Recv { comm, src, tag } => {
-                enc.put_u8(1);
-                enc.put_usize(*comm);
-                enc.put_usize(*src);
-                enc.put_i32(*tag);
-            }
-        }
-    }
-    fn load(dec: &mut Decoder<'_>) -> Result<Self, CodecError> {
-        match dec.get_u8()? {
-            0 => Ok(PendingKind::Send),
-            1 => Ok(PendingKind::Recv {
-                comm: dec.get_usize()?,
-                src: dec.get_usize()?,
-                tag: dec.get_i32()?,
-            }),
-            k => Err(CodecError::new(format!("bad pending kind {k}"))),
-        }
-    }
 }
 
 /// The live table of not-yet-completed request pseudo-handles.
@@ -122,39 +97,24 @@ impl PendingTable {
     }
 }
 
-impl SaveLoad for PendingTable {
-    fn save(&self, enc: &mut Encoder) {
-        enc.put_u64(self.next);
-        enc.put_usize(self.entries.len());
-        for (&h, kind) in &self.entries {
-            enc.put_u64(h);
-            kind.save(enc);
-        }
-    }
-    fn load(dec: &mut Decoder<'_>) -> Result<Self, CodecError> {
-        let next = dec.get_u64()?;
-        let n = dec.get_usize()?;
-        let mut entries = BTreeMap::new();
-        for _ in 0..n {
-            let h = dec.get_u64()?;
-            entries.insert(h, PendingKind::load(dec)?);
-        }
-        Ok(PendingTable { entries, next })
-    }
-}
+ckptstore::impl_saveload_struct!(PendingTable {
+    next: ReqHandle,
+    entries: BTreeMap<ReqHandle, PendingKind>,
+});
 
+ckptstore::impl_saveload_enum! {
 /// One recorded persistent-object-creating call.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum PersistentCall {
     /// `comm_dup(parent)` → the next comm pseudo-handle.
-    CommDup {
+    0 => CommDup {
         /// Pseudo-handle index of the parent communicator.
         parent: usize,
     },
     /// `comm_split(parent, color, key)` → the next comm pseudo-handle
     /// (or an opted-out `None`, which still consumes a journal slot so all
     /// ranks replay the same call sequence).
-    CommSplit {
+    1 => CommSplit {
         /// Pseudo-handle index of the parent communicator.
         parent: usize,
         /// Split color (negative = opt out).
@@ -163,35 +123,6 @@ pub enum PersistentCall {
         key: i32,
     },
 }
-
-impl SaveLoad for PersistentCall {
-    fn save(&self, enc: &mut Encoder) {
-        match self {
-            PersistentCall::CommDup { parent } => {
-                enc.put_u8(0);
-                enc.put_usize(*parent);
-            }
-            PersistentCall::CommSplit { parent, color, key } => {
-                enc.put_u8(1);
-                enc.put_usize(*parent);
-                enc.put_i32(*color);
-                enc.put_i32(*key);
-            }
-        }
-    }
-    fn load(dec: &mut Decoder<'_>) -> Result<Self, CodecError> {
-        match dec.get_u8()? {
-            0 => Ok(PersistentCall::CommDup {
-                parent: dec.get_usize()?,
-            }),
-            1 => Ok(PersistentCall::CommSplit {
-                parent: dec.get_usize()?,
-                color: dec.get_i32()?,
-                key: dec.get_i32()?,
-            }),
-            k => Err(CodecError::new(format!("bad persistent call kind {k}"))),
-        }
-    }
 }
 
 /// The record/replay journal for persistent MPI opaque objects.
@@ -227,14 +158,9 @@ impl PersistentJournal {
     }
 }
 
-impl SaveLoad for PersistentJournal {
-    fn save(&self, enc: &mut Encoder) {
-        enc.put(&self.calls);
-    }
-    fn load(dec: &mut Decoder<'_>) -> Result<Self, CodecError> {
-        Ok(PersistentJournal { calls: dec.get()? })
-    }
-}
+ckptstore::impl_saveload_struct!(PersistentJournal {
+    calls: Vec<PersistentCall>,
+});
 
 #[cfg(test)]
 mod tests {
@@ -258,40 +184,5 @@ mod tests {
         // Handles are never reused.
         let c = t.insert(PendingKind::Send);
         assert!(c > b);
-    }
-
-    #[test]
-    fn pending_table_round_trip() {
-        let mut t = PendingTable::new();
-        t.insert(PendingKind::Send);
-        let h = t.insert(PendingKind::Recv {
-            comm: 1,
-            src: usize::MAX,
-            tag: i32::MIN,
-        });
-        t.insert(PendingKind::Send);
-        t.remove(h); // exercise gaps
-        let mut enc = Encoder::new();
-        t.save(&mut enc);
-        let bytes = enc.into_bytes();
-        let back = PendingTable::load(&mut Decoder::new(&bytes)).unwrap();
-        assert_eq!(back, t);
-    }
-
-    #[test]
-    fn journal_round_trip() {
-        let mut j = PersistentJournal::new();
-        j.record(PersistentCall::CommDup { parent: 0 });
-        j.record(PersistentCall::CommSplit {
-            parent: 1,
-            color: 2,
-            key: -1,
-        });
-        let mut enc = Encoder::new();
-        j.save(&mut enc);
-        let bytes = enc.into_bytes();
-        let back = PersistentJournal::load(&mut Decoder::new(&bytes)).unwrap();
-        assert_eq!(back, j);
-        assert_eq!(back.calls().len(), 2);
     }
 }

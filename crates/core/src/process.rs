@@ -28,8 +28,8 @@ use std::time::Instant;
 
 use bytes::Bytes;
 use ckptpipe::{CheckpointPipeline, StagedBlob};
-use ckptstore::codec::{Decoder, Encoder};
-use ckptstore::{CheckpointStore, RankBlobKind, SaveLoad};
+use ckptstore::codec::{decode_exact, encode, Encoder};
+use ckptstore::{CheckpointStore, RankBlobKind};
 use simmpi::{Comm, HeaderBytes, Mpi, MpiError, RecvMsg, ANY_SOURCE, ANY_TAG};
 use statesave::snapshot::{restore_tracked, snapshot_into, SaveState};
 
@@ -487,7 +487,7 @@ impl<'a> Process<'a> {
                 return Ok(());
             };
             let msg = self.mpi.recv(&ctrl, src, CONTROL_TAG)?;
-            let cm = ControlMsg::decode(&msg.payload)?;
+            let cm = decode_exact(&msg.payload, "control message")?;
             self.handle_control(msg.src, cm)?;
         }
     }
@@ -548,7 +548,7 @@ impl<'a> Process<'a> {
         });
         let ctrl = self.ctrl_world();
         self.mpi
-            .send_bytes(&ctrl, dst, CONTROL_TAG, cm.encode().into())
+            .send_bytes(&ctrl, dst, CONTROL_TAG, encode(cm).into())
             .map_err(Into::into)
     }
 
@@ -1265,9 +1265,11 @@ impl<'a> Process<'a> {
         self.stage_blob(ckpt, RankBlobKind::State, enc)?;
 
         // Persistent-object journal (MPI library state, Section 5.2).
-        let mut enc = Encoder::new();
-        self.journal.save(&mut enc);
-        self.stage_blob(ckpt, RankBlobKind::MpiObjects, enc.into_bytes())?;
+        self.stage_blob(
+            ckpt,
+            RankBlobKind::MpiObjects,
+            encode(&self.journal),
+        )?;
 
         // 2. Enter the new epoch (Figure 4's bookkeeping).
         self.epoch += 1;
@@ -1309,9 +1311,7 @@ impl<'a> Process<'a> {
         debug_assert!(self.am_logging);
         let ckpt = u64::from(self.epoch);
         let timer = self.obs.as_ref().map(|_| c3obs::Stopwatch::start());
-        let mut enc = Encoder::new();
-        self.log.save(&mut enc);
-        self.stage_blob(ckpt, RankBlobKind::Log, enc.into_bytes())?;
+        self.stage_blob(ckpt, RankBlobKind::Log, encode(&self.log))?;
         self.trace_event(TraceEvent::LogFinalized {
             ckpt,
             late: self.log.late.len() as u64,
@@ -1354,13 +1354,10 @@ impl<'a> Process<'a> {
         }
         let journal_bytes =
             store.get_rank_blob(ckpt, rank, RankBlobKind::MpiObjects)?;
-        let mut dec = Decoder::new(&journal_bytes);
-        let journal = PersistentJournal::load(&mut dec)?;
-        dec.finish("MPI-object journal")?;
+        let journal: PersistentJournal =
+            decode_exact(&journal_bytes, "MPI-object journal")?;
         let log_bytes = store.get_rank_blob(ckpt, rank, RankBlobKind::Log)?;
-        let mut dec = Decoder::new(&log_bytes);
-        let log = RecoveryLog::load(&mut dec)?;
-        dec.finish("recovery log")?;
+        let log: RecoveryLog = decode_exact(&log_bytes, "recovery log")?;
         self.trace_event(TraceEvent::RecoveryStart {
             ckpt,
             late_in_log: log.late.len() as u64,
@@ -1430,12 +1427,13 @@ impl<'a> Process<'a> {
                 &ctrl,
                 q,
                 SUPPRESS_TAG,
-                list.encode().into(),
+                encode(&list).into(),
             )?;
         }
         for _ in 0..n {
             let msg = self.mpi.recv(&ctrl, ANY_SOURCE, SUPPRESS_TAG)?;
-            let list = SuppressList::decode(&msg.payload)?;
+            let list: SuppressList =
+                decode_exact(&msg.payload, "suppress list")?;
             self.trace_event(TraceEvent::SuppressRecv {
                 src: msg.src as u32,
                 count: list.ids.len() as u64,

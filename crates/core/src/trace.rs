@@ -23,15 +23,15 @@
 
 use std::sync::Arc;
 
-use ckptstore::codec::{CodecError, Decoder, Encoder, SaveLoad};
+use ckptstore::codec::{decode_exact, CodecError, Encoder};
 use parking_lot::Mutex;
 
 use crate::control::ControlMsg;
 use crate::epoch::MsgClass;
 
 /// Control-message kind codes used in [`TraceEvent::ControlSent`] /
-/// [`TraceEvent::ControlRecv`]. They match the wire discriminants of
-/// [`ControlMsg::encode`].
+/// [`TraceEvent::ControlRecv`]. They match the wire tags of
+/// [`ControlMsg`].
 pub mod control_kind {
     /// `pleaseCheckpoint(ckpt)` — arg is the checkpoint number.
     pub const PLEASE_CHECKPOINT: u8 = 0;
@@ -365,25 +365,6 @@ pub enum TraceEvent {
 }
 }
 
-impl SaveLoad for MsgClass {
-    fn save(&self, enc: &mut Encoder) {
-        enc.put_u8(match self {
-            MsgClass::IntraEpoch => 0,
-            MsgClass::Late => 1,
-            MsgClass::Early => 2,
-        });
-    }
-
-    fn load(dec: &mut Decoder<'_>) -> Result<Self, CodecError> {
-        match dec.get_u8()? {
-            0 => Ok(MsgClass::IntraEpoch),
-            1 => Ok(MsgClass::Late),
-            2 => Ok(MsgClass::Early),
-            k => Err(CodecError::new(format!("bad message class code {k}"))),
-        }
-    }
-}
-
 /// One trace event stamped with its origin.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TraceRecord {
@@ -418,31 +399,17 @@ const TRACE_MAGIC: &[u8; 8] = b"C3TRACE2";
 /// Serialize a trace to bytes (the `c3verify` artifact format).
 pub fn encode_trace(records: &[TraceRecord]) -> Vec<u8> {
     let mut enc = Encoder::new();
-    for b in TRACE_MAGIC {
-        enc.put_u8(*b);
-    }
     enc.put_usize(records.len());
-    for r in records {
-        r.save(&mut enc);
-    }
-    enc.into_bytes()
+    records.iter().for_each(|r| enc.put(r));
+    [&TRACE_MAGIC[..], &enc.into_bytes()].concat()
 }
 
 /// Deserialize a trace produced by [`encode_trace`].
 pub fn decode_trace(bytes: &[u8]) -> Result<Vec<TraceRecord>, CodecError> {
-    let mut dec = Decoder::new(bytes);
-    for b in TRACE_MAGIC {
-        if dec.get_u8()? != *b {
-            return Err(CodecError::new("not a C3 trace (bad magic)"));
-        }
-    }
-    let n = dec.get_usize()?;
-    let mut out = Vec::with_capacity(n.min(dec.remaining()));
-    for _ in 0..n {
-        out.push(TraceRecord::load(&mut dec)?);
-    }
-    dec.finish("trace records")?;
-    Ok(out)
+    let records = bytes
+        .strip_prefix(TRACE_MAGIC)
+        .ok_or_else(|| CodecError::new("not a C3 trace (bad magic)"))?;
+    decode_exact(records, "trace records")
 }
 
 /// A shared, cheaply clonable collector of trace records. Install one in
@@ -661,11 +628,7 @@ mod tests {
         // The sample covers the variant table, whatever it grows to.
         let mut sampled: Vec<u8> = sample_events()
             .iter()
-            .map(|e| {
-                let mut enc = Encoder::new();
-                e.save(&mut enc);
-                enc.into_bytes()[0]
-            })
+            .map(|e| ckptstore::codec::encode(e)[0])
             .collect();
         let mut table = TraceEvent::TAGS.to_vec();
         sampled.sort_unstable();

@@ -11,8 +11,7 @@ use c3_core::piggyback::{
     PACKED_MAX_MESSAGE_ID,
 };
 use c3_core::recovery::Replay;
-use ckptstore::codec::{Decoder, Encoder};
-use ckptstore::SaveLoad;
+use ckptstore::codec::{decode_exact, encode};
 
 proptest! {
     /// The packed word round-trips color, logging, and id for every legal
@@ -129,10 +128,8 @@ proptest! {
                 c.on_intra_epoch_recv((q + 1) % n);
             }
         }
-        let mut enc = Encoder::new();
-        c.save(&mut enc);
-        let bytes = enc.into_bytes();
-        let back = ChannelCounters::load(&mut Decoder::new(&bytes)).unwrap();
+        let back: ChannelCounters =
+            decode_exact(&encode(&c), "counters").unwrap();
         prop_assert_eq!(back, c);
     }
 
@@ -214,10 +211,7 @@ proptest! {
         for (kind, result) in colls {
             log.push_collective(kind, result.into());
         }
-        let mut enc = Encoder::new();
-        log.save(&mut enc);
-        let bytes = enc.into_bytes();
-        let back = RecoveryLog::load(&mut Decoder::new(&bytes)).unwrap();
+        let back: RecoveryLog = decode_exact(&encode(&log), "log").unwrap();
         prop_assert_eq!(back, log);
     }
 }

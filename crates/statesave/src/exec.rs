@@ -15,7 +15,7 @@
 //! `potentialCheckpoint` site is reached — after which execution continues
 //! live. This is `if (restart) goto PS.item(i++)` without `goto`.
 
-use ckptstore::codec::{Decoder, Encoder, SaveLoad};
+use ckptstore::codec::{decode_exact, Encoder};
 use std::collections::BTreeMap;
 
 use crate::frame::{Frame, VarId};
@@ -213,29 +213,16 @@ impl CkptCtx {
 
     fn take_snapshot(&mut self) {
         let mut enc = Encoder::new();
-        self.ps.save(&mut enc);
-        enc.put_usize(self.vds.len());
-        for frame in &self.vds {
-            frame.save(&mut enc);
-        }
-        self.heap.save(&mut enc);
+        enc.put(&self.ps);
+        enc.put(&self.vds);
+        enc.put(&self.heap);
         self.snapshots.push(enc.into_bytes());
         self.checkpoint_requested = false;
     }
 
     fn load_snapshot(&mut self, bytes: &[u8]) -> Result<(), ExecError> {
-        let mut dec = Decoder::new(bytes);
-        let mut parse = || -> Result<(), ckptstore::codec::CodecError> {
-            self.ps = PositionStack::load(&mut dec)?;
-            let n = dec.get_usize()?;
-            self.restored = Vec::with_capacity(n.min(dec.remaining()));
-            for _ in 0..n {
-                self.restored.push(Frame::load(&mut dec)?);
-            }
-            self.heap = ManagedHeap::load(&mut dec)?;
-            dec.finish("snapshot")
-        };
-        parse().map_err(|e| ExecError::Corrupt(e.to_string()))?;
+        (self.ps, self.restored, self.heap) = decode_exact(bytes, "snapshot")
+            .map_err(|e| ExecError::Corrupt(e.to_string()))?;
         self.vds.clear();
         self.ps.begin_restart();
         Ok(())

@@ -9,7 +9,7 @@
 //! [`VarId`], and popped when it leaves scope. Saving a frame is exactly
 //! the paper's VDS walk: name, size, raw bytes per slot.
 
-use ckptstore::codec::{CodecError, Decoder, Encoder, SaveLoad};
+use ckptstore::impl_saveload_struct;
 
 use crate::heap::Scalar;
 
@@ -23,11 +23,15 @@ struct Slot {
     bytes: Vec<u8>,
 }
 
+impl_saveload_struct!(Slot { name: String, bytes: Vec<u8> });
+
 /// One function activation's variables, in VDS declaration order.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Frame {
     slots: Vec<Slot>,
 }
+
+impl_saveload_struct!(Frame { slots: Vec<Slot> });
 
 impl Frame {
     /// An empty frame (function entry).
@@ -142,27 +146,6 @@ impl Frame {
     }
 }
 
-impl SaveLoad for Frame {
-    fn save(&self, enc: &mut Encoder) {
-        enc.put_usize(self.slots.len());
-        for s in &self.slots {
-            enc.put_str(&s.name);
-            enc.put_bytes(&s.bytes);
-        }
-    }
-
-    fn load(dec: &mut Decoder<'_>) -> Result<Self, CodecError> {
-        let n = dec.get_usize()?;
-        let mut slots = Vec::with_capacity(n.min(dec.remaining()));
-        for _ in 0..n {
-            let name = dec.get_str()?.to_owned();
-            let bytes = dec.get_bytes()?.to_vec();
-            slots.push(Slot { name, bytes });
-        }
-        Ok(Frame { slots })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -213,19 +196,5 @@ mod tests {
         let mut f = Frame::new();
         let a = f.declare::<u64>("a", 5);
         let _: u32 = f.get(a);
-    }
-
-    #[test]
-    fn save_restore_round_trip() {
-        let mut f = Frame::new();
-        let i = f.declare::<u64>("iter", 41);
-        let xs = f.declare_array::<f64>("xs", &[0.5, -0.5]);
-        let mut enc = Encoder::new();
-        f.save(&mut enc);
-        let bytes = enc.into_bytes();
-        let g = Frame::load(&mut Decoder::new(&bytes)).unwrap();
-        assert_eq!(g, f);
-        assert_eq!(g.get::<u64>(i), 41);
-        assert_eq!(g.get_elem::<f64>(xs, 1), -0.5);
     }
 }

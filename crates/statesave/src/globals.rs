@@ -16,7 +16,7 @@
 
 use std::collections::BTreeMap;
 
-use ckptstore::codec::{CodecError, Decoder, Encoder, SaveLoad};
+use ckptstore::impl_saveload_struct;
 
 use crate::heap::Scalar;
 
@@ -25,11 +25,15 @@ struct GlobalSlot {
     bytes: Vec<u8>,
 }
 
+impl_saveload_struct!(GlobalSlot { bytes: Vec<u8> });
+
 /// The program's global-variable segment.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Globals {
     slots: BTreeMap<String, GlobalSlot>,
 }
+
+impl_saveload_struct!(Globals { slots: BTreeMap<String, GlobalSlot> });
 
 impl Globals {
     /// An empty segment (program start).
@@ -130,29 +134,10 @@ impl Globals {
     }
 }
 
-impl SaveLoad for Globals {
-    fn save(&self, enc: &mut Encoder) {
-        enc.put_usize(self.slots.len());
-        for (name, slot) in &self.slots {
-            enc.put_str(name);
-            enc.put_bytes(&slot.bytes);
-        }
-    }
-    fn load(dec: &mut Decoder<'_>) -> Result<Self, CodecError> {
-        let n = dec.get_usize()?;
-        let mut slots = BTreeMap::new();
-        for _ in 0..n {
-            let name = dec.get_str()?.to_owned();
-            let bytes = dec.get_bytes()?.to_vec();
-            slots.insert(name, GlobalSlot { bytes });
-        }
-        Ok(Globals { slots })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ckptstore::codec::{decode_exact, encode};
 
     #[test]
     fn register_get_set() {
@@ -174,10 +159,8 @@ mod tests {
         g.register::<u64>("epoch", 0);
         g.set::<u64>("epoch", 42);
 
-        let mut enc = Encoder::new();
-        g.save(&mut enc);
-        let blob = enc.into_bytes();
-        let mut restored = Globals::load(&mut Decoder::new(&blob)).unwrap();
+        let mut restored: Globals =
+            decode_exact(&encode(&g), "globals").unwrap();
 
         // Program startup code runs again and re-registers with the
         // initializer — the restored value must win.
@@ -197,16 +180,5 @@ mod tests {
     #[should_panic(expected = "unregistered global")]
     fn unregistered_access_panics() {
         Globals::new().get::<u64>("nope");
-    }
-
-    #[test]
-    fn save_load_round_trip() {
-        let mut g = Globals::new();
-        g.register_array::<i32>("xs", &[1, -2, 3]);
-        g.register::<f64>("t", 0.5);
-        let mut enc = Encoder::new();
-        g.save(&mut enc);
-        let blob = enc.into_bytes();
-        assert_eq!(Globals::load(&mut Decoder::new(&blob)).unwrap(), g);
     }
 }

@@ -359,11 +359,7 @@ impl SaveLoad for ManagedHeap {
     /// to copy out just the live heap.
     fn save(&self, enc: &mut Encoder) {
         enc.put_usize(self.arena.len());
-        enc.put_usize(self.free.len());
-        for (&off, &len) in &self.free {
-            enc.put_u32(off);
-            enc.put_u32(len);
-        }
+        enc.put(&self.free);
         enc.put_usize(self.objects.len());
         for (&off, &len) in &self.objects {
             enc.put_u32(off);
@@ -374,14 +370,13 @@ impl SaveLoad for ManagedHeap {
 
     fn load(dec: &mut Decoder<'_>) -> Result<Self, CodecError> {
         let capacity = dec.get_usize()?;
-        let mut heap = ManagedHeap::new(capacity);
-        heap.free.clear();
-        let nfree = dec.get_usize()?;
-        for _ in 0..nfree {
-            let off = dec.get_u32()?;
-            let len = dec.get_u32()?;
-            heap.free.insert(off, len);
+        if u32::try_from(capacity).is_err() {
+            return Err(CodecError::new(format!(
+                "heap capacity {capacity} exceeds the u32 arena"
+            )));
         }
+        let mut heap = ManagedHeap::new(capacity);
+        heap.free = dec.get()?;
         let nobj = dec.get_usize()?;
         for _ in 0..nobj {
             let off = dec.get_u32()?;
@@ -398,6 +393,24 @@ impl SaveLoad for ManagedHeap {
             heap.arena[off as usize..off as usize + bytes.len()]
                 .copy_from_slice(bytes);
         }
+        // Every extent, free or live, lies in the arena and shares no
+        // byte with another: else a later allocation indexes past the
+        // arena or hands out a live object's bytes.
+        let mut extents: Vec<_> =
+            heap.free.iter().chain(&heap.objects).collect();
+        extents.sort_unstable();
+        let mut end = 0;
+        for (&off, &len) in extents {
+            if u64::from(off) < end {
+                return Err(CodecError::new(format!(
+                    "heap extent at {off} overlaps the one before it"
+                )));
+            }
+            end = u64::from(off) + u64::from(len);
+        }
+        if end > capacity as u64 {
+            return Err(CodecError::new("heap extents run past the arena"));
+        }
         Ok(heap)
     }
 }
@@ -405,6 +418,7 @@ impl SaveLoad for ManagedHeap {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ckptstore::codec::{decode_exact, encode};
 
     #[test]
     fn alloc_free_reuse() {
@@ -488,10 +502,7 @@ mod tests {
         h.set(a, 2, 33).unwrap();
         h.set(b, 1, 2.5).unwrap();
 
-        let mut enc = Encoder::new();
-        h.save(&mut enc);
-        let bytes = enc.into_bytes();
-        let restored = ManagedHeap::load(&mut Decoder::new(&bytes)).unwrap();
+        let restored: ManagedHeap = decode_exact(&encode(&h), "heap").unwrap();
 
         assert_eq!(restored, h);
         assert_eq!(restored.get(a, 2).unwrap(), 33);
@@ -513,10 +524,7 @@ mod tests {
         let n1 = node(&mut h, 10, n2);
 
         // Checkpoint and restore.
-        let mut enc = Encoder::new();
-        h.save(&mut enc);
-        let bytes = enc.into_bytes();
-        let r = ManagedHeap::load(&mut Decoder::new(&bytes)).unwrap();
+        let r: ManagedHeap = decode_exact(&encode(&h), "heap").unwrap();
 
         // Walk the restored list through stored pointers.
         let mut cur = n1;
@@ -537,12 +545,42 @@ mod tests {
     fn corrupt_heap_blob_is_an_error() {
         let mut h = ManagedHeap::new(64);
         h.alloc_bytes(8).unwrap();
+        let bytes = encode(&h);
+        let cut = &bytes[..bytes.len() - 3];
+        assert!(decode_exact::<ManagedHeap>(cut, "heap").is_err());
+    }
+
+    /// Decode a heap record laid out as `save` writes one.
+    fn load(
+        capacity: u64,
+        free: &[(u32, u32)],
+        objects: &[(u32, u32, Vec<u8>)],
+    ) -> Result<ManagedHeap, CodecError> {
         let mut enc = Encoder::new();
-        h.save(&mut enc);
-        let bytes = enc.into_bytes();
-        assert!(ManagedHeap::load(&mut Decoder::new(
-            &bytes[..bytes.len() - 3]
-        ))
-        .is_err());
+        enc.put(&capacity);
+        enc.put(&free.to_vec());
+        enc.put(&objects.to_vec());
+        decode_exact(&enc.into_bytes(), "heap")
+    }
+
+    #[test]
+    fn capacity_beyond_the_u32_arena_is_an_error() {
+        let err = load(1 << 32, &[], &[]).unwrap_err();
+        assert!(err.detail.contains("exceeds the u32 arena"), "{err}");
+    }
+
+    #[test]
+    fn free_extent_outside_the_arena_is_an_error() {
+        assert!(load(64, &[(56, 8)], &[]).is_ok());
+        let err = load(64, &[(60, 8)], &[]).unwrap_err();
+        assert!(err.detail.contains("past the arena"), "{err}");
+    }
+
+    #[test]
+    fn free_extent_overlapping_an_object_is_an_error() {
+        let object = [(8, 8, vec![7; 8])];
+        assert!(load(64, &[(0, 8), (16, 48)], &object).is_ok());
+        let err = load(64, &[(0, 16)], &object).unwrap_err();
+        assert!(err.detail.contains("overlaps"), "{err}");
     }
 }

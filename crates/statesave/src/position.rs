@@ -96,22 +96,14 @@ impl PositionStack {
 
 impl SaveLoad for PositionStack {
     fn save(&self, enc: &mut Encoder) {
-        enc.put_usize(self.items.len());
-        for &label in &self.items {
-            enc.put_u32(label);
-        }
+        enc.put(&self.items);
         // The cursor and restart flag are transient; a freshly loaded PS
         // always starts a new replay.
     }
 
     fn load(dec: &mut Decoder<'_>) -> Result<Self, CodecError> {
-        let n = dec.get_usize()?;
-        let mut items = Vec::with_capacity(n.min(dec.remaining()));
-        for _ in 0..n {
-            items.push(dec.get_u32()?);
-        }
         Ok(PositionStack {
-            items,
+            items: dec.get()?,
             cursor: 0,
             restarting: false,
         })
@@ -121,6 +113,7 @@ impl SaveLoad for PositionStack {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ckptstore::codec::{decode_exact, encode};
 
     #[test]
     fn push_pop_tracks_call_chain() {
@@ -148,11 +141,8 @@ mod tests {
         ps.push(2);
         ps.push(5);
 
-        let mut enc = Encoder::new();
-        ps.save(&mut enc);
-        let bytes = enc.into_bytes();
-        let mut restored =
-            PositionStack::load(&mut Decoder::new(&bytes)).unwrap();
+        let mut restored: PositionStack =
+            decode_exact(&encode(&ps), "position stack").unwrap();
 
         restored.begin_restart();
         assert!(restored.is_restarting());
@@ -181,10 +171,8 @@ mod tests {
         for l in [3, 1, 4, 1, 5] {
             ps.push(l);
         }
-        let mut enc = Encoder::new();
-        ps.save(&mut enc);
-        let bytes = enc.into_bytes();
-        let loaded = PositionStack::load(&mut Decoder::new(&bytes)).unwrap();
+        let loaded: PositionStack =
+            decode_exact(&encode(&ps), "position stack").unwrap();
         assert_eq!(loaded.depth(), 5);
         assert_eq!(loaded.top(), Some(5));
     }

@@ -4,8 +4,7 @@
 
 use proptest::prelude::*;
 
-use ckptstore::codec::{Decoder, Encoder};
-use ckptstore::SaveLoad;
+use ckptstore::codec::{decode_exact, encode};
 use statesave::{ManagedHeap, PositionStack};
 
 #[derive(Debug, Clone)]
@@ -86,10 +85,8 @@ proptest! {
         prop_assert_eq!(heap.live_objects(), model.len());
 
         // Save, load, and re-check every live object byte for byte.
-        let mut enc = Encoder::new();
-        heap.save(&mut enc);
-        let blob = enc.into_bytes();
-        let restored = ManagedHeap::load(&mut Decoder::new(&blob)).unwrap();
+        let restored: ManagedHeap =
+            decode_exact(&encode(&heap), "heap").unwrap();
         prop_assert_eq!(&restored, &heap);
         for (off, bytes) in &model {
             prop_assert_eq!(
@@ -133,11 +130,8 @@ proptest! {
         for &l in &labels {
             ps.push(l);
         }
-        let mut enc = Encoder::new();
-        ps.save(&mut enc);
-        let blob = enc.into_bytes();
-        let mut restored =
-            PositionStack::load(&mut Decoder::new(&blob)).unwrap();
+        let mut restored: PositionStack =
+            decode_exact(&encode(&ps), "position stack").unwrap();
         restored.begin_restart();
         let mut replayed = Vec::new();
         while let Some(l) = restored.next_restart_label() {
