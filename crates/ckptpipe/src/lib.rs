@@ -18,8 +18,9 @@
 //!   checkpoint (incremental / delta checkpoints, per the
 //!   differential-checkpointing line of work). Every rank blob is stored
 //!   this way, as a manifest naming its chunks. Surviving chunks are
-//!   LZ4-compressed, as they are or as byte planes, whichever is smaller
-//!   ([`ckptstore::Form::encode`]), or stored raw when neither shrinks
+//!   LZ4-compressed, as they are, as byte planes or as the planes of
+//!   their lanes' order-2 residuals, whichever is smallest
+//!   ([`ckptstore::Form::encode`]), or stored raw when none shrinks
 //!   them; each is sealed once under the CRC that also folds into the
 //!   blob's, and fresh chunks leave in batched puts of 64 — a write holds
 //!   its blob and one batch, never a second copy of the blob.
@@ -648,6 +649,38 @@ mod tests {
         assert_eq!(store.get_rank_blob(2, 0, RankBlobKind::State).unwrap(), v);
     }
 
+    #[test]
+    fn a_piece_repeated_in_one_blob_is_encoded_once() {
+        // A zero page cuts into one piece many times over: the codec sees
+        // it once, and every repeat names the first one's stored form.
+        let reg = c3obs::Registry::new();
+        let (_, mut store) = mem_store(1);
+        store.attach_obs(&reg);
+        let cfg = PipelineConfig::default()
+            .with_mode(WriteMode::Sync)
+            .with_chunker(Chunker::cdc(1024));
+        let pipe = CheckpointPipeline::new(store.clone(), cfg);
+        let v = vec![0u8; 64 * 1024];
+        pipe.stage(1, 0, RankBlobKind::State, v.clone()).unwrap();
+        let pieces: Vec<&[u8]> = Chunker::cdc(1024).cut(&v).collect();
+        let distinct: HashSet<&[u8]> = pieces.iter().copied().collect();
+        assert!(pieces.len() >= 8 + distinct.len(), "{}", pieces.len());
+        let fed = reg.snapshot().counter_total("io_precompress_bytes_total");
+        let once: usize = distinct.iter().map(|p| p.len()).sum();
+        assert_eq!(fed, once as u64);
+        let m = store.get_rank_manifest(1, 0, RankBlobKind::State);
+        let m = m.unwrap().expect("every blob leaves a manifest");
+        assert_eq!(m.chunks.len(), pieces.len());
+        let first = &m.chunks[0];
+        let repeats = m.chunks.iter().filter(|c| c.addr() == first.addr());
+        assert!(repeats.clone().count() >= 8);
+        for c in repeats {
+            assert_eq!((c.stored_len, c.form), (first.stored_len, first.form));
+        }
+        assert_ne!(first.form, ckptstore::Form::Raw);
+        assert_eq!(store.get_rank_blob(1, 0, RankBlobKind::State).unwrap(), v);
+    }
+
     /// A rank state with one large, rarely written field.
     struct TrackedState {
         iter: u64,
@@ -876,8 +909,8 @@ mod tests {
             CheckpointStore::new(Arc::new(Sink), 1),
             PipelineConfig::default().with_mode(WriteMode::Sync),
         );
-        // 4 MiB of `f64`s, every chunk distinct: all fresh, all stored as
-        // planes (each tried twice in the same two reused buffers).
+        // 4 MiB of `f64`s, every chunk distinct: all fresh, all stored
+        // encoded (each tried three times in the same reused buffers).
         let fresh: Vec<u8> = (0..512 * 1024)
             .flat_map(|i| (1.0 + i as f64).sqrt().to_le_bytes())
             .collect();

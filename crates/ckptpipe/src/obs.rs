@@ -34,7 +34,8 @@ pub(crate) struct PipeObs {
     /// `io_dedup_misses_total` — chunks that had to be written.
     pub dedup_misses: Counter,
     /// `io_precompress_bytes_total` — raw bytes fed to the chunk codec
-    /// (dedup hits skip compression and are not counted).
+    /// (dedup hits skip compression and are not counted, except a store
+    /// probe's hit, which needs the codec to learn the chunk's form).
     pub precompress_bytes: Counter,
     /// `io_postcompress_bytes_total` — stored bytes those chunks came
     /// out as; the ratio against `io_precompress_bytes_total` is the

@@ -37,9 +37,10 @@
 //! A byte that does have to be written is touched once per purpose: one
 //! CRC per chunk (the seal of a chunk stored raw *and* its share of the
 //! part's and the blob's CRC), one hash, and one copy into the sealed
-//! buffer the backend is handed. The codec tries each fresh piece twice,
-//! as it is and as byte planes, in buffers the write reuses from chunk
-//! to chunk, and only the form it keeps is copied out.
+//! buffer the backend is handed. The codec tries each fresh piece three
+//! times, as it is, as byte planes and as its residuals' planes, in
+//! buffers the write reuses from chunk to chunk, and only the form it
+//! keeps is copied out.
 
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -121,12 +122,12 @@ impl From<Encoder<'_>> for StagedBlob {
 }
 
 /// What one blob write carries from piece to piece: fresh sealed chunks
-/// not yet put, the addresses the blob already holds, and the codec's
-/// buffers, reused from chunk to chunk.
+/// not yet put, the addresses the blob already holds with their stored
+/// lengths and forms, and the codec's buffers, reused from chunk to chunk.
 #[derive(Default)]
 struct Pieces {
     batch: Vec<(String, Vec<u8>)>,
-    seen: AddrMap<()>,
+    seen: AddrMap<(u32, Form)>,
     trials: Trials,
 }
 
@@ -325,16 +326,10 @@ impl CheckpointPipeline {
                 handles.push(std::thread::spawn(move || worker_loop(&shared)));
             }
         }
-        // One mover thread whenever the store sits on a multi-tier
-        // hierarchy (found through any decorator stack via as_tiered).
-        // Sync-mode pipelines get one too: promotion is asynchronous by
-        // design regardless of how staging writes happen.
-        let tiered = shared
-            .store
-            .backend()
-            .as_tiered()
-            .is_some_and(|t| t.num_tiers() > 1);
-        if tiered {
+        // One mover thread whenever the store is tiered. Sync-mode
+        // pipelines get one too: promotion is asynchronous by design
+        // regardless of how staging writes happen.
+        if shared.tiered() {
             let shared = Arc::clone(&shared);
             handles.push(std::thread::spawn(move || mover_loop(&shared)));
         }
@@ -463,16 +458,10 @@ impl CheckpointPipeline {
                 // async writes identically; the caller additionally gets
                 // the error directly (in sync mode the write *is* on the
                 // rank's critical path).
-                match shared.write_blob(&job) {
-                    Ok(()) => {
-                        shared.complete_job(ckpt, Ok(()));
-                        Ok(())
-                    }
-                    Err(e) => {
-                        shared.complete_job(ckpt, Err(clone_error(&e)));
-                        Err(e)
-                    }
-                }
+                let res = shared.write_blob(&job);
+                let done = res.as_ref().copied().map_err(clone_error);
+                shared.complete_job(ckpt, done);
+                res
             }
             WriteMode::Async { queue_depth, .. } => {
                 let mut q = shared.queue.lock().unwrap();
@@ -481,15 +470,10 @@ impl CheckpointPipeline {
                 }
                 if q.shutdown {
                     drop(q);
-                    shared.complete_job(
-                        ckpt,
-                        Err(StoreError::Commit(
-                            "checkpoint pipeline is shut down".into(),
-                        )),
-                    );
-                    return Err(StoreError::Commit(
-                        "checkpoint pipeline is shut down".into(),
-                    ));
+                    let msg = "checkpoint pipeline is shut down";
+                    let e = StoreError::Commit(msg.into());
+                    shared.complete_job(ckpt, Err(clone_error(&e)));
+                    return Err(e);
                 }
                 q.jobs.push_back(job);
                 drop(q);
@@ -662,13 +646,7 @@ impl CheckpointPipeline {
     /// Called by the initiator right after commit; never blocks on
     /// storage, so commit latency stays tier-local.
     pub fn schedule_tier_drain(&self, ckpt: CkptId) {
-        let tiered = self
-            .shared
-            .store
-            .backend()
-            .as_tiered()
-            .is_some_and(|t| t.num_tiers() > 1);
-        if !tiered {
+        if !self.shared.tiered() {
             return;
         }
         let mut m = self.shared.mover();
@@ -764,6 +742,13 @@ impl Shared {
     /// pipeline lock).
     fn mover(&self) -> std::sync::MutexGuard<'_, MoverState> {
         self.mover.lock().unwrap()
+    }
+
+    /// Whether the store sits on a multi-tier hierarchy (found through any
+    /// decorator stack via `as_tiered`).
+    fn tiered(&self) -> bool {
+        let tiered = self.store.backend().as_tiered();
+        tiered.is_some_and(|t| t.num_tiers() > 1)
     }
 
     /// Lock what the pipeline knows of the lines on storage.
@@ -876,7 +861,7 @@ impl Shared {
         // encoded from the value itself a window at a time. Fresh chunks
         // go out in bounded batches, so what a write holds beside the
         // blob itself is one batch and one window; `seen` catches
-        // within-blob duplicates without a store probe.
+        // within-blob duplicates without a store probe or an encoding.
         let mut manifest = Manifest::default();
         let mut clean: HashMap<u64, Arc<CleanRun>> = HashMap::new();
         let mut pieces = Pieces::default();
@@ -1039,10 +1024,11 @@ impl Shared {
     }
 
     /// The reference of one piece, stored unless something already holds
-    /// it: the stream's previous line (which also knows the stored form:
-    /// no encoding, no probe), this blob, or the store. Otherwise it is
-    /// fresh: its key, formatted once, and its stored form, sealed, go
-    /// onto `batch`, and the flag says so.
+    /// it: the stream's previous line or this blob (both also know the
+    /// stored form: no encoding, no probe), or the store (whose hit still
+    /// needs the codec, to learn the form). Otherwise it is fresh: its
+    /// key, formatted once, and its stored form, sealed, go onto `batch`,
+    /// and the flag says so.
     fn store_piece(
         &self,
         piece: &[u8],
@@ -1051,8 +1037,10 @@ impl Shared {
         pieces: &mut Pieces,
     ) -> StoreResult<(ChunkRef, bool)> {
         let mut chunk = ChunkRef::for_piece(piece);
-        if let Some(&(stored_len, form)) =
-            prev.and_then(|p| p.chunks.get(&chunk.addr()))
+        let addr = chunk.addr();
+        if let Some(&(stored_len, form)) = prev
+            .and_then(|p| p.chunks.get(&addr))
+            .or_else(|| pieces.seen.get(&addr))
         {
             chunk.stored_len = stored_len;
             chunk.form = form;
@@ -1065,9 +1053,7 @@ impl Shared {
             o.precompress_bytes.add(piece.len() as u64);
             o.postcompress_bytes.add(stored.len() as u64);
         }
-        if pieces.seen.contains_key(&chunk.addr()) {
-            return Ok((chunk, false));
-        }
+        pieces.seen.insert(addr, (chunk.stored_len, form));
         let key = chunk.key();
         if self.store.has_chunk(&key)? {
             return Ok((chunk, false));
@@ -1081,7 +1067,6 @@ impl Shared {
         if let Some(o) = &self.obs {
             o.dedup_misses.inc();
         }
-        pieces.seen.insert(chunk.addr(), ());
         pieces.batch.push((key, sealed));
         if pieces.batch.len() >= PUT_BATCH {
             self.put_chunk_batch(&mut pieces.batch)?;

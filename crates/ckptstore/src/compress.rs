@@ -1,20 +1,19 @@
 //! Chunk codec: a dependency-free LZ4-class block compressor, tried on
-//! each chunk twice — on its bytes as they are, and on its byte planes —
-//! with the smallest stored [`Form`] kept (see [`Form::encode`]).
+//! each chunk three times, with the smallest stored [`Form`] kept (see
+//! [`Form::encode`]).
 //!
 //! Checkpoint state in the paper's applications is dominated by `f64`
-//! arrays, where byte runs are rare and repeats are whole values or their
-//! high bytes. Plain LZ4 finds the first kind; the second is far easier
-//! to find in byte planes — byte 0 of every 8-byte lane, then byte 1, and
-//! so on — where the sign, exponent and high mantissa bytes of
-//! neighbouring values of a smooth field sit side by side. Measured in
-//! 4 KiB pieces (EXPERIMENTS.md M16), stored size over raw with plain LZ4
-//! only / planes only / the per-chunk choice: rank 0's Dense CG block
-//! 0.789 / 0.818 / 0.738, a Laplace band after 300 sweeps 0.656 / 0.542
-//! / 0.542 and after 2 000 sweeps 0.989 / 0.805 / 0.805, zero pages
-//! 0.006 either way; noise stays raw. Compression stays opportunistic —
-//! a chunk is stored encoded only when the encoding is actually smaller
-//! (see [`crate::manifest::ChunkRef::form`]).
+//! arrays. Plain LZ4 finds byte runs and repeated values. Byte planes —
+//! byte 0 of every 8-byte lane, then byte 1, and so on — put the shared
+//! sign, exponent and high mantissa bytes of neighbouring values side by
+//! side. The planes of each lane's residual against `2·x[i−1] − x[i−2]`
+//! (the 1-D Lorenzo predictor of float compressors) turn the high bytes
+//! of a slowly varying field into runs of `0x00` or `0xFF`. Stored size
+//! over raw on the distinct chunks each job stores (EXPERIMENTS.md M20),
+//! plain / planes / predicted / the per-chunk choice: Dense CG 0.771 /
+//! 0.812 / 0.649 / 0.629, Laplace about 0.86 / 0.67 / 0.65 / 0.64. A
+//! chunk is stored encoded only when that is smaller than its bytes (see
+//! [`crate::manifest::ChunkRef::form`]).
 //!
 //! LZ4 block format (per sequence):
 //! * token byte: high nibble = literal length, low nibble = match
@@ -23,68 +22,74 @@
 //! * a 2-byte little-endian match offset (1..=65535) and the match
 //!   length extension — omitted for the final, literals-only sequence.
 
-/// How one chunk's stored bytes are encoded. The numeric ids are the wire
-/// representation inside manifests ([`Form::id`] / [`Form::from_id`]);
-/// they are append-only — never renumber. Id 1 (a run-length codec) is
-/// retired and never reused: it reads as an unknown id.
+/// How one chunk's stored bytes are encoded. The discriminants are the
+/// wire ids inside manifests ([`Form::id`] / [`Form::from_id`]); they are
+/// append-only — never renumber. Id 1 (a run-length codec) is retired and
+/// never reused: it reads as an unknown id.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[repr(u8)]
 pub enum Form {
-    /// Raw bytes, stored as-is (id 0).
-    Raw,
-    /// LZ4 block compression of the bytes (id 2).
-    Lz4,
-    /// LZ4 block compression of the bytes' planes (id 3): byte 0 of every
-    /// 8-byte lane, then byte 1, …, then byte 7, then the tail of fewer
-    /// than 8 bytes as it is.
-    Lz4Planes,
+    /// Raw bytes, stored as-is.
+    Raw = 0,
+    /// LZ4 block compression of the bytes.
+    Lz4 = 2,
+    /// LZ4 block compression of the bytes' planes: byte 0 of every 8-byte
+    /// lane, then byte 1, …, then byte 7, then the tail of fewer than 8
+    /// bytes as it is.
+    Lz4Planes = 3,
+    /// [`Form::Lz4Planes`] over the lanes' residuals: each whole 8-byte
+    /// lane as a wrapping `u64` minus `2·x[i−1] − x[i−2]` (lane 0 minus 0,
+    /// lane 1 minus lane 0), the tail as it is.
+    Lz4Predicted = 4,
 }
 
 impl Form {
     /// Wire id of this form (stored per chunk in manifests).
     pub fn id(self) -> u8 {
-        match self {
-            Form::Raw => 0,
-            Form::Lz4 => 2,
-            Form::Lz4Planes => 3,
-        }
+        self as u8
     }
 
     /// Inverse of [`Form::id`]; `None` for unknown ids (treated as
     /// manifest corruption by the decoder).
     pub fn from_id(id: u8) -> Option<Form> {
-        match id {
-            0 => Some(Form::Raw),
-            2 => Some(Form::Lz4),
-            3 => Some(Form::Lz4Planes),
-            _ => None,
-        }
+        [Form::Raw, Form::Lz4, Form::Lz4Planes, Form::Lz4Predicted]
+            .into_iter()
+            .find(|f| f.id() == id)
     }
 
     /// The stored form of `piece` and its stored bytes: the smallest of
-    /// raw, [`Form::Lz4`] and [`Form::Lz4Planes`], ties going to raw and
-    /// then to plain LZ4. The choice is a function of `piece` alone —
-    /// dedup is first-writer-wins, so every writer has to agree on what a
-    /// given piece is stored as — and the encodings live in `trials`
-    /// until the next call.
+    /// raw and the three LZ4 forms, ties going to raw, then plain LZ4, then
+    /// planes. The choice is a function of `piece` alone — dedup is
+    /// first-writer-wins, so every writer has to agree on what a given
+    /// piece is stored as — and the encodings live in `trials` until the
+    /// next call.
     pub fn encode<'a>(
         piece: &'a [u8],
         trials: &'a mut Trials,
     ) -> (Form, &'a [u8]) {
-        let Trials { planes, out } = trials;
+        let Trials { lanes, planes, out } = trials;
         out.clear();
         lz4_compress_into(piece, out);
-        let plain = out.len();
+        let mut best = (Form::Lz4, 0..out.len());
         // Under two lanes the planes are the piece itself.
         if piece.len() >= 16 {
             planes.resize(piece.len(), 0);
-            shuffle::<true>(piece, planes);
-            lz4_compress_into(planes, out);
-            if out.len() - plain < plain.min(piece.len()) {
-                return (Form::Lz4Planes, &out[plain..]);
+            lanes.clear();
+            lanes.extend_from_slice(piece);
+            predict::<true>(lanes);
+            for (form, src) in
+                [(Form::Lz4Planes, piece), (Form::Lz4Predicted, &lanes[..])]
+            {
+                shuffle::<true>(src, planes);
+                let start = out.len();
+                lz4_compress_into(planes, out);
+                if out.len() - start < best.1.len() {
+                    best = (form, start..out.len());
+                }
             }
         }
-        if plain < piece.len() {
-            (Form::Lz4, &out[..plain])
+        if best.1.len() < piece.len() {
+            (best.0, &out[best.1])
         } else {
             (Form::Raw, piece)
         }
@@ -94,7 +99,7 @@ impl Form {
     /// expands to exactly `expected_len` bytes. `None` means malformed
     /// input or a length mismatch — recovery treats that as corruption.
     /// On failure `out` is left as it was. `scratch` holds the planes of
-    /// a [`Form::Lz4Planes`] chunk on their way back to lanes; a caller
+    /// a planes or predicted chunk on their way back to lanes; a caller
     /// decoding many chunks passes the same one to each.
     pub fn decode_into(
         self,
@@ -112,12 +117,15 @@ impl Form {
                 Some(())
             }
             Form::Lz4 => lz4_decompress_into(stored, expected_len, out),
-            Form::Lz4Planes => {
+            Form::Lz4Planes | Form::Lz4Predicted => {
                 scratch.clear();
                 lz4_decompress_into(stored, expected_len, scratch)?;
                 let base = out.len();
                 out.resize(base + expected_len, 0);
                 shuffle::<false>(scratch, &mut out[base..]);
+                if self == Form::Lz4Predicted {
+                    predict::<false>(&mut out[base..]);
+                }
                 Some(())
             }
         }
@@ -125,11 +133,29 @@ impl Form {
 }
 
 /// The buffers a writer reuses across chunks while [`Form::encode`]
-/// tries each one: its planes, and both LZ4 trials back to back.
+/// tries each one: its residual lanes, its planes, and the three LZ4
+/// trials back to back.
 #[derive(Debug, Default)]
 pub struct Trials {
+    lanes: Vec<u8>,
     planes: Vec<u8>,
     out: Vec<u8>,
+}
+
+/// Replace each whole 8-byte lane of `buf` by its wrapping residual
+/// against `2·x[i−1] − x[i−2]` ([`Form::Lz4Predicted`]), or with
+/// `!RESIDUALS` turn residuals back into lanes; the tail stays as it is.
+fn predict<const RESIDUALS: bool>(buf: &mut [u8]) {
+    let (mut x1, mut x2) = (0u64, 0u64);
+    for (i, lane) in buf.chunks_exact_mut(8).enumerate() {
+        let v = u64::from_le_bytes((&*lane).try_into().expect("8-byte lane"));
+        let guess = x1.wrapping_mul(2).wrapping_sub(x2);
+        let x = if RESIDUALS { v } else { v.wrapping_add(guess) };
+        let put = if RESIDUALS { v.wrapping_sub(guess) } else { x };
+        lane.copy_from_slice(&put.to_le_bytes());
+        // Lane 1's guess is lane 0 itself.
+        (x1, x2) = (x, if i == 0 { x } else { x1 });
+    }
 }
 
 /// Copy `src` into the equally long `dst` between lane order and plane
@@ -643,21 +669,28 @@ mod tests {
         } else {
             &[1, 2, 4, 8, 16, 32, 64, 128, 0xFF]
         };
-        // Every stream twice: plain (id 2) and over the planes (id 3).
+        // Every stream three times: plain (id 2), over the planes (id 3)
+        // and over the residuals' planes (id 4).
         let mut streams = Vec::new();
         for data in [row, f64s(grid), noise, vec![0; 1024]] {
             streams.push((Form::Lz4, lz4_compress(&data), data.len()));
             let enc = lz4_compress(&planes(&data));
             streams.push((Form::Lz4Planes, enc, data.len()));
+            let enc = lz4_compress(&planes(&residuals(&data)));
+            streams.push((Form::Lz4Predicted, enc, data.len()));
         }
         let mut scratch = Vec::new();
         for (form, enc, n) in streams {
+            // Each also decoded as id 4, whatever it was written as.
             let mut check = |stream: &[u8]| {
-                let mut out = b"prefix".to_vec();
-                let got = form.decode_into(stream, n, &mut out, &mut scratch);
-                let len = if got.is_some() { 6 + n } else { 6 };
-                assert_eq!(out.len(), len, "{form:?}");
-                assert_eq!(&out[..6], b"prefix");
+                for form in [form, Form::Lz4Predicted] {
+                    let mut out = b"prefix".to_vec();
+                    let got =
+                        form.decode_into(stream, n, &mut out, &mut scratch);
+                    let len = if got.is_some() { 6 + n } else { 6 };
+                    assert_eq!(out.len(), len, "{form:?}");
+                    assert_eq!(&out[..6], b"prefix");
+                }
             };
             check(&enc);
             for cut in 0..enc.len() {
@@ -765,11 +798,14 @@ mod tests {
 
     #[test]
     fn codec_ids_round_trip_and_unknown_ids_are_rejected() {
-        for f in [Form::Raw, Form::Lz4, Form::Lz4Planes] {
+        let forms =
+            [Form::Raw, Form::Lz4, Form::Lz4Planes, Form::Lz4Predicted];
+        for f in forms {
             assert_eq!(Form::from_id(f.id()), Some(f));
         }
+        assert_eq!(forms.map(Form::id), [0, 2, 3, 4]);
         // Id 1 is retired, never reused.
-        for id in [1, 4, 255] {
+        for id in [1, 5, 255] {
             assert_eq!(Form::from_id(id), None);
         }
     }
@@ -804,6 +840,28 @@ mod tests {
             .flat_map(|k| (0..lanes).map(move |l| data[8 * l + k]))
             .collect();
         out.extend_from_slice(&data[8 * lanes..]);
+        out
+    }
+
+    /// The residual lanes of `data`, lane by lane from the definition:
+    /// lane 0 against 0, lane 1 against lane 0, lane `i` against
+    /// `2·x[i−1] − x[i−2]`, the tail as it is. The oracle.
+    fn residuals(data: &[u8]) -> Vec<u8> {
+        let x: Vec<u64> = data
+            .chunks_exact(8)
+            .map(|l| u64::from_le_bytes(l.try_into().unwrap()))
+            .collect();
+        let mut out: Vec<u8> = (0..x.len())
+            .flat_map(|i| {
+                let guess = match i {
+                    0 => 0,
+                    1 => x[0],
+                    _ => x[i - 1].wrapping_mul(2).wrapping_sub(x[i - 2]),
+                };
+                x[i].wrapping_sub(guess).to_le_bytes()
+            })
+            .collect();
+        out.extend_from_slice(&data[8 * x.len()..]);
         out
     }
 
@@ -860,10 +918,22 @@ mod tests {
             let mut back = vec![0; n];
             shuffle::<false>(&shuffled, &mut back);
             assert_eq!(&back, data, "{n} bytes");
+            let mut resid = data.clone();
+            predict::<true>(&mut resid);
+            assert_eq!(resid, residuals(data), "{n} bytes");
+            predict::<false>(&mut resid);
+            assert_eq!(&resid, data, "{n} bytes");
 
             let (form, stored) = Form::encode(data, &mut trials);
             let plain = lz4_compress(data).len().min(n);
             assert!(stored.len() <= plain && plain <= n, "{n} bytes");
+            if n >= 16 {
+                let planes = lz4_compress(&planes(data)).len();
+                assert!(stored.len() <= planes, "{n} bytes");
+                if form == Form::Lz4Predicted {
+                    assert!(stored.len() < plain.min(planes), "{n} bytes");
+                }
+            }
             if form == Form::Lz4Planes {
                 assert!(stored.len() < plain, "{n} bytes");
             }
@@ -873,6 +943,7 @@ mod tests {
             assert_eq!(&lanes, data, "{form:?}, {n} bytes");
             chosen.push((form, stored.to_vec()));
         }
+        assert!(chosen.iter().any(|(f, _)| *f == Form::Lz4Predicted));
         assert!(chosen.iter().any(|(f, _)| *f == Form::Lz4Planes));
         assert!(chosen.iter().any(|(f, _)| *f == Form::Lz4));
         // The same choice on a thread that has encoded nothing before.
@@ -905,5 +976,19 @@ mod tests {
             .unwrap();
         assert!(out == field);
         assert!(stream.len() < lz4_compress(&field).len());
+    }
+
+    #[test]
+    fn a_pinned_predicted_stream_still_decodes() {
+        // The same field: what the first encoder to write id 4 stored for
+        // it, which it chose over both other LZ4 forms.
+        let field = f64_bytes(4100, |i| (0.01 * i as f64).sin() * 100.0);
+        let stream = include_bytes!("../testdata/lz4_predicted_sine_4100.bin");
+        let (mut out, mut scratch) = (Vec::new(), Vec::new());
+        Form::Lz4Predicted
+            .decode_into(stream, field.len(), &mut out, &mut scratch)
+            .unwrap();
+        assert!(out == field);
+        assert!(stream.len() < lz4_compress(&planes(&field)).len());
     }
 }

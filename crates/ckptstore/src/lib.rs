@@ -32,9 +32,10 @@
 //! * [`cdc`] — FastCDC-style content-defined chunking ([`cdc::Chunker`]),
 //!   so dedup survives insertions and shifts in the checkpointed state.
 //! * [`compress`] — [`compress::Form`], the one chunk codec: each chunk
-//!   is stored as dependency-free LZ4 block compression of its bytes or
-//!   of its byte planes, whichever is smaller, or raw when neither
-//!   shrinks it; the chosen form is recorded per chunk.
+//!   is stored as dependency-free LZ4 block compression of its bytes, of
+//!   its byte planes or of the planes of its lanes' order-2 residuals,
+//!   whichever is smallest, or raw when none shrinks it; the chosen form
+//!   is recorded per chunk.
 //! * [`fault`] — [`fault::FaultInjectingBackend`], a deterministic seeded
 //!   fault-injection decorator (fail-once, fail-N, random, slow-put, and a
 //!   seeded per-operation latency profile) used to prove the retry and

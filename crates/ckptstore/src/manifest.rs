@@ -1,7 +1,7 @@
 //! Chunk manifests for incremental (delta) checkpoints.
 //!
 //! Instead of one opaque blob per rank, the write pipeline splits a
-//! snapshot into fixed-size chunks addressed by content —
+//! snapshot into content-defined chunks addressed by content —
 //! `hash128(chunk) + length` (see [`crate::integrity::hash128`]; 128 bits
 //! so accidental collision, which would silently dedup one chunk to
 //! another's bytes, is negligible) — and stores a small **manifest**
@@ -74,21 +74,13 @@ pub fn chunk_key(hash: u128, len: u32) -> String {
 pub fn parse_chunk_key(key: &str) -> Option<(u128, u32)> {
     let (hex, len) = key.strip_prefix("chunk/")?.split_once('-')?;
     if hex.len() != 32
+        || !hex.bytes().all(|b| matches!(b, b'0'..=b'9' | b'a'..=b'f'))
         || !len.bytes().all(|b| b.is_ascii_digit())
         || (len.len() > 1 && len.starts_with('0'))
     {
         return None;
     }
-    let mut hash = 0u128;
-    for b in hex.bytes() {
-        let digit = match b {
-            b'0'..=b'9' => b - b'0',
-            b'a'..=b'f' => b - b'a' + 10,
-            _ => return None,
-        };
-        hash = hash << 4 | u128::from(digit);
-    }
-    Some((hash, len.parse().ok()?))
+    Some((u128::from_str_radix(hex, 16).ok()?, len.parse().ok()?))
 }
 
 /// A map keyed by chunk content address `(hash128, len)`. The key *is* a
@@ -620,11 +612,14 @@ mod tests {
         // is retired: a manifest naming it is as corrupt as any other.
         let last = enc.len() - 1;
         assert_eq!(enc[last], Form::Lz4.id());
-        for id in [1, 4, 255] {
+        for id in [1, 5, 255] {
             enc[last] = id;
             let err = Manifest::decode(&enc).unwrap_err();
             assert!(err.to_string().contains("codec"), "{id}: {err}");
         }
+        enc[last] = Form::Lz4Predicted.id();
+        let (direct, _) = Manifest::decode(&enc).unwrap();
+        assert_eq!(direct.chunks[0].form, Form::Lz4Predicted);
     }
 
     /// A chunk, a run of three chunks stored as LZ4, and a chunk: the

@@ -40,17 +40,19 @@ use crate::manifest::{
 /// implicit committed checkpoint 0.
 pub type CkptId = u64;
 
-/// The categories of per-rank blob a checkpoint is made of.
+/// The categories of per-rank blob a checkpoint is made of. The
+/// discriminants are the kinds' [`tag`](RankBlobKind::tag)s.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[repr(u8)]
 pub enum RankBlobKind {
     /// Application + protocol-layer snapshot taken at `potentialCheckpoint`.
     /// Present for every rank in a committable checkpoint.
-    State,
+    State = 0,
     /// The log written between the local checkpoint and `finalizeLog`: late
     /// messages, non-deterministic decisions, collective-call results.
-    Log,
+    Log = 1,
     /// Record/replay journal for persistent MPI opaque objects (Section 5.2).
-    MpiObjects,
+    MpiObjects = 2,
 }
 
 impl RankBlobKind {
@@ -65,11 +67,7 @@ impl RankBlobKind {
     /// The kind as one stable byte: 0 = state, 1 = log, 2 = MPI objects.
     /// The `BlobStaged` trace record carries it on the wire.
     pub fn tag(self) -> u8 {
-        match self {
-            RankBlobKind::State => 0,
-            RankBlobKind::Log => 1,
-            RankBlobKind::MpiObjects => 2,
-        }
+        self as u8
     }
 }
 
@@ -231,7 +229,8 @@ impl CheckpointStore {
         // Reserve the exact blob length up front and decode every chunk
         // straight into it — recovery of a large blob costs one output
         // allocation, not one temporary per chunk. Chunks stored as
-        // planes pass through one scratch buffer, reused.
+        // planes or predicted planes pass through one scratch buffer,
+        // reused.
         let mut blob = Vec::with_capacity(manifest.total_len as usize);
         let mut crcs = Vec::with_capacity(manifest.chunks.len());
         let mut scratch = Vec::new();
@@ -370,10 +369,10 @@ impl CheckpointStore {
 
     /// Fetch and validate one chunk, appending its raw bytes to `out`
     /// (the zero-temporary reassembly path, `scratch` reused by every
-    /// chunk stored as planes) and returning their CRC-32: the seal's,
-    /// just verified, when the chunk is stored raw, a pass over the
-    /// decoded bytes otherwise. On error `out` is restored to its
-    /// original length.
+    /// chunk stored as planes or predicted planes) and returning their
+    /// CRC-32: the seal's, just verified, when the chunk is stored raw, a
+    /// pass over the decoded bytes otherwise. On error `out` is restored
+    /// to its original length.
     fn get_chunk_into(
         &self,
         chunk: &ChunkRef,
@@ -388,15 +387,10 @@ impl CheckpointStore {
         let sealed = self.backend.get(&key)?;
         let (stored, stored_crc) = unseal_crc(&sealed)
             .ok_or_else(|| corrupt("CRC-32 integrity check failed"))?;
-        let start = out.len();
-        if chunk
-            .form
-            .decode_into(stored, chunk.len as usize, out, scratch)
-            .is_none()
-        {
-            out.truncate(start);
-            return Err(corrupt("chunk decode failed"));
-        }
+        let (start, len) = (out.len(), chunk.len as usize);
+        // On failure the decoder leaves `out` as it was.
+        let decoded = chunk.form.decode_into(stored, len, out, scratch);
+        decoded.ok_or_else(|| corrupt("chunk decode failed"))?;
         let raw = &out[start..];
         if raw.len() as u32 != chunk.len || hash128(raw) != chunk.hash {
             out.truncate(start);
@@ -1207,15 +1201,24 @@ mod tests {
     }
 
     /// 256-byte pieces the LZ4 codec stores in every form: noise raw,
-    /// byte runs as plain LZ4, a smooth `f64` field as planes.
-    fn pieces_in_every_form() -> [Vec<u8>; 3] {
+    /// byte runs as plain LZ4, `f64`s that share their high bytes but not
+    /// their low ones as planes, a smooth `f64` field as predicted planes.
+    fn pieces_in_every_form() -> [Vec<u8>; 4] {
         let mut seed = 0x5701E;
+        let noise: Vec<u8> = (0..256)
+            .map(|_| crate::splitmix64(&mut seed) as u8)
+            .collect();
         [
-            (0..256)
-                .map(|_| crate::splitmix64(&mut seed) as u8)
-                .collect(),
+            noise.clone(),
             (0..256)
                 .map(|i| [7u8, 7, 9, (i / 64) as u8][i % 4])
+                .collect(),
+            noise
+                .chunks(8)
+                .flat_map(|l| {
+                    let low = u64::from_le_bytes(l.try_into().unwrap());
+                    (1.0 + (low >> 40) as f64 / 2f64.powi(44)).to_le_bytes()
+                })
                 .collect(),
             (0..32)
                 .flat_map(|i| (0.1 * f64::from(i)).sin().to_le_bytes())
@@ -1247,7 +1250,8 @@ mod tests {
             assert_eq!(s.get_chunk(&chunk).unwrap(), piece, "{chunk:?}");
             forms.push(chunk.form);
         }
-        assert_eq!(forms, [Form::Raw, Form::Lz4, Form::Lz4Planes]);
+        let all = [Form::Raw, Form::Lz4, Form::Lz4Planes, Form::Lz4Predicted];
+        assert_eq!(forms, all);
     }
 
     #[test]
@@ -1274,9 +1278,10 @@ mod tests {
     fn reassembly_allocates_a_constant_number_per_chunk() {
         const CHUNKS: u64 = 256;
         let s = store(1);
-        // A blob stored as 256 chunks of 256 bytes in all three forms,
-        // two thirds of them LZ4 over the bytes or over their planes, so
-        // the test covers both decode-into paths, not just raw copies.
+        // A blob stored as 256 chunks of 256 bytes in all four forms,
+        // three quarters of them LZ4 over the bytes, their planes or
+        // their residuals' planes, so the test covers every decode-into
+        // path, not just raw copies.
         let pieces = pieces_in_every_form();
         let blob: Vec<u8> = pieces
             .iter()
@@ -1292,8 +1297,9 @@ mod tests {
         }
         let count =
             |form| manifest.chunks.iter().filter(|c| c.form == form).count();
-        assert_eq!(count(Form::Lz4Planes), 85);
-        assert_eq!(count(Form::Lz4), 85);
+        assert_eq!(count(Form::Lz4Predicted), 64);
+        assert_eq!(count(Form::Lz4Planes), 64);
+        assert_eq!(count(Form::Lz4), 64);
         s.put_rank_manifest(1, 0, RankBlobKind::State, &manifest)
             .unwrap();
 

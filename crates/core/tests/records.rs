@@ -212,8 +212,13 @@ fn every_record_round_trips_and_no_corruption_panics() {
         form: Form::Lz4,
         ..ChunkRef::for_piece(&vec![seed; len as usize])
     };
-    let chunks = vec![chunk(1, 100), chunk(2, 60), chunk(3, 40)];
+    let mut chunks = vec![chunk(1, 100), chunk(2, 60), chunk(3, 40)];
+    // Form id 4 (`Lz4Predicted`) both directly in the manifest and
+    // inside the run.
+    chunks[0].form = Form::Lz4Predicted;
+    chunks[2].form = Form::Lz4Predicted;
     check(&chunks[0]);
+    check(&chunks[1]);
     sweep("run", &encode_run(&chunks), |b| decode_run(b, 200).is_ok());
     let mut manifest = Manifest {
         total_len: 200,

@@ -366,6 +366,47 @@ fn laplace_lines_mix_both_lz4_forms_and_recover_from_them() {
 }
 
 #[test]
+fn a_killed_dense_cg_job_restores_from_predicted_chunks() {
+    // Away from the diagonal, a row of Dense CG's matrix is a slowly
+    // varying `f64` field, so at n = 1024 most of a block's chunks go in
+    // as the planes of their lanes' order-2 residuals (id 4). A job
+    // killed after its first lines recovers from a line whose state
+    // blobs name such chunks, and ends as the failure-free job does.
+    let (n, nranks) = (1024, 2);
+    let app = DenseCg::new(n, 40);
+    let io = PipelineConfig::default().with_keep_last(1000);
+    let cfg = C3Config::every_ops(10).with_io(io);
+    let reference = run_job(nranks, &cfg, None, &app).expect("job");
+    let backend = Arc::new(MemoryBackend::new());
+    let report = run_job(
+        nranks,
+        &cfg.with_failure(1, 60),
+        Some(backend.clone() as Arc<dyn StorageBackend>),
+        &app,
+    )
+    .expect("job");
+    assert_eq!(report.outputs, reference.outputs);
+    assert_eq!(report.restarts, 1);
+    let from = report.recovered_from[0];
+    assert!(from >= 1, "recovered from line {from}");
+    let store = CheckpointStore::new(backend, nranks);
+    for rank in 0..nranks {
+        let m = store.get_rank_manifest(from, rank, RankBlobKind::State);
+        let m = m.unwrap().expect("written incrementally");
+        let predicted = m
+            .chunks
+            .iter()
+            .filter(|c| c.form == Form::Lz4Predicted)
+            .count();
+        assert!(
+            predicted * 2 >= m.chunks.len(),
+            "rank {rank}: {predicted} of {} chunks predicted",
+            m.chunks.len()
+        );
+    }
+}
+
+#[test]
 fn a_line_repeating_planes_chunks_names_them_from_the_line_record() {
     // `Laplace { n: 24, .. }` converges bit for bit long before 6 000
     // sweeps; from then on every line repeats the previous line's grid
