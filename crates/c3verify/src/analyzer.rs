@@ -868,10 +868,6 @@ fn scan_rank(
                 f.gcs.push((*kept, seq));
             }
             TraceEvent::RecoveryComplete => {}
-            // Transport-layer repair totals are diagnostic context: the
-            // reliable-delivery sublayer masks wire faults below the
-            // protocol, so no C³ invariant constrains these counters.
-            TraceEvent::NetSummary { .. } => {}
             TraceEvent::TierDrained { ckpt, tier } => {
                 if rank != 0 {
                     flag(

@@ -49,8 +49,7 @@ impl RetryPolicy {
     /// A plain `backoff_base_ms << attempt` would be a shift-overflow
     /// panic (debug) or silent wrap (release) once `attempt >= 64`,
     /// which an adversarial fault schedule can reach. The exponent is
-    /// therefore clamped first and the multiply saturates — the same
-    /// discipline as `simmpi::netsim`'s retransmit backoff.
+    /// therefore clamped first and the multiply saturates.
     pub fn delay_ms(&self, attempt: u32) -> u64 {
         let exp = attempt.min(Self::MAX_EXP);
         self.backoff_base_ms.saturating_mul(1u64 << exp)
@@ -178,8 +177,7 @@ mod tests {
 
     #[test]
     fn retry_schedule_is_exponential_and_capped() {
-        // Mirrors netsim's backoff_schedule_is_exponential_and_capped
-        // for the storage-retry flavor of the same pattern.
+        // Doubling from the base, then flat at 1024 × base.
         let p = RetryPolicy {
             max_retries: 64,
             backoff_base_ms: 3,

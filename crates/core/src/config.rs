@@ -175,17 +175,9 @@ pub struct C3Config {
     /// writes asynchronously; [`ckptpipe::WriteMode::Sync`] blocks the
     /// rank on the write, as the paper's checkpoints did.
     pub io: ckptpipe::PipelineConfig,
-    /// Network conditions of the simulated interconnect. The default is
-    /// the perfect wire (the paper's reliable-fabric assumption, §1.1),
-    /// which bypasses the netsim sublayer entirely; a lossy
-    /// [`simmpi::NetCond`] runs the whole job — protocol control traffic,
-    /// piggybacked application messages, collectives, recovery — over a
-    /// seeded drop/duplicate/reorder/delay wire with reliable delivery
-    /// rebuilt above it.
-    pub net: simmpi::NetCond,
     /// Optional metrics registry (see `c3obs`). When set, every layer —
     /// protocol spans and counters, I/O pipeline latencies, storage
-    /// put/get timings, per-rank MPI and retransmit counters — records
+    /// put/get timings, per-rank MPI counters — records
     /// into it; [`crate::obs::health_check`] and the `c3obs` CLI
     /// consume the resulting snapshot. `None` disables recording
     /// (each hook is then one `Option` check).
@@ -204,7 +196,6 @@ impl Default for C3Config {
             recovery: RecoveryMode::default(),
             trace: None,
             io: ckptpipe::PipelineConfig::default(),
-            net: simmpi::NetCond::perfect(),
             obs: None,
         }
     }
@@ -255,12 +246,6 @@ impl C3Config {
     /// Set the checkpoint I/O pipeline configuration.
     pub fn with_io(mut self, io: ckptpipe::PipelineConfig) -> Self {
         self.io = io;
-        self
-    }
-
-    /// Set the simulated network conditions.
-    pub fn with_net(mut self, net: simmpi::NetCond) -> Self {
-        self.net = net;
         self
     }
 

@@ -5,7 +5,7 @@
 //! given a reliable transport, unreliable processes, and a failure
 //! detector, make the program complete despite stopping failures. Each
 //! *attempt* spawns all ranks under simmpi's supervisor
-//! ([`World::run_supervised_net`]), which is the failure detector: an
+//! ([`World::run_supervised`]), which is the failure detector: an
 //! injected stopping failure silences one rank, the supervisor notices
 //! after a configurable latency and aborts the attempt, and the driver
 //! restarts every rank from the latest committed checkpoint (or from
@@ -210,7 +210,7 @@ pub fn run_job<A: C3App>(
                 };
                 let out = app.run(&mut p, &mut state)?;
                 p.finalize()?;
-                Ok((out, p.final_stats()))
+                Ok((out, *p.stats()))
             };
             match body() {
                 Err(e) if e.is_rollback() => Err(match e {
@@ -228,10 +228,9 @@ pub fn run_job<A: C3App>(
             }
         };
         let mut respawn_or_escalate = localized_policy;
-        let (results, splice_stats) = World::run_supervised_net(
+        let (results, splice_stats) = World::run_supervised(
             nprocs,
             JobControl::new(nprocs),
-            cfg.net.clone(),
             Duration::from_millis(cfg.detection_latency_ms),
             match cfg.recovery {
                 // The paper's model: every death aborts the attempt and

@@ -84,8 +84,7 @@ impl Drop for ProcObs {
 
 /// Cross-check a run's metrics snapshot against the protocol's
 /// accounting invariants. Returns human-readable violations (empty =
-/// healthy). `perfect_wire` asserts the reliable-fabric expectation
-/// that the retransmit machinery never fired.
+/// healthy).
 ///
 /// Invariants checked:
 ///
@@ -97,9 +96,8 @@ impl Drop for ProcObs {
 /// 3. every commit drained the I/O pipeline first: `io_drain_ns`
 ///    observations `>= commits`;
 /// 4. commit spans and the commit counter agree: one
-///    `initiator_commit` span per committed checkpoint;
-/// 5. on a perfect wire, `net_retransmits_total == 0`.
-pub fn health_check(snap: &Snapshot, perfect_wire: bool) -> Vec<String> {
+///    `initiator_commit` span per committed checkpoint.
+pub fn health_check(snap: &Snapshot) -> Vec<String> {
     let mut violations = snap.self_check();
     let attempts = snap.counter_total("c3_attempts_total");
     let initiated = snap.counter_total("c3_ckpt_initiated_total");
@@ -125,13 +123,6 @@ pub fn health_check(snap: &Snapshot, perfect_wire: bool) -> Vec<String> {
              commit(s)"
         ));
     }
-    if perfect_wire {
-        let retx = snap.counter_total("net_retransmits_total");
-        if retx != 0 {
-            violations
-                .push(format!("{retx} retransmission(s) on a perfect wire"));
-        }
-    }
     violations
 }
 
@@ -146,20 +137,19 @@ mod tests {
         let initiated = reg.counter("c3_ckpt_initiated_total");
         let commits = reg.counter("c3_commits_total");
         let drains = reg.histogram("io_drain_ns");
-        let retx = reg.counter_with("net_retransmits_total", &[("rank", "0")]);
 
         // Healthy: 1 attempt, 2 initiated, 1 committed (1 orphan), one
-        // drain + one commit span, no retransmits.
+        // drain + one commit span.
         attempts.inc();
         initiated.add(2);
         commits.inc();
         drains.record(10);
         reg.record_span("initiator_commit", 0, 1, 5);
-        assert!(health_check(&reg.snapshot(), true).is_empty());
+        assert!(health_check(&reg.snapshot()).is_empty());
 
         // Too many orphans for the attempt count.
         initiated.add(2);
-        let v = health_check(&reg.snapshot(), true);
+        let v = health_check(&reg.snapshot());
         assert_eq!(v.len(), 1, "{v:?}");
         assert!(v[0].contains("orphaned"), "{v:?}");
 
@@ -167,18 +157,9 @@ mod tests {
         initiated.add(0);
         attempts.add(2);
         commits.add(1);
-        let v = health_check(&reg.snapshot(), true);
+        let v = health_check(&reg.snapshot());
         assert!(v.iter().any(|m| m.contains("drain")), "{v:?}");
         assert!(v.iter().any(|m| m.contains("span")), "{v:?}");
-
-        // Retransmits flagged only when the wire is claimed perfect.
-        retx.inc();
-        assert!(health_check(&reg.snapshot(), true)
-            .iter()
-            .any(|m| m.contains("perfect wire")));
-        assert!(!health_check(&reg.snapshot(), false)
-            .iter()
-            .any(|m| m.contains("perfect wire")));
     }
 
     #[test]

@@ -98,18 +98,6 @@ pub struct ProcStats {
     /// Of `app_state_bytes`, the bytes covered by clean references:
     /// tracked fields the previous line already held, never serialized.
     pub app_state_bytes_clean: u64,
-    /// Data frames retransmitted by the reliable-delivery sublayer (zero
-    /// on the perfect wire).
-    pub net_retransmits: u64,
-    /// Duplicate data frames received and discarded by the sublayer.
-    pub net_dup_delivered: u64,
-    /// Frames the lossy wire dropped on this rank's outgoing links.
-    pub net_wire_dropped: u64,
-    /// Frames the lossy wire duplicated on this rank's outgoing links.
-    pub net_wire_duplicated: u64,
-    /// Frames the lossy wire held back (reorder + delay) on this rank's
-    /// outgoing links.
-    pub net_wire_held: u64,
     /// Application payload bytes the *protocol layer* copied on the
     /// message path — this layer's own copies only, counted by hand; what
     /// `simmpi` and the buffer type do is measured by their own tests.
@@ -343,21 +331,6 @@ impl<'a> Process<'a> {
     /// Statistics accumulated so far.
     pub fn stats(&self) -> &ProcStats {
         &self.stats
-    }
-
-    /// Final statistics: the protocol counters plus the network
-    /// sublayer's counters for this rank. Call after the run completes
-    /// (the job driver does); on the perfect wire the net fields are
-    /// zero and this equals [`Process::stats`].
-    pub fn final_stats(&self) -> ProcStats {
-        let mut s = self.stats;
-        let ns = self.mpi.net_stats();
-        s.net_retransmits = ns.retransmits;
-        s.net_dup_delivered = ns.dup_delivered;
-        s.net_wire_dropped = ns.wire.dropped + ns.wire.partition_dropped;
-        s.net_wire_duplicated = ns.wire.duplicated;
-        s.net_wire_held = ns.wire.reordered + ns.wire.delayed;
-        s
     }
 
     /// The recovered application state envelope, decoded. `None` on a
@@ -1479,7 +1452,6 @@ impl<'a> Process<'a> {
     /// (it never commits, so recovery ignores it).
     pub fn finalize(&mut self) -> C3Result<()> {
         if !self.cfg.level.piggybacks() {
-            self.trace_net_summary();
             return Ok(());
         }
         let ctrl = self.ctrl_world();
@@ -1506,25 +1478,6 @@ impl<'a> Process<'a> {
                 }
             }
         }
-        self.trace_net_summary();
         Ok(())
-    }
-
-    /// Record the network sublayer's end-of-run counters in the trace.
-    /// Presence is determined by the configuration (lossy wire on), so a
-    /// fixed `(seed, NetCond, FailureSchedule)` yields a fixed trace
-    /// shape; on the perfect wire nothing is emitted.
-    fn trace_net_summary(&mut self) {
-        if self.cfg.net.is_perfect() || !self.tracing() {
-            return;
-        }
-        let ns = self.mpi.net_stats();
-        self.trace_event(TraceEvent::NetSummary {
-            retransmits: ns.retransmits,
-            dup_delivered: ns.dup_delivered,
-            wire_dropped: ns.wire.dropped + ns.wire.partition_dropped,
-            wire_duplicated: ns.wire.duplicated,
-            wire_held: ns.wire.reordered + ns.wire.delayed,
-        });
     }
 }

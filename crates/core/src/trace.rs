@@ -297,24 +297,6 @@ pub enum TraceEvent {
         /// The committed checkpoint the sweep kept (the recovery line).
         kept: u64,
     },
-    /// End-of-run summary of the simulated network sublayer on this rank
-    /// (emitted at finalize when the job ran over a lossy wire). The
-    /// analyzer treats it as diagnostic context: its presence certifies
-    /// that the invariants I1–I13 held *under* wire loss, duplication,
-    /// and reordering, not over a perfect fabric.
-    20 => NetSummary {
-        /// Data frames this rank retransmitted.
-        retransmits: u64,
-        /// Duplicate data frames this rank received and discarded.
-        dup_delivered: u64,
-        /// Frames the wire dropped on this rank's outgoing links.
-        wire_dropped: u64,
-        /// Frames the wire duplicated on this rank's outgoing links.
-        wire_duplicated: u64,
-        /// Frames the wire held back (reorder + delay) on this rank's
-        /// outgoing links.
-        wire_held: u64,
-    },
     /// The async tier-drain mover finished promoting committed
     /// checkpoint `ckpt` onto storage tier `tier` (1 = partner tier,
     /// deeper = global/erasure tiers; the staging tier 0 is covered by
@@ -586,13 +568,6 @@ mod tests {
             TraceEvent::BlobStaged { ckpt: 4, kind: 0 },
             TraceEvent::PipelineDrained { ckpt: 4, blobs: 6 },
             TraceEvent::GcRan { kept: 4 },
-            TraceEvent::NetSummary {
-                retransmits: 7,
-                dup_delivered: 3,
-                wire_dropped: 11,
-                wire_duplicated: 2,
-                wire_held: 5,
-            },
             TraceEvent::TierDrained { ckpt: 4, tier: 2 },
             TraceEvent::TierRecovered { ckpt: 4, tier: 1 },
             TraceEvent::RankRespawned {
@@ -642,10 +617,10 @@ mod tests {
     #[test]
     fn c3trace2_golden_bytes() {
         let bytes = encode_trace(&sample_records());
-        assert_eq!(bytes.len(), 1137);
+        assert_eq!(bytes.len(), 1072);
         assert_eq!(
             ckptstore::hash128(&bytes),
-            0x5619_fbf4_1ffc_6920_4ab2_1696_93e2_5b74
+            0x7640_71c9_c702_917d_b1e8_188e_8975_5741
         );
     }
 
@@ -659,6 +634,15 @@ mod tests {
             seq: 0,
             event: TraceEvent::RecoveryComplete,
         }]);
+        // A field-less event ends the artifact with its tag byte. Tag 20
+        // is retired (it summarised a simulated lossy wire): a record
+        // bearing it is an unknown tag.
+        assert!(!TraceEvent::TAGS.contains(&20));
+        assert_eq!(bytes.last(), Some(&16));
+        let mut retired = bytes.clone();
+        *retired.last_mut().unwrap() = 20;
+        let err = decode_trace(&retired).unwrap_err().to_string();
+        assert!(err.contains("unknown") && err.contains("tag 20"), "{err}");
         bytes.push(0); // trailing garbage
         assert!(decode_trace(&bytes).is_err());
         assert!(decode_trace(&bytes[..bytes.len() - 2]).is_err());

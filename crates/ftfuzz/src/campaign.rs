@@ -1,12 +1,12 @@
 //! Run one scenario end to end and judge it.
 //!
-//! A campaign is: a failure-free perfect-wire reference run, then the
-//! adversarial run (kills + lossy wire + faulty storage + tiers) with a
-//! trace sink and metrics registry attached, then the verdict pipeline —
-//! output comparison against the reference, the `c3verify` state
-//! analyzer, the happens-before race checker, and the `c3obs` metrics
-//! health check. All three checkers are called through the
-//! [`c3verify::verdict`] library API (no subprocesses).
+//! A campaign is: a failure-free reference run, then the adversarial
+//! run (kills + faulty storage + tiers) with a trace sink and metrics
+//! registry attached, then the verdict pipeline — output comparison
+//! against the reference, the `c3verify` state analyzer, the
+//! happens-before race checker, and the `c3obs` metrics health check.
+//! All three checkers are called through the [`c3verify::verdict`]
+//! library API (no subprocesses).
 //!
 //! An optional [`Plant`] mutates the recorded trace before verification
 //! — an intentionally introduced protocol bug, used to prove the fuzzer
@@ -191,8 +191,8 @@ where
         failure: Some(failure),
     };
 
-    // Failure-free reference on the perfect wire: same app, same world
-    // size, plain storage. Its outputs define "correct".
+    // Failure-free reference: same app, same world size, plain
+    // storage. Its outputs define "correct".
     let reference_cfg = match scenario.interval {
         Some(k) => C3Config::every_ops(k),
         None => C3Config::default(),
@@ -249,8 +249,7 @@ where
         }
     }
     if failure.is_none() {
-        let violations =
-            c3_core::health_check(&reg.snapshot(), scenario.net.is_perfect());
+        let violations = c3_core::health_check(&reg.snapshot());
         if !violations.is_empty() {
             failure = Some(FuzzFailure::Health(violations));
         }
@@ -283,7 +282,6 @@ mod tests {
             chunker: c3_core::Chunker::default(),
             keep_last: 1,
             tiers: None,
-            net: simmpi::NetCond::perfect(),
             faults: ckptstore::FaultPlan::none(),
             schedule: ftsim::FailureSchedule::none(),
         }

@@ -4,7 +4,6 @@
 //! One `u64` seed derives a whole adversarial *campaign*
 //! ([`Scenario::from_seed`]): world size, application (Dense CG or
 //! Laplace), checkpoint cadence (including back-to-back lines), a
-//! [`simmpi::NetCond`] loss/reorder/partition wire profile, a
 //! [`ckptstore::FaultPlan`] of storage faults and latency, a tier
 //! topology, and a composed [`ftsim::FailureSchedule`] of rank kills —
 //! during async checkpoint writes, during tier drains, and during
@@ -18,8 +17,8 @@
 //! [`FuzzFailure`].
 //!
 //! On failure, [`shrink`] runs delta debugging over the scenario
-//! dimensions — fewer kills, weaker network, quieter storage, fewer
-//! ranks, shorter horizon — re-running the campaign at every step and
+//! dimensions — fewer kills, quieter storage, fewer ranks, shorter
+//! horizon — re-running the campaign at every step and
 //! keeping only candidates that preserve the failure. The result is
 //! rendered by [`reproducer`] as a self-contained `#[test]`-shaped
 //! snippet plus the shrunk scenario.

@@ -13,7 +13,6 @@ use std::sync::Arc;
 use c3_core::{C3Config, Chunker, PipelineConfig, TierTopology, WriteMode};
 use ckptstore::{splitmix64, FaultInjectingBackend, FaultPlan, MemoryBackend};
 use ftsim::FailureSchedule;
-use simmpi::{NetCond, RetransmitPolicy};
 
 /// Which application the campaign runs. Both are real `C3App`
 /// implementations from `c3-apps`, sized small enough that a campaign
@@ -85,8 +84,6 @@ pub struct Scenario {
     pub keep_last: u64,
     /// Multi-level storage topology behind the faulty staging tier.
     pub tiers: Option<TierTopology>,
-    /// Wire profile.
-    pub net: NetCond,
     /// Storage misbehavior of the staging tier.
     pub faults: FaultPlan,
     /// Rank kills, including attempt-gated kills during recovery.
@@ -208,13 +205,12 @@ impl Scenario {
             chunker,
             keep_last,
             tiers,
-            net: NetCond::from_seed(seed, nranks),
             faults: FaultPlan::from_seed(seed),
             schedule,
         }
     }
 
-    /// Build the job configuration (wire, cadence, I/O, kills) for the
+    /// Build the job configuration (cadence, I/O, kills) for the
     /// adversarial run. The trace sink and metrics registry are the
     /// campaign runner's to add.
     pub fn config(&self) -> C3Config {
@@ -229,10 +225,7 @@ impl Scenario {
             Some(k) => C3Config::every_ops(k),
             None => C3Config::default(),
         };
-        self.schedule
-            .apply(base)
-            .with_net(self.net.clone())
-            .with_io(io)
+        self.schedule.apply(base).with_io(io)
     }
 
     /// The faulty staging backend for the adversarial run. When the
@@ -246,14 +239,11 @@ impl Scenario {
         ))
     }
 
-    /// The deterministic projection of this scenario: same app, world
-    /// size and wire *decision* streams, but no checkpoints, no kills,
-    /// no storage faults, no drops or partitions, and an hour-scale
-    /// retransmit timer. What remains — duplication, reorder, delay —
-    /// is a pure function of the seed, so two runs of the projection
-    /// produce byte-identical canonical traces (the property the
-    /// `net_chaos_matrix` reproducibility test established, extended
-    /// here to every fuzz seed).
+    /// The deterministic projection of this scenario: same app and
+    /// world size, but no checkpoints, no kills, no storage faults and
+    /// no tier mover. What remains is a pure function of the seed, so
+    /// two runs of the projection produce byte-identical canonical
+    /// traces.
     ///
     /// The full campaign cannot promise byte-identical traces: control
     /// gathers use any-source receives and abort propagation is
@@ -262,21 +252,12 @@ impl Scenario {
     /// outputs + verdicts on the full campaign and byte-identical
     /// traces on this projection.
     pub fn determinized(&self) -> Scenario {
-        let mut net = self.net.clone();
-        net.drop_ppm = 0;
-        net.partitions.clear();
-        net.retransmit = RetransmitPolicy {
-            base_delay_us: 3_600_000_000,
-            max_delay_us: 3_600_000_000,
-            budget: 32,
-        };
         Scenario {
             interval: None,
             schedule: FailureSchedule::none(),
             faults: FaultPlan::none(),
             tiers: None,
             keep_last: 1,
-            net,
             ..self.clone()
         }
     }
@@ -312,8 +293,6 @@ mod tests {
         };
         assert!(count(&|s| s.tiers.is_some()) >= 64, "tiered scenarios");
         assert!(count(&|s| s.tiers.is_none()) >= 32, "flat scenarios");
-        assert!(count(&|s| !s.net.is_perfect()) >= 96, "lossy wires");
-        assert!(count(&|s| s.net.is_perfect()) >= 16, "perfect wires");
         assert!(count(&|s| s.schedule.is_empty()) >= 16, "kill-free");
         assert!(
             count(&|s| s.schedule.injections.len() >= 2) >= 16,
@@ -364,9 +343,6 @@ mod tests {
             for &(rank, _) in &s.schedule.recovery_kills {
                 assert!(rank < s.nranks);
             }
-            for p in &s.net.partitions {
-                assert!(p.a < s.nranks && p.b < s.nranks);
-            }
         }
     }
 
@@ -408,13 +384,7 @@ mod tests {
         let d = Scenario::from_seed(7).determinized();
         assert_eq!(d.interval, None, "no checkpoints");
         assert!(d.schedule.is_empty(), "no kills");
-        assert_eq!(d.net.drop_ppm, 0, "no drops");
-        assert!(d.net.partitions.is_empty(), "no partitions");
         assert!(d.tiers.is_none(), "no tier mover");
-        assert!(
-            d.net.retransmit.base_delay_us >= 3_600_000_000,
-            "no timer-driven retransmits"
-        );
         assert_eq!(d.app, Scenario::from_seed(7).app, "same app");
     }
 }

@@ -2,18 +2,15 @@
 //! reproducer renderer.
 //!
 //! Given a failing campaign, [`shrink`] repeatedly proposes simpler
-//! scenarios — drop a kill, perfect the wire, quiet the storage, drop a
-//! tier, remove a rank, halve the horizon, simplify the I/O mode — and
+//! scenarios — drop a kill, quiet the storage, drop a tier, remove a
+//! rank, halve the horizon, simplify the I/O mode — and
 //! re-runs the campaign for each proposal, keeping it only when the
 //! *same* failure (by [`FuzzFailure::label`]) still occurs. The loop
 //! runs to a fixed point (one full pass with no accepted proposal) or
 //! until the run budget is exhausted. [`reproducer`] then renders the
 //! shrunk scenario as a self-contained `#[test]`-shaped snippet.
 
-use std::fmt::Write as _;
-
 use ftsim::FailureSchedule;
-use simmpi::NetCond;
 
 use crate::campaign::{run_campaign, FuzzFailure, Plant};
 use crate::scenario::Scenario;
@@ -46,12 +43,6 @@ fn proposals(sc: &Scenario) -> Vec<Scenario> {
     if !sc.schedule.is_empty() {
         push(Scenario {
             schedule: FailureSchedule::none(),
-            ..sc.clone()
-        });
-    }
-    if !sc.net.is_perfect() {
-        push(Scenario {
-            net: NetCond::perfect(),
             ..sc.clone()
         });
     }
@@ -108,12 +99,9 @@ fn proposals(sc: &Scenario) -> Vec<Scenario> {
         {
             *rank = (*rank).min(nranks - 1);
         }
-        let mut net = sc.net.clone();
-        net.partitions.retain(|p| p.a < nranks && p.b < nranks);
         push(Scenario {
             nranks,
             schedule,
-            net,
             ..sc.clone()
         });
     }
@@ -186,51 +174,6 @@ pub fn shrink(
     })
 }
 
-fn fmt_net(net: &NetCond) -> String {
-    if *net == NetCond::perfect() {
-        return "simmpi::NetCond::perfect()".into();
-    }
-    let mut s = format!(
-        "simmpi::NetCond {{\n            seed: {:#x},\n            \
-         drop_ppm: {},\n            dup_ppm: {},\n            \
-         reorder_ppm: {},\n            reorder_span: {},\n            \
-         delay_ppm: {},\n            delay_us: {},\n            \
-         jitter_us: {},\n",
-        net.seed,
-        net.drop_ppm,
-        net.dup_ppm,
-        net.reorder_ppm,
-        net.reorder_span,
-        net.delay_ppm,
-        net.delay_us,
-        net.jitter_us,
-    );
-    for p in &net.partitions {
-        let _ = writeln!(
-            s,
-            "            // partition {}<->{} over frames {}..{}",
-            p.a, p.b, p.from, p.until
-        );
-    }
-    if !net.partitions.is_empty() {
-        let _ = writeln!(
-            s,
-            "            partitions: vec![{}],",
-            net.partitions
-                .iter()
-                .map(|p| format!(
-                    "simmpi::Partition {{ a: {}, b: {}, from: {}, until: {} \
-                     }}",
-                    p.a, p.b, p.from, p.until
-                ))
-                .collect::<Vec<_>>()
-                .join(", ")
-        );
-    }
-    s.push_str("            ..simmpi::NetCond::perfect()\n        }");
-    s
-}
-
 fn fmt_faults(plan: &ckptstore::FaultPlan) -> String {
     if *plan == ckptstore::FaultPlan::none() {
         return "ckptstore::FaultPlan::none()".into();
@@ -262,8 +205,8 @@ fn fmt_schedule(s: &FailureSchedule) -> String {
     };
     format!(
         "ftsim::FailureSchedule {{\n            injections: vec![{}],\n     \
-         \x20      recovery_kills: vec![{}],\n            net: None,\n       \
-         \x20    localized: {},\n        }}",
+         \x20      recovery_kills: vec![{}],\n            localized: {},\n   \
+         \x20    }}",
         pairs(&s.injections),
         pairs(&s.recovery_kills),
         s.localized,
@@ -316,7 +259,6 @@ pub fn reproducer(
          \x20       chunker: c3_core::Chunker::cdc({avg}),\n\
          \x20       keep_last: {keep_last},\n\
          \x20       tiers: {tiers},\n\
-         \x20       net: {net},\n\
          \x20       faults: {faults},\n\
          \x20       schedule: {schedule},\n\
          \x20   }};\n\
@@ -335,7 +277,6 @@ pub fn reproducer(
         avg = sc.chunker.avg(),
         keep_last = sc.keep_last,
         tiers = fmt_tiers(&sc.tiers),
-        net = fmt_net(&sc.net),
         faults = fmt_faults(&sc.faults),
         schedule = fmt_schedule(&sc.schedule),
     )
@@ -356,7 +297,6 @@ mod tests {
             chunker: c3_core::Chunker::cdc(1024),
             keep_last: 2,
             tiers: Some(c3_core::TierTopology::partner(1)),
-            net: NetCond::perfect().with_dup_ppm(10_000),
             faults: ckptstore::FaultPlan::none().fail_n(1),
             schedule: FailureSchedule::single(1, 40),
         }
@@ -366,7 +306,6 @@ mod tests {
     fn shrink_returns_none_for_a_passing_scenario() {
         let sc = Scenario {
             schedule: FailureSchedule::none(),
-            net: NetCond::perfect(),
             faults: ckptstore::FaultPlan::none(),
             tiers: None,
             keep_last: 1,
@@ -397,7 +336,6 @@ mod tests {
             chunker: c3_core::Chunker::default(),
             keep_last: 1,
             tiers: None,
-            net: NetCond::perfect(),
             faults: ckptstore::FaultPlan::none(),
             schedule: FailureSchedule::none(),
         };
@@ -419,7 +357,6 @@ mod tests {
         assert!(code.contains("Plant::HoistCommitBeforeDrain"));
         assert!(code.contains("injections: vec![(1, 40)]"));
         assert!(code.contains("fail_first_puts: 1"));
-        assert!(code.contains("dup_ppm: 10000"));
         assert!(code.contains("TierTopology::partner(1)"));
         assert!(code.contains("c3_core::Chunker::cdc(1024)"));
         assert!(code.contains("outcome.failure.is_none()"));

@@ -5,10 +5,7 @@ use rand::{Rng, SeedableRng};
 
 use c3_core::C3Config;
 
-/// A reproducible plan of stopping failures for a job, optionally paired
-/// with the network conditions the job runs under. Keeping the wire in the
-/// schedule lets a chaos campaign sweep process faults and network faults
-/// as one reproducible unit.
+/// A reproducible plan of stopping failures for a job.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FailureSchedule {
     /// `(rank, at_op)` pairs; each fires at most once across attempts.
@@ -18,9 +15,6 @@ pub struct FailureSchedule {
     /// the replay/suppression window of the first restart — a failure
     /// *during recovery* (the double-failure case).
     pub recovery_kills: Vec<(usize, u64)>,
-    /// Simulated interconnect conditions; `None` leaves the config's wire
-    /// untouched (the perfect wire, unless the caller set one).
-    pub net: Option<simmpi::NetCond>,
     /// Run the job under [`c3_core::RecoveryMode::Localized`]: rank
     /// deaths are repaired by online spare-rank substitution, falling
     /// back to full rollback only when a splice policy escalates.
@@ -33,7 +27,6 @@ impl FailureSchedule {
         FailureSchedule {
             injections: Vec::new(),
             recovery_kills: Vec::new(),
-            net: None,
             localized: false,
         }
     }
@@ -44,12 +37,6 @@ impl FailureSchedule {
             injections: vec![(rank, at_op)],
             ..FailureSchedule::none()
         }
-    }
-
-    /// Run this schedule's failures over the given simulated network.
-    pub fn with_net(mut self, net: simmpi::NetCond) -> Self {
-        self.net = Some(net);
-        self
     }
 
     /// Repair this schedule's failures by online splice instead of
@@ -86,9 +73,9 @@ impl FailureSchedule {
     }
 
     /// Merge another schedule into this one: injections and recovery
-    /// kills are unioned (kept sorted by op); `other`'s wire wins when
-    /// both carry one. This is what lets a campaign compose
-    /// [`FailureSchedule::kill_during_async_write`],
+    /// kills are unioned (kept sorted by op), and either part's
+    /// localized flag opts the union in. This is what lets a campaign
+    /// compose [`FailureSchedule::kill_during_async_write`],
     /// [`FailureSchedule::kill_during_tier_drain`] and
     /// [`FailureSchedule::kill_during_recovery`] into one plan.
     pub fn and(mut self, other: FailureSchedule) -> Self {
@@ -96,9 +83,6 @@ impl FailureSchedule {
         self.injections.sort_by_key(|&(_, op)| op);
         self.recovery_kills.extend(other.recovery_kills);
         self.recovery_kills.sort_by_key(|&(_, op)| op);
-        if other.net.is_some() {
-            self.net = other.net;
-        }
         self.localized |= other.localized;
         self
     }
@@ -254,9 +238,6 @@ impl FailureSchedule {
         for &(rank, at_op) in &self.recovery_kills {
             cfg = cfg.with_failure_from(rank, at_op, 2);
         }
-        if let Some(net) = &self.net {
-            cfg = cfg.with_net(net.clone());
-        }
         if self.localized {
             cfg = cfg.with_recovery(c3_core::RecoveryMode::Localized);
         }
@@ -344,22 +325,15 @@ mod tests {
 
     #[test]
     fn compose_unions_schedules_and_keeps_them_sorted() {
-        let a =
-            FailureSchedule::single(0, 70).with_net(simmpi::NetCond::lossy(1));
+        let a = FailureSchedule::single(0, 70);
         let b = FailureSchedule::single(2, 30);
         let c = FailureSchedule::kill_during_recovery(3, 4, 90);
         let all = FailureSchedule::compose([a, b, c.clone()]);
         let ops: Vec<u64> = all.injections.iter().map(|&(_, op)| op).collect();
         assert_eq!(ops, vec![30, 70, 90], "sorted by op");
         assert_eq!(all.recovery_kills, c.recovery_kills);
-        assert_eq!(all.net, Some(simmpi::NetCond::lossy(1)));
         assert_eq!(all.len(), 4);
         assert!(!all.is_empty());
-        // `and` prefers the right-hand wire when both are set.
-        let w = FailureSchedule::none()
-            .with_net(simmpi::NetCond::lossy(1))
-            .and(FailureSchedule::none().with_net(simmpi::NetCond::lossy(2)));
-        assert_eq!(w.net, Some(simmpi::NetCond::lossy(2)));
         // with_injection keeps the plan sorted too.
         let s = FailureSchedule::single(1, 50).with_injection(0, 10);
         assert_eq!(s.injections, vec![(0, 10), (1, 50)]);
@@ -393,19 +367,5 @@ mod tests {
         let cfg = FailureSchedule::single(2, 30).apply(C3Config::default());
         assert_eq!(cfg.failures.len(), 1);
         assert_eq!(cfg.failures[0].rank, 2);
-        assert!(cfg.net.is_perfect(), "no net in schedule leaves the wire");
-    }
-
-    #[test]
-    fn apply_installs_network_conditions() {
-        let sched =
-            FailureSchedule::single(1, 40).with_net(simmpi::NetCond::lossy(9));
-        assert_eq!(sched, sched.clone(), "schedule stays comparable");
-        let cfg = sched.apply(C3Config::default());
-        assert_eq!(cfg.net, simmpi::NetCond::lossy(9));
-        // A pre-set wire survives a schedule that carries none.
-        let cfg2 = FailureSchedule::none()
-            .apply(C3Config::default().with_net(simmpi::NetCond::lossy(7)));
-        assert_eq!(cfg2.net, simmpi::NetCond::lossy(7));
     }
 }

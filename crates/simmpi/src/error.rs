@@ -29,15 +29,6 @@ pub enum MpiError {
     /// A request was waited on twice, or a `Request` from a different rank
     /// was passed in.
     BadRequest(String),
-    /// The reliable-delivery sublayer exhausted its retransmission budget
-    /// against a rank that is neither failed nor departed — the network,
-    /// not the process, is at fault (e.g. a partition that never healed).
-    NetUnreachable {
-        /// The destination that never acknowledged.
-        dst: usize,
-        /// Transmissions attempted before giving up.
-        attempts: u32,
-    },
 }
 
 impl fmt::Display for MpiError {
@@ -59,11 +50,6 @@ impl fmt::Display for MpiError {
             }
             MpiError::BadPayload(m) => write!(f, "bad payload: {m}"),
             MpiError::BadRequest(m) => write!(f, "bad request: {m}"),
-            MpiError::NetUnreachable { dst, attempts } => write!(
-                f,
-                "rank {dst} unreachable: retransmit budget exhausted \
-                 after {attempts} attempts"
-            ),
         }
     }
 }

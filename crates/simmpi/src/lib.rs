@@ -54,7 +54,6 @@ pub mod datatype;
 pub mod envelope;
 pub mod error;
 pub mod matching;
-pub mod netsim;
 pub(crate) mod obs;
 pub mod rank;
 pub mod request;
@@ -66,7 +65,6 @@ pub use comm::Comm;
 pub use datatype::{DType, MpiType, ReduceOp};
 pub use envelope::{HeaderBytes, Message, RecvMsg, MAX_HEADER_LEN};
 pub use error::{MpiError, MpiResult};
-pub use netsim::{NetCond, NetStats, Partition, RetransmitPolicy, WireStats};
 pub use rank::{Mpi, ANY_SOURCE, ANY_TAG};
 pub use request::Request;
 pub use splice::{SpliceDecision, SplicePolicy, SpliceQuery, SpliceStats};

@@ -122,25 +122,3 @@ impl Drop for MpiObs {
         self.flush();
     }
 }
-
-/// Metric handles of the reliable-delivery sublayer (lossy wire only,
-/// so these never fire on the perfect-wire hot path).
-pub(crate) struct NetObs {
-    /// `net_retransmits_total{rank}` — data frames retransmitted.
-    pub retransmits: Counter,
-    /// `net_retransmit_backoff_us{rank}` — backoff delay scheduled
-    /// after each retransmission, in microseconds.
-    pub backoff_us: Histogram,
-}
-
-impl NetObs {
-    /// Register this rank's sublayer handles.
-    pub fn register(reg: &Registry, rank: usize) -> Self {
-        let r = rank.to_string();
-        let l: &[(&str, &str)] = &[("rank", &r)];
-        NetObs {
-            retransmits: reg.counter_with("net_retransmits_total", l),
-            backoff_us: reg.histogram_with("net_retransmit_backoff_us", l),
-        }
-    }
-}

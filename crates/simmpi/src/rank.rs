@@ -11,7 +11,6 @@ use crate::datatype::MpiType;
 use crate::envelope::{HeaderBytes, Message, RecvMsg};
 use crate::error::{MpiError, MpiResult};
 use crate::matching::{MatchEngine, PostOutcome, RecvId};
-use crate::netsim::{Frame, NetEndpoint, NetStats};
 use crate::request::{ReqState, Request};
 use crate::splice::TapeEntry;
 use crate::transport::Fabric;
@@ -44,11 +43,7 @@ pub struct Mpi {
     size: usize,
     world: Comm,
     fabric: Fabric,
-    inbox: Receiver<Frame>,
-    /// Reliable-delivery sublayer endpoint; present iff the fabric runs
-    /// over a lossy wire. With the default perfect wire this is `None`
-    /// and frames take the original direct path.
-    net: Option<NetEndpoint>,
+    inbox: Receiver<Message>,
     engine: MatchEngine,
     /// Receives completed by a drain while their owner was waiting on a
     /// different request.
@@ -100,8 +95,8 @@ pub(crate) struct Splice {
     class_sent: Vec<HashMap<(u32, i32), u64>>,
     /// Remaining re-executed sends to squelch, per destination and
     /// `(context, tag)` class: the dead incarnation's `class_sent`. The
-    /// survivors already hold (or will receive, via the resurrected
-    /// endpoint) those frames. Empty on the original incarnation.
+    /// survivors already hold those frames. Empty on the original
+    /// incarnation.
     suppress_budget: Vec<HashMap<(u32, i32), u64>>,
     /// Re-executed sends squelched so far.
     suppressed_sends: u64,
@@ -158,19 +153,15 @@ impl Mpi {
         rank: usize,
         size: usize,
         fabric: Fabric,
-        inbox: Receiver<Frame>,
+        inbox: Receiver<Message>,
         spliceable: bool,
     ) -> Self {
-        let net = fabric
-            .net_cond()
-            .map(|c| NetEndpoint::new(rank, size, c.retransmit.clone()));
         Mpi {
             rank,
             size,
             world: crate::world::world_comm(rank, size),
             fabric,
             inbox,
-            net,
             engine: MatchEngine::new(),
             completed: HashMap::new(),
             send_seq: vec![0; size],
@@ -185,8 +176,7 @@ impl Mpi {
     /// Turn this fail-stopped handle into respawned incarnation
     /// `incarnation` of its rank. The successor inherits the mailbox (the
     /// fabric's channels are single-consumer, so frames queued during the
-    /// death window survive only this way) and the reliable-delivery
-    /// endpoint (wire sequencing continues), squelches re-executed sends
+    /// death window survive only this way), squelches re-executed sends
     /// up to the dead incarnation's per-class transmitted counts, and
     /// replays its consumed-message tape op-faithfully.
     pub(crate) fn respawn(mut self, incarnation: u32) -> Mpi {
@@ -211,7 +201,6 @@ impl Mpi {
 
         let mut next =
             Mpi::new(self.rank, self.size, self.fabric, self.inbox, false);
-        next.net = self.net;
         let mut splice = Splice::new(next.size);
         splice.incarnation = incarnation;
         splice.suppress_budget = dead.class_sent;
@@ -238,14 +227,10 @@ impl Mpi {
     }
 
     /// Attach an observability registry: registers this rank's metric
-    /// handle bundle (and the reliable-delivery sublayer's, when the
-    /// wire is lossy). Metrics record into the registry from this call
+    /// handle bundle. Metrics record into the registry from this call
     /// on; without it every hook is a single `Option` check.
     pub fn attach_obs(&mut self, reg: &c3obs::Registry) {
         self.obs = Some(crate::obs::MpiObs::register(reg, self.rank));
-        if let Some(ep) = self.net.as_mut() {
-            ep.attach_obs(crate::obs::NetObs::register(reg, self.rank));
-        }
     }
 
     /// This rank's world rank.
@@ -325,30 +310,6 @@ impl Mpi {
         }
     }
 
-    /// Route one frame from the mailbox: direct frames go straight to the
-    /// matching engine; sublayer frames pass through the reliable-delivery
-    /// endpoint, which may emit zero or more messages in wire order (and,
-    /// during catch-up, still drops duplicates and acks, so peers stop
-    /// retransmitting into it).
-    fn dispatch(&mut self, frame: Frame) {
-        match frame {
-            Frame::Direct(msg) => self.accept(msg),
-            other => {
-                let msgs = match self.net.as_mut() {
-                    Some(ep) => {
-                        ep.on_frame(&self.fabric, other, Instant::now())
-                    }
-                    // Sublayer frames cannot arrive on a perfect-wire
-                    // fabric; drop defensively.
-                    None => Vec::new(),
-                };
-                for m in msgs {
-                    self.accept(m);
-                }
-            }
-        }
-    }
-
     /// Feed one live message — or, during a respawned incarnation's
     /// catch-up, park it behind the replay tape (it post-dates
     /// everything on it).
@@ -359,25 +320,14 @@ impl Mpi {
         }
     }
 
-    /// Drive the reliable-delivery sublayer's timers (held-frame release
-    /// and retransmission). No-op on the perfect wire.
-    fn net_poll(&mut self) -> MpiResult<()> {
-        if let Some(ep) = self.net.as_mut() {
-            ep.poll(&self.fabric, Instant::now())?;
-        }
-        Ok(())
-    }
-
-    /// Move every frame waiting in the mailbox into the matching engine
+    /// Move every message waiting in the mailbox into the matching engine
     /// (or, in catch-up, behind the replay tape, whose next entry is then
     /// released if the current operation count has reached it).
-    fn drain(&mut self) -> MpiResult<()> {
-        self.net_poll()?;
-        while let Ok(frame) = self.inbox.try_recv() {
-            self.dispatch(frame);
+    fn drain(&mut self) {
+        while let Ok(msg) = self.inbox.try_recv() {
+            self.accept(msg);
         }
         self.replay_step();
-        Ok(())
     }
 
     /// One catch-up round: release the head tape entry if its recorded
@@ -417,7 +367,7 @@ impl Mpi {
         }
     }
 
-    /// Wait for traffic: dispatch the next mailbox frame, or return after
+    /// Wait for traffic: accept the next mailbox message, or return after
     /// about a millisecond without one (callers loop, re-reading the
     /// liveness flags). The mailbox is polled for [`SPIN`] before the
     /// thread parks on it: a peer in lock-step answers within
@@ -428,9 +378,9 @@ impl Mpi {
     /// descheduled (measured here: 6× slower than parking at once).
     fn await_frame(&mut self) -> MpiResult<()> {
         let spin_until = Instant::now() + SPIN;
-        let frame = loop {
+        let msg = loop {
             match self.inbox.try_recv() {
-                Ok(frame) => break Some(frame),
+                Ok(msg) => break Some(msg),
                 Err(TryRecvError::Empty) if Instant::now() < spin_until => {
                     std::thread::yield_now()
                 }
@@ -448,44 +398,10 @@ impl Mpi {
                 }
             }
         };
-        if let Some(frame) = frame {
-            self.dispatch(frame);
+        if let Some(msg) = msg {
+            self.accept(msg);
         }
         Ok(())
-    }
-
-    /// Linger until every frame this rank sent has been acknowledged (or
-    /// written off to dead/departed peers). Called by the job runner after
-    /// the rank function returns; immediate on the perfect wire.
-    pub(crate) fn net_flush(&mut self) -> MpiResult<()> {
-        if self.net.is_none() {
-            return Ok(());
-        }
-        loop {
-            if self.fabric.control().is_aborted() {
-                // Every rank is rolling back; undelivered frames die with
-                // the attempt.
-                return Ok(());
-            }
-            self.drain()?;
-            if self.net.as_ref().is_none_or(NetEndpoint::all_acked) {
-                return Ok(());
-            }
-            std::thread::sleep(Duration::from_micros(200));
-        }
-    }
-
-    /// Counters of the reliable-delivery sublayer and this rank's outgoing
-    /// wire links. All zero on the perfect wire.
-    pub fn net_stats(&self) -> NetStats {
-        match &self.net {
-            None => NetStats::default(),
-            Some(ep) => {
-                let mut s = ep.stats();
-                s.wire = self.fabric.wire_stats_for(self.rank);
-                s
-            }
-        }
     }
 
     fn resolve_dst(comm: &Comm, dst: usize) -> MpiResult<usize> {
@@ -575,15 +491,14 @@ impl Mpi {
             {
                 // Re-executed send of a respawned incarnation: the dead
                 // incarnation already transmitted this class's next
-                // frame, so the destination holds (or will receive, via
-                // the resurrected endpoint's retransmission buffer) the
-                // original. Spend the class budget and squelch the
-                // duplicate. Budgets are per (destination, context, tag)
-                // rather than a flat per-destination frame count: replay
-                // may interleave control and application traffic
-                // differently than the original run did, and a flat
-                // count would then spend suppression slots on the wrong
-                // frames and let duplicates through.
+                // frame, so the destination holds the original. Spend
+                // the class budget and squelch the duplicate. Budgets
+                // are per (destination, context, tag) rather than a flat
+                // per-destination frame count: replay may interleave
+                // control and application traffic differently than the
+                // original run did, and a flat count would then spend
+                // suppression slots on the wrong frames and let
+                // duplicates through.
                 *budget -= 1;
                 s.suppressed_sends += 1;
                 return Ok(());
@@ -603,10 +518,7 @@ impl Mpi {
             payload,
             seq,
         };
-        let res = match self.net.as_mut() {
-            None => self.fabric.send(msg),
-            Some(ep) => ep.send(&self.fabric, msg, Instant::now()),
-        };
+        let res = self.fabric.send(msg);
         if let (Some(o), Some(t)) = (&self.obs, timer) {
             o.send_ns.record(t.elapsed_ns());
         }
@@ -624,7 +536,7 @@ impl Mpi {
         self.ops += 1;
         let src_world = Self::resolve_src(comm, src)?;
         let tag = Self::resolve_tag(tag);
-        self.drain()?;
+        self.drain();
         let context = Self::plane_context(comm, plane);
         match self.engine.post(src_world, context, tag) {
             PostOutcome::Matched(msg) => {
@@ -698,15 +610,14 @@ impl Mpi {
                     // Not complete: restore state and block for traffic.
                     req.state = ReqState::RecvPending(id);
                     self.liveness()?;
-                    // A full drain (not just a net poll): a respawned
-                    // incarnation's completion may come off the replay
-                    // tape, which only the drain path releases.
-                    self.drain()?;
+                    // A respawned incarnation's completion may come off
+                    // the replay tape, which only the drain path releases.
+                    self.drain();
                     if self.completed.contains_key(&id) {
                         continue;
                     }
                     self.await_frame()?;
-                    self.drain()?;
+                    self.drain();
                 }
             }
         }
@@ -853,7 +764,7 @@ impl Mpi {
             ));
         }
         self.liveness()?;
-        self.drain()?;
+        self.drain();
         match &req.state {
             ReqState::SendDone | ReqState::RecvReady(_) => Ok(true),
             ReqState::Consumed => Err(MpiError::BadRequest(
@@ -885,7 +796,7 @@ impl Mpi {
     ) -> MpiResult<(usize, Option<RecvMsg>)> {
         loop {
             self.liveness()?;
-            self.drain()?;
+            self.drain();
             let mut any_live = false;
             for (i, req) in reqs.iter_mut().enumerate() {
                 match &req.state {
@@ -965,7 +876,7 @@ impl Mpi {
         if let Some(o) = self.obs.as_mut() {
             o.note_probe();
         }
-        self.drain()?;
+        self.drain();
         let src_world = Self::resolve_src(comm, src)?;
         let tag = Self::resolve_tag(tag);
         Ok(self.engine.probe(src_world, comm.context(), tag).map(|m| {

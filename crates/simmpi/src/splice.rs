@@ -1,5 +1,5 @@
 //! Online rank substitution: the supervision types behind
-//! [`crate::World::run_supervised_net`].
+//! [`crate::World::run_supervised`].
 //!
 //! The supervisor has one failure path: a rank's death reaches it as the
 //! `Err(FailStop)` the rank thread exits with, and after the detection
@@ -9,8 +9,8 @@
 //! instead keep the survivors running. Only then does each rank handle
 //! carry splice bookkeeping (`Mpi::splice`): it tapes every message the
 //! rank *consumed* (tagged with the consuming rank's operation count), and
-//! when the rank fail-stops the dead handle itself — tape, mailbox, wire
-//! endpoint — travels to the supervisor, which turns it into a fresh
+//! when the rank fail-stops the dead handle itself — tape and mailbox —
+//! travels to the supervisor, which turns it into a fresh
 //! incarnation that deterministically re-executes the rank function with
 //! the tape substituting for its peers:
 //!
@@ -37,12 +37,8 @@
 //!   protocol layer's duplicate-suppression machinery never even sees a
 //!   duplicate. Budgets are class-wise because replay may interleave
 //!   control and application traffic differently than the original run;
-//! * on a lossy wire the dead rank's reliable-delivery endpoint is
-//!   resurrected into the new incarnation, so wire sequence numbers,
-//!   retransmission buffers, and cumulative-ack state continue seamlessly
-//!   (peers hold — rather than write off — traffic to a failed rank while
-//!   a supervisor with a splice policy is in charge; see
-//!   [`crate::JobControl::holds_failed_traffic`]).
+//! * the successor inherits the dead rank's mailbox, so traffic peers sent
+//!   during the death window is neither lost nor duplicated.
 //!
 //! Determinism is what makes this sound: a rank's execution is a function
 //! of its rank id, the attempt-scoped seed material derived from them by

@@ -1,98 +1,36 @@
-//! Transport fabric: one unbounded FIFO channel per destination rank,
-//! optionally fronted by the deterministic lossy wire of [`crate::netsim`].
+//! Transport fabric: one unbounded FIFO channel per destination rank.
 //!
 //! The paper assumes "a reliable transport layer for delivering application
-//! messages" (Section 1.1, citing LA-MPI). With the default perfect wire,
-//! crossbeam channels provide exactly that within a process: no loss, no
-//! duplication, per-sender FIFO — and frames take the direct path with no
-//! netsim state allocated at all. With a lossy [`NetCond`], every frame is
-//! pushed through per-directed-link wire state that may drop, duplicate,
-//! hold back, or sever it; the reliable-delivery sublayer in
-//! [`crate::netsim`] then rebuilds the FIFO guarantee above it.
-//! Everything weaker that the protocol must cope with — out-of-order
-//! *matching* at the application level — is introduced above this layer, in
-//! [`crate::matching`].
-
-use std::sync::Arc;
-use std::time::Instant;
+//! messages" (Section 1.1, citing LA-MPI). Crossbeam channels provide
+//! exactly that within a process, by construction: no loss, no
+//! duplication, per-sender FIFO. Everything weaker that the protocol must
+//! cope with — out-of-order *matching* at the application level — is
+//! introduced above this layer, in [`crate::matching`].
 
 use crossbeam::channel::{unbounded, Receiver, Sender};
-use parking_lot::Mutex;
 
 use crate::envelope::Message;
 use crate::error::{MpiError, MpiResult};
-use crate::netsim::{Frame, LinkWire, NetCond, WireStats};
 use crate::world::JobControl;
-
-/// The lossy-wire state shared by every rank's fabric handle: one
-/// [`LinkWire`] per directed link, indexed `src * n + dst`.
-struct WireNet {
-    cond: NetCond,
-    links: Vec<Mutex<LinkWire>>,
-    n: usize,
-}
 
 /// The sending half of the fabric, shared by all ranks.
 ///
 /// Cloning is cheap; each rank holds one.
 #[derive(Clone)]
 pub struct Fabric {
-    senders: Vec<Sender<Frame>>,
+    senders: Vec<Sender<Message>>,
     control: JobControl,
-    net: Option<Arc<WireNet>>,
 }
 
 impl Fabric {
-    /// Build a perfect-wire fabric for `n` ranks; returns the fabric plus
-    /// each rank's receiving endpoint.
+    /// Build a fabric for `n` ranks; returns the fabric plus each rank's
+    /// receiving endpoint.
     pub fn new(
         n: usize,
         control: JobControl,
-    ) -> (Fabric, Vec<Receiver<Frame>>) {
-        Self::build(n, control, None)
-    }
-
-    /// Build a fabric whose frames traverse the lossy wire described by
-    /// `cond` (a perfect `cond` degenerates to [`Fabric::new`]).
-    pub fn new_with_net(
-        n: usize,
-        control: JobControl,
-        cond: NetCond,
-    ) -> (Fabric, Vec<Receiver<Frame>>) {
-        let net = if cond.is_perfect() {
-            None
-        } else {
-            Some(Arc::new(WireNet {
-                links: (0..n * n)
-                    .map(|_| Mutex::new(LinkWire::new()))
-                    .collect(),
-                cond,
-                n,
-            }))
-        };
-        Self::build(n, control, net)
-    }
-
-    fn build(
-        n: usize,
-        control: JobControl,
-        net: Option<Arc<WireNet>>,
-    ) -> (Fabric, Vec<Receiver<Frame>>) {
-        let mut senders = Vec::with_capacity(n);
-        let mut receivers = Vec::with_capacity(n);
-        for _ in 0..n {
-            let (tx, rx) = unbounded();
-            senders.push(tx);
-            receivers.push(rx);
-        }
-        (
-            Fabric {
-                senders,
-                control,
-                net,
-            },
-            receivers,
-        )
+    ) -> (Fabric, Vec<Receiver<Message>>) {
+        let (senders, receivers) = (0..n).map(|_| unbounded()).unzip();
+        (Fabric { senders, control }, receivers)
     }
 
     /// Number of ranks the fabric connects.
@@ -105,86 +43,25 @@ impl Fabric {
         &self.control
     }
 
-    /// The wire conditions, if a lossy wire is active.
-    pub fn net_cond(&self) -> Option<&NetCond> {
-        self.net.as_ref().map(|w| &w.cond)
-    }
-
-    /// Validate a send's destination and the job's liveness, in that
-    /// order: a nonsense destination is a program bug and is reported as
-    /// such even while the job is aborting.
-    pub fn validate_send(&self, dst: usize) -> MpiResult<()> {
-        let size = self.size();
+    /// Deliver `msg` into the destination's mailbox. Infallible unless the
+    /// destination is invalid or the job is aborting (in which case the
+    /// message is dropped — every rank is about to be rolled back anyway).
+    /// The destination is checked first: a nonsense destination is a
+    /// program bug and is reported as such even while the job is aborting.
+    pub fn send(&self, msg: Message) -> MpiResult<()> {
+        let (dst, size) = (msg.dst, self.size());
         if dst >= size {
             return Err(MpiError::InvalidRank { rank: dst, size });
         }
         if self.control.is_aborted() {
             return Err(MpiError::Aborted);
         }
-        Ok(())
-    }
-
-    /// Deliver `msg` into the destination's mailbox over the perfect wire.
-    /// Infallible unless the destination is invalid or the job is aborting
-    /// (in which case the message is dropped — every rank is about to be
-    /// rolled back anyway).
-    pub fn send(&self, msg: Message) -> MpiResult<()> {
-        self.validate_send(msg.dst)?;
-        let dst = msg.dst;
         self.senders[dst]
-            .send(Frame::Direct(msg))
+            .send(msg)
             // The receiver endpoint only drops when its rank thread has
             // exited; under the stopping-failure model messages to a dead
             // rank silently vanish.
             .or(Ok(()))
-    }
-
-    /// Offer one frame to the lossy wire on the directed link
-    /// `src → dst`; surviving copies land in `dst`'s mailbox now or when
-    /// a later wire event releases them. No-op on a perfect-wire fabric.
-    pub fn wire_transmit(
-        &self,
-        src: usize,
-        dst: usize,
-        frame: Frame,
-        now: Instant,
-    ) {
-        let Some(net) = &self.net else { return };
-        let tx = &self.senders[dst];
-        net.links[src * net.n + dst].lock().transmit(
-            &net.cond,
-            src,
-            dst,
-            frame,
-            now,
-            &mut |f| {
-                tx.send(f).ok();
-            },
-        );
-    }
-
-    /// Release every due held frame on links into `dst` (the receiver-side
-    /// poll that makes delayed/reordered frames eventually arrive even on
-    /// an otherwise idle link). No-op on a perfect-wire fabric.
-    pub fn wire_pump_to(&self, dst: usize, now: Instant) {
-        let Some(net) = &self.net else { return };
-        let tx = &self.senders[dst];
-        for src in 0..net.n {
-            net.links[src * net.n + dst].lock().pump(now, &mut |f| {
-                tx.send(f).ok();
-            });
-        }
-    }
-
-    /// Aggregate wire-fault counters over `src`'s outgoing links.
-    pub fn wire_stats_for(&self, src: usize) -> WireStats {
-        let mut total = WireStats::default();
-        if let Some(net) = &self.net {
-            for dst in 0..net.n {
-                total.absorb(&net.links[src * net.n + dst].lock().stats());
-            }
-        }
-        total
     }
 }
 
@@ -205,13 +82,6 @@ mod tests {
         }
     }
 
-    fn unwrap_direct(f: Frame) -> Message {
-        match f {
-            Frame::Direct(m) => m,
-            other => panic!("expected a direct frame, got {other:?}"),
-        }
-    }
-
     #[test]
     fn per_sender_fifo_order_is_preserved() {
         let control = JobControl::new(2);
@@ -221,7 +91,7 @@ mod tests {
         }
         let inbox = rx.remove(1);
         for seq in 0..100 {
-            assert_eq!(unwrap_direct(inbox.recv().unwrap()).seq, seq);
+            assert_eq!(inbox.recv().unwrap().seq, seq);
         }
     }
 
@@ -265,14 +135,5 @@ mod tests {
         );
         // An in-range destination still reports the abort.
         assert_eq!(fabric.send(msg(0, 1, 0)).unwrap_err(), MpiError::Aborted);
-    }
-
-    #[test]
-    fn perfect_netcond_allocates_no_wire_state() {
-        let control = JobControl::new(2);
-        let (fabric, _rx) =
-            Fabric::new_with_net(2, control, NetCond::perfect());
-        assert!(fabric.net_cond().is_none());
-        assert_eq!(fabric.wire_stats_for(0), WireStats::default());
     }
 }

@@ -2,7 +2,7 @@
 //!
 //! There is one runner. Each rank thread announces its exit — handle and
 //! result — on a channel, and the calling thread blocks on that channel
-//! until no rank is live. [`World::run_supervised_net`] additionally
+//! until no rank is live. [`World::run_supervised`] additionally
 //! *reacts* to the exits that are deaths (`Err(FailStop)`): it is the
 //! job's failure detector, and the only code that knows about failures.
 
@@ -14,7 +14,6 @@ use std::time::Duration;
 use crate::comm::Comm;
 use crate::error::MpiError;
 use crate::error::MpiResult;
-use crate::netsim::NetCond;
 use crate::rank::Mpi;
 use crate::splice::{SpliceDecision, SplicePolicy, SpliceQuery, SpliceStats};
 use crate::transport::Fabric;
@@ -38,12 +37,6 @@ pub struct JobControl {
 struct ControlInner {
     aborted: AtomicBool,
     failed: Vec<AtomicBool>,
-    done: Vec<AtomicBool>,
-    /// When set (by the runner, iff its supervisor has a splice policy),
-    /// the reliable-delivery sublayer *holds* traffic to a failed rank
-    /// instead of writing it off: a new incarnation may be spliced in
-    /// that will drain it.
-    hold_failed_traffic: AtomicBool,
 }
 
 impl JobControl {
@@ -53,8 +46,6 @@ impl JobControl {
             inner: Arc::new(ControlInner {
                 aborted: AtomicBool::new(false),
                 failed: (0..n).map(|_| AtomicBool::new(false)).collect(),
-                done: (0..n).map(|_| AtomicBool::new(false)).collect(),
-                hold_failed_traffic: AtomicBool::new(false),
             }),
         }
     }
@@ -99,31 +90,6 @@ impl JobControl {
         }
     }
 
-    /// Whether traffic to failed ranks is held for a possible respawn
-    /// (true exactly under a supervisor that was given a splice policy).
-    pub fn holds_failed_traffic(&self) -> bool {
-        self.inner.hold_failed_traffic.load(Ordering::Acquire)
-    }
-
-    /// Record that `rank`'s rank function has returned (it will issue no
-    /// further MPI calls). The reliable-delivery sublayer uses this to
-    /// write off unacknowledged frames to a departed rank instead of
-    /// retransmitting into its abandoned mailbox forever — the in-process
-    /// analogue of a connection's final ack being lost at close.
-    pub fn mark_done(&self, rank: usize) {
-        if let Some(flag) = self.inner.done.get(rank) {
-            flag.store(true, Ordering::Release);
-        }
-    }
-
-    /// Whether `rank`'s rank function has returned.
-    pub fn is_done(&self, rank: usize) -> bool {
-        self.inner
-            .done
-            .get(rank)
-            .is_some_and(|f| f.load(Ordering::Acquire))
-    }
-
     /// Number of ranks this control block covers.
     pub fn size(&self) -> usize {
         self.inner.failed.len()
@@ -149,23 +115,7 @@ impl World {
         T: Send,
         F: Fn(&mut Mpi) -> MpiResult<T> + Send + Sync,
     {
-        Self::run_collect_net(n, control, NetCond::perfect(), f)
-    }
-
-    /// Like [`World::run_collect`], but the fabric runs over the (possibly
-    /// lossy) wire described by `cond`. With a perfect `cond` this is
-    /// byte-for-byte the original direct-channel fabric.
-    pub fn run_collect_net<T, F>(
-        n: usize,
-        control: JobControl,
-        cond: NetCond,
-        f: F,
-    ) -> Vec<MpiResult<T>>
-    where
-        T: Send,
-        F: Fn(&mut Mpi) -> MpiResult<T> + Send + Sync,
-    {
-        Self::run_ranks(n, control, cond, None, f).0
+        Self::run_ranks(n, control, None, f).0
     }
 
     /// Run an `n`-rank job under the *supervisor* — the simulated
@@ -179,19 +129,17 @@ impl World {
     /// * on [`SpliceDecision::Respawn`] survivors keep running and the
     ///   dead rank is respawned in place: the new incarnation replays
     ///   its predecessor's consumed-message tape, squelches re-executed
-    ///   sends below the death-time high-water, and resumes the dead
-    ///   rank's wire endpoint (see [`crate::splice`]).
+    ///   sends below the death-time high-water, and inherits the dead
+    ///   rank's mailbox (see [`crate::splice`]).
     ///
     /// Splice bookkeeping exists only where a splice can happen: handles
-    /// tape their consumption, and peers *hold* reliable-delivery traffic
-    /// to failed ranks instead of writing it off, iff `policy` is `Some`.
+    /// tape their consumption iff `policy` is `Some`.
     ///
     /// Returns each rank's final incarnation's result plus what the
     /// supervisor did.
-    pub fn run_supervised_net<T, F>(
+    pub fn run_supervised<T, F>(
         n: usize,
         control: JobControl,
-        cond: NetCond,
         detection_latency: Duration,
         policy: Option<SplicePolicy<'_>>,
         f: F,
@@ -200,17 +148,16 @@ impl World {
         T: Send,
         F: Fn(&mut Mpi) -> MpiResult<T> + Send + Sync,
     {
-        Self::run_ranks(n, control, cond, Some((detection_latency, policy)), f)
+        Self::run_ranks(n, control, Some((detection_latency, policy)), f)
     }
 
     /// The one runner: an event loop over rank exits. Without a
     /// `supervisor` every exit is final; with one, an exit that is a
     /// death is escalated or repaired as
-    /// [`World::run_supervised_net`] describes.
+    /// [`World::run_supervised`] describes.
     fn run_ranks<T, F>(
         n: usize,
         control: JobControl,
-        cond: NetCond,
         mut supervisor: Option<(Duration, Option<SplicePolicy<'_>>)>,
         f: F,
     ) -> (Vec<MpiResult<T>>, SpliceStats)
@@ -221,12 +168,7 @@ impl World {
         assert!(n > 0, "a job has at least one rank");
         assert_eq!(control.size(), n, "control block sized for wrong job");
         let spliceable = matches!(supervisor, Some((_, Some(_))));
-        control
-            .inner
-            .hold_failed_traffic
-            .store(spliceable, Ordering::Release);
-        let (fabric, receivers) =
-            Fabric::new_with_net(n, control.clone(), cond);
+        let (fabric, receivers) = Fabric::new(n, control.clone());
         let mut results: Vec<Option<MpiResult<T>>> =
             (0..n).map(|_| None).collect();
         let mut stats = SpliceStats::default();
@@ -238,22 +180,7 @@ impl World {
             let spawn_rank = |mut mpi: Mpi| {
                 let exits = exits.clone();
                 scope.spawn(move || {
-                    let out = catch_unwind(AssertUnwindSafe(|| {
-                        let out = f(&mut mpi);
-                        // The rank stops issuing MPI calls now; let the
-                        // sublayer write off whatever nobody will ever
-                        // ack — unless a successor may inherit the
-                        // mailbox, which then stays live for it.
-                        if !(matches!(out, Err(MpiError::FailStop))
-                            && mpi.splice.is_some())
-                        {
-                            control.mark_done(mpi.rank());
-                        }
-                        // Linger until every frame this rank sent has
-                        // been acknowledged, so late retransmission
-                        // requests aren't orphaned by our exit.
-                        out.and_then(|v| mpi.net_flush().map(|_| v))
-                    }));
+                    let out = catch_unwind(AssertUnwindSafe(|| f(&mut mpi)));
                     exits.send((mpi, out)).ok();
                 });
             };
@@ -302,7 +229,8 @@ impl World {
                                 stats.respawns += 1;
                                 let next = mpi.respawn(incarnations[rank]);
                                 // Go live only once the successor exists:
-                                // peers held traffic for it meanwhile.
+                                // its inherited mailbox queued traffic
+                                // meanwhile.
                                 control.clear_failed(rank);
                                 spawn_rank(next);
                                 live += 1;
@@ -325,21 +253,6 @@ impl World {
             .filter(|(res, inc)| **inc > 0 && res.is_ok())
             .count();
         (results, stats)
-    }
-
-    /// Run `f` once per rank over the wire described by `cond`; returns
-    /// every rank's output, or the first rank error encountered.
-    pub fn run_net<T, F>(n: usize, cond: NetCond, f: F) -> MpiResult<Vec<T>>
-    where
-        T: Send,
-        F: Fn(&mut Mpi) -> MpiResult<T> + Send + Sync,
-    {
-        let control = JobControl::new(n);
-        let mut out = Vec::with_capacity(n);
-        for r in Self::run_collect_net(n, control, cond, f) {
-            out.push(r?);
-        }
-        Ok(out)
     }
 
     /// Run `f` once per rank; returns every rank's output, or the first
@@ -425,10 +338,9 @@ mod tests {
         let expected: Vec<u64> =
             World::run(n, ring_with_kill(8, 0, 0, &dead)).unwrap();
         let control = JobControl::new(n);
-        let (results, stats) = World::run_supervised_net(
+        let (results, stats) = World::run_supervised(
             n,
             control,
-            NetCond::perfect(),
             Duration::from_millis(1),
             Some(&mut |_| SpliceDecision::Respawn),
             ring_with_kill(8, 0, 0, &dead),
@@ -449,10 +361,9 @@ mod tests {
         // Same job, but rank 2 fail-stops at round 10 and is spliced back.
         let killed = AtomicBool::new(false);
         let control = JobControl::new(n);
-        let (results, stats) = World::run_supervised_net(
+        let (results, stats) = World::run_supervised(
             n,
             control,
-            NetCond::perfect(),
             Duration::from_millis(1),
             Some(&mut |q| {
                 assert_eq!(q.rank, 2);
@@ -468,37 +379,13 @@ mod tests {
     }
 
     #[test]
-    fn supervised_splice_survives_lossy_wire() {
-        let n = 3;
-        let dead = AtomicBool::new(true);
-        let expected: Vec<u64> =
-            World::run(n, ring_with_kill(12, 1, 5, &dead)).unwrap();
-
-        let killed = AtomicBool::new(false);
-        let control = JobControl::new(n);
-        let (results, stats) = World::run_supervised_net(
-            n,
-            control,
-            NetCond::lossy(0xC3),
-            Duration::from_millis(1),
-            Some(&mut |_| SpliceDecision::Respawn),
-            ring_with_kill(12, 1, 5, &killed),
-        );
-        let got: Vec<u64> = results.into_iter().map(|r| r.unwrap()).collect();
-        assert_eq!(got, expected);
-        assert_eq!(stats.respawns, 1);
-        assert_eq!(stats.completed, 1);
-    }
-
-    #[test]
     fn supervised_escalation_aborts_attempt() {
         let n = 4;
         let killed = AtomicBool::new(false);
         let control = JobControl::new(n);
-        let (results, stats) = World::run_supervised_net(
+        let (results, stats) = World::run_supervised(
             n,
             control,
-            NetCond::perfect(),
             Duration::from_millis(1),
             Some(&mut |_| SpliceDecision::Escalate),
             ring_with_kill(20, 2, 10, &killed),
@@ -522,15 +409,13 @@ mod tests {
         let ring = ring_with_kill(20, 2, 10, &killed);
         let latency = Duration::from_millis(20);
         let started = std::time::Instant::now();
-        let (results, stats) = World::run_supervised_net(
+        let (results, stats) = World::run_supervised(
             n,
             JobControl::new(n),
-            NetCond::perfect(),
             latency,
             None,
             |mpi| {
                 // No splice can happen, so no splice bookkeeping exists.
-                assert!(!mpi.control().holds_failed_traffic());
                 assert!(mpi.splice.is_none(), "no tape attached");
                 ring(mpi)
             },

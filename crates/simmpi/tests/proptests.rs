@@ -1,17 +1,12 @@
 //! Property tests: the matching engine preserves MPI semantics for
-//! arbitrary interleavings of posts and deliveries, the reliable-delivery
-//! sublayer masks arbitrary lossy-wire conditions, and reductions agree
+//! arbitrary interleavings of posts and deliveries, and reductions agree
 //! with a sequential model.
-
-use std::time::{Duration, Instant};
 
 use bytes::Bytes;
 use proptest::prelude::*;
 
 use simmpi::matching::{MatchEngine, PostOutcome};
-use simmpi::netsim::NetEndpoint;
-use simmpi::transport::Fabric;
-use simmpi::{DType, JobControl, Message, MpiType, NetCond, ReduceOp};
+use simmpi::{DType, Message, MpiType, ReduceOp};
 
 fn msg(src: usize, tag: i32, uid: u64) -> Message {
     Message {
@@ -101,104 +96,6 @@ proptest! {
                 + (sent.len() - received.len() - eng.unexpected_len()),
             sent.len()
         );
-    }
-
-    /// The lossy-wire companion of `matching_is_exactly_once_and_non_
-    /// overtaking`: under seeded sweeps of drop (≤ 10%), duplication,
-    /// bounded reorder, and delay/jitter, delivery *through the
-    /// reliable-delivery sublayer* is exactly-once and per-(src, dst)
-    /// FIFO — which implies pairwise non-overtaking for every
-    /// (src, dst, comm, tag) channel the matcher sees above it.
-    ///
-    /// Two sender endpoints feed one receiver over the wire on a virtual
-    /// clock, so retransmission timers run deterministically and the
-    /// whole schedule is a pure function of the drawn inputs.
-    #[test]
-    fn lossy_wire_delivery_is_exactly_once_and_non_overtaking(
-        seed in any::<u64>(),
-        drop_ppm in 1u32..=100_000,
-        dup_ppm in 0u32..=50_000,
-        reorder_ppm in 0u32..=200_000,
-        delay_ppm in 0u32..=200_000,
-        sends in proptest::collection::vec((0usize..2, 0i32..3), 1..60),
-    ) {
-        let cond = NetCond {
-            seed,
-            drop_ppm,
-            dup_ppm,
-            reorder_ppm,
-            reorder_span: 3,
-            delay_ppm,
-            delay_us: 100,
-            jitter_us: 150,
-            ..NetCond::perfect()
-        };
-        let control = JobControl::new(3);
-        let (fabric, rx) = Fabric::new_with_net(3, control, cond.clone());
-        let mut senders = [
-            NetEndpoint::new(0, 3, cond.retransmit.clone()),
-            NetEndpoint::new(1, 3, cond.retransmit.clone()),
-        ];
-        let mut receiver = NetEndpoint::new(2, 3, cond.retransmit.clone());
-
-        let start = Instant::now();
-        let mut uid = 0u64;
-        let mut sent_per_src: [Vec<(i32, u64)>; 2] = [Vec::new(), Vec::new()];
-        for &(src, tag) in &sends {
-            uid += 1;
-            sent_per_src[src].push((tag, uid));
-            let m = Message {
-                src,
-                dst: 2,
-                context: 1,
-                tag,
-                header: simmpi::HeaderBytes::empty(),
-                payload: Bytes::copy_from_slice(&uid.to_le_bytes()),
-                seq: uid,
-            };
-            senders[src].send(&fabric, m, start).unwrap();
-        }
-
-        // Shuttle on the virtual clock until both senders drain.
-        let mut delivered: Vec<Message> = Vec::new();
-        let mut t = 0u64;
-        while !(senders[0].all_acked() && senders[1].all_acked()) {
-            t += 100;
-            prop_assert!(t < 120_000_000, "sublayer did not converge");
-            let now = start + Duration::from_micros(t);
-            for ep in senders.iter_mut() {
-                ep.poll(&fabric, now).unwrap();
-            }
-            receiver.poll(&fabric, now).unwrap();
-            while let Ok(f) = rx[2].try_recv() {
-                delivered.extend(receiver.on_frame(&fabric, f, now));
-            }
-            for (r, ep) in rx.iter().zip(senders.iter_mut()).take(2) {
-                while let Ok(f) = r.try_recv() {
-                    ep.on_frame(&fabric, f, now);
-                }
-            }
-        }
-
-        // Exactly-once and per-(src, dst) FIFO: each sender's messages
-        // arrive exactly in send order — hence every (src, dst, comm,
-        // tag) sub-channel is non-overtaking.
-        for (src, sent) in sent_per_src.iter().enumerate() {
-            let got: Vec<(i32, u64)> = delivered
-                .iter()
-                .filter(|m| m.src == src)
-                .map(|m| {
-                    (m.tag, u64::from_le_bytes(m.payload[..8].try_into().unwrap()))
-                })
-                .collect();
-            prop_assert_eq!(
-                &got,
-                sent,
-                "src {} channel corrupted under {:?}",
-                src,
-                cond
-            );
-        }
     }
 
     /// Element-wise reductions match a sequential fold for any operand

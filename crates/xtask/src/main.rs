@@ -14,8 +14,8 @@
 //! * **instant-now** — no direct `Instant::now()` calls outside the
 //!   files allowlisted in `crates/xtask/lint-allow.txt`. The repo's
 //!   observability contract is *zero cost when off*: timing reads are
-//!   only allowed behind the c3obs sampling mask or in the transport's
-//!   explicitly time-based pacing paths.
+//!   only allowed behind the c3obs sampling mask or in explicitly
+//!   time-based paths (the receive spin, the checkpoint-interval clock).
 //! * **hot-path-unwrap** — `unwrap()` / `expect()` in protocol hot-path
 //!   files is budgeted per file (a ratchet): the allowlist records the
 //!   current count and the lint fails when a file's count differs from
@@ -33,6 +33,10 @@
 //!   modules included, except below the first `#[cfg(test)]` marker of a
 //!   file allowlisted for it: the counting global allocators two crates'
 //!   unit tests install.
+//! * **stale-entry** — every file an allowlist entry or a `HOT_PATHS`
+//!   entry names must exist: an entry for a deleted or renamed file
+//!   exempts or budgets nothing, and the file it meant slips out of the
+//!   rule unseen.
 //!
 //! Test modules are exempt from the other rules: each file is scanned
 //! only up to its first `#[cfg(test)]` marker, and `tests/` / `benches/`
@@ -58,7 +62,6 @@ const HOT_PATHS: &[&str] = &[
     "crates/core/src/process.rs",
     "crates/core/src/job.rs",
     "crates/simmpi/src/rank.rs",
-    "crates/simmpi/src/netsim.rs",
     "crates/ckptpipe/src/",
 ];
 
@@ -187,8 +190,44 @@ fn lint(root: &Path, allow: &Allow) -> Result<Vec<String>, String> {
         check_pair_emission(rel, scanned, &mut findings);
         check_no_unsafe(rel, content, allow, &mut findings);
     }
+    check_stale_entries(root, allow, &mut findings);
     check_analyzer_coverage(root, &mut findings)?;
     Ok(findings)
+}
+
+/// Rule stale-entry. `HOT_PATHS` names files of this workspace, so it is
+/// checked only under a workspace manifest (fixture roots in tests have
+/// none); allowlist entries are always checked.
+fn check_stale_entries(
+    root: &Path,
+    allow: &Allow,
+    findings: &mut Vec<String>,
+) {
+    let allowed = allow
+        .instant
+        .iter()
+        .map(|p| ("instant-now", p))
+        .chain(allow.unwrap_budget.keys().map(|p| ("hot-path-unwrap", p)))
+        .chain(allow.unsafe_in_tests.iter().map(|p| ("no-unsafe", p)));
+    for (rule, path) in allowed {
+        if !root.join(path).exists() {
+            findings.push(format!(
+                "{path}: [stale-entry] the {rule} entry in \
+                 crates/xtask/lint-allow.txt names a missing file"
+            ));
+        }
+    }
+    if !root.join("Cargo.toml").is_file() {
+        return;
+    }
+    for path in HOT_PATHS {
+        if !root.join(path).exists() {
+            findings.push(format!(
+                "{path}: [stale-entry] a HOT_PATHS entry in \
+                 crates/xtask/src/main.rs names a missing path"
+            ));
+        }
+    }
 }
 
 /// All `.rs` files under `crates/*/src`, as (workspace-relative path,
@@ -404,8 +443,10 @@ fn check_analyzer_coverage(
     Ok(())
 }
 
-/// Variant names of `enum TraceEvent` (4-space-indented idents inside
-/// the enum block — fields are indented deeper).
+/// Variant names of `enum TraceEvent`: 4-space-indented idents inside
+/// the enum block (fields are indented deeper), each optionally prefixed
+/// by its wire tag, as the `impl_saveload_enum!` table writes them
+/// (`    7 => CheckpointTaken {`).
 fn trace_event_variants(trace_src: &str) -> Vec<String> {
     let mut variants = Vec::new();
     let mut in_enum = false;
@@ -426,6 +467,15 @@ fn trace_event_variants(trace_src: &str) -> Vec<String> {
         if body.starts_with(' ') || body.starts_with('/') {
             continue;
         }
+        let body = match body.split_once(" => ") {
+            Some((tag, rest))
+                if !tag.is_empty()
+                    && tag.chars().all(|c| c.is_ascii_digit()) =>
+            {
+                rest
+            }
+            _ => body,
+        };
         let name: String = body
             .chars()
             .take_while(|c| c.is_ascii_alphanumeric())
@@ -556,18 +606,87 @@ mod tests {
         let trace =
             "pub enum TraceEvent {\n    /// Doc.\n    Commit {\n        \
                      ckpt: u64,\n    },\n    Mystery,\n}\n";
+        // The same enum as an `impl_saveload_enum!` table: each row
+        // leads with its wire tag.
+        let table = "pub enum TraceEvent {\n    /// Doc.\n    10 => Commit \
+                     {\n        ckpt: u64,\n    },\n    16 => Mystery,\n}\n\
+                     }\n";
         let analyzer = "fn scan(e: &TraceEvent) {\n    if let TraceEvent::\
                         Commit { .. } = e {}\n}\n";
+        for (name, trace) in [("coverage", trace), ("coverage-table", table)] {
+            let fx = Fixture::new(
+                name,
+                &[
+                    ("crates/core/src/trace.rs", trace),
+                    ("crates/c3verify/src/analyzer.rs", analyzer),
+                ],
+            );
+            let findings = lint(&fx.root, &Allow::default()).unwrap();
+            assert_eq!(findings.len(), 1, "{name}: {findings:?}");
+            assert!(findings[0].contains("Mystery"), "{name}: {findings:?}");
+        }
+    }
+
+    /// The coverage rule reads the real variant table: every variant, in
+    /// declaration order, and nothing else.
+    #[test]
+    fn the_real_trace_table_yields_every_variant() {
+        let trace = workspace_root().join("crates/core/src/trace.rs");
+        let variants =
+            trace_event_variants(&std::fs::read_to_string(trace).unwrap());
+        let want = [
+            "Send",
+            "RecvClassified",
+            "LateLogged",
+            "EarlyRecorded",
+            "ReplayLate",
+            "ControlSent",
+            "ControlRecv",
+            "CheckpointTaken",
+            "LogFinalized",
+            "InitiatorPhase",
+            "Commit",
+            "CollectiveControl",
+            "BarrierAligned",
+            "RecoveryStart",
+            "SuppressSent",
+            "SuppressRecv",
+            "RecoveryComplete",
+            "FailStop",
+            "BlobStaged",
+            "PipelineDrained",
+            "GcRan",
+            "TierDrained",
+            "TierRecovered",
+            "RankRespawned",
+            "SpliceReplayed",
+        ];
+        assert_eq!(variants, want);
+    }
+
+    #[test]
+    fn entries_naming_missing_files_are_flagged() {
         let fx = Fixture::new(
-            "coverage",
-            &[
-                ("crates/core/src/trace.rs", trace),
-                ("crates/c3verify/src/analyzer.rs", analyzer),
-            ],
+            "stale",
+            &[("crates/demo/src/lib.rs", "pub fn f() {}\n")],
         );
+        let allow = Allow::parse(
+            "instant-now crates/demo/src/lib.rs\n\
+             instant-now crates/gone/src/a.rs\n\
+             hot-path-unwrap crates/gone/src/b.rs 0\n\
+             no-unsafe crates/gone/src/c.rs\n",
+        )
+        .unwrap();
+        let findings = lint(&fx.root, &allow).unwrap();
+        assert_eq!(findings.len(), 3, "{findings:?}");
+        for (f, want) in findings.iter().zip(["a.rs", "b.rs", "c.rs"]) {
+            assert!(f.contains("[stale-entry]") && f.contains(want), "{f}");
+        }
+        // Under a workspace manifest every HOT_PATHS entry must exist.
+        std::fs::write(fx.root.join("Cargo.toml"), "[workspace]\n").unwrap();
         let findings = lint(&fx.root, &Allow::default()).unwrap();
-        assert_eq!(findings.len(), 1, "{findings:?}");
-        assert!(findings[0].contains("Mystery"), "{findings:?}");
+        assert_eq!(findings.len(), HOT_PATHS.len(), "{findings:?}");
+        assert!(findings.iter().all(|f| f.contains("HOT_PATHS")));
     }
 
     #[test]

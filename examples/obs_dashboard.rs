@@ -24,7 +24,7 @@ fn main() {
     println!("{}", report.summary());
 
     let snap = reg.snapshot();
-    let violations = health_check(&snap, true);
+    let violations = health_check(&snap);
     assert!(
         violations.is_empty(),
         "health invariants violated:\n{}",

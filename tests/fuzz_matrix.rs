@@ -8,8 +8,8 @@
 //! * The same seed run twice must produce the same outputs and the same
 //!   verdict; on the wall-clock-free [`ftfuzz::Scenario::determinized`]
 //!   projection the canonical traces must be byte-identical (the
-//!   net_chaos_matrix equal-seed guarantee, extended to the full
-//!   campaign generator).
+//!   equal-seed guarantee, over every seed the campaign generator
+//!   derives).
 //! * An intentionally planted protocol bug (commit hoisted before the
 //!   pipeline drain) must be detected and shrunk to a small reproducer
 //!   — the fuzzer's own end-to-end test.
@@ -50,7 +50,7 @@ fn corpus_seeds_replay_clean() {
 
 #[test]
 fn equal_seeds_reach_equal_outputs_and_verdicts() {
-    // The full campaign (kills, lossy wire, storage faults) is subject
+    // The full campaign (kills, storage faults, tiers) is subject
     // to wall-clock scheduling, so its traces may differ between runs —
     // but where it lands must not: same outputs, same verdict.
     for seed in [1u64, 5, 19] {
@@ -66,16 +66,16 @@ fn equal_seeds_reach_equal_outputs_and_verdicts() {
             b.failure
         );
         // Note `last_committed` is NOT compared: how many lines commit
-        // before the horizon depends on wall-clock retransmit timing.
+        // before the horizon depends on wall-clock thread timing.
         // The determinized projection below is where traces must match.
     }
 }
 
 #[test]
 fn determinized_projection_has_byte_identical_traces() {
-    // Strip every wall-clock dimension (kills, faults, tiers, lossy
-    // wire, interval checkpointing) and the recorded trace becomes a
-    // pure function of the seed.
+    // Strip every wall-clock dimension (kills, faults, tiers, interval
+    // checkpointing) and the recorded trace becomes a pure function of
+    // the seed.
     for seed in [1u64, 6, 44] {
         let scenario = Scenario::from_seed(seed).determinized();
         let a = run_campaign(&scenario, None);

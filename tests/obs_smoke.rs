@@ -38,8 +38,8 @@ fn clean_run_records_every_layer_and_passes_health_checks() {
 
     // Health invariants: structural self-check plus the cross-layer
     // conservation laws (commit/attempt accounting, drain-before-commit,
-    // span/commit pairing, quiet wire under perfect network).
-    let violations = health_check(&snap, true);
+    // span/commit pairing).
+    let violations = health_check(&snap);
     assert!(
         violations.is_empty(),
         "health invariants violated:\n{}",
@@ -106,7 +106,7 @@ fn killed_run_records_failstop_and_recovery_metrics() {
     assert!(*report.recovered_from.last().unwrap() > 0);
 
     let snap = reg.snapshot();
-    let violations = health_check(&snap, true);
+    let violations = health_check(&snap);
     assert!(
         violations.is_empty(),
         "health invariants violated:\n{}",
