@@ -30,6 +30,7 @@ pub mod report;
 pub mod verdict;
 
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use c3_core::trace::{decode_trace, encode_trace, TraceRecord};
 
@@ -37,7 +38,7 @@ pub use analyzer::{analyze, invariant};
 pub use explorer::{explore, ExploreConfig, ExploreOutcome, Op, Reduction};
 pub use hb::{race, race_check};
 pub use report::{Report, Violation};
-pub use verdict::{verdict, verdict_records, CheckKind, Verdict};
+pub use verdict::{verdict, CheckKind, Verdict};
 
 /// Decode a trace artifact file (magic `C3TRACE2`).
 pub fn read_trace_file(path: &Path) -> Result<Vec<TraceRecord>, String> {
@@ -60,6 +61,11 @@ pub fn write_trace(
     if let Some(dir) = path.parent() {
         std::fs::create_dir_all(dir)?;
     }
-    std::fs::write(&path, encode_trace(records))?;
+    // Write aside and rename, so concurrent writers never interleave.
+    static NEXT: AtomicU64 = AtomicU64::new(0);
+    let n = NEXT.fetch_add(1, Ordering::Relaxed);
+    let tmp = path.with_extension(format!("{}-{n}.tmp", std::process::id()));
+    std::fs::write(&tmp, encode_trace(records))?;
+    std::fs::rename(&tmp, &path)?;
     Ok(path)
 }

@@ -4,11 +4,11 @@
 //! Historically the only way to get `c3verify`'s pass/fail/error
 //! three-state answer was to shell out to the binary and inspect its
 //! exit status. A [`Verdict`] is that answer as a value: build one from
-//! trace files or in-memory records, ask [`Verdict::exit_code`] for the
-//! CLI contract (0 clean, 1 violated, 2 error), and render the same
-//! per-file output the binary prints. The binary itself is a thin shell
-//! around this module, so tests and the `ftfuzz` campaign runner get
-//! byte-for-byte the CLI's semantics without spawning a process.
+//! trace files, ask [`Verdict::exit_code`] for the CLI contract (0
+//! clean, 1 violated, 2 error), and render the same per-file output the
+//! binary prints. The binary itself is a thin shell around this module,
+//! so tests get byte-for-byte the CLI's semantics without spawning a
+//! process.
 
 use std::path::Path;
 
@@ -46,7 +46,7 @@ impl CheckKind {
 /// One input's result: the report, or the error that prevented one.
 #[derive(Debug)]
 pub struct FileVerdict {
-    /// The path (or `"<memory>"` for in-process records).
+    /// The path of the trace file.
     pub input: String,
     /// The check's report, or a read/decode error.
     pub outcome: Result<Report, String>,
@@ -85,18 +85,6 @@ pub fn verdict<P: AsRef<Path>>(kind: CheckKind, paths: &[P]) -> Verdict {
         }
     }
     Verdict { kind, files }
-}
-
-/// Run `kind` over in-memory records (a sink snapshot): the single-input
-/// verdict with no I/O and hence no error arm.
-pub fn verdict_records(kind: CheckKind, records: &[TraceRecord]) -> Verdict {
-    Verdict {
-        kind,
-        files: vec![FileVerdict {
-            input: "<memory>".into(),
-            outcome: Ok(kind.run(records)),
-        }],
-    }
 }
 
 impl Verdict {
@@ -173,18 +161,6 @@ mod tests {
     }
 
     #[test]
-    fn records_verdict_matches_report() {
-        // An empty trace is vacuously clean under both families.
-        for kind in [CheckKind::Invariants, CheckKind::Races] {
-            let v = verdict_records(kind, &[]);
-            assert!(v.is_clean());
-            assert_eq!(v.exit_code(), 0);
-            assert!(v.first_error().is_none());
-            assert!(v.violations().is_empty());
-        }
-    }
-
-    #[test]
     fn absurd_rank_trips_t0_instead_of_allocating() {
         // Regression (found fuzzing the CLI with byte flips): a
         // corrupted rank field claimed a ~4-billion-rank world and the
@@ -205,10 +181,8 @@ mod tests {
             },
         )];
         for kind in [CheckKind::Invariants, CheckKind::Races] {
-            let v = verdict_records(kind, &records);
-            assert_eq!(v.exit_code(), 1, "{kind:?}");
-            let viols = v.violations();
-            assert_eq!(viols.len(), 1);
+            let viols = kind.run(&records).violations;
+            assert_eq!(viols.len(), 1, "{kind:?}");
             assert_eq!(viols[0].invariant, "T0-well-formed");
             assert!(viols[0].detail.contains("claims"), "{}", viols[0].detail);
         }

@@ -9,7 +9,6 @@ use c3_apps::{Laplace, Neurosys};
 use c3_core::trace::{encode_trace, TraceEvent, TraceSink};
 use c3_core::{run_job, C3Config};
 use c3verify::analyze;
-use ftsim::FailureSchedule;
 
 mod common;
 
@@ -20,8 +19,8 @@ mod common;
 #[test]
 fn recovering_job_trace_is_clean() {
     let sink = TraceSink::new();
-    let cfg = FailureSchedule::single(1, 40)
-        .apply(C3Config::every_ops(10))
+    let cfg = C3Config::every_ops(10)
+        .with_failure(1, 40)
         .with_trace(sink.clone());
     let report = run_job(4, &cfg, None, &Neurosys::new(8, 30))
         .expect("job with failover");
@@ -41,8 +40,10 @@ fn recovering_job_trace_is_clean() {
 #[test]
 fn multi_failure_trace_is_clean() {
     let sink = TraceSink::new();
-    let cfg = FailureSchedule::random(0xC3, 4, 3, 30..200)
-        .apply(C3Config::every_ops(12))
+    let cfg = C3Config::every_ops(12)
+        .with_failure(0, 135)
+        .with_failure(1, 182)
+        .with_failure(0, 194)
         .with_trace(sink.clone());
     run_job(4, &cfg, None, &Laplace { n: 16, iters: 40 })
         .expect("job with repeated failover");

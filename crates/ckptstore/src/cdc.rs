@@ -152,19 +152,16 @@ impl Chunker {
 mod tests {
     use super::*;
     use crate::integrity::hash128;
-    use rand::rngs::StdRng;
-    use rand::{Rng, SeedableRng};
+    use crate::splitmix64;
     use std::collections::HashSet;
 
-    fn random_bytes(rng: &mut StdRng, len: usize) -> Vec<u8> {
-        (0..len)
-            .map(|_| rng.random_range(0u32..256) as u8)
-            .collect()
+    fn random_bytes(rng: &mut u64, len: usize) -> Vec<u8> {
+        (0..len).map(|_| (splitmix64(rng) % 256) as u8).collect()
     }
 
     #[test]
     fn chunks_concatenate_to_the_input() {
-        let mut rng = StdRng::seed_from_u64(0xCDC0);
+        let mut rng: u64 = 0xCDC0;
         for chunker in
             [Chunker::cdc(256), Chunker::cdc(1024), Chunker::default()]
         {
@@ -179,7 +176,7 @@ mod tests {
 
     #[test]
     fn cdc_chunk_sizes_respect_the_bounds() {
-        let mut rng = StdRng::seed_from_u64(0xCDC1);
+        let mut rng: u64 = 0xCDC1;
         let chunker = Chunker::cdc(1024);
         let Chunker { min, max, .. } = chunker;
         let data = random_bytes(&mut rng, 300_000);
@@ -201,7 +198,7 @@ mod tests {
 
     #[test]
     fn cutting_is_deterministic() {
-        let mut rng = StdRng::seed_from_u64(0xCDC2);
+        let mut rng: u64 = 0xCDC2;
         let data = random_bytes(&mut rng, 50_000);
         let a: Vec<usize> =
             Chunker::cdc(512).cut(&data).map(<[u8]>::len).collect();
@@ -216,11 +213,12 @@ mod tests {
     /// almost everything.
     #[test]
     fn proptest_cdc_dedup_survives_insertions() {
-        let mut rng = StdRng::seed_from_u64(0xCDC3);
+        let mut rng: u64 = 0xCDC3;
         for trial in 0..8 {
             let data = random_bytes(&mut rng, 128 * 1024);
-            let pos = rng.random_range(0..data.len() / 4);
-            let ins_len = rng.random_range(1usize..64);
+            let pos =
+                (splitmix64(&mut rng) % (data.len() / 4) as u64) as usize;
+            let ins_len = 1 + (splitmix64(&mut rng) % 63) as usize;
             let ins = random_bytes(&mut rng, ins_len);
             let mut shifted = data.clone();
             shifted.splice(pos..pos, ins.iter().copied());

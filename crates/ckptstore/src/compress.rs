@@ -547,18 +547,21 @@ mod tests {
         lz4_round_trip(&mixed);
     }
 
+    /// A uniform pick from `lo..hi` off a splitmix64 stream.
+    fn pick(rng: &mut u64, lo: usize, hi: usize) -> usize {
+        lo + (crate::splitmix64(rng) % (hi - lo) as u64) as usize
+    }
+
     #[test]
     fn proptest_lz4_round_trip_and_expansion_bound() {
-        use rand::rngs::StdRng;
-        use rand::{Rng, SeedableRng};
-        let mut rng = StdRng::seed_from_u64(0x124C);
+        let mut rng: u64 = 0x124C;
         for _ in 0..40 {
-            let len = rng.random_range(0..5000usize);
+            let len = pick(&mut rng, 0, 5000);
             // Mix compressible (small palette) and incompressible
             // (full-byte) regimes.
-            let palette: u32 = if rng.random::<bool>() { 4 } else { 256 };
+            let palette = if pick(&mut rng, 0, 2) == 1 { 4 } else { 256 };
             let data: Vec<u8> = (0..len)
-                .map(|_| (rng.random_range(0..palette) % 256) as u8)
+                .map(|_| (pick(&mut rng, 0, palette) % 256) as u8)
                 .collect();
             lz4_round_trip(&data);
         }
@@ -577,15 +580,15 @@ mod tests {
 
     /// An LZ4 stream of one `off`/`mlen` match between random literals.
     fn one_match_stream(
-        rng: &mut impl rand::Rng,
+        rng: &mut u64,
         off: usize,
         mlen: usize,
     ) -> (Vec<u8>, usize) {
-        let lits: Vec<u8> = (0..off + rng.random_range(0..20usize))
-            .map(|_| rng.random_range(0..=255u8))
+        let lits: Vec<u8> = (0..off + pick(rng, 0, 20))
+            .map(|_| pick(rng, 0, 256) as u8)
             .collect();
-        let tail: Vec<u8> = (0..rng.random_range(0..20usize))
-            .map(|_| rng.random_range(0..=255u8))
+        let tail: Vec<u8> = (0..pick(rng, 0, 20))
+            .map(|_| pick(rng, 0, 256) as u8)
             .collect();
         let mut s = Vec::new();
         lz4_emit_seq(&mut s, &lits, Some((off as u16, mlen)));
@@ -595,9 +598,7 @@ mod tests {
 
     #[test]
     fn lz4_decoder_matches_the_bytewise_oracle() {
-        use rand::rngs::StdRng;
-        use rand::{Rng, SeedableRng};
-        let mut rng = StdRng::seed_from_u64(0x1D4C);
+        let mut rng: u64 = 0x1D4C;
         let mut streams = Vec::new();
         // Every overlap at every match length, then streams of random
         // sequences at any offset (fewer of both under Miri).
@@ -610,17 +611,18 @@ mod tests {
         for _ in 0..random {
             let mut s = Vec::new();
             let mut len = 0;
-            for _ in 0..rng.random_range(1..40usize) {
-                let lits: Vec<u8> = (0..rng.random_range(0..40usize))
-                    .map(|_| rng.random_range(0..4u8))
+            for _ in 0..pick(&mut rng, 1, 40) {
+                let lits: Vec<u8> = (0..pick(&mut rng, 0, 40))
+                    .map(|_| pick(&mut rng, 0, 4) as u8)
                     .collect();
                 len += lits.len();
                 if len == 0 {
                     continue;
                 }
-                let far = rng.random_range(1..=len.min(65_535));
-                let off = if rng.random() { far } else { far.min(20) };
-                let mlen = rng.random_range(4..=300usize);
+                let far = pick(&mut rng, 1, len.min(65_535) + 1);
+                let off =
+                    far.min(if pick(&mut rng, 0, 2) == 1 { far } else { 20 });
+                let mlen = pick(&mut rng, 4, 301);
                 lz4_emit_seq(&mut s, &lits, Some((off as u16, mlen)));
                 len += mlen;
             }
@@ -894,18 +896,16 @@ mod tests {
 
     #[test]
     fn proptest_planes_round_trip_and_the_choice_never_stores_more() {
-        use rand::rngs::StdRng;
-        use rand::{Rng, SeedableRng};
-        let mut rng = StdRng::seed_from_u64(0x91A7E5);
+        let mut rng: u64 = 0x91A7E5;
         // Every length across the lane and group edges, then random ones
         // up to just past a 4 KiB chunk (fewer of both under Miri).
         let (edges, random) = if cfg!(miri) { (20, 4) } else { (150, 60) };
         let mut lens: Vec<usize> = (0..edges).collect();
-        lens.extend((0..random).map(|_| rng.random_range(0..=4100usize)));
+        lens.extend((0..random).map(|_| pick(&mut rng, 0, 4101)));
         lens.push(4100);
         let mut cases = Vec::new();
         for &len in &lens {
-            cases.extend(plane_inputs(len, rng.random()));
+            cases.extend(plane_inputs(len, crate::splitmix64(&mut rng)));
         }
         let mut trials = Trials::default();
         let (mut lanes, mut scratch) = (Vec::new(), Vec::new());

@@ -399,18 +399,17 @@ mod tests {
 
     #[test]
     fn combine_matches_the_squaring_form() {
-        use rand::rngs::StdRng;
-        use rand::{Rng, SeedableRng};
-        let mut rng = StdRng::seed_from_u64(0xC0B1);
+        let mut rng: u64 = 0xC0B1;
+        let mut word = || crate::splitmix64(&mut rng);
         for i in 0..2000 {
             // Every magnitude up to 2^40, ragged and power-of-two lengths.
-            let len = rng.random::<u64>() >> rng.random_range(24..64u32);
+            let len = word() >> (24 + word() % 40);
             let len = if i % 5 == 0 {
                 len.next_power_of_two()
             } else {
                 len
             };
-            let (a, b) = (rng.random::<u32>(), rng.random::<u32>());
+            let (a, b) = ((word() >> 32) as u32, (word() >> 32) as u32);
             for (a, len) in [(a, len), (0, len), (a, 0)] {
                 assert_eq!(
                     crc32_combine(a, b, len),

@@ -1,27 +1,27 @@
-//! Run one scenario end to end and judge it.
+//! One driver, and the fuzzer's campaigns through it.
 //!
-//! A campaign is: a failure-free reference run, then the adversarial
-//! run (kills + faulty storage + tiers) with a trace sink and metrics
-//! registry attached, then the verdict pipeline — output comparison
-//! against the reference, the `c3verify` state analyzer, the
-//! happens-before race checker, and the `c3obs` metrics health check.
-//! All three checkers are called through the [`c3verify::verdict`]
-//! library API (no subprocesses).
-//!
-//! An optional [`Plant`] mutates the recorded trace before verification
-//! — an intentionally introduced protocol bug, used to prove the fuzzer
-//! and shrinker actually catch one.
+//! [`run_case`] runs the failure-free reference, then the adversarial
+//! job, traced and metered, on a [`FaultInjectingBackend`] with the
+//! adversary's storage faults. Its one verdict checks, in order, the
+//! outputs against the reference, the `c3verify` analyzer, the race
+//! checker and the `c3obs` health check. The trace is written to
+//! `target/c3-traces/<name>.c3trace` for the CI `c3verify` jobs. A
+//! campaign is [`run_case`] on a [`Scenario`], optionally with a
+//! [`Plant`]: a protocol bug planted in the trace before it is judged.
 
 use std::fmt;
+use std::sync::Arc;
 
 use c3_apps::{DenseCg, Laplace};
 use c3_core::trace::{TraceEvent, TraceRecord};
-use c3_core::{run_job, C3App, C3Config, TraceSink};
-use c3verify::{verdict_records, CheckKind, Report};
+use c3_core::{run_job, C3App, C3Config, ProcStats, TraceSink};
+use c3verify::Report;
+use ckptstore::{FaultInjectingBackend, MemoryBackend};
 
 use crate::scenario::{AppChoice, Scenario};
+use crate::schedule::Adversary;
 
-/// Why a campaign failed.
+/// Why a case failed.
 #[derive(Debug)]
 pub enum FuzzFailure {
     /// The adversarial job errored instead of recovering (or the
@@ -34,7 +34,7 @@ pub enum FuzzFailure {
         /// Adversarial outputs, `Debug`-rendered.
         actual: String,
     },
-    /// The state analyzer (I1..I14 + T0) flagged the trace.
+    /// The state analyzer (I1..I16 + T0) flagged the trace.
     Invariants(Report),
     /// The happens-before checker (R0..R6) flagged the trace.
     Races(Report),
@@ -84,6 +84,135 @@ impl fmt::Display for FuzzFailure {
     }
 }
 
+/// What one case produced.
+#[derive(Debug, Default)]
+pub struct CaseOutcome {
+    /// Rollback-restart cycles of the adversarial run.
+    pub restarts: usize,
+    /// Completed online splices of the adversarial run.
+    pub splices: usize,
+    /// The line each rollback restarted from (0 = from scratch).
+    pub recovered_from: Vec<u64>,
+    /// Highest committed checkpoint line at the end.
+    pub last_committed: Option<u64>,
+    /// Per-rank protocol counters of the adversarial run.
+    pub stats: Vec<ProcStats>,
+    /// Storage faults the backend injected.
+    pub storage_faults: u64,
+    /// Adversarial outputs, `Debug`-rendered.
+    pub outputs: String,
+    /// The recorded trace in canonical `(rank, attempt, seq)` order,
+    /// after any [`Plant`] mutation.
+    pub records: Vec<TraceRecord>,
+    /// Whether the requested plant found a site to apply at.
+    pub plant_applied: bool,
+    /// The verdict: `None` means the case is clean.
+    pub failure: Option<FuzzFailure>,
+}
+
+impl CaseOutcome {
+    /// This outcome, which must be clean: panics with `name` and the
+    /// verdict otherwise.
+    pub fn clean(self, name: &str) -> Self {
+        match &self.failure {
+            Some(f) => panic!("{name}: {f}"),
+            None => self,
+        }
+    }
+}
+
+/// Run `app` on `nranks` ranks under `job` failure-free, then under
+/// `job` with `adversary` applied, and judge the second run against the
+/// first. `job` carries what is not adversarial: the checkpoint cadence,
+/// the wire mode, the chunker, retention and tiers.
+pub fn run_case<A>(
+    name: &str,
+    nranks: usize,
+    app: &A,
+    job: &C3Config,
+    adversary: &Adversary,
+) -> CaseOutcome
+where
+    A: C3App,
+    A::Output: PartialEq + fmt::Debug,
+{
+    drive(name, nranks, app, job, adversary, None)
+}
+
+/// [`run_case`], with `plant` applied to the recorded trace before it
+/// is judged. The trace file holds the trace as recorded.
+fn drive<A>(
+    name: &str,
+    nranks: usize,
+    app: &A,
+    job: &C3Config,
+    adversary: &Adversary,
+    plant: Option<Plant>,
+) -> CaseOutcome
+where
+    A: C3App,
+    A::Output: PartialEq + fmt::Debug,
+{
+    let failed = |e: String| CaseOutcome {
+        failure: Some(FuzzFailure::JobError(e)),
+        ..CaseOutcome::default()
+    };
+    let reference = match run_job(nranks, job, None, app) {
+        Ok(r) => r,
+        Err(e) => return failed(format!("reference run failed: {e}")),
+    };
+
+    let sink = TraceSink::new();
+    let reg = c3obs::Registry::new();
+    let cfg = adversary
+        .apply(job.clone())
+        .with_trace(sink.clone())
+        .with_obs(reg.clone());
+    let backend = Arc::new(FaultInjectingBackend::new(
+        Arc::new(MemoryBackend::new()),
+        adversary.faults.clone(),
+    ));
+    let report = match run_job(nranks, &cfg, Some(backend.clone()), app) {
+        Ok(r) => r,
+        Err(e) => return failed(e.to_string()),
+    };
+
+    let mut records = canonicalize(sink.take());
+    c3verify::write_trace(name, &records).expect("write the trace artifact");
+    let plant_applied = plant.is_some_and(|p| p.apply(&mut records));
+
+    let failure = if report.outputs != reference.outputs {
+        Some(FuzzFailure::OutputDivergence {
+            expected: format!("{:?}", reference.outputs),
+            actual: format!("{:?}", report.outputs),
+        })
+    } else {
+        let dirty = |r: Report| (!r.is_clean()).then_some(r);
+        let health = c3_core::health_check(&reg.snapshot());
+        dirty(c3verify::analyze(&records))
+            .map(FuzzFailure::Invariants)
+            .or_else(|| {
+                dirty(c3verify::race_check(&records)).map(FuzzFailure::Races)
+            })
+            .or_else(|| {
+                (!health.is_empty()).then_some(FuzzFailure::Health(health))
+            })
+    };
+
+    CaseOutcome {
+        restarts: report.restarts,
+        splices: report.splices,
+        recovered_from: report.recovered_from,
+        last_committed: report.last_committed,
+        stats: report.stats,
+        storage_faults: backend.faults_injected(),
+        outputs: format!("{:?}", report.outputs),
+        records,
+        plant_applied,
+        failure,
+    }
+}
+
 /// An intentionally planted protocol bug, applied to the recorded trace
 /// before verification — the fuzzer's own regression test.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -124,29 +253,6 @@ impl Plant {
     }
 }
 
-/// What one campaign produced.
-#[derive(Debug)]
-pub struct CampaignOutcome {
-    /// The scenario that ran.
-    pub scenario: Scenario,
-    /// Rollback/restart cycles the adversarial run performed.
-    pub restarts: usize,
-    /// Highest committed checkpoint line at the end.
-    pub last_committed: Option<u64>,
-    /// Storage faults the staging backend injected.
-    pub storage_faults: u64,
-    /// Adversarial outputs, `Debug`-rendered (the determinism tests
-    /// compare these across runs).
-    pub outputs: String,
-    /// The recorded trace in canonical `(rank, attempt, seq)` order,
-    /// after any [`Plant`] mutation.
-    pub records: Vec<TraceRecord>,
-    /// Whether the requested plant found a site to apply at.
-    pub plant_applied: bool,
-    /// The verdict: `None` means the campaign is clean.
-    pub failure: Option<FuzzFailure>,
-}
-
 /// Canonical order for cross-run trace comparison: ranks interleave
 /// their appends into the shared sink nondeterministically, but each
 /// rank's own stream is totally ordered by `(attempt, seq)`.
@@ -155,121 +261,26 @@ pub fn canonicalize(mut records: Vec<TraceRecord>) -> Vec<TraceRecord> {
     records
 }
 
-/// Run the campaign for `scenario`, optionally planting a bug into the
-/// recorded trace before verification.
-pub fn run_campaign(
-    scenario: &Scenario,
-    plant: Option<Plant>,
-) -> CampaignOutcome {
+/// Run the campaign for `scenario` through [`run_case`], optionally
+/// planting a bug into the recorded trace before it is judged. The
+/// trace is written as `fuzz_s<seed>`.
+pub fn run_campaign(scenario: &Scenario, plant: Option<Plant>) -> CaseOutcome {
+    let name = format!("fuzz_s{}", scenario.seed);
+    let (n, job, adv) = (scenario.nranks, scenario.job(), &scenario.adversary);
     match scenario.app {
-        AppChoice::DenseCg { n, iters } => {
-            run_app(scenario, &DenseCg::new(n, iters), plant)
+        AppChoice::DenseCg { n: dim, iters } => {
+            drive(&name, n, &DenseCg::new(dim, iters), &job, adv, plant)
         }
-        AppChoice::Laplace { n, iters } => {
-            run_app(scenario, &Laplace { n, iters }, plant)
+        AppChoice::Laplace { n: dim, iters } => {
+            drive(&name, n, &Laplace { n: dim, iters }, &job, adv, plant)
         }
-    }
-}
-
-fn run_app<A>(
-    scenario: &Scenario,
-    app: &A,
-    plant: Option<Plant>,
-) -> CampaignOutcome
-where
-    A: C3App,
-    A::Output: PartialEq + fmt::Debug,
-{
-    let fail = |failure: FuzzFailure| CampaignOutcome {
-        scenario: scenario.clone(),
-        restarts: 0,
-        last_committed: None,
-        storage_faults: 0,
-        outputs: String::new(),
-        records: Vec::new(),
-        plant_applied: false,
-        failure: Some(failure),
-    };
-
-    // Failure-free reference: same app, same world size, plain
-    // storage. Its outputs define "correct".
-    let reference_cfg = match scenario.interval {
-        Some(k) => C3Config::every_ops(k),
-        None => C3Config::default(),
-    };
-    let reference = match run_job(scenario.nranks, &reference_cfg, None, app) {
-        Ok(r) => r,
-        Err(e) => {
-            return fail(FuzzFailure::JobError(format!(
-                "reference run failed: {e}"
-            )))
-        }
-    };
-
-    // The adversarial run: everything the seed derived, plus a trace
-    // sink and metrics registry for the verdict pipeline.
-    let sink = TraceSink::new();
-    let reg = c3obs::Registry::new();
-    let cfg = scenario
-        .config()
-        .with_trace(sink.clone())
-        .with_obs(reg.clone());
-    let backend = scenario.backend();
-    let report =
-        match run_job(scenario.nranks, &cfg, Some(backend.clone()), app) {
-            Ok(r) => r,
-            Err(e) => return fail(FuzzFailure::JobError(e.to_string())),
-        };
-
-    let mut records = canonicalize(sink.take());
-    let plant_applied = match plant {
-        Some(p) => p.apply(&mut records),
-        None => false,
-    };
-
-    let mut failure = None;
-    if report.outputs != reference.outputs {
-        failure = Some(FuzzFailure::OutputDivergence {
-            expected: format!("{:?}", reference.outputs),
-            actual: format!("{:?}", report.outputs),
-        });
-    }
-    if failure.is_none() {
-        let v = verdict_records(CheckKind::Invariants, &records);
-        if v.exit_code() != 0 {
-            let report = v.files.into_iter().next().unwrap().outcome.unwrap();
-            failure = Some(FuzzFailure::Invariants(report));
-        }
-    }
-    if failure.is_none() {
-        let v = verdict_records(CheckKind::Races, &records);
-        if v.exit_code() != 0 {
-            let report = v.files.into_iter().next().unwrap().outcome.unwrap();
-            failure = Some(FuzzFailure::Races(report));
-        }
-    }
-    if failure.is_none() {
-        let violations = c3_core::health_check(&reg.snapshot());
-        if !violations.is_empty() {
-            failure = Some(FuzzFailure::Health(violations));
-        }
-    }
-
-    CampaignOutcome {
-        scenario: scenario.clone(),
-        restarts: report.restarts,
-        last_committed: report.last_committed,
-        storage_faults: backend.faults_injected(),
-        outputs: format!("{:?}", report.outputs),
-        records,
-        plant_applied,
-        failure,
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use c3_core::WriteMode;
 
     /// Hand-built minimal scenario: 2 ranks, no adversity at all.
     fn tame() -> Scenario {
@@ -278,12 +289,13 @@ mod tests {
             nranks: 2,
             app: AppChoice::Laplace { n: 8, iters: 10 },
             interval: Some(6),
-            sync_io: true,
             chunker: c3_core::Chunker::default(),
             keep_last: 1,
             tiers: None,
-            faults: ckptstore::FaultPlan::none(),
-            schedule: ftsim::FailureSchedule::none(),
+            adversary: Adversary {
+                write_mode: WriteMode::Sync,
+                ..Adversary::none()
+            },
         }
     }
 
@@ -302,9 +314,8 @@ mod tests {
             nranks: 3,
             app: AppChoice::Laplace { n: 16, iters: 30 },
             interval: Some(8),
-            sync_io: false,
             chunker: c3_core::Chunker::cdc(1024),
-            schedule: ftsim::FailureSchedule::single(1, 40),
+            adversary: Adversary::single(1, 40),
             ..tame()
         };
         let out = run_campaign(&sc, None);
@@ -316,26 +327,14 @@ mod tests {
     fn the_planted_drain_hoist_is_detected() {
         let sc = Scenario {
             app: AppChoice::Laplace { n: 8, iters: 16 },
-            sync_io: false,
+            adversary: Adversary::none(),
             ..tame()
         };
         let out = run_campaign(&sc, Some(Plant::HoistCommitBeforeDrain));
         assert!(out.plant_applied, "a committing run has a plant site");
-        match &out.failure {
-            Some(FuzzFailure::Invariants(r)) => {
-                assert!(
-                    r.violations
-                        .iter()
-                        .any(|v| v.invariant.starts_with("I13")),
-                    "hoisted commit must trip I13:\n{}",
-                    r.render()
-                );
-            }
-            other => panic!("expected an I13 verdict, got {other:?}"),
-        }
-        assert_eq!(
-            out.failure.unwrap().label(),
-            "invariant-I13-drain-before-commit"
-        );
+        // The label names the analyzer's first violation.
+        let label = out.failure.map(|f| f.label());
+        let want = "invariant-I13-drain-before-commit";
+        assert_eq!(label.as_deref(), Some(want), "hoisted commit trips I13");
     }
 }

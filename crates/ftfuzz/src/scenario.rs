@@ -1,18 +1,14 @@
-//! Seed → scenario: every adversarial dimension of a campaign derived
-//! from one `u64`.
-//!
-//! A [`Scenario`] is plain data — all fields public, comparable by
-//! `Debug` rendering — so the shrinker can mutate dimensions directly
-//! and the reproducer can print a scenario back as Rust source. The
-//! derivation chains a SplitMix64 stream ([`ckptstore::splitmix64`]), so
-//! a scenario is a pure function of its seed: two processes, two
-//! machines, two years apart — same seed, same campaign.
+//! Seed → scenario: every dimension of a campaign derived from one
+//! `u64` by a SplitMix64 stream, so a scenario is a pure function of its
+//! seed. It is plain data, so the shrinker mutates it directly and the
+//! reproducer prints it back as Rust source.
 
-use std::sync::Arc;
+use c3_core::{
+    C3Config, Chunker, PipelineConfig, RecoveryMode, TierTopology, WriteMode,
+};
+use ckptstore::{splitmix64, FaultPlan};
 
-use c3_core::{C3Config, Chunker, PipelineConfig, TierTopology, WriteMode};
-use ckptstore::{splitmix64, FaultInjectingBackend, FaultPlan, MemoryBackend};
-use ftsim::FailureSchedule;
+use crate::schedule::Adversary;
 
 /// Which application the campaign runs. Both are real `C3App`
 /// implementations from `c3-apps`, sized small enough that a campaign
@@ -74,9 +70,6 @@ pub struct Scenario {
     /// manual trigger (no checkpoints — used by the determinized
     /// projection).
     pub interval: Option<u64>,
-    /// Synchronous writing on the staging rank instead of the async
-    /// writer threads.
-    pub sync_io: bool,
     /// The content-defined chunker blobs are cut with: the default's
     /// 4 KiB average, or a smaller or larger one.
     pub chunker: Chunker,
@@ -84,10 +77,9 @@ pub struct Scenario {
     pub keep_last: u64,
     /// Multi-level storage topology behind the faulty staging tier.
     pub tiers: Option<TierTopology>,
-    /// Storage misbehavior of the staging tier.
-    pub faults: FaultPlan,
-    /// Rank kills, including attempt-gated kills during recovery.
-    pub schedule: FailureSchedule,
+    /// Kills (including attempt-gated kills during recovery), storage
+    /// faults of the staging tier, write mode and recovery mode.
+    pub adversary: Adversary,
 }
 
 impl Scenario {
@@ -135,45 +127,41 @@ impl Scenario {
         // fall back to a whole older one (repo-wide convention).
         let keep_last = if tiers.is_some() { 2 } else { 1 };
 
-        let schedule = if next(5) == 0 {
-            FailureSchedule::none()
-        } else {
-            let mut parts = Vec::new();
-            let styled = next(3);
-            parts.push(match styled {
-                1 if !sync_io => FailureSchedule::kill_during_async_write(
-                    seed ^ 0xA51C,
-                    nranks,
-                    interval,
-                    1 + next(2),
-                ),
-                2 if tiers.is_some() => {
-                    FailureSchedule::kill_during_tier_drain(
+        let mut kills = Vec::new();
+        if next(5) != 0 {
+            kills.extend(
+                match next(3) {
+                    1 if !sync_io => Adversary::kill_during_async_write(
+                        seed ^ 0xA51C,
+                        nranks,
+                        interval,
+                        1 + next(2),
+                    ),
+                    2 if tiers.is_some() => Adversary::kill_during_tier_drain(
                         seed ^ 0x71E2,
                         nranks,
                         interval,
                         1 + next(2),
-                    )
+                    ),
+                    _ => Adversary::random(seed ^ 0xD1E5, nranks, 1, 12..60),
                 }
-                _ => FailureSchedule::random(seed ^ 0xD1E5, nranks, 1, 12..60),
-            });
+                .kills,
+            );
             if next(3) == 0 {
-                parts.push(FailureSchedule::random(
-                    seed ^ 0x2B15,
-                    nranks,
-                    1,
-                    12..60,
-                ));
+                let more = Adversary::random(seed ^ 0x2B15, nranks, 1, 12..60);
+                kills.extend(more.kills);
             }
             if next(4) == 0 {
-                parts.push(FailureSchedule::kill_during_recovery(
+                let first_at_op = 15 + next(30);
+                let double = Adversary::kill_during_recovery(
                     seed ^ 0x3ECF,
                     nranks,
-                    15 + next(30),
-                ));
+                    first_at_op,
+                );
+                kills.extend(double.kills);
             }
-            FailureSchedule::compose(parts)
-        };
+        }
+        kills.sort_by_key(|&(_, at_op, attempt)| (attempt, at_op));
 
         // The chunker dimension is drawn after everything else
         // so corpus seeds predating it keep their original shapes. The
@@ -190,81 +178,71 @@ impl Scenario {
         // three repairs its kills by online splice instead of global
         // rollback — kills of rank 0 or double kills of one rank then
         // exercise the escalation path on top.
-        let schedule = if next(3) == 0 {
-            schedule.with_localized()
+        let recovery = if next(3) == 0 {
+            RecoveryMode::Localized
         } else {
-            schedule
+            RecoveryMode::FullRestart
         };
 
+        let async_io = PipelineConfig::default().mode;
         Scenario {
             seed,
             nranks,
             app,
             interval: Some(interval),
-            sync_io,
             chunker,
             keep_last,
             tiers,
-            faults: FaultPlan::from_seed(seed),
-            schedule,
+            adversary: Adversary {
+                kills,
+                faults: FaultPlan::from_seed(seed),
+                write_mode: if sync_io { WriteMode::Sync } else { async_io },
+                recovery,
+            },
         }
     }
 
-    /// Build the job configuration (cadence, I/O, kills) for the
-    /// adversarial run. The trace sink and metrics registry are the
-    /// campaign runner's to add.
-    pub fn config(&self) -> C3Config {
-        let mut io = PipelineConfig::default();
-        if self.sync_io {
-            io.mode = WriteMode::Sync;
-        }
-        io.chunker = self.chunker;
-        io.keep_last = self.keep_last;
-        io.tiers = self.tiers;
-        let base = match self.interval {
-            Some(k) => C3Config::every_ops(k),
-            None => C3Config::default(),
+    /// The job without its adversary: cadence, chunker, retention and
+    /// tiers.
+    pub fn job(&self) -> C3Config {
+        let io = PipelineConfig {
+            chunker: self.chunker,
+            keep_last: self.keep_last,
+            tiers: self.tiers,
+            ..PipelineConfig::default()
         };
-        self.schedule.apply(base).with_io(io)
+        let trigger = self.interval.map(C3Config::every_ops);
+        trigger.unwrap_or_default().with_io(io)
     }
 
-    /// The faulty staging backend for the adversarial run. When the
-    /// scenario has a tier topology the job driver wraps this backend as
-    /// tier 0 of the hierarchy, so the storage faults land exactly where
-    /// a flaky local burst buffer would put them.
-    pub fn backend(&self) -> Arc<FaultInjectingBackend> {
-        Arc::new(FaultInjectingBackend::new(
-            Arc::new(MemoryBackend::new()),
-            self.faults.clone(),
-        ))
+    /// The adversarial run's configuration: [`Scenario::job`] with the
+    /// adversary applied. The driver adds the trace sink and registry.
+    pub fn config(&self) -> C3Config {
+        self.adversary.apply(self.job())
     }
 
-    /// The deterministic projection of this scenario: same app and
-    /// world size, but no checkpoints, no kills, no storage faults and
-    /// no tier mover. What remains is a pure function of the seed, so
-    /// two runs of the projection produce byte-identical canonical
-    /// traces.
-    ///
-    /// The full campaign cannot promise byte-identical traces: control
-    /// gathers use any-source receives and abort propagation is
-    /// wall-clock, so checkpoint placement under kills is
-    /// thread-timing-dependent. The determinism test therefore checks
-    /// outputs + verdicts on the full campaign and byte-identical
-    /// traces on this projection.
+    /// The deterministic projection of this scenario: same app, world
+    /// size, chunker and write mode, but no checkpoints, no kills, no
+    /// storage faults and no tier mover, so two runs produce
+    /// byte-identical canonical traces. (Under kills, checkpoint
+    /// placement depends on thread timing: any-source control gathers
+    /// and wall-clock abort propagation.)
     pub fn determinized(&self) -> Scenario {
         Scenario {
             interval: None,
-            schedule: FailureSchedule::none(),
-            faults: FaultPlan::none(),
             tiers: None,
             keep_last: 1,
+            adversary: Adversary {
+                write_mode: self.adversary.write_mode,
+                ..Adversary::none()
+            },
             ..self.clone()
         }
     }
 
-    /// Total kills in the schedule (the reproducer-size metric).
+    /// Total kills (the reproducer-size metric).
     pub fn fault_count(&self) -> usize {
-        self.schedule.len()
+        self.adversary.kills.len()
     }
 }
 
@@ -293,32 +271,33 @@ mod tests {
         };
         assert!(count(&|s| s.tiers.is_some()) >= 64, "tiered scenarios");
         assert!(count(&|s| s.tiers.is_none()) >= 32, "flat scenarios");
-        assert!(count(&|s| s.schedule.is_empty()) >= 16, "kill-free");
+        let kills = |s: &Scenario, attempt: u64| {
+            s.adversary.kills.iter().filter(|k| k.2 == attempt).count()
+        };
+        let localized =
+            |s: &Scenario| s.adversary.recovery == RecoveryMode::Localized;
+        assert!(count(&|s| s.fault_count() == 0) >= 16, "kill-free");
+        assert!(count(&|s| kills(s, 1) >= 2) >= 16, "multi-kill scenarios");
+        assert!(count(&|s| kills(s, 2) > 0) >= 16, "kills during recovery");
         assert!(
-            count(&|s| s.schedule.injections.len() >= 2) >= 16,
-            "multi-kill scenarios"
-        );
-        assert!(
-            count(&|s| !s.schedule.recovery_kills.is_empty()) >= 16,
-            "kills during recovery"
-        );
-        assert!(
-            count(&|s| s.schedule.localized && !s.schedule.is_empty()) >= 32,
+            count(&|s| localized(s) && s.fault_count() > 0) >= 32,
             "localized (online-splice) recovery scenarios"
         );
         assert!(
-            count(&|s| !s.schedule.localized && !s.schedule.is_empty()) >= 96,
+            count(&|s| !localized(s) && s.fault_count() > 0) >= 96,
             "full-rollback recovery scenarios"
         );
         assert!(
             count(&|s| s.interval.unwrap() <= 4) >= 16,
             "back-to-back checkpoint lines"
         );
-        assert!(count(&|s| s.sync_io) >= 16, "sync I/O scenarios");
+        let sync_io = |s: &Scenario| s.adversary.write_mode == WriteMode::Sync;
+        assert!(count(&sync_io) >= 16, "sync I/O scenarios");
+        let f = |s: &Scenario| s.adversary.faults.clone();
         assert!(
-            count(&|s| s.faults.fail_first_puts > 0
-                || s.faults.fail_each_key_once
-                || s.faults.fail_put_probability > 0.0)
+            count(&|s| f(s).fail_first_puts > 0
+                || f(s).fail_each_key_once
+                || f(s).fail_put_probability > 0.0)
                 >= 64,
             "storage-fault scenarios"
         );
@@ -332,16 +311,13 @@ mod tests {
         );
         assert!(count(&|s| s.chunker.avg() < 4096) >= 96, "smaller cuts");
         assert!(
-            count(&|s| s.chunker == Chunker::default() && !s.sync_io) >= 32,
+            count(&|s| s.chunker == Chunker::default() && !sync_io(s)) >= 32,
             "the default write path is exercised"
         );
         for s in &scenarios {
             assert!((2..=5).contains(&s.nranks));
-            for &(rank, _) in &s.schedule.injections {
+            for &(rank, _, _) in &s.adversary.kills {
                 assert!(rank < s.nranks, "kill targets a real rank");
-            }
-            for &(rank, _) in &s.schedule.recovery_kills {
-                assert!(rank < s.nranks);
             }
         }
     }
@@ -374,7 +350,8 @@ mod tests {
         assert_eq!(seeds, want.map(|w| w.0), "corpus and table differ");
         for row in want {
             let d = Scenario::from_seed(row.0).determinized();
-            let got = (d.seed, d.nranks, d.app, d.sync_io, d.chunker);
+            let sync_io = d.adversary.write_mode == WriteMode::Sync;
+            let got = (d.seed, d.nranks, d.app, sync_io, d.chunker);
             assert_eq!(got, row);
         }
     }
@@ -383,7 +360,7 @@ mod tests {
     fn determinized_strips_every_wall_clock_dimension() {
         let d = Scenario::from_seed(7).determinized();
         assert_eq!(d.interval, None, "no checkpoints");
-        assert!(d.schedule.is_empty(), "no kills");
+        assert_eq!(d.fault_count(), 0, "no kills");
         assert!(d.tiers.is_none(), "no tier mover");
         assert_eq!(d.app, Scenario::from_seed(7).app, "same app");
     }

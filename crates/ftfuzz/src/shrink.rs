@@ -3,14 +3,15 @@
 //!
 //! Given a failing campaign, [`shrink`] repeatedly proposes simpler
 //! scenarios — drop a kill, quiet the storage, drop a tier, remove a
-//! rank, halve the horizon, simplify the I/O mode — and
+//! rank, halve the horizon, simplify the write mode — and
 //! re-runs the campaign for each proposal, keeping it only when the
 //! *same* failure (by [`FuzzFailure::label`]) still occurs. The loop
 //! runs to a fixed point (one full pass with no accepted proposal) or
 //! until the run budget is exhausted. [`reproducer`] then renders the
 //! shrunk scenario as a self-contained `#[test]`-shaped snippet.
 
-use ftsim::FailureSchedule;
+use c3_core::{RecoveryMode, WriteMode};
+use ckptstore::FaultPlan;
 
 use crate::campaign::{run_campaign, FuzzFailure, Plant};
 use crate::scenario::Scenario;
@@ -32,97 +33,65 @@ pub struct ShrinkOutcome {
 /// debugging works best greedily: try removing whole dimensions before
 /// trimming them).
 fn proposals(sc: &Scenario) -> Vec<Scenario> {
+    let (adv, rollback) = (&sc.adversary, RecoveryMode::FullRestart);
     let mut out = Vec::new();
-    let mut push = |cand: Scenario| {
+    let mut push = |change: &dyn Fn(&mut Scenario)| {
+        let mut cand = sc.clone();
+        change(&mut cand);
         if cand != *sc {
             out.push(cand);
         }
     };
 
-    // Whole-dimension removals.
-    if !sc.schedule.is_empty() {
-        push(Scenario {
-            schedule: FailureSchedule::none(),
-            ..sc.clone()
+    // Whole-dimension removals: no kills (and so no splices), healthy
+    // storage, one tier.
+    if !adv.kills.is_empty() {
+        push(&|c| {
+            c.adversary.kills.clear();
+            c.adversary.recovery = rollback;
         });
     }
-    if sc.faults != ckptstore::FaultPlan::none() {
-        push(Scenario {
-            faults: ckptstore::FaultPlan::none(),
-            ..sc.clone()
-        });
+    if adv.faults != FaultPlan::none() {
+        push(&|c| c.adversary.faults = FaultPlan::none());
     }
     if sc.tiers.is_some() {
-        push(Scenario {
-            tiers: None,
-            keep_last: 1,
-            ..sc.clone()
-        });
+        push(&|c| (c.tiers, c.keep_last) = (None, 1));
     }
 
-    // Individual kills.
-    for i in 0..sc.schedule.injections.len() {
-        let mut schedule = sc.schedule.clone();
-        schedule.injections.remove(i);
-        push(Scenario {
-            schedule,
-            ..sc.clone()
+    // Drop each ungated kill, then every kill gated to a restart at
+    // once; then plain rollback instead of online splice.
+    for (i, _) in adv.kills.iter().enumerate().filter(|(_, k)| k.2 == 1) {
+        push(&|c| {
+            c.adversary.kills.remove(i);
         });
     }
-    if !sc.schedule.recovery_kills.is_empty() {
-        let mut schedule = sc.schedule.clone();
-        schedule.recovery_kills.clear();
-        push(Scenario {
-            schedule,
-            ..sc.clone()
-        });
+    if adv.kills.iter().any(|k| k.2 > 1) {
+        push(&|c| c.adversary.kills.retain(|k| k.2 == 1));
     }
-    // Plain rollback instead of online splice.
-    if sc.schedule.localized {
-        let mut schedule = sc.schedule.clone();
-        schedule.localized = false;
-        push(Scenario {
-            schedule,
-            ..sc.clone()
-        });
+    if adv.recovery != rollback {
+        push(&|c| c.adversary.recovery = rollback);
     }
 
-    // Fewer ranks: drop the highest rank and retarget anything that
-    // referenced it.
+    // Fewer ranks: drop the highest rank and retarget any kill of it.
     if sc.nranks > 2 {
-        let nranks = sc.nranks - 1;
-        let mut schedule = sc.schedule.clone();
-        for (rank, _) in schedule
-            .injections
-            .iter_mut()
-            .chain(schedule.recovery_kills.iter_mut())
-        {
-            *rank = (*rank).min(nranks - 1);
-        }
-        push(Scenario {
-            nranks,
-            schedule,
-            ..sc.clone()
+        push(&|c| {
+            c.nranks -= 1;
+            for kill in &mut c.adversary.kills {
+                kill.0 = kill.0.min(c.nranks - 1);
+            }
         });
     }
 
     // Shorter horizon: halve the iterations, keeping enough room for at
     // least one checkpoint line to commit.
     let iters = sc.app.iters();
-    let floor = sc.interval.unwrap_or(4).max(8);
-    if iters / 2 >= floor {
-        push(Scenario {
-            app: sc.app.with_iters(iters / 2),
-            ..sc.clone()
-        });
+    if iters / 2 >= sc.interval.unwrap_or(4).max(8) {
+        push(&|c| c.app = c.app.with_iters(iters / 2));
     }
 
     // Simpler I/O.
-    if !sc.sync_io {
-        push(Scenario {
-            sync_io: true,
-            ..sc.clone()
-        });
+    if adv.write_mode != WriteMode::Sync {
+        push(&|c| c.adversary.write_mode = WriteMode::Sync);
     }
     out
 }
@@ -174,61 +143,6 @@ pub fn shrink(
     })
 }
 
-fn fmt_faults(plan: &ckptstore::FaultPlan) -> String {
-    if *plan == ckptstore::FaultPlan::none() {
-        return "ckptstore::FaultPlan::none()".into();
-    }
-    format!(
-        "ckptstore::FaultPlan {{\n            fail_first_puts: {},\n        \
-         \x20   fail_each_key_once: {},\n            fail_put_probability: \
-         {:?},\n            seed: {:#x},\n            latency_base_ms: \
-         {},\n            latency_jitter_ms: {},\n            \
-         ..ckptstore::FaultPlan::none()\n        }}",
-        plan.fail_first_puts,
-        plan.fail_each_key_once,
-        plan.fail_put_probability,
-        plan.seed,
-        plan.latency_base_ms,
-        plan.latency_jitter_ms,
-    )
-}
-
-fn fmt_schedule(s: &FailureSchedule) -> String {
-    if s.is_empty() {
-        return "ftsim::FailureSchedule::none()".into();
-    }
-    let pairs = |v: &[(usize, u64)]| {
-        v.iter()
-            .map(|&(r, op)| format!("({r}, {op})"))
-            .collect::<Vec<_>>()
-            .join(", ")
-    };
-    format!(
-        "ftsim::FailureSchedule {{\n            injections: vec![{}],\n     \
-         \x20      recovery_kills: vec![{}],\n            localized: {},\n   \
-         \x20    }}",
-        pairs(&s.injections),
-        pairs(&s.recovery_kills),
-        s.localized,
-    )
-}
-
-fn fmt_tiers(t: &Option<c3_core::TierTopology>) -> String {
-    match t {
-        None => "None".into(),
-        Some(t) => match (t.partner_replicas, t.erasure) {
-            (r, None) => format!("Some(c3_core::TierTopology::partner({r}))"),
-            (0, Some((d, p))) => {
-                format!("Some(c3_core::TierTopology::erasure({d}, {p}))")
-            }
-            (r, Some((d, p))) => format!(
-                "Some(c3_core::TierTopology::partner_and_erasure({r}, {d}, \
-                 {p}))"
-            ),
-        },
-    }
-}
-
 /// Render a failing scenario as a self-contained `#[test]`-shaped
 /// snippet: paste it into any crate that depends on `ftfuzz` and it
 /// reproduces the failure without the fuzzer loop.
@@ -237,12 +151,8 @@ pub fn reproducer(
     plant: Option<Plant>,
     failure: &FuzzFailure,
 ) -> String {
-    let plant_code = match plant {
-        None => "None".to_string(),
-        Some(Plant::HoistCommitBeforeDrain) => {
-            "Some(ftfuzz::Plant::HoistCommitBeforeDrain)".into()
-        }
-    };
+    let plant_code =
+        plant.map_or("None".into(), |p| format!("Some(ftfuzz::Plant::{p:?})"));
     let headline = failure.to_string();
     let headline = headline.lines().next().unwrap_or("failure");
     format!(
@@ -255,12 +165,15 @@ pub fn reproducer(
          \x20       nranks: {nranks},\n\
          \x20       app: ftfuzz::AppChoice::{app:?},\n\
          \x20       interval: {interval:?},\n\
-         \x20       sync_io: {sync_io},\n\
          \x20       chunker: c3_core::Chunker::cdc({avg}),\n\
          \x20       keep_last: {keep_last},\n\
          \x20       tiers: {tiers},\n\
-         \x20       faults: {faults},\n\
-         \x20       schedule: {schedule},\n\
+         \x20       adversary: ftfuzz::Adversary {{\n\
+         \x20           kills: vec!{kills:?},\n\
+         \x20           faults: ckptstore::{faults:?},\n\
+         \x20           write_mode: c3_core::WriteMode::{write_mode:?},\n\
+         \x20           recovery: c3_core::RecoveryMode::{recovery:?},\n\
+         \x20       }},\n\
          \x20   }};\n\
          \x20   let outcome = ftfuzz::run_campaign(&scenario, {plant_code});\n\
          \x20   assert!(\n\
@@ -273,12 +186,15 @@ pub fn reproducer(
         nranks = sc.nranks,
         app = sc.app,
         interval = sc.interval,
-        sync_io = sc.sync_io,
         avg = sc.chunker.avg(),
         keep_last = sc.keep_last,
-        tiers = fmt_tiers(&sc.tiers),
-        faults = fmt_faults(&sc.faults),
-        schedule = fmt_schedule(&sc.schedule),
+        tiers = sc
+            .tiers
+            .map_or("None".into(), |t| format!("Some(c3_core::{t:?})")),
+        kills = sc.adversary.kills,
+        faults = sc.adversary.faults,
+        write_mode = sc.adversary.write_mode,
+        recovery = sc.adversary.recovery,
     )
 }
 
@@ -286,6 +202,7 @@ pub fn reproducer(
 mod tests {
     use super::*;
     use crate::scenario::AppChoice;
+    use crate::schedule::Adversary;
 
     fn lively() -> Scenario {
         Scenario {
@@ -293,22 +210,22 @@ mod tests {
             nranks: 4,
             app: AppChoice::Laplace { n: 16, iters: 32 },
             interval: Some(8),
-            sync_io: false,
             chunker: c3_core::Chunker::cdc(1024),
             keep_last: 2,
             tiers: Some(c3_core::TierTopology::partner(1)),
-            faults: ckptstore::FaultPlan::none().fail_n(1),
-            schedule: FailureSchedule::single(1, 40),
+            adversary: Adversary {
+                faults: FaultPlan::none().fail_n(1),
+                ..Adversary::single(1, 40)
+            },
         }
     }
 
     #[test]
     fn shrink_returns_none_for_a_passing_scenario() {
         let sc = Scenario {
-            schedule: FailureSchedule::none(),
-            faults: ckptstore::FaultPlan::none(),
             tiers: None,
             keep_last: 1,
+            adversary: Adversary::none(),
             ..lively()
         };
         assert!(shrink(&sc, None, 50).is_none());
@@ -322,22 +239,21 @@ mod tests {
         for p in &props {
             assert_ne!(p, &sc, "a proposal must change something");
             assert!(p.nranks >= 2);
-            for &(rank, _) in &p.schedule.injections {
+            for &(rank, _, _) in &p.adversary.kills {
                 assert!(rank < p.nranks, "kills stay in range");
             }
         }
         // A fully minimal scenario proposes almost nothing.
         let minimal = Scenario {
-            seed: 0,
             nranks: 2,
             app: AppChoice::Laplace { n: 8, iters: 8 },
-            interval: Some(8),
-            sync_io: true,
-            chunker: c3_core::Chunker::default(),
             keep_last: 1,
             tiers: None,
-            faults: ckptstore::FaultPlan::none(),
-            schedule: FailureSchedule::none(),
+            adversary: Adversary {
+                write_mode: WriteMode::Sync,
+                ..Adversary::none()
+            },
+            ..lively()
         };
         assert!(proposals(&minimal).is_empty());
     }
@@ -355,10 +271,31 @@ mod tests {
         assert!(code.contains("ftfuzz::Scenario {"));
         assert!(code.contains("nranks: 4"));
         assert!(code.contains("Plant::HoistCommitBeforeDrain"));
-        assert!(code.contains("injections: vec![(1, 40)]"));
+        assert!(code.contains("kills: vec![(1, 40, 1)]"));
         assert!(code.contains("fail_first_puts: 1"));
-        assert!(code.contains("TierTopology::partner(1)"));
+        assert!(code.contains("TierTopology { partner_replicas: 1"));
         assert!(code.contains("c3_core::Chunker::cdc(1024)"));
+        assert!(code.contains("RecoveryMode::FullRestart"));
         assert!(code.contains("outcome.failure.is_none()"));
+    }
+
+    /// The slow-storage rows of the async-write matrix: a reproducer that
+    /// dropped the put delay would run a different case.
+    #[test]
+    fn reproducer_renders_every_storage_fault() {
+        let sc = Scenario {
+            adversary: Adversary {
+                faults: FaultPlan::none().slow_ms(1),
+                write_mode: WriteMode::Async {
+                    writers: 2,
+                    queue_depth: 4,
+                },
+                ..Adversary::kill_during_async_write(1, 4, 10, 2)
+            },
+            ..lively()
+        };
+        let code = reproducer(&sc, None, &FuzzFailure::JobError("x".into()));
+        assert!(code.contains("slow_put_ms: 1"), "{code}");
+        assert!(code.contains("writers: 2, queue_depth: 4"), "{code}");
     }
 }

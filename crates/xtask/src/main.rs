@@ -37,6 +37,11 @@
 //!   entry names must exist: an entry for a deleted or renamed file
 //!   exempts or budgets nothing, and the file it meant slips out of the
 //!   rule unseen.
+//! * **ci-filter** — every test-name filter of a `cargo test` or `cargo
+//!   miri test` step in `.github/workflows/*.yml` must be contained in
+//!   the module path or name of some `#[test] fn` in the targets the step
+//!   names. A filter that matches nothing passes with "0 passed", so a
+//!   renamed test would silently drop out of its CI step.
 //!
 //! Test modules are exempt from the other rules: each file is scanned
 //! only up to its first `#[cfg(test)]` marker, and `tests/` / `benches/`
@@ -192,7 +197,148 @@ fn lint(root: &Path, allow: &Allow) -> Result<Vec<String>, String> {
     }
     check_stale_entries(root, allow, &mut findings);
     check_analyzer_coverage(root, &mut findings)?;
+    check_ci_filters(root, &mut findings)?;
     Ok(findings)
+}
+
+/// Rule ci-filter, over every workflow under `.github/workflows/`.
+fn check_ci_filters(
+    root: &Path,
+    findings: &mut Vec<String>,
+) -> Result<(), String> {
+    let dir = std::fs::read_dir(root.join(".github/workflows")).into_iter();
+    let mut workflows: Vec<PathBuf> =
+        dir.flatten().flatten().map(|e| e.path()).collect();
+    workflows.sort();
+    for workflow in workflows {
+        let rel = workflow.strip_prefix(root).unwrap_or(&workflow).display();
+        // A `run:` value and its more-indented continuation lines, joined.
+        let yaml = read_or_empty(&workflow);
+        let mut lines = yaml.lines().peekable();
+        while let Some(line) = lines.next() {
+            let key = line.trim_start().trim_start_matches("- ");
+            let Some(value) = key.strip_prefix("run:") else {
+                continue;
+            };
+            let indent = line.len() - line.trim_start().len();
+            let mut run = value.to_string();
+            while let Some(next) = lines.next_if(|l| {
+                l.trim().is_empty() || l.len() - l.trim_start().len() > indent
+            }) {
+                run = run + " " + next.trim();
+            }
+            // Each `cargo test` / `cargo miri test`, up to the next command.
+            for args in run.split("cargo ").filter_map(|c| {
+                c.strip_prefix("test ").or(c.strip_prefix("miri test "))
+            }) {
+                let (filters, tests) = ci_step(root, args)?;
+                for f in filters {
+                    if !tests.iter().any(|t| t.contains(f)) {
+                        findings.push(format!(
+                            "{rel}: [ci-filter] `cargo test {}`: filter `{f}` \
+                             matches no #[test] fn of the targets it names, \
+                             so the step runs 0 tests",
+                            args.trim()
+                        ));
+                    }
+                }
+            }
+        }
+    }
+    Ok(())
+}
+
+/// The test-name filters of one `cargo test` invocation (its arguments),
+/// and `module::path::name` of every `#[test] fn` in the targets it
+/// selects. An integration-test target is a `tests/*.rs` file or a
+/// manifest `path`, named by its file stem.
+fn ci_step<'a>(
+    root: &Path,
+    args: &'a str,
+) -> Result<(Vec<&'a str>, Vec<String>), String> {
+    let (mut packages, mut targets, mut filters) = (vec![], vec![], vec![]);
+    let (mut lib, mut libtest) = (false, false);
+    let mut words = args
+        .split_whitespace()
+        .take_while(|w| !matches!(*w, ";" | "&&" | "||" | "|"));
+    while let Some(word) = words.next() {
+        match word {
+            "--" => libtest = true,
+            "-p" | "--package" => packages.extend(words.next()),
+            "--test" if !libtest => targets.extend(words.next()),
+            "--lib" => lib = true,
+            "--target" | "--features" | "--manifest-path" | "--skip" => {
+                words.next();
+            }
+            flag if flag.starts_with('-') => {}
+            filter => filters.push(filter),
+        }
+    }
+    let mut tests = Vec::new();
+    for parent in ["crates", "shims"] {
+        for entry in std::fs::read_dir(root.join(parent)).into_iter().flatten()
+        {
+            let dir = entry.map_err(|e| e.to_string())?.path();
+            let manifest = read_or_empty(&dir.join("Cargo.toml"));
+            let value = |key: &'static str| {
+                manifest.lines().filter_map(move |l| {
+                    Some(l.strip_prefix(key)?.trim_matches('"'))
+                })
+            };
+            let name = value("name = ").next().unwrap_or_default();
+            if !packages.is_empty() && !packages.contains(&name) {
+                continue;
+            }
+            let mut files = Vec::new();
+            if (lib || targets.is_empty()) && dir.join("src").is_dir() {
+                walk(&dir.join("src"), &dir.join("src"), &mut files)?;
+            }
+            let roots = std::fs::read_dir(dir.join("tests")).into_iter();
+            let roots = roots.flatten().flatten().map(|e| e.path());
+            for path in value("path = ").map(|p| dir.join(p)).chain(roots) {
+                let stem = path.file_stem().unwrap_or_default();
+                if !lib
+                    && path.extension().is_some_and(|e| e == "rs")
+                    && (targets.is_empty()
+                        || targets.iter().any(|t| *t == stem))
+                {
+                    files.push((String::new(), read_or_empty(&path)));
+                }
+            }
+            for (rel, src) in files {
+                test_fns(&rel, &src, &mut tests);
+            }
+        }
+    }
+    Ok((filters, tests))
+}
+
+/// Append `module::path::name` for every `#[test] fn` of `src`, the file
+/// at `rel` below a crate root (empty for a crate root).
+fn test_fns(rel: &str, src: &str, out: &mut Vec<String>) {
+    let lines: Vec<&str> = src.lines().map(str::trim).collect();
+    let mut module: Vec<&str> = rel
+        .trim_end_matches(".rs")
+        .split('/')
+        .filter(|p| !matches!(*p, "" | "lib" | "main" | "mod"))
+        .collect();
+    module.extend(
+        lines
+            .iter()
+            .filter_map(|l| Some(l.strip_suffix(" {")?.split_once("mod ")?.1)),
+    );
+    for pair in lines.windows(2) {
+        if let ("#[test]", Some((_, rest))) =
+            (pair[0], pair[1].split_once("fn "))
+        {
+            let name = rest.split(['(', '<']).next().unwrap_or(rest);
+            out.push(format!("{}::{name}", module.join("::")));
+        }
+    }
+}
+
+fn read_or_empty(path: &Path) -> String {
+    std::fs::read_to_string(path).unwrap_or_default()
 }
 
 /// Rule stale-entry. `HOT_PATHS` names files of this workspace, so it is
@@ -724,6 +870,32 @@ mod tests {
         .unwrap();
         assert!(allow.instant.contains("a/b.rs"));
         assert_eq!(allow.unwrap_budget.get("c/d.rs"), Some(&3));
+    }
+
+    #[test]
+    fn dead_ci_filter_is_flagged() {
+        let workflow = "    steps:\n      - run: cargo test -p demo --test t \
+                        -- alive dead\n      - name: lib\n        run: >\n   \
+                        \x20       cargo miri test -p demo --lib\n          \
+                        inner gone\n      - run: |\n          cargo test -p \
+                        demo x\n          cargo test -p demo lost\n";
+        let lib = "mod inner {\n    #[cfg(test)]\n    mod tests {\n        \
+                   #[test]\n        fn x() {}\n    }\n}\n";
+        let fx = Fixture::new(
+            "cifilter",
+            &[
+                (".github/workflows/ci.yml", workflow),
+                ("crates/demo/Cargo.toml", "[package]\nname = \"demo\"\n"),
+                ("crates/demo/src/lib.rs", lib),
+                ("crates/demo/tests/t.rs", "#[test]\nfn alive_case() {}\n"),
+            ],
+        );
+        let findings = lint(&fx.root, &Allow::default()).unwrap();
+        assert_eq!(findings.len(), 3, "{findings:?}");
+        for (f, dead) in findings.iter().zip(["dead", "gone", "lost"]) {
+            assert!(f.contains("[ci-filter]"), "{f}");
+            assert!(f.contains(&format!("filter `{dead}`")), "{f}");
+        }
     }
 
     /// The real workspace must lint clean — this is the same invocation

@@ -2,22 +2,23 @@
 //! as a runnable scenario.
 //!
 //! Solves a 256×256 dense SPD system on 4 ranks, checkpointing every 200
-//! protocol operations, while a failure schedule kills two different ranks
-//! mid-solve. The solver converges to the same residual as the
-//! failure-free run.
+//! protocol operations, while rank 1 is killed mid-solve and rank 3
+//! during the recovery from it.
+//! `ftfuzz::run_case` runs the failure-free reference and the killed
+//! job, and checks that the outputs match and the recorded trace is
+//! analyzer-, race- and health-clean.
 //!
 //! ```sh
 //! cargo run --release --example dense_cg_solver
 //! ```
 
 use c3_apps::DenseCg;
-use c3_core::{run_job, C3Config};
-use ftsim::{FailureSchedule, RecoveryMetrics};
+use c3_core::C3Config;
+use ftfuzz::{run_case, Adversary};
 
 fn main() {
     let app = DenseCg::new(256, 60);
     let nprocs = 4;
-    let cfg = C3Config::every_ops(200);
 
     println!(
         "dense CG: n={} iters={} ranks={} (state ≈ {} KiB/rank)",
@@ -27,26 +28,18 @@ fn main() {
         app.state_bytes_per_rank(nprocs) / 1024
     );
 
-    let baseline = run_job(nprocs, &cfg, None, &app).expect("baseline");
-    let rho0 = f64::from_bits(baseline.outputs[0].1);
+    // Rank 1 dies at op 900; rank 3 dies 100 ops into the restarted
+    // attempt (the op count restarts with every attempt).
+    let adversary = Adversary::from_kills(vec![(1, 900, 1), (3, 100, 2)]);
+    let name = "example_dense_cg";
+    let job = C3Config::every_ops(200);
+    let out = run_case(name, nprocs, &app, &job, &adversary).clean(name);
+
     println!(
-        "baseline: residual ρ = {rho0:.3e}, {} checkpoints, {:.3}s",
-        baseline.last_committed.unwrap_or(0),
-        baseline.elapsed.as_secs_f64()
+        "faulty:   restarts={} recovered_from={:?} last committed line={:?}",
+        out.restarts, out.recovered_from, out.last_committed
     );
-
-    // Two failures at different points of the solve.
-    let schedule = FailureSchedule::none()
-        .with_injection(1, 900)
-        .with_injection(3, 2200);
-    let faulty_cfg = schedule.apply(cfg);
-    let report = run_job(nprocs, &faulty_cfg, None, &app).expect("faulty run");
-    let rho = f64::from_bits(report.outputs[0].1);
-
-    let metrics = RecoveryMetrics::from_reports(&report, &baseline);
-    println!("faulty:   residual ρ = {rho:.3e}");
-    println!("          {}", metrics.summary());
-    for (rank, st) in report.stats.iter().enumerate() {
+    for (rank, st) in out.stats.iter().enumerate() {
         println!(
             "          rank {rank}: ckpts={} late_logged={} \
              early_recorded={} suppressed={} replayed={}",
@@ -57,12 +50,8 @@ fn main() {
             st.late_replayed
         );
     }
-
-    assert_eq!(report.outputs, baseline.outputs);
-    let fired = faulty_cfg
-        .failures
-        .iter()
-        .filter(|i| i.is_consumed())
-        .count();
-    println!("\nconverged identically despite {fired} failure(s) ✓");
+    println!(
+        "\nconverged identically despite {} restart(s); trace clean ✓",
+        out.restarts
+    );
 }

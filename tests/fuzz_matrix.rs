@@ -3,8 +3,8 @@
 //!
 //! * Every seed in `tests/fuzz_corpus/seeds.txt` replays as a
 //!   regression test — once a seed caught something, it keeps guarding
-//!   against the regression forever. Traces land in `target/c3-traces/`
-//!   for the CI verification job.
+//!   against the regression forever. The driver writes each trace to
+//!   `target/c3-traces/fuzz_s<seed>.c3trace` for the CI verification job.
 //! * The same seed run twice must produce the same outputs and the same
 //!   verdict; on the wall-clock-free [`ftfuzz::Scenario::determinized`]
 //!   projection the canonical traces must be byte-identical (the
@@ -43,8 +43,6 @@ fn corpus_seeds_replay_clean() {
             out.last_committed.is_some(),
             "corpus seed {seed}: no line ever committed"
         );
-        c3verify::write_trace(&format!("fuzz_s{seed}"), &out.records)
-            .expect("write trace artifact");
     }
 }
 

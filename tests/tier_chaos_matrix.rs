@@ -16,10 +16,9 @@ use c3_core::{
 };
 use c3verify::{analyze, invariant, race_check};
 use ckptstore::{
-    FaultInjectingBackend, FaultPlan, MemoryBackend, StorageBackend, TierSpec,
-    TieredBackend,
+    FaultPlan, MemoryBackend, StorageBackend, TierSpec, TieredBackend,
 };
-use ftsim::FailureSchedule;
+use ftfuzz::{run_case, Adversary};
 
 /// Record the trace of one complete Laplace job over `backend` and
 /// assert it is analyzer- and race-clean. Returns (outputs, records).
@@ -263,73 +262,31 @@ fn damage_beyond_parity_falls_back_a_whole_checkpoint_line() {
     );
 }
 
-/// A slow simulated remote tier (seeded latency profile on the global
-/// tier's backend) while ranks are killed right in the tier-drain
-/// window: the drain is off the commit path, so recovery keeps working
-/// from the intact local tier and every invariant — including I14
-/// tier-provenance — holds. The recorded trace feeds the CI `c3verify`
-/// jobs.
+/// A slow staging tier (a seeded latency profile on every put and
+/// get, and the tier mover reads through it) while ranks are killed
+/// right in the tier-drain window: the drain is off the commit path, so
+/// recovery keeps working from the intact local tier and every invariant
+/// — including I14 tier-provenance — holds. The recorded trace feeds the
+/// CI `c3verify` jobs.
 #[test]
-fn kills_during_slow_remote_tier_drain_stay_clean() {
+fn kills_during_slow_tier_drain_stay_clean() {
+    let io = PipelineConfig::default()
+        .with_keep_last(2)
+        .with_tiers(TierTopology::partner_and_erasure(1, 2, 1));
+    let job = C3Config::every_ops(10).with_io(io);
+    let app = Laplace { n: 16, iters: 36 };
     for seed in [11u64, 12] {
-        let name = format!("tier_slow_remote_s{seed}");
-        let remote = Arc::new(FaultInjectingBackend::new(
-            Arc::new(MemoryBackend::new()),
-            FaultPlan::none().latency(1, 2, seed),
-        ));
-        let tiered = Arc::new(TieredBackend::new(
-            vec![
-                TierSpec::direct(Arc::new(MemoryBackend::new())),
-                TierSpec::partner(Arc::new(MemoryBackend::new()), 1),
-                TierSpec::erasure(remote, 2, 1),
-            ],
-            3,
-        ));
-        let io = PipelineConfig::default()
-            .with_keep_last(2)
-            .with_tiers(TierTopology::partner_and_erasure(1, 2, 1));
-        let reference =
-            run_job(3, &C3Config::every_ops(10).with_io(io.clone()), None, {
-                &Laplace { n: 16, iters: 36 }
-            })
-            .unwrap();
-
-        let sink = TraceSink::new();
-        let schedule = FailureSchedule::kill_during_tier_drain(seed, 3, 10, 2);
-        let cfg = schedule
-            .apply(C3Config::every_ops(10).with_io(io))
-            .with_trace(sink.clone());
-        let report = run_job(
-            3,
-            &cfg,
-            Some(tiered.clone()),
-            &Laplace { n: 16, iters: 36 },
-        )
-        .unwrap_or_else(|e| panic!("{name}: failed to recover: {e}"));
-        assert!(report.restarts >= 1, "{name}: the kill must fire");
-        assert_eq!(
-            report.outputs, reference.outputs,
-            "{name}: recovery diverged from the reference"
-        );
-
-        let records = sink.take();
-        let verdict = analyze(&records);
+        let name = format!("tier_slow_drain_s{seed}");
+        let adv = Adversary {
+            faults: FaultPlan::none().latency(1, 2, seed),
+            ..Adversary::kill_during_tier_drain(seed, 3, 10, 2)
+        };
+        let out = run_case(&name, 3, &app, &job, &adv).clean(&name);
+        assert!(out.restarts >= 1, "{name}: the kill must fire");
         assert!(
-            verdict.is_clean(),
-            "{name}: invariants violated:\n{}",
-            verdict.render()
-        );
-        let races = race_check(&records);
-        assert!(
-            races.is_clean(),
-            "{name}: happens-before races:\n{}",
-            races.render()
-        );
-        assert!(
-            !tier_drains(&records).is_empty(),
+            !tier_drains(&out.records).is_empty(),
             "{name}: the surviving attempt must drain tiers"
         );
-        c3verify::write_trace(&name, &records).expect("write trace artifact");
     }
 }
 

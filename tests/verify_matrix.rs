@@ -3,106 +3,66 @@
 //! recording a protocol trace, then require `c3verify` to find zero
 //! invariant violations.
 //!
-//! This complements `chaos_matrix.rs`: the chaos tests check *outputs*
+//! This complements `chaos_matrix.rs`: the chaos tests sweep *schedules*
 //! (the job still computes the right answer across failures), while this
-//! matrix checks the *protocol itself* — every classification, send-count
-//! announcement, initiator phase, suppression and collective control
-//! exchange obeys the invariants of Bronevetsky et al. (PPoPP 2003).
+//! matrix checks the *protocol itself* on the paper's applications —
+//! every classification, send-count announcement, initiator phase,
+//! suppression and collective control exchange obeys the invariants of
+//! Bronevetsky et al. (PPoPP 2003). Every row runs through
+//! `ftfuzz::run_case`, which also compares outputs with the failure-free
+//! run and checks races and metrics health.
 
 use c3_apps::{DenseCg, Laplace};
-use c3_core::trace::TraceSink;
-use c3_core::{run_job, C3App, C3Config, PiggybackMode};
-use c3verify::analyze;
-use ftsim::FailureSchedule;
+use c3_core::{C3App, C3Config, PiggybackMode};
+use ftfuzz::{run_case, Adversary};
 
-/// Run `app` at 4 ranks under `schedule`, tracing, and require a clean
-/// invariant report (and at least one committed global checkpoint).
-fn assert_invariant_clean<A>(
-    name: &str,
-    app: &A,
-    interval: u64,
-    schedule: &FailureSchedule,
-    expect_restart: bool,
-) where
-    A: C3App,
-{
-    assert_invariant_clean_mode(
-        name,
-        app,
-        interval,
-        schedule,
-        expect_restart,
-        PiggybackMode::Packed,
-    );
-}
+/// A row: name, checkpoint interval, piggyback mode, adversary, and
+/// whether a kill must fire.
+type Row = (&'static str, u64, PiggybackMode, Adversary, bool);
 
-/// Like [`assert_invariant_clean`], but with an explicit piggyback wire
-/// representation — the two encodings must be protocol-equivalent.
-fn assert_invariant_clean_mode<A>(
-    name: &str,
-    app: &A,
-    interval: u64,
-    schedule: &FailureSchedule,
-    expect_restart: bool,
-    mode: PiggybackMode,
-) where
+/// Run each row of `app` at 4 ranks: clean, with at least one committed
+/// checkpoint, and restarted where the row expects it.
+fn rows<A>(app: &A, rows: &[Row])
+where
     A: C3App,
+    A::Output: PartialEq + std::fmt::Debug,
 {
-    let sink = TraceSink::new();
-    let cfg = schedule
-        .apply(C3Config::every_ops(interval))
-        .with_piggyback(mode)
-        .with_trace(sink.clone());
-    let job = run_job(4, &cfg, None, app)
-        .unwrap_or_else(|e| panic!("{name}: job failed: {e:?}"));
-    if expect_restart {
-        assert!(job.restarts >= 1, "{name}: failure must actually fire");
+    for (name, interval, mode, adv, expect_restart) in rows {
+        let job = C3Config::every_ops(*interval).with_piggyback(*mode);
+        let out = run_case(name, 4, app, &job, adv).clean(name);
+        assert!(
+            out.last_committed.is_some(),
+            "{name}: expected at least one committed checkpoint"
+        );
+        if *expect_restart {
+            assert!(out.restarts >= 1, "{name}: failure must actually fire");
+        }
     }
-    let records = sink.take();
-    let report = analyze(&records);
-    assert!(
-        !report.commits.is_empty(),
-        "{name}: expected at least one committed checkpoint"
-    );
-    assert!(
-        report.is_clean(),
-        "{name}: protocol invariants violated:\n{}",
-        report.render()
-    );
-    let races = c3verify::race_check(&records);
-    assert!(
-        races.is_clean(),
-        "{name}: happens-before races detected:\n{}",
-        races.render()
-    );
 }
+
+const PACKED: PiggybackMode = PiggybackMode::Packed;
+const EXPLICIT: PiggybackMode = PiggybackMode::Explicit;
 
 #[test]
 fn dense_cg_is_invariant_clean_without_failures() {
-    assert_invariant_clean(
-        "dense-cg/clean",
+    let none = Adversary::none();
+    rows(
         &DenseCg::new(32, 24),
-        10,
-        &FailureSchedule::none(),
-        false,
+        &[("verify_cg_clean", 10, PACKED, none, false)],
     );
 }
 
 #[test]
 fn dense_cg_is_invariant_clean_under_fault_injection() {
-    assert_invariant_clean(
-        "dense-cg/single-failure",
+    let single = Adversary::single(2, 60);
+    rows(
         &DenseCg::new(32, 24),
-        10,
-        &FailureSchedule::single(2, 60),
-        true,
+        &[("verify_cg_single", 10, PACKED, single, true)],
     );
-    assert_invariant_clean(
-        "dense-cg/random-failures",
+    let random = Adversary::random(11, 4, 2, 40..160);
+    rows(
         &DenseCg::new(32, 30),
-        12,
-        &FailureSchedule::random(11, 4, 2, 40..160),
-        false,
+        &[("verify_cg_random", 12, PACKED, random, false)],
     );
 }
 
@@ -110,49 +70,37 @@ fn dense_cg_is_invariant_clean_under_fault_injection() {
 fn explicit_mode_is_invariant_clean_under_fault_injection() {
     // The 9-byte explicit header must drive the exact same protocol as
     // the packed word, including across a real failure/restart.
-    assert_invariant_clean_mode(
-        "dense-cg/explicit/single-failure",
+    let single = Adversary::single(2, 60);
+    rows(
         &DenseCg::new(32, 24),
-        10,
-        &FailureSchedule::single(2, 60),
-        true,
-        PiggybackMode::Explicit,
+        &[("verify_cg_explicit_single", 10, EXPLICIT, single, true)],
     );
-    assert_invariant_clean_mode(
-        "laplace/explicit/clean",
+    let none = Adversary::none();
+    rows(
         &Laplace { n: 16, iters: 32 },
-        9,
-        &FailureSchedule::none(),
-        false,
-        PiggybackMode::Explicit,
+        &[("verify_laplace_explicit_clean", 9, EXPLICIT, none, false)],
     );
 }
 
 #[test]
 fn laplace_is_invariant_clean_without_failures() {
-    assert_invariant_clean(
-        "laplace/clean",
+    let none = Adversary::none();
+    rows(
         &Laplace { n: 16, iters: 32 },
-        9,
-        &FailureSchedule::none(),
-        false,
+        &[("verify_laplace_clean", 9, PACKED, none, false)],
     );
 }
 
 #[test]
 fn laplace_is_invariant_clean_under_fault_injection() {
-    assert_invariant_clean(
-        "laplace/single-failure",
+    let single = Adversary::single(1, 50);
+    rows(
         &Laplace { n: 16, iters: 32 },
-        9,
-        &FailureSchedule::single(1, 50),
-        true,
+        &[("verify_laplace_single", 9, PACKED, single, true)],
     );
-    assert_invariant_clean(
-        "laplace/mtbf",
+    let mtbf = Adversary::mtbf(7, 4, 90, 400);
+    rows(
         &Laplace { n: 16, iters: 40 },
-        11,
-        &FailureSchedule::mtbf(7, 4, 90, 400),
-        false,
+        &[("verify_laplace_mtbf", 11, PACKED, mtbf, false)],
     );
 }
