@@ -11,9 +11,12 @@
 //! performs an allgather — four of them — plus a fifth allgather of the
 //! committed potentials and a gather of per-rank activity to rank 0: the
 //! paper's exact 5 + 1 collective mix. Because these are *library*
-//! collectives (not app-level butterflies), every call pays the protocol's
-//! control-collective overhead — the effect that costs small Neurosys runs
-//! up to 160% in Figure 8 and fades as computation grows.
+//! collectives (not app-level butterflies), the paper's protocol pays a
+//! control collective in front of every call — the effect that costs
+//! small Neurosys runs up to 160% in Figure 8 and fades as computation
+//! grows. Here no call pays a round of its own: the allgathers carry the
+//! control word on their own frames, and the gather's root answers only
+//! the contributors that are logging (`c3_core::process::collective`).
 
 use c3_core::{C3App, C3Result, Process};
 use ckptstore::impl_saveload_struct;

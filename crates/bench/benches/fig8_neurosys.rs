@@ -6,9 +6,9 @@
 //! 85% at 32×32 → 34% at 64×64 → 2.7% at 128×128), because each of the 5
 //! allgathers + 1 gather per step is preceded by a control collective
 //! whose cost is independent of the payload. Here the control word rides
-//! on the allgathers' own frames and only the gather keeps a preceding
-//! exchange, so the decay starts from a much lower point (EXPERIMENTS.md
-//! E3 has both).
+//! on the allgathers' own frames and the gather's root answers only the
+//! contributors that are logging, so no call pays a round of its own and
+//! the decay starts from a much lower point (EXPERIMENTS.md E3 has both).
 
 use c3_apps::Neurosys;
 use c3_bench::{measure_levels, print_csv, print_fig8};

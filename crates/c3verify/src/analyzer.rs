@@ -43,10 +43,13 @@
 //!   re-executing the recovered epoch, at most once per recorded early
 //!   message id, and suppression lists match the recorded early receipts
 //!   (Section 4.4).
-//! * **I7 collective-conjunction** — all participants of a collective
-//!   agree on the folded control word `(max_epoch, stopped_at_max)`;
-//!   the maximum is actually attained; a result is logged iff the rank
-//!   was logging and no max-epoch participant had stopped (Section 4.5).
+//! * **I7 collective-conjunction** — all informed participants of a
+//!   collective agree on the folded control word `(max_epoch,
+//!   stopped_at_max)`, folded over every participant; the maximum is
+//!   actually attained; a result is logged iff the rank was logging and
+//!   no max-epoch participant had stopped (Section 4.5). Only a gather or
+//!   reduce contributor may leave uninformed, and only if it was not
+//!   logging.
 //! * **I8 barrier-alignment** — a barrier executes in a single epoch:
 //!   lagging participants checkpoint up to the maximum first
 //!   (Section 4.5).
@@ -176,6 +179,9 @@ struct CollFact {
     kind: u8,
     epoch: u32,
     logging: bool,
+    /// False for an answered-form contributor that left without the
+    /// fold; `max_epoch` and `stopped_at_max` are then meaningless.
+    informed: bool,
     max_epoch: u32,
     stopped_at_max: bool,
     seq: u64,
@@ -714,9 +720,13 @@ fn scan_rank(
                 kind,
                 epoch: coll_epoch,
                 logging: was_logging,
-                max_epoch,
-                stopped_at_max,
-                logged,
+                ..
+            }
+            | TraceEvent::CollectiveUninformed {
+                comm,
+                kind,
+                epoch: coll_epoch,
+                logging: was_logging,
             } => {
                 seen_epoch_event = true;
                 if *coll_epoch != epoch {
@@ -729,35 +739,62 @@ fn scan_rank(
                         ),
                     );
                 }
-                if *max_epoch < *coll_epoch {
-                    flag(
-                        invariant::I7,
-                        seq,
-                        format!(
-                            "collective (kind {kind}) in epoch {coll_epoch} \
-                             reports participant maximum {max_epoch}"
-                        ),
-                    );
-                }
-                if *logged != (*was_logging && !*stopped_at_max) {
+                // The fold, where the rank came out of the call holding it.
+                let fold = match &rec.event {
+                    TraceEvent::CollectiveControl {
+                        max_epoch,
+                        stopped_at_max,
+                        logged,
+                        ..
+                    } => Some((*max_epoch, *stopped_at_max, *logged)),
+                    _ => None,
+                };
+                if let Some((max_epoch, stopped_at_max, logged)) = fold {
+                    if max_epoch < *coll_epoch {
+                        flag(
+                            invariant::I7,
+                            seq,
+                            format!(
+                                "collective (kind {kind}) in epoch \
+                                 {coll_epoch} reports participant maximum \
+                                 {max_epoch}"
+                            ),
+                        );
+                    }
+                    if logged != (*was_logging && !stopped_at_max) {
+                        flag(
+                            invariant::I7,
+                            seq,
+                            format!(
+                                "collective (kind {kind}) in epoch \
+                                 {coll_epoch}: logged={logged} violates the \
+                                 conjunction rule (logging={was_logging}, \
+                                 stopped_at_max={stopped_at_max})"
+                            ),
+                        );
+                    }
+                    if *kind == coll_kind::BARRIER && *coll_epoch != max_epoch
+                    {
+                        flag(
+                            invariant::I8,
+                            seq,
+                            format!(
+                                "barrier executed in epoch {coll_epoch} \
+                                 below the participant maximum {max_epoch}"
+                            ),
+                        );
+                    }
+                } else if *was_logging
+                    || !matches!(*kind, coll_kind::GATHER | coll_kind::REDUCE)
+                {
                     flag(
                         invariant::I7,
                         seq,
                         format!(
                             "collective (kind {kind}) in epoch {coll_epoch}: \
-                             logged={logged} violates the conjunction rule \
-                             (logging={was_logging}, \
-                             stopped_at_max={stopped_at_max})"
-                        ),
-                    );
-                }
-                if *kind == coll_kind::BARRIER && *coll_epoch != *max_epoch {
-                    flag(
-                        invariant::I8,
-                        seq,
-                        format!(
-                            "barrier executed in epoch {coll_epoch} below \
-                             the participant maximum {max_epoch}"
+                             only a gather or reduce contributor that is not \
+                             logging may leave without the fold \
+                             (logging={was_logging})"
                         ),
                     );
                 }
@@ -766,8 +803,9 @@ fn scan_rank(
                     kind: *kind,
                     epoch: *coll_epoch,
                     logging: *was_logging,
-                    max_epoch: *max_epoch,
-                    stopped_at_max: *stopped_at_max,
+                    informed: fold.is_some(),
+                    max_epoch: fold.map_or(0, |f| f.0),
+                    stopped_at_max: fold.is_some_and(|f| f.1),
                     seq,
                 });
             }
@@ -1426,6 +1464,11 @@ fn check_initiator(
 /// rank-dependent number of logged collectives, which emit no control
 /// exchange, so their live suffixes share the tail). Recovered attempts
 /// that end in a failure are skipped: neither end is aligned then.
+///
+/// Every participant counts towards the maximum epoch and "stopped at
+/// max"; only the informed ones (all of them, bar the answered form's
+/// contributors that did not ask) must agree on the fold, and the lead
+/// the others are compared with is the first informed one.
 fn join_collectives(
     attempt: u64,
     facts: &BTreeMap<u32, RankFacts>,
@@ -1442,40 +1485,46 @@ fn join_collectives(
             (rank, f.colls.iter().filter(|c| c.comm == 0).collect())
         })
         .collect();
-    if world.is_empty() {
-        return;
-    }
     let common = world.iter().map(|(_, v)| v.len()).min().unwrap_or(0);
     for k in 0..common {
         let idx = |len: usize| if recovered { len - common + k } else { k };
-        let (r0, ref v0) = world[0];
-        let lead = v0[idx(v0.len())];
-        let max_seen = world
-            .iter()
-            .map(|(_, v)| v[idx(v.len())].epoch)
-            .max()
-            .unwrap_or(0);
-        let stopped_seen = world.iter().any(|(_, v)| {
-            let c = v[idx(v.len())];
-            c.epoch == max_seen && !c.logging
-        });
-        for (rank, v) in &world {
-            let c = v[idx(v.len())];
-            if (c.kind, c.max_epoch, c.stopped_at_max)
-                != (lead.kind, lead.max_epoch, lead.stopped_at_max)
-            {
+        let call: Vec<(u32, &CollFact)> =
+            world.iter().map(|(r, v)| (*r, v[idx(v.len())])).collect();
+        let max_seen = call.iter().map(|(_, c)| c.epoch).max().unwrap_or(0);
+        let stopped_seen =
+            call.iter().any(|(_, c)| c.epoch == max_seen && !c.logging);
+        let Some(&(r0, lead)) = call.iter().find(|(_, c)| c.informed) else {
+            let (rank, c) = call[0];
+            out.push(Violation {
+                invariant: invariant::I7,
+                attempt,
+                rank,
+                seq: c.seq,
+                detail: format!(
+                    "world collective #{k}: no participant holds the fold"
+                ),
+            });
+            continue;
+        };
+        for &(rank, c) in &call {
+            let agrees = c.kind == lead.kind
+                && (!c.informed
+                    || (c.max_epoch, c.stopped_at_max)
+                        == (lead.max_epoch, lead.stopped_at_max));
+            if !agrees {
                 out.push(Violation {
                     invariant: invariant::I7,
                     attempt,
-                    rank: *rank,
+                    rank,
                     seq: c.seq,
                     detail: format!(
                         "world collective #{k}: rank {rank} saw (kind {}, \
-                         max_epoch {}, stopped {}) but rank {r0} saw (kind \
-                         {}, max_epoch {}, stopped {})",
+                         max_epoch {}, stopped {}, informed {}) but rank \
+                         {r0} saw (kind {}, max_epoch {}, stopped {})",
                         c.kind,
                         c.max_epoch,
                         c.stopped_at_max,
+                        c.informed,
                         lead.kind,
                         lead.max_epoch,
                         lead.stopped_at_max

@@ -29,14 +29,17 @@
 //! * **suppression lists** — [`TraceEvent::SuppressSent`] happens-before
 //!   the matching [`TraceEvent::SuppressRecv`];
 //! * **collectives** — the k-th world-communicator
-//!   [`TraceEvent::CollectiveControl`] of every rank belongs to one
-//!   global call whose control-word agreement is all-to-all (every
-//!   participant leaves with the fold of every participant's word at
-//!   entry, whether it rode on the data collective or on a preceding
-//!   exchange), so the k-th entries form a synchronization clique: each one
-//!   happens-after every participant's preceding event (alignment
-//!   mirrors the analyzer's I7 join — from the front on fresh attempts,
-//!   from the back on recovered ones).
+//!   [`TraceEvent::CollectiveControl`] or
+//!   [`TraceEvent::CollectiveUninformed`] of every rank belongs to one
+//!   global call. Every informed participant leaves with the fold of
+//!   every participant's word at entry, whether it rode on the data
+//!   collective, in the root's answer or on a preceding exchange, so the
+//!   informed records form a synchronization clique: each one
+//!   happens-after every participant's preceding event, the uninformed
+//!   contributors' included. An uninformed contributor left as soon as
+//!   its frame was sent: its record happens-after nothing but its own
+//!   stream. (Alignment mirrors the analyzer's I7 join — from the front
+//!   on fresh attempts, from the back on recovered ones.)
 //!
 //! Vector clocks are computed by a Kahn pass over this graph; an
 //! unprocessable residue means the recorded "order" is cyclic, which no
@@ -420,6 +423,7 @@ fn build_graph<'a>(
                     matches!(
                         nodes[*i].event,
                         TraceEvent::CollectiveControl { comm: 0, .. }
+                            | TraceEvent::CollectiveUninformed { comm: 0, .. }
                     )
                 };
                 let mut v: Vec<usize> = ids
@@ -445,10 +449,11 @@ fn build_graph<'a>(
                 .iter()
                 .map(|v| v[if recovered { v.len() - common + k } else { k }])
                 .collect();
-            // Each member happens-after every member's *predecessor* in
-            // its own stream (the all-to-all control agreement). Linking
-            // predecessors, not the members themselves, keeps the clique
-            // acyclic while making the members mutually concurrent-joined.
+            // Each informed member happens-after every member's
+            // *predecessor* in its own stream (the control agreement).
+            // Linking predecessors, not the members themselves, keeps the
+            // clique acyclic while making the members mutually
+            // concurrent-joined.
             let preds: Vec<Option<usize>> = members
                 .iter()
                 .map(|&m| {
@@ -457,7 +462,17 @@ fn build_graph<'a>(
                     (pos > 0).then(|| ids[pos - 1])
                 })
                 .collect();
-            for &m in &members {
+            let informed: Vec<usize> = members
+                .iter()
+                .copied()
+                .filter(|&m| {
+                    matches!(
+                        nodes[m].event,
+                        TraceEvent::CollectiveControl { .. }
+                    )
+                })
+                .collect();
+            for m in informed {
                 for (&p, &other) in preds.iter().zip(&members) {
                     if other != m {
                         if let Some(p) = p {

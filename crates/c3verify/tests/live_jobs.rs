@@ -13,7 +13,7 @@ use c3verify::analyze;
 mod common;
 
 /// A job that is nothing but collectives (five fused allgathers and one
-/// gather behind a preceding exchange per iteration) fails over and
+/// answered gather per iteration) fails over and
 /// recovers; its trace also lands in `target/c3-traces/` so the CI
 /// `collectives` job re-verifies the artifact with the `c3verify` CLI.
 #[test]

@@ -8,6 +8,7 @@
 
 use c3_apps::Neurosys;
 use c3_core::epoch::MsgClass;
+use c3_core::logrec::coll_kind;
 use c3_core::trace::{TraceEvent, TraceRecord, TraceSink};
 use c3_core::{run_job, C3Config};
 use c3verify::{analyze, invariant};
@@ -211,35 +212,98 @@ fn flipping_a_piggybacked_logging_flag_is_detected() {
     );
 }
 
+/// The first of up to 32 clean Neurosys traces on 3 ranks (five fused
+/// allgathers and one answered gather to rank 0 per iteration) that
+/// `accept` takes. Whether a contributor is still logging when it
+/// reaches a gather is up to thread timing.
+fn neurosys_trace(
+    name: &str,
+    accept: impl Fn(&[TraceRecord]) -> bool,
+) -> Vec<TraceRecord> {
+    for _ in 0..32 {
+        let sink = TraceSink::new();
+        let cfg = C3Config::every_ops(10).with_trace(sink.clone());
+        run_job(3, &cfg, None, &Neurosys::new(8, 30)).expect("reference job");
+        let records = sink.take();
+        common::assert_clean(name, &records);
+        if accept(&records) {
+            return records;
+        }
+    }
+    panic!("{name}: no run out of 32 had the collectives it needs");
+}
+
+/// True for the record of a gather contributor that asked for the fold.
+fn asked(r: &TraceRecord) -> bool {
+    r.rank != 0
+        && matches!(
+            r.event,
+            TraceEvent::CollectiveControl {
+                kind: coll_kind::GATHER,
+                logging: true,
+                ..
+            }
+        )
+}
+
 #[test]
 fn flipping_one_ranks_collective_fold_is_detected() {
-    // Neurosys is all collectives; the control word reaches every rank
-    // folded (fused into allgathers, on a preceding exchange for the
-    // gather), and I7 joins the k-th collective across ranks.
-    let sink = TraceSink::new();
-    let cfg = C3Config::every_ops(10).with_trace(sink.clone());
-    run_job(3, &cfg, None, &Neurosys::new(8, 30)).expect("reference job");
-    let mut records = sink.take();
-    common::assert_clean("mutation_collective", &records);
-    // A record of a rank that was not logging: its own conjunction rule
-    // (`logged == logging && !stopped_at_max`) holds either way, so only
-    // the cross-rank agreement can notice the flip.
-    let rec = records
-        .iter_mut()
-        .find(|r| {
-            matches!(
-                r.event,
-                TraceEvent::CollectiveControl { logging: false, .. }
-            )
-        })
-        .expect("trace must contain a collective outside a logging window");
-    if let TraceEvent::CollectiveControl { stopped_at_max, .. } =
-        &mut rec.event
+    // Neurosys is all collectives; the control word reaches every
+    // informed rank folded (fused into allgathers; in the root's answer,
+    // or at the root itself, for the gather), and I7 joins the k-th
+    // collective across ranks. The flipped record is of a rank that was
+    // not logging: its own conjunction rule (`logged == logging &&
+    // !stopped_at_max`) holds either way, so only the cross-rank
+    // agreement can notice. For the gather it is the root's record, whose
+    // informed peers may be none at all: the participants' states still
+    // give the fold away.
+    for (kind, rank) in [(coll_kind::ALLGATHER, 1), (coll_kind::GATHER, 0)] {
+        let mut records = neurosys_trace("mutation_collective", |_| true);
+        let rec = records
+            .iter_mut()
+            .find(|r| {
+                r.rank == rank
+                    && matches!(
+                        r.event,
+                        TraceEvent::CollectiveControl { kind: k, logging: false, .. }
+                            if k == kind
+                    )
+            })
+            .expect("trace must contain a collective outside a logging window");
+        if let TraceEvent::CollectiveControl { stopped_at_max, .. } =
+            &mut rec.event
+        {
+            *stopped_at_max = !*stopped_at_max;
+        }
+        assert!(
+            common::flags(&records, invariant::I7),
+            "kind {kind}: one rank disagreeing on stopped_at_max must \
+             violate I7"
+        );
+    }
+}
+
+#[test]
+fn a_logging_contributor_marked_uninformed_is_detected() {
+    // A gather contributor that was logging asked for the fold and got
+    // it; a record saying it left without the fold contradicts that.
+    let mut records = neurosys_trace("mutation_uninformed", |records| {
+        records.iter().any(asked)
+    });
+    let rec = records.iter_mut().find(|r| asked(r)).expect("accepted");
+    if let TraceEvent::CollectiveControl {
+        comm, kind, epoch, ..
+    } = rec.event
     {
-        *stopped_at_max = !*stopped_at_max;
+        rec.event = TraceEvent::CollectiveUninformed {
+            comm,
+            kind,
+            epoch,
+            logging: true,
+        };
     }
     assert!(
         common::flags(&records, invariant::I7),
-        "one rank disagreeing on stopped_at_max must violate I7"
+        "a logging contributor without the fold must violate I7"
     );
 }

@@ -4,8 +4,11 @@
 //! `put` path misbehave according to a seeded, reproducible
 //! [`FaultPlan`]: fail the first N puts, fail the first put to each
 //! distinct key ("fail-once"), fail a seeded random fraction of puts, or
-//! delay every put (slow storage). Injected failures surface as
-//! [`StoreError::Transient`], which the write pipeline retries with
+//! delay every put (slow storage). A random failure is decided by the
+//! seed, the key and that key's attempt number alone, so concurrent
+//! writers reaching the store in any order meet the same faults; only
+//! "the first N puts" depends on arrival order. Injected failures surface
+//! as [`StoreError::Transient`], which the write pipeline retries with
 //! backoff — so tests can prove that a checkpoint survives flaky storage,
 //! and that commit never happens before every retried write has landed.
 //!
@@ -17,7 +20,7 @@
 //! plan observe byte-identical latency sequences, which is what makes
 //! tier benchmarks (a simulated slow "remote" tier) reproducible.
 
-use std::collections::HashSet;
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -30,11 +33,13 @@ use crate::error::{StoreError, StoreResult};
 /// methods; the default plan injects nothing.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct FaultPlan {
-    /// Fail this many `put` calls before any succeeds.
+    /// Fail this many `put` calls before any succeeds. Which puts these
+    /// are depends on the order they arrive in.
     pub fail_first_puts: u64,
     /// Fail the first `put` to every distinct key.
     pub fail_each_key_once: bool,
-    /// Fail each `put` with this probability (seeded, deterministic).
+    /// Fail each `put` with this probability, decided by the seed, the
+    /// key and the key's attempt number (deterministic in any order).
     pub fail_put_probability: f64,
     /// Seed for the probability draw.
     pub seed: u64,
@@ -146,6 +151,17 @@ impl FaultPlan {
         let draw = splitmix64(&mut s);
         self.latency_base_ms + draw % (self.latency_jitter_ms + 1)
     }
+
+    /// The uniform `[0, 1)` draw that decides whether attempt `attempt`
+    /// of a put to `key` fails at random: a pure function of the seed,
+    /// the key and the attempt, independent of the latency profile's.
+    fn put_draw(&self, key: &str, attempt: u64) -> f64 {
+        let mut s = self.seed
+            ^ (crate::hash128(key.as_bytes()) as u64)
+            ^ attempt.wrapping_mul(0xD1B5_4A32_D192_ED03);
+        // Map the top 53 bits to [0, 1).
+        (splitmix64(&mut s) >> 11) as f64 / (1u64 << 53) as f64
+    }
 }
 
 /// One SplitMix64 step: advance `state`, return the next draw. The one
@@ -167,22 +183,20 @@ pub struct FaultInjectingBackend {
     puts: AtomicU64,
     injected: AtomicU64,
     ops: AtomicU64,
-    seen_keys: Mutex<HashSet<String>>,
-    rng: Mutex<u64>,
+    /// Put attempts so far, per key.
+    attempts: Mutex<HashMap<String, u64>>,
 }
 
 impl FaultInjectingBackend {
     /// Wrap `inner` with the given plan.
     pub fn new(inner: Arc<dyn StorageBackend>, plan: FaultPlan) -> Self {
-        let seed = plan.seed;
         FaultInjectingBackend {
             inner,
             plan,
             puts: AtomicU64::new(0),
             injected: AtomicU64::new(0),
             ops: AtomicU64::new(0),
-            seen_keys: Mutex::new(HashSet::new()),
-            rng: Mutex::new(seed),
+            attempts: Mutex::new(HashMap::new()),
         }
     }
 
@@ -213,23 +227,17 @@ impl FaultInjectingBackend {
 
     fn should_fail(&self, key: &str) -> bool {
         let n = self.puts.fetch_add(1, Ordering::Relaxed);
-        if n < self.plan.fail_first_puts {
-            return true;
-        }
-        if self.plan.fail_each_key_once
-            && self.seen_keys.lock().insert(key.to_owned())
-        {
-            return true;
-        }
-        if self.plan.fail_put_probability > 0.0 {
-            let draw = splitmix64(&mut self.rng.lock());
-            // Map the top 53 bits to [0, 1).
-            let u = (draw >> 11) as f64 / (1u64 << 53) as f64;
-            if u < self.plan.fail_put_probability {
-                return true;
-            }
-        }
-        false
+        let attempt = {
+            let mut attempts = self.attempts.lock();
+            let count = attempts.entry(key.to_owned()).or_insert(0);
+            *count += 1;
+            *count - 1
+        };
+        n < self.plan.fail_first_puts
+            || (self.plan.fail_each_key_once && attempt == 0)
+            || (self.plan.fail_put_probability > 0.0
+                && self.plan.put_draw(key, attempt)
+                    < self.plan.fail_put_probability)
     }
 }
 
@@ -323,6 +331,32 @@ mod tests {
         assert!(b.put("b", b"1").is_err());
         b.put("b", b"1").unwrap();
         assert_eq!(b.faults_injected(), 2);
+    }
+
+    /// Random faults are decided per (key, attempt): two backends fed the
+    /// same puts in opposite orders fail the same pairs.
+    #[test]
+    fn random_faults_do_not_depend_on_arrival_order() {
+        let plan = FaultPlan::none().random(0.3, 11);
+        let puts: Vec<String> =
+            (0..48).map(|i| format!("k{}", i % 16)).collect();
+        let failed = |order: Vec<&String>| {
+            let b = wrapped(plan.clone());
+            let mut tries: HashMap<&str, u64> = HashMap::new();
+            let mut out: Vec<(String, u64)> = order
+                .into_iter()
+                .filter_map(|key| {
+                    let attempt = tries.entry(key).or_insert(0);
+                    *attempt += 1;
+                    b.put(key, b"v").is_err().then(|| (key.clone(), *attempt))
+                })
+                .collect();
+            out.sort();
+            out
+        };
+        let forward = failed(puts.iter().collect());
+        assert_eq!(forward, failed(puts.iter().rev().collect()));
+        assert!(!forward.is_empty() && forward.len() < puts.len());
     }
 
     #[test]

@@ -11,7 +11,8 @@ use crate::piggyback::PiggybackMode;
 ///
 /// 1. the unmodified program,
 /// 2. \+ code to piggyback data on messages (and the control word on
-///    collectives: fused into the data call or on a preceding exchange),
+///    collectives: fused into the data call, answered by a gather's root,
+///    or on a preceding exchange),
 /// 3. \+ the protocol's logs and saving the MPI library state,
 /// 4. \+ saving the application state (full checkpoints).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]

@@ -11,7 +11,8 @@
 //!   during recovery are satisfied from the late-message log first;
 //! * **collectives** fold the participants' `(epoch, amLogging)` words
 //!   (the conjunction rule of Section 4.5) — on the data collective's own
-//!   frames where its output already depends on every rank, on a
+//!   frames where its output already depends on every rank, in the root's
+//!   answer to the logging contributors of a gather or reduce, on a
 //!   preceding exchange otherwise; results are logged while logging and
 //!   replayed during recovery; `barrier` additionally aligns epochs by
 //!   forcing lagging ranks to checkpoint first;
@@ -148,6 +149,10 @@ pub struct Process<'a> {
     next_message_id: u32,
     /// Pending `pleaseCheckpoint(ckpt)` not yet honored.
     checkpoint_requested: Option<u64>,
+    /// The initiator's own `pleaseCheckpoint`, drained but not yet
+    /// pending: it becomes `checkpoint_requested` at the next pump (see
+    /// `pump`).
+    own_request: Option<u64>,
     counters: ChannelCounters,
     early_ids: Vec<Vec<u32>>,
     log: RecoveryLog,
@@ -252,6 +257,7 @@ impl<'a> Process<'a> {
             am_logging: false,
             next_message_id: 0,
             checkpoint_requested: None,
+            own_request: None,
             counters: ChannelCounters::new(n),
             early_ids: vec![Vec::new(); n],
             log: RecoveryLog::new(),
@@ -441,6 +447,18 @@ impl<'a> Process<'a> {
         if !self.cfg.level.piggybacks() {
             return Ok(());
         }
+        // The initiator acts on its own request one protocol operation
+        // after draining it. The others get theirs over the wire, and a
+        // gather contributor that is not logging leaves without waiting
+        // for the root, so the request sent at a gather's entry pump can
+        // reach them only after the potential checkpoint that follows
+        // it; acting at once would open rank 0's logging window a whole
+        // iteration early.
+        if let Some(ckpt) = self.own_request.take() {
+            if u64::from(self.epoch) < ckpt {
+                self.checkpoint_requested = Some(ckpt);
+            }
+        }
         self.drain_control()?;
         self.maybe_report_recovery_complete()?;
         self.maybe_initiate()?;
@@ -476,7 +494,9 @@ impl<'a> Process<'a> {
             ControlMsg::PleaseCheckpoint { ckpt } => {
                 // Ignore if we already took this checkpoint (possible when
                 // a barrier forced it before the request arrived).
-                if u64::from(self.epoch) < ckpt {
+                if src == self.mpi.rank() {
+                    self.own_request = Some(ckpt);
+                } else if u64::from(self.epoch) < ckpt {
                     self.checkpoint_requested = Some(ckpt);
                 }
             }

@@ -17,21 +17,30 @@
 //! `MPI_Allgather`" — its dominant overhead for fine-grained codes like
 //! Neurosys). Here the word is encoded so that one `max` *is* the fold
 //! (`control_word`) and travels as simmpi's sideband
-//! ([`Mpi::with_sideband`]) on frames that are sent anyway:
+//! ([`Mpi::with_sideband`]) on frames that are sent anyway, in one of
+//! three forms by kind (`form`), never by configuration:
 //!
 //! * **fused** — `allgather`, `allreduce` and `alltoall` already make
 //!   every rank's output depend on every rank's input, so the word rides
 //!   on the data collective's own frames: no extra frame, no extra round;
-//! * **preceding** — `bcast`, `scatter`, `gather`, `reduce` and `scan`
-//!   move data one way, so their own frames cannot tell every participant
-//!   about every other, and `barrier` must know the maximum epoch *before*
-//!   it enters; these run an empty barrier on the shadow control
-//!   communicator first, carrying the same sideband.
+//! * **answered** — `gather` and `reduce` reach the root from everyone,
+//!   so the root holds the full fold once its frames are in. Each
+//!   contributor's frame carries its word and an *ask* flag, set exactly
+//!   when it is logging; the root answers every asker with one frame
+//!   holding the fold ([`Mpi::with_answered_sideband`]), and a
+//!   contributor that did not ask leaves as soon as its frame is sent.
+//!   Only a logging participant reads the fold (`conclude_collective`),
+//!   and the answer carries the same words at entry a preceding exchange
+//!   would, so every log and stop-logging decision is unchanged; with
+//!   nobody logging the call costs exactly its data frames;
+//! * **preceding** — `bcast`, `scatter` and `scan` move data one way
+//!   without a rank that hears from everyone, and `barrier` must know the
+//!   maximum epoch *before* it enters; these run an empty barrier on the
+//!   shadow control communicator first, carrying the same sideband.
 //!
-//! Which form a call takes is a property of its kind (`fuses`), never of
-//! configuration. Either way the agreement is all-to-all: when a call
-//! returns, every participant holds the same fold of every participant's
-//! word at entry.
+//! When a call returns, every *informed* participant — all of them in
+//! the fused and preceding forms; the root and the askers in the answered
+//! one — holds the same fold of every participant's word at entry.
 //!
 //! While logging, results are appended to the recovery log; during
 //! recovery, re-executed collective calls return the logged result without
@@ -85,14 +94,25 @@ impl CollControl {
     }
 }
 
-/// True for the kinds whose simmpi algorithm makes every rank's output
-/// depend on every rank's input (gather/reduce-to-root + broadcast, pairwise
-/// exchange): their own frames deliver the full fold.
-fn fuses(kind: u8) -> bool {
-    matches!(
-        kind,
-        coll_kind::ALLGATHER | coll_kind::ALLREDUCE | coll_kind::ALLTOALL
-    )
+/// How a collective's participants reach their agreement (module docs).
+enum Form {
+    Fused,
+    Answered,
+    Preceding,
+}
+
+/// The form of each kind: fused where the simmpi algorithm makes every
+/// rank's output depend on every rank's input (gather/reduce-to-root +
+/// broadcast, pairwise exchange), answered where a root hears from
+/// everyone, preceding for the rest.
+fn form(kind: u8) -> Form {
+    match kind {
+        coll_kind::ALLGATHER | coll_kind::ALLREDUCE | coll_kind::ALLTOALL => {
+            Form::Fused
+        }
+        coll_kind::GATHER | coll_kind::REDUCE => Form::Answered,
+        _ => Form::Preceding,
+    }
 }
 
 /// Frame an optional byte string (rooted collectives return data only at
@@ -122,27 +142,36 @@ fn unframe_option(bytes: &Bytes) -> Result<Option<Bytes>, CodecError> {
 impl<'a> Process<'a> {
     /// The preceding form of the agreement: an empty barrier on `comm`'s
     /// shadow control communicator, carrying the control word.
-    fn preceding_control(
-        &mut self,
-        comm: CommHandle,
-    ) -> C3Result<CollControl> {
+    fn preceding_fold(&mut self, comm: CommHandle) -> C3Result<u64> {
         let ctrl = self.pair(comm)?.ctrl.clone();
         let word = control_word(self.epoch(), self.is_logging());
         let ((), fold) =
             self.mpi.with_sideband(word, |mpi| mpi.barrier(&ctrl))?;
-        Ok(CollControl::from_fold(fold))
+        Ok(fold)
     }
 
     /// The conjunction-gated logging step shared by every collective,
-    /// and its trace record.
+    /// and its trace record. `ctl` is `None` for an answered-form
+    /// contributor that did not ask: it is not logging, so it reads no
+    /// fold and logs nothing.
     fn conclude_collective(
         &mut self,
         kind: u8,
         comm: CommHandle,
-        ctl: &CollControl,
+        ctl: Option<&CollControl>,
         result: &Bytes,
     ) -> C3Result<()> {
         let was_logging = self.is_logging();
+        let Some(ctl) = ctl else {
+            debug_assert!(!was_logging, "a logging contributor asks");
+            self.trace_event(TraceEvent::CollectiveUninformed {
+                comm: comm.0 as u64,
+                kind,
+                epoch: self.epoch(),
+                logging: was_logging,
+            });
+            return Ok(());
+        };
         let mut logged = false;
         if was_logging {
             if ctl.stopped_at_max {
@@ -169,9 +198,8 @@ impl<'a> Process<'a> {
     }
 
     /// Common wrapper for every data collective: replay from the log if
-    /// recovering; otherwise run the data call — with the control word on
-    /// its own frames if the kind fuses, after the preceding exchange if
-    /// not — and the conjunction-gated logging.
+    /// recovering; otherwise run the data call in its kind's form and the
+    /// conjunction-gated logging.
     fn run_collective<F>(
         &mut self,
         kind: u8,
@@ -189,16 +217,26 @@ impl<'a> Process<'a> {
         if let Some(result) = self.replay_collective(kind)? {
             return Ok(result);
         }
-        let (result, ctl) = if fuses(kind) {
-            let word = control_word(self.epoch(), self.is_logging());
-            let (result, fold) =
-                self.mpi.with_sideband(word, |mpi| f(mpi, &app))?;
-            (result, CollControl::from_fold(fold))
-        } else {
-            let ctl = self.preceding_control(comm)?;
-            (f(self.mpi, &app)?, ctl)
+        let logging = self.is_logging();
+        let word = control_word(self.epoch(), logging);
+        let (result, fold) = match form(kind) {
+            Form::Fused => {
+                let (result, fold) =
+                    self.mpi.with_sideband(word, |mpi| f(mpi, &app))?;
+                (result, Some(fold))
+            }
+            Form::Answered => {
+                self.mpi.with_answered_sideband(word, logging, |mpi| {
+                    f(mpi, &app)
+                })?
+            }
+            Form::Preceding => {
+                let fold = self.preceding_fold(comm)?;
+                (f(self.mpi, &app)?, Some(fold))
+            }
         };
-        self.conclude_collective(kind, comm, &ctl, &result)?;
+        let ctl = fold.map(CollControl::from_fold);
+        self.conclude_collective(kind, comm, ctl.as_ref(), &result)?;
         Ok(result)
     }
 
@@ -225,7 +263,7 @@ impl<'a> Process<'a> {
         if self.replay_collective(coll_kind::BARRIER)?.is_some() {
             return Ok(());
         }
-        let ctl = self.preceding_control(comm)?;
+        let ctl = CollControl::from_fold(self.preceding_fold(comm)?);
         if ctl.max_epoch > self.epoch() {
             // The "precompiler-inserted" potential checkpoint before the
             // barrier: catch up to the epoch of the furthest participant.
@@ -236,7 +274,8 @@ impl<'a> Process<'a> {
             self.take_local_checkpoint(state)?;
         }
         self.mpi.barrier(&app)?;
-        self.conclude_collective(coll_kind::BARRIER, comm, &ctl, &Bytes::new())
+        let done = Bytes::new();
+        self.conclude_collective(coll_kind::BARRIER, comm, Some(&ctl), &done)
     }
 
     // ------------------------------------------------------------------

@@ -208,11 +208,11 @@ pub enum TraceEvent {
         /// The committed checkpoint number.
         ckpt: u64,
     },
-    /// A collective's participants agreed on their folded control word
-    /// (on the data collective's own frames or on a preceding exchange,
-    /// by kind) and the conjunction rule was applied (Section 4.5).
-    /// Emitted after the data call, so `epoch` reflects any barrier
-    /// alignment.
+    /// This rank came out of a collective holding its participants'
+    /// folded control word (on the data collective's own frames, in the
+    /// root's answer, or on a preceding exchange, by kind) and applied
+    /// the conjunction rule (Section 4.5). Emitted after the data call,
+    /// so `epoch` reflects any barrier alignment.
     11 => CollectiveControl {
         /// Communicator pseudo-handle.
         comm: u64,
@@ -343,6 +343,20 @@ pub enum TraceEvent {
         /// Re-executed sends squelched below the death-time sequence
         /// high-water.
         suppressed: u64,
+    },
+    /// A gather or reduce contributor that did not ask for the
+    /// participants' fold (it was not logging) left as soon as its frame
+    /// was sent: the answered form of Section 4.5's agreement. It neither
+    /// read the fold nor logged the result.
+    26 => CollectiveUninformed {
+        /// Communicator pseudo-handle.
+        comm: u64,
+        /// Collective kind (see `logrec::coll_kind`).
+        kind: u8,
+        /// This rank's epoch at the data call.
+        epoch: u32,
+        /// Whether this rank was logging when the collective started.
+        logging: bool,
     },
 }
 }
@@ -578,6 +592,12 @@ mod tests {
                 replayed: 42,
                 suppressed: 17,
             },
+            TraceEvent::CollectiveUninformed {
+                comm: 0,
+                kind: 2,
+                epoch: 3,
+                logging: false,
+            },
         ]
     }
 
@@ -617,10 +637,10 @@ mod tests {
     #[test]
     fn c3trace2_golden_bytes() {
         let bytes = encode_trace(&sample_records());
-        assert_eq!(bytes.len(), 1072);
+        assert_eq!(bytes.len(), 1111);
         assert_eq!(
             ckptstore::hash128(&bytes),
-            0x7640_71c9_c702_917d_b1e8_188e_8975_5741
+            0x046d_dd06_ddef_2cc4_7524_4222_1154_ccc2
         );
     }
 

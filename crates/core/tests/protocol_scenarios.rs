@@ -2,8 +2,9 @@
 //! (Section 3.2), early-message suppression, collective calls straddling
 //! the recovery line (Figure 5), barrier epoch alignment (Section 4.5),
 //! request pseudo-handles across checkpoints (Section 5.2),
-//! persistent-object journal replay, and the control word's two routes
-//! (fused into the data collective, or on a preceding exchange).
+//! persistent-object journal replay, and the control word's three forms
+//! (fused into the data collective, answered by a gather's root, or on a
+//! preceding exchange).
 
 use c3_core::trace::{TraceEvent, TraceSink};
 use c3_core::{
@@ -237,40 +238,224 @@ fn collective_results_are_logged_and_replayed_across_the_line() {
     assert!(replayed > 0, "recovery must have replayed some results");
 }
 
-/// The fused control word costs no frame of its own: per extra iteration
-/// of allreduce + allgather, a piggybacking job sends exactly the frames
-/// the uninstrumented job sends, each 8 bytes (the word) longer. Taking
-/// the difference between two job lengths cancels what surrounds the loop
-/// at the piggybacking level only (the shadow communicator's creation,
-/// `finalize`'s rounds).
-#[test]
-fn fused_control_word_adds_no_frames() {
-    let n = 4;
-    let sent = |level: InstrumentationLevel, iters: u64| {
+/// Frames and bytes an `n`-rank job at `level` sends for 20 extra
+/// iterations of `app`. Taking the difference between two job lengths
+/// cancels what surrounds the loop at the piggybacking level only (the
+/// shadow communicator's creation, `finalize`'s rounds).
+fn marginal_sent<A: C3App>(
+    n: usize,
+    level: InstrumentationLevel,
+    app: impl Fn(u64) -> A,
+) -> (u64, u64) {
+    let sent = |iters: u64| {
         let reg = c3obs::Registry::new();
         let cfg = C3Config {
             level,
             ..C3Config::default()
         }
         .with_obs(reg.clone());
-        run_job(n, &cfg, None, &CollApp { iters }).unwrap();
+        run_job(n, &cfg, None, &app(iters)).unwrap();
         let snap = reg.snapshot();
         (
             snap.counter_total("mpi_msgs_sent_total"),
             snap.counter_total("mpi_bytes_sent_total"),
         )
     };
-    let marginal = |level| {
-        let (short_frames, short_bytes) = sent(level, 4);
-        let (long_frames, long_bytes) = sent(level, 24);
-        (long_frames - short_frames, long_bytes - short_bytes)
-    };
-    let (base_frames, base_bytes) = marginal(InstrumentationLevel::None);
-    let (pb_frames, pb_bytes) = marginal(InstrumentationLevel::Piggyback);
+    let ((short_frames, short_bytes), (long_frames, long_bytes)) =
+        (sent(4), sent(24));
+    (long_frames - short_frames, long_bytes - short_bytes)
+}
+
+/// The fused control word costs no frame of its own: per extra iteration
+/// of allreduce + allgather, a piggybacking job sends exactly the frames
+/// the uninstrumented job sends, each 8 bytes (the word) longer.
+#[test]
+fn fused_control_word_adds_no_frames() {
+    let n = 4;
+    let app = |iters| CollApp { iters };
+    let (base_frames, base_bytes) =
+        marginal_sent(n, InstrumentationLevel::None, app);
+    let (pb_frames, pb_bytes) =
+        marginal_sent(n, InstrumentationLevel::Piggyback, app);
     // 20 iterations x 2 collectives x (gather + broadcast) x (n - 1).
     assert_eq!(base_frames, 20 * 2 * 2 * (n as u64 - 1));
     assert_eq!(pb_frames, base_frames, "no extra frames, no extra rounds");
     assert_eq!(pb_bytes, base_bytes + 8 * base_frames);
+}
+
+/// Gathers and reduces at a root that moves every iteration.
+struct RootedApp {
+    iters: u64,
+}
+
+impl C3App for RootedApp {
+    type State = S1;
+    type Output = u64;
+
+    fn init(&self, _p: &mut Process<'_>) -> C3Result<S1> {
+        Ok(S1 { i: 0, acc: 1 })
+    }
+
+    fn run(&self, p: &mut Process<'_>, s: &mut S1) -> C3Result<u64> {
+        let world = p.world();
+        let n = p.size() as u64;
+        let root = |i: u64| (i % n) as usize;
+        while s.i < self.iters {
+            let me = p.rank() as u64;
+            let g = p.gather_t::<u64>(world, root(s.i), &[s.acc, me])?;
+            let r =
+                p.reduce_t::<u64>(world, root(s.i + 1), ReduceOp::Sum, &[me])?;
+            s.acc = g
+                .iter()
+                .flatten()
+                .flatten()
+                .chain(r.iter().flatten())
+                .fold(s.acc, |h, &v| h.wrapping_mul(31).wrapping_add(v));
+            s.i += 1;
+        }
+        Ok(s.acc)
+    }
+}
+
+/// The answered form costs no frame while nobody logs: per extra
+/// iteration of gather + reduce, a piggybacking job sends exactly the
+/// frames the uninstrumented job sends, each 9 bytes (the word and the
+/// ask flag) longer. A preceding exchange would add a barrier's frames
+/// to every call.
+#[test]
+fn answered_control_word_adds_no_frames() {
+    for n in [2, 4] {
+        let app = |iters| RootedApp { iters };
+        let (base_frames, base_bytes) =
+            marginal_sent(n, InstrumentationLevel::None, app);
+        let (pb_frames, pb_bytes) =
+            marginal_sent(n, InstrumentationLevel::Piggyback, app);
+        // 20 iterations x 2 collectives x (n - 1) contributions.
+        assert_eq!(base_frames, 20 * 2 * (n as u64 - 1), "n={n}");
+        assert_eq!(pb_frames, base_frames, "n={n}: no answer, no barrier");
+        assert_eq!(pb_bytes, base_bytes + 9 * base_frames, "n={n}");
+    }
+}
+
+/// Two ranks and nothing but a gather to rank 0. A contributor that is
+/// not logging never waits for the root, so rank 1 pauses then, and the
+/// root, which waits for its frame, stays in step with it. While rank 0
+/// logs it pauses before each of its protocol operations instead, so
+/// whichever one ends its logging window (the initiator stops logging in
+/// the pump that broadcasts `stopLogging`) finds rank 1 already inside
+/// the next gather with its ask flag up: rank 1 learns that the line has
+/// ended from the root's answer, not from `stopLogging`.
+struct AnsweredStopApp {
+    iters: u64,
+}
+
+impl C3App for AnsweredStopApp {
+    type State = S1;
+    type Output = u64;
+
+    fn init(&self, _p: &mut Process<'_>) -> C3Result<S1> {
+        Ok(S1 { i: 0, acc: 1 })
+    }
+
+    fn run(&self, p: &mut Process<'_>, s: &mut S1) -> C3Result<u64> {
+        let world = p.world();
+        let me = p.rank() as u64;
+        let pause = |p: &Process<'_>| {
+            let ms = match (p.rank(), p.is_logging()) {
+                (0, true) => 5,
+                (0, false) | (_, true) => return,
+                (_, false) => 1,
+            };
+            std::thread::sleep(std::time::Duration::from_millis(ms));
+        };
+        while s.i < self.iters {
+            pause(p);
+            let g = p.gather_t::<u64>(world, 0, &[s.acc ^ me, s.i])?;
+            s.acc = g
+                .iter()
+                .flatten()
+                .flatten()
+                .fold(s.acc.wrapping_add(me), |h, &v| {
+                    h.wrapping_mul(31).wrapping_add(v)
+                });
+            s.i += 1;
+            pause(p);
+            p.potential_checkpoint(s)?;
+        }
+        Ok(s.acc)
+    }
+}
+
+/// True for a contributor record that was logging and learned from the
+/// root's answer that a max-epoch participant had stopped.
+fn stopped_by_the_answer(e: &TraceEvent) -> bool {
+    matches!(
+        e,
+        TraceEvent::CollectiveControl {
+            kind: 2,
+            logging: true,
+            stopped_at_max: true,
+            logged: false,
+            ..
+        }
+    )
+}
+
+#[test]
+fn answered_gather_ends_a_contributors_logging() {
+    let app = AnsweredStopApp { iters: 60 };
+    let sink = TraceSink::new();
+    let cfg = C3Config::every_ops(10).with_trace(sink.clone());
+    let report = run_job(2, &cfg, None, &app).unwrap();
+    let records = sink.take();
+    assert!(report.last_committed.is_some());
+    assert!(
+        records
+            .iter()
+            .any(|r| r.rank == 1 && stopped_by_the_answer(&r.event)),
+        "rank 1 must learn of a line's end from a gather's answer"
+    );
+    // Outside its logging windows rank 1 leaves without the fold.
+    assert!(records.iter().any(|r| matches!(
+        r.event,
+        TraceEvent::CollectiveUninformed { logging: false, .. }
+    )));
+    let verdict = c3verify::analyze(&records);
+    assert!(verdict.is_clean(), "{}", verdict.render());
+    let races = c3verify::race_check(&records);
+    assert!(races.is_clean(), "{}", races.render());
+}
+
+#[test]
+fn answered_gather_line_recovers_bit_identically() {
+    let app = AnsweredStopApp { iters: 60 };
+    let reference =
+        run_job(2, &C3Config::every_ops(1_000_000), None, &app).unwrap();
+    for rank in [0, 1] {
+        let sink = TraceSink::new();
+        let cfg = C3Config::every_ops(10)
+            .with_failure(rank, 100)
+            .with_trace(sink.clone());
+        let report = run_job(2, &cfg, None, &app).unwrap();
+        assert_eq!(report.restarts, 1, "rank {rank}");
+        assert_eq!(report.outputs, reference.outputs, "rank {rank}");
+        let records = sink.take();
+        // The kill came after a line rank 1 left through the answer.
+        let kill = records
+            .iter()
+            .find(|r| matches!(r.event, TraceEvent::FailStop { .. }))
+            .expect("the kill fired");
+        assert!(
+            records.iter().any(|r| r.attempt == kill.attempt
+                && r.rank == 1
+                && stopped_by_the_answer(&r.event)),
+            "rank {rank}: no answered stop before the kill"
+        );
+        let verdict = c3verify::analyze(&records);
+        assert!(verdict.is_clean(), "rank {rank}:\n{}", verdict.render());
+        let races = c3verify::race_check(&records);
+        assert!(races.is_clean(), "rank {rank}:\n{}", races.render());
+    }
 }
 
 /// Every collective kind, with calls straddling the checkpoint line in

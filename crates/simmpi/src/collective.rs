@@ -31,6 +31,14 @@
 //! frames the algorithm sends anyway and comes back `max`-folded over
 //! every rank the call's output depends on. The protocol layer uses it
 //! to agree on `(epoch, amLogging)` without a control round of its own.
+//!
+//! A gather (and so a reduce) can also run *answered*
+//! ([`Mpi::with_answered_sideband`]): each contributor's frame carries
+//! its word and an *ask* flag, the root — which hears from everyone —
+//! answers every contributor that asked with one empty frame headed by
+//! the full fold, and a contributor that did not ask leaves as soon as
+//! its frame is sent, as `MPI_Gather` allows. Only the askers and the
+//! root come out holding the fold; the others learn that they do not.
 
 use bytes::Bytes;
 
@@ -133,6 +141,17 @@ pub fn unframe_flat_t<T: MpiType>(payload: &Bytes) -> MpiResult<Vec<T>> {
     Ok(out)
 }
 
+/// Split an answered gather contributor's header into its word and its
+/// ask flag; `None` unless it is exactly 8 word bytes and a 0/1 byte.
+fn asking_header(header: &[u8]) -> Option<(u64, bool)> {
+    match header {
+        [word @ .., ask @ (0 | 1)] => {
+            Some((u64::from_le_bytes(word.try_into().ok()?), *ask == 1))
+        }
+        _ => None,
+    }
+}
+
 /// Decode a little-endian `u32` context id from the first four bytes of a
 /// context-agreement payload.
 fn ctx_word(payload: &[u8]) -> MpiResult<u32> {
@@ -143,7 +162,33 @@ fn ctx_word(payload: &[u8]) -> MpiResult<u32> {
         .ok_or_else(|| MpiError::BadPayload("short context id".into()))
 }
 
+/// An open sideband scope (module docs).
+#[derive(Clone, Copy)]
+pub(crate) struct Sideband {
+    /// Running `max` fold of the words this rank has seen.
+    fold: u64,
+    /// `None` in a plain scope; in an answered one, whether this rank
+    /// asks the gather's root for the full fold.
+    ask: Option<bool>,
+    /// False once an answered gather has let this rank leave without
+    /// the full fold.
+    informed: bool,
+}
+
 impl Mpi {
+    /// Open `scope` for the duration of `f` and hand it back closed, on
+    /// every exit path, errors included.
+    fn scoped<R>(
+        &mut self,
+        scope: Sideband,
+        f: impl FnOnce(&mut Mpi) -> MpiResult<R>,
+    ) -> MpiResult<(R, Sideband)> {
+        self.sideband = Some(scope);
+        let result = f(self);
+        let scope = self.sideband.take().unwrap_or(scope);
+        Ok((result?, scope))
+    }
+
     /// Run `f` with an 8-byte *sideband* word riding on every internal
     /// collective frame this rank sends and receives inside it, and
     /// return `f`'s result with the fold.
@@ -164,10 +209,36 @@ impl Mpi {
         word: u64,
         f: impl FnOnce(&mut Mpi) -> MpiResult<R>,
     ) -> MpiResult<(R, u64)> {
-        self.sideband = Some(word);
-        let result = f(self);
-        let fold = self.sideband.take().unwrap_or(word);
-        Ok((result?, fold))
+        let scope = Sideband {
+            fold: word,
+            ask: None,
+            informed: true,
+        };
+        let (result, scope) = self.scoped(scope, f)?;
+        Ok((result, scope.fold))
+    }
+
+    /// [`Mpi::with_sideband`] for the one gather (or reduce) `f` runs, in
+    /// the answered form: this rank's frame carries `word` and `ask`; the
+    /// root answers every contributor that asked with the fold of every
+    /// rank's word, and a contributor that did not ask leaves as soon as
+    /// its frame is sent. Returns the full fold where this rank holds it
+    /// (the root, and every contributor that asked) and `None` where it
+    /// left without it. Every participant must open the same kind of
+    /// scope; the header checks of [`Mpi::with_sideband`] apply.
+    pub fn with_answered_sideband<R>(
+        &mut self,
+        word: u64,
+        ask: bool,
+        f: impl FnOnce(&mut Mpi) -> MpiResult<R>,
+    ) -> MpiResult<(R, Option<u64>)> {
+        let scope = Sideband {
+            fold: word,
+            ask: Some(ask),
+            informed: true,
+        };
+        let (result, scope) = self.scoped(scope, f)?;
+        Ok((result, scope.informed.then_some(scope.fold)))
     }
 
     fn csend(
@@ -177,9 +248,9 @@ impl Mpi {
         tag: i32,
         payload: Bytes,
     ) -> MpiResult<()> {
-        let header = match self.sideband {
+        let header = match &self.sideband {
             None => HeaderBytes::empty(),
-            Some(fold) => HeaderBytes::new(&fold.to_le_bytes()),
+            Some(scope) => HeaderBytes::new(&scope.fold.to_le_bytes()),
         };
         self.send_segments_on(comm, Plane::Coll, dst, tag, header, payload)
     }
@@ -202,8 +273,8 @@ impl Mpi {
         let word = <[u8; 8]>::try_from(msg.header.as_slice());
         match (self.sideband.as_mut(), word) {
             (None, _) if msg.header.is_empty() => {}
-            (Some(fold), Ok(word)) => {
-                *fold = (*fold).max(u64::from_le_bytes(word));
+            (Some(scope), Ok(word)) => {
+                scope.fold = scope.fold.max(u64::from_le_bytes(word));
             }
             (scope, _) => {
                 return Err(MpiError::BadPayload(format!(
@@ -341,6 +412,14 @@ impl Mpi {
         let me = comm.rank();
         let seq = comm.next_coll_seq();
         let tag = coll_tag(seq, CollOp::Gather, 0);
+        if let Some(Sideband {
+            fold,
+            ask: Some(ask),
+            ..
+        }) = self.sideband
+        {
+            return self.answered_gather(comm, root, seq, data, fold, ask);
+        }
         if me == root {
             let mut chunks = vec![Bytes::new(); n];
             chunks[me] = data;
@@ -354,6 +433,64 @@ impl Mpi {
             self.csend(comm, root, tag, data)?;
             Ok(None)
         }
+    }
+
+    /// The gather of an answered scope, entered with its running `fold`:
+    /// a contributor's header is that fold and its ask byte, and the root
+    /// answers each asker on round 1 of the same sequence number once
+    /// every frame is in.
+    fn answered_gather(
+        &mut self,
+        comm: &Comm,
+        root: usize,
+        seq: u32,
+        data: Bytes,
+        mut fold: u64,
+        ask: bool,
+    ) -> MpiResult<Option<Vec<Bytes>>> {
+        let me = comm.rank();
+        let tag = coll_tag(seq, CollOp::Gather, 0);
+        let answer = coll_tag(seq, CollOp::Gather, 1);
+        if me != root {
+            let mut header = [u8::from(ask); 9];
+            header[..8].copy_from_slice(&fold.to_le_bytes());
+            let header = HeaderBytes::new(&header);
+            self.send_segments_on(comm, Plane::Coll, root, tag, header, data)?;
+            if ask {
+                self.crecv(comm, root, answer)?;
+            } else if let Some(scope) = self.sideband.as_mut() {
+                scope.informed = false;
+            }
+            return Ok(None);
+        }
+        let mut chunks = vec![Bytes::new(); comm.size()];
+        chunks[me] = data;
+        let mut askers = Vec::new();
+        for (src, chunk) in chunks.iter_mut().enumerate() {
+            if src == me {
+                continue;
+            }
+            let msg = self.recv_on(comm, Plane::Coll, src, tag)?;
+            let Some((word, asked)) = asking_header(&msg.header) else {
+                return Err(MpiError::BadPayload(format!(
+                    "answered gather frame from rank {src} has a {}-byte \
+                     header, expected a word and an ask byte",
+                    msg.header.len()
+                )));
+            };
+            fold = fold.max(word);
+            if asked {
+                askers.push(src);
+            }
+            *chunk = msg.payload;
+        }
+        if let Some(scope) = self.sideband.as_mut() {
+            scope.fold = fold;
+        }
+        for dst in askers {
+            self.csend(comm, dst, answer, Bytes::new())?;
+        }
+        Ok(Some(chunks))
     }
 
     /// Typed gather.

@@ -62,11 +62,11 @@ pub struct Mpi {
     /// Pre-registered metric handles; `None` until a registry is
     /// attached, which keeps the un-observed hot path at one branch.
     obs: Option<crate::obs::MpiObs>,
-    /// Running `max` fold of the sideband word while a
-    /// [`Mpi::with_sideband`] scope is open: every internal collective
-    /// frame carries it out and folds the sender's in. `None` (every
-    /// other time) leaves collective frames unheaded.
-    pub(crate) sideband: Option<u64>,
+    /// The open [`Mpi::with_sideband`] or
+    /// [`Mpi::with_answered_sideband`] scope: every internal collective
+    /// frame carries its running fold out and folds the sender's in.
+    /// `None` (every other time) leaves collective frames unheaded.
+    pub(crate) sideband: Option<crate::collective::Sideband>,
 }
 
 /// What online rank substitution keeps per handle (see [`crate::splice`]):

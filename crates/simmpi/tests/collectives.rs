@@ -392,7 +392,9 @@ fn barrier_folds_every_word() {
 
 /// The one-way kinds fold only what flows toward the caller: a bcast
 /// root hears from nobody, a gather's non-roots hear from nobody. That
-/// is why the protocol layer cannot take its agreement from their frames.
+/// is why the protocol layer cannot take its agreement from their frames
+/// alone: a gather's root answers the contributors that need the fold,
+/// and the other kinds run a preceding exchange.
 #[test]
 fn one_way_collectives_fold_partially() {
     for &n in &FOLD_SIZES[1..] {
@@ -424,6 +426,57 @@ fn one_way_collectives_fold_partially() {
                 assert_eq!(fold, top, "gather root folds every word");
             } else {
                 assert_eq!(fold, mine, "gather non-roots fold nothing in");
+            }
+            Ok(())
+        })
+        .unwrap();
+    }
+}
+
+/// An answered gather or reduce hands the full fold to the root and to
+/// every contributor that asked, and tells the others they left without
+/// it; the data result does not depend on who asked.
+#[test]
+fn answered_gather_informs_the_root_and_the_askers() {
+    for &n in FOLD_SIZES {
+        World::run(n, |mpi| {
+            let comm = mpi.world();
+            let me = mpi.rank();
+            let data = || Bytes::from(vec![me as u8; me + 1]);
+            let plain = mpi.gather(&comm, 0, data())?;
+            let x = (me as u64 + 1).to_le_bytes().to_vec();
+            let sum = mpi.reduce_bytes(
+                &comm,
+                n - 1,
+                ReduceOp::Sum,
+                DType::U64,
+                x.clone().into(),
+            )?;
+            // Every subset of askers, by bit mask, while it fits.
+            for mask in 0..(1u32 << n).min(16) {
+                let ask = mask >> me & 1 == 1;
+                let mine = word(me, n, mask as usize);
+                let (out, fold) =
+                    mpi.with_answered_sideband(mine, ask, |m| {
+                        m.gather(&comm, 0, data())
+                    })?;
+                assert_eq!(out, plain, "n={n} mask={mask}");
+                let want = (me == 0 || ask).then_some(100 + n as u64 - 1);
+                assert_eq!(fold, want, "n={n} mask={mask} rank={me}");
+                let (out, fold) =
+                    mpi.with_answered_sideband(mine, ask, |m| {
+                        let x = x.clone().into();
+                        m.reduce_bytes(
+                            &comm,
+                            n - 1,
+                            ReduceOp::Sum,
+                            DType::U64,
+                            x,
+                        )
+                    })?;
+                assert_eq!(out, sum, "n={n} mask={mask}");
+                let want = (me == n - 1 || ask).then_some(100 + n as u64 - 1);
+                assert_eq!(fold, want, "n={n} mask={mask} rank={me}");
             }
             Ok(())
         })

@@ -806,6 +806,7 @@ mod tests {
             "TierRecovered",
             "RankRespawned",
             "SpliceReplayed",
+            "CollectiveUninformed",
         ];
         assert_eq!(variants, want);
     }
