@@ -71,20 +71,13 @@
 //!   staged for that checkpoint (two-phase commit over asynchronous
 //!   writes). Enforced only on traces that contain pipeline events, so
 //!   pre-pipeline recordings still analyze cleanly.
-//! * **I14 tier-provenance** — on a multi-level store, a restart never
-//!   reads a checkpoint from a tier deeper than the mover actually
-//!   drained it to: a `TierRecovered { tier > 0 }` in attempt `a > 1`
-//!   requires a `TierDrained` for the same checkpoint at a tier ≥ the
-//!   claimed one in some earlier attempt of the trace. The first attempt
-//!   of a trace is exempt (it may be continuing a previous job whose
-//!   drain events live in that job's trace).
 //! * **I15 splice-supersession** — under localized recovery a rank may
 //!   appear several times per attempt, once per incarnation. Every
 //!   superseded incarnation's stream ends in a `FailStop` (a rank is
 //!   replaced only because it died), every respawned stream begins with
 //!   a `RankRespawned` carrying its own incarnation number, and the
 //!   incarnation numbers are contiguous from 0. Only the highest
-//!   incarnation — the *effective stream* — feeds I1–I14: the spliced
+//!   incarnation — the *effective stream* — feeds I1–I13: the spliced
 //!   rank re-executes the attempt deterministically, so its effective
 //!   stream joins with the survivors' exactly like a failure-free run.
 //! * **I16 splice-catchup-once** — a respawned incarnation completes
@@ -133,8 +126,6 @@ pub mod invariant {
     pub const I12: &str = "I12-commit-completeness";
     /// Asynchronously staged blobs are drained to storage before commit.
     pub const I13: &str = "I13-drain-before-commit";
-    /// Recovery never reads a checkpoint from a tier it was not drained to.
-    pub const I14: &str = "I14-tier-provenance";
     /// Superseded incarnations died; respawns announce themselves; the
     /// effective per-rank history is the highest incarnation's.
     pub const I15: &str = "I15-splice-supersession";
@@ -231,11 +222,6 @@ struct RankFacts {
     drains: Vec<(u64, u64, u64)>,
     /// Rank 0 only: (kept ckpt, seq) per post-commit GC sweep.
     gcs: Vec<(u64, u64)>,
-    /// Rank 0 only: (ckpt, tier) per async tier-drain completion.
-    tier_drains: Vec<(u64, u8)>,
-    /// The (ckpt, tier, seq) this rank's recovery read its state from,
-    /// when the job ran over a multi-level store.
-    tier_recovered: Option<(u64, u8, u64)>,
     failed: bool,
     last_seq: u64,
 }
@@ -906,27 +892,6 @@ fn scan_rank(
                 f.gcs.push((*kept, seq));
             }
             TraceEvent::RecoveryComplete => {}
-            TraceEvent::TierDrained { ckpt, tier } => {
-                if rank != 0 {
-                    flag(
-                        invariant::T0,
-                        seq,
-                        format!("tier drain event on rank {rank}"),
-                    );
-                }
-                if *tier == 0 {
-                    flag(
-                        invariant::T0,
-                        seq,
-                        format!(
-                            "checkpoint {ckpt} 'drained' to tier 0 — the \
-                             staging tier is covered by the pipeline drain \
-                             barrier, not the mover"
-                        ),
-                    );
-                }
-                f.tier_drains.push((*ckpt, *tier));
-            }
             // Splice structure (which incarnation these events may appear
             // in, and how often) is checked by `check_splices` across all
             // incarnation streams; here only rank-local sanity applies.
@@ -943,20 +908,6 @@ fn scan_rank(
             }
             TraceEvent::SpliceReplayed { .. } => {
                 caught_up = true;
-            }
-            TraceEvent::TierRecovered { ckpt, tier } => {
-                if f.recovered != Some(*ckpt) {
-                    flag(
-                        invariant::T0,
-                        seq,
-                        format!(
-                            "tier-recovery event names checkpoint {ckpt} \
-                             but this rank recovered from {:?}",
-                            f.recovered
-                        ),
-                    );
-                }
-                f.tier_recovered = Some((*ckpt, *tier, seq));
             }
         }
     }
@@ -1709,44 +1660,6 @@ fn check_gc(
     }
 }
 
-/// The multi-level storage provenance check (I14): a restart's claimed
-/// recovery tier is backed by an earlier drain. Tier 0 claims (the local
-/// staging copy was intact) need no drain; the first attempt of a trace
-/// is exempt because it may continue a previous job whose `TierDrained`
-/// events live in that job's trace.
-fn check_tiers(
-    attempt: u64,
-    first_attempt: bool,
-    facts: &BTreeMap<u32, RankFacts>,
-    drained: &BTreeMap<u64, u8>,
-    out: &mut Vec<Violation>,
-) {
-    if first_attempt {
-        return;
-    }
-    for (&rank, f) in facts {
-        let Some((ckpt, tier, seq)) = f.tier_recovered else {
-            continue;
-        };
-        if tier == 0 {
-            continue;
-        }
-        let deepest = drained.get(&ckpt).copied().unwrap_or(0);
-        if tier > deepest {
-            out.push(Violation {
-                invariant: invariant::I14,
-                attempt,
-                rank,
-                seq,
-                detail: format!(
-                    "recovery read checkpoint {ckpt} from tier {tier} but \
-                     the mover only drained it to tier {deepest}"
-                ),
-            });
-        }
-    }
-}
-
 /// One attempt's streams, keyed rank → incarnation → records.
 pub(crate) type IncStreams<'a> =
     BTreeMap<u32, BTreeMap<u32, Vec<&'a TraceRecord>>>;
@@ -1987,12 +1900,9 @@ pub fn analyze(records: &[TraceRecord]) -> Report {
 
     let mut violations = Vec::new();
     let mut commits = Vec::new();
-    // Cross-attempt context: checkpoints committed and tiers drained in
-    // *earlier* attempts justify this attempt's GC keep-set (keep_last
-    // retention) and recovery-tier claims (I14).
+    // Cross-attempt context: checkpoints committed in *earlier* attempts
+    // justify this attempt's GC keep-set (keep_last retention).
     let mut prior_commits: BTreeSet<u64> = BTreeSet::new();
-    let mut drained: BTreeMap<u64, u8> = BTreeMap::new();
-    let first_attempt = by_attempt.keys().next().copied();
     for (&attempt, ranks) in &by_attempt {
         check_splices(attempt, ranks, &mut violations);
         let mut facts: BTreeMap<u32, RankFacts> = BTreeMap::new();
@@ -2065,20 +1975,9 @@ pub fn analyze(records: &[TraceRecord]) -> Report {
         check_commits(attempt, &facts, &mut violations);
         check_pipeline(attempt, &facts, &mut violations);
         check_gc(attempt, &facts, &prior_commits, &mut violations);
-        check_tiers(
-            attempt,
-            first_attempt == Some(attempt),
-            &facts,
-            &drained,
-            &mut violations,
-        );
         if let Some(f0) = facts.get(&0) {
             commits.extend(f0.commits.iter().map(|&(c, _)| c));
             prior_commits.extend(f0.commits.iter().map(|&(c, _)| c));
-            for &(ckpt, tier) in &f0.tier_drains {
-                let d = drained.entry(ckpt).or_insert(0);
-                *d = (*d).max(tier);
-            }
         }
     }
 

@@ -56,48 +56,6 @@ impl RetryPolicy {
     }
 }
 
-/// Topology of the multi-level storage hierarchy the job should run
-/// over (SCR-style). When set on [`PipelineConfig::tiers`], `run_job`
-/// wraps the provided backend as the local staging tier of a
-/// `ckptstore::TieredBackend`, the pipeline spawns an async tier-drain
-/// mover that promotes each committed checkpoint down the hierarchy,
-/// and recovery falls through the tiers.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TierTopology {
-    /// Replica slots on the partner tier (0 = no partner tier).
-    pub partner_replicas: usize,
-    /// `(data, parity)` Reed–Solomon geometry of the global
-    /// erasure-coded tier (`None` = no global tier).
-    pub erasure: Option<(u8, u8)>,
-}
-
-impl TierTopology {
-    /// Partner tier only: each rank's blobs replicated onto `replicas`
-    /// neighbor slots.
-    pub fn partner(replicas: usize) -> Self {
-        TierTopology {
-            partner_replicas: replicas,
-            erasure: None,
-        }
-    }
-
-    /// Partner tier plus a global Reed–Solomon `(data, parity)` tier.
-    pub fn partner_and_erasure(replicas: usize, data: u8, parity: u8) -> Self {
-        TierTopology {
-            partner_replicas: replicas,
-            erasure: Some((data, parity)),
-        }
-    }
-
-    /// Erasure-coded global tier only.
-    pub fn erasure(data: u8, parity: u8) -> Self {
-        TierTopology {
-            partner_replicas: 0,
-            erasure: Some((data, parity)),
-        }
-    }
-}
-
 /// Full pipeline configuration, embedded in the protocol layer's
 /// `C3Config` as its `io` field.
 #[derive(Debug, Clone, PartialEq)]
@@ -113,13 +71,11 @@ pub struct PipelineConfig {
     /// Committed checkpoint lines to retain: the initiator GCs
     /// everything older than `latest_commit + 1 - keep_last`. The
     /// default 1 reproduces the paper's behavior (only the newest
-    /// committed checkpoint survives); tiered configurations keep ≥ 2
-    /// so that losing the newest line beyond repair still leaves a
-    /// whole older line to fall back to.
+    /// committed checkpoint survives). Recovery always reads the newest
+    /// line, so a larger value only keeps older lines on storage: tests
+    /// use it to check that GC and clean references hold across several
+    /// retained lines.
     pub keep_last: u64,
-    /// Storage-tier topology to run over (`None` = single-tier, the
-    /// paper's flat stable storage).
-    pub tiers: Option<TierTopology>,
 }
 
 impl Default for PipelineConfig {
@@ -132,7 +88,6 @@ impl Default for PipelineConfig {
             chunker: Chunker::default(),
             retry: RetryPolicy::default(),
             keep_last: 1,
-            tiers: None,
         }
     }
 }
@@ -161,12 +116,6 @@ impl PipelineConfig {
     pub fn with_keep_last(mut self, n: u64) -> Self {
         assert!(n >= 1, "must keep at least the newest committed line");
         self.keep_last = n;
-        self
-    }
-
-    /// Builder: run over a multi-level storage hierarchy.
-    pub fn with_tiers(mut self, topology: TierTopology) -> Self {
-        self.tiers = Some(topology);
         self
     }
 }

@@ -44,7 +44,7 @@ pub mod config;
 pub(crate) mod obs;
 pub mod pipeline;
 
-pub use config::{PipelineConfig, RetryPolicy, TierTopology, WriteMode};
+pub use config::{PipelineConfig, RetryPolicy, WriteMode};
 pub use pipeline::{CheckpointPipeline, PipelineStats, StagedBlob};
 
 // The chunker lives in ckptstore (the store owns the chunk wire format);
@@ -1124,49 +1124,6 @@ mod tests {
         let mut enc =
             Encoder::against(pipe.clean_base(0, RankBlobKind::State));
         enc.put(&leaky);
-    }
-
-    #[test]
-    fn tier_drain_promotes_committed_checkpoints() {
-        use ckptstore::{TierSpec, TieredBackend};
-        let local = Arc::new(MemoryBackend::new());
-        let partner = Arc::new(MemoryBackend::new());
-        let global = Arc::new(MemoryBackend::new());
-        let tiered = Arc::new(TieredBackend::new(
-            vec![
-                TierSpec::direct(local.clone()),
-                TierSpec::partner(partner, 1),
-                TierSpec::erasure(global, 2, 1),
-            ],
-            2,
-        ));
-        let store =
-            CheckpointStore::new(tiered.clone() as Arc<dyn StorageBackend>, 2);
-        let pipe = CheckpointPipeline::new(
-            store.clone(),
-            PipelineConfig::default().with_chunker(Chunker::cdc(256)),
-        );
-        let payloads = vec![blob(11, 1500), blob(12, 1500)];
-        stage_full_checkpoint(&pipe, 1, &payloads);
-        pipe.drain(1).unwrap();
-        store.commit(1).unwrap();
-        // Commit covers tier-local durability only; the mover promotes in
-        // the background and flush waits for it.
-        pipe.schedule_tier_drain(1);
-        let done = pipe.flush_tier_drains();
-        assert_eq!(done, vec![(1, 1), (1, 2)], "both lower tiers drained");
-        assert_eq!(pipe.tier_drain_errors(), 0);
-        // The local staging tier can now vanish entirely and every rank
-        // blob is still served from a replica or reconstructed shards.
-        tiered.wipe_tier(0).unwrap();
-        for (rank, payload) in payloads.iter().enumerate() {
-            assert_eq!(
-                store.get_rank_blob(1, rank, RankBlobKind::State).unwrap(),
-                *payload
-            );
-        }
-        // Flushing with nothing queued is an empty no-op, not a hang.
-        assert!(pipe.flush_tier_drains().is_empty());
     }
 
     #[test]

@@ -55,8 +55,8 @@ use ckptstore::manifest::{
 };
 use ckptstore::store::LiveIndex;
 use ckptstore::{
-    CheckpointStore, CkptId, Form, RankBlobKind, StorageBackend, StoreError,
-    StoreResult, Trials,
+    CheckpointStore, CkptId, Form, RankBlobKind, StoreError, StoreResult,
+    Trials,
 };
 
 use crate::config::{PipelineConfig, WriteMode};
@@ -160,19 +160,6 @@ struct QueueState {
     shutdown: bool,
 }
 
-/// State of the async tier-drain mover: checkpoints queued for
-/// promotion down the storage hierarchy, the one being drained right
-/// now, and the `(ckpt, tier)` pairs already fully promoted (consumed
-/// by [`CheckpointPipeline::flush_tier_drains`]).
-#[derive(Default)]
-struct MoverState {
-    queue: VecDeque<CkptId>,
-    inflight: bool,
-    shutdown: bool,
-    done: Vec<(CkptId, u8)>,
-    errors: u64,
-}
-
 /// Cumulative pipeline counters (all monotonic).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PipelineStats {
@@ -248,10 +235,6 @@ struct Shared {
     // still in flight.
     gc_gate: RwLock<CkptId>,
     stats: StatCells,
-    // Async tier-drain mover bookkeeping (empty and idle on single-tier
-    // backends, where no mover thread is spawned).
-    mover: Mutex<MoverState>,
-    mover_cv: Condvar,
     obs: Option<crate::obs::PipeObs>,
 }
 
@@ -272,11 +255,6 @@ impl WorkerPool {
         }
         self.shared.not_empty.notify_all();
         self.shared.not_full.notify_all();
-        {
-            let mut m = self.shared.mover();
-            m.shutdown = true;
-        }
-        self.shared.mover_cv.notify_all();
         for handle in self.handles.lock().unwrap().drain(..) {
             let _ = handle.join();
         }
@@ -316,8 +294,6 @@ impl CheckpointPipeline {
             lines: Mutex::default(),
             gc_gate: RwLock::new(0),
             stats: StatCells::default(),
-            mover: Mutex::new(MoverState::default()),
-            mover_cv: Condvar::new(),
         });
         let mut handles = Vec::new();
         if let WriteMode::Async { writers, .. } = shared.cfg.mode {
@@ -325,13 +301,6 @@ impl CheckpointPipeline {
                 let shared = Arc::clone(&shared);
                 handles.push(std::thread::spawn(move || worker_loop(&shared)));
             }
-        }
-        // One mover thread whenever the store is tiered. Sync-mode
-        // pipelines get one too: promotion is asynchronous by design
-        // regardless of how staging writes happen.
-        if shared.tiered() {
-            let shared = Arc::clone(&shared);
-            handles.push(std::thread::spawn(move || mover_loop(&shared)));
         }
         CheckpointPipeline {
             pool: Arc::new(WorkerPool {
@@ -638,52 +607,8 @@ impl CheckpointPipeline {
         Ok(())
     }
 
-    /// Hand a committed checkpoint to the async tier-drain mover, which
-    /// will promote every one of its keys (blobs, manifests, their
-    /// chunks, and the `COMMIT` record) down the storage hierarchy
-    /// under the writer-vs-GC gate. No-op on a single-tier backend.
-    ///
-    /// Called by the initiator right after commit; never blocks on
-    /// storage, so commit latency stays tier-local.
-    pub fn schedule_tier_drain(&self, ckpt: CkptId) {
-        if !self.shared.tiered() {
-            return;
-        }
-        let mut m = self.shared.mover();
-        if m.shutdown {
-            return;
-        }
-        m.queue.push_back(ckpt);
-        drop(m);
-        self.shared.mover_cv.notify_all();
-    }
-
-    /// Block until the mover is idle, then take the `(ckpt, tier)`
-    /// pairs fully promoted since the last flush, sorted. Rank 0 calls
-    /// this at finalize to emit `TierDrained` trace events
-    /// deterministically; tests call it to wait for the hierarchy to
-    /// settle. Returns an empty list on single-tier backends.
-    pub fn flush_tier_drains(&self) -> Vec<(CkptId, u8)> {
-        let mut m = self.shared.mover();
-        while !m.queue.is_empty() || m.inflight {
-            m = self.shared.mover_cv.wait(m).unwrap();
-        }
-        let mut done = std::mem::take(&mut m.done);
-        drop(m);
-        done.sort_unstable();
-        done
-    }
-
-    /// Promotions that failed permanently (retries exhausted) since the
-    /// pipeline was created. A nonzero count never fails the job —
-    /// commit already covered tier-local durability — but tests assert
-    /// zero on healthy schedules.
-    pub fn tier_drain_errors(&self) -> u64 {
-        self.shared.mover().errors
-    }
-
     /// Shut the pipeline down explicitly: finish every queued write and
-    /// join the writer threads (including the tier mover). Also happens
+    /// join the writer threads. Also happens
     /// automatically when the last clone drops.
     pub fn shutdown(&self) {
         self.pool.shutdown();
@@ -710,91 +635,10 @@ fn worker_loop(shared: &Shared) {
     }
 }
 
-fn mover_loop(shared: &Shared) {
-    loop {
-        let ckpt = {
-            let mut m = shared.mover();
-            loop {
-                if let Some(ckpt) = m.queue.pop_front() {
-                    m.inflight = true;
-                    break ckpt;
-                }
-                if m.shutdown {
-                    return;
-                }
-                m = shared.mover_cv.wait(m).unwrap();
-            }
-        };
-        let outcome = shared.drain_checkpoint_tiers(ckpt);
-        let mut m = shared.mover();
-        match outcome {
-            Ok(done) => m.done.extend(done),
-            Err(_) => m.errors += 1,
-        }
-        m.inflight = false;
-        drop(m);
-        shared.mover_cv.notify_all();
-    }
-}
-
 impl Shared {
-    /// Lock the mover state (lock poisoning is fatal, as for every
-    /// pipeline lock).
-    fn mover(&self) -> std::sync::MutexGuard<'_, MoverState> {
-        self.mover.lock().unwrap()
-    }
-
-    /// Whether the store sits on a multi-tier hierarchy (found through any
-    /// decorator stack via `as_tiered`).
-    fn tiered(&self) -> bool {
-        let tiered = self.store.backend().as_tiered();
-        tiered.is_some_and(|t| t.num_tiers() > 1)
-    }
-
     /// Lock what the pipeline knows of the lines on storage.
     fn lines(&self) -> std::sync::MutexGuard<'_, Lines> {
         self.lines.lock().expect("pipeline lock poisoned")
-    }
-
-    /// Promote every key of checkpoint `ckpt` to each lower tier, in
-    /// tier order, under the shared side of the writer-vs-GC gate (so
-    /// GC cannot sweep a chunk between the manifest read and its
-    /// promotion). Returns the tiers fully drained. A checkpoint whose
-    /// keys are already gone (collected by a later commit's GC) drains
-    /// vacuously and reports nothing.
-    fn drain_checkpoint_tiers(
-        &self,
-        ckpt: CkptId,
-    ) -> StoreResult<Vec<(CkptId, u8)>> {
-        let _gate = self.gc_gate.read().unwrap();
-        let backend = self.store.backend();
-        let Some(t) = backend.as_tiered() else {
-            return Ok(Vec::new());
-        };
-        // The checkpoint's own keys, plus every chunk and run object its
-        // manifests name (they may predate this checkpoint: promoting per
-        // manifest makes each line whole on each tier by itself).
-        let mut keys = t.list(&format!("ckpt/{ckpt:08}/"))?;
-        if keys.is_empty() {
-            return Ok(Vec::new());
-        }
-        let mut chunk_keys = std::collections::BTreeSet::new();
-        for key in keys.iter().filter(|k| k.ends_with(".m")) {
-            if let Some(m) = self.store.manifest_at(key)? {
-                let runs = m.runs.iter().map(|r| &r.obj);
-                let named = m.chunks.iter().chain(runs);
-                chunk_keys.extend(named.map(ChunkRef::key));
-            }
-        }
-        keys.extend(chunk_keys);
-        let mut done = Vec::new();
-        for tier in 1..t.num_tiers() {
-            for key in &keys {
-                self.retrying(|| t.promote(key, tier))?;
-            }
-            done.push((ckpt, tier as u8));
-        }
-        Ok(done)
     }
 
     fn complete_job(&self, ckpt: CkptId, result: StoreResult<()>) {

@@ -1,12 +1,11 @@
 //! GC by the pipeline's live index leaves storage exactly as the listing
-//! sweep would. Random interleavings of staging, commits, GCs, tier
-//! drains, writes to a tracked field, kill-and-restart (a new pipeline
-//! over the same store, after a killed writer put chunks no manifest
-//! names) and localized splices run against one pipeline at a time.
-//! Before each GC the storage is copied key for key and
-//! `CheckpointStore::gc_keeping` — the listing sweep — runs on the copy;
-//! afterwards every tier holds the same keys on both sides, and every
-//! committed line left restores bit for bit.
+//! sweep would. Random interleavings of staging, commits, GCs, writes
+//! to a tracked field, kill-and-restart (a new pipeline over the same
+//! store, after a killed writer put chunks no manifest names) and
+//! localized splices run against one pipeline at a time. Before each GC
+//! the storage is copied key for key and `CheckpointStore::gc_keeping` —
+//! the listing sweep — runs on the copy; afterwards both hold the same
+//! keys, and every committed line left restores bit for bit.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -14,53 +13,36 @@ use std::sync::Arc;
 use ckptpipe::{CheckpointPipeline, Chunker, PipelineConfig, WriteMode};
 use ckptstore::{
     seal, splitmix64, CheckpointStore, ChunkRef, Decoder, Encoder,
-    MemoryBackend, RankBlobKind, StorageBackend, TierSpec, TieredBackend,
-    Tracked,
+    MemoryBackend, RankBlobKind, StorageBackend, Tracked,
 };
 use proptest::prelude::*;
 
 const RANKS: usize = 2;
 
-/// The raw tiers of one storage: one `MemoryBackend`, or the three behind
-/// a local / partner / erasure `TieredBackend`.
-struct Tiers(Vec<Arc<MemoryBackend>>);
+/// The storage under test: one `MemoryBackend`.
+struct Storage(Arc<MemoryBackend>);
 
-impl Tiers {
-    fn new(n: usize) -> Self {
-        Tiers((0..n).map(|_| Arc::new(MemoryBackend::new())).collect())
+impl Storage {
+    fn new() -> Self {
+        Storage(Arc::new(MemoryBackend::new()))
     }
 
     fn store(&self) -> CheckpointStore {
-        let backend: Arc<dyn StorageBackend> = match &self.0[..] {
-            [one] => one.clone(),
-            [local, partner, global] => Arc::new(TieredBackend::new(
-                vec![
-                    TierSpec::direct(local.clone()),
-                    TierSpec::partner(partner.clone(), 1),
-                    TierSpec::erasure(global.clone(), 2, 1),
-                ],
-                RANKS,
-            )),
-            _ => unreachable!("one tier or three"),
-        };
-        CheckpointStore::new(backend, RANKS)
+        CheckpointStore::new(self.0.clone(), RANKS)
     }
 
     /// A copy, key for key.
-    fn copy(&self) -> Tiers {
-        let copy = |tier: &Arc<MemoryBackend>| {
-            let copy = MemoryBackend::new();
-            for key in tier.list("").unwrap() {
-                copy.put(&key, &tier.get(&key).unwrap()).unwrap();
-            }
-            Arc::new(copy)
-        };
-        Tiers(self.0.iter().map(copy).collect())
+    fn copy(&self) -> Storage {
+        let copy = Storage::new();
+        for key in self.keys() {
+            copy.0.put(&key, &self.0.get(&key).unwrap()).unwrap();
+        }
+        copy
     }
 
-    /// Every key of every tier.
-    fn keys(&self) -> Vec<Vec<String>> {
-        self.0.iter().map(|t| t.list("").unwrap()).collect()
+    /// Every key.
+    fn keys(&self) -> Vec<String> {
+        self.0.list("").unwrap()
     }
 }
 
@@ -137,18 +119,18 @@ fn orphans(store: &CheckpointStore, seed: &mut u64) {
     store.put_chunks(&sealed).unwrap();
 }
 
-/// One interleaving. `config` picks one tier or three, a tracked or a
-/// plain big field, cuts around 256 or 1024 bytes and sync or async
-/// writes; each op draws what to do next.
+/// One interleaving. `config` picks a tracked or a plain big field, cuts
+/// around 256 or 1024 bytes and sync or async writes; each op draws what
+/// to do next.
 fn interleaving(config: u64, ops: &[u64]) -> Result<(), TestCaseError> {
-    let tiers = Tiers::new(if config & 1 == 0 { 1 } else { 3 });
-    let tracked = config & 2 != 0;
-    let chunker = if config & 4 == 0 {
+    let storage = Storage::new();
+    let tracked = config & 1 != 0;
+    let chunker = if config & 2 == 0 {
         Chunker::cdc(256)
     } else {
         Chunker::cdc(1024)
     };
-    let mode = if config & 8 == 0 {
+    let mode = if config & 4 == 0 {
         WriteMode::Sync
     } else {
         WriteMode::Async {
@@ -159,7 +141,7 @@ fn interleaving(config: u64, ops: &[u64]) -> Result<(), TestCaseError> {
     let cfg = PipelineConfig::default()
         .with_chunker(chunker)
         .with_mode(mode);
-    let store = tiers.store();
+    let store = storage.store();
     let mut pipe = CheckpointPipeline::new(store.clone(), cfg.clone());
     let mut seed = config;
     let mut ranks: Vec<RankState> = (0..RANKS)
@@ -181,15 +163,14 @@ fn interleaving(config: u64, ops: &[u64]) -> Result<(), TestCaseError> {
             return Ok(());
         };
         let keep = newest.saturating_sub(back).max(1);
-        // Quiesce: no write or promotion in flight while copying.
+        // Quiesce: no write in flight while copying.
         if let Some((line, _)) = staged {
             pipe.drain(*line).unwrap();
         }
-        pipe.flush_tier_drains();
-        let copy = tiers.copy();
+        let copy = storage.copy();
         copy.store().gc_keeping(keep).unwrap();
         pipe.gc_keeping(keep).unwrap();
-        prop_assert_eq!(tiers.keys(), copy.keys(), "GC keeping {}", keep);
+        prop_assert_eq!(storage.keys(), copy.keys(), "GC keeping {}", keep);
         lines.retain(|&line, _| line >= keep);
         for (&line, blobs) in lines.iter() {
             for (rank, blob) in blobs.iter().enumerate() {
@@ -210,7 +191,6 @@ fn interleaving(config: u64, ops: &[u64]) -> Result<(), TestCaseError> {
                 if let Some((line, blobs)) = staged.take() {
                     pipe.drain(line).unwrap();
                     store.commit(line).unwrap();
-                    pipe.schedule_tier_drain(line);
                     lines.insert(line, blobs);
                     next = line + 1;
                 }
@@ -264,67 +244,62 @@ proptest! {
 /// cuts find the same chunks in every repeat, so the run object of its
 /// first version names a few chunks many times. A new version supersedes
 /// it; the GC that collects the old line releases each of those chunks
-/// once per time the run names it, and leaves every tier as the listing
+/// once per time the run names it, and leaves storage as the listing
 /// sweep does.
 #[test]
 fn a_run_naming_one_chunk_many_times_is_collected_like_the_sweep() {
-    for n in [1, 3] {
-        let tiers = Tiers::new(n);
-        let store = tiers.store();
-        let cfg = PipelineConfig::default().with_mode(WriteMode::Sync);
-        let pipe = CheckpointPipeline::new(store.clone(), cfg);
-        let mut seed = 0x5EED;
-        let stretch = noise(&mut seed, 5000);
-        let mut ranks: Vec<RankState> = (0..RANKS)
-            .map(|rank| RankState {
-                line: 0,
-                big: Tracked::new(stretch.repeat(40 + rank)),
-            })
-            .collect();
-        let mut repeated = Vec::new();
-        for line in 1..=4u64 {
-            if line == 3 {
-                for state in &mut ranks {
-                    *state.big = noise(&mut seed, state.big.len());
-                }
-            }
-            let blobs = stage_line(&pipe, &mut ranks, line, true);
-            pipe.drain(line).unwrap();
-            store.commit(line).unwrap();
-            pipe.schedule_tier_drain(line);
-            pipe.flush_tier_drains();
-            if line == 1 {
-                for rank in 0..RANKS {
-                    let m =
-                        store.get_rank_manifest(1, rank, RankBlobKind::State);
-                    let m = m.unwrap().unwrap();
-                    let run = &m.chunks[m.runs[0].chunks.clone()];
-                    let mut distinct: Vec<String> =
-                        run.iter().map(ChunkRef::key).collect();
-                    distinct.sort();
-                    distinct.dedup();
-                    assert!(
-                        distinct.len() * 4 <= run.len(),
-                        "rank {rank}: the run names {} chunks, {} distinct",
-                        run.len(),
-                        distinct.len()
-                    );
-                    repeated.extend(distinct);
-                }
-            }
-            // Line 1's GC lists and builds the index; the later ones count.
-            let copy = tiers.copy();
-            copy.store().gc_keeping(line).unwrap();
-            pipe.gc_keeping(line).unwrap();
-            assert_eq!(tiers.keys(), copy.keys(), "{n} tiers, line {line}");
-            for (rank, blob) in blobs.iter().enumerate() {
-                let got = store.get_rank_blob(line, rank, RankBlobKind::State);
-                assert_eq!(&got.unwrap(), blob, "line {line}");
+    let storage = Storage::new();
+    let store = storage.store();
+    let cfg = PipelineConfig::default().with_mode(WriteMode::Sync);
+    let pipe = CheckpointPipeline::new(store.clone(), cfg);
+    let mut seed = 0x5EED;
+    let stretch = noise(&mut seed, 5000);
+    let mut ranks: Vec<RankState> = (0..RANKS)
+        .map(|rank| RankState {
+            line: 0,
+            big: Tracked::new(stretch.repeat(40 + rank)),
+        })
+        .collect();
+    let mut repeated = Vec::new();
+    for line in 1..=4u64 {
+        if line == 3 {
+            for state in &mut ranks {
+                *state.big = noise(&mut seed, state.big.len());
             }
         }
-        // The first version's chunks went with the last line naming them.
-        for key in &repeated {
-            assert!(!store.has_chunk(key).unwrap(), "{key} outlived its run");
+        let blobs = stage_line(&pipe, &mut ranks, line, true);
+        pipe.drain(line).unwrap();
+        store.commit(line).unwrap();
+        if line == 1 {
+            for rank in 0..RANKS {
+                let m = store.get_rank_manifest(1, rank, RankBlobKind::State);
+                let m = m.unwrap().unwrap();
+                let run = &m.chunks[m.runs[0].chunks.clone()];
+                let mut distinct: Vec<String> =
+                    run.iter().map(ChunkRef::key).collect();
+                distinct.sort();
+                distinct.dedup();
+                assert!(
+                    distinct.len() * 4 <= run.len(),
+                    "rank {rank}: the run names {} chunks, {} distinct",
+                    run.len(),
+                    distinct.len()
+                );
+                repeated.extend(distinct);
+            }
         }
+        // Line 1's GC lists and builds the index; the later ones count.
+        let copy = storage.copy();
+        copy.store().gc_keeping(line).unwrap();
+        pipe.gc_keeping(line).unwrap();
+        assert_eq!(storage.keys(), copy.keys(), "line {line}");
+        for (rank, blob) in blobs.iter().enumerate() {
+            let got = store.get_rank_blob(line, rank, RankBlobKind::State);
+            assert_eq!(&got.unwrap(), blob, "line {line}");
+        }
+    }
+    // The first version's chunks went with the last line naming them.
+    for key in &repeated {
+        assert!(!store.has_chunk(key).unwrap(), "{key} outlived its run");
     }
 }

@@ -55,16 +55,21 @@ pub trait StorageBackend: Send + Sync {
     /// numbers above the bars in the paper's Figure 8).
     fn bytes_written(&self) -> u64;
 
-    /// Downcast hook for the multi-level hierarchy: returns the
-    /// [`TieredBackend`](crate::tier::TieredBackend) behind this backend,
-    /// if any. Decorators ([`crate::fault::FaultInjectingBackend`], the
-    /// `obs` wrapper) forward to their inner backend, so the pipeline's
-    /// tier-drain mover and the store's tier probes find the hierarchy
-    /// through any stack of wrappers. Plain backends return `None`.
-    fn as_tiered(&self) -> Option<&crate::tier::TieredBackend> {
+    /// Names the retired multi-level store. Only the c3bench benchmark
+    /// names this method (its timing decorator forwards it); nothing in
+    /// the workspace overrides or calls it, and [`TieredBackend`] has no
+    /// values, so it always returns `None`. The c3bench v2 change in
+    /// ROADMAP.md deletes it.
+    fn as_tiered(&self) -> Option<&TieredBackend> {
         None
     }
 }
+
+/// Placeholder for the retired multi-level store: an enum with no
+/// variants, so no value of it can exist. Only the c3bench benchmark
+/// names it, through [`StorageBackend::as_tiered`]; the c3bench v2
+/// change in ROADMAP.md deletes both.
+pub enum TieredBackend {}
 
 /// In-memory backend: a locked ordered map.
 ///

@@ -17,8 +17,8 @@
 //! and get sleeps `base + jitter(op_index)` milliseconds, where the
 //! jitter sequence is a pure function of the seed and the operation
 //! index ([`FaultPlan::op_delay_ms`]). Two backends built from the same
-//! plan observe byte-identical latency sequences, which is what makes
-//! tier benchmarks (a simulated slow "remote" tier) reproducible.
+//! plan observe byte-identical latency sequences, so a slow store
+//! misbehaves the same way on every run.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -88,8 +88,8 @@ impl FaultPlan {
 
     /// Attach a seeded per-operation latency profile: every put and get
     /// sleeps `base + (0..=jitter)` ms, the jitter drawn reproducibly
-    /// from `seed` and the operation index. Models a slow remote tier
-    /// with realistic variance while keeping benchmarks deterministic.
+    /// from `seed` and the operation index. Models slow storage with
+    /// realistic variance while keeping runs reproducible.
     pub fn latency(mut self, base_ms: u64, jitter_ms: u64, seed: u64) -> Self {
         self.latency_base_ms = base_ms;
         self.latency_jitter_ms = jitter_ms;
@@ -280,10 +280,6 @@ impl StorageBackend for FaultInjectingBackend {
 
     fn bytes_written(&self) -> u64 {
         self.inner.bytes_written()
-    }
-
-    fn as_tiered(&self) -> Option<&crate::tier::TieredBackend> {
-        self.inner.as_tiered()
     }
 }
 

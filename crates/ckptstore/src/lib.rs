@@ -40,10 +40,6 @@
 //!   fault-injection decorator (fail-once, fail-N, random, slow-put, and a
 //!   seeded per-operation latency profile) used to prove the retry and
 //!   drain-before-commit machinery.
-//! * [`tier`] — [`tier::TieredBackend`], SCR-style multi-level stable
-//!   storage: a local staging tier, partner-replica and Reed–Solomon
-//!   erasure-coded lower tiers ([`erasure`]), and recovery reads that fall
-//!   through the hierarchy.
 
 #![deny(missing_docs)]
 
@@ -51,16 +47,14 @@ pub mod backend;
 pub mod cdc;
 pub mod codec;
 pub mod compress;
-pub mod erasure;
 pub mod error;
 pub mod fault;
 pub mod integrity;
 pub mod manifest;
 pub mod obs;
 pub mod store;
-pub mod tier;
 
-pub use backend::{DiskBackend, MemoryBackend, StorageBackend};
+pub use backend::{DiskBackend, MemoryBackend, StorageBackend, TieredBackend};
 pub use cdc::Chunker;
 pub use codec::{Decoder, Encoder, SaveLoad, Tracked};
 pub use compress::{Form, Trials};
@@ -70,7 +64,6 @@ pub use integrity::{crc32, hash128, seal, unseal};
 pub use manifest::{chunk_key, ChunkRef, Manifest};
 pub use obs::ObservedBackend;
 pub use store::{CheckpointStore, CkptId, RankBlobKind};
-pub use tier::{TierSpec, TieredBackend, WritePolicy};
 
 #[cfg(test)]
 mod test_alloc {

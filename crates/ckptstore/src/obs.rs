@@ -92,10 +92,6 @@ impl StorageBackend for ObservedBackend {
     fn bytes_written(&self) -> u64 {
         self.inner.bytes_written()
     }
-
-    fn as_tiered(&self) -> Option<&crate::tier::TieredBackend> {
-        self.inner.as_tiered()
-    }
 }
 
 #[cfg(test)]

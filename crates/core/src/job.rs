@@ -111,32 +111,8 @@ pub fn run_job<A: C3App>(
     backend: Option<Arc<dyn StorageBackend>>,
     app: &A,
 ) -> C3Result<JobReport<A::Output>> {
-    let mut backend: Arc<dyn StorageBackend> =
+    let backend: Arc<dyn StorageBackend> =
         backend.unwrap_or_else(|| Arc::new(MemoryBackend::new()));
-    // A tier topology on the I/O config turns the provided backend into
-    // the local staging tier of an SCR-style hierarchy: partner replicas
-    // and/or an erasure-coded global tier are simulated as in-memory
-    // backends behind it. A backend that is already tiered is used as-is
-    // (tests wire fault injection into specific tiers that way).
-    if let Some(topo) = cfg.io.tiers {
-        if backend.as_tiered().is_none() {
-            let mut tiers = vec![ckptstore::TierSpec::direct(backend.clone())];
-            if topo.partner_replicas > 0 {
-                tiers.push(ckptstore::TierSpec::partner(
-                    Arc::new(MemoryBackend::new()),
-                    topo.partner_replicas,
-                ));
-            }
-            if let Some((data, parity)) = topo.erasure {
-                tiers.push(ckptstore::TierSpec::erasure(
-                    Arc::new(MemoryBackend::new()),
-                    data,
-                    parity,
-                ));
-            }
-            backend = Arc::new(ckptstore::TieredBackend::new(tiers, nprocs));
-        }
-    }
     let mut store = cfg
         .level
         .checkpoints()
@@ -160,26 +136,11 @@ pub fn run_job<A: C3App>(
                 max_restarts: cfg.max_restarts,
             });
         }
-        // Restart from the newest committed checkpoint line that is
-        // still *servable* — on a tiered store a committed line may have
-        // lost blobs beyond the deepest tier's repair capability, in
-        // which case recovery falls back to an older whole line.
+        // Restart from the newest committed checkpoint line.
         let recover = match &store {
             Some(s) => s.latest_recoverable()?,
             None => None,
         };
-        // When the recovery line falls back past newer *committed* lines
-        // (tiered storage damaged beyond repair), discard those lines:
-        // they are unservable, and their stale COMMIT markers would
-        // collide with the re-executed run reaching the same checkpoint
-        // numbers again. No pipeline writers exist at this point, so the
-        // sweep is safe without the writer-vs-GC gate.
-        if let Some(s) = &store {
-            let floor = recover.unwrap_or(0);
-            if s.latest_committed()?.is_some_and(|n| n > floor) {
-                s.discard_after(floor)?;
-            }
-        }
         if attempt > 1 {
             restarts += 1;
             recovered_from.push(recover.unwrap_or(0));
@@ -272,7 +233,7 @@ pub fn run_job<A: C3App>(
             continue;
         }
         let last_committed = match &store {
-            Some(s) => s.latest_committed()?,
+            Some(s) => s.latest_recoverable()?,
             None => None,
         };
         return Ok(JobReport {

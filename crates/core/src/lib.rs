@@ -96,7 +96,7 @@ pub use trace::{TraceEvent, TraceRecord, TraceSink};
 // Re-exports applications typically need alongside the protocol layer.
 pub use ckptpipe::{
     CheckpointPipeline, Chunker, PipelineConfig, PipelineStats, RetryPolicy,
-    TierTopology, WriteMode,
+    WriteMode,
 };
 pub use simmpi::{DType, ReduceOp, ANY_SOURCE, ANY_TAG};
 pub use statesave::snapshot::{SaveState, Tracked};

@@ -608,9 +608,7 @@ impl<'a> Process<'a> {
                 // GC goes through the pipeline, not the store: its orphan
                 // sweep must not race blob writes that background writers
                 // may still have in flight for other checkpoints. Retain
-                // `keep_last` committed lines — tiered configurations keep
-                // older whole lines as the fallback when the newest line
-                // is lost beyond the deepest tier's repair capability.
+                // `keep_last` committed lines.
                 if ckpt >= self.cfg.io.keep_last {
                     let kept = ckpt + 1 - self.cfg.io.keep_last;
                     self.pipeline
@@ -618,14 +616,6 @@ impl<'a> Process<'a> {
                         .expect("initiator has pipeline")
                         .gc_keeping(kept)?;
                     self.trace_event(TraceEvent::GcRan { kept });
-                }
-                // Hand the committed checkpoint to the async tier-drain
-                // mover (a no-op on single-tier stores). Commit covers
-                // tier-local durability only; promotion to partner and
-                // erasure tiers proceeds off the critical path and is
-                // surfaced as TierDrained events at finalize.
-                if let Some(pipe) = self.pipeline.as_ref() {
-                    pipe.schedule_tier_drain(ckpt);
                 }
                 if let Some(o) = self.obs.as_mut() {
                     o.phase_end();
@@ -1360,16 +1350,6 @@ impl<'a> Process<'a> {
                 .map(|v| v.len() as u64)
                 .collect(),
         });
-        // On a multi-tier store, record which tier actually served this
-        // rank's state: 0 while the local staging copy is intact, deeper
-        // when the read fell through to a partner replica or an
-        // erasure-coded reconstruction. The analyzer's I14 checks the
-        // claimed tier against what the mover drained.
-        if let Ok(Some(tier)) =
-            store.blob_tier(ckpt, rank, RankBlobKind::State)
-        {
-            self.trace_event(TraceEvent::TierRecovered { ckpt, tier });
-        }
 
         // Replay the persistent-object journal, rebuilding communicators
         // behind their original pseudo-handles (collective: every rank
@@ -1485,17 +1465,6 @@ impl<'a> Process<'a> {
             let word = self.mpi.bcast(&ctrl, 0, vec![busy].into())?;
             if word.first() == Some(&0) {
                 break;
-            }
-        }
-        // The initiator flushes the async tier-drain mover before the job
-        // ends and records what it promoted; every rank has reached the
-        // barrier above, so the drained checkpoints are committed ones.
-        if self.initiator.is_some() {
-            if let Some(pipe) = self.pipeline.as_ref() {
-                let drained = pipe.flush_tier_drains();
-                for (ckpt, tier) in drained {
-                    self.trace_event(TraceEvent::TierDrained { ckpt, tier });
-                }
             }
         }
         Ok(())

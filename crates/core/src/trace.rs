@@ -83,7 +83,9 @@ ckptstore::impl_saveload_enum! {
 ///
 /// Each variant is stated once, with its one-byte kind code on the
 /// wire: the enum, its encoder and its decoder all expand from this
-/// table, fields in wire order.
+/// table, fields in wire order. Retired codes are never reused: 20 (a
+/// simulated lossy wire's summary), 22 and 23 (a multi-level store's
+/// drains and recovery reads).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum TraceEvent {
     /// A point-to-point send left the protocol layer (or was suppressed).
@@ -296,29 +298,6 @@ pub enum TraceEvent {
     21 => GcRan {
         /// The committed checkpoint the sweep kept (the recovery line).
         kept: u64,
-    },
-    /// The async tier-drain mover finished promoting committed
-    /// checkpoint `ckpt` onto storage tier `tier` (1 = partner tier,
-    /// deeper = global/erasure tiers; the staging tier 0 is covered by
-    /// [`TraceEvent::PipelineDrained`]). Emitted by rank 0 — the drain
-    /// runs off the critical path, so the events surface at finalize or
-    /// the next commit, after the mover's queue is flushed.
-    22 => TierDrained {
-        /// The committed checkpoint that was promoted.
-        ckpt: u64,
-        /// The tier it is now durable on.
-        tier: u8,
-    },
-    /// Recovery read checkpoint `ckpt` from storage tier `tier` on this
-    /// rank — tier 0 means the local staging copy was intact; a deeper
-    /// tier means the read fell through to a partner replica or an
-    /// erasure-coded reconstruction. The analyzer checks (I14) that a
-    /// restart never claims a tier the checkpoint was not drained to.
-    23 => TierRecovered {
-        /// The checkpoint recovered from.
-        ckpt: u64,
-        /// The shallowest tier that could serve this rank's state.
-        tier: u8,
     },
     /// This rank was spliced back online: a fresh incarnation replaces a
     /// fail-stopped one *within the same attempt*, while the survivors
@@ -582,8 +561,6 @@ mod tests {
             TraceEvent::BlobStaged { ckpt: 4, kind: 0 },
             TraceEvent::PipelineDrained { ckpt: 4, blobs: 6 },
             TraceEvent::GcRan { kept: 4 },
-            TraceEvent::TierDrained { ckpt: 4, tier: 2 },
-            TraceEvent::TierRecovered { ckpt: 4, tier: 1 },
             TraceEvent::RankRespawned {
                 incarnation: 1,
                 replayed: 42,
@@ -637,10 +614,10 @@ mod tests {
     #[test]
     fn c3trace2_golden_bytes() {
         let bytes = encode_trace(&sample_records());
-        assert_eq!(bytes.len(), 1111);
+        assert_eq!(bytes.len(), 1043);
         assert_eq!(
             ckptstore::hash128(&bytes),
-            0x046d_dd06_ddef_2cc4_7524_4222_1154_ccc2
+            0xd34e_1aa9_247c_17bf_153e_dab5_7657_406d
         );
     }
 
@@ -655,14 +632,18 @@ mod tests {
             event: TraceEvent::RecoveryComplete,
         }]);
         // A field-less event ends the artifact with its tag byte. Tag 20
-        // is retired (it summarised a simulated lossy wire): a record
-        // bearing it is an unknown tag.
-        assert!(!TraceEvent::TAGS.contains(&20));
+        // is retired (it summarised a simulated lossy wire), and so are
+        // 22 and 23 (a multi-level store's drains and recovery reads): a
+        // record bearing one is an unknown tag.
         assert_eq!(bytes.last(), Some(&16));
-        let mut retired = bytes.clone();
-        *retired.last_mut().unwrap() = 20;
-        let err = decode_trace(&retired).unwrap_err().to_string();
-        assert!(err.contains("unknown") && err.contains("tag 20"), "{err}");
+        for tag in [20, 22, 23] {
+            assert!(!TraceEvent::TAGS.contains(&tag));
+            let mut retired = bytes.clone();
+            *retired.last_mut().unwrap() = tag;
+            let err = decode_trace(&retired).unwrap_err().to_string();
+            let named = format!("tag {tag}");
+            assert!(err.contains("unknown") && err.contains(&named), "{err}");
+        }
         bytes.push(0); // trailing garbage
         assert!(decode_trace(&bytes).is_err());
         assert!(decode_trace(&bytes[..bytes.len() - 2]).is_err());

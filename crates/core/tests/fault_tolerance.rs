@@ -378,7 +378,7 @@ fn corrupt_committed_checkpoint_fails_loudly_not_wrongly() {
 
     let store =
         CheckpointStore::new(backend.clone() as Arc<dyn StorageBackend>, 2);
-    let latest = store.latest_committed().unwrap().unwrap();
+    let latest = store.latest_recoverable().unwrap().unwrap();
     // Corrupt the manifest of rank 0's state blob of the committed
     // checkpoint.
     let key = format!("ckpt/{latest:08}/rank0/state.m");
@@ -412,7 +412,7 @@ fn recovery_blob_with_a_trailing_byte_is_rejected() {
             backend.clone() as Arc<dyn StorageBackend>,
             2,
         );
-        let latest = store.latest_committed().unwrap().unwrap();
+        let latest = store.latest_recoverable().unwrap().unwrap();
         let mut blob = store.get_rank_blob(latest, 0, kind).unwrap();
         blob.push(0);
         let commit = format!("ckpt/{latest:08}/COMMIT");

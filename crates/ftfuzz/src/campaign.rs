@@ -124,7 +124,7 @@ impl CaseOutcome {
 /// Run `app` on `nranks` ranks under `job` failure-free, then under
 /// `job` with `adversary` applied, and judge the second run against the
 /// first. `job` carries what is not adversarial: the checkpoint cadence,
-/// the wire mode, the chunker, retention and tiers.
+/// the wire mode, the chunker and retention.
 pub fn run_case<A>(
     name: &str,
     nranks: usize,
@@ -290,8 +290,6 @@ mod tests {
             app: AppChoice::Laplace { n: 8, iters: 10 },
             interval: Some(6),
             chunker: c3_core::Chunker::default(),
-            keep_last: 1,
-            tiers: None,
             adversary: Adversary {
                 write_mode: WriteMode::Sync,
                 ..Adversary::none()

@@ -3,7 +3,7 @@
 //!
 //! Format: one seed per line, decimal or `0x`-prefixed hex; `#` starts
 //! a comment (full-line or trailing); blank lines are ignored. Comments
-//! are where a seed's story lives ("found the tier-drain race in PR 8"),
+//! are where a seed's story lives ("caught the unretried COMMIT put"),
 //! so the file stays reviewable as the corpus grows.
 
 use std::path::Path;

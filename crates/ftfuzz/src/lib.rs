@@ -4,8 +4,8 @@
 //! * An [`Adversary`] is one failure scenario as plain data: rank kills
 //!   as `(rank, at_op, attempt)`, a [`ckptstore::FaultPlan`], the write
 //!   mode and the recovery mode. Seeded constructors place kills at
-//!   random, at an MTBF, during async writes, tier drains and recovery
-//!   itself, and on the online-splice path.
+//!   random, at an MTBF, during async writes, after a commit and during
+//!   recovery itself, and on the online-splice path.
 //! * [`run_case`] runs a job failure-free, then against an adversary,
 //!   and returns one verdict: outputs against the reference, the
 //!   `c3verify` analyzer and race checker, and the `c3obs` health check.

@@ -3,9 +3,7 @@
 //! seed. It is plain data, so the shrinker mutates it directly and the
 //! reproducer prints it back as Rust source.
 
-use c3_core::{
-    C3Config, Chunker, PipelineConfig, RecoveryMode, TierTopology, WriteMode,
-};
+use c3_core::{C3Config, Chunker, PipelineConfig, RecoveryMode, WriteMode};
 use ckptstore::{splitmix64, FaultPlan};
 
 use crate::schedule::Adversary;
@@ -73,12 +71,8 @@ pub struct Scenario {
     /// The content-defined chunker blobs are cut with: the default's
     /// 4 KiB average, or a smaller or larger one.
     pub chunker: Chunker,
-    /// Committed lines to retain.
-    pub keep_last: u64,
-    /// Multi-level storage topology behind the faulty staging tier.
-    pub tiers: Option<TierTopology>,
     /// Kills (including attempt-gated kills during recovery), storage
-    /// faults of the staging tier, write mode and recovery mode.
+    /// faults, write mode and recovery mode.
     pub adversary: Adversary,
 }
 
@@ -113,19 +107,13 @@ impl Scenario {
         // off; they are still spent so every later draw keeps its place.
         let _ = next(4);
         let _ = next(2);
-        let tiers = match next(3) {
-            0 => None,
-            _ => Some(match next(3) {
-                0 => TierTopology::partner(1),
-                1 => {
-                    TierTopology::erasure(2 + next(2) as u8, 1 + next(2) as u8)
-                }
-                _ => TierTopology::partner_and_erasure(1, 2, 1),
-            }),
-        };
-        // Tiered stores keep ≥ 2 lines so an unservable newest line can
-        // fall back to a whole older one (repo-wide convention).
-        let keep_last = if tiers.is_some() { 2 } else { 1 };
+        // These draws once chose a multi-level store and its erasure
+        // geometry; they are still spent so every later draw keeps its
+        // place. A seed that drew a store may still draw its kill time.
+        let drew_tiers = next(3) != 0;
+        if drew_tiers && next(3) == 1 {
+            let _ = (next(2), next(2));
+        }
 
         let mut kills = Vec::new();
         if next(5) != 0 {
@@ -137,7 +125,7 @@ impl Scenario {
                         interval,
                         1 + next(2),
                     ),
-                    2 if tiers.is_some() => Adversary::kill_during_tier_drain(
+                    2 if drew_tiers => Adversary::kill_after_commit(
                         seed ^ 0x71E2,
                         nranks,
                         interval,
@@ -191,8 +179,6 @@ impl Scenario {
             app,
             interval: Some(interval),
             chunker,
-            keep_last,
-            tiers,
             adversary: Adversary {
                 kills,
                 faults: FaultPlan::from_seed(seed),
@@ -202,15 +188,9 @@ impl Scenario {
         }
     }
 
-    /// The job without its adversary: cadence, chunker, retention and
-    /// tiers.
+    /// The job without its adversary: cadence and chunker.
     pub fn job(&self) -> C3Config {
-        let io = PipelineConfig {
-            chunker: self.chunker,
-            keep_last: self.keep_last,
-            tiers: self.tiers,
-            ..PipelineConfig::default()
-        };
+        let io = PipelineConfig::default().with_chunker(self.chunker);
         let trigger = self.interval.map(C3Config::every_ops);
         trigger.unwrap_or_default().with_io(io)
     }
@@ -222,16 +202,14 @@ impl Scenario {
     }
 
     /// The deterministic projection of this scenario: same app, world
-    /// size, chunker and write mode, but no checkpoints, no kills, no
-    /// storage faults and no tier mover, so two runs produce
+    /// size, chunker and write mode, but no checkpoints, no kills and no
+    /// storage faults, so two runs produce
     /// byte-identical canonical traces. (Under kills, checkpoint
     /// placement depends on thread timing: any-source control gathers
     /// and wall-clock abort propagation.)
     pub fn determinized(&self) -> Scenario {
         Scenario {
             interval: None,
-            tiers: None,
-            keep_last: 1,
             adversary: Adversary {
                 write_mode: self.adversary.write_mode,
                 ..Adversary::none()
@@ -269,8 +247,6 @@ mod tests {
         let count = |f: &dyn Fn(&Scenario) -> bool| {
             scenarios.iter().filter(|s| f(s)).count()
         };
-        assert!(count(&|s| s.tiers.is_some()) >= 64, "tiered scenarios");
-        assert!(count(&|s| s.tiers.is_none()) >= 32, "flat scenarios");
         let kills = |s: &Scenario, attempt: u64| {
             s.adversary.kills.iter().filter(|k| k.2 == attempt).count()
         };
@@ -361,7 +337,6 @@ mod tests {
         let d = Scenario::from_seed(7).determinized();
         assert_eq!(d.interval, None, "no checkpoints");
         assert_eq!(d.fault_count(), 0, "no kills");
-        assert!(d.tiers.is_none(), "no tier mover");
         assert_eq!(d.app, Scenario::from_seed(7).app, "same app");
     }
 }

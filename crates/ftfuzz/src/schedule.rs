@@ -121,9 +121,9 @@ impl Adversary {
         Adversary::single(rank, round * interval + draw(1..interval / 2 + 2))
     }
 
-    /// A kill in the back half of round `round`, after its commit, while
-    /// the tier mover may still be promoting the line.
-    pub fn kill_during_tier_drain(
+    /// A kill in the back half of round `round`, after its commit:
+    /// recovery must come from that line.
+    pub fn kill_after_commit(
         seed: u64,
         nranks: usize,
         interval: u64,
@@ -223,9 +223,9 @@ mod tests {
     }
 
     #[test]
-    fn kill_during_tier_drain_lands_late_in_the_round() {
-        let a = Adversary::kill_during_tier_drain(5, 4, 20, 3);
-        assert_eq!(a, Adversary::kill_during_tier_drain(5, 4, 20, 3));
+    fn kill_after_commit_lands_late_in_the_round() {
+        let a = Adversary::kill_after_commit(5, 4, 20, 3);
+        assert_eq!(a, Adversary::kill_after_commit(5, 4, 20, 3));
         assert!(matches!(a.kills[..], [(0..4, 70..=78, 1)]), "{a:?}");
     }
 

@@ -2,8 +2,8 @@
 //! reproducer renderer.
 //!
 //! Given a failing campaign, [`shrink`] repeatedly proposes simpler
-//! scenarios — drop a kill, quiet the storage, drop a tier, remove a
-//! rank, halve the horizon, simplify the write mode — and
+//! scenarios — drop a kill, quiet the storage, remove a rank, halve
+//! the horizon, simplify the write mode — and
 //! re-runs the campaign for each proposal, keeping it only when the
 //! *same* failure (by [`FuzzFailure::label`]) still occurs. The loop
 //! runs to a fixed point (one full pass with no accepted proposal) or
@@ -44,7 +44,7 @@ fn proposals(sc: &Scenario) -> Vec<Scenario> {
     };
 
     // Whole-dimension removals: no kills (and so no splices), healthy
-    // storage, one tier.
+    // storage.
     if !adv.kills.is_empty() {
         push(&|c| {
             c.adversary.kills.clear();
@@ -53,9 +53,6 @@ fn proposals(sc: &Scenario) -> Vec<Scenario> {
     }
     if adv.faults != FaultPlan::none() {
         push(&|c| c.adversary.faults = FaultPlan::none());
-    }
-    if sc.tiers.is_some() {
-        push(&|c| (c.tiers, c.keep_last) = (None, 1));
     }
 
     // Drop each ungated kill, then every kill gated to a restart at
@@ -166,8 +163,6 @@ pub fn reproducer(
          \x20       app: ftfuzz::AppChoice::{app:?},\n\
          \x20       interval: {interval:?},\n\
          \x20       chunker: c3_core::Chunker::cdc({avg}),\n\
-         \x20       keep_last: {keep_last},\n\
-         \x20       tiers: {tiers},\n\
          \x20       adversary: ftfuzz::Adversary {{\n\
          \x20           kills: vec!{kills:?},\n\
          \x20           faults: ckptstore::{faults:?},\n\
@@ -187,10 +182,6 @@ pub fn reproducer(
         app = sc.app,
         interval = sc.interval,
         avg = sc.chunker.avg(),
-        keep_last = sc.keep_last,
-        tiers = sc
-            .tiers
-            .map_or("None".into(), |t| format!("Some(c3_core::{t:?})")),
         kills = sc.adversary.kills,
         faults = sc.adversary.faults,
         write_mode = sc.adversary.write_mode,
@@ -211,8 +202,6 @@ mod tests {
             app: AppChoice::Laplace { n: 16, iters: 32 },
             interval: Some(8),
             chunker: c3_core::Chunker::cdc(1024),
-            keep_last: 2,
-            tiers: Some(c3_core::TierTopology::partner(1)),
             adversary: Adversary {
                 faults: FaultPlan::none().fail_n(1),
                 ..Adversary::single(1, 40)
@@ -223,8 +212,6 @@ mod tests {
     #[test]
     fn shrink_returns_none_for_a_passing_scenario() {
         let sc = Scenario {
-            tiers: None,
-            keep_last: 1,
             adversary: Adversary::none(),
             ..lively()
         };
@@ -247,8 +234,6 @@ mod tests {
         let minimal = Scenario {
             nranks: 2,
             app: AppChoice::Laplace { n: 8, iters: 8 },
-            keep_last: 1,
-            tiers: None,
             adversary: Adversary {
                 write_mode: WriteMode::Sync,
                 ..Adversary::none()
@@ -273,7 +258,6 @@ mod tests {
         assert!(code.contains("Plant::HoistCommitBeforeDrain"));
         assert!(code.contains("kills: vec![(1, 40, 1)]"));
         assert!(code.contains("fail_first_puts: 1"));
-        assert!(code.contains("TierTopology { partner_replicas: 1"));
         assert!(code.contains("c3_core::Chunker::cdc(1024)"));
         assert!(code.contains("RecoveryMode::FullRestart"));
         assert!(code.contains("outcome.failure.is_none()"));

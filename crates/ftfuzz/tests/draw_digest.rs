@@ -35,14 +35,13 @@ fn render(seed: u64) -> String {
         .collect();
     format!(
         "{seed} nranks={} app={:?} interval={:?} sync_io={} avg={} \
-         keep_last={} tiers={:?} {faults} kills={kills:?} recovery={:?}\n",
+         keep_last={} {faults} kills={kills:?} recovery={:?}\n",
         sc.nranks,
         sc.app,
         sc.interval,
         cfg.io.mode == WriteMode::Sync,
         cfg.io.chunker.avg(),
         cfg.io.keep_last,
-        cfg.io.tiers,
         cfg.recovery,
     )
 }
@@ -53,7 +52,7 @@ fn the_first_256_seeds_draw_what_they_always_drew() {
     let digest = fnv1a(text.as_bytes());
     assert_eq!(
         digest,
-        0xc1ad_b902_a4c1_dc90,
+        0x7607_ce19_0745_59f8,
         "a draw moved; seed 0 renders as {}",
         render(0)
     );

@@ -58,7 +58,6 @@ mod fuzz;
 const EVENT_PAIRS: &[(&str, &str)] = &[
     ("ControlSent", "ControlRecv"),
     ("SuppressSent", "SuppressRecv"),
-    ("TierDrained", "TierRecovered"),
 ];
 
 /// Files whose unwrap/expect count is budgeted (rule hot-path-unwrap).
@@ -802,8 +801,6 @@ mod tests {
             "BlobStaged",
             "PipelineDrained",
             "GcRan",
-            "TierDrained",
-            "TierRecovered",
             "RankRespawned",
             "SpliceReplayed",
             "CollectiveUninformed",

@@ -45,7 +45,7 @@ fn committed_checkpoints_survive_process_restart() {
     let backend: Arc<dyn StorageBackend> =
         Arc::new(DiskBackend::new(&dir).unwrap());
     let store = CheckpointStore::new(backend, 2);
-    assert_eq!(store.latest_committed().unwrap(), Some(1));
+    assert_eq!(store.latest_recoverable().unwrap(), Some(1));
     assert_eq!(
         store.get_rank_blob(1, 0, RankBlobKind::State).unwrap(),
         b"epoch-one"
@@ -70,7 +70,7 @@ fn gc_after_commit_leaves_only_the_recovery_line() {
         store.commit(ckpt).unwrap();
         store.gc_keeping(ckpt).unwrap();
     }
-    assert_eq!(store.latest_committed().unwrap(), Some(3));
+    assert_eq!(store.latest_recoverable().unwrap(), Some(3));
     assert!(store.get_rank_blob(1, 0, RankBlobKind::State).is_err());
     assert!(store.get_rank_blob(2, 0, RankBlobKind::State).is_err());
     assert_eq!(

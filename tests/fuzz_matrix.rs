@@ -48,7 +48,7 @@ fn corpus_seeds_replay_clean() {
 
 #[test]
 fn equal_seeds_reach_equal_outputs_and_verdicts() {
-    // The full campaign (kills, storage faults, tiers) is subject
+    // The full campaign (kills, storage faults) is subject
     // to wall-clock scheduling, so its traces may differ between runs —
     // but where it lands must not: same outputs, same verdict.
     for seed in [1u64, 5, 19] {
@@ -71,7 +71,7 @@ fn equal_seeds_reach_equal_outputs_and_verdicts() {
 
 #[test]
 fn determinized_projection_has_byte_identical_traces() {
-    // Strip every wall-clock dimension (kills, faults, tiers, interval
+    // Strip every wall-clock dimension (kills, faults, interval
     // checkpointing) and the recorded trace becomes a pure function of
     // the seed.
     for seed in [1u64, 6, 44] {
