@@ -44,12 +44,14 @@
 //!   message id, and suppression lists match the recorded early receipts
 //!   (Section 4.4).
 //! * **I7 collective-conjunction** — all informed participants of a
-//!   collective agree on the folded control word `(max_epoch,
-//!   stopped_at_max)`, folded over every participant; the maximum is
-//!   actually attained; a result is logged iff the rank was logging and
-//!   no max-epoch participant had stopped (Section 4.5). Only a gather or
-//!   reduce contributor may leave uninformed, and only if it was not
-//!   logging.
+//!   collective agree on the folded control word `(max_epoch, min_epoch,
+//!   stopped_at_max)`, folded over every participant; the maximum and
+//!   the minimum (of entry epochs, before any barrier alignment) are
+//!   actually attained; a result is logged iff the rank was logging, no
+//!   max-epoch participant had stopped (Section 4.5) and some
+//!   participant was behind the line (`min_epoch < max_epoch`, the
+//!   straddle rule). Only a gather or reduce contributor may leave
+//!   uninformed, and only if it was not logging.
 //! * **I8 barrier-alignment** — a barrier executes in a single epoch:
 //!   lagging participants checkpoint up to the maximum first
 //!   (Section 4.5).
@@ -170,10 +172,15 @@ struct CollFact {
     kind: u8,
     epoch: u32,
     logging: bool,
+    /// The epoch the rank entered the call with: `epoch`, or the epoch a
+    /// barrier's alignment step started from.
+    entry_epoch: u32,
     /// False for an answered-form contributor that left without the
-    /// fold; `max_epoch` and `stopped_at_max` are then meaningless.
+    /// fold; `max_epoch`, `min_epoch` and `stopped_at_max` are then
+    /// meaningless.
     informed: bool,
     max_epoch: u32,
+    min_epoch: u32,
     stopped_at_max: bool,
     seq: u64,
 }
@@ -254,6 +261,9 @@ fn scan_rank(
     let mut pending_early: Option<(u32, u32)> = None;
     let mut please_ckpts: BTreeSet<u64> = BTreeSet::new();
     let mut barrier_target: Option<u64> = None;
+    // The epoch a barrier's alignment step started from, until the
+    // barrier's own record.
+    let mut aligned_from: Option<u32> = None;
     let mut last_ckpt_counts: Option<(u64, Vec<u64>)> = None;
     let mut suppressed_ids: Vec<BTreeSet<u32>> = vec![BTreeSet::new(); nranks];
     let mut suppress_list_len: Vec<Option<u64>> = vec![None; nranks];
@@ -725,37 +735,53 @@ fn scan_rank(
                         ),
                     );
                 }
+                let entry_epoch = match aligned_from.take() {
+                    Some(from) if *kind == coll_kind::BARRIER => from,
+                    _ => *coll_epoch,
+                };
                 // The fold, where the rank came out of the call holding it.
                 let fold = match &rec.event {
                     TraceEvent::CollectiveControl {
                         max_epoch,
+                        min_epoch,
                         stopped_at_max,
                         logged,
                         ..
-                    } => Some((*max_epoch, *stopped_at_max, *logged)),
+                    } => Some((
+                        *max_epoch,
+                        *min_epoch,
+                        *stopped_at_max,
+                        *logged,
+                    )),
                     _ => None,
                 };
-                if let Some((max_epoch, stopped_at_max, logged)) = fold {
-                    if max_epoch < *coll_epoch {
+                if let Some((max_epoch, min_epoch, stopped_at_max, logged)) =
+                    fold
+                {
+                    if max_epoch < *coll_epoch || min_epoch > entry_epoch {
                         flag(
                             invariant::I7,
                             seq,
                             format!(
-                                "collective (kind {kind}) in epoch \
-                                 {coll_epoch} reports participant maximum \
-                                 {max_epoch}"
+                                "collective (kind {kind}) entered in epoch \
+                                 {entry_epoch} reports participant range \
+                                 {min_epoch}..={max_epoch}"
                             ),
                         );
                     }
-                    if logged != (*was_logging && !stopped_at_max) {
+                    let straddles = min_epoch < max_epoch;
+                    if logged != (*was_logging && !stopped_at_max && straddles)
+                    {
                         flag(
                             invariant::I7,
                             seq,
                             format!(
                                 "collective (kind {kind}) in epoch \
                                  {coll_epoch}: logged={logged} violates the \
-                                 conjunction rule (logging={was_logging}, \
-                                 stopped_at_max={stopped_at_max})"
+                                 conjunction and straddle rules \
+                                 (logging={was_logging}, \
+                                 stopped_at_max={stopped_at_max}, \
+                                 epochs {min_epoch}..={max_epoch})"
                             ),
                         );
                     }
@@ -789,9 +815,11 @@ fn scan_rank(
                     kind: *kind,
                     epoch: *coll_epoch,
                     logging: *was_logging,
+                    entry_epoch,
                     informed: fold.is_some(),
                     max_epoch: fold.map_or(0, |f| f.0),
-                    stopped_at_max: fold.is_some_and(|f| f.1),
+                    min_epoch: fold.map_or(0, |f| f.1),
+                    stopped_at_max: fold.is_some_and(|f| f.2),
                     seq,
                 });
             }
@@ -820,6 +848,7 @@ fn scan_rank(
                     );
                 }
                 barrier_target = Some(u64::from(*to_epoch));
+                aligned_from = Some(*from_epoch);
             }
             TraceEvent::SuppressSent { dst, count } => {
                 let dsti = *dst as usize;
@@ -1416,10 +1445,11 @@ fn check_initiator(
 /// exchange, so their live suffixes share the tail). Recovered attempts
 /// that end in a failure are skipped: neither end is aligned then.
 ///
-/// Every participant counts towards the maximum epoch and "stopped at
-/// max"; only the informed ones (all of them, bar the answered form's
-/// contributors that did not ask) must agree on the fold, and the lead
-/// the others are compared with is the first informed one.
+/// Every participant counts towards the maximum epoch, the minimum entry
+/// epoch and "stopped at max"; only the informed ones (all of them, bar
+/// the answered form's contributors that did not ask) must agree on the
+/// fold, and the lead the others are compared with is the first informed
+/// one.
 fn join_collectives(
     attempt: u64,
     facts: &BTreeMap<u32, RankFacts>,
@@ -1442,6 +1472,8 @@ fn join_collectives(
         let call: Vec<(u32, &CollFact)> =
             world.iter().map(|(r, v)| (*r, v[idx(v.len())])).collect();
         let max_seen = call.iter().map(|(_, c)| c.epoch).max().unwrap_or(0);
+        let min_seen =
+            call.iter().map(|(_, c)| c.entry_epoch).min().unwrap_or(0);
         let stopped_seen =
             call.iter().any(|(_, c)| c.epoch == max_seen && !c.logging);
         let Some(&(r0, lead)) = call.iter().find(|(_, c)| c.informed) else {
@@ -1458,10 +1490,10 @@ fn join_collectives(
             continue;
         };
         for &(rank, c) in &call {
-            let agrees = c.kind == lead.kind
-                && (!c.informed
-                    || (c.max_epoch, c.stopped_at_max)
-                        == (lead.max_epoch, lead.stopped_at_max));
+            let fold =
+                |c: &CollFact| (c.max_epoch, c.min_epoch, c.stopped_at_max);
+            let agrees =
+                c.kind == lead.kind && (!c.informed || fold(c) == fold(lead));
             if !agrees {
                 out.push(Violation {
                     invariant: invariant::I7,
@@ -1470,14 +1502,17 @@ fn join_collectives(
                     seq: c.seq,
                     detail: format!(
                         "world collective #{k}: rank {rank} saw (kind {}, \
-                         max_epoch {}, stopped {}, informed {}) but rank \
-                         {r0} saw (kind {}, max_epoch {}, stopped {})",
+                         max_epoch {}, min_epoch {}, stopped {}, informed \
+                         {}) but rank {r0} saw (kind {}, max_epoch {}, \
+                         min_epoch {}, stopped {})",
                         c.kind,
                         c.max_epoch,
+                        c.min_epoch,
                         c.stopped_at_max,
                         c.informed,
                         lead.kind,
                         lead.max_epoch,
+                        lead.min_epoch,
                         lead.stopped_at_max
                     ),
                 });
@@ -1494,6 +1529,19 @@ fn join_collectives(
                      max_epoch {} but the participants' maximum is \
                      {max_seen}",
                     lead.max_epoch
+                ),
+            });
+        } else if lead.min_epoch != min_seen {
+            out.push(Violation {
+                invariant: invariant::I7,
+                attempt,
+                rank: r0,
+                seq: lead.seq,
+                detail: format!(
+                    "world collective #{k}: control exchange reported \
+                     min_epoch {} but the participants' minimum is \
+                     {min_seen}",
+                    lead.min_epoch
                 ),
             });
         } else if lead.stopped_at_max != stopped_seen {

@@ -307,3 +307,176 @@ fn a_logging_contributor_marked_uninformed_is_detected() {
         "a logging contributor without the fold must violate I7"
     );
 }
+
+struct Step {
+    i: u64,
+    acc: u64,
+}
+ckptstore::impl_saveload_struct!(Step { i: u64, acc: u64 });
+
+/// Three ranks, two world collectives per step. Ranks 0 and 1
+/// checkpoint at the end of even steps, rank 2 at the end of odd ones,
+/// and rank 0 requests a checkpoint between the two calls of every
+/// fourth even step, where no rank is before its previous site and every
+/// rank has the request after the second call. So in the odd step after
+/// a line rank 2 is behind it and both calls straddle it. Rank 2 sends
+/// rank 0 a message before each odd step's site, which rank 0 receives
+/// after the next even step's calls: the one sent before rank 2's
+/// checkpoint is late, so every rank is still logging, past the line,
+/// in those calls.
+struct StaggeredApp;
+
+impl c3_core::C3App for StaggeredApp {
+    type State = Step;
+    type Output = u64;
+
+    fn init(&self, _p: &mut c3_core::Process<'_>) -> c3_core::C3Result<Step> {
+        Ok(Step { i: 0, acc: 1 })
+    }
+
+    fn run(
+        &self,
+        p: &mut c3_core::Process<'_>,
+        s: &mut Step,
+    ) -> c3_core::C3Result<u64> {
+        let world = p.world();
+        let me = p.rank() as u64;
+        // Odd, so the last step is even and receives the last message.
+        while s.i < 33 {
+            let sum = p.allreduce_t::<u64>(
+                world,
+                c3_core::ReduceOp::Sum,
+                &[s.acc, me],
+            )?;
+            if s.i % 8 == 2 {
+                p.request_checkpoint()?;
+            }
+            let all = p.allgather_flat_t::<u64>(world, &[s.acc ^ s.i])?;
+            s.acc = sum
+                .iter()
+                .chain(&all)
+                .fold(s.acc, |h, &v| h.wrapping_mul(31).wrapping_add(v));
+            let odd = s.i % 2 == 1;
+            if odd && me == 2 {
+                p.send(world, 0, 7, &s.i.to_le_bytes())?;
+            } else if !odd && me == 0 && s.i > 0 {
+                p.recv(world, 2, 7)?;
+            }
+            s.i += 1;
+            if s.i.is_multiple_of(2) == (me == 2) {
+                p.potential_checkpoint(s)?;
+            }
+        }
+        Ok(s.acc)
+    }
+}
+
+/// A clean trace of [`StaggeredApp`], checkpointed on request only.
+fn staggered_trace(name: &str) -> Vec<TraceRecord> {
+    let sink = TraceSink::new();
+    let cfg = C3Config {
+        trigger: c3_core::CheckpointTrigger::Manual,
+        ..C3Config::default()
+    }
+    .with_trace(sink.clone());
+    run_job(3, &cfg, None, &StaggeredApp).expect("reference job");
+    let records = sink.take();
+    common::assert_clean(name, &records);
+    records
+}
+
+/// The first record, on a rank other than 0, of a world collective whose
+/// `(logging, min_epoch < max_epoch, stopped_at_max, logged)` is `want`.
+fn coll_record(
+    records: &mut [TraceRecord],
+    want: (bool, bool, bool, bool),
+) -> &mut TraceRecord {
+    records
+        .iter_mut()
+        .find(|r| {
+            r.rank != 0
+                && matches!(
+                    r.event,
+                    TraceEvent::CollectiveControl {
+                        comm: 0,
+                        logging,
+                        min_epoch,
+                        max_epoch,
+                        stopped_at_max,
+                        logged,
+                        ..
+                    } if (logging, min_epoch < max_epoch, stopped_at_max, logged)
+                        == want
+                )
+        })
+        .unwrap_or_else(|| panic!("no collective record {want:?}"))
+}
+
+fn set_logged(rec: &mut TraceRecord, to: bool) {
+    if let TraceEvent::CollectiveControl { logged, .. } = &mut rec.event {
+        *logged = to;
+    }
+}
+
+#[test]
+fn a_same_epoch_result_marked_logged_is_detected() {
+    // Every participant is past its checkpoint: each re-executes the call
+    // on recovery, so logging its result is a departure from the rule.
+    let mut records = staggered_trace("mutation_same_epoch");
+    set_logged(coll_record(&mut records, (true, false, false, false)), true);
+    assert!(
+        common::flags(&records, invariant::I7),
+        "a same-epoch result marked logged must violate I7"
+    );
+}
+
+#[test]
+fn a_straddling_result_left_unlogged_is_detected() {
+    // A participant behind the line will not re-execute the call, so a
+    // logging participant that leaves its result out cannot replay it.
+    let mut records = staggered_trace("mutation_straddle");
+    set_logged(coll_record(&mut records, (true, true, false, true)), false);
+    assert!(
+        common::flags(&records, invariant::I7),
+        "a straddling result left unlogged must violate I7"
+    );
+}
+
+#[test]
+fn flipping_one_ranks_min_epoch_is_caught_by_the_join() {
+    // The flipped record is of a rank outside its logging window: its
+    // own rule holds whatever the minimum, so only the cross-rank join
+    // (every informed participant holds the same fold, and the minimum
+    // is the participants' minimum entry epoch) can notice.
+    let mut records = staggered_trace("mutation_min_epoch");
+    let rec = records
+        .iter_mut()
+        .find(|r| {
+            r.rank == 1
+                && matches!(
+                    r.event,
+                    TraceEvent::CollectiveControl {
+                        comm: 0,
+                        logging: false,
+                        min_epoch,
+                        max_epoch,
+                        ..
+                    } if min_epoch == max_epoch && max_epoch > 0
+                )
+        })
+        .expect("a same-epoch call outside a logging window");
+    if let TraceEvent::CollectiveControl { min_epoch, .. } = &mut rec.event {
+        *min_epoch -= 1;
+    }
+    let report = analyze(&records);
+    assert!(
+        report
+            .violations
+            .iter()
+            .any(|v| v.invariant == invariant::I7
+                && v.detail.starts_with("world collective")
+                && v.detail.contains("min_epoch")),
+        "one rank disagreeing on min_epoch must violate I7 in the join:\n{}",
+        report.render()
+    );
+}

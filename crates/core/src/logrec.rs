@@ -10,7 +10,8 @@
 //!   exactly the values the checkpointed global state causally depends on;
 //! * **collective-call results** — so processes that re-execute a
 //!   collective during recovery read its result from the log instead of
-//!   communicating with peers that will not re-execute it (Section 4.5).
+//!   communicating with peers that will not re-execute it (Section 4.5);
+//!   only calls with such a peer are logged.
 //!
 //! The log is finalized (written to stable storage) at `finalizeLog`; on
 //! recovery it is reloaded and consumed through per-kind cursors by
@@ -64,6 +65,10 @@ impl SaveLoad for LateMessage {
 /// is detected instead of silently returning the wrong bytes.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CollectiveRecord {
+    /// Pseudo-handle index of the communicator the call ran on: only a
+    /// prefix of each communicator's calls is logged, so replay keeps one
+    /// cursor per communicator.
+    pub comm: usize,
     /// Which collective produced this (see the [`coll_kind`] constants).
     pub kind: u8,
     /// The result returned to the application, shared by refcount with
@@ -73,11 +78,13 @@ pub struct CollectiveRecord {
 
 impl SaveLoad for CollectiveRecord {
     fn save(&self, enc: &mut Encoder) {
+        enc.put_usize(self.comm);
         enc.put_u8(self.kind);
         enc.put_bytes(&self.result);
     }
     fn load(dec: &mut Decoder<'_>) -> Result<Self, CodecError> {
         Ok(CollectiveRecord {
+            comm: dec.get_usize()?,
             kind: dec.get_u8()?,
             result: Bytes::copy_from_slice(dec.get_bytes()?),
         })
@@ -113,7 +120,8 @@ pub struct RecoveryLog {
     pub late: Vec<LateMessage>,
     /// Non-deterministic draws in occurrence order.
     pub nondet: Vec<u64>,
-    /// Collective results in call order.
+    /// Collective results in call order (each communicator's in its own
+    /// call order).
     pub collectives: Vec<CollectiveRecord>,
 }
 
@@ -133,9 +141,10 @@ impl RecoveryLog {
         self.nondet.push(v);
     }
 
-    /// Record a collective-call result.
-    pub fn push_collective(&mut self, kind: u8, result: Bytes) {
-        self.collectives.push(CollectiveRecord { kind, result });
+    /// Record the result of a collective call on communicator `comm`.
+    pub fn push_collective(&mut self, comm: usize, kind: u8, result: Bytes) {
+        self.collectives
+            .push(CollectiveRecord { comm, kind, result });
     }
 
     /// True if nothing has been logged.

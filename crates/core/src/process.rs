@@ -87,6 +87,8 @@ pub struct ProcStats {
     pub suppressed_sends: u64,
     /// Non-deterministic draws logged.
     pub nondet_logged: u64,
+    /// Non-deterministic draws replayed from the log.
+    pub nondet_replayed: u64,
     /// Collective results logged.
     pub collectives_logged: u64,
     /// Late messages replayed from the log.
@@ -387,19 +389,23 @@ impl<'a> Process<'a> {
     // Collective logging and replay (used by the `collective` child module)
     // ------------------------------------------------------------------
 
-    fn replay_collective(&mut self, kind: u8) -> C3Result<Option<Bytes>> {
+    fn replay_collective(
+        &mut self,
+        comm: CommHandle,
+        kind: u8,
+    ) -> C3Result<Option<Bytes>> {
         let Some(rep) = self.replay.as_mut() else {
             return Ok(None);
         };
-        let r = rep.next_collective(kind)?;
+        let r = rep.next_collective(comm.0, kind)?;
         if r.is_some() {
             self.stats.collectives_replayed += 1;
         }
         Ok(r)
     }
 
-    fn log_collective(&mut self, kind: u8, result: Bytes) {
-        self.log.push_collective(kind, result);
+    fn log_collective(&mut self, comm: CommHandle, kind: u8, result: Bytes) {
+        self.log.push_collective(comm.0, kind, result);
         self.stats.collectives_logged += 1;
     }
 
@@ -1143,6 +1149,7 @@ impl<'a> Process<'a> {
         self.pump()?;
         if let Some(rep) = self.replay.as_mut() {
             if let Some(v) = rep.next_nondet() {
+                self.stats.nondet_replayed += 1;
                 return Ok(v);
             }
         }

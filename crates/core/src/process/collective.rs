@@ -7,6 +7,16 @@
 //!   participant logs the call's result, and logging participants stop
 //!   logging (preventing the saved state from depending on unsaved
 //!   events);
+//! * the **straddle rule**: a logging participant logs the result only if
+//!   some participant has not yet checkpointed for the line (its epoch is
+//!   below the maximum). This departs from Section 4.5, which logs every
+//!   result computed while logging. A call every participant makes after
+//!   its checkpoint for the line is re-executed by every participant on
+//!   recovery, so nobody reads its result from the log; a call with a
+//!   participant behind the line is not re-executed by that participant,
+//!   so the others must replay it. Epochs only rise, so on each
+//!   communicator the logged calls of a logging window are a prefix of
+//!   its calls, and replay consumes that prefix per communicator;
 //! * the **barrier epoch alignment**: participants lagging behind the
 //!   maximum epoch take their local checkpoint before entering the
 //!   barrier, so the barrier executes in a single epoch and retains its
@@ -15,14 +25,14 @@
 //! The paper's implementation pays a whole control collective for it
 //! ("each such data `MPI_Allgather` is preceded by a command
 //! `MPI_Allgather`" — its dominant overhead for fine-grained codes like
-//! Neurosys). Here the word is encoded so that one `max` *is* the fold
-//! (`control_word`) and travels as simmpi's sideband
+//! Neurosys). Here the word is encoded so that simmpi's half-wise `max`
+//! *is* the fold (`control_word`) and travels as its sideband
 //! ([`Mpi::with_sideband`]) on frames that are sent anyway, in one of
 //! three forms by kind (`form`), never by configuration:
 //!
-//! * **fused** — `allgather`, `allreduce` and `alltoall` already make
-//!   every rank's output depend on every rank's input, so the word rides
-//!   on the data collective's own frames: no extra frame, no extra round;
+//! * **fused** — `allgather`, `allreduce` and `alltoall` are exchanges in
+//!   which every rank hears from every other, so the word rides on the
+//!   data collective's own frames: no extra frame, no extra round;
 //! * **answered** — `gather` and `reduce` reach the root from everyone,
 //!   so the root holds the full fold once its frames are in. Each
 //!   contributor's frame carries its word and an *ask* flag, set exactly
@@ -76,20 +86,29 @@ struct CollControl {
     stopped_at_max: bool,
     /// Maximum epoch among participants (drives barrier alignment).
     max_epoch: u32,
+    /// Minimum epoch among participants at entry: below `max_epoch`
+    /// exactly when the call straddles the line.
+    min_epoch: u32,
 }
 
-/// One rank's control word: `(epoch << 1) | !amLogging`. The epoch
-/// dominates and, within an epoch, "stopped" beats "logging", so the
-/// `max` over all participants is `(max_epoch << 1) | stopped_at_max`.
+/// One rank's control word. The low half is `(epoch << 1) | !amLogging`:
+/// the epoch dominates and, within an epoch, "stopped" beats "logging",
+/// so its `max` over all participants is `(max_epoch << 1) |
+/// stopped_at_max`. The high half is `!epoch`, whose `max` is
+/// `!min_epoch`. simmpi folds the halves separately
+/// ([`simmpi::collective::fold_words`]).
 fn control_word(epoch: u32, logging: bool) -> u64 {
-    (u64::from(epoch) << 1) | u64::from(!logging)
+    assert!(epoch < 1 << 31, "epoch {epoch} overflows the control word");
+    (u64::from(!epoch) << 32) | (u64::from(epoch) << 1) | u64::from(!logging)
 }
 
 impl CollControl {
     fn from_fold(fold: u64) -> Self {
+        let low = fold as u32;
         CollControl {
-            stopped_at_max: fold & 1 == 1,
-            max_epoch: (fold >> 1) as u32,
+            stopped_at_max: low & 1 == 1,
+            max_epoch: low >> 1,
+            min_epoch: !((fold >> 32) as u32),
         }
     }
 }
@@ -101,10 +120,9 @@ enum Form {
     Preceding,
 }
 
-/// The form of each kind: fused where the simmpi algorithm makes every
-/// rank's output depend on every rank's input (gather/reduce-to-root +
-/// broadcast, pairwise exchange), answered where a root hears from
-/// everyone, preceding for the rest.
+/// The form of each kind: fused where the simmpi algorithm is an exchange
+/// in which every rank hears from every other, answered where a root
+/// hears from everyone, preceding for the rest.
 fn form(kind: u8) -> Form {
     match kind {
         coll_kind::ALLGATHER | coll_kind::ALLREDUCE | coll_kind::ALLTOALL => {
@@ -150,10 +168,10 @@ impl<'a> Process<'a> {
         Ok(fold)
     }
 
-    /// The conjunction-gated logging step shared by every collective,
-    /// and its trace record. `ctl` is `None` for an answered-form
-    /// contributor that did not ask: it is not logging, so it reads no
-    /// fold and logs nothing.
+    /// The conjunction- and straddle-gated logging step shared by every
+    /// collective, and its trace record. `ctl` is `None` for an
+    /// answered-form contributor that did not ask: it is not logging, so
+    /// it reads no fold and logs nothing.
     fn conclude_collective(
         &mut self,
         kind: u8,
@@ -179,9 +197,11 @@ impl<'a> Process<'a> {
                 // log the result, and stop logging ourselves (Section
                 // 4.5's conjunction rule, Figure 5's call B).
                 self.finalize_log()?;
-            } else {
-                // Refcount clone: the log and the caller share the buffer.
-                self.log_collective(kind, result.clone());
+            } else if ctl.min_epoch < ctl.max_epoch {
+                // A participant is behind the line and will not re-execute
+                // the call (the straddle rule). Refcount clone: the log
+                // and the caller share the buffer.
+                self.log_collective(comm, kind, result.clone());
                 logged = true;
             }
         }
@@ -191,6 +211,7 @@ impl<'a> Process<'a> {
             epoch: self.epoch(),
             logging: was_logging,
             max_epoch: ctl.max_epoch,
+            min_epoch: ctl.min_epoch,
             stopped_at_max: ctl.stopped_at_max,
             logged,
         });
@@ -199,7 +220,7 @@ impl<'a> Process<'a> {
 
     /// Common wrapper for every data collective: replay from the log if
     /// recovering; otherwise run the data call in its kind's form and the
-    /// conjunction-gated logging.
+    /// conjunction- and straddle-gated logging.
     fn run_collective<F>(
         &mut self,
         kind: u8,
@@ -214,7 +235,7 @@ impl<'a> Process<'a> {
         if !self.cfg.level.piggybacks() {
             return f(self.mpi, &app).map_err(Into::into);
         }
-        if let Some(result) = self.replay_collective(kind)? {
+        if let Some(result) = self.replay_collective(comm, kind)? {
             return Ok(result);
         }
         let logging = self.is_logging();
@@ -260,7 +281,7 @@ impl<'a> Process<'a> {
             self.mpi.barrier(&app)?;
             return Ok(());
         }
-        if self.replay_collective(coll_kind::BARRIER)?.is_some() {
+        if self.replay_collective(comm, coll_kind::BARRIER)?.is_some() {
             return Ok(());
         }
         let ctl = CollControl::from_fold(self.preceding_fold(comm)?);
@@ -383,7 +404,7 @@ impl<'a> Process<'a> {
     }
 
     /// Gather every member's payload at every member (ragged allowed).
-    /// Each returned chunk is a refcounted slice of simmpi's one broadcast
+    /// Each returned chunk is a refcounted slice of simmpi's one framed
     /// buffer (which is also what the recovery log stores).
     pub fn allgather(
         &mut self,
@@ -393,7 +414,7 @@ impl<'a> Process<'a> {
         unframe_chunks(&self.allgather_framed(comm, data)?).map_err(Into::into)
     }
 
-    /// The allgather's one broadcast buffer, live or replayed from the log.
+    /// The allgather's one framed buffer, live or replayed from the log.
     fn allgather_framed(
         &mut self,
         comm: CommHandle,
@@ -415,7 +436,7 @@ impl<'a> Process<'a> {
     }
 
     /// Typed allgather, concatenated in rank order and decoded straight
-    /// from the broadcast buffer.
+    /// from the framed buffer.
     pub fn allgather_flat_t<T: MpiType>(
         &mut self,
         comm: CommHandle,
@@ -483,12 +504,15 @@ mod tests {
 
     #[test]
     fn one_max_is_the_conjunction_fold() {
-        // The per-rank loop the word's encoding replaces.
+        // The per-rank loop the word's encoding replaces: one half-wise
+        // max gives the conjunction's `(max_epoch, stopped_at_max)` and
+        // the straddle rule's `min_epoch`.
         let reference = |ranks: &[(u32, bool)]| {
             let max_epoch = ranks.iter().map(|r| r.0).max().unwrap();
+            let min_epoch = ranks.iter().map(|r| r.0).min().unwrap();
             let stopped =
                 ranks.iter().any(|&(e, logging)| e == max_epoch && !logging);
-            (max_epoch, stopped)
+            (max_epoch, min_epoch, stopped)
         };
         let states = [(0, false), (3, true), (3, false), (4, true)];
         for a in states {
@@ -498,19 +522,23 @@ mod tests {
                     let fold = ranks
                         .iter()
                         .map(|&(e, l)| control_word(e, l))
-                        .max()
+                        .reduce(simmpi::collective::fold_words)
                         .unwrap();
                     let ctl = CollControl::from_fold(fold);
                     assert_eq!(
-                        (ctl.max_epoch, ctl.stopped_at_max),
+                        (ctl.max_epoch, ctl.min_epoch, ctl.stopped_at_max),
                         reference(&ranks),
                         "{ranks:?}"
                     );
                 }
             }
         }
-        let top = CollControl::from_fold(control_word(u32::MAX, false));
-        assert_eq!((top.max_epoch, top.stopped_at_max), (u32::MAX, true));
+        let top = u32::MAX >> 1;
+        let ctl = CollControl::from_fold(control_word(top, false));
+        assert_eq!(
+            (ctl.max_epoch, ctl.min_epoch, ctl.stopped_at_max),
+            (top, top, true)
+        );
     }
 
     #[test]

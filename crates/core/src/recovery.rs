@@ -11,13 +11,14 @@
 //! 4. replays its recovery log through [`Replay`]: logged late messages
 //!    satisfy matching receives, logged non-deterministic draws are
 //!    returned in order, logged collective results are returned without
-//!    communication (Sections 4.1 and 4.5).
+//!    communication, in order per communicator (Sections 4.1 and 4.5).
 //!
 //! A new global checkpoint is not initiated until every rank reports its
 //! replay fully drained (see `RecoveryComplete` handling in the process
 //! layer) — this preserves the invariant that suppressed re-sends carry the
 //! message ids the receivers recorded.
 
+use std::collections::BTreeMap;
 use std::ops::Range;
 
 use bytes::Bytes;
@@ -79,7 +80,10 @@ pub struct Replay {
     late_taken: Vec<bool>,
     late_remaining: usize,
     nondet_cursor: usize,
-    coll_cursor: usize,
+    /// Per communicator: the index in the log's collectives at which its
+    /// next record's search starts.
+    coll_cursors: BTreeMap<usize, usize>,
+    coll_remaining: usize,
 }
 
 impl Replay {
@@ -90,7 +94,8 @@ impl Replay {
             late_taken: vec![false; n],
             late_remaining: n,
             nondet_cursor: 0,
-            coll_cursor: 0,
+            coll_cursors: BTreeMap::new(),
+            coll_remaining: log.collectives.len(),
             log,
         }
     }
@@ -129,29 +134,42 @@ impl Replay {
         v
     }
 
-    /// Next logged collective result, if any remain. Validates the call
-    /// kind so a re-execution that drifted from the original call sequence
-    /// fails loudly instead of returning the wrong bytes.
-    pub fn next_collective(&mut self, kind: u8) -> C3Result<Option<Bytes>> {
-        match self.log.collectives.get(self.coll_cursor) {
-            None => Ok(None),
-            Some(rec) if rec.kind == kind => {
-                self.coll_cursor += 1;
-                Ok(Some(rec.result.clone()))
-            }
-            Some(rec) => Err(C3Error::Protocol(format!(
-                "collective replay mismatch: log has kind {}, re-execution \
-                 called kind {kind}",
+    /// Next logged result of a collective on communicator `comm`, if any
+    /// remain: the log holds a prefix of each communicator's calls, so
+    /// once `comm`'s records are consumed its calls run live. Validates
+    /// the call kind so a re-execution that drifted from the original
+    /// call sequence fails loudly instead of returning the wrong bytes.
+    pub fn next_collective(
+        &mut self,
+        comm: usize,
+        kind: u8,
+    ) -> C3Result<Option<Bytes>> {
+        let from = self.coll_cursors.get(&comm).copied().unwrap_or(0);
+        let Some(at) = self.log.collectives[from..]
+            .iter()
+            .position(|rec| rec.comm == comm)
+            .map(|i| from + i)
+        else {
+            return Ok(None);
+        };
+        let rec = &self.log.collectives[at];
+        if rec.kind != kind {
+            return Err(C3Error::Protocol(format!(
+                "collective replay mismatch on communicator {comm}: log has \
+                 kind {}, re-execution called kind {kind}",
                 rec.kind
-            ))),
+            )));
         }
+        self.coll_cursors.insert(comm, at + 1);
+        self.coll_remaining -= 1;
+        Ok(Some(rec.result.clone()))
     }
 
     /// True once every logged record has been consumed.
     pub fn is_drained(&self) -> bool {
         self.late_remaining == 0
             && self.nondet_cursor >= self.log.nondet.len()
-            && self.coll_cursor >= self.log.collectives.len()
+            && self.coll_remaining == 0
     }
 
     /// Unconsumed late messages (diagnostics).
@@ -255,20 +273,40 @@ mod tests {
     #[test]
     fn collective_replay_checks_kind() {
         let mut log = RecoveryLog::new();
-        log.push_collective(coll_kind::ALLREDUCE, vec![1].into());
-        log.push_collective(coll_kind::BARRIER, Bytes::new());
+        log.push_collective(0, coll_kind::ALLREDUCE, vec![1].into());
+        log.push_collective(0, coll_kind::BARRIER, Bytes::new());
         let mut rep = Replay::new(log);
         assert_eq!(
-            rep.next_collective(coll_kind::ALLREDUCE).unwrap(),
+            rep.next_collective(0, coll_kind::ALLREDUCE).unwrap(),
             Some(vec![1].into())
         );
         // Wrong kind next: loud failure.
-        assert!(rep.next_collective(coll_kind::ALLGATHER).is_err());
+        assert!(rep.next_collective(0, coll_kind::ALLGATHER).is_err());
         assert_eq!(
-            rep.next_collective(coll_kind::BARRIER).unwrap(),
+            rep.next_collective(0, coll_kind::BARRIER).unwrap(),
             Some(Bytes::new())
         );
-        assert_eq!(rep.next_collective(coll_kind::BARRIER).unwrap(), None);
+        assert_eq!(rep.next_collective(0, coll_kind::BARRIER).unwrap(), None);
+    }
+
+    /// Each communicator's records are consumed in its own order, and a
+    /// communicator with none left runs live while others still replay.
+    #[test]
+    fn collective_replay_keeps_one_cursor_per_communicator() {
+        let mut log = RecoveryLog::new();
+        log.push_collective(1, coll_kind::ALLREDUCE, vec![10].into());
+        log.push_collective(2, coll_kind::ALLREDUCE, vec![20].into());
+        log.push_collective(1, coll_kind::ALLREDUCE, vec![11].into());
+        let mut rep = Replay::new(log);
+        let mut next =
+            |comm| rep.next_collective(comm, coll_kind::ALLREDUCE).unwrap();
+        assert_eq!(next(2), Some(vec![20].into()));
+        assert_eq!(next(2), None, "communicator 2's prefix is consumed");
+        assert_eq!(next(0), None, "nothing was logged on communicator 0");
+        assert_eq!(next(1), Some(vec![10].into()));
+        assert_eq!(next(1), Some(vec![11].into()));
+        assert_eq!(next(1), None);
+        assert!(rep.is_drained());
     }
 
     #[test]
@@ -276,14 +314,14 @@ mod tests {
         let mut log = RecoveryLog::new();
         log.push_late(late(0, 0, 1, 0));
         log.push_nondet(1);
-        log.push_collective(coll_kind::BCAST, Bytes::new());
+        log.push_collective(0, coll_kind::BCAST, Bytes::new());
         let mut rep = Replay::new(log);
         assert!(!rep.is_drained());
         rep.take_late(0, Some(0), Some(1)).unwrap();
         assert!(!rep.is_drained());
         rep.next_nondet().unwrap();
         assert!(!rep.is_drained());
-        rep.next_collective(coll_kind::BCAST).unwrap();
+        rep.next_collective(0, coll_kind::BCAST).unwrap();
         assert!(rep.is_drained());
     }
 

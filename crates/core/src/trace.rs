@@ -213,8 +213,8 @@ pub enum TraceEvent {
     /// This rank came out of a collective holding its participants'
     /// folded control word (on the data collective's own frames, in the
     /// root's answer, or on a preceding exchange, by kind) and applied
-    /// the conjunction rule (Section 4.5). Emitted after the data call,
-    /// so `epoch` reflects any barrier alignment.
+    /// the conjunction and straddle rules (Section 4.5). Emitted after
+    /// the data call, so `epoch` reflects any barrier alignment.
     11 => CollectiveControl {
         /// Communicator pseudo-handle.
         comm: u64,
@@ -226,6 +226,9 @@ pub enum TraceEvent {
         logging: bool,
         /// Maximum epoch among participants.
         max_epoch: u32,
+        /// Minimum epoch among participants at entry (before any barrier
+        /// alignment).
+        min_epoch: u32,
         /// True if some max-epoch participant had stopped logging.
         stopped_at_max: bool,
         /// True if this rank logged the collective's result.
@@ -542,6 +545,7 @@ mod tests {
                 epoch: 4,
                 logging: true,
                 max_epoch: 4,
+                min_epoch: 3,
                 stopped_at_max: false,
                 logged: true,
             },
@@ -610,14 +614,17 @@ mod tests {
 
     /// `C3TRACE2` is pinned byte for byte by the length and digest of the
     /// sample's encoding: a change here breaks every recorded artifact
-    /// and needs a new magic.
+    /// holding the changed records. Tag 11 gained `min_epoch` under this
+    /// magic, so an artifact recorded before that with a collective
+    /// control record no longer decodes; one without (the checked-in
+    /// Laplace traces) still does.
     #[test]
     fn c3trace2_golden_bytes() {
         let bytes = encode_trace(&sample_records());
-        assert_eq!(bytes.len(), 1043);
+        assert_eq!(bytes.len(), 1047);
         assert_eq!(
             ckptstore::hash128(&bytes),
-            0xd34e_1aa9_247c_17bf_153e_dab5_7657_406d
+            0x844d_b80e_e5b1_f365_63c3_f2f0_5f40_253c
         );
     }
 

@@ -191,7 +191,7 @@ proptest! {
         ),
         nondets in proptest::collection::vec(any::<u64>(), 0..16),
         colls in proptest::collection::vec(
-            (0u8..9, proptest::collection::vec(any::<u8>(), 0..32)),
+            (0usize..4, 0u8..9, proptest::collection::vec(any::<u8>(), 0..32)),
             0..8,
         ),
     ) {
@@ -208,8 +208,8 @@ proptest! {
         for v in nondets {
             log.push_nondet(v);
         }
-        for (kind, result) in colls {
-            log.push_collective(kind, result.into());
+        for (comm, kind, result) in colls {
+            log.push_collective(comm, kind, result.into());
         }
         let back: RecoveryLog = decode_exact(&encode(&log), "log").unwrap();
         prop_assert_eq!(back, log);

@@ -6,10 +6,10 @@
 //! (fused into the data collective, answered by a gather's root, or on a
 //! preceding exchange).
 
-use c3_core::trace::{TraceEvent, TraceSink};
+use c3_core::trace::{TraceEvent, TraceRecord, TraceSink};
 use c3_core::{
     run_job, C3App, C3Config, C3Result, CheckpointTrigger,
-    InstrumentationLevel, Process, ReduceOp,
+    InstrumentationLevel, ProcStats, Process, ReduceOp,
 };
 use ckptstore::impl_saveload_struct;
 
@@ -26,6 +26,16 @@ impl_saveload_struct!(S1 { i: u64, acc: u64 });
 /// and replayed, rank 0's stream (seeded per attempt) would diverge from
 /// what rank 1's checkpoint absorbed, and the final cross-check would
 /// fail.
+///
+/// Every line logs a draw, whatever the thread timing. Rank 1 answers
+/// each draw with an ack and a note. Rank 0 requests a checkpoint only
+/// after the ack, when rank 1 is past its previous site, so rank 1 never
+/// checkpoints ahead of rank 0 (and two receives later, at its site,
+/// rank 0 acts on its own request). Rank 0 receives each note only
+/// after its next draw: a note rank 1 sent before its checkpoint is late
+/// at rank 0, and a rank 1 that has not checkpointed yet has not
+/// announced its send count, so either way rank 0's logging window is
+/// still open at that draw and logs it.
 struct NondetApp {
     iters: u64,
 }
@@ -40,19 +50,33 @@ impl C3App for NondetApp {
 
     fn run(&self, p: &mut Process<'_>, s: &mut S1) -> C3Result<(u64, u64)> {
         let world = p.world();
+        let word = |p: &mut Process<'_>, src, tag| -> C3Result<u64> {
+            let m = p.recv(world, src, tag)?;
+            Ok(u64::from_le_bytes(m.payload[..8].try_into().unwrap()))
+        };
         while s.i < self.iters {
             if p.rank() == 0 {
                 let draw = p.nondet_u64()?;
                 s.acc = s.acc.wrapping_add(draw);
                 p.send(world, 1, 3, &draw.to_le_bytes())?;
-            } else if p.rank() == 1 {
-                let m = p.recv(world, 0, 3)?;
-                let draw =
-                    u64::from_le_bytes(m.payload[..8].try_into().unwrap());
+                assert_eq!(word(p, 1, 4)?, s.i, "the ack of this draw");
+                if s.i % 6 == 1 {
+                    p.request_checkpoint()?;
+                }
+                if s.i > 0 {
+                    assert_eq!(word(p, 1, 5)?, s.i - 1, "the last note");
+                }
+            } else {
+                let draw = word(p, 0, 3)?;
                 s.acc = s.acc.wrapping_add(draw);
+                p.send(world, 0, 4, &s.i.to_le_bytes())?;
+                p.send(world, 0, 5, &s.i.to_le_bytes())?;
             }
             s.i += 1;
             p.potential_checkpoint(s)?;
+        }
+        if p.rank() == 0 {
+            assert_eq!(word(p, 1, 5)?, self.iters - 1, "the last note");
         }
         Ok((p.rank() as u64, s.acc))
     }
@@ -63,7 +87,13 @@ fn nondeterminism_is_logged_and_replayed_consistently() {
     // Fail rank 1 well after several checkpoints. During recovery rank 0
     // re-executes sends whose values came from nondet draws; the log must
     // reproduce them so both accumulators agree at the end.
-    let cfg = C3Config::every_ops(10).with_failure(1, 45);
+    let sink = TraceSink::new();
+    let cfg = C3Config {
+        trigger: CheckpointTrigger::Manual,
+        ..C3Config::default()
+    }
+    .with_failure(1, 60)
+    .with_trace(sink.clone());
     let report = run_job(2, &cfg, None, &NondetApp { iters: 25 }).unwrap();
     assert_eq!(report.restarts, 1);
     let acc0 = report.outputs.iter().find(|o| o.0 == 0).unwrap().1;
@@ -73,8 +103,26 @@ fn nondeterminism_is_logged_and_replayed_consistently() {
         "rank 1's state must match the draws rank 0 actually made \
          (nondet log replay)"
     );
-    let logged: u64 = report.stats.iter().map(|s| s.nondet_logged).sum();
-    assert!(logged > 0, "draws made while logging must be recorded");
+    let records = sink.take();
+    let recovered = recovered_line(&records);
+    let logged = records
+        .iter()
+        .find_map(|r| match r.event {
+            TraceEvent::LogFinalized { ckpt, nondet, .. }
+                if r.rank == 0 && r.attempt == 1 && ckpt == recovered =>
+            {
+                Some(nondet)
+            }
+            _ => None,
+        })
+        .expect("the recovered line's log was finalized");
+    assert!(logged > 0, "line {recovered} must have logged a draw");
+    assert_eq!(
+        report.stats[0].nondet_replayed, logged,
+        "the restart replays exactly the draws line {recovered} logged"
+    );
+    let verdict = c3verify::analyze(&records);
+    assert!(verdict.is_clean(), "{}", verdict.render());
 }
 
 /// Early-message suppression: rank 1 lags rank 0's checkpoint (rank 0
@@ -238,6 +286,226 @@ fn collective_results_are_logged_and_replayed_across_the_line() {
     assert!(replayed > 0, "recovery must have replayed some results");
 }
 
+/// The sum of a counter over every rank's final-attempt stats.
+fn total(report: &c3_core::JobReport<u64>, f: fn(&ProcStats) -> u64) -> u64 {
+    report.stats.iter().map(f).sum()
+}
+
+/// A manually triggered configuration: rank 0 requests each checkpoint
+/// at a fixed point of the application, so where every rank takes it
+/// does not depend on thread timing.
+fn manual() -> C3Config {
+    C3Config {
+        trigger: CheckpointTrigger::Manual,
+        ..C3Config::default()
+    }
+}
+
+/// The committed line the first restart recovered from.
+fn recovered_line(records: &[TraceRecord]) -> u64 {
+    records
+        .iter()
+        .find_map(|r| match r.event {
+            TraceEvent::RecoveryStart { ckpt, .. } => Some(ckpt),
+            _ => None,
+        })
+        .expect("the kill came after a commit")
+}
+
+/// `(logging, min_epoch, max_epoch, stopped_at_max, logged)` of a
+/// collective control record on communicator `comm`.
+fn coll_fold(
+    r: &TraceRecord,
+    comm: u64,
+) -> Option<(bool, u32, u32, bool, bool)> {
+    match r.event {
+        TraceEvent::CollectiveControl {
+            comm: c,
+            logging,
+            min_epoch,
+            max_epoch,
+            stopped_at_max,
+            logged,
+            ..
+        } if c == comm => {
+            Some((logging, min_epoch, max_epoch, stopped_at_max, logged))
+        }
+        _ => None,
+    }
+}
+
+/// Every rank checkpoints at one shared site. Rank 0 requests each
+/// checkpoint between an allreduce, which no rank leaves before every
+/// rank is past its previous site, and an allgather, which no rank
+/// leaves before the request has reached it. Rank 1 sends rank 0 one
+/// message per iteration, which rank 0 receives after the next
+/// iteration's collectives: the one sent before a line is late at rank 0
+/// and holds every logging window open across those collectives. Every
+/// rank runs them logging, past its checkpoint — and so logs none of
+/// them.
+struct SharedSiteApp {
+    iters: u64,
+}
+
+impl C3App for SharedSiteApp {
+    type State = S1;
+    type Output = u64;
+
+    fn init(&self, _p: &mut Process<'_>) -> C3Result<S1> {
+        Ok(S1 { i: 0, acc: 1 })
+    }
+
+    fn run(&self, p: &mut Process<'_>, s: &mut S1) -> C3Result<u64> {
+        let world = p.world();
+        let me = p.rank() as u64;
+        while s.i < self.iters {
+            let sum =
+                p.allreduce_t::<u64>(world, ReduceOp::Sum, &[s.acc, me])?;
+            if s.i % 4 == 1 {
+                p.request_checkpoint()?;
+            }
+            let all = p.allgather_t::<u64>(world, &[s.i ^ s.acc])?;
+            s.acc = all
+                .iter()
+                .flatten()
+                .chain(&sum)
+                .fold(s.acc, |h, &v| h.wrapping_mul(31).wrapping_add(v));
+            if me == 1 {
+                p.send(world, 0, 6, &s.i.to_le_bytes())?;
+            } else if me == 0 && s.i > 0 {
+                let m = p.recv(world, 1, 6)?;
+                s.acc ^=
+                    u64::from_le_bytes(m.payload[..8].try_into().unwrap());
+            }
+            s.i += 1;
+            p.potential_checkpoint(s)?;
+        }
+        if me == 0 {
+            p.recv(world, 1, 6)?;
+        }
+        Ok(s.acc)
+    }
+}
+
+#[test]
+fn same_epoch_collectives_are_not_logged() {
+    let app = SharedSiteApp { iters: 24 };
+    let reference = run_job(3, &manual(), None, &app).unwrap();
+    let sink = TraceSink::new();
+    let cfg = manual().with_failure(2, 60).with_trace(sink.clone());
+    let report = run_job(3, &cfg, None, &app).unwrap();
+    assert_eq!(report.restarts, 1);
+    assert_eq!(report.outputs, reference.outputs);
+    assert_eq!(total(&report, |s| s.collectives_logged), 0);
+    assert_eq!(total(&report, |s| s.collectives_replayed), 0);
+    let records = sink.take();
+    assert!(recovered_line(&records) > 0);
+    let folds: Vec<_> =
+        records.iter().filter_map(|r| coll_fold(r, 0)).collect();
+    // No call straddles a line, so none is logged, though calls ran
+    // with every participant logging that Section 4.5 would have logged.
+    assert!(folds
+        .iter()
+        .all(|&(_, min, max, _, logged)| min == max && !logged));
+    assert!(folds
+        .iter()
+        .any(|&(logging, _, _, stopped, _)| logging && !stopped));
+    assert!(records.iter().all(|r| !matches!(
+        r.event,
+        TraceEvent::LogFinalized { collectives, .. } if collectives > 0
+    )));
+    let verdict = c3verify::analyze(&records);
+    assert!(verdict.is_clean(), "{}", verdict.render());
+    let races = c3verify::race_check(&records);
+    assert!(races.is_clean(), "{}", races.render());
+}
+
+/// Four ranks split into the even pair and the odd pair. Every step runs
+/// a world allreduce, one on the rank's pair and another world one.
+/// Every rank but 2 checkpoints at the end of an even step, rank 2 at the
+/// end of an odd one, and rank 0 requests each checkpoint between the
+/// first two calls of every fourth even step (so no rank is before its
+/// previous site, and every rank has the request after the last call).
+/// In the odd step after a line rank 2 is behind it: both world calls
+/// and the even pair's call straddle the line and are logged, while the
+/// odd pair's call does not and is not. Ranks 1 and 3 log a world call,
+/// skip their own pair's call, and log the next world call.
+struct SplitStraddleApp {
+    steps: u64,
+}
+
+impl C3App for SplitStraddleApp {
+    type State = S1;
+    type Output = u64;
+
+    fn init(&self, _p: &mut Process<'_>) -> C3Result<S1> {
+        Ok(S1 { i: 0, acc: 1 })
+    }
+
+    fn run(&self, p: &mut Process<'_>, s: &mut S1) -> C3Result<u64> {
+        let world = p.world();
+        let me = p.rank() as u64;
+        let pair = p
+            .comm_split(world, (me % 2) as i32, me as i32)?
+            .expect("color is non-negative");
+        let mix = |h: u64, v: &[u64]| {
+            v.iter().fold(h, |h, &v| h.wrapping_mul(31).wrapping_add(v))
+        };
+        while s.i < self.steps {
+            let w = p.allreduce_t::<u64>(world, ReduceOp::Sum, &[s.acc])?;
+            if s.i % 8 == 2 {
+                p.request_checkpoint()?;
+            }
+            let h =
+                p.allreduce_t::<u64>(pair, ReduceOp::Max, &[s.acc ^ me])?;
+            s.acc = mix(mix(s.acc, &w), &h);
+            let w = p.allreduce_t::<u64>(world, ReduceOp::Sum, &[s.acc])?;
+            s.acc = mix(s.acc, &w);
+            s.i += 1;
+            if s.i.is_multiple_of(2) == (me == 2) {
+                p.potential_checkpoint(s)?;
+            }
+        }
+        Ok(s.acc)
+    }
+}
+
+#[test]
+fn split_communicators_replay_their_own_prefix() {
+    let app = SplitStraddleApp { steps: 40 };
+    let reference = run_job(4, &manual(), None, &app).unwrap();
+    let sink = TraceSink::new();
+    let cfg = manual().with_failure(3, 90).with_trace(sink.clone());
+    let report = run_job(4, &cfg, None, &app).unwrap();
+    assert_eq!(report.restarts, 1);
+    assert_eq!(report.outputs, reference.outputs);
+    let records = sink.take();
+    assert!(recovered_line(&records) > 0);
+    let on = |rank: u32| {
+        records
+            .iter()
+            .filter(move |r| r.rank == rank && r.attempt == 1)
+            .filter_map(|r| coll_fold(r, 1))
+    };
+    // The odd pair never straddles a line but runs calls while logging;
+    // the even pair straddles every line and logs its calls.
+    for rank in [1, 3] {
+        assert!(on(rank).all(|(_, min, max, _, logged)| min == max && !logged));
+        assert!(
+            on(rank).any(|(logging, _, _, stopped, _)| logging && !stopped)
+        );
+    }
+    assert!(on(0).any(|(_, min, max, _, logged)| min < max && logged));
+    // The restart replays world calls from rank 1's log around its live
+    // pair call.
+    assert!(report.stats[1].collectives_replayed > 0);
+    assert!(total(&report, |s| s.collectives_replayed) > 0);
+    let verdict = c3verify::analyze(&records);
+    assert!(verdict.is_clean(), "{}", verdict.render());
+    let races = c3verify::race_check(&records);
+    assert!(races.is_clean(), "{}", races.render());
+}
+
 /// Frames and bytes an `n`-rank job at `level` sends for 20 extra
 /// iterations of `app`. Taking the difference between two job lengths
 /// cancels what surrounds the loop at the piggybacking level only (the
@@ -277,8 +545,8 @@ fn fused_control_word_adds_no_frames() {
         marginal_sent(n, InstrumentationLevel::None, app);
     let (pb_frames, pb_bytes) =
         marginal_sent(n, InstrumentationLevel::Piggyback, app);
-    // 20 iterations x 2 collectives x (gather + broadcast) x (n - 1).
-    assert_eq!(base_frames, 20 * 2 * 2 * (n as u64 - 1));
+    // 20 iterations x 2 collectives x one exchange of n (n - 1) frames.
+    assert_eq!(base_frames, 20 * 2 * n as u64 * (n as u64 - 1));
     assert_eq!(pb_frames, base_frames, "no extra frames, no extra rounds");
     assert_eq!(pb_bytes, base_bytes + 8 * base_frames);
 }
@@ -514,7 +782,7 @@ impl C3App for EveryKindApp {
                 .flatten()
                 .fold(h, |h, &v| mix(h, v));
             // Ragged, and empty at some rank in most iterations. The flat
-            // form decodes the broadcast buffer — live, or the logged one
+            // form decodes the framed buffer — live, or the logged one
             // on replay — in one pass and must equal the nested form.
             let mine = vec![h & 0xFF; (s.i + me) as usize % 3];
             let all = p.allgather_t::<u64>(world, &mine)?;

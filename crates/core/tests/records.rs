@@ -102,6 +102,10 @@ fn records_encode_to_the_pinned_bytes() {
     log.push_nondet(0xdead_beef);
     log.push_nondet(42);
     pin(&log, "00000000000000000200000000000000efbeadde000000002a000000000000000000000000000000");
+    // A collective record leads with its communicator.
+    let mut log = RecoveryLog::new();
+    log.push_collective(2, coll_kind::ALLGATHER, vec![7, 8].into());
+    pin(&log, "00000000000000000000000000000000010000000000000002000000000000000302000000000000000708");
     pin(&MsgClass::Late, "01");
     pin(&MsgClass::IntraEpoch, "00");
     pin(&MsgClass::Early, "02");
@@ -144,7 +148,7 @@ fn every_record_round_trips_and_no_corruption_panics() {
         tag: -5,
         payload,
     });
-    log.push_collective(coll_kind::ALLREDUCE, vec![9; 16].into());
+    log.push_collective(1, coll_kind::ALLREDUCE, vec![9; 16].into());
     assert!(!log.is_empty());
     check(&log);
     let mut counters = ChannelCounters::new(3);

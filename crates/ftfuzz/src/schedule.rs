@@ -138,9 +138,15 @@ impl Adversary {
         )
     }
 
-    /// A kill at `first_at_op`, then a second one a few ops into the
-    /// restarted attempt, inside its replay and suppression window. The
-    /// second rank may equal the first.
+    /// A kill at `first_at_op`, then a second one at an op drawn from
+    /// 2..8 of the restarted attempt. The second rank may equal the
+    /// first. The second kill lands early in the restart, but not
+    /// necessarily inside its replay and suppression window: an attempt
+    /// that restarts from scratch has none, and a rank whose log is
+    /// short drains it in fewer ops (no such kill of the seed corpus
+    /// landed in one, EXPERIMENTS.md M23).
+    /// `chaos_matrix::a_second_death_inside_the_replay_window_recovers`
+    /// places one there, reading the window from a first run's trace.
     pub fn kill_during_recovery(
         seed: u64,
         nranks: usize,

@@ -13,24 +13,22 @@
 //! (≤ 64 ranks): binomial-tree broadcast, linear gather/reduce with
 //! ascending-rank combination order (deterministic floating-point results),
 //! dissemination barrier, pairwise all-to-all, linear-chain scan.
-//! `allgather` and `allreduce` are gather/reduce to an internal root
-//! followed by a broadcast from it, and that root is the communicator's
-//! *last* rank. The root is the first rank out of such a collective (it
-//! sends the broadcast and leaves; everyone else waits for it), so it is
-//! the first into the next one and whatever it contributes there is the
-//! stalest contribution. Rank 0 is where protocols above put their
-//! coordinator; rooting at the far end makes rank 0 the last rank the
-//! broadcast reaches and so the last to enter the next collective, which
-//! lets a decision it has just taken travel with its sideband word (below)
-//! to every participant in that same collective, not the one after.
-//! Results do not depend on the root: chunks are indexed, and reductions
-//! combined, by ascending rank.
+//! `allgather` and `allreduce` are one *exchange* round, an all-to-all of
+//! one contribution: every member sends its contribution to every other
+//! member and receives theirs in rank order, and each member frames (or
+//! combines, in ascending rank order, exactly as a reduce's root does)
+//! the same chunks itself. That is `n(n-1)` frames per call where a
+//! gather-then-broadcast sends `2(n-1)`, but no member waits for another
+//! to forward anything: one hop instead of two.
 //!
 //! A caller may attach one 8-byte *sideband* word to a collective
 //! ([`Mpi::with_sideband`]): it rides in the inline header segment of the
-//! frames the algorithm sends anyway and comes back `max`-folded over
-//! every rank the call's output depends on. The protocol layer uses it
-//! to agree on `(epoch, amLogging)` without a control round of its own.
+//! frames the algorithm sends anyway and comes back folded over every
+//! rank the call's output depends on. The fold is [`fold_words`]: the
+//! `max` of each 32-bit half on its own, so one word can carry one
+//! maximum in its low half and, complemented, one minimum in its high
+//! half. The protocol layer uses it to agree on `(epoch, amLogging)`
+//! without a control round of its own.
 //!
 //! A gather (and so a reduce) can also run *answered*
 //! ([`Mpi::with_answered_sideband`]): each contributor's frame carries
@@ -55,7 +53,7 @@ enum CollOp {
     Bcast = 1,
     Gather = 2,
     Scatter = 3,
-    // 4 reserved: reductions ride on Gather/Bcast internally.
+    // 4 unused: reductions ride on Gather and Alltoall internally.
     Alltoall = 5,
     Scan = 6,
     CtxAgree = 7,
@@ -66,16 +64,18 @@ fn coll_tag(seq: u32, op: CollOp, round: u32) -> i32 {
     (((seq & 0xF_FFFF) << 12) | ((round & 0xFF) << 4) | (op as u32)) as i32
 }
 
-/// Internal root of the gather-then-broadcast collectives (why the last
-/// rank: module docs).
-fn internal_root(comm: &Comm) -> usize {
-    comm.size() - 1
+/// The sideband fold of two words: the `max` of each 32-bit half on its
+/// own (module docs).
+pub fn fold_words(a: u64, b: u64) -> u64 {
+    let half = |w: u64, shift: u32| (w >> shift) as u32;
+    (u64::from(half(a, 32).max(half(b, 32))) << 32)
+        | u64::from(half(a, 0).max(half(b, 0)))
 }
 
 /// Frame a list of byte chunks into one byte string: a little-endian
 /// `u64` count followed by `u64`-length-prefixed chunks. This is the
-/// allgather broadcast buffer's format, and the one the protocol layer
-/// above logs ragged collective results in.
+/// allgather result's format, and the one the protocol layer above logs
+/// ragged collective results in.
 pub fn frame_chunks(chunks: &[Bytes]) -> Bytes {
     let total: usize = 8 + chunks.iter().map(|c| 8 + c.len()).sum::<usize>();
     let mut out = Vec::with_capacity(total);
@@ -162,10 +162,28 @@ fn ctx_word(payload: &[u8]) -> MpiResult<u32> {
         .ok_or_else(|| MpiError::BadPayload("short context id".into()))
 }
 
+/// Combine a reduction's chunks, indexed by rank, in ascending rank order
+/// (deterministic floating-point results).
+fn combine_in_rank_order(
+    op: ReduceOp,
+    dtype: DType,
+    chunks: Vec<Bytes>,
+) -> MpiResult<Vec<u8>> {
+    let mut iter = chunks.into_iter();
+    let first = iter.next().ok_or_else(|| {
+        MpiError::CollectiveMismatch("empty reduce group".into())
+    })?;
+    let mut acc = first.to_vec();
+    for chunk in iter {
+        op.combine(dtype, &mut acc, &chunk)?;
+    }
+    Ok(acc)
+}
+
 /// An open sideband scope (module docs).
 #[derive(Clone, Copy)]
 pub(crate) struct Sideband {
-    /// Running `max` fold of the words this rank has seen.
+    /// Running [`fold_words`] fold of the words this rank has seen.
     fold: u64,
     /// `None` in a plain scope; in an answered one, whether this rank
     /// asks the gather's root for the full fold.
@@ -195,7 +213,7 @@ impl Mpi {
     ///
     /// Each frame carries its sender's running fold in the inline header
     /// segment — no extra frame, no extra round — and each receive folds
-    /// the incoming word in with `u64::max`. The fold therefore covers
+    /// the incoming word in with [`fold_words`]. The fold therefore covers
     /// exactly the ranks whose input the call's *output* already depends
     /// on: every rank for `barrier`, `allgather`, `allreduce` and
     /// `alltoall`; only those upstream of the caller for the one-way
@@ -274,7 +292,7 @@ impl Mpi {
         match (self.sideband.as_mut(), word) {
             (None, _) if msg.header.is_empty() => {}
             (Some(scope), Ok(word)) => {
-                scope.fold = scope.fold.max(u64::from_le_bytes(word));
+                scope.fold = fold_words(scope.fold, u64::from_le_bytes(word));
             }
             (scope, _) => {
                 return Err(MpiError::BadPayload(format!(
@@ -478,7 +496,7 @@ impl Mpi {
                     msg.header.len()
                 )));
             };
-            fold = fold.max(word);
+            fold = fold_words(fold, word);
             if asked {
                 askers.push(src);
             }
@@ -506,24 +524,19 @@ impl Mpi {
     }
 
     /// Gather every member's payload at every member (the `MPI_Allgather`
-    /// analogue, ragged payloads allowed) and return the one broadcast
-    /// buffer itself, in [`frame_chunks`] format: gather to the internal
-    /// root, broadcast from it.
+    /// analogue, ragged payloads allowed) in one exchange round, and
+    /// return the chunks in [`frame_chunks`] format.
     pub fn allgather_framed(
         &mut self,
         comm: &Comm,
         data: Bytes,
     ) -> MpiResult<Bytes> {
-        let root = internal_root(comm);
-        let framed = match self.gather(comm, root, data)? {
-            Some(chunks) => frame_chunks(&chunks),
-            None => Bytes::new(),
-        };
-        self.bcast(comm, root, framed)
+        let chunks = self.alltoall(comm, &vec![data; comm.size()])?;
+        Ok(frame_chunks(&chunks))
     }
 
     /// [`Mpi::allgather_framed`] split per rank: `chunks[r]` is rank `r`'s
-    /// data, a refcounted slice of the one broadcast buffer.
+    /// data, a refcounted slice of the one framed buffer.
     pub fn allgather(
         &mut self,
         comm: &Comm,
@@ -543,7 +556,7 @@ impl Mpi {
 
     /// Typed allgather returning the concatenation in rank order (the
     /// contiguous-buffer shape of `MPI_Allgather`), decoded straight from
-    /// the broadcast buffer.
+    /// the framed buffer.
     pub fn allgather_flat_t<T: MpiType>(
         &mut self,
         comm: &Comm,
@@ -637,25 +650,14 @@ impl Mpi {
     ) -> MpiResult<Option<Vec<u8>>> {
         dtype.check(&data)?;
         let chunks = self.gather(comm, root, data)?;
-        match chunks {
-            None => Ok(None),
-            Some(chunks) => {
-                let mut iter = chunks.into_iter();
-                let first = iter.next().ok_or_else(|| {
-                    MpiError::CollectiveMismatch("empty reduce group".into())
-                })?;
-                let mut acc = first.to_vec();
-                for chunk in iter {
-                    op.combine(dtype, &mut acc, &chunk)?;
-                }
-                Ok(Some(acc))
-            }
-        }
+        chunks
+            .map(|c| combine_in_rank_order(op, dtype, c))
+            .transpose()
     }
 
     /// Element-wise reduction delivered to every member (the
-    /// `MPI_Allreduce` analogue). Reduce to the internal root, broadcast
-    /// from it.
+    /// `MPI_Allreduce` analogue): one exchange round, after which every
+    /// member combines the same chunks in the same order.
     pub fn allreduce_t<T: MpiType>(
         &mut self,
         comm: &Comm,
@@ -671,8 +673,9 @@ impl Mpi {
         T::bytes_to_vec(&bytes)
     }
 
-    /// Byte-level allreduce. The result is the broadcast buffer itself,
-    /// shared by refcount at every rank.
+    /// Byte-level allreduce. Every member combines in ascending rank
+    /// order, as [`Mpi::reduce_bytes`]'s root does, so every member's
+    /// result has the same bits as the root's would.
     pub fn allreduce_bytes(
         &mut self,
         comm: &Comm,
@@ -680,10 +683,9 @@ impl Mpi {
         dtype: DType,
         data: Bytes,
     ) -> MpiResult<Bytes> {
-        let root = internal_root(comm);
-        let reduced = self.reduce_bytes(comm, root, op, dtype, data)?;
-        let payload = reduced.map(Bytes::from).unwrap_or_default();
-        self.bcast(comm, root, payload)
+        dtype.check(&data)?;
+        let chunks = self.alltoall(comm, &vec![data; comm.size()])?;
+        Ok(combine_in_rank_order(op, dtype, chunks)?.into())
     }
 
     /// Inclusive prefix reduction (the `MPI_Scan` analogue): rank `r`

@@ -93,7 +93,7 @@ fn allgather_all_sizes() {
     }
 }
 
-/// The flat form decodes the broadcast buffer directly; it must equal
+/// The flat form decodes the framed buffer directly; it must equal
 /// the per-rank form concatenated, in rank order, whatever each rank
 /// contributes — ragged lengths, nothing at all, one-byte and eight-byte
 /// elements.
@@ -324,14 +324,22 @@ fn collectives_do_not_disturb_pending_p2p_receives() {
 const FOLD_SIZES: &[usize] = &[1, 2, 3, 5, 8];
 
 /// Rank `r`'s sideband word in round `shift`: distinct per rank, with the
-/// maximum held by a different rank every round.
+/// maximum of each half held by a different rank every round, and the
+/// two maxima by different ranks (from 2 ranks on).
 fn word(r: usize, n: usize, shift: usize) -> u64 {
-    100 + ((r + shift) % n) as u64
+    let k = ((r + shift) % n) as u64;
+    ((n as u64 - 1 - k) << 32) | (100 + k)
+}
+
+/// The fold of every rank's [`word`] in any round: the maximum of each
+/// half.
+fn top(n: usize) -> u64 {
+    ((n as u64 - 1) << 32) | (100 + n as u64 - 1)
 }
 
 /// Run `call` once plain and once per round under a sideband, at every
 /// fold size: the data result must not depend on the sideband, and every
-/// rank's fold must be the maximum of all ranks' words.
+/// rank's fold must be the half-wise maximum of all ranks' words.
 fn assert_full_fold<R, F>(call: F)
 where
     R: PartialEq + std::fmt::Debug + Send,
@@ -348,7 +356,7 @@ where
                 assert_eq!(out, plain, "n={n} shift={shift}");
                 assert_eq!(
                     fold,
-                    100 + n as u64 - 1,
+                    top(n),
                     "n={n} shift={shift} rank={}",
                     mpi.rank()
                 );
@@ -402,8 +410,8 @@ fn one_way_collectives_fold_partially() {
             let comm = mpi.world();
             let me = mpi.rank();
             // Ascending words: rank 0 holds the minimum, n-1 the maximum.
-            let mine = word(me, n, 0);
-            let top = word(n - 1, n, 0);
+            let mine = 100 + me as u64;
+            let top = 100 + n as u64 - 1;
 
             let (_, fold) =
                 mpi.with_sideband(mine, |m| m.bcast(&comm, 0, Bytes::new()))?;
@@ -461,7 +469,7 @@ fn answered_gather_informs_the_root_and_the_askers() {
                         m.gather(&comm, 0, data())
                     })?;
                 assert_eq!(out, plain, "n={n} mask={mask}");
-                let want = (me == 0 || ask).then_some(100 + n as u64 - 1);
+                let want = (me == 0 || ask).then_some(top(n));
                 assert_eq!(fold, want, "n={n} mask={mask} rank={me}");
                 let (out, fold) =
                     mpi.with_answered_sideband(mine, ask, |m| {
@@ -475,7 +483,7 @@ fn answered_gather_informs_the_root_and_the_askers() {
                         )
                     })?;
                 assert_eq!(out, sum, "n={n} mask={mask}");
-                let want = (me == n - 1 || ask).then_some(100 + n as u64 - 1);
+                let want = (me == n - 1 || ask).then_some(top(n));
                 assert_eq!(fold, want, "n={n} mask={mask} rank={me}");
             }
             Ok(())

@@ -616,3 +616,119 @@ fn the_driver_flags_outputs_that_leave_the_reference() {
     let label = out.failure.as_ref().map(|f| f.label());
     assert_eq!(label.as_deref(), Some("output-divergence"));
 }
+
+/// Three ranks checkpointing at one shared site per iteration on rank
+/// 0's request, which it makes between the first two of three world
+/// collectives (no rank is then before its previous site, and every rank
+/// has the request before this site). Rank 1 sends rank 0 one message per
+/// iteration, which rank 0 receives after the next iteration's three
+/// collectives: the message sent before a line is in rank 0's log, and
+/// replaying it is the last thing rank 0's recovery does. Every protocol
+/// operation rank 0 makes between its `RecoveryStart` and its
+/// `RecoveryComplete` leaves exactly one trace record, so the window's
+/// length in operations can be read from the trace.
+struct WindowApp;
+
+impl C3App for WindowApp {
+    type State = MixedState;
+    type Output = u64;
+
+    fn init(&self, _p: &mut Process<'_>) -> C3Result<MixedState> {
+        Ok(MixedState { i: 0, acc: 1 })
+    }
+
+    fn run(&self, p: &mut Process<'_>, s: &mut MixedState) -> C3Result<u64> {
+        let world = p.world();
+        let me = p.rank() as u64;
+        let mix = |h: u64, v: &[u64]| {
+            v.iter().fold(h, |h, &v| h.wrapping_mul(31).wrapping_add(v))
+        };
+        while s.i < 24 {
+            let w =
+                p.allreduce_t::<u64>(world, ReduceOp::Sum, &[s.acc, me])?;
+            if s.i % 4 == 1 {
+                p.request_checkpoint()?;
+            }
+            let g = p.allgather_flat_t::<u64>(world, &[s.acc ^ s.i])?;
+            let m = p.allreduce_t::<u64>(world, ReduceOp::Max, &[s.acc])?;
+            s.acc = mix(mix(mix(s.acc, &w), &g), &m);
+            if me == 1 {
+                p.send(world, 0, 8, &s.i.to_le_bytes())?;
+            } else if me == 0 && s.i > 0 {
+                let got = p.recv(world, 1, 8)?;
+                s.acc ^=
+                    u64::from_le_bytes(got.payload[..8].try_into().unwrap());
+            }
+            s.i += 1;
+            p.potential_checkpoint(s)?;
+        }
+        if me == 0 {
+            p.recv(world, 1, 8)?;
+        }
+        Ok(s.acc)
+    }
+}
+
+/// `rank`'s recovery window on `attempt`: the records between its
+/// `RecoveryStart` and its `RecoveryComplete` (or its end).
+fn recovery_window(
+    out: &CaseOutcome,
+    rank: u32,
+    attempt: u64,
+) -> Vec<&TraceEvent> {
+    out.records
+        .iter()
+        .filter(|r| r.rank == rank && r.attempt == attempt)
+        .map(|r| &r.event)
+        .skip_while(|e| !matches!(e, TraceEvent::RecoveryStart { .. }))
+        .skip(1)
+        .take_while(|e| !matches!(e, TraceEvent::RecoveryComplete))
+        .collect()
+}
+
+/// A second death inside the replay window of the first restart. The
+/// first run kills rank 2 after a line committed; its trace gives rank
+/// 0's window on attempt 2 in protocol operations. The second run adds a
+/// kill of rank 0 at the window's midpoint, which must land between rank
+/// 0's `RecoveryStart` and `RecoveryComplete`, and the job must still
+/// finish with the failure-free outputs and a clean trace.
+#[test]
+fn a_second_death_inside_the_replay_window_recovers() {
+    let job = C3Config {
+        trigger: c3_core::CheckpointTrigger::Manual,
+        ..C3Config::default()
+    };
+    let first = (2, 53, 1);
+    let once = Adversary::from_kills(vec![first]);
+    let out = run_case("chaos_window_once", 3, &WindowApp, &job, &once)
+        .clean("chaos_window_once");
+    assert_eq!(out.restarts, 1, "the first kill must fire");
+    assert!(out.recovered_from[0] > 0, "the kill must follow a commit");
+    // Recovery opens before rank 0's first operation; each operation in
+    // the window leaves one record, and the one that reports the replay
+    // drained is the next.
+    let ops = recovery_window(&out, 0, 2)
+        .into_iter()
+        .filter(|e| {
+            matches!(
+                e,
+                TraceEvent::CollectiveControl { .. }
+                    | TraceEvent::Send { .. }
+                    | TraceEvent::RecvClassified { .. }
+                    | TraceEvent::ReplayLate { .. }
+            )
+        })
+        .count() as u64;
+    assert!(ops >= 3, "rank 0's window holds its replayed receive");
+    let mid = (ops + 2) / 2;
+    let twice = Adversary::from_kills(vec![first, (0, mid, 2)]);
+    let out = run_case("chaos_window_twice", 3, &WindowApp, &job, &twice)
+        .clean("chaos_window_twice");
+    assert_eq!(out.restarts, 2, "both kills must fire");
+    let window = recovery_window(&out, 0, 2);
+    assert!(
+        matches!(window.last(), Some(TraceEvent::FailStop { op }) if *op == mid),
+        "the second kill must land inside rank 0's replay window: \
+         {window:?}"
+    );
+}
