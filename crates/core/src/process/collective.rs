@@ -30,9 +30,9 @@
 //! ([`Mpi::with_sideband`]) on frames that are sent anyway, in one of
 //! three forms by kind (`form`), never by configuration:
 //!
-//! * **fused** — `allgather`, `allreduce` and `alltoall` are exchanges in
-//!   which every rank hears from every other, so the word rides on the
-//!   data collective's own frames: no extra frame, no extra round;
+//! * **fused** — `allgather`, `allreduce` and `alltoall` already make
+//!   every rank's output depend on every rank's input, so the word rides
+//!   on the data collective's own frames: no extra frame, no extra round;
 //! * **answered** — `gather` and `reduce` reach the root from everyone,
 //!   so the root holds the full fold once its frames are in. Each
 //!   contributor's frame carries its word and an *ask* flag, set exactly
@@ -120,9 +120,10 @@ enum Form {
     Preceding,
 }
 
-/// The form of each kind: fused where the simmpi algorithm is an exchange
-/// in which every rank hears from every other, answered where a root
-/// hears from everyone, preceding for the rest.
+/// The form of each kind: fused where the simmpi algorithm makes every
+/// rank's output depend on every rank's input (gather/reduce-to-root +
+/// broadcast, pairwise exchange), answered where a root hears from
+/// everyone, preceding for the rest.
 fn form(kind: u8) -> Form {
     match kind {
         coll_kind::ALLGATHER | coll_kind::ALLREDUCE | coll_kind::ALLTOALL => {
@@ -404,7 +405,7 @@ impl<'a> Process<'a> {
     }
 
     /// Gather every member's payload at every member (ragged allowed).
-    /// Each returned chunk is a refcounted slice of simmpi's one framed
+    /// Each returned chunk is a refcounted slice of simmpi's one broadcast
     /// buffer (which is also what the recovery log stores).
     pub fn allgather(
         &mut self,
@@ -414,7 +415,7 @@ impl<'a> Process<'a> {
         unframe_chunks(&self.allgather_framed(comm, data)?).map_err(Into::into)
     }
 
-    /// The allgather's one framed buffer, live or replayed from the log.
+    /// The allgather's one broadcast buffer, live or replayed from the log.
     fn allgather_framed(
         &mut self,
         comm: CommHandle,
@@ -436,7 +437,7 @@ impl<'a> Process<'a> {
     }
 
     /// Typed allgather, concatenated in rank order and decoded straight
-    /// from the framed buffer.
+    /// from the broadcast buffer.
     pub fn allgather_flat_t<T: MpiType>(
         &mut self,
         comm: CommHandle,

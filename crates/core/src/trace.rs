@@ -614,10 +614,9 @@ mod tests {
 
     /// `C3TRACE2` is pinned byte for byte by the length and digest of the
     /// sample's encoding: a change here breaks every recorded artifact
-    /// holding the changed records. Tag 11 gained `min_epoch` under this
-    /// magic, so an artifact recorded before that with a collective
-    /// control record no longer decodes; one without (the checked-in
-    /// Laplace traces) still does.
+    /// and needs a new magic. Tag 11's `min_epoch` was added without
+    /// one, and what that broke is listed in DESIGN.md (collective
+    /// records from before the straddle rule).
     #[test]
     fn c3trace2_golden_bytes() {
         let bytes = encode_trace(&sample_records());

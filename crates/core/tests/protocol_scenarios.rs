@@ -496,6 +496,45 @@ fn split_communicators_replay_their_own_prefix() {
         );
     }
     assert!(on(0).any(|(_, min, max, _, logged)| min < max && logged));
+    // The analyzer joins only the world communicator (comm handles are
+    // per rank), so join each pair here: its members agree on every
+    // call's fold, and the fold is their epochs' minimum and maximum.
+    let pair_calls = |rank: u32, attempt: u64| -> Vec<(u32, u32, u32, bool)> {
+        records
+            .iter()
+            .filter(|r| r.rank == rank && r.attempt == attempt)
+            .filter_map(|r| match r.event {
+                TraceEvent::CollectiveControl {
+                    comm: 1,
+                    epoch,
+                    min_epoch,
+                    max_epoch,
+                    stopped_at_max,
+                    ..
+                } => Some((epoch, min_epoch, max_epoch, stopped_at_max)),
+                _ => None,
+            })
+            .collect()
+    };
+    for (a, b) in [(0, 2), (1, 3)] {
+        for attempt in [1, 2] {
+            let (ca, cb) = (pair_calls(a, attempt), pair_calls(b, attempt));
+            let n = ca.len().min(cb.len());
+            assert!(n > 0, "pair {a},{b} attempt {attempt}");
+            // The first attempt ends in the kill: join it from the start.
+            // The restart replays a logged prefix and then runs every
+            // call to the end: join it from the end.
+            let (ca, cb) = match attempt {
+                1 => (&ca[..n], &cb[..n]),
+                _ => (&ca[ca.len() - n..], &cb[cb.len() - n..]),
+            };
+            for (k, (x, y)) in ca.iter().zip(cb).enumerate() {
+                let what = format!("pair {a},{b} attempt {attempt} call {k}");
+                assert_eq!((x.1, x.2, x.3), (y.1, y.2, y.3), "{what}");
+                assert_eq!((x.1, x.2), (x.0.min(y.0), x.0.max(y.0)), "{what}");
+            }
+        }
+    }
     // The restart replays world calls from rank 1's log around its live
     // pair call.
     assert!(report.stats[1].collectives_replayed > 0);
@@ -545,8 +584,8 @@ fn fused_control_word_adds_no_frames() {
         marginal_sent(n, InstrumentationLevel::None, app);
     let (pb_frames, pb_bytes) =
         marginal_sent(n, InstrumentationLevel::Piggyback, app);
-    // 20 iterations x 2 collectives x one exchange of n (n - 1) frames.
-    assert_eq!(base_frames, 20 * 2 * n as u64 * (n as u64 - 1));
+    // 20 iterations x 2 collectives x (gather + broadcast) x (n - 1).
+    assert_eq!(base_frames, 20 * 2 * 2 * (n as u64 - 1));
     assert_eq!(pb_frames, base_frames, "no extra frames, no extra rounds");
     assert_eq!(pb_bytes, base_bytes + 8 * base_frames);
 }
@@ -782,7 +821,7 @@ impl C3App for EveryKindApp {
                 .flatten()
                 .fold(h, |h, &v| mix(h, v));
             // Ragged, and empty at some rank in most iterations. The flat
-            // form decodes the framed buffer — live, or the logged one
+            // form decodes the broadcast buffer — live, or the logged one
             // on replay — in one pass and must equal the nested form.
             let mine = vec![h & 0xFF; (s.i + me) as usize % 3];
             let all = p.allgather_t::<u64>(world, &mine)?;

@@ -13,13 +13,19 @@
 //! (≤ 64 ranks): binomial-tree broadcast, linear gather/reduce with
 //! ascending-rank combination order (deterministic floating-point results),
 //! dissemination barrier, pairwise all-to-all, linear-chain scan.
-//! `allgather` and `allreduce` are one *exchange* round, an all-to-all of
-//! one contribution: every member sends its contribution to every other
-//! member and receives theirs in rank order, and each member frames (or
-//! combines, in ascending rank order, exactly as a reduce's root does)
-//! the same chunks itself. That is `n(n-1)` frames per call where a
-//! gather-then-broadcast sends `2(n-1)`, but no member waits for another
-//! to forward anything: one hop instead of two.
+//! `allgather` and `allreduce` are gather/reduce to an internal root
+//! followed by a broadcast from it, and that root is the communicator's
+//! *last* rank. The root is the first rank out of such a collective (it
+//! sends the broadcast and leaves; everyone else waits for it), so it is
+//! the first into the next one and whatever it contributes there is the
+//! stalest contribution. Rank 0 is where protocols above put their
+//! coordinator; rooting at the far end makes rank 0 the last rank the
+//! broadcast reaches and so the last to enter the next collective, which
+//! lets a decision it has just taken travel with its sideband word (below)
+//! to every participant in that same collective, not the one after, and
+//! so fewer calls have participants on both sides of that decision.
+//! Results do not depend on the root: chunks are indexed, and reductions
+//! combined, by ascending rank.
 //!
 //! A caller may attach one 8-byte *sideband* word to a collective
 //! ([`Mpi::with_sideband`]): it rides in the inline header segment of the
@@ -28,7 +34,8 @@
 //! `max` of each 32-bit half on its own, so one word can carry one
 //! maximum in its low half and, complemented, one minimum in its high
 //! half. The protocol layer uses it to agree on `(epoch, amLogging)`
-//! without a control round of its own.
+//! and the participants' minimum epoch without a control round of its
+//! own.
 //!
 //! A gather (and so a reduce) can also run *answered*
 //! ([`Mpi::with_answered_sideband`]): each contributor's frame carries
@@ -53,7 +60,7 @@ enum CollOp {
     Bcast = 1,
     Gather = 2,
     Scatter = 3,
-    // 4 unused: reductions ride on Gather and Alltoall internally.
+    // 4 reserved: reductions ride on Gather/Bcast internally.
     Alltoall = 5,
     Scan = 6,
     CtxAgree = 7,
@@ -62,6 +69,12 @@ enum CollOp {
 fn coll_tag(seq: u32, op: CollOp, round: u32) -> i32 {
     // seq: 20 bits, round: 8 bits, op: 4 bits — all positive i32 values.
     (((seq & 0xF_FFFF) << 12) | ((round & 0xFF) << 4) | (op as u32)) as i32
+}
+
+/// Internal root of the gather-then-broadcast collectives (why the last
+/// rank: module docs).
+fn internal_root(comm: &Comm) -> usize {
+    comm.size() - 1
 }
 
 /// The sideband fold of two words: the `max` of each 32-bit half on its
@@ -74,8 +87,8 @@ pub fn fold_words(a: u64, b: u64) -> u64 {
 
 /// Frame a list of byte chunks into one byte string: a little-endian
 /// `u64` count followed by `u64`-length-prefixed chunks. This is the
-/// allgather result's format, and the one the protocol layer above logs
-/// ragged collective results in.
+/// allgather broadcast buffer's format, and the one the protocol layer
+/// above logs ragged collective results in.
 pub fn frame_chunks(chunks: &[Bytes]) -> Bytes {
     let total: usize = 8 + chunks.iter().map(|c| 8 + c.len()).sum::<usize>();
     let mut out = Vec::with_capacity(total);
@@ -160,24 +173,6 @@ fn ctx_word(payload: &[u8]) -> MpiResult<u32> {
         .and_then(|b| b.try_into().ok())
         .map(u32::from_le_bytes)
         .ok_or_else(|| MpiError::BadPayload("short context id".into()))
-}
-
-/// Combine a reduction's chunks, indexed by rank, in ascending rank order
-/// (deterministic floating-point results).
-fn combine_in_rank_order(
-    op: ReduceOp,
-    dtype: DType,
-    chunks: Vec<Bytes>,
-) -> MpiResult<Vec<u8>> {
-    let mut iter = chunks.into_iter();
-    let first = iter.next().ok_or_else(|| {
-        MpiError::CollectiveMismatch("empty reduce group".into())
-    })?;
-    let mut acc = first.to_vec();
-    for chunk in iter {
-        op.combine(dtype, &mut acc, &chunk)?;
-    }
-    Ok(acc)
 }
 
 /// An open sideband scope (module docs).
@@ -524,19 +519,24 @@ impl Mpi {
     }
 
     /// Gather every member's payload at every member (the `MPI_Allgather`
-    /// analogue, ragged payloads allowed) in one exchange round, and
-    /// return the chunks in [`frame_chunks`] format.
+    /// analogue, ragged payloads allowed) and return the one broadcast
+    /// buffer itself, in [`frame_chunks`] format: gather to the internal
+    /// root, broadcast from it.
     pub fn allgather_framed(
         &mut self,
         comm: &Comm,
         data: Bytes,
     ) -> MpiResult<Bytes> {
-        let chunks = self.alltoall(comm, &vec![data; comm.size()])?;
-        Ok(frame_chunks(&chunks))
+        let root = internal_root(comm);
+        let framed = match self.gather(comm, root, data)? {
+            Some(chunks) => frame_chunks(&chunks),
+            None => Bytes::new(),
+        };
+        self.bcast(comm, root, framed)
     }
 
     /// [`Mpi::allgather_framed`] split per rank: `chunks[r]` is rank `r`'s
-    /// data, a refcounted slice of the one framed buffer.
+    /// data, a refcounted slice of the one broadcast buffer.
     pub fn allgather(
         &mut self,
         comm: &Comm,
@@ -556,7 +556,7 @@ impl Mpi {
 
     /// Typed allgather returning the concatenation in rank order (the
     /// contiguous-buffer shape of `MPI_Allgather`), decoded straight from
-    /// the framed buffer.
+    /// the broadcast buffer.
     pub fn allgather_flat_t<T: MpiType>(
         &mut self,
         comm: &Comm,
@@ -650,14 +650,25 @@ impl Mpi {
     ) -> MpiResult<Option<Vec<u8>>> {
         dtype.check(&data)?;
         let chunks = self.gather(comm, root, data)?;
-        chunks
-            .map(|c| combine_in_rank_order(op, dtype, c))
-            .transpose()
+        match chunks {
+            None => Ok(None),
+            Some(chunks) => {
+                let mut iter = chunks.into_iter();
+                let first = iter.next().ok_or_else(|| {
+                    MpiError::CollectiveMismatch("empty reduce group".into())
+                })?;
+                let mut acc = first.to_vec();
+                for chunk in iter {
+                    op.combine(dtype, &mut acc, &chunk)?;
+                }
+                Ok(Some(acc))
+            }
+        }
     }
 
     /// Element-wise reduction delivered to every member (the
-    /// `MPI_Allreduce` analogue): one exchange round, after which every
-    /// member combines the same chunks in the same order.
+    /// `MPI_Allreduce` analogue). Reduce to the internal root, broadcast
+    /// from it.
     pub fn allreduce_t<T: MpiType>(
         &mut self,
         comm: &Comm,
@@ -673,9 +684,8 @@ impl Mpi {
         T::bytes_to_vec(&bytes)
     }
 
-    /// Byte-level allreduce. Every member combines in ascending rank
-    /// order, as [`Mpi::reduce_bytes`]'s root does, so every member's
-    /// result has the same bits as the root's would.
+    /// Byte-level allreduce. The result is the broadcast buffer itself,
+    /// shared by refcount at every rank.
     pub fn allreduce_bytes(
         &mut self,
         comm: &Comm,
@@ -683,9 +693,10 @@ impl Mpi {
         dtype: DType,
         data: Bytes,
     ) -> MpiResult<Bytes> {
-        dtype.check(&data)?;
-        let chunks = self.alltoall(comm, &vec![data; comm.size()])?;
-        Ok(combine_in_rank_order(op, dtype, chunks)?.into())
+        let root = internal_root(comm);
+        let reduced = self.reduce_bytes(comm, root, op, dtype, data)?;
+        let payload = reduced.map(Bytes::from).unwrap_or_default();
+        self.bcast(comm, root, payload)
     }
 
     /// Inclusive prefix reduction (the `MPI_Scan` analogue): rank `r`

@@ -93,7 +93,7 @@ fn allgather_all_sizes() {
     }
 }
 
-/// The flat form decodes the framed buffer directly; it must equal
+/// The flat form decodes the broadcast buffer directly; it must equal
 /// the per-rank form concatenated, in rank order, whatever each rank
 /// contributes — ragged lengths, nothing at all, one-byte and eight-byte
 /// elements.
